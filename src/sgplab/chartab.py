@@ -299,6 +299,7 @@ def _class_matrix(G: FinGroup, cd: ClassData, members, i: int) -> list:
     M = [[0] * r for _ in range(r)]
     for m in range(r):
         y = G.ops.mul(xinv, G.keys[cd.reps[m]])
+        y.sort()                  # only counted: sorted needles search faster
         cls = cd.class_of[G.index_of(y)]
         counts = np.bincount(cls, minlength=r)
         for k in range(r):

@@ -1,25 +1,36 @@
 """Explicit finite matrix groups over GF(2^e) and their conjugacy structure.
 
 Groups are full element enumerations.  Each element is a small matrix whose
-entry codes are bit-packed into one uint64 key; a group stores the sorted
-key array, so membership and class lookups are binary searches and all of
-the heavy work (closure, conjugation orbits, class-matrix counts) runs as
-vectorized numpy passes over key arrays.
+entry codes (Zech-log codes, see `gfield`) are bit-packed into one uint64
+key; a group stores the sorted key array, so membership and class lookups
+are binary searches and all of the heavy work (closure, conjugation orbits,
+class-matrix counts) runs as vectorized numpy passes over key arrays.
 
-Everything is immutable after construction and safe to share across
-threads; the vectorized passes are internally batched but their results do
-not depend on batch boundaries.
+Almost every hot product multiplies a key array by one fixed element.
+`MatOps.mul` does those with byte tables of the GF(2)-linear map x -> x*g
+(or g*x), built on first use from reference products and kept in a small
+bounded cache on the MatOps; inverses are a fixed permutation of entry
+bits, applied the same way.  Other products go through `MatOps._matmul`.
+
+A FinGroup's keys never change after construction; its class partition
+and character table are computed on first request and cached on it.  The
+table cache of a MatOps (shared by every group over one field, dimension
+and inverse mode) changes under a lock; the vectorized passes are
+internally batched but their results do not depend on batch boundaries.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import gfield
-from .errors import GroupSpecError, ResourceBoundError, SubgroupError
+from .errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
+                     SubgroupError)
 
 __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
@@ -32,6 +43,7 @@ __all__ = [
 
 MAX_ORDER_DEFAULT = 2_500_000
 _CHUNK = 1 << 18
+_TABLE_CACHE = 64   # (element, side) byte-table sets kept per MatOps
 
 _U64 = np.uint64
 
@@ -45,8 +57,14 @@ class MatOps:
     """Packed dim x dim matrices over a FieldCtx, entry codes bit-packed.
 
     inv_mode: "symplectic" uses M^-1 = J M^T J for the fixed antidiagonal
-    Gram matrix J; "transpose" is for permutation matrices; "generic" does
-    per-element Gauss-Jordan (small groups only).
+    Gram matrix J; "transpose" is for permutation matrices (both are entry
+    permutations, applied with byte tables); "generic" does per-element
+    Gauss-Jordan (small groups only).
+
+    Products by one fixed element use byte tables that are built on first
+    use and kept, at most _TABLE_CACHE (element, side) pairs, least recently
+    used dropped first; this cache is the only state that changes after
+    construction, and only under the lock.
     """
 
     def __init__(self, ctx: gfield.FieldCtx, dim: int, inv_mode: str = "symplectic"):
@@ -62,11 +80,20 @@ class MatOps:
         for i in range(dim):
             eye[i, i] = ctx.one
         self.identity = self.pack_one(eye)
-        if inv_mode == "symplectic":
-            j = np.zeros((dim, dim), dtype=np.uint8)
-            for i in range(dim):
-                j[i, dim - 1 - i] = ctx.one
-            self._jkey = self.pack_one(j)
+        if inv_mode == "symplectic":       # the Gram matrix J of the form
+            self._jkey = self.pack_one(eye[::-1])
+        # key chunks of whole entries, at most a byte wide: (shift, width)
+        width = max(1, 8 // self.bits) * self.bits
+        total = dim * dim * self.bits
+        self._chunks = [(s, min(width, total - s)) for s in range(0, total, width)]
+        self._poly = np.array([ctx.poly_of(a) for a in range(ctx.q)], dtype=np.uint8)
+        code = np.array([ctx.code_of_poly(m) for m in range(ctx.q)], dtype=np.uint8)
+        self._poly_to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]))
+        if inv_mode != "generic":
+            self._inv_tables = self._chunk_tables(
+                lambda k: self.pack(self._inv_perm(self.unpack(k))))
+        self._tables: OrderedDict = OrderedDict()   # (element, side) -> tables
+        self._lock = threading.Lock()
 
     # -- packing ---------------------------------------------------------
 
@@ -98,6 +125,15 @@ class MatOps:
 
     def mul(self, a, b) -> np.ndarray:
         a, b = _as_key_array(a), _as_key_array(b)
+        if len(b) == 1 and len(a) != 1:
+            return self._mul_fixed(a, b[0], "right")
+        if len(a) == 1 and len(b) != 1:
+            return self._mul_fixed(b, a[0], "left")
+        return self._mul_ref(a, b)
+
+    def _mul_ref(self, a, b) -> np.ndarray:
+        """Products by `_matmul`: the reference the byte tables are built from."""
+        a, b = _as_key_array(a), _as_key_array(b)
         n = max(len(a), len(b))
         if len(a) != n:
             a = np.broadcast_to(a, (n,))
@@ -113,13 +149,56 @@ class MatOps:
     def mul1(self, a, b) -> np.uint64:
         return self.mul(a, b)[0]
 
+    # Over GF(2), x -> x*g and x -> g*x are linear maps on the entry bits of
+    # x in polynomial basis (Four Russians: Albrecht, Bard and Hart, ACM
+    # TOMS 37(1), 2010).  Entry conversion is entrywise and the chunks hold
+    # whole entries, so table c maps each value of chunk c of a log-coded key
+    # straight to the polynomial bits of its image; XOR over the chunks gives
+    # the image of the whole key, and `_poly_to_code` maps it back.
+
+    def _chunk_tables(self, image) -> list:
+        """Per chunk, `image` of every key that is zero outside that chunk."""
+        return [image(np.arange(1 << w, dtype=_U64) << _U64(s))
+                for s, w in self._chunks]
+
+    def _gather(self, tables: list, keys: np.ndarray) -> np.ndarray:
+        """XOR over the chunks c of tables[c][chunk c of each key]."""
+        out = None
+        for (s, w), t in zip(self._chunks, tables):
+            part = np.take(t, (keys >> _U64(s)) & _U64((1 << w) - 1))
+            if out is None:
+                out = part
+            else:
+                out ^= part
+        return out
+
+    def _mul_fixed(self, keys: np.ndarray, g, side: str) -> np.ndarray:
+        """keys * g (side "right") or g * keys (side "left")."""
+        tkey = (int(g), side)
+        with self._lock:
+            tables = self._tables.get(tkey)
+            if tables is None:
+                def image(k):
+                    prods = self._mul_ref(k, g) if side == "right" else self._mul_ref(g, k)
+                    return self.pack(self._poly[self.unpack(prods)])
+
+                tables = self._tables[tkey] = self._chunk_tables(image)
+                if len(self._tables) > _TABLE_CACHE:
+                    self._tables.popitem(last=False)
+            else:
+                self._tables.move_to_end(tkey)
+        return self._gather(self._poly_to_code, self._gather(tables, keys))
+
+    def _inv_perm(self, mats: np.ndarray) -> np.ndarray:
+        """The entry permutation that inverts: M^T, or J M^T J, whose entry
+        (i, j) is M[d-1-j][d-1-i] in characteristic 2."""
+        t = mats.swapaxes(1, 2)
+        return t[:, ::-1, ::-1] if self.inv_mode == "symplectic" else t
+
     def inv(self, keys) -> np.ndarray:
         keys = _as_key_array(keys)
-        if self.inv_mode == "transpose":
-            return self.pack(self.unpack(keys).swapaxes(1, 2))
-        if self.inv_mode == "symplectic":
-            t = self.pack(self.unpack(keys).swapaxes(1, 2))
-            return self.mul(self.mul(self._jkey, t), self._jkey)
+        if self.inv_mode != "generic":
+            return self._gather(self._inv_tables, keys)
         return np.array([self._inv_one(k) for k in keys], dtype=_U64)
 
     def _inv_one(self, key) -> np.uint64:
@@ -257,18 +336,20 @@ def mulclose(ops, gens_keys, max_order: int) -> np.ndarray:
     gens = sorted({int(g) for g in gens_keys})
     all_keys = np.unique(np.array([int(ops.identity)] + gens, dtype=_U64))
     frontier = all_keys
-    while frontier.size:
-        prods = [ops.mul(frontier, _U64(g)) for g in gens]
-        cand = np.unique(np.concatenate(prods)) if prods else frontier[:0]
+    while frontier.size and gens:
+        cand = np.concatenate([ops.mul(frontier, _U64(g)) for g in gens])
+        cand.sort()
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
         pos = np.searchsorted(all_keys, cand)
-        pos = np.minimum(pos, all_keys.size - 1)
-        fresh = cand[all_keys[pos] != cand]
+        new = all_keys[np.minimum(pos, all_keys.size - 1)] != cand
+        fresh = cand[new]
         if not fresh.size:
             break
-        all_keys = np.union1d(all_keys, fresh)
-        if all_keys.size > max_order:
+        if all_keys.size + fresh.size > max_order:
             raise ResourceBoundError(
                 f"group order exceeds the enumeration bound {max_order}")
+        # fresh is sorted, so inserting at the searchsorted positions keeps order
+        all_keys = np.insert(all_keys, pos[new], fresh)
         frontier = fresh
     return all_keys
 
@@ -471,6 +552,14 @@ def _sl2_gens(ctx):
     return gens
 
 
+def _check_order(G: FinGroup, expect: int) -> FinGroup:
+    """The end-to-end guard on the kernel: G must have its closed-form order."""
+    if G.order != expect:
+        raise InternalCheckError(
+            f"{G.label}: enumerated {G.order} elements, closed form {expect}")
+    return G
+
+
 def _build_sl2(q, max_order, text="", pos=0):
     e = _even_prime_power(q, text, pos)
     ctx = gfield.field_ctx(e)
@@ -478,8 +567,7 @@ def _build_sl2(q, max_order, text="", pos=0):
     gens = [ops.from_rows(rows) for rows in _sl2_gens(ctx)]
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"sl2:{q}", ops, keys, gens)
-    assert G.order == q * (q * q - 1)
-    return G
+    return _check_order(G, q * (q * q - 1))
 
 
 def _transvection(ops, entries):
@@ -517,8 +605,7 @@ def _build_sp4(q, max_order, text="", pos=0):
     gens = _sp4_gens(ops)
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"sp4:{q}", ops, keys, gens)
-    assert G.order == q**4 * (q**2 - 1) * (q**4 - 1)
-    return G
+    return _check_order(G, q**4 * (q**2 - 1) * (q**4 - 1))
 
 
 def _build_wreath(q, max_order, text="", pos=0):
@@ -537,8 +624,7 @@ def _build_wreath(q, max_order, text="", pos=0):
                                [0, 0, 0, one], [0, 0, one, 0]]))
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"wreath-sp2:{q}", ops, keys, gens)
-    assert G.order == 2 * q**2 * (q**2 - 1) ** 2
-    return G
+    return _check_order(G, 2 * q**2 * (q**2 - 1) ** 2)
 
 
 def _build_ext_abstract(q, max_order, text="", pos=0):
@@ -552,8 +638,7 @@ def _build_ext_abstract(q, max_order, text="", pos=0):
         np.array([[ops.ctx.one, 0], [0, ops.ctx.one]], dtype=np.uint8), 1))
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"ext-sp2q2:{q}", ops, keys, gens)
-    assert G.order == 2 * q**2 * (q**4 - 1)
-    return G
+    return _check_order(G, 2 * q**2 * (q**4 - 1))
 
 
 def _mat_inv_small(ctx, rows):
@@ -675,8 +760,7 @@ def _build_ext_embedded(q, max_order, text="", pos=0):
     gens = [ops.from_rows(conj(r)) for r in gen_rows]
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"ext-sp2q2-embedded:{q}", ops, keys, gens)
-    assert G.order == 2 * q**2 * (q**4 - 1)
-    return G
+    return _check_order(G, 2 * q**2 * (q**4 - 1))
 
 
 def _sum_mul(ctx, pairs):
@@ -697,8 +781,7 @@ def _build_parabolic(q, kind, max_order, text="", pos=0):
                 & (mats[:, 2, 1] == 0) & (mats[:, 3, 1] == 0))
         label = f"parabolic-q:{q}"
     H = subgroup(G, G.keys[mask], label)
-    assert H.order == q**3 * (q**2 + q) * (q - 1) ** 2
-    return H
+    return _check_order(H, q**3 * (q**2 + q) * (q - 1) ** 2)
 
 
 def _build_so4(q, sign, max_order, text="", pos=0):
@@ -728,8 +811,7 @@ def _build_so4(q, sign, max_order, text="", pos=0):
     H = subgroup(G, G.keys[keep], label)
     expect = (2 * q**2 * (q**2 - 1) ** 2 if sign == "+"
               else 2 * q**2 * (q**4 - 1))
-    assert H.order == expect
-    return H
+    return _check_order(H, expect)
 
 
 def _build_sz(q, max_order, text="", pos=0):
@@ -768,8 +850,7 @@ def _build_sz(q, max_order, text="", pos=0):
                                [0, one, 0, 0], [one, 0, 0, 0]]))
     keys = mulclose(ops, gens, max_order)
     G = FinGroup(f"sz:{q}", ops, keys, gens)
-    assert G.order == q**2 * (q**2 + 1) * (q - 1)
-    return G
+    return _check_order(G, q**2 * (q**2 + 1) * (q - 1))
 
 
 def _build_sp4_sub(q, q0, max_order, text="", pos=0):
@@ -785,8 +866,8 @@ def _build_sp4_sub(q, q0, max_order, text="", pos=0):
                    dtype=np.uint8)
     mats = lut[small.ops.unpack(small.keys)]
     keys = np.unique(big.ops.pack(mats))
-    assert keys.size == small.order
-    return subgroup(big, keys, f"sp4-sub:{q}:{q0}")
+    H = subgroup(big, keys, f"sp4-sub:{q}:{q0}")
+    return _check_order(H, small.order)
 
 
 def _build_trivial(max_order, text="", pos=0):

@@ -1,6 +1,7 @@
 """The command-line front end: parsing, verbs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +113,11 @@ def test_verify_paper_tier1():
     assert code == EXIT_OK
     assert "FAIL" not in out
     assert out.count("PASS") >= 6 and "SKIP sp4-4-scan" in out
+
+
+@pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2"])
+def test_chartab_json_matches_golden(spec, capsys):
+    """Byte-identical to the output pinned before the byte-table kernel."""
+    golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
+    assert main(["--format", "json", "chartab", spec]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text()

@@ -1,0 +1,87 @@
+"""The byte-table products and inverses of MatOps against `_matmul`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import sgplab
+from sgplab import gfield
+from sgplab.groups import _TABLE_CACHE, mat_ops
+
+U64 = np.uint64
+
+# every (e, dim, inv_mode) the builders use: sl2 over GF(2^e), e = 1..4;
+# sp4, wreath, ext-embedded and sz 4x4, e = 1..3; transpose for perm groups
+CASES = ([(e, 2, "symplectic") for e in range(1, 5)]
+         + [(e, 4, "symplectic") for e in range(1, 4)]
+         + [(1, n, "transpose") for n in range(2, 9)])
+
+
+def _random_keys(ops, rng, n):
+    """n keys with independent uniform entry codes in 0 .. q-1."""
+    codes = rng.integers(0, ops.ctx.q, size=(n, ops.dim, ops.dim), dtype=np.uint8)
+    return ops.pack(codes)
+
+
+def _ref_mul(ops, a, b):
+    a, b = np.broadcast_arrays(a, b)
+    return ops.pack(ops._matmul(ops.unpack(a), ops.unpack(b)))
+
+
+def _ref_inv(ops, keys):
+    t = ops.pack(ops.unpack(keys).swapaxes(1, 2))
+    if ops.inv_mode == "transpose":
+        return t
+    j = np.zeros((ops.dim, ops.dim), dtype=np.uint8)
+    for i in range(ops.dim):
+        j[i, ops.dim - 1 - i] = ops.ctx.one
+    jkey = ops.pack_one(j)
+    return _ref_mul(ops, _ref_mul(ops, jkey, t), jkey)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CASES), st.integers(0, 2**32 - 1), st.integers(2, 600))
+def test_fixed_element_products_and_inverse_match_matmul(case, seed, n):
+    e, dim, mode = case
+    ops = mat_ops(gfield.field_ctx(e), dim, mode)
+    rng = np.random.default_rng(seed)
+    x = _random_keys(ops, rng, n)
+    g = _random_keys(ops, rng, 1)[0]
+    assert np.array_equal(ops.mul(x, g), _ref_mul(ops, x, g))
+    assert np.array_equal(ops.mul(g, x), _ref_mul(ops, g, x))
+    assert np.array_equal(ops.inv(x), _ref_inv(ops, x))
+    assert np.array_equal(ops.inv(g), _ref_inv(ops, g))   # a single key too
+
+
+def test_table_cache_is_bounded_and_stays_exact():
+    ops = mat_ops(gfield.field_ctx(2), 4, "symplectic")
+    rng = np.random.default_rng(7)
+    x = _random_keys(ops, rng, 50)
+    gs = _random_keys(ops, rng, _TABLE_CACHE + 10)
+    for g in list(gs) + list(gs[:3]):                 # the first ones were evicted
+        assert np.array_equal(ops.mul(x, g), _ref_mul(ops, x, g))
+        assert len(ops._tables) <= _TABLE_CACHE
+
+
+def test_order_check_fires_under_python_O():
+    """A wrong enumeration raises InternalCheckError even with asserts stripped."""
+    script = (
+        "import sgplab.groups as g\n"
+        "from sgplab.errors import InternalCheckError\n"
+        "orig = g.mulclose\n"
+        "g.mulclose = lambda ops, gens, m: orig(ops, gens[:1], m)\n"
+        "try:\n"
+        "    g.build_group('sl2:4')\n"
+        "except InternalCheckError as exc:\n"
+        "    print('caught', exc)\n")
+    src = str(Path(sgplab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("caught sl2:4"), res.stdout
