@@ -113,31 +113,38 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def _nullspace(M: list, p: int) -> list:
-    """Basis vectors of the right null space of M mod p."""
-    n = len(M)
-    m = len(M[0])
-    A = [row[:] for row in M]
+def _rref(A: list, p: int, ncols: int) -> tuple:
+    """Gauss-Jordan mod p with pivots in the first ncols columns only.
+
+    Returns the reduced copy of A and its pivot columns.  The reduced row
+    echelon form is unique, so it does not depend on the pivot choices.
+    """
+    A = [row[:] for row in A]
     pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if A[i][c] % p), None)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(A):
+            break
+        piv = next((i for i in range(r, len(A)) if A[i][c] % p), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = pow(A[r][c], p - 2, p)
         A[r] = [x * inv % p for x in A[r]]
-        for i in range(n):
+        for i in range(len(A)):
             if i != r and A[i][c]:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    return A, pivots
+
+
+def _nullspace(M: list, p: int) -> list:
+    """Basis vectors of the right null space of M mod p."""
+    m = len(M[0])
+    A, pivots = _rref(M, p, m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [0] * m
         v[fc] = 1
         for i, pc in enumerate(pivots):
@@ -148,22 +155,11 @@ def _nullspace(M: list, p: int) -> list:
 
 def _solve_restriction(B: list, MB: list, p: int) -> list:
     """S with B*S = MB, where the r x d matrix B has full column rank."""
-    r, d = len(B), len(B[0])
-    aug = [B[i][:] + MB[i][:] for i in range(r)]
-    row = 0
-    piv_rows = []
-    for c in range(d):
-        piv = next(i for i in range(row, r) if aug[i][c] % p)
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][c], p - 2, p)
-        aug[row] = [x * inv % p for x in aug[row]]
-        for i in range(r):
-            if i != row and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[row])]
-        piv_rows.append(row)
-        row += 1
-    return [aug[i][d:] for i in range(d)]
+    d = len(B[0])
+    A, pivots = _rref([b + mb for b, mb in zip(B, MB)], p, d)
+    if len(pivots) != d:
+        raise InternalCheckError("eigenspace basis is not of full rank")
+    return [row[d:] for row in A[:d]]
 
 
 def _charpoly(M: list, p: int) -> list:
@@ -285,11 +281,10 @@ def regular_character(G: FinGroup) -> Character:
     return Character(G, tuple(vals), "regular")
 
 
-def _class_elements(G: FinGroup, cd: ClassData):
-    by_class = [[] for _ in cd.sizes]
-    for idx, c in enumerate(cd.class_of):
-        by_class[c].append(idx)
-    return [np.array(ix, dtype=np.int64) for ix in by_class]
+def _class_elements(cd: ClassData):
+    """Element indices of each class, in increasing order."""
+    by_class = np.argsort(cd.class_of, kind="stable")
+    return np.split(by_class, np.cumsum(cd.sizes)[:-1])
 
 
 def _class_matrix(G: FinGroup, cd: ClassData, members, i: int) -> list:
@@ -328,7 +323,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
         raise ResourceBoundError(f"{r} classes exceeds the bound {max_classes}")
     exponent = math.lcm(*cd.orders)
     p = _dixon_prime(exponent, G.order)
-    members = _class_elements(G, cd)
+    members = _class_elements(cd)
 
     # split the common eigenspaces of the class matrices, smallest class first
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Verbs: chartab, sgp, scan-maximal, alpha-sum, families, verify-paper,
-show-field.  Exit codes: 0 success, 1 a requested check failed, 2 usage or
-parse error, 3 a resource bound was exceeded, 4 an internal cross-check
-disagreed (a bug, not a user error).
+Global options: --format (pretty, json or csv) and --max-order.  Verbs:
+chartab, sgp, scan-maximal, alpha-sum, families, verify-paper, show-field.
+The group specs of a command are parsed once, before any work starts, and
+`run` builds the groups from the parsed form.  Exit codes: 0 success, 1 a
+requested check failed, 2 usage or parse error, 3 a resource bound was
+exceeded, 4 an internal cross-check disagreed (a bug, not a user error).
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ def _parser() -> argparse.ArgumentParser:
                    default="pretty", help="output format")
     p.add_argument("--max-order", type=int, default=MAX_ORDER_DEFAULT,
                    help="refuse to enumerate groups larger than this")
-    p.add_argument("--show-field", action="store_true",
-                   help="print the frozen primitive-polynomial table and exit")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; has no semantic effect")
     sub = p.add_subparsers(dest="verb")
 
     c = sub.add_parser("chartab", help="compute a character table")
@@ -81,9 +79,15 @@ def parse_spec(text: str) -> argparse.Namespace:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         raise GroupSpecError(f"cannot parse command {text!r}", text, 0) from exc
-    for attr in ("group", "subgroup"):
-        if getattr(ns, attr, None) is not None:
-            parse_group_spec(getattr(ns, attr))  # validate early, with position
+    return _parse_group_specs(ns)
+
+
+def _parse_group_specs(ns: argparse.Namespace) -> argparse.Namespace:
+    """Validate the command's group specs before any work starts, once: their
+    parsed forms go to `ns.specs`, which `run` builds from."""
+    ns.specs = {attr: parse_group_spec(getattr(ns, attr))
+                for attr in ("group", "subgroup")
+                if getattr(ns, attr, None) is not None}
     return ns
 
 
@@ -114,7 +118,7 @@ def _emit_table(T, ns, out):
 
 def run(ns: argparse.Namespace, out=print) -> int:
     """Execute a parsed command; returns the exit status."""
-    if ns.show_field or ns.verb == "show-field":
+    if ns.verb == "show-field":
         _show_field_table(out)
         return EXIT_OK
     if ns.verb is None:
@@ -122,13 +126,13 @@ def run(ns: argparse.Namespace, out=print) -> int:
         return EXIT_USAGE
 
     if ns.verb == "chartab":
-        G = build_group(ns.group, max_order=ns.max_order)
+        G = build_group(ns.specs["group"], max_order=ns.max_order)
         _emit_table(dixon_schneider(G), ns, out)
         return EXIT_OK
 
     if ns.verb == "sgp":
-        G = build_group(ns.group, max_order=ns.max_order)
-        H = build_group(ns.subgroup, max_order=ns.max_order)
+        G = build_group(ns.specs["group"], max_order=ns.max_order)
+        H = build_group(ns.specs["subgroup"], max_order=ns.max_order)
         if not is_subgroup(H, G):
             out(f"{ns.subgroup} is not (set-wise) a subgroup of {ns.group}; "
                 f"try its embedded form")
@@ -199,10 +203,7 @@ def main(argv=None) -> int:
     parser = _parser()
     ns = parser.parse_args(argv)
     try:
-        for attr in ("group", "subgroup"):
-            if getattr(ns, attr, None) is not None:
-                parse_group_spec(getattr(ns, attr))
-        return run(ns)
+        return run(_parse_group_specs(ns))
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

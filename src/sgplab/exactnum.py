@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalCheckError
+
 __all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly"]
 
 # Exact rationals: always in lowest terms, denominator > 0.
@@ -42,13 +44,15 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - dd)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + dd]
-        assert c % den[dd] == 0
+        if c % den[dd]:
+            raise InternalCheckError("polynomial division is not exact")
         q = c // den[dd]
         out[i] = q
         if q:
             for j, dj in enumerate(den):
                 num[i + j] -= q * dj
-    assert not any(num)
+    if any(num):
+        raise InternalCheckError("polynomial division leaves a remainder")
     return out
 
 

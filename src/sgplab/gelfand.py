@@ -16,7 +16,7 @@ import numpy as np
 from .chartab import (CharTable, Character, dixon_schneider, induce,
                       inner_product, restrict, total_character,
                       trivial_character)
-from .errors import ResourceBoundError, SubgroupError
+from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .groups import (FinGroup, build_group, h_classes, is_subgroup,
                      maximal_subgroups_sp4, squares_subgroup)
 
@@ -79,29 +79,31 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
                            side: str = "restrict") -> SgpVerdict:
     """Full check: every G-irreducible must restrict multiplicity-free to H
     (equivalently, every H-irreducible induces multiplicity-free).
+
+    A multiplicity that is not a non-negative integer means a corrupt table
+    and raises InternalCheckError instead of giving a verdict.
     """
     if not is_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
     TG = dixon_schneider(G)
     TH = dixon_schneider(H)
     if side == "restrict":
-        for gi, chi in enumerate(TG.irreducibles):
-            r = restrict(chi, H)
-            for hi, psi in enumerate(TH.irreducibles):
-                m = inner_product(r, psi)
-                if m > 1:
-                    w = Witness(gi, hi, int(m), int(chi.degree), int(psi.degree))
-                    return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
+        chars, other = (restrict(chi, H) for chi in TG.irreducibles), TH
     elif side == "induce":
-        for hi, psi in enumerate(TH.irreducibles):
-            ind = induce(psi, G)
-            for gi, chi in enumerate(TG.irreducibles):
-                m = inner_product(ind, chi)
-                if m > 1:
-                    w = Witness(gi, hi, int(m), int(chi.degree), int(psi.degree))
-                    return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
+        chars, other = (induce(psi, G) for psi in TH.irreducibles), TG
     else:
         raise ValueError(f"unknown side {side!r}")
+    for i, ch in enumerate(chars):
+        try:
+            ok, found = is_multiplicity_free(ch, other)
+        except ValueError as exc:
+            raise InternalCheckError(f"({G.label}, {H.label}): {exc}") from exc
+        if not ok:
+            j, m = found
+            gi, hi = (i, j) if side == "restrict" else (j, i)
+            w = Witness(gi, hi, m, int(TG.irreducibles[gi].degree),
+                        int(TH.irreducibles[hi].degree))
+            return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
     return SgpVerdict(G.label, H.label, "sgp", "full_check")
 
 

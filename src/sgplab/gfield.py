@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InternalCheckError
 from .exactnum import Cyclo, root_of_unity
 
 __all__ = [
@@ -74,7 +75,8 @@ class FieldCtx:
             x <<= 1
             if x & q:
                 x ^= self.modulus
-        assert x == 1, "x is not primitive for the frozen modulus"
+        if x != 1:
+            raise InternalCheckError("x is not primitive for the frozen modulus")
         self._exp = exp
         self._log = log
         # zech[k] = log(gamma^k + 1); -1 marks gamma^k + 1 = 0 (k = 0 in char 2)

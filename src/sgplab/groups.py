@@ -11,6 +11,12 @@ Almost every hot product multiplies a key array by one fixed element.
 (or g*x), built on first use from reference products and kept in a small
 bounded cache on the MatOps; inverses are a fixed permutation of entry
 bits, applied the same way.  Other products go through `MatOps._matmul`.
+`ExtOps` (the twisted pairs of ext-sp2q2) runs its matrix part on the same
+kernel.
+
+Group specs are read from one table, `_SPECS` (name -> arity, builder);
+`parse_group_spec` is the only validator, and the builders take its
+validated ints.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -57,9 +63,8 @@ class MatOps:
     """Packed dim x dim matrices over a FieldCtx, entry codes bit-packed.
 
     inv_mode: "symplectic" uses M^-1 = J M^T J for the fixed antidiagonal
-    Gram matrix J; "transpose" is for permutation matrices (both are entry
-    permutations, applied with byte tables); "generic" does per-element
-    Gauss-Jordan (small groups only).
+    Gram matrix J; "transpose" is for permutation matrices.  Both are entry
+    permutations, applied with byte tables.
 
     Products by one fixed element use byte tables that are built on first
     use and kept, at most _TABLE_CACHE (element, side) pairs, least recently
@@ -73,6 +78,8 @@ class MatOps:
         self.bits = max(1, (ctx.q - 1).bit_length())
         if dim * dim * self.bits > 64:
             raise ValueError("matrix does not fit in a 64-bit key")
+        if inv_mode not in ("symplectic", "transpose"):
+            raise ValueError(f"unknown inverse mode {inv_mode!r}")
         self.inv_mode = inv_mode
         self._shifts = (np.arange(dim * dim, dtype=_U64) * _U64(self.bits))
         self._mask = _U64((1 << self.bits) - 1)
@@ -89,9 +96,8 @@ class MatOps:
         self._poly = np.array([ctx.poly_of(a) for a in range(ctx.q)], dtype=np.uint8)
         code = np.array([ctx.code_of_poly(m) for m in range(ctx.q)], dtype=np.uint8)
         self._poly_to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]))
-        if inv_mode != "generic":
-            self._inv_tables = self._chunk_tables(
-                lambda k: self.pack(self._inv_perm(self.unpack(k))))
+        self._inv_tables = self._chunk_tables(
+            lambda k: self.pack(self._inv_perm(self.unpack(k))))
         self._tables: OrderedDict = OrderedDict()   # (element, side) -> tables
         self._lock = threading.Lock()
 
@@ -103,8 +109,11 @@ class MatOps:
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         keys = _as_key_array(keys)
-        flat = (keys[:, None] >> self._shifts) & self._mask
-        return flat.astype(np.uint8).reshape(len(keys), self.dim, self.dim)
+        # entry by entry, so no temporary is wider than one key array
+        flat = np.empty((len(keys), self.dim * self.dim), dtype=np.uint8)
+        for i, s in enumerate(self._shifts):
+            flat[:, i] = (keys >> s) & self._mask
+        return flat.reshape(len(keys), self.dim, self.dim)
 
     def pack_one(self, mat) -> np.uint64:
         return self.pack(np.asarray(mat, dtype=np.uint8)[None])[0]
@@ -196,27 +205,7 @@ class MatOps:
         return t[:, ::-1, ::-1] if self.inv_mode == "symplectic" else t
 
     def inv(self, keys) -> np.ndarray:
-        keys = _as_key_array(keys)
-        if self.inv_mode != "generic":
-            return self._gather(self._inv_tables, keys)
-        return np.array([self._inv_one(k) for k in keys], dtype=_U64)
-
-    def _inv_one(self, key) -> np.uint64:
-        ctx, d = self.ctx, self.dim
-        m = [list(row) for row in self.unpack(np.array([key], dtype=_U64))[0]]
-        aug = [row + [ctx.one if i == j else 0 for j in range(d)]
-               for i, row in enumerate(m)]
-        for c in range(d):
-            piv = next(r for r in range(c, d) if aug[r][c])
-            aug[c], aug[piv] = aug[piv], aug[c]
-            ic = ctx.inv(aug[c][c])
-            aug[c] = [ctx.mul(ic, x) for x in aug[c]]
-            for r in range(d):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [ctx.add(x, ctx.mul(f, y))
-                              for x, y in zip(aug[r], aug[c])]
-        return self.pack_one(np.array([row[d:] for row in aug], dtype=np.uint8))
+        return self._gather(self._inv_tables, _as_key_array(keys))
 
     # -- views -----------------------------------------------------------
 
@@ -236,8 +225,11 @@ class MatOps:
 class ExtOps:
     """Pairs (m, t): m a 2x2 matrix over GF(q^2), t in {0,1}.
 
-    Products twist by the entrywise Frobenius x -> x^q when t = 1:
-    (m, t)(m', t') = (m * sigma^t(m'), t xor t').
+    Products twist by the entrywise Frobenius sigma: x -> x^q when t = 1:
+    (m, t)(m', t') = (m * sigma^t(m'), t xor t').  The key of (m, t) is the
+    MatOps key of m with t in the bit above its entries, and the matrix part
+    runs on the byte-table kernel of the shared 2x2 symplectic MatOps over
+    GF(q^2); sigma is one more entrywise byte-table map.
     """
 
     def __init__(self, q: int):
@@ -245,72 +237,64 @@ class ExtOps:
         self.q = q
         self.ctx = gfield.field_ctx(2 * e)
         self.dim = 2
-        self.bits = max(1, (self.ctx.q - 1).bit_length())
-        self._shifts = (np.arange(4, dtype=_U64) * _U64(self.bits))
-        self._mask = _U64((1 << self.bits) - 1)
-        self._tshift = _U64(4 * self.bits)
-        self._frob = self.ctx.lut_frob(e)
-        self.identity = self.pack_one(
-            np.array([[self.ctx.one, 0], [0, self.ctx.one]], dtype=np.uint8), 0)
-        self.inv_mode = "ext"
+        self._mat = mo = mat_ops(self.ctx, 2, "symplectic")
+        self._tshift = _U64(4 * mo.bits)
+        self._mmask = (_U64(1) << self._tshift) - _U64(1)
+        frob = self.ctx.lut_frob(e)
+        self._sigma = mo._chunk_tables(lambda k: mo.pack(frob[mo.unpack(k)]))
+        self.identity = mo.identity
 
     def pack_one(self, mat, t: int) -> np.uint64:
-        flat = np.asarray(mat, dtype=_U64).reshape(4)
-        key = np.bitwise_or.reduce(flat << self._shifts)
-        return _U64(key | (_U64(t) << self._tshift))
+        return _U64(self._mat.pack_one(mat) | (_U64(t) << self._tshift))
 
-    def _unpack(self, keys):
-        keys = _as_key_array(keys)
-        flat = (keys[:, None] >> self._shifts) & self._mask
-        t = (keys >> self._tshift).astype(np.uint8)
-        return flat.astype(np.uint8).reshape(len(keys), 2, 2), t
+    def _split(self, keys):
+        """(matrix keys, twist bits as bool) of ext keys."""
+        return keys & self._mmask, (keys >> self._tshift).astype(bool)
 
-    def _pack(self, mats, t):
-        flat = mats.reshape(len(mats), 4).astype(_U64)
-        keys = np.bitwise_or.reduce(flat << self._shifts, axis=1)
-        return keys | (t.astype(_U64) << self._tshift)
+    def _join(self, mkeys, twist):
+        return mkeys | (twist.astype(_U64) << self._tshift)
 
-    def _matmul2(self, a, b):
-        mul = self.ctx.lut_mul
-        add = self.ctx.lut_add
-        terms = mul[a[:, :, :, None], b[:, None, :, :]]
-        return add[terms[:, :, 0, :], terms[:, :, 1, :]]
+    def _twist(self, mkeys, twist):
+        """sigma^t of each matrix key, t its twist bit."""
+        out = mkeys.copy()
+        out[twist] = self._mat._gather(self._sigma, mkeys[twist])
+        return out
 
     def mul(self, a, b) -> np.ndarray:
         a, b = _as_key_array(a), _as_key_array(b)
-        n = max(len(a), len(b))
-        if len(a) != n:
-            a = np.broadcast_to(a, (n,))
-        if len(b) != n:
-            b = np.broadcast_to(b, (n,))
-        ma, ta = self._unpack(a)
-        mb, tb = self._unpack(b)
-        twist = ta.astype(bool)
-        mb = np.where(twist[:, None, None], self._frob[mb], mb)
-        return self._pack(self._matmul2(ma, mb), ta ^ tb)
+        (ma, ta), (mb, tb) = self._split(a), self._split(b)
+        mo = self._mat
+        if len(b) == 1 and len(a) != 1:       # by g where t = 0, by sigma(g) where 1
+            m = np.empty_like(ma)
+            for t, g in ((False, mb[0]), (True, mo._gather(self._sigma, mb)[0])):
+                rows = ta == t
+                if rows.any():
+                    m[rows] = mo._mul_fixed(ma[rows], g, "right")
+        elif len(a) == 1 and len(b) != 1:
+            m = mo._mul_fixed(mo._gather(self._sigma, mb) if ta[0] else mb,
+                              ma[0], "left")
+        else:
+            m = mo._mul_ref(ma, self._twist(mb, ta))
+        return self._join(m, ta ^ tb)
 
     def mul1(self, a, b) -> np.uint64:
         return self.mul(a, b)[0]
 
     def inv(self, keys) -> np.ndarray:
-        m, t = self._unpack(keys)
-        # det-1 2x2 inverse in char 2 swaps the diagonal
-        minv = m.copy()
-        minv[:, 0, 0], minv[:, 1, 1] = m[:, 1, 1], m[:, 0, 0]
-        twist = t.astype(bool)
-        minv = np.where(twist[:, None, None], self._frob[minv], minv)
-        return self._pack(minv, t)
+        """(m, t)^-1 = (sigma^t(m^-1), t)."""
+        m, t = self._split(_as_key_array(keys))
+        minv = self._mat._gather(self._mat._inv_tables, m)
+        return self._join(self._twist(minv, t), t)
 
     def sl2_view(self, key):
-        m, t = self._unpack(np.array([key], dtype=_U64))
+        m, t = self._split(_as_key_array(key))
         if t[0]:
             return None
-        return m[0], self.ctx
+        return self._mat.unpack(m)[0], self.ctx
 
     def describe(self, key) -> dict:
-        m, t = self._unpack(np.array([key], dtype=_U64))
-        return {"matrix": [[int(c) - 1 for c in row] for row in m[0]],
-                "twist": int(t[0])}
+        m, t = self._split(_as_key_array(key))
+        return {"matrix": self._mat.describe(m[0]), "twist": int(t[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +315,23 @@ def _ext_ops_cached(q: int) -> ExtOps:
     return ExtOps(q)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in increasing order, by sort and neighbour compare.
+    Sorts `keys` in place (no copy of a large candidate array)."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def mulclose(ops, gens_keys, max_order: int) -> np.ndarray:
     """Sorted keys of the subgroup generated by gens_keys."""
     gens = sorted({int(g) for g in gens_keys})
-    all_keys = np.unique(np.array([int(ops.identity)] + gens, dtype=_U64))
+    all_keys = _sorted_unique(np.array([int(ops.identity)] + gens, dtype=_U64))
     frontier = all_keys
     while frontier.size and gens:
-        cand = np.concatenate([ops.mul(frontier, _U64(g)) for g in gens])
-        cand.sort()
-        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+        cand = _sorted_unique(np.concatenate([ops.mul(frontier, _U64(g))
+                                              for g in gens]))
         pos = np.searchsorted(all_keys, cand)
         new = all_keys[np.minimum(pos, all_keys.size - 1)] != cand
         fresh = cand[new]
@@ -389,7 +381,15 @@ class FinGroup:
         self.keys = keys
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
-        self.inv_idx = self.index_of(ops.inv(keys))
+        # the inverses are the keys again, so sorted they must equal keys:
+        # the k-th smallest inverse sits at index k
+        inv = ops.inv(keys)
+        by_key = np.argsort(inv)
+        if not np.array_equal(inv[by_key], keys):
+            raise KeyError("element is not in the group")
+        del inv
+        self.inv_idx = np.empty(self.order, dtype=np.int64)
+        self.inv_idx[by_key] = np.arange(self.order)
         self.identity_idx = int(self.index_of(np.array([ops.identity],
                                                        dtype=_U64))[0])
         self._classes = None
@@ -449,7 +449,7 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
         while frontier.size:
             fk = keys[frontier]
             nxt = [ops.mul(ops.mul(ginv, fk), g) for g, ginv in pairs]
-            ck = np.unique(np.concatenate(nxt)) if nxt else fk[:0]
+            ck = _sorted_unique(np.concatenate(nxt)) if nxt else fk[:0]
             pos = G.index_of(ck)
             fresh = pos[class_of[pos] < 0]
             class_of[fresh] = cid
@@ -459,26 +459,25 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     return tuple(sizes), tuple(reps), class_of
 
 
+def _class_data(G: FinGroup, gens) -> ClassData:
+    """Partition of G into orbits under conjugation by the given generators."""
+    sizes, reps, class_of = _orbit_partition(G, gens)
+    return ClassData(sizes, reps, class_of,
+                     tuple(int(class_of[G.inv_idx[r]]) for r in reps),
+                     tuple(element_order(G.ops, G.keys[r]) for r in reps),
+                     int(class_of[G.identity_idx]))
+
+
 def conjugacy_classes(G: FinGroup) -> ClassData:
-    if G._classes is not None:
-        return G._classes
-    sizes, reps, class_of = _orbit_partition(G, G.gens_keys)
-    inverse_class = tuple(int(class_of[G.inv_idx[r]]) for r in reps)
-    orders = tuple(element_order(G.ops, G.keys[r]) for r in reps)
-    cd = ClassData(sizes, reps, class_of, inverse_class, orders,
-                   int(class_of[G.identity_idx]))
-    G._classes = cd
-    return cd
+    if G._classes is None:
+        G._classes = _class_data(G, G.gens_keys)
+    return G._classes
 
 
 def h_classes(G: FinGroup, H: FinGroup) -> ClassData:
     """Partition of G into orbits under conjugation by H only."""
     _require_subgroup(H, G)
-    sizes, reps, class_of = _orbit_partition(G, H.gens_keys)
-    inverse_class = tuple(int(class_of[G.inv_idx[r]]) for r in reps)
-    orders = tuple(element_order(G.ops, G.keys[r]) for r in reps)
-    return ClassData(sizes, reps, class_of, inverse_class, orders,
-                     int(class_of[G.identity_idx]))
+    return _class_data(G, H.gens_keys)
 
 
 def centralizer_order(G: FinGroup, key) -> int:
@@ -490,7 +489,7 @@ def centralizer_order(G: FinGroup, key) -> int:
 
 
 def subgroup(G: FinGroup, keys: np.ndarray, label: str) -> FinGroup:
-    keys = np.unique(np.asarray(keys, dtype=_U64))
+    keys = _sorted_unique(np.array(keys, dtype=_U64))
     if not G.contains(keys).all():
         raise SubgroupError(f"{label}: keys are not all elements of {G.label}")
     return FinGroup(label, G.ops, keys, find_generators(keys, G.ops))
@@ -498,7 +497,7 @@ def subgroup(G: FinGroup, keys: np.ndarray, label: str) -> FinGroup:
 
 def squares_subgroup(G: FinGroup, label: str | None = None) -> FinGroup:
     """The subgroup generated by all squares (= A6 for S6, A5 for S5, ...)."""
-    sq = np.unique(G.ops.mul(G.keys, G.keys))
+    sq = _sorted_unique(G.ops.mul(G.keys, G.keys))
     keys = mulclose(G.ops, sq, G.order)
     return subgroup(G, keys, label or f"squares({G.label})")
 
@@ -560,9 +559,8 @@ def _check_order(G: FinGroup, expect: int) -> FinGroup:
     return G
 
 
-def _build_sl2(q, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    ctx = gfield.field_ctx(e)
+def _build_sl2(q, max_order):
+    ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 2, "symplectic")
     gens = [ops.from_rows(rows) for rows in _sl2_gens(ctx)]
     keys = mulclose(ops, gens, max_order)
@@ -598,9 +596,8 @@ def _sp4_gens(ops):
     return gens
 
 
-def _build_sp4(q, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    ctx = gfield.field_ctx(e)
+def _build_sp4(q, max_order):
+    ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     gens = _sp4_gens(ops)
     keys = mulclose(ops, gens, max_order)
@@ -608,9 +605,8 @@ def _build_sp4(q, max_order, text="", pos=0):
     return _check_order(G, q**4 * (q**2 - 1) * (q**4 - 1))
 
 
-def _build_wreath(q, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    ctx = gfield.field_ctx(e)
+def _build_wreath(q, max_order):
+    ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     one = ctx.one
     gens = []
@@ -627,10 +623,7 @@ def _build_wreath(q, max_order, text="", pos=0):
     return _check_order(G, 2 * q**2 * (q**2 - 1) ** 2)
 
 
-def _build_ext_abstract(q, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    if e < 1:
-        raise GroupSpecError("ext-sp2q2 needs q >= 2", text, pos)
+def _build_ext_abstract(q, max_order):
     ops = _ext_ops_cached(q)
     gens = [ops.pack_one(np.array(rows, dtype=np.uint8), 0)
             for rows in _sl2_gens(ops.ctx)]
@@ -682,7 +675,8 @@ def _symplectic_basis(ctx, gram):
                 s = ctx.inv(b)
                 w = [ctx.mul(s, x) for x in w]
                 break
-        assert w is not None, "degenerate form"
+        if w is None:
+            raise InternalCheckError("degenerate form")
         rest = []
         for v in vecs:
             bu, bw = form(v, u), form(v, w)
@@ -695,9 +689,9 @@ def _symplectic_basis(ctx, gram):
     return [[basis[j][i] for j in range(d)] for i in range(d)]  # columns
 
 
-def _build_ext_embedded(q, max_order, text="", pos=0):
+def _build_ext_embedded(q, max_order):
     """Concrete image of ext-sp2q2:q inside sp4:q, via GF(q^2) as 2x2 blocks."""
-    e = _even_prime_power(q, text, pos)
+    e = q.bit_length() - 1
     ctx = gfield.field_ctx(e)
     ctx2 = gfield.field_ctx(2 * e)
     emb = [gfield.subfield_embed(ctx, ctx2, a) for a in range(ctx.q)]
@@ -740,7 +734,8 @@ def _build_ext_embedded(q, max_order, text="", pos=0):
     def tr_down(w):
         t = ctx2.add(w, gfield.frobenius(ctx2, w, e))
         u, v = coord[t]
-        assert v == 0
+        if v:
+            raise InternalCheckError("trace is not in the subfield")
         return u
     gram = [[tr_down(ctx2.add(ctx2.mul(x1, y2), ctx2.mul(x2, y1)))
              for (y1, y2) in basis2] for (x1, x2) in basis2]
@@ -770,7 +765,7 @@ def _sum_mul(ctx, pairs):
     return s
 
 
-def _build_parabolic(q, kind, max_order, text="", pos=0):
+def _build_parabolic(q, max_order, kind):
     G = build_group(f"sp4:{q}", max_order=max_order)
     mats = G.ops.unpack(G.keys)
     if kind == "p":  # stabilizer of the isotropic point <e1>
@@ -784,8 +779,7 @@ def _build_parabolic(q, kind, max_order, text="", pos=0):
     return _check_order(H, q**3 * (q**2 + q) * (q - 1) ** 2)
 
 
-def _build_so4(q, sign, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
+def _build_so4(q, max_order, sign):
     G = build_group(f"sp4:{q}", max_order=max_order)
     ctx = G.ops.ctx
     if sign == "+":
@@ -814,10 +808,8 @@ def _build_so4(q, sign, max_order, text="", pos=0):
     return _check_order(H, expect)
 
 
-def _build_sz(q, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    if e % 2 == 0:
-        raise GroupSpecError(f"sz:{q} needs q = 2^e with e odd", text, pos)
+def _build_sz(q, max_order):
+    e = q.bit_length() - 1
     n = (e - 1) // 2
     theta = 1 << (n + 1)  # the automorphism x -> x^theta with theta^2 = 2q
     ctx = gfield.field_ctx(e)
@@ -853,11 +845,7 @@ def _build_sz(q, max_order, text="", pos=0):
     return _check_order(G, q**2 * (q**2 + 1) * (q - 1))
 
 
-def _build_sp4_sub(q, q0, max_order, text="", pos=0):
-    e = _even_prime_power(q, text, pos)
-    e0 = _even_prime_power(q0, text, pos)
-    if e % e0 or e == e0:
-        raise GroupSpecError(f"sp4-sub:{q}:{q0}: q0 is not a proper subfield", text, pos)
+def _build_sp4_sub(q, q0, max_order):
     small = build_group(f"sp4:{q0}", max_order=max_order)
     big = build_group(f"sp4:{q}", max_order=max_order)
     ctx0 = small.ops.ctx
@@ -865,12 +853,12 @@ def _build_sp4_sub(q, q0, max_order, text="", pos=0):
     lut = np.array([gfield.subfield_embed(ctx0, ctx, a) for a in range(ctx0.q)],
                    dtype=np.uint8)
     mats = lut[small.ops.unpack(small.keys)]
-    keys = np.unique(big.ops.pack(mats))
+    keys = _sorted_unique(big.ops.pack(mats))
     H = subgroup(big, keys, f"sp4-sub:{q}:{q0}")
     return _check_order(H, small.order)
 
 
-def _build_trivial(max_order, text="", pos=0):
+def _build_trivial(max_order):
     ops = mat_ops(gfield.field_ctx(1), 2, "transpose")
     return FinGroup("trivial", ops, np.array([ops.identity], dtype=_U64), [])
 
@@ -891,83 +879,67 @@ def perm_group(perms, label: str, n: int | None = None) -> FinGroup:
 
 # -- the group-spec mini-language -------------------------------------------
 
-_SPEC_NAMES = ("sl2", "sp4", "wreath-sp2", "ext-sp2q2", "parabolic-p",
-               "parabolic-q", "sz", "sp4-sub", "so4+", "so4-", "s6", "trivial",
-               "ext-sp2q2-embedded")
-
-_ARITY = {"sl2": 1, "sp4": 1, "wreath-sp2": 1, "ext-sp2q2": 1,
-          "parabolic-p": 1, "parabolic-q": 1, "sz": 1, "sp4-sub": 2,
-          "so4+": 1, "so4-": 1, "s6": 0, "trivial": 0,
-          "ext-sp2q2-embedded": 1}
+# name -> (arity, builder); a builder takes the validated int arguments and
+# max_order, and parse_group_spec is the only place that checks them
+_SPECS = {
+    "sl2": (1, _build_sl2),
+    "sp4": (1, _build_sp4),
+    "wreath-sp2": (1, _build_wreath),
+    "ext-sp2q2": (1, _build_ext_abstract),
+    "parabolic-p": (1, lambda q, m: _build_parabolic(q, m, "p")),
+    "parabolic-q": (1, lambda q, m: _build_parabolic(q, m, "q")),
+    "sz": (1, _build_sz),
+    "sp4-sub": (2, _build_sp4_sub),
+    "so4+": (1, lambda q, m: _build_so4(q, m, "+")),
+    "so4-": (1, lambda q, m: _build_so4(q, m, "-")),
+    "s6": (0, lambda m: build_group("sp4:2", max_order=m)),
+    "trivial": (0, _build_trivial),
+    "ext-sp2q2-embedded": (1, _build_ext_embedded),
+}
 
 
 def parse_group_spec(text: str) -> tuple:
     """Parse `name[:arg[:arg]]` into (name, args); errors carry a position."""
     parts = text.split(":")
     name = parts[0]
-    if name not in _SPEC_NAMES:
+    if name not in _SPECS:
         raise GroupSpecError(f"unknown group name {name!r}", text, 0)
-    args = []
+    args, starts = [], []
     pos = len(name) + 1
     for part in parts[1:]:
         if not part.isdigit():
             raise GroupSpecError(f"expected an integer, got {part!r}", text, pos)
         args.append(int(part))
+        starts.append(pos)
         pos += len(part) + 1
-    if len(args) != _ARITY[name]:
+    arity = _SPECS[name][0]
+    if len(args) != arity:
         raise GroupSpecError(
-            f"{name} takes {_ARITY[name]} argument(s), got {len(args)}", text, 0)
+            f"{name} takes {arity} argument(s), got {len(args)}", text, 0)
     # validity conditions that do not need any enumeration
-    if args:
-        _even_prime_power(args[0], text, len(name) + 1)
+    for q, at in zip(args, starts):
+        _even_prime_power(q, text, at)
     if name == "sz" and (args[0].bit_length() - 1) % 2 == 0:
         raise GroupSpecError(f"sz:{args[0]} needs odd field degree", text,
                              len(name) + 1)
     if name == "sp4-sub":
         q, q0 = args
         e, e0 = q.bit_length() - 1, q0.bit_length() - 1
-        if e0 == 0 or e % e0 or e == e0:
+        if e % e0 or e == e0:
             raise GroupSpecError(f"sp4-sub:{q}:{q0}: invalid subfield", text, 0)
-    if name in ("wreath-sp2", "ext-sp2q2", "ext-sp2q2-embedded") and args[0] < 2:
-        raise GroupSpecError(f"{name} needs q >= 2", text, 0)
     return name, tuple(args)
 
 
-_BUILDERS = {
-    "sl2": _build_sl2,
-    "sp4": _build_sp4,
-    "wreath-sp2": _build_wreath,
-    "ext-sp2q2": _build_ext_abstract,
-    "ext-sp2q2-embedded": _build_ext_embedded,
-    "sz": _build_sz,
-}
-
-
 @lru_cache(maxsize=None)
-def _build_cached(spec: str, max_order: int) -> FinGroup:
-    name, args = parse_group_spec(spec)
-    if name == "s6":
-        return build_group("sp4:2", max_order=max_order)
-    if name == "trivial":
-        return _build_trivial(max_order, spec, 0)
-    if name == "parabolic-p":
-        return _build_parabolic(args[0], "p", max_order, spec, 0)
-    if name == "parabolic-q":
-        return _build_parabolic(args[0], "q", max_order, spec, 0)
-    if name == "so4+":
-        return _build_so4(args[0], "+", max_order, spec, 0)
-    if name == "so4-":
-        return _build_so4(args[0], "-", max_order, spec, 0)
-    if name == "sp4-sub":
-        return _build_sp4_sub(args[0], args[1], max_order, spec, 0)
-    return _BUILDERS[name](*args, max_order, spec, 0)
+def _build_cached(name: str, args: tuple, max_order: int) -> FinGroup:
+    return _SPECS[name][1](*args, max_order)
 
 
-def build_group(spec: str, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
-    """Build (and cache) the group named by a group-spec string."""
-    name, args = parse_group_spec(spec)  # fail fast with position info
-    canonical = name if not args else name + ":" + ":".join(map(str, args))
-    return _build_cached(canonical, max_order)
+def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
+    """Build (and cache) the group named by a group-spec string, or by the
+    (name, args) pair that parse_group_spec made of one."""
+    name, args = parse_group_spec(spec) if isinstance(spec, str) else spec
+    return _build_cached(name, args, max_order)
 
 
 def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:

@@ -210,3 +210,14 @@ def test_orthogonal_stabilizer_degree_multisets_q4():
         Ta = dixon_schneider(build_group(a))
         Tb = dixon_schneider(build_group(b))
         assert Ta.degrees == Tb.degrees, (a, b)
+
+
+@pytest.mark.parametrize("spec", ["sp4:2", "ext-sp2q2:2"])
+def test_class_elements_match_loop(spec):
+    from sgplab.chartab import _class_elements
+    cd = conjugacy_classes(build_group(spec))
+    by_class = [[] for _ in cd.sizes]
+    for idx, c in enumerate(cd.class_of):     # the loop it replaced
+        by_class[c].append(idx)
+    got = _class_elements(cd)
+    assert [ix.tolist() for ix in got] == by_class

@@ -99,8 +99,13 @@ def test_show_field():
     code, out = _run("show-field")
     assert code == EXIT_OK
     assert "x^4 + x + 1" in out
-    code2, out2 = _run("--show-field")
-    assert code2 == EXIT_OK and out2 == out
+
+
+@pytest.mark.parametrize("argv", [["--show-field"], ["--seed", "1", "show-field"]])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_usage_errors_from_main():
@@ -115,9 +120,27 @@ def test_verify_paper_tier1():
     assert out.count("PASS") >= 6 and "SKIP sp4-4-scan" in out
 
 
-@pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2"])
+@pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",
+                                  "so4-:2", "parabolic-p:2"])
 def test_chartab_json_matches_golden(spec, capsys):
-    """Byte-identical to the output pinned before the byte-table kernel."""
+    """Byte-identical to the output pinned before the byte-table kernel (the
+    first three) and before ExtOps moved onto it (the last three)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()
+
+
+def test_group_spec_is_parsed_once(monkeypatch):
+    import sgplab.cli
+    import sgplab.groups
+    calls = []
+    orig = sgplab.groups.parse_group_spec
+
+    def counting(text):
+        calls.append(text)
+        return orig(text)
+
+    monkeypatch.setattr(sgplab.cli, "parse_group_spec", counting)
+    monkeypatch.setattr(sgplab.groups, "parse_group_spec", counting)
+    assert main(["sgp", "sl2:4", "sl2:4"]) == EXIT_OK
+    assert calls == ["sl2:4", "sl2:4"]     # once for the group, once for H

@@ -1,15 +1,18 @@
 """Strong Gelfand pair decisions and the Schur-ring cross-check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sgplab.chartab import dixon_schneider, regular_character
-from sgplab.errors import ResourceBoundError, SubgroupError
+from sgplab.chartab import (CharTable, Character, dixon_schneider,
+                            regular_character)
+from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
 from sgplab.gelfand import (is_gelfand_pair, is_multiplicity_free,
                             is_strong_gelfand_pair, scan_maximal_sp4,
                             schur_commutes, total_char_shortcut)
 from sgplab.groups import (all_subgroups, build_group, cyclic_subgroup,
-                           element_order, mulclose, perm_group,
+                           element_order, perm_group,
                            squares_subgroup, subgroup)
 
 
@@ -138,43 +141,29 @@ def test_schur_matches_sgp_on_s4_d8_q8():
         H = subgroup(d8, ks, f"d8h{ks.size}")
         assert schur_commutes(d8, H) == (is_strong_gelfand_pair(d8, H).verdict == "sgp")
     q8 = _quaternion_group()
+    assert len(all_subgroups(q8)) == 6
     for ks in all_subgroups(q8):
         H = subgroup(q8, ks, f"q8h{ks.size}")
         assert schur_commutes(q8, H) == (is_strong_gelfand_pair(q8, H).verdict == "sgp")
 
 
 def _quaternion_group():
-    # Q8 inside the unitriangular 4x4 matrices over GF(2): search for a pair
-    # with A^4 = 1 = B^4, B^2 = A^2, B^-1 A B = A^-1, |<A,B>| = 8
-    from sgplab.gfield import field_ctx
-    from sgplab.groups import FinGroup, mat_ops
-    ops = mat_ops(field_ctx(1), 4, "generic")
-    import itertools
-    ut = []
-    for bits in itertools.product((0, 1), repeat=6):
-        m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        (m[0][1], m[0][2], m[0][3], m[1][2], m[1][3], m[2][3]) = bits
-        ut.append(ops.from_rows(m))
-    for a in ut:
-        if element_order(ops, a) != 4:
-            continue
-        a2 = ops.mul1(a, a)
-        ainv = ops.inv(np.array([a], dtype=np.uint64))[0]
-        for b in ut:
-            if b == a or element_order(ops, b) != 4:
-                continue
-            if ops.mul1(b, b) != a2:
-                continue
-            binv = ops.inv(np.array([b], dtype=np.uint64))[0]
-            if ops.mul1(ops.mul1(binv, a), b) != ainv:
-                continue
-            keys = mulclose(ops, [a, b], 100)
-            if keys.size == 8:
-                G = FinGroup("q8", ops, keys, [a, b])
-                invol = [k for k in keys if element_order(ops, k) == 2]
-                assert len(invol) == 1
-                return G
-    raise AssertionError("no quaternion group found in UT4(2)")
+    # Q8 = {+-1, +-i, +-j, +-k} in its regular representation on 8 points
+    def qmul(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    units = [tuple(s if t == u else 0 for t in range(4))
+             for u in range(4) for s in (1, -1)]
+    i, j = units[2], units[4]
+    G = perm_group([tuple(units.index(qmul(g, x)) for x in units) for g in (i, j)],
+                   "q8")
+    assert G.order == 8
+    assert sum(element_order(G.ops, k) == 2 for k in G.keys) == 1
+    return G
 
 
 def test_schur_agrees_on_s6_pairs():
@@ -203,6 +192,19 @@ def test_monotonicity_on_chains():
     for K, H in chain:
         if is_strong_gelfand_pair(s6, K).verdict == "not_sgp":
             assert is_strong_gelfand_pair(s6, H).verdict == "not_sgp"
+
+
+@pytest.mark.parametrize("corrupt", [lambda v: -v, lambda v: v * Fraction(1, 2)],
+                         ids=["negative", "fractional"])
+def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
+    """A negative or non-integral multiplicity is a bug, not a verdict."""
+    s6 = build_group("s6")
+    s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
+    T = dixon_schneider(s5)
+    bad = [Character(s5, tuple(corrupt(v) for v in T.irreducibles[0].values))]
+    s5._chartable = CharTable(s5, T.classes, bad + list(T.irreducibles[1:]))
+    with pytest.raises(InternalCheckError):
+        is_strong_gelfand_pair(s6, s5)
 
 
 def test_verdict_json():

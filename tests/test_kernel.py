@@ -1,4 +1,4 @@
-"""The byte-table products and inverses of MatOps against `_matmul`."""
+"""The byte-table products and inverses of MatOps and ExtOps against `_matmul`."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sgplab
 from sgplab import gfield
-from sgplab.groups import _TABLE_CACHE, mat_ops
+from sgplab.groups import _TABLE_CACHE, build_group, mat_ops
 
 U64 = np.uint64
 
@@ -55,6 +55,40 @@ def test_fixed_element_products_and_inverse_match_matmul(case, seed, n):
     assert np.array_equal(ops.mul(g, x), _ref_mul(ops, g, x))
     assert np.array_equal(ops.inv(x), _ref_inv(ops, x))
     assert np.array_equal(ops.inv(g), _ref_inv(ops, g))   # a single key too
+
+
+def _ext_ref_mul(ops, a, b):
+    """(m * sigma^t(m'), t xor t') for ext keys, by `_matmul` on the 2x2 part."""
+    a, b = np.broadcast_arrays(a, b)
+    mo = mat_ops(ops.ctx, 2, "symplectic")
+    shift = U64(4 * mo.bits)
+    mask = (U64(1) << shift) - U64(1)
+    ta, tb = a >> shift, b >> shift
+    mb = mo.unpack(b & mask)
+    frob = ops.ctx.lut_frob(ops.q.bit_length() - 1)
+    mb = np.where(ta.astype(bool)[:, None, None], frob[mb], mb)
+    return mo.pack(mo._matmul(mo.unpack(a & mask), mb)) | ((ta ^ tb) << shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1), st.integers(2, 600))
+def test_ext_products_and_inverse_match_matmul(q, seed, n):
+    G = build_group(f"ext-sp2q2:{q}")
+    ops = G.ops
+    rng = np.random.default_rng(seed)
+    mo = mat_ops(ops.ctx, 2, "symplectic")
+    # any 2x2 entries and twist bits: the fixed-element products are linear
+    x = _random_keys(mo, rng, n) | (rng.integers(0, 2, n).astype(U64) << U64(4 * mo.bits))
+    g = G.keys[rng.integers(G.order)]
+    assert np.array_equal(ops.mul(x, g), _ext_ref_mul(ops, x, g))
+    assert np.array_equal(ops.mul(g, x), _ext_ref_mul(ops, g, x))
+    assert np.array_equal(ops.mul(x, x[::-1]), _ext_ref_mul(ops, x, x[::-1]))
+    # inverses of group elements, both twists
+    y = G.keys[rng.integers(0, G.order, n)]
+    assert np.array_equal(_ext_ref_mul(ops, y, ops.inv(y)),
+                          np.full(n, ops.identity, dtype=U64))
+    assert np.array_equal(_ext_ref_mul(ops, ops.inv(y), y),
+                          np.full(n, ops.identity, dtype=U64))
 
 
 def test_table_cache_is_bounded_and_stays_exact():
