@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .exactnum import Cyclo
+from .exactnum import Cyclo, sum_of_products
 from .groups import ClassData, FinGroup, conjugacy_classes, is_subgroup
 
 __all__ = [
@@ -405,7 +405,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
                     raise InternalCheckError("eigenvalue multiplicity out of range")
                 total += ck
                 if ck:
-                    coeffs[k] = Fraction(ck)
+                    coeffs[k] = ck
             if total != d:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
             values[j] = Cyclo(n, coeffs)
@@ -424,12 +424,10 @@ def _verify_column_orthogonality(T: CharTable):
     cd = T.classes
     r = len(cd)
     cols = [[ch.values[j] for ch in T.irreducibles] for j in range(r)]
-    conj_cols = [[v.conjugate() for v in col] for col in cols]
+    ones = [1] * r
     for j1 in range(r):
         for j2 in range(j1, r):
-            s = Cyclo.zero()
-            for a, b in zip(cols[j1], conj_cols[j2]):
-                s = s + a * b
+            s = sum_of_products(ones, cols[j1], cols[j2])
             want = Fraction(T.group.order, cd.sizes[j1]) if j1 == j2 else Fraction(0)
             if s.as_rational() != want:
                 raise InternalCheckError(
@@ -444,10 +442,7 @@ def inner_product(a: Character, b: Character) -> Fraction:
     if a.group is not b.group:
         raise SubgroupError("inner product needs characters of the same group")
     cd = conjugacy_classes(a.group)
-    s = Cyclo.zero()
-    for size, x, y in zip(cd.sizes, a.values, b.values):
-        s = s + size * (x * y.conjugate())
-    val = s.as_rational()
+    val = sum_of_products(cd.sizes, a.values, b.values).as_rational()
     if val is None:
         raise InternalCheckError("inner product of class functions is irrational")
     return val / a.group.order

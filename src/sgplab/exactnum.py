@@ -1,9 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Values are kept reduced modulo the N-th cyclotomic polynomial, so two
-elements of the same field are equal iff their coefficient maps are equal;
-elements of different fields are compared after lifting both to the lcm
-order.  Everything is immutable and safe to share between threads.
+A value of order N is held lazily, as integer numerators over one positive
+integer denominator in the group ring Z[x]/(x^N - 1), with x standing for
+zeta_N.  Sums, products, conjugation (x -> x^-1) and lifting to a multiple
+order (x -> x^(M/N)) are ring maps there, so they touch only exponents and
+ints.  The form is not unique: the reduction modulo the N-th cyclotomic
+polynomial, and the turn to `Fraction`, happen once per value, when its
+canonical `coeffs` are first read (by `==`, `bool`, `as_rational`, `key`,
+`to_json`, `repr` or `to_complex`).  Two elements of the same field are
+equal iff their canonical coefficient maps are equal; elements of different
+fields are compared after lifting both to the lcm order.  Values are
+immutable (the canonical form is only cached) and safe to share between
+threads.
 
 No floating point anywhere in here: `to_complex` exists for the lossy CSV
 renderer and for test oracles only.
@@ -12,12 +20,13 @@ renderer and for test oracles only.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError
 
-__all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly"]
+__all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly", "sum_of_products"]
 
 # Exact rationals: always in lowest terms, denominator > 0.
 Rat = Fraction
@@ -69,92 +78,97 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-class _Reducer:
-    """Per-order reduction data: x^k mod Phi_N for phi(N) <= k < N."""
-
-    __slots__ = ("order", "deg", "_rows")
-
-    def __init__(self, order: int):
-        phi = cyclotomic_poly(order)
-        self.order = order
-        self.deg = len(phi) - 1
-        # x^deg == -(low-order part of Phi); rows grown on demand
-        first = {i: -c for i, c in enumerate(phi[:-1]) if c}
-        self._rows: list[dict[int, int]] = [first]
-
-    def row(self, k: int) -> dict[int, int]:
-        d = self.deg
-        while len(self._rows) <= k - d:
-            prev = self._rows[-1]
-            nxt: dict[int, int] = {}
-            for e, c in prev.items():
-                if e + 1 == d:
-                    for e2, c2 in self._rows[0].items():
-                        nxt[e2] = nxt.get(e2, 0) + c * c2
-                else:
-                    nxt[e + 1] = nxt.get(e + 1, 0) + c
-            self._rows.append({e: c for e, c in nxt.items() if c})
-        return self._rows[k - d]
-
-
 @lru_cache(maxsize=None)
-def _reducer(order: int) -> _Reducer:
-    return _Reducer(order)
+def _phi_tail(order: int) -> tuple[int, tuple]:
+    """phi(order) and the nonzero (i, c) of Phi_order below its leading term."""
+    phi = cyclotomic_poly(order)
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
 
-def _reduce(order: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
-    red = _reducer(order)
-    d = red.deg
-    out: dict[int, Fraction] = {}
-    for e, c in raw.items():
-        if not c:
-            continue
-        e %= order
-        if e < d:
-            out[e] = out.get(e, 0) + c
-        else:
-            for e2, m in red.row(e).items():
-                out[e2] = out.get(e2, 0) + c * m
-    return {e: c for e, c in out.items() if c}
+def _canonical(order: int, num: dict, den: int) -> dict[int, Fraction]:
+    """num/den reduced modulo Phi_order: exponents below phi(order)."""
+    deg, tail = _phi_tail(order)
+    if all(e < deg for e in num):
+        low = num.items()
+    else:
+        acc = [0] * order
+        for e, c in num.items():
+            acc[e] = c
+        # x^e = x^(e-deg) * x^deg and x^deg = -sum(c_i x^i), top exponent first
+        for e in range(order - 1, deg - 1, -1):
+            c = acc[e]
+            if c:
+                base = e - deg
+                for i, p in tail:
+                    acc[base + i] -= c * p
+        low = enumerate(acc[:deg])
+    return {e: Fraction(c, den) for e, c in low if c}
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _num_den(x) -> tuple[int, int]:
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Cyclo:
-    """An element of Q(zeta_order) in reduced form.
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """num/den with the common factor of den and all numerators taken out."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {e: c // g for e, c in num.items()}, den // g
+    return num, den
 
-    coeffs maps exponents in [0, phi(order)) to nonzero Fractions.
+
+def _make(order: int, num: dict, den: int) -> "Cyclo":
+    """A Cyclo from exponents in [0, order), nonzero ints and den > 0."""
+    out = object.__new__(Cyclo)
+    out.order, out._coeffs = order, None
+    out._num, out._den = _lowest(num, den)
+    return out
+
+
+class Cyclo:
+    """An element of Q(zeta_order).
+
+    Stored as `_num / _den`: `_num` maps exponents in [0, order) to nonzero
+    ints, `_den` is a positive int.  `coeffs` is the canonical form: it maps
+    exponents in [0, phi(order)) to nonzero Fractions.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den", "_coeffs")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction] | None = None, *,
-                 _reduced: bool = False):
+    def __init__(self, order: int, coeffs: dict | None = None):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"cyclotomic order {order} out of range")
-        raw = {} if coeffs is None else coeffs
-        if _reduced:
-            self.coeffs = raw
-        else:
-            self.coeffs = _reduce(order, {e: _as_fraction(c) for e, c in raw.items()})
-        self.order = order
+        terms = [(e % order, *_num_den(c)) for e, c in (coeffs or {}).items()]
+        den = math.lcm(1, *(d for _, _, d in terms))
+        num: dict[int, int] = {}
+        for e, a, d in terms:
+            num[e] = num.get(e, 0) + a * (den // d)
+        self.order, self._coeffs = order, None
+        self._num, self._den = _lowest({e: c for e, c in num.items() if c}, den)
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The canonical form, computed on first use and cached."""
+        c = self._coeffs
+        if c is None:
+            c = self._coeffs = _canonical(self.order, self._num, self._den)
+        return c
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "Cyclo":
-        x = _as_fraction(x)
-        return Cyclo(1, {0: x} if x else {}, _reduced=True)
+        a, d = _num_den(x)
+        return _make(1, {0: a} if a else {}, d)
 
     @staticmethod
     def zero() -> "Cyclo":
-        return Cyclo(1, {}, _reduced=True)
+        return _make(1, {}, 1)
 
     # -- order reconciliation ------------------------------------------------
 
@@ -162,75 +176,74 @@ class Cyclo:
         """The same value viewed in Q(zeta_order); self.order must divide order."""
         if order == self.order:
             return self
-        k, r = divmod(order, self.order)
-        if r:
+        if order % self.order:
             raise ValueError(f"{self.order} does not divide {order}")
-        return Cyclo(order, {e * k: c for e, c in self.coeffs.items()})
-
-    def _common(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
+        k = order // self.order
+        return _make(order, {e * k: c for e, c in self._num.items()}, self._den)
 
     # -- ring operations -----------------------------------------------------
 
-    def _coerce(self, x) -> "Cyclo | None":
-        if isinstance(x, Cyclo):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclo.from_rational(x)
-        return None
+    def _scaled(self, a: int, d: int) -> "Cyclo":
+        """self * a / d for ints a and d > 0."""
+        if not a:
+            return _make(self.order, {}, 1)
+        return _make(self.order, {e: c * a for e, c in self._num.items()}, self._den * d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = Cyclo.from_rational(other)
+        elif not isinstance(other, Cyclo):
             return NotImplemented
-        a, b = self._common(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Cyclo(a.order, out, _reduced=True)
+        n = math.lcm(self.order, other.order)
+        den = math.lcm(self._den, other._den)
+        out: dict[int, int] = {}
+        for x in (self, other):
+            k, f = n // x.order, den // x._den
+            for e, c in x._num.items():
+                e *= k
+                s = out.get(e, 0) + c * f
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return _make(n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()}, _reduced=True)
+        return _make(self.order, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, Cyclo)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(*_num_den(other))
+        if not isinstance(other, Cyclo):
             return NotImplemented
         if other.order == 1:  # rational scalar: no lifting needed
-            if not other.coeffs:
-                return Cyclo(self.order, {}, _reduced=True)
-            s = other.coeffs[0]
-            return Cyclo(self.order, {e: c * s for e, c in self.coeffs.items()},
-                         _reduced=True)
+            return self._scaled(other._num.get(0, 0), other._den)
         if self.order == 1:
             return other * self
-        a, b = self._common(other)
-        raw: dict[int, Fraction] = {}
-        n = a.order
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = (e1 + e2) % n
-                raw[e] = raw.get(e, 0) + c1 * c2
-        return Cyclo(n, raw)
+        n = math.lcm(self.order, other.order)
+        ka, kb = n // self.order, n // other.order
+        bterms = [(e * kb, c) for e, c in other._num.items()]
+        out: dict[int, int] = {}
+        for e1, c1 in self._num.items():
+            e1 *= ka
+            for e2, c2 in bterms:
+                e = e1 + e2
+                if e >= n:
+                    e -= n
+                out[e] = out.get(e, 0) + c1 * c2
+        return _make(n, {e: c for e, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -247,30 +260,32 @@ class Cyclo:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = Cyclo.from_rational(other)
+        elif not isinstance(other, Cyclo):
             return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        n = math.lcm(self.order, other.order)
+        return self.lift(n).coeffs == other.lift(n).coeffs
 
     __hash__ = None  # equality crosses field orders; see key() for sorting
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num) and bool(self.coeffs)
 
     # -- structure -----------------------------------------------------------
 
     def conjugate(self) -> "Cyclo":
         """Image under zeta_N -> zeta_N^(-1) (complex conjugation)."""
         n = self.order
-        return Cyclo(n, {(-e) % n: c for e, c in self.coeffs.items()})
+        return _make(n, {-e % n: c for e, c in self._num.items()}, self._den)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it lies in Q, else None."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
+        if set(coeffs) == {0}:
+            return coeffs[0]
         return None
 
     def key(self) -> tuple:
@@ -318,4 +333,27 @@ def root_of_unity(order: int, exponent: int = 1) -> Cyclo:
     """zeta_order^exponent as an exact cyclotomic value."""
     if order < 1:
         raise ValueError("order must be positive")
-    return Cyclo(order, {exponent % order: Fraction(1)})
+    return Cyclo(order, {exponent: 1})
+
+
+def sum_of_products(weights, xs, ys) -> Cyclo:
+    """sum(w * x * conj(y)) over zip(weights, xs, ys), for int weights.
+
+    Accumulates in one int vector indexed by exponent in Z[x]/(x^N - 1),
+    N the lcm of all orders, with no intermediate Cyclo values.
+    """
+    terms = [(operator.index(w), x, y) for w, x, y in zip(weights, xs, ys)
+             if w and x._num and y._num]
+    n = math.lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
+    den = math.lcm(1, *(x._den * y._den for _, x, y in terms))
+    acc = [0] * n
+    for w, x, y in terms:
+        f = w * (den // (x._den * y._den))
+        kx, ky = n // x.order, n // y.order
+        yterms = [(-e * ky, c) for e, c in y._num.items()]
+        for e1, c1 in x._num.items():
+            e1 *= kx
+            c1 *= f
+            for e2, c2 in yterms:
+                acc[(e1 + e2) % n] += c1 * c2
+    return _make(n, {e: c for e, c in enumerate(acc) if c}, den)

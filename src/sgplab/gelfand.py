@@ -81,7 +81,9 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
     (equivalently, every H-irreducible induces multiplicity-free).
 
     A multiplicity that is not a non-negative integer means a corrupt table
-    and raises InternalCheckError instead of giving a verdict.
+    and raises InternalCheckError instead of giving a verdict, as does a
+    not_sgp witness whose multiplicity the other side of Frobenius
+    reciprocity does not confirm.
     """
     if not is_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
@@ -101,8 +103,15 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
         if not ok:
             j, m = found
             gi, hi = (i, j) if side == "restrict" else (j, i)
-            w = Witness(gi, hi, m, int(TG.irreducibles[gi].degree),
-                        int(TH.irreducibles[hi].degree))
+            chi, psi = TG.irreducibles[gi], TH.irreducibles[hi]
+            # Frobenius reciprocity: the other side must give the same m
+            other_m = (inner_product(induce(psi, G), chi) if side == "restrict"
+                       else inner_product(restrict(chi, H), psi))
+            if other_m != m:
+                raise InternalCheckError(
+                    f"({G.label}, {H.label}): multiplicity {m} by {side}, "
+                    f"{other_m} from the other side")
+            w = Witness(gi, hi, m, int(chi.degree), int(psi.degree))
             return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
     return SgpVerdict(G.label, H.label, "sgp", "full_check")
 
@@ -132,15 +141,17 @@ def total_char_shortcut(tau_h_degree, max_irr_degree_g) -> str:
 
 def _s6_scan_subgroups(max_order):
     """The maximal subgroups of S6 = Sp4(2): A6 plus the Table-1-shaped rows."""
-    G = build_group("sp4:2", max_order=max_order)
-    a6 = squares_subgroup(G, "a6")
-    rows = [(a6, "a6"),
-            (build_group("parabolic-p:2"), "parabolic-p:2"),
-            (build_group("parabolic-q:2"), "parabolic-q:2"),
-            (build_group("wreath-sp2:2"), "wreath-sp2:2"),
-            (build_group("ext-sp2q2-embedded:2"), "ext-sp2q2:2"),
-            (build_group("so4+:2"), "so4+:2"),
-            (build_group("so4-:2"), "so4-:2")]
+    def build(spec):
+        return build_group(spec, max_order=max_order)
+
+    G = build("sp4:2")
+    rows = [(squares_subgroup(G, "a6"), "a6"),
+            (build("parabolic-p:2"), "parabolic-p:2"),
+            (build("parabolic-q:2"), "parabolic-q:2"),
+            (build("wreath-sp2:2"), "wreath-sp2:2"),
+            (build("ext-sp2q2-embedded:2"), "ext-sp2q2:2"),
+            (build("so4+:2"), "so4+:2"),
+            (build("so4-:2"), "so4-:2")]
     return G, rows
 
 

@@ -431,6 +431,22 @@ def _require_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
 
 
+def _first_unassigned(class_of: np.ndarray, start: int) -> int:
+    """The least i >= start with class_of[i] < 0, else class_of.size.
+
+    Scans windows that double in length, so a call costs about the distance
+    it moves plus one small window.
+    """
+    step = 1024
+    while start < class_of.size:
+        hit = np.flatnonzero(class_of[start:start + step] < 0)
+        if hit.size:
+            return start + int(hit[0])
+        start += step
+        step *= 2
+    return class_of.size
+
+
 def _orbit_partition(G: FinGroup, gens) -> tuple:
     """Conjugation-orbit partition of G.keys under the given generators."""
     ops, keys = G.ops, G.keys
@@ -438,9 +454,8 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     class_of = np.full(n, -1, dtype=np.int32)
     pairs = [(_U64(g), _U64(ops.inv(np.array([g], dtype=_U64))[0])) for g in gens]
     reps, sizes = [], []
-    for i in range(n):
-        if class_of[i] >= 0:
-            continue
+    i = _first_unassigned(class_of, 0)
+    while i < n:
         cid = len(reps)
         reps.append(i)
         class_of[i] = cid
@@ -456,6 +471,7 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
             count += fresh.size
             frontier = fresh
         sizes.append(int(count))
+        i = _first_unassigned(class_of, i + 1)
     return tuple(sizes), tuple(reps), class_of
 
 

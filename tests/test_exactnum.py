@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgplab.exactnum import Cyclo, cyclotomic_poly, root_of_unity
+from sgplab.exactnum import Cyclo, cyclotomic_poly, root_of_unity, sum_of_products
 
 
 def test_root_of_unity_basics():
@@ -120,3 +120,141 @@ def test_order_bounds():
         root_of_unity(0)
     with pytest.raises(ValueError):
         Cyclo(2**32, {})
+
+
+# -- the eager form, kept as the reference for the lazy one ---------------------
+#
+# Cyclo once stored Fraction coefficients and reduced modulo Phi_N after every
+# operation, with x^k mod Phi_N (k >= phi(N)) taken from rows built one from
+# the previous one.  The lazy Cyclo must give the same canonical form.
+
+
+def _eager_reduce(order, raw):
+    phi = cyclotomic_poly(order)
+    d = len(phi) - 1
+    rows = [{i: -c for i, c in enumerate(phi[:-1]) if c}]   # x^d, x^(d+1), ...
+    while len(rows) < order - d:
+        nxt = {}
+        for e, c in rows[-1].items():
+            if e + 1 == d:
+                for e2, c2 in rows[0].items():
+                    nxt[e2] = nxt.get(e2, 0) + c * c2
+            else:
+                nxt[e + 1] = nxt.get(e + 1, 0) + c
+        rows.append(nxt)
+    out = {}
+    for e, c in raw.items():
+        e %= order
+        for e2, m in ({e: 1} if e < d else rows[e - d]).items():
+            out[e2] = out.get(e2, 0) + c * m
+    return {e: Fraction(c) for e, c in out.items() if c}
+
+
+class Eager:
+    def __init__(self, order, raw):
+        self.order = order
+        self.coeffs = _eager_reduce(order, raw)
+
+    def lift(self, n):
+        k = n // self.order
+        return Eager(n, {e * k: c for e, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        n = math.lcm(self.order, other.order)
+        raw = dict(self.lift(n).coeffs)
+        for e, c in other.lift(n).coeffs.items():
+            raw[e] = raw.get(e, 0) + c
+        return Eager(n, raw)
+
+    def __neg__(self):
+        return Eager(self.order, {e: -c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Fraction):
+            return Eager(self.order, {e: c * other for e, c in self.coeffs.items()})
+        n = math.lcm(self.order, other.order)
+        raw = {}
+        for e1, c1 in self.lift(n).coeffs.items():
+            for e2, c2 in other.lift(n).coeffs.items():
+                raw[(e1 + e2) % n] = raw.get((e1 + e2) % n, 0) + c1 * c2
+        return Eager(n, raw)
+
+    def conjugate(self):
+        return Eager(self.order, {-e: c for e, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        n = math.lcm(self.order, other.order)
+        return self.lift(n).coeffs == other.lift(n).coeffs
+
+
+mixed_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18])
+
+
+@st.composite
+def raw_values(draw):
+    n = draw(mixed_orders)
+    # exponents outside [0, n) on purpose: the constructor takes them mod n
+    return n, draw(st.dictionaries(st.integers(-2 * n, 2 * n), small_rats, max_size=4))
+
+
+ops = st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul"]), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("scale"), st.integers(0, 99), small_rats),
+    st.tuples(st.just("conj"), st.integers(0, 99)),
+    st.tuples(st.just("lift"), st.integers(0, 99), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(raw_values(), min_size=1, max_size=4), st.lists(ops, max_size=12))
+def test_lazy_matches_eager_reference(starts, program):
+    lazy = [Cyclo(n, raw) for n, raw in starts]
+    eager = [Eager(n, raw) for n, raw in starts]
+    for op, i, *rest in program:
+        a, ea = lazy[i % len(lazy)], eager[i % len(eager)]
+        if op in ("add", "sub", "mul"):
+            j = rest[0] % len(lazy)
+            b, eb = lazy[j], eager[j]
+        if op == "add":
+            x, ex = a + b, ea + eb
+        elif op == "sub":
+            x, ex = a - b, ea + (-eb)
+        elif op == "mul":
+            x, ex = a * b, ea * eb
+        elif op == "scale":
+            x, ex = rest[0] * a, ea * rest[0]
+        elif op == "conj":
+            x, ex = a.conjugate(), ea.conjugate()
+        else:
+            x, ex = a.lift(a.order * rest[0]), ea.lift(a.order * rest[0])
+        lazy.append(x)
+        eager.append(ex)
+    for x, ex in zip(lazy, eager):
+        assert x.order == ex.order
+        assert x.coeffs == ex.coeffs
+        assert x.to_json() == {"order": ex.order,
+                               "coeffs": [[e, c.numerator, c.denominator]
+                                          for e, c in sorted(ex.coeffs.items())]}
+        want = (Fraction(0) if not ex.coeffs else
+                ex.coeffs[0] if set(ex.coeffs) == {0} else None)
+        assert x.as_rational() == want
+        assert bool(x) == bool(ex.coeffs)
+    for x, ex in zip(lazy[-3:], eager[-3:]):
+        for y, ey in zip(lazy, eager):
+            assert (x == y) == (ex == ey)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), cyclos(), cyclos()), max_size=8))
+def test_sum_of_products_matches_plain_loop(terms):
+    weights = [w for w, _, _ in terms]
+    xs = [x for _, x, _ in terms]
+    ys = [y for _, _, y in terms]
+    plain = Cyclo.zero()
+    for w, x, y in terms:
+        plain = plain + w * (x * y.conjugate())
+    fast = sum_of_products(weights, xs, ys)
+    assert fast == plain
+    assert fast.as_rational() == plain.as_rational()
+    n = math.lcm(fast.order, plain.order)
+    assert fast.lift(n).coeffs == plain.lift(n).coeffs

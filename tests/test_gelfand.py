@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sgplab.gelfand as gelfand
 from sgplab.chartab import (CharTable, Character, dixon_schneider,
                             regular_character)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
@@ -215,3 +216,35 @@ def test_verdict_json():
     assert blob["verdict"] == "not_sgp" and blob["method"] == "full_check"
     assert blob["witness"]["multiplicity"] >= 2
     assert set(blob["witness"]) == {"g_char_degree", "h_char_degree", "multiplicity"}
+
+
+@pytest.mark.parametrize("side,patched", [("restrict", "induce"), ("induce", "restrict")])
+def test_witness_is_confirmed_from_the_other_side(monkeypatch, side, patched):
+    """A not_sgp witness is re-derived by Frobenius reciprocity; a corrupt
+    other side (here: every character doubled) raises instead of a verdict."""
+    s6 = build_group("s6")
+    a5 = squares_subgroup(_s5(), "a5")
+    assert is_strong_gelfand_pair(s6, a5, side=side).verdict == "not_sgp"
+    real = getattr(gelfand, patched)
+
+    def doubled(ch, group):
+        out = real(ch, group)
+        return out + out
+
+    monkeypatch.setattr(gelfand, patched, doubled)
+    with pytest.raises(InternalCheckError, match="other side"):
+        is_strong_gelfand_pair(s6, a5, side=side)
+
+
+def test_s6_scan_passes_max_order_to_every_builder(monkeypatch):
+    seen = []
+    real = gelfand.build_group
+
+    def recording(spec, **kwargs):
+        seen.append((spec, kwargs.get("max_order")))
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(gelfand, "build_group", recording)
+    verdicts = scan_maximal_sp4(2, max_order=5000)
+    assert len(seen) == 7 and len(verdicts) == 7
+    assert all(m == 5000 for _, m in seen), seen

@@ -1,14 +1,18 @@
 """Group construction, enumeration, and conjugacy structure."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 
 from sgplab.errors import GroupSpecError, ResourceBoundError, SubgroupError
-from sgplab.groups import (build_group, centralizer_order, conjugacy_classes,
-                           cyclic_subgroup, element_order, group_to_json,
-                           h_classes, is_subgroup, maximal_subgroups_sp4,
-                           parse_group_spec, perm_group, squares_subgroup,
-                           subgroup)
+from sgplab.groups import (_first_unassigned, build_group, centralizer_order,
+                           conjugacy_classes, cyclic_subgroup, element_order,
+                           group_to_json, h_classes, is_subgroup,
+                           maximal_subgroups_sp4, parse_group_spec, perm_group,
+                           squares_subgroup, subgroup)
 
 U64 = np.uint64
 
@@ -227,3 +231,27 @@ def test_group_json_dump():
         assert all(entry >= -1 for row in mat for entry in row)
     blob2 = group_to_json(build_group("ext-sp2q2:2"))
     assert {"matrix", "twist"} <= set(blob2["generators"][0].keys())
+
+
+@pytest.mark.parametrize("spec,make", [
+    ("sp4:2", lambda: SymmetricGroup(6)),
+    ("sl2:4", lambda: AlternatingGroup(5)),
+])
+def test_class_shape_matches_sympy_oracle(spec, make):
+    """Sp4(2) = S6 and SL2(4) = A5: the multisets of (class size, element
+    order) agree with sympy's permutation groups, computed without sgplab."""
+    cd = conjugacy_classes(build_group(spec))
+    ours = Counter(zip(cd.sizes, cd.orders))
+    theirs = Counter((len(c), next(iter(c)).order())
+                     for c in make().conjugacy_classes())
+    assert ours == theirs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5000), st.lists(st.integers(0, 4999), max_size=20),
+       st.integers(0, 5000))
+def test_first_unassigned_matches_loop(n, free, start):
+    class_of = np.zeros(n, dtype=np.int32)
+    class_of[[i for i in free if i < n]] = -1
+    want = next((i for i in range(start, n) if class_of[i] < 0), n)
+    assert _first_unassigned(class_of, start) == want
