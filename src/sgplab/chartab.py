@@ -7,6 +7,17 @@ matching eigenvalue multiplicities through the power map.  The lifted table
 is verified against the column orthogonality relations before it is
 returned, so a returned table is exact, not heuristically trusted.
 
+Class matrices are never built whole (G. J. A. Schneider, "Dixon's
+character table algorithm revisited", J. Symbolic Comput. 9 (1990)
+601-606).  Splitting an invariant space with a basis B of dimension d needs
+only the d rows of M*B at rows P where B has full rank, and row k of a
+class matrix is its column k* rescaled by the symmetry of the structure
+constants, so a class matrix costs one column of products per row in P
+(columns are cached per class matrix and every one is checked to sum to
+the class size; a rescaled entry that is not an integer raises
+`InternalCheckError`).  Element orders and power maps come from one array
+product per power for all class representatives.
+
 Tables and characters are immutable; sharing across threads is fine.
 """
 
@@ -20,7 +31,8 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .exactnum import Cyclo, sum_of_products
-from .groups import ClassData, FinGroup, conjugacy_classes, is_subgroup
+from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
+                     is_subgroup)
 
 __all__ = [
     "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
@@ -203,17 +215,16 @@ def _charpoly(M: list, p: int) -> list:
 
 
 def _poly_roots(poly: list, p: int) -> list:
-    roots = []
-    deg = len(poly) - 1
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-            if len(roots) == deg:
-                break
-    return roots
+    """The roots in [0, p) of a nonzero polynomial (ascending coefficients),
+    in increasing order: Horner's rule at every x at once, in int64, which
+    is exact while (p - 1)^2 + p - 1 < 2^63."""
+    if p >= 1 << 31:
+        raise InternalCheckError(f"p = {p} is too large for int64 root finding")
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(poly):
+        acc = (acc * x + c % p) % p
+    return [int(v) for v in np.flatnonzero(acc == 0)[:len(poly) - 1]]
 
 
 # -- characters and tables ---------------------------------------------------
@@ -287,30 +298,33 @@ def _class_elements(cd: ClassData):
     return np.split(by_class, np.cumsum(cd.sizes)[:-1])
 
 
-def _class_matrix(G: FinGroup, cd: ClassData, members, i: int) -> list:
-    """M[k][m] = #{x in C_i : x^-1 g_m in C_k}."""
-    r = len(cd)
-    xinv = G.keys[G.inv_idx[members[i]]]
-    M = [[0] * r for _ in range(r)]
-    for m in range(r):
-        y = G.ops.mul(xinv, G.keys[cd.reps[m]])
-        y.sort()                  # only counted: sorted needles search faster
-        cls = cd.class_of[G.index_of(y)]
-        counts = np.bincount(cls, minlength=r)
-        for k in range(r):
-            M[k][m] = int(counts[k])
-    return M
+def _class_column(G: FinGroup, cd: ClassData, members, i: int, m: int) -> list:
+    """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k}."""
+    y = G.ops.mul(G.keys[G.inv_idx[members[i]]], G.keys[cd.reps[m]])
+    y.sort()                  # only counted: sorted needles search faster
+    counts = np.bincount(cd.class_of[G.index_of(y)], minlength=len(cd))
+    if int(counts.sum()) != cd.sizes[i]:
+        raise InternalCheckError("class-matrix column sum mismatch")
+    return [int(c) for c in counts]
 
 
-def _power_classes(G: FinGroup, cd: ClassData, j: int) -> list:
-    """Class index of rep_j^t for t = 0 .. order(rep_j) - 1."""
-    out = [cd.identity_class]
-    key = G.keys[cd.reps[j]]
-    acc = key
-    for _ in range(cd.orders[j] - 1):
-        out.append(int(cd.class_of[G.index_of(acc)[0]]))
-        acc = G.ops.mul1(acc, key)
-    return out
+def _class_row(cd: ClassData, col: list, k: int) -> list:
+    """Row k of a class matrix from its column k*, by the symmetry of the
+    structure constants: |C_m| * M[k][m] = |C_k| * M[m*][k*]."""
+    row = []
+    for m, mstar in enumerate(cd.inverse_class):
+        val, rem = divmod(cd.sizes[k] * col[mstar], cd.sizes[m])
+        if rem:
+            raise InternalCheckError("class-matrix symmetry fails")
+        row.append(val)
+    return row
+
+
+def _power_classes(G: FinGroup, cd: ClassData) -> list:
+    """Per class j, the class index of rep_j^t for t = 0 .. order(rep_j) - 1."""
+    orders, powers = element_powers(G.ops, G.keys[list(cd.reps)])
+    at = [cd.class_of[G.index_of(pw)] for pw in powers]
+    return [[int(at[t][j]) for t in range(n)] for j, n in enumerate(orders)]
 
 
 def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable:
@@ -331,19 +345,24 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     for _, i in candidates:
         if all(len(B[0]) == 1 for B in spaces):
             break
-        M = _class_matrix(G, cd, members, i)
-        for col in range(r):
-            if sum(row[col] for row in M) != cd.sizes[i]:
-                raise InternalCheckError("class-matrix column sum mismatch")
+        cols = {}                 # the columns of M_i computed so far
         new_spaces = []
         for B in spaces:
             d = len(B[0])
             if d == 1:
                 new_spaces.append(B)
                 continue
-            MB = [[sum(M[i2][k] * B[k][j] for k in range(r)) % p
-                   for j in range(d)] for i2 in range(r)]
-            S = _solve_restriction(B, MB, p)
+            # S is fixed by the d rows P where B has full rank: B_P S = (M B)_P
+            _, P = _rref([list(c) for c in zip(*B)], p, r)
+            MB = []
+            for k in P:
+                kstar = cd.inverse_class[k]
+                if kstar not in cols:
+                    cols[kstar] = _class_column(G, cd, members, i, kstar)
+                Mk = _class_row(cd, cols[kstar], k)
+                MB.append([sum(Mk[m] * B[m][j] for m in range(r)) % p
+                           for j in range(d)])
+            S = _solve_restriction([B[k] for k in P], MB, p)
             for lam in sorted(set(_poly_roots(_charpoly(S, p), p))):
                 SI = [[(S[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                       for a in range(d)]
@@ -381,7 +400,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
 
     # lift to cyclotomics through the power map
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    pow_classes = [_power_classes(G, cd, j) for j in range(r)]
+    pow_classes = _power_classes(G, cd)
     zn_cache = {}
     irreducibles = []
     for d, chi in zip(degrees, chars_mod):

@@ -2,6 +2,8 @@
 
 Global options: --format (pretty, json or csv) and --max-order.  Verbs:
 chartab, sgp, scan-maximal, alpha-sum, families, verify-paper, show-field.
+`verify-paper` prints one pass/fail line per check on stdout and the
+seconds each check took on stderr.
 The group specs of a command are parsed once, before any work starts, and
 `run` builds the groups from the parsed form.  Exit codes: 0 success, 1 a
 requested check failed, 2 usage or parse error, 3 a resource bound was

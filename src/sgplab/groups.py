@@ -9,10 +9,11 @@ class-matrix counts) runs as vectorized numpy passes over key arrays.
 Almost every hot product multiplies a key array by one fixed element.
 `MatOps.mul` does those with byte tables of the GF(2)-linear map x -> x*g
 (or g*x), built on first use from reference products and kept in a small
-bounded cache on the MatOps; inverses are a fixed permutation of entry
-bits, applied the same way.  Other products go through `MatOps._matmul`.
-`ExtOps` (the twisted pairs of ext-sp2q2) runs its matrix part on the same
-kernel.
+bounded cache on the MatOps; conjugation x -> g^-1*x*g is one such linear
+map too, so `MatOps.conj` (the class partition's step) costs one table
+pass, not two.  Inverses are a fixed permutation of entry bits, applied
+the same way.  Other products go through `MatOps._matmul`.  `ExtOps` (the
+twisted pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder);
 `parse_group_spec` is the only validator, and the builders take its
@@ -42,14 +43,15 @@ __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
     "build_group", "parse_group_spec", "conjugacy_classes", "h_classes",
     "centralizer_order", "maximal_subgroups_sp4", "subgroup",
-    "find_generators", "mulclose", "element_order", "is_subgroup",
+    "find_generators", "mulclose", "element_order", "element_powers",
+    "is_subgroup",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
     "group_to_json",
 ]
 
 MAX_ORDER_DEFAULT = 2_500_000
 _CHUNK = 1 << 18
-_TABLE_CACHE = 64   # (element, side) byte-table sets kept per MatOps
+_TABLE_CACHE = 64   # (element, map) byte-table sets kept per MatOps
 
 _U64 = np.uint64
 
@@ -66,10 +68,10 @@ class MatOps:
     Gram matrix J; "transpose" is for permutation matrices.  Both are entry
     permutations, applied with byte tables.
 
-    Products by one fixed element use byte tables that are built on first
-    use and kept, at most _TABLE_CACHE (element, side) pairs, least recently
-    used dropped first; this cache is the only state that changes after
-    construction, and only under the lock.
+    Products by one fixed element, and conjugation by one, use byte tables
+    that are built on first use and kept, at most _TABLE_CACHE (element,
+    map) pairs, least recently used dropped first; this cache is the only
+    state that changes after construction, and only under the lock.
     """
 
     def __init__(self, ctx: gfield.FieldCtx, dim: int, inv_mode: str = "symplectic"):
@@ -182,13 +184,18 @@ class MatOps:
         return out
 
     def _mul_fixed(self, keys: np.ndarray, g, side: str) -> np.ndarray:
-        """keys * g (side "right") or g * keys (side "left")."""
+        """keys * g (side "right"), g * keys ("left") or g^-1 * keys * g ("conj")."""
         tkey = (int(g), side)
         with self._lock:
             tables = self._tables.get(tkey)
             if tables is None:
                 def image(k):
-                    prods = self._mul_ref(k, g) if side == "right" else self._mul_ref(g, k)
+                    if side == "right":
+                        prods = self._mul_ref(k, g)
+                    elif side == "left":
+                        prods = self._mul_ref(g, k)
+                    else:
+                        prods = self._mul_ref(self._mul_ref(self.inv(g), k), g)
                     return self.pack(self._poly[self.unpack(prods)])
 
                 tables = self._tables[tkey] = self._chunk_tables(image)
@@ -197,6 +204,10 @@ class MatOps:
             else:
                 self._tables.move_to_end(tkey)
         return self._gather(self._poly_to_code, self._gather(tables, keys))
+
+    def conj(self, keys, g) -> np.ndarray:
+        """g^-1 * keys * g for one fixed g."""
+        return self._mul_fixed(_as_key_array(keys), _U64(g), "conj")
 
     def _inv_perm(self, mats: np.ndarray) -> np.ndarray:
         """The entry permutation that inverts: M^T, or J M^T J, whose entry
@@ -279,6 +290,10 @@ class ExtOps:
 
     def mul1(self, a, b) -> np.uint64:
         return self.mul(a, b)[0]
+
+    def conj(self, keys, g) -> np.ndarray:
+        """g^-1 * keys * g for one fixed g, as two fixed-element products."""
+        return self.mul(self.mul(self.inv(g), keys), g)
 
     def inv(self, keys) -> np.ndarray:
         """(m, t)^-1 = (sigma^t(m^-1), t)."""
@@ -413,13 +428,25 @@ class FinGroup:
         return f"FinGroup({self.label}, order={self.order})"
 
 
+def element_powers(ops, keys) -> tuple:
+    """(orders, powers) of a key array: orders[j] is the order of keys[j],
+    and powers[t][j] = keys[j]^t for t = 0 .. max(orders) - 1.  One array
+    product per power serves all the keys."""
+    keys = _as_key_array(keys)
+    orders = np.zeros(keys.size, dtype=np.int64)
+    powers = [np.full(keys.size, ops.identity, dtype=_U64)]
+    acc, t = keys, 1
+    while True:
+        orders[(acc == ops.identity) & (orders == 0)] = t
+        if orders.all():
+            return [int(n) for n in orders], powers
+        powers.append(acc)
+        acc = ops.mul(acc, keys)
+        t += 1
+
+
 def element_order(ops, key) -> int:
-    k = _U64(key)
-    n = 1
-    while k != ops.identity:
-        k = ops.mul1(k, key)
-        n += 1
-    return n
+    return element_powers(ops, [key])[0][0]
 
 
 def is_subgroup(H: FinGroup, G: FinGroup) -> bool:
@@ -452,7 +479,6 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     ops, keys = G.ops, G.keys
     n = G.order
     class_of = np.full(n, -1, dtype=np.int32)
-    pairs = [(_U64(g), _U64(ops.inv(np.array([g], dtype=_U64))[0])) for g in gens]
     reps, sizes = [], []
     i = _first_unassigned(class_of, 0)
     while i < n:
@@ -463,7 +489,7 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
         count = 1
         while frontier.size:
             fk = keys[frontier]
-            nxt = [ops.mul(ops.mul(ginv, fk), g) for g, ginv in pairs]
+            nxt = [ops.conj(fk, g) for g in gens]
             ck = _sorted_unique(np.concatenate(nxt)) if nxt else fk[:0]
             pos = G.index_of(ck)
             fresh = pos[class_of[pos] < 0]
@@ -478,10 +504,10 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
 def _class_data(G: FinGroup, gens) -> ClassData:
     """Partition of G into orbits under conjugation by the given generators."""
     sizes, reps, class_of = _orbit_partition(G, gens)
+    orders, _ = element_powers(G.ops, G.keys[list(reps)])
     return ClassData(sizes, reps, class_of,
                      tuple(int(class_of[G.inv_idx[r]]) for r in reps),
-                     tuple(element_order(G.ops, G.keys[r]) for r in reps),
-                     int(class_of[G.identity_idx]))
+                     tuple(orders), int(class_of[G.identity_idx]))
 
 
 def conjugacy_classes(G: FinGroup) -> ClassData:

@@ -8,6 +8,8 @@ tables (sl2:16, wreath, ext, Suzuki), 3 adds the full sp4:4 reproduction.
 from __future__ import annotations
 
 import random
+import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -273,13 +275,17 @@ CHECKS = (
 
 
 def run_checks(tier: int, report=print) -> bool:
-    """Run all checks up to `tier`; one pass/fail line each; True iff all pass."""
+    """Run all checks up to `tier`; one pass/fail line each; True iff all pass.
+    The seconds of each check that runs go to stderr, one line each."""
     all_ok = True
     for chk in CHECKS:
         if chk.tier > tier:
             report(f"SKIP {chk.name} (tier {chk.tier})")
             continue
+        start = time.perf_counter()
         ok, detail = chk.fn()
+        print(f"time {chk.name}: {time.perf_counter() - start:.2f} s",
+              file=sys.stderr)
         all_ok &= ok
         report(f"{'PASS' if ok else 'FAIL'} {chk.name}: {detail}")
     return all_ok

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sgplab.chartab import (Character, dixon_schneider, induce, inner_product,
@@ -221,3 +222,98 @@ def test_class_elements_match_loop(spec):
         by_class[c].append(idx)
     got = _class_elements(cd)
     assert [ix.tolist() for ix in got] == by_class
+
+
+# -- class-matrix columns on demand, against the full class matrix ------------
+
+
+def _class_matrix_ref(G, cd, members, i):
+    """The full class matrix, every column by products: M[k][m] =
+    #{x in C_i : x^-1 g_m in C_k} (the form the table used to build)."""
+    r = len(cd)
+    xinv = G.keys[G.inv_idx[members[i]]]
+    M = [[0] * r for _ in range(r)]
+    for m in range(r):
+        y = G.ops.mul(xinv, G.keys[cd.reps[m]])
+        counts = np.bincount(cd.class_of[G.index_of(y)], minlength=r)
+        for k in range(r):
+            M[k][m] = int(counts[k])
+    return M
+
+
+@pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "parabolic-p:2",
+                                  "ext-sp2q2:2", "so4-:2"])
+def test_class_columns_and_rows_match_full_matrix(spec):
+    from sgplab.chartab import _class_column, _class_elements, _class_row
+    G = build_group(spec)
+    cd = conjugacy_classes(G)
+    members = _class_elements(cd)
+    r = len(cd)
+    for i in range(r):
+        M = _class_matrix_ref(G, cd, members, i)
+        cols = [_class_column(G, cd, members, i, m) for m in range(r)]
+        assert cols == [[M[k][m] for k in range(r)] for m in range(r)]
+        for k in range(r):
+            assert _class_row(cd, cols[cd.inverse_class[k]], k) == M[k]
+
+
+def _fresh(spec):
+    G = build_group(spec)
+    return subgroup(G, G.keys, f"{spec}-copy")  # no cached classes or table
+
+
+def test_broken_column_symmetry_raises(monkeypatch):
+    import sgplab.chartab as ct
+    from sgplab.errors import InternalCheckError
+    orig = ct._class_column
+
+    def broken(G, cd, members, i, m):
+        # row k = m* is read from this column; one more count at a row t
+        # with |C_t*| not dividing |C_k| makes M[k][t*] fractional
+        col = orig(G, cd, members, i, m)
+        size_k = cd.sizes[cd.inverse_class[m]]
+        t = next(t for t in range(len(cd))
+                 if size_k % cd.sizes[cd.inverse_class[t]])
+        col[t] += 1
+        return col
+
+    monkeypatch.setattr(ct, "_class_column", broken)
+    with pytest.raises(InternalCheckError, match="symmetry"):
+        dixon_schneider(_fresh("sl2:4"))
+
+
+def test_split_needs_fewer_columns_than_full_matrices(monkeypatch):
+    import sgplab.chartab as ct
+    orig = ct._class_column
+    calls = []
+
+    def counting(G, cd, members, i, m):
+        calls.append((i, m))
+        return orig(G, cd, members, i, m)
+
+    monkeypatch.setattr(ct, "_class_column", counting)
+    G = _fresh("sz:8")
+    T = dixon_schneider(G)
+    monkeypatch.undo()
+    assert table_to_json(T)["irreducibles"] == \
+        table_to_json(dixon_schneider(build_group("sz:8")))["irreducibles"]
+    matrices = {i for i, _ in calls}
+    assert len(calls) == len(set(calls))           # each column computed once
+    assert len(calls) < len(matrices) * len(T.classes)
+
+
+@pytest.mark.parametrize("spec", ["sl2:8", "sp4:2", "ext-sp2q2:2", "sz:8"])
+def test_power_classes_match_loop(spec):
+    from sgplab.chartab import _power_classes
+    G = build_group(spec)
+    cd = conjugacy_classes(G)
+    want = []
+    for j in range(len(cd)):                     # the per-power loop it replaced
+        out = [cd.identity_class]
+        key = G.keys[cd.reps[j]]
+        acc = key
+        for _ in range(cd.orders[j] - 1):
+            out.append(int(cd.class_of[G.index_of(acc)[0]]))
+            acc = G.ops.mul1(acc, key)
+        want.append(out)
+    assert _power_classes(G, cd) == want

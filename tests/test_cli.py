@@ -120,6 +120,24 @@ def test_verify_paper_tier1():
     assert out.count("PASS") >= 6 and "SKIP sp4-4-scan" in out
 
 
+def test_verify_paper_times_checks_on_stderr_only(capsys):
+    """stdout keeps exactly the pass/fail/skip lines; stderr gets one timing
+    line per check that runs, in check order."""
+    import re
+    from sgplab.verify import CHECKS, run_checks
+    lines = []
+    run_checks(1, report=lines.append)
+    capsys.readouterr()
+    assert main(["verify-paper"]) == EXIT_OK
+    cap = capsys.readouterr()
+    assert cap.out == "\n".join(lines) + "\n"
+    ran = [c.name for c in CHECKS if c.tier <= 1]
+    err = cap.err.splitlines()
+    assert len(err) == len(ran)
+    for name, line in zip(ran, err):
+        assert re.fullmatch(rf"time {re.escape(name)}: \d+\.\d\d s", line), line
+
+
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",
                                   "so4-:2", "parabolic-p:2"])
 def test_chartab_json_matches_golden(spec, capsys):

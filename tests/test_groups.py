@@ -10,6 +10,7 @@ from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 from sgplab.errors import GroupSpecError, ResourceBoundError, SubgroupError
 from sgplab.groups import (_first_unassigned, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
+                           element_powers,
                            group_to_json, h_classes, is_subgroup,
                            maximal_subgroups_sp4, parse_group_spec, perm_group,
                            squares_subgroup, subgroup)
@@ -255,3 +256,29 @@ def test_first_unassigned_matches_loop(n, free, start):
     class_of[[i for i in free if i < n]] = -1
     want = next((i for i in range(start, n) if class_of[i] < 0), n)
     assert _first_unassigned(class_of, start) == want
+
+
+def _order_loop(ops, key):
+    """One single-key product per power: the loop element_powers replaced."""
+    k, n = U64(key), 1
+    while k != ops.identity:
+        k = ops.mul1(k, key)
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("spec", ["sl2:8", "sp4:2", "wreath-sp2:2", "ext-sp2q2:4",
+                                  "sz:8", "trivial"])
+def test_batched_orders_match_loop(spec):
+    G = build_group(spec)
+    cd = conjugacy_classes(G)
+    reps = G.keys[list(cd.reps)]
+    assert cd.orders == tuple(_order_loop(G.ops, k) for k in reps)
+    orders, powers = element_powers(G.ops, reps)
+    assert orders == list(cd.orders) and len(powers) == max(orders)
+    for j, key in enumerate(reps):
+        assert element_order(G.ops, key) == orders[j]
+        acc = G.ops.identity
+        for t in range(orders[j]):
+            assert powers[t][j] == acc
+            acc = G.ops.mul1(acc, key)

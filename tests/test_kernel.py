@@ -1,4 +1,5 @@
-"""The byte-table products and inverses of MatOps and ExtOps against `_matmul`."""
+"""The byte-table products, conjugations and inverses of MatOps and ExtOps
+against `_matmul`."""
 
 import os
 import subprocess
@@ -57,6 +58,19 @@ def test_fixed_element_products_and_inverse_match_matmul(case, seed, n):
     assert np.array_equal(ops.inv(g), _ref_inv(ops, g))   # a single key too
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CASES), st.integers(0, 2**32 - 1), st.integers(1, 600))
+def test_conj_matches_two_products(case, seed, n):
+    e, dim, mode = case
+    ops = mat_ops(gfield.field_ctx(e), dim, mode)
+    rng = np.random.default_rng(seed)
+    x = _random_keys(ops, rng, n)
+    g = _random_keys(ops, rng, 1)[0]
+    got = ops.conj(x, g)
+    assert np.array_equal(got, ops.mul(ops.mul(ops.inv(g), x), g))
+    assert np.array_equal(got, _ref_mul(ops, _ref_mul(ops, _ref_inv(ops, g), x), g))
+
+
 def _ext_ref_mul(ops, a, b):
     """(m * sigma^t(m'), t xor t') for ext keys, by `_matmul` on the 2x2 part."""
     a, b = np.broadcast_arrays(a, b)
@@ -89,6 +103,19 @@ def test_ext_products_and_inverse_match_matmul(q, seed, n):
                           np.full(n, ops.identity, dtype=U64))
     assert np.array_equal(_ext_ref_mul(ops, ops.inv(y), y),
                           np.full(n, ops.identity, dtype=U64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1), st.integers(1, 600))
+def test_ext_conj_matches_two_products(q, seed, n):
+    G = build_group(f"ext-sp2q2:{q}")
+    ops = G.ops
+    rng = np.random.default_rng(seed)
+    x = G.keys[rng.integers(0, G.order, n)]
+    g = G.keys[rng.integers(G.order)]
+    got = ops.conj(x, g)
+    assert np.array_equal(got, ops.mul(ops.mul(ops.inv(g), x), g))
+    assert np.array_equal(got, _ext_ref_mul(ops, _ext_ref_mul(ops, ops.inv(g), x), g))
 
 
 def test_table_cache_is_bounded_and_stays_exact():

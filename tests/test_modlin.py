@@ -48,6 +48,40 @@ def test_poly_roots():
     assert _poly_roots(poly, p) == [3, 7]
 
 
+def _poly_roots_loop(poly, p):
+    """Horner's rule at one x at a time: the loop _poly_roots replaced."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+            if len(roots) == len(poly) - 1:
+                break
+    return roots
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_poly_roots_match_plain_loop(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 101, 3061, 14561])
+    # some linear factors, repeats allowed, times a random factor
+    poly = [rng.randrange(1, p) if p > 2 else 1] + [rng.randrange(p) for _ in
+                                                   range(rng.randint(0, 4))] + [1]
+    for _ in range(rng.randint(0, 6)):
+        root = rng.randrange(p)
+        poly = [((poly[i - 1] if i else 0) - root * (poly[i] if i < len(poly) else 0)) % p
+                for i in range(len(poly) + 1)]
+    assert _poly_roots(poly, p) == _poly_roots_loop(poly, p)
+
+
+def test_poly_roots_refuses_a_prime_beyond_int64():
+    from sgplab.errors import InternalCheckError
+    with pytest.raises(InternalCheckError):
+        _poly_roots([1, 1], 2**31 + 11)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_nullspace(seed):
     p = 97
