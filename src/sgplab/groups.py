@@ -17,7 +17,12 @@ twisted pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder);
 `parse_group_spec` is the only validator, and the builders take its
-validated ints.
+validated ints.  Every builder closes its own generators (`_generated`):
+it refuses before enumerating when the closed-form order exceeds
+max_order, and checks that order afterwards.  The subgroups of sp4:q
+(parabolics, so4+-, sp4-sub) never enumerate sp4:q; each key of theirs
+must pass a batched test instead: symplectic, plus the flag zeros, the
+quadratic form or the subfield entries.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -85,9 +90,7 @@ class MatOps:
         self.inv_mode = inv_mode
         self._shifts = (np.arange(dim * dim, dtype=_U64) * _U64(self.bits))
         self._mask = _U64((1 << self.bits) - 1)
-        eye = np.zeros((dim, dim), dtype=np.uint8)
-        for i in range(dim):
-            eye[i, i] = ctx.one
+        eye = np.eye(dim, dtype=np.uint8) * ctx.one
         self.identity = self.pack_one(eye)
         if inv_mode == "symplectic":       # the Gram matrix J of the form
             self._jkey = self.pack_one(eye[::-1])
@@ -601,20 +604,52 @@ def _check_order(G: FinGroup, expect: int) -> FinGroup:
     return G
 
 
+def _members(ops, keys: np.ndarray, cond) -> np.ndarray:
+    """Per key of sp4:q's MatOps: M is symplectic, B(M e_i, M e_j) = J_ij for
+    i < j where B(x, y) = x^T J y (that is, (J M^T J) * M = 1), and `cond`
+    holds, the batched defining condition of a subgroup, on the unpacked
+    matrices."""
+    mul, add = ops.ctx.lut_mul, ops.ctx.lut_add
+    mats = ops.unpack(keys)
+    ok = cond(mats)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            x, y = mats[:, :, i], mats[:, :, j]
+            b = add[add[mul[x[:, 0], y[:, 3]], mul[x[:, 3], y[:, 0]]],
+                    add[mul[x[:, 1], y[:, 2]], mul[x[:, 2], y[:, 1]]]]
+            ok &= b == (ops.ctx.one if i + j == 3 else 0)
+    return ok
+
+
+def _generated(label: str, ops, gens, order: int, max_order: int,
+               cond=None) -> FinGroup:
+    """The group generated by gens, whose closed-form order is `order`.
+
+    It is refused before any enumeration if `order` exceeds max_order; after
+    the closure every key must pass `cond` (if given) and the order must
+    match.
+    """
+    if order > max_order:
+        raise ResourceBoundError(
+            f"{label}: order {order} exceeds the enumeration bound {max_order}")
+    keys = mulclose(ops, gens, max_order)
+    if cond is not None:
+        bad = np.count_nonzero(~_members(ops, keys, cond))
+        if bad:
+            raise InternalCheckError(
+                f"{label}: {bad} enumerated elements fail its defining condition")
+    return _check_order(FinGroup(label, ops, keys, gens), order)
+
+
 def _build_sl2(q, max_order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 2, "symplectic")
     gens = [ops.from_rows(rows) for rows in _sl2_gens(ctx)]
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"sl2:{q}", ops, keys, gens)
-    return _check_order(G, q * (q * q - 1))
+    return _generated(f"sl2:{q}", ops, gens, q * (q * q - 1), max_order)
 
 
 def _transvection(ops, entries):
-    d = ops.dim
-    m = np.zeros((d, d), dtype=np.uint8)
-    for i in range(d):
-        m[i, i] = ops.ctx.one
+    m = np.eye(ops.dim, dtype=np.uint8) * ops.ctx.one
     for (i, j), c in entries.items():
         m[i, j] = c
     return ops.pack_one(m)
@@ -641,10 +676,8 @@ def _sp4_gens(ops):
 def _build_sp4(q, max_order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
-    gens = _sp4_gens(ops)
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"sp4:{q}", ops, keys, gens)
-    return _check_order(G, q**4 * (q**2 - 1) * (q**4 - 1))
+    return _generated(f"sp4:{q}", ops, _sp4_gens(ops),
+                      q**4 * (q**2 - 1) * (q**4 - 1), max_order)
 
 
 def _build_wreath(q, max_order):
@@ -657,12 +690,9 @@ def _build_wreath(q, max_order):
         (a, b), (c, d) = rows
         gens.append(ops.from_rows([[a, 0, 0, b], [0, one, 0, 0],
                                    [0, 0, one, 0], [c, 0, 0, d]]))
-    # swap the two hyperbolic planes <e1,e4> <-> <e2,e3>
-    gens.append(ops.from_rows([[0, one, 0, 0], [one, 0, 0, 0],
-                               [0, 0, 0, one], [0, 0, one, 0]]))
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"wreath-sp2:{q}", ops, keys, gens)
-    return _check_order(G, 2 * q**2 * (q**2 - 1) ** 2)
+    gens.append(_plane_swap(ops))
+    return _generated(f"wreath-sp2:{q}", ops, gens, 2 * q**2 * (q**2 - 1) ** 2,
+                      max_order)
 
 
 def _build_ext_abstract(q, max_order):
@@ -671,25 +701,7 @@ def _build_ext_abstract(q, max_order):
             for rows in _sl2_gens(ops.ctx)]
     gens.append(ops.pack_one(
         np.array([[ops.ctx.one, 0], [0, ops.ctx.one]], dtype=np.uint8), 1))
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"ext-sp2q2:{q}", ops, keys, gens)
-    return _check_order(G, 2 * q**2 * (q**4 - 1))
-
-
-def _mat_inv_small(ctx, rows):
-    d = len(rows)
-    aug = [list(r) + [ctx.one if i == j else 0 for j in range(d)]
-           for i, r in enumerate(rows)]
-    for c in range(d):
-        piv = next(r for r in range(c, d) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        ic = ctx.inv(aug[c][c])
-        aug[c] = [ctx.mul(ic, x) for x in aug[c]]
-        for r in range(d):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [ctx.add(x, ctx.mul(f, y)) for x, y in zip(aug[r], aug[c])]
-    return [row[d:] for row in aug]
+    return _generated(f"ext-sp2q2:{q}", ops, gens, 2 * q**2 * (q**4 - 1), max_order)
 
 
 def _symplectic_basis(ctx, gram):
@@ -734,42 +746,23 @@ def _symplectic_basis(ctx, gram):
 def _build_ext_embedded(q, max_order):
     """Concrete image of ext-sp2q2:q inside sp4:q, via GF(q^2) as 2x2 blocks."""
     e = q.bit_length() - 1
-    ctx = gfield.field_ctx(e)
-    ctx2 = gfield.field_ctx(2 * e)
+    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
+    ops = mat_ops(ctx, 4, "symplectic")
     emb = [gfield.subfield_embed(ctx, ctx2, a) for a in range(ctx.q)]
     gam2 = ctx2.gamma
     # coordinates of w in the basis (1, gamma2) over the embedded GF(q)
-    coord = {}
-    for u in range(ctx.q):
-        for v in range(ctx.q):
-            w = ctx2.add(emb[u], ctx2.mul(emb[v], gam2))
-            coord[w] = (u, v)
+    coord = {ctx2.add(emb[u], ctx2.mul(emb[v], gam2)): (u, v)
+             for u in range(ctx.q) for v in range(ctx.q)}
 
-    def mult_block(z):
-        c1 = coord[z]
-        c2 = coord[ctx2.mul(z, gam2)]
-        return [[c1[0], c2[0]], [c1[1], c2[1]]]
+    def block(f):
+        """The GF(q)-linear map f of GF(q^2), in the basis (1, gamma2)."""
+        return np.array([coord[f(w)] for w in (ctx2.one, gam2)], dtype=np.uint8).T
 
-    def image(rows2):
-        out = [[0] * 4 for _ in range(4)]
-        for bi in range(2):
-            for bj in range(2):
-                blk = mult_block(rows2[bi][bj]) if rows2[bi][bj] else [[0, 0], [0, 0]]
-                for i in range(2):
-                    for j in range(2):
-                        out[2 * bi + i][2 * bj + j] = blk[i][j]
-        return out
-
-    frob_block = [[0, 0], [0, 0]]
-    for j, z in enumerate([ctx2.one, gam2]):
-        zq = gfield.frobenius(ctx2, z, e)
-        u, v = coord[zq]
-        frob_block[0][j], frob_block[1][j] = u, v
-    galois = [[0] * 4 for _ in range(4)]
-    for b in range(2):
-        for i in range(2):
-            for j in range(2):
-                galois[2 * b + i][2 * b + j] = frob_block[i][j]
+    frob = block(lambda w: gfield.frobenius(ctx2, w, e))
+    zero = np.zeros((2, 2), dtype=np.uint8)
+    mats = [np.block([[block(lambda w, z=z: ctx2.mul(z, w)) for z in row]
+                      for row in rows]) for rows in _sl2_gens(ctx2)]
+    mats.append(np.block([[frob, zero], [zero, frob]]))
 
     # Gram of Tr(x1*y2 + x2*y1) in the basis (1,0),(gamma2,0),(0,1),(0,gamma2)
     basis2 = [(ctx2.one, 0), (gam2, 0), (0, ctx2.one), (0, gam2)]
@@ -782,72 +775,75 @@ def _build_ext_embedded(q, max_order):
     gram = [[tr_down(ctx2.add(ctx2.mul(x1, y2), ctx2.mul(x2, y1)))
              for (y1, y2) in basis2] for (x1, x2) in basis2]
 
-    t_cols = _symplectic_basis(ctx, gram)
-    t_inv = _mat_inv_small(ctx, t_cols)
-
-    def conj(rows):
-        def mm(a, b):
-            return [[
-                _sum_mul(ctx, [(a[i][k], b[k][j]) for k in range(4)])
-                for j in range(4)] for i in range(4)]
-        return mm(mm(t_inv, rows), t_cols)
-
-    ops = mat_ops(ctx, 4, "symplectic")
-    gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [galois]
-    gens = [ops.from_rows(conj(r)) for r in gen_rows]
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"ext-sp2q2-embedded:{q}", ops, keys, gens)
-    return _check_order(G, 2 * q**2 * (q**4 - 1))
-
-
-def _sum_mul(ctx, pairs):
-    s = 0
-    for a, b in pairs:
-        s = ctx.add(s, ctx.mul(a, b))
-    return s
+    # rebase by T, T^t gram T = J: the form becomes J, and T^-1 = J T^t gram
+    t = np.array(_symplectic_basis(ctx, gram), dtype=np.uint8)[None]
+    jmat = ops.unpack(ops._jkey)
+    t_inv = ops._matmul(ops._matmul(jmat, t.swapaxes(1, 2)),
+                        np.array(gram, dtype=np.uint8)[None])
+    gens = ops.pack(ops._matmul(ops._matmul(t_inv, np.array(mats)), t))
+    return _generated(f"ext-sp2q2-embedded:{q}", ops, gens,
+                      2 * q**2 * (q**4 - 1), max_order)
 
 
 def _build_parabolic(q, max_order, kind):
-    G = build_group(f"sp4:{q}", max_order=max_order)
-    mats = G.ops.unpack(G.keys)
-    if kind == "p":  # stabilizer of the isotropic point <e1>
-        mask = (mats[:, 1, 0] == 0) & (mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
-        label = f"parabolic-p:{q}"
-    else:  # stabilizer of the totally isotropic plane <e1, e2>
-        mask = ((mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
-                & (mats[:, 2, 1] == 0) & (mats[:, 3, 1] == 0))
-        label = f"parabolic-q:{q}"
-    H = subgroup(G, G.keys[mask], label)
-    return _check_order(H, q**3 * (q**2 + q) * (q - 1) ** 2)
+    """The stabilizer of <e1> ("p") or of <e1, e2> ("q"): the generators of
+    sp4:q without the one root element that moves that flag; its members
+    have zeros below the flag."""
+    ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
+    gens = _sp4_gens(ops)
+    del gens[1 if kind == "p" else 3]
+    cells = ([(1, 0), (2, 0), (3, 0)] if kind == "p"
+             else [(2, 0), (3, 0), (2, 1), (3, 1)])
+    return _generated(f"parabolic-{kind}:{q}", ops, gens,
+                      q**3 * (q**2 + q) * (q - 1) ** 2, max_order,
+                      lambda m: ~np.any([m[:, i, j] for i, j in cells], axis=0))
+
+
+def _plane_swap(ops):
+    """The swap of the hyperbolic planes <e1, e4> and <e2, e3>."""
+    one = ops.ctx.one
+    return ops.from_rows([[0, one, 0, 0], [one, 0, 0, 0],
+                          [0, 0, 0, one], [0, 0, one, 0]])
 
 
 def _build_so4(q, max_order, sign):
-    G = build_group(f"sp4:{q}", max_order=max_order)
-    ctx = G.ops.ctx
-    if sign == "+":
-        qvals = [0, 0, 0, 0]           # Q(x) = x1 x4 + x2 x3
-        label = f"so4+:{q}"
-    else:
-        # Q(x) = x1 x4 + x2^2 + x2 x3 + a x3^2 with t^2 + t + a irreducible,
-        # i.e. the absolute trace of a is 1; a is the first such power of gamma
-        a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
-        qvals = [0, ctx.one, a, 0]
-        label = f"so4-:{q}"
-    mats = G.ops.unpack(G.keys)
+    """O(Q) for Q(x) = x1 x4 + x2 x3 (sign "+"), plus x2^2 + a x3^2 (sign
+    "-") with t^2 + t + a irreducible, i.e. a of absolute trace 1, the first
+    such power of gamma; both polarize to J.
+
+    Generated by the reflections x -> x + (x^T J v / Q(v)) v for the
+    nonsingular v of a fixed list: two in <e1, e4>, three in <e2, e3> and
+    two across.  Reflections generate O(Q) except for O4+(2) (Taylor, The
+    Geometry of the Classical Groups, ch. 11), where they give 36 of the 72
+    elements, so so4+:2 adds the plane swap.  Members keep Q(M e_j) = Q(e_j).
+    """
+    ctx = gfield.field_ctx(q.bit_length() - 1)
+    ops = mat_ops(ctx, 4, "symplectic")
     mul, add = ctx.lut_mul, ctx.lut_add
-    keep = np.ones(G.order, dtype=bool)
-    for j in range(4):
-        col = mats[:, :, j]
-        qv = add[mul[col[:, 0], col[:, 3]], mul[col[:, 1], col[:, 2]]]
+    a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
+
+    def Q(x):   # on four codes, or four code arrays
+        s = add[mul[x[0], x[3]], mul[x[1], x[2]]]
         if sign == "-":
-            qv = add[qv, mul[col[:, 1], col[:, 1]]]
-            qv = add[qv, mul[np.full(G.order, qvals[2], dtype=np.uint8),
-                             mul[col[:, 2], col[:, 2]]]]
-        keep &= qv == qvals[j]
-    H = subgroup(G, G.keys[keep], label)
-    expect = (2 * q**2 * (q**2 - 1) ** 2 if sign == "+"
-              else 2 * q**2 * (q**4 - 1))
-    return _check_order(H, expect)
+            s = add[add[s, mul[x[1], x[1]]], mul[a, mul[x[2], x[2]]]]
+        return s
+
+    o, g = ctx.one, ctx.gamma
+    vecs = [(o, 0, 0, o), (o, 0, 0, g), (0, o, 0, 0), (0, o, g, 0), (0, g, o, 0),
+            (o, o, 0, o), (o, o, o, 0)]
+    gens = []
+    for v in dict.fromkeys(v for v in vecs if Q(v)):   # gamma = 1 when q = 2
+        c = ctx.inv(int(Q(v)))
+        gens.append(ops.from_rows(
+            [[ctx.add(o if i == j else 0, ctx.mul(c, ctx.mul(v[i], v[3 - j])))
+              for j in range(4)] for i in range(4)]))
+    if q == 2 and sign == "+":
+        gens.append(_plane_swap(ops))
+    order = 2 * q**2 * (q**2 - 1) ** 2 if sign == "+" else 2 * q**2 * (q**4 - 1)
+    qe = [Q(row) for row in np.eye(4, dtype=np.uint8) * o]     # Q(e_j)
+    return _generated(f"so4{sign}:{q}", ops, gens, order, max_order,
+                      lambda m: np.all([Q(m[:, :, j].T) == qe[j] for j in range(4)],
+                                       axis=0))
 
 
 def _build_sz(q, max_order):
@@ -882,22 +878,20 @@ def _build_sz(q, max_order):
                                    [0, 0, 0, ctx.inv(d1)]]))
     gens.append(ops.from_rows([[0, 0, 0, one], [0, 0, one, 0],
                                [0, one, 0, 0], [one, 0, 0, 0]]))
-    keys = mulclose(ops, gens, max_order)
-    G = FinGroup(f"sz:{q}", ops, keys, gens)
-    return _check_order(G, q**2 * (q**2 + 1) * (q - 1))
+    return _generated(f"sz:{q}", ops, gens, q**2 * (q**2 + 1) * (q - 1), max_order)
 
 
 def _build_sp4_sub(q, q0, max_order):
-    small = build_group(f"sp4:{q0}", max_order=max_order)
-    big = build_group(f"sp4:{q}", max_order=max_order)
-    ctx0 = small.ops.ctx
-    ctx = big.ops.ctx
-    lut = np.array([gfield.subfield_embed(ctx0, ctx, a) for a in range(ctx0.q)],
+    """sp4:q0 inside sp4:q: the generators of sp4:q0, entries mapped by
+    subfield_embed; its members have every entry in GF(q0)."""
+    ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
+    small = mat_ops(gfield.field_ctx(q0.bit_length() - 1), 4, "symplectic")
+    lut = np.array([gfield.subfield_embed(small.ctx, ops.ctx, a) for a in range(q0)],
                    dtype=np.uint8)
-    mats = lut[small.ops.unpack(small.keys)]
-    keys = _sorted_unique(big.ops.pack(mats))
-    H = subgroup(big, keys, f"sp4-sub:{q}:{q0}")
-    return _check_order(H, small.order)
+    gens = ops.pack(lut[small.unpack(np.array(_sp4_gens(small), dtype=_U64))])
+    return _generated(f"sp4-sub:{q}:{q0}", ops, gens,
+                      q0**4 * (q0**2 - 1) * (q0**4 - 1), max_order,
+                      lambda m: np.isin(m, lut).all(axis=(1, 2)))
 
 
 def _build_trivial(max_order):

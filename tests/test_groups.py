@@ -1,13 +1,20 @@
 """Group construction, enumeration, and conjugacy structure."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 
-from sgplab.errors import GroupSpecError, ResourceBoundError, SubgroupError
+import sgplab
+from sgplab import gfield, groups
+from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
+                           SubgroupError)
 from sgplab.groups import (_first_unassigned, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
                            element_powers,
@@ -126,7 +133,9 @@ def _symplectic_ok(g, keys):
     return bool((ops.mul(ops.mul(mt, j), keys) == j).all())
 
 
-@pytest.mark.parametrize("spec", ["sl2:8", "sp4:2", "wreath-sp2:4", "sz:8"])
+@pytest.mark.parametrize("spec", ["sl2:8", "sp4:2", "wreath-sp2:4", "sz:8",
+                                  "parabolic-p:4", "so4-:4", "sp4-sub:4:2",
+                                  "ext-sp2q2-embedded:4"])
 def test_symplectic_form_preserved(spec):
     g = build_group(spec)
     gens = np.array(g.gens_keys, dtype=U64)
@@ -282,3 +291,144 @@ def test_batched_orders_match_loop(spec):
         for t in range(orders[j]):
             assert powers[t][j] == acc
             acc = G.ops.mul1(acc, key)
+
+
+# -- generator-built subgroups of sp4:q --------------------------------------
+
+def _filter_oracle(spec):
+    """The construction the builders replaced: enumerate sp4:q and keep the
+    flag stabilizer or the form stabilizer, or look the subfield group up."""
+    name, args = parse_group_spec(spec)
+    G = build_group(f"sp4:{args[0]}")
+    ops, ctx = G.ops, G.ops.ctx
+    if name == "sp4-sub":
+        small = build_group(f"sp4:{args[1]}")
+        lut = np.array([gfield.subfield_embed(small.ops.ctx, ctx, a)
+                        for a in range(small.ops.ctx.q)], dtype=np.uint8)
+        keys = np.unique(ops.pack(lut[small.ops.unpack(small.keys)]))
+        assert G.contains(keys).all()
+        return keys
+    mats = ops.unpack(G.keys)
+    if name == "parabolic-p":
+        keep = (mats[:, 1, 0] == 0) & (mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
+    elif name == "parabolic-q":
+        keep = ((mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
+                & (mats[:, 2, 1] == 0) & (mats[:, 3, 1] == 0))
+    else:
+        # Q(M e_j) = Q(e_j) on every column, Q as in the README
+        mul, add = ctx.lut_mul, ctx.lut_add
+        a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
+        qvals = [0, 0, 0, 0] if name == "so4+" else [0, ctx.one, a, 0]
+        keep = np.ones(G.order, dtype=bool)
+        for j in range(4):
+            col = mats[:, :, j]
+            qv = add[mul[col[:, 0], col[:, 3]], mul[col[:, 1], col[:, 2]]]
+            if name == "so4-":
+                qv = add[qv, mul[col[:, 1], col[:, 1]]]
+                qv = add[qv, mul[np.full(G.order, a, dtype=np.uint8),
+                                 mul[col[:, 2], col[:, 2]]]]
+            keep &= qv == qvals[j]
+    return G.keys[keep]
+
+
+SUBGROUPS_Q2 = ["parabolic-p:2", "parabolic-q:2", "so4+:2", "so4-:2"]
+SUBGROUPS_Q4 = ["parabolic-p:4", "parabolic-q:4", "so4+:4", "so4-:4", "sp4-sub:4:2"]
+
+
+@pytest.mark.parametrize("spec", SUBGROUPS_Q2 + [
+    pytest.param(s, marks=pytest.mark.slow) for s in SUBGROUPS_Q4])
+def test_generated_subgroup_matches_filter(spec):
+    assert np.array_equal(build_group(spec).keys, _filter_oracle(spec))
+
+
+def _build_with(spec, extra):
+    """Run the spec's builder (uncached) with `extra` keys slipped into its
+    closure, as a broken kernel might."""
+    name, args = parse_group_spec(spec)
+    real = groups.mulclose
+    groups.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), extra)
+    try:
+        return groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)
+    finally:
+        groups.mulclose = real
+
+
+def _outsiders(spec):
+    """Two keys outside the spec's group: a generator of sp4:q (a root
+    element that moves the flag, a symplectic element that does not keep
+    Q, or one that is not over the subfield), and the transvection
+    I + E_12, which is not symplectic but passes every other condition."""
+    H = build_group(spec)
+    sym = next(g for g in groups._sp4_gens(H.ops) if not H.contains(g)[0])
+    return [sym, groups._transvection(H.ops, {(0, 1): H.ops.ctx.one})]
+
+
+@pytest.mark.parametrize("spec", SUBGROUPS_Q2 + SUBGROUPS_Q4)
+def test_membership_rejects_outsiders(spec):
+    assert _build_with(spec, np.array([], dtype=U64)).order == build_group(spec).order
+    for key in _outsiders(spec):
+        with pytest.raises(InternalCheckError, match="1 enumerated elements fail"):
+            _build_with(spec, np.array([key], dtype=U64))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", SUBGROUPS_Q4)
+def test_membership_rejects_every_sampled_outsider(spec):
+    """200 keys of sp4:4 outside the subgroup: each one is counted."""
+    G, H = build_group("sp4:4"), build_group(spec)
+    rng = np.random.default_rng(3)
+    out = G.keys[~np.isin(G.keys, H.keys)]
+    sample = np.unique(out[rng.choice(out.size, 200, replace=False)])
+    with pytest.raises(InternalCheckError, match="200 enumerated elements fail"):
+        _build_with(spec, sample)
+
+
+def test_membership_check_fires_under_python_O():
+    script = (
+        "import numpy as np\n"
+        "import sgplab.groups as g\n"
+        "from sgplab.errors import InternalCheckError\n"
+        "for spec in %r:\n"
+        "    H = g.build_group(spec)\n"
+        "    bad = next(k for k in g._sp4_gens(H.ops) if not H.contains(k)[0])\n"
+        "    real = g.mulclose\n"
+        "    g.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), [bad])\n"
+        "    name, args = g.parse_group_spec(spec)\n"
+        "    try:\n"
+        "        g._SPECS[name][1](*args, g.MAX_ORDER_DEFAULT)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print('caught', exc)\n"
+        "    g.mulclose = real\n") % (SUBGROUPS_Q4,)
+    src = str(Path(sgplab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "caught " + s.split(":")[0] for s in SUBGROUPS_Q4], res.stdout
+
+
+def test_refused_before_enumeration(monkeypatch):
+    def fail(*args):
+        raise AssertionError("mulclose was called")
+    monkeypatch.setattr(groups, "mulclose", fail)
+    with pytest.raises(ResourceBoundError):
+        build_group("sp4:8")
+    with pytest.raises(ResourceBoundError):
+        build_group("parabolic-p:8", max_order=10**6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec,order", [
+    ("parabolic-p:8", 1_806_336),    # q^3 (q^2+q) (q-1)^2
+    ("parabolic-q:8", 1_806_336),
+    ("so4+:8", 508_032),             # 2 q^2 (q^2-1)^2
+    ("so4-:8", 524_160),             # 2 q^2 (q^4-1)
+    ("sp4-sub:8:2", 720),
+])
+def test_q8_subgroups_build_under_the_default_bound(spec, order):
+    """Built through the uncached builder, so the large key arrays are freed."""
+    name, args = parse_group_spec(spec)
+    assert groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT).order == order
