@@ -17,12 +17,10 @@ twisted pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder);
 `parse_group_spec` is the only validator, and the builders take its
-validated ints.  Every builder closes its own generators (`_generated`):
-it refuses before enumerating when the closed-form order exceeds
-max_order, and checks that order afterwards.  The subgroups of sp4:q
-(parabolics, so4+-, sp4-sub) never enumerate sp4:q; each key of theirs
-must pass a batched test instead: symplectic, plus the flag zeros, the
-quadratic form or the subfield entries.
+validated ints.  Every builder closes its own generators (`_generated`),
+refusing a closed-form order above max_order before enumerating; the
+subgroups of sp4:q check their keys in one batched pass instead of
+enumerating sp4:q.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -90,7 +88,9 @@ class MatOps:
         self.inv_mode = inv_mode
         self._shifts = (np.arange(dim * dim, dtype=_U64) * _U64(self.bits))
         self._mask = _U64((1 << self.bits) - 1)
-        eye = np.eye(dim, dtype=np.uint8) * ctx.one
+        eye = np.zeros((dim, dim), dtype=np.uint8)
+        for i in range(dim):
+            eye[i, i] = ctx.one
         self.identity = self.pack_one(eye)
         if inv_mode == "symplectic":       # the Gram matrix J of the form
             self._jkey = self.pack_one(eye[::-1])
@@ -604,37 +604,19 @@ def _check_order(G: FinGroup, expect: int) -> FinGroup:
     return G
 
 
-def _members(ops, keys: np.ndarray, cond) -> np.ndarray:
-    """Per key of sp4:q's MatOps: M is symplectic, B(M e_i, M e_j) = J_ij for
-    i < j where B(x, y) = x^T J y (that is, (J M^T J) * M = 1), and `cond`
-    holds, the batched defining condition of a subgroup, on the unpacked
-    matrices."""
-    mul, add = ops.ctx.lut_mul, ops.ctx.lut_add
-    mats = ops.unpack(keys)
-    ok = cond(mats)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            x, y = mats[:, :, i], mats[:, :, j]
-            b = add[add[mul[x[:, 0], y[:, 3]], mul[x[:, 3], y[:, 0]]],
-                    add[mul[x[:, 1], y[:, 2]], mul[x[:, 2], y[:, 1]]]]
-            ok &= b == (ops.ctx.one if i + j == 3 else 0)
-    return ok
-
-
 def _generated(label: str, ops, gens, order: int, max_order: int,
                cond=None) -> FinGroup:
-    """The group generated by gens, whose closed-form order is `order`.
-
-    It is refused before any enumeration if `order` exceeds max_order; after
-    the closure every key must pass `cond` (if given) and the order must
-    match.
-    """
+    """The closure of gens, refused before enumerating if its closed-form
+    `order` exceeds max_order; its order must be `order`.  With `cond` (a
+    batched condition on the unpacked matrices) every key M must also pass
+    cond and be symplectic: M^-1 M = 1, M^-1 = J M^T J from the inverse table."""
     if order > max_order:
         raise ResourceBoundError(
             f"{label}: order {order} exceeds the enumeration bound {max_order}")
     keys = mulclose(ops, gens, max_order)
     if cond is not None:
-        bad = np.count_nonzero(~_members(ops, keys, cond))
+        ok = cond(ops.unpack(keys)) & (ops.mul(ops.inv(keys), keys) == ops.identity)
+        bad = np.count_nonzero(~ok)
         if bad:
             raise InternalCheckError(
                 f"{label}: {bad} enumerated elements fail its defining condition")
@@ -649,7 +631,10 @@ def _build_sl2(q, max_order):
 
 
 def _transvection(ops, entries):
-    m = np.eye(ops.dim, dtype=np.uint8) * ops.ctx.one
+    d = ops.dim
+    m = np.zeros((d, d), dtype=np.uint8)
+    for i in range(d):
+        m[i, i] = ops.ctx.one
     for (i, j), c in entries.items():
         m[i, j] = c
     return ops.pack_one(m)
@@ -746,23 +731,42 @@ def _symplectic_basis(ctx, gram):
 def _build_ext_embedded(q, max_order):
     """Concrete image of ext-sp2q2:q inside sp4:q, via GF(q^2) as 2x2 blocks."""
     e = q.bit_length() - 1
-    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
-    ops = mat_ops(ctx, 4, "symplectic")
+    ctx = gfield.field_ctx(e)
+    ctx2 = gfield.field_ctx(2 * e)
     emb = [gfield.subfield_embed(ctx, ctx2, a) for a in range(ctx.q)]
     gam2 = ctx2.gamma
     # coordinates of w in the basis (1, gamma2) over the embedded GF(q)
-    coord = {ctx2.add(emb[u], ctx2.mul(emb[v], gam2)): (u, v)
-             for u in range(ctx.q) for v in range(ctx.q)}
+    coord = {}
+    for u in range(ctx.q):
+        for v in range(ctx.q):
+            w = ctx2.add(emb[u], ctx2.mul(emb[v], gam2))
+            coord[w] = (u, v)
 
-    def block(f):
-        """The GF(q)-linear map f of GF(q^2), in the basis (1, gamma2)."""
-        return np.array([coord[f(w)] for w in (ctx2.one, gam2)], dtype=np.uint8).T
+    def mult_block(z):
+        c1 = coord[z]
+        c2 = coord[ctx2.mul(z, gam2)]
+        return [[c1[0], c2[0]], [c1[1], c2[1]]]
 
-    frob = block(lambda w: gfield.frobenius(ctx2, w, e))
-    zero = np.zeros((2, 2), dtype=np.uint8)
-    mats = [np.block([[block(lambda w, z=z: ctx2.mul(z, w)) for z in row]
-                      for row in rows]) for rows in _sl2_gens(ctx2)]
-    mats.append(np.block([[frob, zero], [zero, frob]]))
+    def image(rows2):
+        out = [[0] * 4 for _ in range(4)]
+        for bi in range(2):
+            for bj in range(2):
+                blk = mult_block(rows2[bi][bj]) if rows2[bi][bj] else [[0, 0], [0, 0]]
+                for i in range(2):
+                    for j in range(2):
+                        out[2 * bi + i][2 * bj + j] = blk[i][j]
+        return out
+
+    frob_block = [[0, 0], [0, 0]]
+    for j, z in enumerate([ctx2.one, gam2]):
+        zq = gfield.frobenius(ctx2, z, e)
+        u, v = coord[zq]
+        frob_block[0][j], frob_block[1][j] = u, v
+    galois = [[0] * 4 for _ in range(4)]
+    for b in range(2):
+        for i in range(2):
+            for j in range(2):
+                galois[2 * b + i][2 * b + j] = frob_block[i][j]
 
     # Gram of Tr(x1*y2 + x2*y1) in the basis (1,0),(gamma2,0),(0,1),(0,gamma2)
     basis2 = [(ctx2.one, 0), (gam2, 0), (0, ctx2.one), (0, gam2)]
@@ -776,11 +780,13 @@ def _build_ext_embedded(q, max_order):
              for (y1, y2) in basis2] for (x1, x2) in basis2]
 
     # rebase by T, T^t gram T = J: the form becomes J, and T^-1 = J T^t gram
-    t = np.array(_symplectic_basis(ctx, gram), dtype=np.uint8)[None]
-    jmat = ops.unpack(ops._jkey)
-    t_inv = ops._matmul(ops._matmul(jmat, t.swapaxes(1, 2)),
-                        np.array(gram, dtype=np.uint8)[None])
-    gens = ops.pack(ops._matmul(ops._matmul(t_inv, np.array(mats)), t))
+    ops = mat_ops(ctx, 4, "symplectic")
+    t_cols = _symplectic_basis(ctx, gram)
+    t = ops.from_rows(t_cols)
+    t_inv = ops.mul1(ops.mul1(ops._jkey, ops.from_rows(np.array(t_cols).T)),
+                     ops.from_rows(gram))
+    gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [galois]
+    gens = [ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t) for r in gen_rows]
     return _generated(f"ext-sp2q2-embedded:{q}", ops, gens,
                       2 * q**2 * (q**4 - 1), max_order)
 
@@ -807,16 +813,12 @@ def _plane_swap(ops):
 
 
 def _build_so4(q, max_order, sign):
-    """O(Q) for Q(x) = x1 x4 + x2 x3 (sign "+"), plus x2^2 + a x3^2 (sign
-    "-") with t^2 + t + a irreducible, i.e. a of absolute trace 1, the first
-    such power of gamma; both polarize to J.
-
+    """O(Q) for Q(x) = x1 x4 + x2 x3, plus x2^2 + a x3^2 for sign "-", where
+    a is the first power of gamma of absolute trace 1; both polarize to J.
     Generated by the reflections x -> x + (x^T J v / Q(v)) v for the
-    nonsingular v of a fixed list: two in <e1, e4>, three in <e2, e3> and
-    two across.  Reflections generate O(Q) except for O4+(2) (Taylor, The
-    Geometry of the Classical Groups, ch. 11), where they give 36 of the 72
-    elements, so so4+:2 adds the plane swap.  Members keep Q(M e_j) = Q(e_j).
-    """
+    nonsingular v of a fixed list, plus the plane swap for so4+:2, where
+    reflections give 36 of the 72 elements (Taylor, The Geometry of the
+    Classical Groups, ch. 11).  Members keep Q(M e_j) = Q(e_j)."""
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     mul, add = ctx.lut_mul, ctx.lut_add
