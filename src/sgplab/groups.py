@@ -8,19 +8,21 @@ class-matrix counts) runs as vectorized numpy passes over key arrays.
 
 Almost every hot product multiplies a key array by one fixed element.
 `MatOps.mul` does those with byte tables of the GF(2)-linear map x -> x*g
-(or g*x), built on first use from reference products and kept in a small
-bounded cache on the MatOps; conjugation x -> g^-1*x*g is one such linear
-map too, so `MatOps.conj` (the class partition's step) costs one table
-pass, not two.  Inverses are a fixed permutation of entry bits, applied
-the same way.  Other products go through `MatOps._matmul`.  `ExtOps` (the
-twisted pairs of ext-sp2q2) runs its matrix part on the same kernel.
+(or g*x), built on first use from the images of the dim*dim*bits
+single-bit keys (one reference product each) and kept in a small bounded
+cache on the MatOps; conjugation x -> g^-1*x*g is one such linear map
+too, so `MatOps.conj` (the class partition's step) costs one table pass,
+not two.  Inverses are a fixed permutation of entry bits, applied the same
+way.  Other products go through `MatOps._matmul`.  `ExtOps` (the twisted
+pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder);
 `parse_group_spec` is the only validator, and the builders take its
 validated ints.  Every builder closes its own generators (`_generated`),
 refusing a closed-form order above max_order before enumerating; the
 subgroups of sp4:q check their keys in one batched pass instead of
-enumerating sp4:q.
+enumerating sp4:q.  sp4:q itself is closed over a generating pair, so
+its closure and class partition take two products per element.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 MAX_ORDER_DEFAULT = 2_500_000
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16      # keys per _matmul pass: ~18 MB of temporaries over GF(8)
 _TABLE_CACHE = 64   # (element, map) byte-table sets kept per MatOps
 
 _U64 = np.uint64
@@ -72,9 +74,11 @@ class MatOps:
     permutations, applied with byte tables.
 
     Products by one fixed element, and conjugation by one, use byte tables
-    that are built on first use and kept, at most _TABLE_CACHE (element,
-    map) pairs, least recently used dropped first; this cache is the only
-    state that changes after construction, and only under the lock.
+    that are built on first use from the images of the single-bit keys
+    (dim*dim*bits reference products, twice that for conj) and kept, at
+    most _TABLE_CACHE (element, map) pairs, least recently used dropped
+    first; this cache is the only state that changes after construction,
+    and only under the lock.
     """
 
     def __init__(self, ctx: gfield.FieldCtx, dim: int, inv_mode: str = "symplectic"):
@@ -101,6 +105,13 @@ class MatOps:
         self._poly = np.array([ctx.poly_of(a) for a in range(ctx.q)], dtype=np.uint8)
         code = np.array([ctx.code_of_poly(m) for m in range(ctx.q)], dtype=np.uint8)
         self._poly_to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]))
+        # the log-coded key of each bit k = entry * bits + t of a
+        # polynomial-coded key, and the polynomial code of each chunk value
+        bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
+                             dtype=_U64)
+        self._basis = (bit_codes[None, :] << self._shifts[:, None]).ravel()
+        self._chunk_poly = self.pack(self._poly[self.unpack(
+            np.arange(1 << self._chunks[0][1], dtype=_U64))])
         self._inv_tables = self._chunk_tables(
             lambda k: self.pack(self._inv_perm(self.unpack(k))))
         self._tables: OrderedDict = OrderedDict()   # (element, side) -> tables
@@ -168,12 +179,37 @@ class MatOps:
     # TOMS 37(1), 2010).  Entry conversion is entrywise and the chunks hold
     # whole entries, so table c maps each value of chunk c of a log-coded key
     # straight to the polynomial bits of its image; XOR over the chunks gives
-    # the image of the whole key, and `_poly_to_code` maps it back.
+    # the image of the whole key, and `_poly_to_code` maps it back.  A linear
+    # map's tables are XORs of the images of the single-bit keys, so a table
+    # set costs dim*dim*bits reference products, not 2^w per chunk.
 
     def _chunk_tables(self, image) -> list:
         """Per chunk, `image` of every key that is zero outside that chunk."""
         return [image(np.arange(1 << w, dtype=_U64) << _U64(s))
                 for s, w in self._chunks]
+
+    def _linear_tables(self, images: np.ndarray) -> list:
+        """The chunk tables of the GF(2)-linear map that sends bit k of a
+        polynomial-coded key to images[k]: per chunk, the XOR of the images
+        of every subset of its bits, read at each value's polynomial code."""
+        tables = []
+        for s, w in self._chunks:
+            span = np.zeros(1, dtype=_U64)     # entry j: XOR of images[bits of j]
+            for img in images[s:s + w]:
+                span = np.concatenate([span, span ^ img])
+            tables.append(span[self._chunk_poly[:1 << w]])
+        return tables
+
+    def _fixed_tables(self, g, side: str) -> list:
+        """Chunk tables of keys * g ("right"), g * keys ("left") or
+        g^-1 * keys * g ("conj"), from the images of the single-bit keys."""
+        if side == "right":
+            prods = self._mul_ref(self._basis, g)
+        elif side == "left":
+            prods = self._mul_ref(g, self._basis)
+        else:
+            prods = self._mul_ref(self._mul_ref(self.inv(g), self._basis), g)
+        return self._linear_tables(self.pack(self._poly[self.unpack(prods)]))
 
     def _gather(self, tables: list, keys: np.ndarray) -> np.ndarray:
         """XOR over the chunks c of tables[c][chunk c of each key]."""
@@ -192,16 +228,7 @@ class MatOps:
         with self._lock:
             tables = self._tables.get(tkey)
             if tables is None:
-                def image(k):
-                    if side == "right":
-                        prods = self._mul_ref(k, g)
-                    elif side == "left":
-                        prods = self._mul_ref(g, k)
-                    else:
-                        prods = self._mul_ref(self._mul_ref(self.inv(g), k), g)
-                    return self.pack(self._poly[self.unpack(prods)])
-
-                tables = self._tables[tkey] = self._chunk_tables(image)
+                tables = self._tables[tkey] = self._fixed_tables(g, side)
                 if len(self._tables) > _TABLE_CACHE:
                     self._tables.popitem(last=False)
             else:
@@ -658,10 +685,20 @@ def _sp4_gens(ops):
     return gens
 
 
+def _sp4_pair(ops):
+    """Two generators of sp4:q, from those of `_sp4_gens`: g0 g1 g2 and g3
+    (q = 2) or g3 g4.  Finite groups of Lie type are 2-generated
+    (Steinberg, Canad. J. Math. 14, 1962); `_check_order` confirms this
+    pair, whose closure and class partition cost two products per element."""
+    g = _sp4_gens(ops)
+    return [ops.mul1(ops.mul1(g[0], g[1]), g[2]),
+            g[3] if len(g) == 4 else ops.mul1(g[3], g[4])]
+
+
 def _build_sp4(q, max_order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
-    return _generated(f"sp4:{q}", ops, _sp4_gens(ops),
+    return _generated(f"sp4:{q}", ops, _sp4_pair(ops),
                       q**4 * (q**2 - 1) * (q**4 - 1), max_order)
 
 

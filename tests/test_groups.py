@@ -293,6 +293,37 @@ def test_batched_orders_match_loop(spec):
             acc = G.ops.mul1(acc, key)
 
 
+# -- the generating pair of sp4:q ---------------------------------------------
+
+def _same_class_data(a, b):
+    return (a.sizes == b.sizes and a.reps == b.reps
+            and np.array_equal(a.class_of, b.class_of) and a.orders == b.orders
+            and a.inverse_class == b.inverse_class
+            and a.identity_class == b.identity_class)
+
+
+@pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
+def test_sp4_pair_matches_the_six_generators(q):
+    """The oracle is the closure of all of `_sp4_gens`, the generating set
+    the pair replaced: the same keys and the same class partition."""
+    G = build_group(f"sp4:{q}")
+    assert len(G.gens_keys) == 2
+    old = groups._generated(f"sp4:{q}", G.ops, groups._sp4_gens(G.ops), G.order,
+                            groups.MAX_ORDER_DEFAULT)
+    assert np.array_equal(G.keys, old.keys)
+    assert _same_class_data(conjugacy_classes(G), conjugacy_classes(old))
+
+
+def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
+    """g0 g2 and g1 g3 generate only A6 (360 elements) inside Sp4(2) = S6."""
+    def mutant(ops):
+        g = groups._sp4_gens(ops)
+        return [ops.mul1(g[0], g[2]), ops.mul1(g[1], g[3])]
+    monkeypatch.setattr(groups, "_sp4_pair", mutant)
+    with pytest.raises(InternalCheckError, match="enumerated 360 elements"):
+        groups._SPECS["sp4"][1](2, groups.MAX_ORDER_DEFAULT)
+
+
 # -- generator-built subgroups of sp4:q --------------------------------------
 
 def _filter_oracle(spec):

@@ -4,13 +4,15 @@ against `_matmul`."""
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgplab
-from sgplab import gfield
+from sgplab import gfield, groups
 from sgplab.groups import _TABLE_CACHE, build_group, mat_ops
 
 U64 = np.uint64
@@ -126,6 +128,84 @@ def test_table_cache_is_bounded_and_stays_exact():
     for g in list(gs) + list(gs[:3]):                 # the first ones were evicted
         assert np.array_equal(ops.mul(x, g), _ref_mul(ops, x, g))
         assert len(ops._tables) <= _TABLE_CACHE
+
+
+def _reference_tables(ops, g, side):
+    """The byte tables of a fixed-element map, one reference product per
+    value of each chunk: the build the basis-image tables replaced."""
+    def image(k):
+        if side == "right":
+            prods = ops._mul_ref(k, g)
+        elif side == "left":
+            prods = ops._mul_ref(g, k)
+        else:
+            prods = ops._mul_ref(ops._mul_ref(ops.inv(g), k), g)
+        return ops.pack(ops._poly[ops.unpack(prods)])
+    return ops._chunk_tables(image)
+
+
+def _matrix_ops_and_keys(spec):
+    """The MatOps of a spec and its group's keys; for ext-sp2q2 the shared
+    2x2 MatOps over GF(q^2) and the matrix parts of the keys."""
+    G = build_group(spec)
+    if hasattr(G.ops, "_mat"):
+        return G.ops._mat, G.keys & G.ops._mmask
+    return G.ops, G.keys
+
+
+TABLE_SPECS = ["sl2:8", "sl2:32", "sp4:2", "sz:8", "so4+:4", "wreath-sp2:4",
+               "ext-sp2q2:2", "ext-sp2q2:4"]
+SIDES = ["right", "left", "conj"]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_basis_image_tables_match_reference_build(spec):
+    ops, keys = _matrix_ops_and_keys(spec)
+    rng = np.random.default_rng(11)
+    for g in keys[rng.integers(0, keys.size, 3)]:
+        for side in SIDES:
+            got, want = ops._fixed_tables(g, side), _reference_tables(ops, g, side)
+            assert [t.size for t in got] == [t.size for t in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (spec, side)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_table_build_costs_one_product_per_key_bit(spec, monkeypatch):
+    """A table set built through mul / conj passes at most dim*dim*bits keys
+    to `_mul_ref`, twice that for conj, whatever the chunk width."""
+    ops, keys = _matrix_ops_and_keys(spec)
+    passed = []
+    real = ops._mul_ref
+    def counting(a, b):
+        out = real(a, b)
+        passed.append(out.size)
+        return out
+    monkeypatch.setattr(ops, "_mul_ref", counting)
+    monkeypatch.setattr(ops, "_tables", OrderedDict())   # nothing cached
+    rng = np.random.default_rng(12)
+    g = keys[rng.integers(keys.size)]
+    x = keys[rng.integers(0, keys.size, 50)]
+    bound = ops.dim * ops.dim * ops.bits
+    for side, run, limit in [("right", lambda: ops.mul(x, g), bound),
+                             ("left", lambda: ops.mul(g, x), bound),
+                             ("conj", lambda: ops.conj(x, g), 2 * bound)]:
+        passed.clear()
+        run()
+        assert 0 < sum(passed) <= limit, (side, passed)
+
+
+def test_mul_ref_does_not_depend_on_the_chunk_length(monkeypatch):
+    ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
+    rng = np.random.default_rng(13)
+    x, y = _random_keys(ops, rng, 1000), _random_keys(ops, rng, 1000)
+    g = y[:1]
+    want = [ops._mul_ref(x, y), ops._mul_ref(x, g), ops._mul_ref(g, x)]
+    monkeypatch.setattr(groups, "_CHUNK", 1 << 4)
+    got = [ops._mul_ref(x, y), ops._mul_ref(x, g), ops._mul_ref(g, x)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(want[0], _ref_mul(ops, x, y))
 
 
 def test_order_check_fires_under_python_O():
