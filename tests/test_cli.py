@@ -148,6 +148,15 @@ def test_chartab_json_matches_golden(spec, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
+def test_scan_maximal_json_matches_golden(q, capsys):
+    """Byte-identical to the output pinned before q = 2 joined the q >= 4
+    maximal-subgroup list."""
+    golden = Path(__file__).parent / "golden" / f"scan_maximal_{q}.json"
+    assert main(["--format", "json", "scan-maximal", str(q)]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_group_spec_is_parsed_once(monkeypatch):
     import sgplab.cli
     import sgplab.groups

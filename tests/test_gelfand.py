@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgplab.gelfand as gelfand
+import sgplab.groups as groups
 from sgplab.chartab import (CharTable, Character, dixon_schneider,
                             regular_character)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
@@ -238,13 +239,17 @@ def test_witness_is_confirmed_from_the_other_side(monkeypatch, side, patched):
 
 def test_s6_scan_passes_max_order_to_every_builder(monkeypatch):
     seen = []
-    real = gelfand.build_group
+    real = groups.build_group
 
     def recording(spec, **kwargs):
         seen.append((spec, kwargs.get("max_order")))
         return real(spec, **kwargs)
 
     monkeypatch.setattr(gelfand, "build_group", recording)
+    monkeypatch.setattr(groups, "build_group", recording)
     verdicts = scan_maximal_sp4(2, max_order=5000)
-    assert len(seen) == 7 and len(verdicts) == 7
+    assert len(verdicts) == 7
+    assert {spec for spec, _ in seen} == {
+        "sp4:2", "parabolic-p:2", "parabolic-q:2", "wreath-sp2:2",
+        "ext-sp2q2-embedded:2", "so4+:2", "so4-:2"}
     assert all(m == 5000 for _, m in seen), seen
