@@ -529,52 +529,17 @@ def _lifted_key(v: Cyclo, order: int):
 
 
 def tables_equal_upto_permutation(A: CharTable, B: CharTable) -> bool:
-    """Exact equality up to simultaneous row and column permutation."""
-    ra, rb = len(A.classes), len(B.classes)
-    if ra != rb:
+    """Exact equality up to a permutation of the irreducibles, for two tables
+    on one group and one class order (False for any other pair)."""
+    if A.group is not B.group or A.classes is not B.classes:
         return False
-    if sorted(A.classes.sizes) != sorted(B.classes.sizes):
-        return False
-    if A.degrees != B.degrees:
-        return False
-    E = math.lcm(math.lcm(*A.classes.orders), math.lcm(*B.classes.orders))
-    amat = [[_lifted_key(v, E) for v in ch.values] for ch in A.irreducibles]
-    bmat = [[_lifted_key(v, E) for v in ch.values] for ch in B.irreducibles]
+    E = math.lcm(*A.classes.orders)
 
-    def colkey(mat, classes, j):
-        return (classes.sizes[j], classes.orders[j],
-                tuple(sorted(mat[i][j] for i in range(ra))))
+    def rows(T):
+        return sorted(tuple(_lifted_key(v, E) for v in ch.values)
+                      for ch in T.irreducibles)
 
-    akeys = [colkey(amat, A.classes, j) for j in range(ra)]
-    bkeys = [colkey(bmat, B.classes, j) for j in range(ra)]
-    if sorted(akeys) != sorted(bkeys):
-        return False
-    cols = sorted(range(ra), key=lambda j: (sum(1 for k in bkeys if k == akeys[j]),
-                                            akeys[j]))
-    assign = [-1] * ra
-    used = [False] * ra
-
-    def rows_match(upto):
-        arows = sorted(tuple(row[c] for c in cols[:upto]) for row in amat)
-        brows = sorted(tuple(row[assign[c]] for c in cols[:upto]) for row in bmat)
-        return arows == brows
-
-    def attempt(idx):
-        if idx == ra:
-            return True
-        j = cols[idx]
-        for j2 in range(ra):
-            if used[j2] or bkeys[j2] != akeys[j]:
-                continue
-            assign[j] = j2
-            used[j2] = True
-            if rows_match(idx + 1) and attempt(idx + 1):
-                return True
-            used[j2] = False
-            assign[j] = -1
-        return False
-
-    return attempt(0)
+    return rows(A) == rows(B)
 
 
 def table_to_json(T: CharTable) -> dict:

@@ -17,8 +17,8 @@ from .chartab import (CharTable, Character, dixon_schneider, induce,
                       inner_product, restrict, total_character,
                       trivial_character)
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .groups import (FinGroup, build_group, h_classes, is_subgroup,
-                     maximal_subgroups_sp4, squares_subgroup)
+from .groups import (MAX_ORDER_DEFAULT, FinGroup, build_group, h_classes,
+                     is_subgroup, maximal_subgroups_sp4)
 
 __all__ = [
     "SgpVerdict", "Witness", "is_multiplicity_free", "is_strong_gelfand_pair",
@@ -139,23 +139,7 @@ def total_char_shortcut(tau_h_degree, max_irr_degree_g) -> str:
     return "inconclusive"
 
 
-def _s6_scan_subgroups(max_order):
-    """The maximal subgroups of S6 = Sp4(2): A6 plus the Table-1-shaped rows."""
-    def build(spec):
-        return build_group(spec, max_order=max_order)
-
-    G = build("sp4:2")
-    rows = [(squares_subgroup(G, "a6"), "a6"),
-            (build("parabolic-p:2"), "parabolic-p:2"),
-            (build("parabolic-q:2"), "parabolic-q:2"),
-            (build("wreath-sp2:2"), "wreath-sp2:2"),
-            (build("ext-sp2q2-embedded:2"), "ext-sp2q2:2"),
-            (build("so4+:2"), "so4+:2"),
-            (build("so4-:2"), "so4-:2")]
-    return G, rows
-
-
-def scan_maximal_sp4(q: int, *, max_order: int = 2_500_000) -> list:
+def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     """Verdicts for the maximal subgroups of sp4:q (q = 2 or 4 only).
 
     Tries the total-character shortcut against the exact maximal degree of
@@ -164,11 +148,8 @@ def scan_maximal_sp4(q: int, *, max_order: int = 2_500_000) -> list:
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
-    if q == 2:
-        G, rows = _s6_scan_subgroups(max_order)
-    else:
-        G = build_group(f"sp4:{q}", max_order=max_order)
-        rows = maximal_subgroups_sp4(q, max_order=max_order)
+    G = build_group(f"sp4:{q}", max_order=max_order)
+    rows = maximal_subgroups_sp4(q, max_order=max_order)
     max_deg = dixon_schneider(G).max_degree()
     out = []
     for H, label in rows:

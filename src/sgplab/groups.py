@@ -431,7 +431,8 @@ class FinGroup:
         inv = ops.inv(keys)
         by_key = np.argsort(inv)
         if not np.array_equal(inv[by_key], keys):
-            raise KeyError("element is not in the group")
+            raise InternalCheckError(
+                f"{label}: the inverses of its keys are not its keys")
         del inv
         self.inv_idx = np.empty(self.order, dtype=np.int64)
         self.inv_idx[by_key] = np.arange(self.order)
@@ -584,24 +585,17 @@ def all_subgroups(G: FinGroup) -> list:
     if G.order > 200:
         raise ResourceBoundError("subgroup enumeration is for small groups only")
     seen = {}
-    def add(keys):
-        seen[tuple(int(k) for k in keys)] = keys
-    add(np.array([G.ops.identity], dtype=_U64))
-    for k in G.keys:
-        add(mulclose(G.ops, [k], G.order))
-    while True:
-        current = list(seen.values())
-        before = len(seen)
-        for keys in current:
-            if keys.size == G.order:
-                continue
-            for g in G.keys:
-                if not np.any(keys == g):
-                    add(mulclose(G.ops, list(keys[:1]) + [g], G.order)
-                        if keys.size == 1 else
-                        mulclose(G.ops, find_generators(keys, G.ops) + [g], G.order))
-        if len(seen) == before:
-            break
+    todo = [np.array([G.ops.identity], dtype=_U64)]
+    while todo:
+        keys = todo.pop()
+        name = tuple(int(k) for k in keys)
+        if name in seen:
+            continue
+        seen[name] = keys
+        # every subgroup is a chain of one-element joins from the trivial one
+        gens = find_generators(keys, G.ops)
+        todo += [mulclose(G.ops, gens + [g], G.order)
+                 for g in np.setdiff1d(G.keys, keys, assume_unique=True)]
     return sorted(seen.values(), key=lambda ks: (ks.size, tuple(int(k) for k in ks)))
 
 
@@ -1018,28 +1012,20 @@ def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
 
 
 def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
-    """One concrete subgroup of sp4:q per applicable maximal-subgroup row."""
+    """(subgroup, label) for one concrete subgroup of sp4:q per applicable
+    maximal-subgroup row; at q = 2 (sp4:2 = S6) A6 comes first."""
     e = _even_prime_power(q, str(q), 0)
-    if e < 2:
-        raise GroupSpecError("the maximal-subgroup table needs q = 2^e, e > 1",
-                             str(q), 0)
-    out = [
-        (build_group(f"parabolic-p:{q}", max_order=max_order), f"parabolic-p:{q}"),
-        (build_group(f"parabolic-q:{q}", max_order=max_order), f"parabolic-q:{q}"),
-        (build_group(f"wreath-sp2:{q}", max_order=max_order), f"wreath-sp2:{q}"),
-        (build_group(f"ext-sp2q2-embedded:{q}", max_order=max_order),
-         f"ext-sp2q2:{q}"),
-    ]
-    for r in sorted({p for p in range(2, e + 1) if e % p == 0
-                     and all(p % d for d in range(2, p))}):
-        q0 = 1 << (e // r)
-        out.append((build_group(f"sp4-sub:{q}:{q0}", max_order=max_order),
-                    f"sp4-sub:{q}:{q0}"))
-    out.append((build_group(f"so4+:{q}", max_order=max_order), f"so4+:{q}"))
-    out.append((build_group(f"so4-:{q}", max_order=max_order), f"so4-:{q}"))
-    if e > 1 and e % 2 == 1:
-        out.append((build_group(f"sz:{q}", max_order=max_order), f"sz:{q}"))
-    return out
+    specs = [f"parabolic-p:{q}", f"parabolic-q:{q}", f"wreath-sp2:{q}",
+             f"ext-sp2q2-embedded:{q}"]
+    specs += [f"sp4-sub:{q}:{1 << (e // r)}" for r in range(2, e + 1)
+              if e % r == 0 and all(r % d for d in range(2, r))]
+    specs += [f"so4+:{q}", f"so4-:{q}"] + ([f"sz:{q}"] if e > 1 and e % 2 else [])
+    out = []
+    if q == 2:
+        out.append((squares_subgroup(build_group("sp4:2", max_order=max_order),
+                                     "a6"), "a6"))
+    return out + [(build_group(spec, max_order=max_order),
+                   spec.replace("-embedded", "")) for spec in specs]
 
 
 def group_to_json(G: FinGroup) -> dict:

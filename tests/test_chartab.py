@@ -162,6 +162,23 @@ def test_table_comparator_permutation_invariance():
     assert tables_equal_upto_permutation(T, rev)
 
 
+def test_table_comparator_rejects_swapped_columns():
+    """Two classes of order 7 in sl2:8 have the same size; swapping their
+    columns is no permutation of the irreducibles."""
+    T = dixon_schneider(build_group("sl2:8"))
+    i, j = [k for k, o in enumerate(T.classes.orders) if o == 7][:2]
+
+    def swapped(values):
+        values = list(values)
+        values[i], values[j] = values[j], values[i]
+        return tuple(values)
+
+    S = type(T)(T.group, T.classes,
+                [Character(ch.group, swapped(ch.values), ch.name)
+                 for ch in T.irreducibles])
+    assert not tables_equal_upto_permutation(T, S)
+
+
 def test_csv_and_json_exports():
     T = dixon_schneider(build_group("sl2:4"))
     blob = table_to_json(T)

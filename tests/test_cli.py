@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sgplab.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
+from sgplab import gfield, groups
+from sgplab.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
                         parse_spec, run)
 from sgplab.errors import GroupSpecError
 
@@ -136,6 +138,23 @@ def test_verify_paper_times_checks_on_stderr_only(capsys):
     assert len(err) == len(ran)
     for name, line in zip(ran, err):
         assert re.fullmatch(rf"time {re.escape(name)}: \d+\.\d\d s", line), line
+
+
+def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
+    """A closure that picks up an element without its inverse is a kernel
+    bug: exit 4, naming the group, not an uncaught KeyError."""
+    ops = groups.mat_ops(gfield.field_ctx(1), 4, "symplectic")
+    g = groups._sp4_gens(ops)
+    outsider = ops.mul1(g[0], g[2])            # order 4, not in wreath-sp2:2
+    real = groups.mulclose
+
+    def leaky(ops_, gens, max_order):
+        return np.union1d(real(ops_, gens, max_order), [outsider])
+
+    monkeypatch.setattr(groups, "mulclose", leaky)
+    # a --max-order of its own, so no cached wreath-sp2:2 is reused
+    assert main(["--max-order", "4321", "chartab", "wreath-sp2:2"]) == EXIT_INTERNAL
+    assert "wreath-sp2:2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",

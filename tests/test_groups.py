@@ -213,9 +213,36 @@ def test_maximal_subgroups_sp4_q4():
         assert is_subgroup(h, g), label
 
 
-def test_maximal_subgroups_rejects_q2():
+def test_maximal_subgroups_sp4_q2_is_the_s6_list():
+    subs = maximal_subgroups_sp4(2)
+    assert [label for _, label in subs] == [
+        "a6", "parabolic-p:2", "parabolic-q:2", "wreath-sp2:2", "ext-sp2q2:2",
+        "so4+:2", "so4-:2"]
+    assert [h.order for h, _ in subs] == [360, 48, 48, 72, 120, 72, 120]
+    s6 = build_group("sp4:2")
+    for h, label in subs:
+        assert is_subgroup(h, s6), label
+
+
+@pytest.mark.parametrize("q", [0, 1, 3, 6])
+def test_maximal_subgroups_rejects_non_powers_of_two(q):
     with pytest.raises(GroupSpecError):
-        maximal_subgroups_sp4(2)
+        maximal_subgroups_sp4(q)
+
+
+def test_all_subgroups_of_s4(monkeypatch):
+    """S4 has 30 subgroups: 1, 9, 4, 7, 4, 3, 1 and 1 of orders 1, 2, 3, 4,
+    6, 8, 12 and 24.  Each one's generating set is found once."""
+    calls = []
+    real = groups.find_generators
+    monkeypatch.setattr(groups, "find_generators",
+                        lambda keys, ops: calls.append(keys.size) or real(keys, ops))
+    s4 = perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4")
+    subs = groups.all_subgroups(s4)
+    sizes = [ks.size for ks in subs]
+    assert sizes == sorted(sizes)
+    assert Counter(sizes) == {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
+    assert sorted(calls) == sizes
 
 
 def test_squares_and_cyclic_subgroups():
