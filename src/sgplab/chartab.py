@@ -7,6 +7,14 @@ matching eigenvalue multiplicities through the power map.  The lifted table
 is verified against the column orthogonality relations before it is
 returned, so a returned table is exact, not heuristically trusted.
 
+The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
+exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
+compared at all phi(lcm(n1, n2)) embeddings of Q(zeta_lcm) into GF(p_v).
+Agreement at every embedding is equality, because each difference is an
+algebraic integer whose conjugates are at most 2|G| < p_v in absolute
+value, so its norm is either 0 or too small to be divisible by
+p_v^phi(lcm) (see `_verify_column_orthogonality`).
+
 Class matrices are never built whole (G. J. A. Schneider, "Dixon's
 character table algorithm revisited", J. Symbolic Comput. 9 (1990)
 601-606).  Splitting an invariant space with a basis B of dimension d needs
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,8 +79,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _dixon_prime(exponent: int, order: int) -> int:
-    bound = 2 * math.isqrt(order) + 1
+def _dixon_prime(exponent: int, bound: int) -> int:
+    """The least prime p = 1 mod exponent with p > bound."""
     p = exponent + 1
     while p <= bound or not _is_prime(p):
         p += exponent
@@ -259,10 +268,13 @@ class Character:
 class CharTable:
     """The complete set of irreducible characters on a fixed class order."""
 
-    def __init__(self, group: FinGroup, classes: ClassData, irreducibles):
+    def __init__(self, group: FinGroup, classes: ClassData, irreducibles,
+                 stats=None):
         self.group = group
         self.classes = classes
         self.irreducibles = tuple(irreducibles)
+        # how the table was computed: not part of the table or its export
+        self.stats = MappingProxyType(dict(stats or {}))
         if len(self.irreducibles) != len(classes):
             raise InternalCheckError("table is not square")
 
@@ -336,12 +348,13 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     if r > max_classes:
         raise ResourceBoundError(f"{r} classes exceeds the bound {max_classes}")
     exponent = math.lcm(*cd.orders)
-    p = _dixon_prime(exponent, G.order)
+    p = _dixon_prime(exponent, 2 * math.isqrt(G.order) + 1)
     members = _class_elements(cd)
 
     # split the common eigenspaces of the class matrices, smallest class first
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     candidates = sorted((cd.sizes[i], i) for i in range(r) if i != cd.identity_class)
+    n_columns = 0
     for _, i in candidates:
         if all(len(B[0]) == 1 for B in spaces):
             break
@@ -359,6 +372,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
                 kstar = cd.inverse_class[k]
                 if kstar not in cols:
                     cols[kstar] = _class_column(G, cd, members, i, kstar)
+                    n_columns += 1
                 Mk = _class_row(cd, cols[kstar], k)
                 MB.append([sum(Mk[m] * B[m][j] for m in range(r)) % p
                            for j in range(d)])
@@ -402,12 +416,16 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
     pow_classes = _power_classes(G, cd)
     zn_cache = {}
+    # mults[j][a, k]: multiplicity of the eigenvalue zeta_n^k of rep_j in
+    # irreducible a, n = order(rep_j); the value is sum_k mults[j][a, k] zeta_n^k
+    mults = [np.zeros((r, n), dtype=np.int64) for n in cd.orders]
     irreducibles = []
-    for d, chi in zip(degrees, chars_mod):
+    for a, (d, chi) in enumerate(zip(degrees, chars_mod)):
         values = [None] * r
         for j in range(r):
             n = cd.orders[j]
             if n == 1:
+                mults[j][a, 0] = d
                 values[j] = Cyclo.from_rational(d)
                 continue
             if n not in zn_cache:
@@ -424,7 +442,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
                     raise InternalCheckError("eigenvalue multiplicity out of range")
                 total += ck
                 if ck:
-                    coeffs[k] = ck
+                    coeffs[k] = mults[j][a, k] = ck
             if total != d:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
             values[j] = Cyclo(n, coeffs)
@@ -433,24 +451,76 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     if sum(int(ch.degree) ** 2 for ch in irreducibles) != G.order:
         raise InternalCheckError("sum of squared degrees != |G|")
     irreducibles.sort(key=lambda ch: ch.key())
-    table = CharTable(G, cd, irreducibles)
-    _verify_column_orthogonality(table)
+    p_v = _verify_column_orthogonality(G.order, cd, mults)
+    table = CharTable(G, cd, irreducibles, {
+        "dixon_prime": p, "verify_prime": p_v, "class_columns": n_columns})
     G._chartable = table
     return table
 
 
-def _verify_column_orthogonality(T: CharTable):
-    cd = T.classes
+def _embeddings(n1: int, n2: int) -> tuple:
+    """The phi(n) embeddings zeta_n -> w^u, u a unit mod n = lcm(n1, n2), as
+    the root powers (t1, t2) at which an order-n1 column and the conjugate
+    of an order-n2 column are read."""
+    n = math.lcm(n1, n2)
+    u = np.array([u for u in range(n) if math.gcd(u, n) == 1])
+    return u % n1, -u % n2
+
+
+def _verify_column_orthogonality(order: int, cd: ClassData, mults: list) -> int:
+    """Check sum_i chi_i(g_j1) conj(chi_i(g_j2)) = delta * |G| / |C_j1| for
+    every pair of classes, exactly, and return the verification prime.
+
+    mults[j] is the r x n_j matrix of eigenvalue multiplicities of class j
+    (see `dixon_schneider`): chi_i(g_j) = sum_k mults[j][i, k] zeta^k for a
+    primitive n_j-th root zeta.  Every column is evaluated mod a prime
+    p_v = 1 mod the exponent with p_v > 2|G|, at every power of one
+    primitive n_j-th root w_j of GF(p_v), and a pair of orders n1, n2 is
+    compared at the phi(n) embeddings zeta_n -> w^u, u a unit mod
+    n = lcm(n1, n2) (the conjugate column at w^-u).
+
+    This is exact.  Let alpha = S - target in Z[zeta_n].  As p_v = 1 mod n,
+    p_v splits into phi(n) distinct primes (p_v, zeta_n - w^u) of
+    Z[zeta_n] (Washington, Introduction to Cyclotomic Fields, ch. 2), so
+    alpha vanishing at every u puts alpha in p_v Z[zeta_n], and
+    p_v^phi(n) divides the norm N(alpha).  But each chi_i(g) is a sum of
+    chi_i(1) = d_i roots of unity (the multiplicities are non-negative and
+    sum to d_i) and sum d_i^2 = |G|, so |sigma(S)| <= |G| under every
+    embedding sigma, |sigma(alpha)| <= 2|G| < p_v and
+    |N(alpha)| < p_v^phi(n).  Hence N(alpha) = 0 and alpha = 0.  Those
+    three facts are checked here first; the sums stay in int64 while
+    r * p_v^2 < 2^62.
+    """
     r = len(cd)
-    cols = [[ch.values[j] for ch in T.irreducibles] for j in range(r)]
-    ones = [1] * r
+    exponent = math.lcm(*cd.orders)
+    p = _dixon_prime(exponent, 2 * order)
+    if r * p * p >= 1 << 62:
+        raise InternalCheckError(f"verification prime {p} overflows int64 sums")
+    degrees = mults[cd.identity_class][:, 0]
+    if (any((M < 0).any() or not np.array_equal(M.sum(axis=1), degrees)
+            for M in mults) or int(degrees @ degrees) != order):
+        raise InternalCheckError("eigenvalue multiplicities are not a character table")
+    z = pow(_primitive_root(p), (p - 1) // exponent, p)
+    powers = {}               # n -> [w^(k t)] for w = z^(exponent / n)
+    for n in set(cd.orders):
+        w = [pow(z, exponent // n * e, p) for e in range(n)]
+        powers[n] = np.array([[w[k * t % n] for t in range(n)] for k in range(n)],
+                             dtype=np.int64)
+    # evals[j][i, t]: chi_i(g_j) under zeta_n -> w^t
+    evals = [M @ powers[M.shape[1]] % p for M in mults]
+    embeddings = {}
     for j1 in range(r):
         for j2 in range(j1, r):
-            s = sum_of_products(ones, cols[j1], cols[j2])
-            want = Fraction(T.group.order, cd.sizes[j1]) if j1 == j2 else Fraction(0)
-            if s.as_rational() != want:
+            n12 = cd.orders[j1], cd.orders[j2]
+            if n12 not in embeddings:
+                embeddings[n12] = _embeddings(*n12)
+            t1, t2 = embeddings[n12]
+            s = np.einsum("iu,iu->u", evals[j1][:, t1], evals[j2][:, t2]) % p
+            want = order // cd.sizes[j1] % p if j1 == j2 else 0
+            if (s != want).any():
                 raise InternalCheckError(
                     f"column orthogonality fails at classes ({j1}, {j2})")
+    return p
 
 
 # -- operations ---------------------------------------------------------------

@@ -65,11 +65,15 @@ class SgpVerdict:
 
 
 def is_multiplicity_free(chi: Character, T: CharTable):
-    """(True, None) or (False, (irreducible index, multiplicity))."""
+    """(True, None) or (False, (irreducible index, multiplicity)).
+
+    A multiplicity that is not a non-negative integer means a corrupt table
+    or character and raises InternalCheckError instead of giving an answer.
+    """
     for idx, irr in enumerate(T.irreducibles):
         m = inner_product(chi, irr)
         if m.denominator != 1 or m < 0:
-            raise ValueError(f"not a character: multiplicity {m} on irr {idx}")
+            raise InternalCheckError(f"not a character: multiplicity {m} on irr {idx}")
         if m > 1:
             return False, (idx, int(m))
     return True, None
@@ -81,9 +85,9 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
     (equivalently, every H-irreducible induces multiplicity-free).
 
     A multiplicity that is not a non-negative integer means a corrupt table
-    and raises InternalCheckError instead of giving a verdict, as does a
-    not_sgp witness whose multiplicity the other side of Frobenius
-    reciprocity does not confirm.
+    and raises InternalCheckError (from `is_multiplicity_free`) instead of
+    giving a verdict, as does a not_sgp witness whose multiplicity the other
+    side of Frobenius reciprocity does not confirm.
     """
     if not is_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
@@ -98,7 +102,7 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
     for i, ch in enumerate(chars):
         try:
             ok, found = is_multiplicity_free(ch, other)
-        except ValueError as exc:
+        except InternalCheckError as exc:
             raise InternalCheckError(f"({G.label}, {H.label}): {exc}") from exc
         if not ok:
             j, m = found

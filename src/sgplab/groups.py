@@ -489,47 +489,50 @@ def _require_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
 
 
-def _first_unassigned(class_of: np.ndarray, start: int) -> int:
-    """The least i >= start with class_of[i] < 0, else class_of.size.
-
-    Scans windows that double in length, so a call costs about the distance
-    it moves plus one small window.
-    """
-    step = 1024
-    while start < class_of.size:
-        hit = np.flatnonzero(class_of[start:start + step] < 0)
-        if hit.size:
-            return start + int(hit[0])
-        start += step
-        step *= 2
-    return class_of.size
-
-
 def _orbit_partition(G: FinGroup, gens) -> tuple:
-    """Conjugation-orbit partition of G.keys under the given generators."""
-    ops, keys = G.ops, G.keys
-    n = G.order
-    class_of = np.full(n, -1, dtype=np.int32)
-    reps, sizes = [], []
-    i = _first_unassigned(class_of, 0)
-    while i < n:
-        cid = len(reps)
-        reps.append(i)
-        class_of[i] = cid
-        frontier = np.array([i], dtype=np.int64)
-        count = 1
-        while frontier.size:
-            fk = keys[frontier]
-            nxt = [ops.conj(fk, g) for g in gens]
-            ck = _sorted_unique(np.concatenate(nxt)) if nxt else fk[:0]
-            pos = G.index_of(ck)
-            fresh = pos[class_of[pos] < 0]
-            class_of[fresh] = cid
-            count += fresh.size
-            frontier = fresh
-        sizes.append(int(count))
-        i = _first_unassigned(class_of, i + 1)
-    return tuple(sizes), tuple(reps), class_of
+    """Conjugation-orbit partition of G.keys under the given generators.
+
+    Each generator g acts on element indices by the permutation
+    pi_g(i) = index_of(g^-1 keys[i] g), built in _CHUNK slices into int32.
+    Every element starts labelled by its own index; a round lowers each
+    label to label[pi_g(i)] where that is less, for every g, and then jumps
+    pointers (label[i] = label[label[i]]), in place and _CHUNK at a time,
+    and rounds repeat until no label moves.  A label is always an index in
+    its element's orbit and stops moving only when it is constant on every
+    pi_g-cycle, hence on the orbit, where it is the least index.  So the
+    orbit minima are the fixed points, and the classes are numbered in
+    order of their least index, with that index as representative: the
+    order in which a scan for the least unassigned index would find them.
+    Beyond the keys, this holds one int32 array per generator and one for
+    the labels.
+    """
+    ops, keys, n = G.ops, G.keys, G.order
+    perms = []
+    for g in gens:
+        pi = np.empty(n, dtype=np.int32)
+        for lo in range(0, n, _CHUNK):
+            pi[lo:lo + _CHUNK] = G.index_of(ops.conj(keys[lo:lo + _CHUNK], g))
+        perms.append(pi)
+    label = np.arange(n, dtype=np.int32)
+    total = None
+    while True:
+        for pi in perms:
+            for lo in range(0, n, _CHUNK):
+                part = label[lo:lo + _CHUNK]
+                np.minimum(part, label[pi[lo:lo + _CHUNK]], out=part)
+        for lo in range(0, n, _CHUNK):
+            label[lo:lo + _CHUNK] = label[label[lo:lo + _CHUNK]]
+        last, total = total, int(label.sum(dtype=np.int64))
+        if total == last:        # labels only fall, so an equal sum moved none
+            break
+    del perms                    # before the read-out's temporaries
+    is_rep = label == np.arange(n, dtype=np.int32)
+    cid = np.cumsum(is_rep, dtype=np.int32)
+    cid -= 1
+    class_of = cid[label]
+    sizes = np.bincount(class_of)
+    return (tuple(int(s) for s in sizes),
+            tuple(int(i) for i in np.flatnonzero(is_rep)), class_of)
 
 
 def _class_data(G: FinGroup, gens) -> ClassData:

@@ -1,16 +1,21 @@
 """Character tables: the class-matrix computation and the standard operations."""
 
 import json
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sgplab.chartab as ct
 from sgplab.chartab import (Character, dixon_schneider, induce, inner_product,
                             regular_character, restrict, split_fuse,
                             table_to_csv, table_to_json,
                             tables_equal_upto_permutation, total_character,
                             trivial_character)
-from sgplab.errors import ResourceBoundError, SubgroupError
+from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
+from sgplab.exactnum import Cyclo, sum_of_products
 from sgplab.groups import (build_group, conjugacy_classes, squares_subgroup,
                            subgroup)
 
@@ -334,3 +339,153 @@ def test_power_classes_match_loop(spec):
             acc = G.ops.mul1(acc, key)
         want.append(out)
     assert _power_classes(G, cd) == want
+
+
+# -- the orthogonality check: embeddings mod p_v against all pairs in Q(zeta_N)
+
+GOLDEN = ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2", "so4-:2", "parabolic-p:2"]
+
+
+def _orthogonal_ref(order, cd, columns) -> bool:
+    """The check the embedding check replaced: every pair of columns by
+    `sum_of_products`, exactly in Q(zeta_N)."""
+    ones = [1] * len(columns[0])
+    for j1 in range(len(cd)):
+        for j2 in range(j1, len(cd)):
+            s = sum_of_products(ones, columns[j1], columns[j2])
+            want = Fraction(order, cd.sizes[j1]) if j1 == j2 else 0
+            if s.as_rational() != want:
+                return False
+    return True
+
+
+def _orthogonal_new(order, cd, mults) -> bool:
+    try:
+        ct._verify_column_orthogonality(order, cd, mults)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def _columns(mults) -> list:
+    """Column j as Cyclo values: sum_k mults[j][i, k] zeta_n^k per row i."""
+    return [[Cyclo(M.shape[1], {k: int(c) for k, c in enumerate(row) if c})
+             for row in M] for M in mults]
+
+
+def _recorded(monkeypatch, spec):
+    """A fresh table of spec and the (order, classes, multiplicities) its
+    verification was given."""
+    seen = []
+    real = ct._verify_column_orthogonality
+
+    def record(order, cd, mults):
+        seen.append((order, cd, [M.copy() for M in mults]))
+        return real(order, cd, mults)
+
+    monkeypatch.setattr(ct, "_verify_column_orthogonality", record)
+    T = dixon_schneider(_fresh(spec))
+    monkeypatch.undo()
+    return T, seen[0]
+
+
+@pytest.mark.parametrize("spec", GOLDEN)
+def test_verified_multiplicities_are_the_table(monkeypatch, spec):
+    """The multiplicities the check sees give the returned table's values,
+    and both checks pass it."""
+    T, (order, cd, mults) = _recorded(monkeypatch, spec)
+    cols = _columns(mults)
+    rows = sorted(tuple(col[i].key() for col in cols) for i in range(len(cd)))
+    assert rows == sorted(tuple(v.key() for v in ch.values) for ch in T.irreducibles)
+    table_cols = [[ch.values[j] for ch in T.irreducibles] for j in range(len(cd))]
+    assert _orthogonal_ref(order, cd, table_cols)
+    assert _orthogonal_new(order, cd, mults)
+
+
+def _move_one(rng, cd, mults):
+    """One multiplicity moved to another exponent of the same column."""
+    j = rng.choice([j for j, n in enumerate(cd.orders) if n > 1])
+    i, k = rng.choice([tuple(ik) for ik in np.argwhere(mults[j] > 0)])
+    k2 = rng.choice([t for t in range(cd.orders[j]) if t != k])
+    mults[j][i, k] -= 1
+    mults[j][i, k2] += 1
+
+
+def _swap_two(rng, cd, mults):
+    """Two values of one order swapped within a row."""
+    n = rng.choice([n for n in set(cd.orders) if cd.orders.count(n) > 1])
+    j1, j2 = rng.sample([j for j, m in enumerate(cd.orders) if m == n], 2)
+    i = rng.randrange(len(cd))
+    mults[j1][i], mults[j2][i] = mults[j2][i].copy(), mults[j1][i].copy()
+
+
+@pytest.mark.parametrize("mutate", [_move_one, _swap_two], ids=["move", "swap"])
+@pytest.mark.parametrize("spec", GOLDEN)
+def test_embedding_check_agrees_with_all_pairs_on_mutants(monkeypatch, spec, mutate):
+    """Seeded corruptions of a correct table: the embedding check rejects
+    exactly those that the exact all-pairs check rejects."""
+    _, (order, cd, mults) = _recorded(monkeypatch, spec)
+    rng = random.Random(f"{spec}-{mutate.__name__}")
+    verdicts = []
+    for _ in range(12):
+        bad = [M.copy() for M in mults]
+        mutate(rng, cd, bad)
+        verdicts.append(_orthogonal_new(order, cd, bad))
+        assert verdicts[-1] == _orthogonal_ref(order, cd, _columns(bad))
+    if mutate is _move_one:
+        assert not any(verdicts)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (2, 3), (5, 5), (4, 6), (63, 65)])
+def test_pairs_are_compared_at_every_embedding(n1, n2):
+    """One (t1, t2) per unit u mod lcm(n1, n2): phi(lcm) distinct embeddings,
+    each reading both columns at primitive roots."""
+    n = math.lcm(n1, n2)
+    t1, t2 = ct._embeddings(n1, n2)
+    assert len(t1) == len(t2) == sum(math.gcd(u, n) == 1 for u in range(n))
+    assert len(set(zip(t1.tolist(), t2.tolist()))) == len(t1)
+    assert all(math.gcd(int(t), n1) == 1 for t in t1)
+    assert all(math.gcd(int(t), n2) == 1 for t in t2)
+    assert all((int(a) + int(b)) % math.gcd(n1, n2) == 0 for a, b in zip(t1, t2))
+
+
+@pytest.mark.parametrize("spec", GOLDEN + ["sl2:16"])
+def test_verification_prime(spec):
+    """p_v is the least prime = 1 mod the exponent above 2|G|."""
+    G = build_group(spec)
+    T = dixon_schneider(G)
+    exponent = math.lcm(*T.classes.orders)
+    p_v = T.stats["verify_prime"]
+    assert ct._is_prime(p_v) and p_v % exponent == 1 and p_v > 2 * G.order
+    assert not any(ct._is_prime(c) for c in range(p_v - exponent, 2 * G.order, -exponent))
+
+
+def test_verification_refuses_int64_overflow(monkeypatch):
+    """A verification prime with r * p_v^2 >= 2^62 is refused, not used."""
+    _, (order, cd, mults) = _recorded(monkeypatch, "sl2:4")
+    real = ct._dixon_prime
+    monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: real(e, 1 << 31))
+    with pytest.raises(InternalCheckError, match="overflows int64"):
+        ct._verify_column_orthogonality(order, cd, mults)
+
+
+def test_table_stats_sz8(monkeypatch):
+    """stats: the two primes and the class-matrix columns computed; read-only
+    and not part of the exported table."""
+    calls = []
+    real = ct._class_column
+    monkeypatch.setattr(ct, "_class_column",
+                        lambda *a: calls.append(a[3:]) or real(*a))
+    T = dixon_schneider(_fresh("sz:8"))
+    monkeypatch.undo()
+    order, exponent = T.group.order, math.lcm(*T.classes.orders)
+    assert dict(T.stats) == {
+        "dixon_prime": ct._dixon_prime(exponent, 2 * math.isqrt(order) + 1),
+        "verify_prime": ct._dixon_prime(exponent, 2 * order),
+        "class_columns": len(calls)}
+    assert 0 < len(calls) < len(T.classes) ** 2
+    with pytest.raises(TypeError):
+        T.stats["dixon_prime"] = 2
+    cached = dixon_schneider(build_group("sz:8"))
+    assert dict(cached.stats) == dict(T.stats)
+    assert set(table_to_json(cached)) == {"group", "order", "classes", "irreducibles"}

@@ -49,7 +49,7 @@ def test_multiplicity_free_rejects_non_characters():
     # the indicator of the identity has multiplicity chi(1)/|G|, never integral
     vals = [Cyclo.from_rational(1 if j == cd.identity_class else 0)
             for j in range(len(cd))]
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         is_multiplicity_free(Character(g, tuple(vals)), T)
 
 
@@ -207,6 +207,18 @@ def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
     s5._chartable = CharTable(s5, T.classes, bad + list(T.irreducibles[1:]))
     with pytest.raises(InternalCheckError):
         is_strong_gelfand_pair(s6, s5)
+
+
+def test_corrupt_table_in_gelfand_pair_is_internal_error():
+    """is_gelfand_pair meets a halved irreducible of G as InternalCheckError
+    (exit 4), not as ValueError (exit 2, a usage error)."""
+    s6 = build_group("s6")
+    s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
+    T = dixon_schneider(s5)
+    half = Character(s5, tuple(v * Fraction(1, 2) for v in T.irreducibles[0].values))
+    s5._chartable = CharTable(s5, T.classes, [half] + list(T.irreducibles[1:]))
+    with pytest.raises(InternalCheckError, match="multiplicity 1/2"):
+        is_gelfand_pair(s5, squares_subgroup(s5, "a5"))
 
 
 def test_verdict_json():

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 
 import sgplab
 from sgplab import gfield, groups
 from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                            SubgroupError)
-from sgplab.groups import (_first_unassigned, build_group, centralizer_order,
+from sgplab.groups import (_sorted_unique, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
                            element_powers,
                            group_to_json, h_classes, is_subgroup,
@@ -284,14 +283,54 @@ def test_class_shape_matches_sympy_oracle(spec, make):
     assert ours == theirs
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5000), st.lists(st.integers(0, 4999), max_size=20),
-       st.integers(0, 5000))
-def test_first_unassigned_matches_loop(n, free, start):
-    class_of = np.zeros(n, dtype=np.int32)
-    class_of[[i for i in free if i < n]] = -1
-    want = next((i for i in range(start, n) if class_of[i] < 0), n)
-    assert _first_unassigned(class_of, start) == want
+def _bfs_partition(G, gens):
+    """The class partition `_orbit_partition` replaced: one breadth-first
+    search per class, from the least unassigned index, conjugating the
+    frontier by every generator."""
+    class_of = np.full(G.order, -1, dtype=np.int32)
+    reps, sizes = [], []
+    while (free := np.flatnonzero(class_of < 0)).size:
+        i = int(free[0])
+        cid = len(reps)
+        reps.append(i)
+        class_of[i] = cid
+        frontier, count = np.array([i]), 1
+        while frontier.size:
+            fk = G.keys[frontier]
+            nxt = [G.ops.conj(fk, g) for g in gens]
+            pos = G.index_of(_sorted_unique(np.concatenate(nxt)) if nxt else fk[:0])
+            frontier = pos[class_of[pos] < 0]
+            class_of[frontier] = cid
+            count += frontier.size
+        sizes.append(count)
+    return tuple(sizes), tuple(reps), class_of
+
+
+def _partition_cases():
+    yield from ((s, None) for s in ("sp4:2", "sl2:16", "sz:8", "s6", "ext-sp2q2:4"))
+    yield from ((s, None) for s in ("parabolic-p:4", "parabolic-q:4", "wreath-sp2:4",
+                                    "ext-sp2q2-embedded:4", "sp4-sub:4:2", "so4+:4",
+                                    "so4-:4"))                # every q = 4 maximal
+    yield "sp4:2", "parabolic-p:2"
+    yield pytest.param("sp4:4", None, marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("spec,by", list(_partition_cases()))
+def test_orbit_partition_matches_bfs(monkeypatch, spec, by):
+    """Label propagation gives the BFS's ClassData field for field: the
+    same sizes, representatives, class ids, inverse classes and orders
+    (conjugation by all of G, or by the subgroup H = `by` for h_classes)."""
+    G = build_group(spec)
+    gens = build_group(by).gens_keys if by else G.gens_keys
+    got = groups._class_data(G, gens)
+    monkeypatch.setattr(groups, "_orbit_partition", _bfs_partition)
+    want = groups._class_data(G, gens)
+    for field in ("sizes", "reps", "inverse_class", "orders", "identity_class"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.class_of.dtype == want.class_of.dtype
+    assert np.array_equal(got.class_of, want.class_of)
+    if by:
+        assert np.array_equal(h_classes(G, build_group(by)).class_of, got.class_of)
 
 
 def _order_loop(ops, key):

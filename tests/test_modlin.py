@@ -112,9 +112,12 @@ def test_solve_restriction_round_trip():
 def test_primality_and_dixon_prime():
     assert _is_prime(1021) and _is_prime(3061) and _is_prime(14561)
     assert not _is_prime(10921)  # 67 * 163
-    p = _dixon_prime(1020, 979200)
-    assert p % 1020 == 1 and p > 2 * 989 and _is_prime(p)
+    p = _dixon_prime(1020, 2 * 989 + 1)        # |Sp4(4)| = 979200, isqrt 989
+    assert p % 1020 == 1 and p > 2 * 989 + 1 and _is_prime(p)
     assert p == 3061
+    p_v = _dixon_prime(1020, 2 * 979200)
+    assert p_v % 1020 == 1 and p_v > 2 * 979200 and _is_prime(p_v)
+    assert not any(_is_prime(c) for c in range(p_v - 1020, 2 * 979200, -1020))
 
 
 def test_sqrt_mod():
