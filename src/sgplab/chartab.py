@@ -3,9 +3,14 @@
 Tables are computed by the class-matrix (Burnside) method: eigenvectors of
 class-multiplication matrices over a prime field GF(p) with p = 1 mod the
 group exponent and p > 2*sqrt(|G|), lifted back to cyclotomic integers by
-matching eigenvalue multiplicities through the power map.  The lifted table
-is verified against the column orthogonality relations before it is
-returned, so a returned table is exact, not heuristically trusted.
+matching eigenvalue multiplicities through the power map.  A degree d is
+the least root of x^2 - d^2 mod p (`_poly_roots`).  The lift is one matrix
+product per class, the character values mod p along its power map times
+the inverse of the root-power matrix [w^(k t)] (`_root_powers`), and it
+checks nothing itself: the multiplicities go straight to the column
+orthogonality check, which evaluates them with the same `_root_powers`
+mod its own prime, and only a table that passes it becomes `Cyclo`
+values.  A returned table is exact, not heuristically trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
@@ -57,32 +62,13 @@ MAX_CLASSES = 200
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _dixon_prime(exponent: int, bound: int) -> int:
     """The least prime p = 1 mod exponent with p > bound."""
-    p = exponent + 1
-    while p <= bound or not _is_prime(p):
+    p = bound - (bound - 1) % exponent + exponent
+    while not _is_prime(p):
         p += exponent
     return p
 
@@ -106,32 +92,6 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // f, p) != 1 for f in fs):
             return g
     raise InternalCheckError(f"no primitive root mod {p}")
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a mod p (p an odd prime, a a QR); Tonelli-Shanks."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise InternalCheckError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _rref(A: list, p: int, ncols: int) -> tuple:
@@ -234,6 +194,31 @@ def _poly_roots(poly: list, p: int) -> list:
     for c in reversed(poly):
         acc = (acc * x + c % p) % p
     return [int(v) for v in np.flatnonzero(acc == 0)[:len(poly) - 1]]
+
+
+def _root_powers(z: int, exponent: int, n: int, p: int) -> np.ndarray:
+    """The n x n matrix [w^(k t) mod p], w = z^(exponent / n), for z of
+    multiplicative order exponent mod p and n dividing exponent."""
+    w = pow(z, exponent // n, p)
+    powers = np.array([pow(w, e, p) for e in range(n)], dtype=np.int64)
+    k = np.arange(n)
+    return powers[np.outer(k, k) % n]
+
+
+def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int) -> list:
+    """Eigenvalue multiplicities from the r x r character values mod p, by
+    the inverse DFT along each class's power map: entry [a, k] of matrix j
+    is the multiplicity of zeta_n^k in rep_j under irreducible a, n =
+    order(rep_j), as a residue mod p (int64 while n * p^2 < 2^63).  Nothing
+    is checked here: `_verify_column_orthogonality` refuses any residue
+    matrix that is not a character table."""
+    z = pow(_primitive_root(p), (p - 1) // exponent, p)
+    mults = []
+    for pc in pow_classes:
+        n = len(pc)
+        w_inv = _root_powers(z, exponent, n, p)[:, -np.arange(n) % n]
+        mults.append(chi[:, pc] @ w_inv % p * pow(n, p - 2, p) % p)
+    return mults
 
 
 # -- characters and tables ---------------------------------------------------
@@ -349,6 +334,8 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
         raise ResourceBoundError(f"{r} classes exceeds the bound {max_classes}")
     exponent = math.lcm(*cd.orders)
     p = _dixon_prime(exponent, 2 * math.isqrt(G.order) + 1)
+    if max(cd.orders) * p * p >= 1 << 63:
+        raise InternalCheckError(f"Dixon prime {p} overflows the int64 lift")
     members = _class_elements(cd)
 
     # split the common eigenspaces of the class matrices, smallest class first
@@ -398,60 +385,25 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
         scale = pow(v[id_cls], p - 2, p)
         omegas.append([x * scale % p for x in v])
 
-    # degrees:  d^2 = |G| / sum_j omega_j * omega_{j*} / |C_j|
+    # degrees:  d^2 = |G| / sum_j omega_j * omega_{j*} / |C_j|, d the least root
     size_inv = [pow(cd.sizes[j], p - 2, p) for j in range(r)]
     chars_mod = []
-    degrees = []
     for u in omegas:
         s = sum(u[j] * u[cd.inverse_class[j]] * size_inv[j] for j in range(r)) % p
-        d2 = G.order * pow(s, p - 2, p) % p
-        d = _sqrt_mod(d2, p)
-        d = min(d, p - d)
-        if d * d % p != d2 or d <= 0:
+        roots = _poly_roots([-G.order * pow(s, p - 2, p) % p, 0, 1], p)
+        if not roots or roots[0] == 0:
             raise InternalCheckError("degree recovery failed")
-        degrees.append(d)
-        chars_mod.append([d * u[j] % p * size_inv[j] % p for j in range(r)])
+        chars_mod.append([roots[0] * u[j] % p * size_inv[j] % p for j in range(r)])
 
-    # lift to cyclotomics through the power map
-    z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    pow_classes = _power_classes(G, cd)
-    zn_cache = {}
-    # mults[j][a, k]: multiplicity of the eigenvalue zeta_n^k of rep_j in
-    # irreducible a, n = order(rep_j); the value is sum_k mults[j][a, k] zeta_n^k
-    mults = [np.zeros((r, n), dtype=np.int64) for n in cd.orders]
-    irreducibles = []
-    for a, (d, chi) in enumerate(zip(degrees, chars_mod)):
-        values = [None] * r
-        for j in range(r):
-            n = cd.orders[j]
-            if n == 1:
-                mults[j][a, 0] = d
-                values[j] = Cyclo.from_rational(d)
-                continue
-            if n not in zn_cache:
-                zn = pow(z, exponent // n, p)
-                zn_cache[n] = [pow(zn, -k % (p - 1), p) for k in range(n)]
-            zinv = zn_cache[n]
-            ninv = pow(n, p - 2, p)
-            pc = pow_classes[j]
-            coeffs = {}
-            total = 0
-            for k in range(n):
-                ck = sum(chi[pc[t]] * zinv[(k * t) % n] for t in range(n)) * ninv % p
-                if ck > d:
-                    raise InternalCheckError("eigenvalue multiplicity out of range")
-                total += ck
-                if ck:
-                    coeffs[k] = mults[j][a, k] = ck
-            if total != d:
-                raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
-            values[j] = Cyclo(n, coeffs)
-        irreducibles.append(Character(G, tuple(values)))
-
-    if sum(int(ch.degree) ** 2 for ch in irreducibles) != G.order:
-        raise InternalCheckError("sum of squared degrees != |G|")
-    irreducibles.sort(key=lambda ch: ch.key())
+    # lift to cyclotomics through the power map, verified before it is used:
+    # chi_a(rep_j) = sum_k mults[j][a, k] zeta_n^k, n = order(rep_j)
+    mults = _lift(np.array(chars_mod, dtype=np.int64), _power_classes(G, cd),
+                  exponent, p)
     p_v = _verify_column_orthogonality(G.order, cd, mults)
+    columns = [[Cyclo(M.shape[1], {k: int(c) for k, c in enumerate(row) if c})
+                for row in M] for M in mults]
+    irreducibles = sorted((Character(G, row) for row in zip(*columns)),
+                          key=Character.key)
     table = CharTable(G, cd, irreducibles, {
         "dixon_prime": p, "verify_prime": p_v, "class_columns": n_columns})
     G._chartable = table
@@ -501,13 +453,8 @@ def _verify_column_orthogonality(order: int, cd: ClassData, mults: list) -> int:
             for M in mults) or int(degrees @ degrees) != order):
         raise InternalCheckError("eigenvalue multiplicities are not a character table")
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    powers = {}               # n -> [w^(k t)] for w = z^(exponent / n)
-    for n in set(cd.orders):
-        w = [pow(z, exponent // n * e, p) for e in range(n)]
-        powers[n] = np.array([[w[k * t % n] for t in range(n)] for k in range(n)],
-                             dtype=np.int64)
     # evals[j][i, t]: chi_i(g_j) under zeta_n -> w^t
-    evals = [M @ powers[M.shape[1]] % p for M in mults]
+    evals = [M @ _root_powers(z, exponent, M.shape[1], p) % p for M in mults]
     embeddings = {}
     for j1 in range(r):
         for j2 in range(j1, r):

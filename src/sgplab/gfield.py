@@ -120,11 +120,6 @@ class FieldCtx:
         """gamma^k as a code."""
         return 1 + k % (self.q - 1)
 
-    def log(self, a: int) -> int:
-        if a == ZERO:
-            raise ZeroDivisionError("log of the zero field element")
-        return a - 1
-
     def trace_bit(self, a: int) -> int:
         """Absolute trace GF(q) -> GF(2), as 0/1."""
         t = ZERO
@@ -142,9 +137,6 @@ class FieldCtx:
         if mask == 0:
             return ZERO
         return 1 + self._log[mask]
-
-    def all_codes(self) -> range:
-        return range(self.q)
 
     # -- vectorized tables (built lazily; used by the group engine) -----------
 

@@ -469,6 +469,86 @@ def test_verification_refuses_int64_overflow(monkeypatch):
         ct._verify_column_orthogonality(order, cd, mults)
 
 
+# -- the lift: one matrix product per class, against the per-value loop ---------
+
+
+def _lift_ref(chi, pow_classes, exponent, p):
+    """The loop `_lift` replaced: one inverse-DFT sum per (irreducible,
+    class, exponent), in Python ints."""
+    z = pow(ct._primitive_root(p), (p - 1) // exponent, p)
+    out = []
+    for pc in pow_classes:
+        n = len(pc)
+        zn = pow(z, exponent // n, p)
+        zinv = [pow(zn, -k % (p - 1), p) for k in range(n)]
+        ninv = pow(n, p - 2, p)
+        out.append(np.array(
+            [[sum(int(row[pc[t]]) * zinv[k * t % n] for t in range(n)) * ninv % p
+              for k in range(n)] for row in chi], dtype=np.int64))
+    return out
+
+
+def _assert_lift_matches_reference(monkeypatch, spec):
+    seen = []
+    real = ct._lift
+
+    def record(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ct, "_lift", record)
+    dixon_schneider(_fresh(spec))
+    monkeypatch.undo()
+    (args, got), = seen
+    want = _lift_ref(*args)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("spec", GOLDEN + ["sl2:16"])
+def test_lift_matches_per_value_loop(monkeypatch, spec):
+    _assert_lift_matches_reference(monkeypatch, spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", [
+    "parabolic-p:4", "parabolic-q:4", "wreath-sp2:4", "ext-sp2q2-embedded:4",
+    "sp4-sub:4:2", "so4+:4", "so4-:4"])
+def test_lift_matches_per_value_loop_q4_maximal(monkeypatch, spec):
+    _assert_lift_matches_reference(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("spec", GOLDEN)
+def test_corrupt_power_map_is_refused(monkeypatch, spec):
+    """The lift checks nothing itself: a wrong power map (rep^1 read as the
+    identity class on the class of largest order) yields multiplicities that
+    the orthogonality check refuses."""
+    real = ct._power_classes
+
+    def corrupt(G, cd):
+        pcs = real(G, cd)
+        j = max(range(len(cd)), key=lambda j: cd.orders[j])
+        pcs[j][1] = pcs[j][0]
+        return pcs
+
+    monkeypatch.setattr(ct, "_power_classes", corrupt)
+    with pytest.raises(InternalCheckError,
+                       match="not a character table|orthogonality fails"):
+        dixon_schneider(_fresh(spec))
+
+
+def test_dixon_prime_overflow_is_refused_before_root_finding(monkeypatch):
+    """A Dixon prime with order * p^2 >= 2^63 is refused before the
+    eigenspace split, so no `_poly_roots` call allocates p values."""
+    real = ct._dixon_prime
+    calls = []
+    monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: real(e, 1 << 31))
+    monkeypatch.setattr(ct, "_poly_roots", lambda *a: calls.append(a) or [])
+    with pytest.raises(InternalCheckError, match="overflows the int64 lift"):
+        dixon_schneider(_fresh("sl2:4"))
+    assert calls == []
+
+
 def test_table_stats_sz8(monkeypatch):
     """stats: the two primes and the class-matrix columns computed; read-only
     and not part of the exported table."""

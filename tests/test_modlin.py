@@ -1,12 +1,14 @@
 """The small mod-p linear algebra inside the table computation."""
 
+import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from sgplab.chartab import (_charpoly, _dixon_prime, _is_prime, _nullspace,
-                            _poly_roots, _primitive_root, _solve_restriction,
-                            _sqrt_mod)
+                            _poly_roots, _primitive_root, _solve_restriction)
 
 
 def _det_mod(M, p):
@@ -120,16 +122,44 @@ def test_primality_and_dixon_prime():
     assert not any(_is_prime(c) for c in range(p_v - 1020, 2 * 979200, -1020))
 
 
-def test_sqrt_mod():
-    for p in (101, 97, 3061):
-        for a in (1, 4, 9, 17, 40):
-            if pow(a, (p - 1) // 2, p) != 1:
-                continue
-            r = _sqrt_mod(a, p)
-            assert r * r % p == a % p
-    from sgplab.errors import InternalCheckError
-    with pytest.raises(InternalCheckError):
-        _sqrt_mod(5, 13)  # 5 is not a square mod 13
+@pytest.mark.parametrize("p", [13, 101, 3061])
+def test_degree_is_the_least_root_of_its_square(p):
+    """Degree recovery: each 1 <= d < p/2 is the least root of x^2 - d^2, and
+    x^2 - a has no root for a non-residue a."""
+    for d in range(1, (p + 1) // 2):
+        assert _poly_roots([-d * d % p, 0, 1], p)[0] == d
+    for a in range(1, p):
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert _poly_roots([-a % p, 0, 1], p) == []
+
+
+def test_is_prime_matches_sieve():
+    n = 2 * 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(n) + 1):
+        sieve[k * k::k] = False
+    assert [m for m in range(n) if _is_prime(m)] == np.flatnonzero(sieve).tolist()
+    assert _is_prime(1959421) and _is_prime(3618961)
+
+
+# (exponent, bound, the least prime = 1 mod exponent above bound), as the
+# walk from exponent + 1 one exponent at a time found them
+DIXON_PRIMES = [
+    (1, 0, 2), (1, 1, 2), (1, 5, 7), (2, 3, 5), (4, 5, 13), (6, 7, 13),
+    (60, 0, 61), (60, 61, 181), (30, 17, 31),
+    (1020, 1979, 3061),                 # the Dixon prime of sp4:4
+    (1020, 1958400, 1959421),           # its verification prime
+    (4095, 3612672, 3619981),
+    (30, 1 << 31, 2147484061),
+]
+
+
+@pytest.mark.parametrize("exponent,bound,want", DIXON_PRIMES)
+def test_dixon_prime_table(exponent, bound, want):
+    t0 = time.perf_counter()
+    assert _dixon_prime(exponent, bound) == want
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_primitive_root():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,70 @@ def test_float_guard_allows_exact_code():
     assert not _float_uses(ast.parse(
         "from fractions import Fraction\nx = Fraction(1, 2) * 3 // 2\n"
         "np.bincount(a, minlength=4)\nnp.int64(3)\nmath.isqrt(10)"))
+
+
+# Public names kept for callers outside the package: `from_json` reads the
+# exported tables back, `conjugate` is the exact type's complex conjugation.
+UNREFERENCED_ALLOWED = {"exactnum.py:Cyclo.from_json", "exactnum.py:Cyclo.conjugate"}
+
+
+def _definitions(tree):
+    """(qualified name, node, is a method) for every `_`-prefixed
+    module-level function and every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node, False
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                yield f"{cls.name}.{node.name}", node, True
+
+
+def _references(tree, methods):
+    """Names a tree refers to: attributes, and for functions bare names too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name) and not methods:
+            yield node.id
+
+
+def _unreferenced(sources: dict) -> list:
+    """'file:qualname' of each definition that no code outside its own body
+    refers to, across all the given module sources."""
+    trees = {name: ast.parse(src, filename=name) for name, src in sources.items()}
+    refs = {m: Counter(r for t in trees.values() for r in _references(t, m))
+            for m in (False, True)}
+    return [f"{name}:{qual}"
+            for name, tree in trees.items()
+            for qual, node, method in _definitions(tree)
+            if refs[method][node.name] == sum(r == node.name
+                                              for r in _references(node, method))]
+
+
+def _package_sources() -> dict:
+    return {p.name: p.read_text()
+            for p in sorted(Path(sgplab.__file__).parent.glob("*.py"))}
+
+
+def test_no_unreferenced_private_functions_or_methods():
+    """Every private function and every method is used inside the package;
+    dead code is deleted, not kept for tests."""
+    found = [d for d in _unreferenced(_package_sources())
+             if d not in UNREFERENCED_ALLOWED]
+    assert not found, f"unreferenced definitions in src/sgplab: {found}"
+
+
+@pytest.mark.parametrize("extra,name", [
+    ("def _sqrt_mod(a, p):\n    return a\n", "chartab.py:_sqrt_mod"),
+    ("def _loop(n):\n    return _loop(n - 1)\n", "chartab.py:_loop"),
+    ("class FieldCtx2:\n    def log(self, a):\n        log = a\n        return log\n",
+     "chartab.py:FieldCtx2.log"),
+], ids=["deleted-helper", "self-recursive", "method-name-as-local"])
+def test_unreferenced_guard_finds(extra, name):
+    """A deleted helper put back, a function used only by itself, and a
+    method whose name is used only as a local variable are all reported."""
+    sources = _package_sources()
+    sources["chartab.py"] += "\n\n" + extra
+    assert name in _unreferenced(sources)
