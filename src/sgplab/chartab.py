@@ -22,8 +22,12 @@ p_v^phi(lcm) (see `_verify_column_orthogonality`).
 
 Class matrices are never built whole (G. J. A. Schneider, "Dixon's
 character table algorithm revisited", J. Symbolic Comput. 9 (1990)
-601-606).  Splitting an invariant space with a basis B of dimension d needs
-only the d rows of M*B at rows P where B has full rank, and row k of a
+601-606).  Each invariant space of dimension d is kept in reduced form:
+an int64 basis B that is the identity at its d pivot rows P, the first
+rows at which the space has full rank (one Gauss-Jordan, `_rref`, gives
+both).  As M*B = B*S, a class matrix M acts on the space by S = (M*B)_P,
+the d rows of M at P times B, and each eigenspace of S is B*N for N a
+null-space basis of S - lambda, which `_rref` reduces again.  Row k of a
 class matrix is its column k* rescaled by the symmetry of the structure
 constants, so a class matrix costs one column of products per row in P
 (columns are cached per class matrix and every one is checked to sum to
@@ -94,53 +98,40 @@ def _primitive_root(p: int) -> int:
     raise InternalCheckError(f"no primitive root mod {p}")
 
 
-def _rref(A: list, p: int, ncols: int) -> tuple:
-    """Gauss-Jordan mod p with pivots in the first ncols columns only.
+def _rref(A: np.ndarray, p: int) -> tuple:
+    """Gauss-Jordan mod p on an int64 matrix, exact for p < 2^31.
 
     Returns the reduced copy of A and its pivot columns.  The reduced row
     echelon form is unique, so it does not depend on the pivot choices.
     """
-    A = [row[:] for row in A]
+    A = A % p
     pivots = []
-    for c in range(ncols):
+    for c in range(A.shape[1]):
         r = len(pivots)
         if r == len(A):
             break
-        piv = next((i for i in range(r, len(A)) if A[i][c] % p), None)
-        if piv is None:
+        nonzero = np.flatnonzero(A[r:, c])
+        if not nonzero.size:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], p - 2, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        piv = r + int(nonzero[0])
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A = (A - np.outer(f, A[r])) % p
         pivots.append(c)
     return A, pivots
 
 
-def _nullspace(M: list, p: int) -> list:
-    """Basis vectors of the right null space of M mod p."""
-    m = len(M[0])
-    A, pivots = _rref(M, p, m)
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [0] * m
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _solve_restriction(B: list, MB: list, p: int) -> list:
-    """S with B*S = MB, where the r x d matrix B has full column rank."""
-    d = len(B[0])
-    A, pivots = _rref([b + mb for b, mb in zip(B, MB)], p, d)
-    if len(pivots) != d:
-        raise InternalCheckError("eigenspace basis is not of full rank")
-    return [row[d:] for row in A[:d]]
+def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
+    """A basis of the right null space of M mod p, as the columns of an
+    int64 matrix."""
+    A, pivots = _rref(M, p)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    N = np.zeros((M.shape[1], len(free)), dtype=np.int64)
+    N[free, range(len(free))] = 1
+    N[pivots] = -A[:len(pivots), free] % p
+    return N
 
 
 def _charpoly(M: list, p: int) -> list:
@@ -334,54 +325,46 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
         raise ResourceBoundError(f"{r} classes exceeds the bound {max_classes}")
     exponent = math.lcm(*cd.orders)
     p = _dixon_prime(exponent, 2 * math.isqrt(G.order) + 1)
-    if max(cd.orders) * p * p >= 1 << 63:
-        raise InternalCheckError(f"Dixon prime {p} overflows the int64 lift")
+    if max(r, *cd.orders) * p * p >= 1 << 63:
+        raise InternalCheckError(f"Dixon prime {p} overflows the int64 lift and split")
     members = _class_elements(cd)
 
-    # split the common eigenspaces of the class matrices, smallest class first
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    # split the common eigenspaces of the class matrices, smallest class
+    # first; a space is (B, P) with B an r x d basis that is the identity at
+    # its pivot rows P, so M B = B S gives S = (M B)_P
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     candidates = sorted((cd.sizes[i], i) for i in range(r) if i != cd.identity_class)
     n_columns = 0
     for _, i in candidates:
-        if all(len(B[0]) == 1 for B in spaces):
+        if all(len(P) == 1 for _, P in spaces):
             break
         cols = {}                 # the columns of M_i computed so far
         new_spaces = []
-        for B in spaces:
-            d = len(B[0])
-            if d == 1:
-                new_spaces.append(B)
+        for B, P in spaces:
+            if len(P) == 1:
+                new_spaces.append((B, P))
                 continue
-            # S is fixed by the d rows P where B has full rank: B_P S = (M B)_P
-            _, P = _rref([list(c) for c in zip(*B)], p, r)
-            MB = []
+            rows = []
             for k in P:
                 kstar = cd.inverse_class[k]
                 if kstar not in cols:
                     cols[kstar] = _class_column(G, cd, members, i, kstar)
                     n_columns += 1
-                Mk = _class_row(cd, cols[kstar], k)
-                MB.append([sum(Mk[m] * B[m][j] for m in range(r)) % p
-                           for j in range(d)])
-            S = _solve_restriction([B[k] for k in P], MB, p)
-            for lam in sorted(set(_poly_roots(_charpoly(S, p), p))):
-                SI = [[(S[a][b] - (lam if a == b else 0)) % p for b in range(d)]
-                      for a in range(d)]
-                null = _nullspace(SI, p)
-                if not null:
-                    continue
-                nb = [[sum(B[i2][k] * v[k] for k in range(d)) % p for v in null]
-                      for i2 in range(r)]
-                new_spaces.append(nb)
+                rows.append(_class_row(cd, cols[kstar], k))
+            S = np.array(rows, dtype=np.int64) % p @ B % p
+            for lam in _poly_roots(_charpoly(S.tolist(), p), p):
+                N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
+                A, pivots = _rref((B @ N % p).T, p)
+                new_spaces.append((A.T, pivots))
         spaces = new_spaces
-    if not all(len(B[0]) == 1 for B in spaces) or len(spaces) != r:
+    if not all(len(P) == 1 for _, P in spaces) or len(spaces) != r:
         raise InternalCheckError("class matrices failed to split the algebra")
 
     # central characters mod p, normalized at the identity class
     id_cls = cd.identity_class
     omegas = []
-    for B in spaces:
-        v = [B[i][0] % p for i in range(r)]
+    for B, _ in spaces:
+        v = B[:, 0].tolist()
         scale = pow(v[id_cls], p - 2, p)
         omegas.append([x * scale % p for x in v])
 

@@ -17,7 +17,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -140,31 +140,15 @@ class FieldCtx:
 
     # -- vectorized tables (built lazily; used by the group engine) -----------
 
-    @property
+    @cached_property
     def lut_add(self) -> np.ndarray:
-        try:
-            return self._lut_add
-        except AttributeError:
-            q = self.q
-            t = np.empty((q, q), dtype=np.uint8)
-            for a in range(q):
-                for b in range(q):
-                    t[a, b] = self.add(a, b)
-            self._lut_add = t
-            return t
+        return np.array([[self.add(a, b) for b in range(self.q)]
+                         for a in range(self.q)], dtype=np.uint8)
 
-    @property
+    @cached_property
     def lut_mul(self) -> np.ndarray:
-        try:
-            return self._lut_mul
-        except AttributeError:
-            q = self.q
-            t = np.empty((q, q), dtype=np.uint8)
-            for a in range(q):
-                for b in range(q):
-                    t[a, b] = self.mul(a, b)
-            self._lut_mul = t
-            return t
+        return np.array([[self.mul(a, b) for b in range(self.q)]
+                         for a in range(self.q)], dtype=np.uint8)
 
     def lut_frob(self, f: int) -> np.ndarray:
         """Table of a -> a^(2^f) on codes."""

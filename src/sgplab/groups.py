@@ -27,14 +27,13 @@ its closure and class partition take two products per element.
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
 table cache of a MatOps (shared by every group over one field, dimension
-and inverse mode) changes under a lock; the vectorized passes are
-internally batched but their results do not depend on batch boundaries.
+and inverse mode) is a bounded `functools.lru_cache`, which does its own
+locking; the vectorized passes are internally batched but their results
+do not depend on batch boundaries.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,8 +76,7 @@ class MatOps:
     that are built on first use from the images of the single-bit keys
     (dim*dim*bits reference products, twice that for conj) and kept, at
     most _TABLE_CACHE (element, map) pairs, least recently used dropped
-    first; this cache is the only state that changes after construction,
-    and only under the lock.
+    first; this cache is the only state that changes after construction.
     """
 
     def __init__(self, ctx: gfield.FieldCtx, dim: int, inv_mode: str = "symplectic"):
@@ -114,8 +112,8 @@ class MatOps:
             np.arange(1 << self._chunks[0][1], dtype=_U64))])
         self._inv_tables = self._chunk_tables(
             lambda k: self.pack(self._inv_perm(self.unpack(k))))
-        self._tables: OrderedDict = OrderedDict()   # (element, side) -> tables
-        self._lock = threading.Lock()
+        # (int element, side) -> tables
+        self._tables = lru_cache(maxsize=_TABLE_CACHE)(self._fixed_tables)
 
     # -- packing ---------------------------------------------------------
 
@@ -224,15 +222,7 @@ class MatOps:
 
     def _mul_fixed(self, keys: np.ndarray, g, side: str) -> np.ndarray:
         """keys * g (side "right"), g * keys ("left") or g^-1 * keys * g ("conj")."""
-        tkey = (int(g), side)
-        with self._lock:
-            tables = self._tables.get(tkey)
-            if tables is None:
-                tables = self._tables[tkey] = self._fixed_tables(g, side)
-                if len(self._tables) > _TABLE_CACHE:
-                    self._tables.popitem(last=False)
-            else:
-                self._tables.move_to_end(tkey)
+        tables = self._tables(int(g), side)
         return self._gather(self._poly_to_code, self._gather(tables, keys))
 
     def conj(self, keys, g) -> np.ndarray:
@@ -446,7 +436,8 @@ class FinGroup:
         pos = np.searchsorted(self.keys, keys)
         bad = (pos >= self.order) | (self.keys[np.minimum(pos, self.order - 1)] != keys)
         if bad.any():
-            raise KeyError("element is not in the group")
+            raise InternalCheckError(
+                f"{self.label}: a computed element is not in the group")
         return pos.astype(np.int64)
 
     def contains(self, keys) -> np.ndarray:

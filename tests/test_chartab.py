@@ -549,6 +549,23 @@ def test_dixon_prime_overflow_is_refused_before_root_finding(monkeypatch):
     assert calls == []
 
 
+def test_split_overflow_is_refused_before_any_class_column(monkeypatch):
+    """The split's products sum r terms below p^2, so a Dixon prime with
+    r * p^2 >= 2^63 is refused before any class column is computed, also
+    when the element orders alone would allow it (sp4:2: 11 classes, orders
+    at most 6)."""
+    G = _fresh("sp4:2")
+    cd = conjugacy_classes(G)
+    p = ct._dixon_prime(60, 10**9)
+    assert max(cd.orders) * p * p < 1 << 63 <= len(cd) * p * p
+    calls = []
+    monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: p)
+    monkeypatch.setattr(ct, "_class_column", lambda *a: calls.append(a))
+    with pytest.raises(InternalCheckError, match="overflows the int64"):
+        dixon_schneider(G)
+    assert calls == []
+
+
 def test_table_stats_sz8(monkeypatch):
     """stats: the two primes and the class-matrix columns computed; read-only
     and not part of the exported table."""

@@ -157,6 +157,23 @@ def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
     assert "wreath-sp2:2" in capsys.readouterr().err
 
 
+def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
+    """A kernel product that leaves the group (here one conjugate with one
+    bit flipped) is a bug: exit 4, naming the group, not a KeyError."""
+    real = groups.MatOps.conj
+
+    def flipped(self, keys, g):
+        out = real(self, keys, g)
+        out[0] ^= np.uint64(1)
+        return out
+
+    monkeypatch.setattr(groups.MatOps, "conj", flipped)
+    # a --max-order of its own, so no cached sl2:8 and its classes are reused
+    assert main(["--max-order", "4322", "chartab", "sl2:8"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "sl2:8" in err and "not in the group" in err
+
+
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",
                                   "so4-:2", "parabolic-p:2"])
 def test_chartab_json_matches_golden(spec, capsys):

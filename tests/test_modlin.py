@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgplab.chartab import (_charpoly, _dixon_prime, _is_prime, _nullspace,
-                            _poly_roots, _primitive_root, _solve_restriction)
+                            _poly_roots, _primitive_root, _rref)
 
 
 def _det_mod(M, p):
@@ -91,24 +91,136 @@ def test_nullspace(seed):
     n = rng.randint(2, 6)
     M = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
     M[n - 1] = [(2 * x) % p for x in M[0]]  # force rank deficiency
-    basis = _nullspace(M, p)
+    basis = _nullspace(np.array(M, dtype=np.int64), p).T.tolist()
     assert basis
     for v in basis:
         for row in M:
             assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
-def test_solve_restriction_round_trip():
-    p = 97
-    rng = random.Random(3)
-    r, d = 6, 3
-    B = [[rng.randrange(p) for _ in range(d)] for _ in range(r)]
-    B[0], B[1], B[2] = [1, 0, 0], [0, 1, 0], [0, 0, 1]  # full column rank
-    S = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-    MB = [[sum(B[i][k] * S[k][j] for k in range(d)) % p for j in range(d)]
-          for i in range(r)]
-    got = _solve_restriction(B, MB, p)
-    assert got == [[S[i][j] % p for j in range(d)] for i in range(d)]
+# -- the int64 Gauss-Jordan, against the list-based one it replaced ------------
+
+
+def _rref_ref(A, p, ncols):
+    """Gauss-Jordan mod p on lists, pivots in the first ncols columns only."""
+    A = [row[:] for row in A]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(A):
+            break
+        piv = next((i for i in range(r, len(A)) if A[i][c] % p), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def _nullspace_ref(M, p):
+    m = len(M[0])
+    A, pivots = _rref_ref(M, p, m)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [0] * m
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-A[i][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def _solve_restriction_ref(B, MB, p):
+    """S with B*S = MB, where the r x d matrix B has full column rank: the
+    second Gauss-Jordan per split that the reduced bases made unnecessary."""
+    d = len(B[0])
+    A, pivots = _rref_ref([b + mb for b, mb in zip(B, MB)], p, d)
+    assert len(pivots) == d
+    return [row[d:] for row in A[:d]]
+
+
+def _matmul_mod(A, B, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
+            for row in A]
+
+
+def _random_matrix(rng, p, rows, cols, rank):
+    """rows x cols of rank at most `rank`: a product through `rank` dimensions."""
+    L = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    R = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(L[i][t] * R[t][j] for t in range(rank)) % p for j in range(cols)]
+            for i in range(rows)]
+
+
+PRIMES = [13, 3061, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_and_nullspace_match_list_reference(p, seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    rank = rng.randint(0, min(rows, cols)) if seed % 2 else min(rows, cols)
+    M = _random_matrix(rng, p, rows, cols, rank)
+    A, pivots = _rref(np.array(M, dtype=np.int64), p)
+    assert (A.tolist(), pivots) == _rref_ref(M, p, cols)
+    assert len(pivots) <= rank
+    N = _nullspace(np.array(M, dtype=np.int64), p)
+    assert N.dtype == np.int64 and N.shape == (cols, cols - len(pivots))
+    assert N.T.tolist() == _nullspace_ref(M, p)
+    assert all(v == 0 for row in _matmul_mod(M, N.tolist(), p) for v in row)
+
+
+def _invariant_space(rng, p, r, d):
+    """A random r x r matrix M mod p and a random basis B0 of an M-invariant
+    subspace of dimension d, its pivot rows moved by a random permutation."""
+    X = [[rng.randrange(p) for _ in range(d)] for _ in range(r - d)]
+    Q = [[int(i == j) for j in range(r)] for i in range(r)]
+    Qinv = [row[:] for row in Q]
+    for i in range(r - d):
+        for j in range(d):
+            Q[d + i][j], Qinv[d + i][j] = X[i][j], -X[i][j] % p
+    T = [[rng.randrange(p) if i < d or j >= d else 0 for j in range(r)]
+         for i in range(r)]                      # block upper triangular
+    M = _matmul_mod(_matmul_mod(Q, T, p), Qinv, p)
+    perm = rng.sample(range(r), r)
+    M = [[M[perm[i]][perm[j]] for j in range(r)] for i in range(r)]
+    while True:
+        G = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        if len(_rref_ref(G, p, d)[1]) == d:
+            break
+    B0 = _matmul_mod([Q[perm[i]][:d] for i in range(r)], G, p)
+    return M, B0
+
+
+@pytest.mark.parametrize("p", [13, 3061])
+@pytest.mark.parametrize("seed", range(10))
+def test_restriction_on_the_reduced_basis_matches_solve(p, seed):
+    """On the reduced basis B (the identity at its pivot rows P) the
+    restriction of M is S = (M B)_P, one product: M B = B S, and S is
+    similar to what `_solve_restriction_ref` finds from any other basis,
+    whose pivot rows are the same P."""
+    rng = random.Random(seed)
+    r = rng.randint(2, 8)
+    d = rng.randint(1, r - 1)
+    M, B0 = _invariant_space(rng, p, r, d)
+    _, P_old = _rref_ref([list(c) for c in zip(*B0)], p, r)
+    MB0 = _matmul_mod(M, B0, p)
+    S_old = _solve_restriction_ref([B0[k] for k in P_old], [MB0[k] for k in P_old], p)
+    assert _matmul_mod(B0, S_old, p) == MB0
+
+    A, P = _rref(np.array(B0, dtype=np.int64).T, p)
+    B = A.T
+    assert P == P_old and B[P].tolist() == np.eye(d, dtype=int).tolist()
+    S = np.array(M, dtype=np.int64)[P] @ B % p
+    assert (B @ S % p).tolist() == _matmul_mod(M, B.tolist(), p)
+    assert _charpoly(S.tolist(), p) == _charpoly(S_old, p)
 
 
 def test_primality_and_dixon_prime():
