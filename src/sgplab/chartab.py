@@ -30,8 +30,8 @@ the d rows of M at P times B, and each eigenspace of S is B*N for N a
 null-space basis of S - lambda, which `_rref` reduces again.  Row k of a
 class matrix is its column k* rescaled by the symmetry of the structure
 constants, so a class matrix costs one column of products per row in P
-(columns are cached per class matrix and every one is checked to sum to
-the class size; a rescaled entry that is not an integer raises
+(rows are cached per class matrix, every column is checked to sum to the
+class size, and a rescaled entry that is not an integer raises
 `InternalCheckError`).  Element orders and power maps come from one array
 product per power for all class representatives.
 
@@ -338,20 +338,18 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     for _, i in candidates:
         if all(len(P) == 1 for _, P in spaces):
             break
-        cols = {}                 # the columns of M_i computed so far
+        rows = {}                 # the rows of M_i computed so far
         new_spaces = []
         for B, P in spaces:
             if len(P) == 1:
                 new_spaces.append((B, P))
                 continue
-            rows = []
             for k in P:
-                kstar = cd.inverse_class[k]
-                if kstar not in cols:
-                    cols[kstar] = _class_column(G, cd, members, i, kstar)
+                if k not in rows:
+                    col = _class_column(G, cd, members, i, cd.inverse_class[k])
+                    rows[k] = _class_row(cd, col, k)
                     n_columns += 1
-                rows.append(_class_row(cd, cols[kstar], k))
-            S = np.array(rows, dtype=np.int64) % p @ B % p
+            S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p
             for lam in _poly_roots(_charpoly(S.tolist(), p), p):
                 N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
                 A, pivots = _rref((B @ N % p).T, p)

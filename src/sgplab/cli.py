@@ -6,14 +6,16 @@ chartab, sgp, scan-maximal, alpha-sum, families, verify-paper, show-field.
 seconds each check took on stderr.
 The group specs of a command are parsed once, before any work starts, and
 `run` builds the groups from the parsed form.  Exit codes: 0 success, 1 a
-requested check failed, 2 usage or parse error, 3 a resource bound was
-exceeded, 4 an internal cross-check disagreed (a bug, not a user error).
+requested check failed or the reader closed stdout early, 2 usage or parse
+error, 3 a resource bound was exceeded, 4 an internal cross-check disagreed
+(a bug, not a user error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -205,7 +207,14 @@ def main(argv=None) -> int:
     parser = _parser()
     ns = parser.parse_args(argv)
     try:
-        return run(_parse_group_specs(ns))
+        status = run(_parse_group_specs(ns))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to /dev/null,
+        # so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ from .chartab import Character, CharTable
 from .errors import InternalCheckError
 from .exactnum import Cyclo, root_of_unity
 from .groups import (ExtOps, FinGroup, MatOps, build_group, conjugacy_classes,
-                     element_order)
+                     element_order, element_powers)
 
 __all__ = [
     "PolyQ", "DegreeRow", "DegreeSpec", "AlphaParams",
@@ -167,26 +167,15 @@ def _identify_sl2_classes(G: FinGroup):
     ctx = probe[1]
     q = ctx.q
 
-    def class_of_key(key):
-        return int(cd.class_of[G.index_of(key)[0]])
-
-    # diag(gamma^t, gamma^-t) for the a-family; smallest element of order q+1 for b
-    torus = {}
-    if q > 2:
-        for t in range(1, (q - 2) // 2 + 1):
-            m = np.array([[ctx.elem(t), 0], [0, ctx.elem(-t)]], dtype=np.uint8)
-            key = _sl2_key_for(G, m)
-            torus[class_of_key(key)] = t
-    b_key = None
-    for key in G.keys:
-        if element_order(G.ops, key) == q + 1:
-            b_key = key
-            break
-    bpow = {}
-    acc = b_key
-    for m in range(1, q // 2 + 1):
-        bpow[class_of_key(acc)] = m
-        acc = G.ops.mul1(acc, b_key)
+    # a = diag(gamma, gamma^-1) for the a-family, b the first key of order
+    # q + 1 for the b-family; their powers come from one element_powers call
+    a = _sl2_key_for(G, np.array([[ctx.gamma, 0], [0, ctx.inv(ctx.gamma)]],
+                                 dtype=np.uint8))
+    b = next(key for key in G.keys if element_order(G.ops, key) == q + 1)
+    _, powers = element_powers(G.ops, [a, b])
+    at = [cd.class_of[G.index_of(pw)] for pw in powers]
+    torus = {int(at[t][0]): t for t in range(1, (q - 2) // 2 + 1)}
+    bpow = {int(at[m][1]): m for m in range(1, q // 2 + 1)}
 
     labels = []
     for j in range(len(cd)):

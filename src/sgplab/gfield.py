@@ -116,10 +116,6 @@ class FieldCtx:
             return ZERO
         return 1 + ((a - 1) * n) % (self.q - 1)
 
-    def elem(self, k: int) -> int:
-        """gamma^k as a code."""
-        return 1 + k % (self.q - 1)
-
     def trace_bit(self, a: int) -> int:
         """Absolute trace GF(q) -> GF(2), as 0/1."""
         t = ZERO

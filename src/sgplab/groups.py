@@ -714,106 +714,51 @@ def _build_ext_abstract(q, max_order):
     return _generated(f"ext-sp2q2:{q}", ops, gens, 2 * q**2 * (q**4 - 1), max_order)
 
 
-def _symplectic_basis(ctx, gram):
-    """Columns of a basis T with T^t * gram * T the antidiagonal Gram matrix."""
-    d = len(gram)
-    vecs = [[ctx.one if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def form(u, v):
-        s = 0
-        for i in range(d):
-            if u[i]:
-                for j in range(d):
-                    if v[j] and gram[i][j]:
-                        s = ctx.add(s, ctx.mul(u[i], ctx.mul(gram[i][j], v[j])))
-        return s
-
-    pairs = []
-    while vecs:
-        u = vecs.pop(0)
-        w = None
-        for idx, v in enumerate(vecs):
-            b = form(u, v)
-            if b:
-                w = vecs.pop(idx)
-                s = ctx.inv(b)
-                w = [ctx.mul(s, x) for x in w]
-                break
-        if w is None:
-            raise InternalCheckError("degenerate form")
-        rest = []
-        for v in vecs:
-            bu, bw = form(v, u), form(v, w)
-            v2 = [ctx.add(v[i], ctx.add(ctx.mul(bw, u[i]), ctx.mul(bu, w[i])))
-                  for i in range(d)]
-            rest.append(v2)
-        vecs = rest
-        pairs.append((u, w))
-    basis = [pairs[0][0], pairs[1][0], pairs[1][1], pairs[0][1]]
-    return [[basis[j][i] for j in range(d)] for i in range(d)]  # columns
-
-
 def _build_ext_embedded(q, max_order):
-    """Concrete image of ext-sp2q2:q inside sp4:q, via GF(q^2) as 2x2 blocks."""
+    """Concrete image of ext-sp2q2:q inside sp4:q.  With g the gamma of
+    GF(q^2), t = g + g^q and n = g^(q+1) in GF(q), so x^2 + t x + n is g's
+    minimal polynomial.  In the basis (1,0), (g,0), (0,1), (0,g) of GF(q)^4,
+    z = u + v g acts by [[u, n v], [v, u + t v]], the Frobenius by
+    [[1, t], [0, 1]] on each half, and Tr(x1 y2 + x2 y1) has the Gram
+    matrix [[0,0,0,t],[0,0,t,t^2],[0,t,0,0],[t,t^2,0,0]].  T = diag([[1, t],
+    [0, 1]], 1/t, 1/t) takes it to J, and the generators are T^-1 M T,
+    T^-1 = diag([[1, t], [0, 1]], t, t)."""
+    label = f"ext-sp2q2-embedded:{q}"
     e = q.bit_length() - 1
-    ctx = gfield.field_ctx(e)
-    ctx2 = gfield.field_ctx(2 * e)
-    emb = [gfield.subfield_embed(ctx, ctx2, a) for a in range(ctx.q)]
-    gam2 = ctx2.gamma
-    # coordinates of w in the basis (1, gamma2) over the embedded GF(q)
-    coord = {}
-    for u in range(ctx.q):
-        for v in range(ctx.q):
-            w = ctx2.add(emb[u], ctx2.mul(emb[v], gam2))
-            coord[w] = (u, v)
+    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
+    g = ctx2.gamma
 
-    def mult_block(z):
-        c1 = coord[z]
-        c2 = coord[ctx2.mul(z, gam2)]
-        return [[c1[0], c2[0]], [c1[1], c2[1]]]
+    def down(w):   # a nonzero code of GF(q^2) that lies in GF(q), as a GF(q) code
+        if not w or (w - 1) % (q + 1):
+            raise InternalCheckError(
+                f"{label}: GF({q * q}) code {w} is not a unit of GF({q})")
+        return 1 + (w - 1) // (q + 1)
 
-    def image(rows2):
-        out = [[0] * 4 for _ in range(4)]
-        for bi in range(2):
-            for bj in range(2):
-                blk = mult_block(rows2[bi][bj]) if rows2[bi][bj] else [[0, 0], [0, 0]]
-                for i in range(2):
-                    for j in range(2):
-                        out[2 * bi + i][2 * bj + j] = blk[i][j]
-        return out
+    t = down(ctx2.add(g, gfield.frobenius(ctx2, g, e)))
+    n = down(ctx2.pow(g, q + 1))
+    mul, one, ti, ni = ctx.mul, ctx.one, ctx.inv(t), ctx.inv(n)
+    coords = {0: (0, 0), ctx2.one: (one, 0), g: (0, one),
+              ctx2.inv(g): (mul(t, ni), ni)}   # g^-1 = (g + t) / n
 
-    frob_block = [[0, 0], [0, 0]]
-    for j, z in enumerate([ctx2.one, gam2]):
-        zq = gfield.frobenius(ctx2, z, e)
-        u, v = coord[zq]
-        frob_block[0][j], frob_block[1][j] = u, v
-    galois = [[0] * 4 for _ in range(4)]
-    for b in range(2):
-        for i in range(2):
-            for j in range(2):
-                galois[2 * b + i][2 * b + j] = frob_block[i][j]
+    def block(z):
+        u, v = coords[z]
+        return [[u, mul(n, v)], [v, ctx.add(u, mul(t, v))]]
 
-    # Gram of Tr(x1*y2 + x2*y1) in the basis (1,0),(gamma2,0),(0,1),(0,gamma2)
-    basis2 = [(ctx2.one, 0), (gam2, 0), (0, ctx2.one), (0, gam2)]
-    def tr_down(w):
-        t = ctx2.add(w, gfield.frobenius(ctx2, w, e))
-        u, v = coord[t]
-        if v:
-            raise InternalCheckError("trace is not in the subfield")
-        return u
-    gram = [[tr_down(ctx2.add(ctx2.mul(x1, y2), ctx2.mul(x2, y1)))
-             for (y1, y2) in basis2] for (x1, x2) in basis2]
+    def image(rows2):   # a 2x2 matrix over GF(q^2) as a 4x4 one over GF(q)
+        return [sum((block(z)[i] for z in row), []) for row in rows2 for i in (0, 1)]
 
-    # rebase by T, T^t gram T = J: the form becomes J, and T^-1 = J T^t gram
+    def diag(a, b):
+        return [r + [0, 0] for r in a] + [[0, 0] + r for r in b]
+
     ops = mat_ops(ctx, 4, "symplectic")
-    t_cols = _symplectic_basis(ctx, gram)
-    t = ops.from_rows(t_cols)
-    t_inv = ops.mul1(ops.mul1(ops._jkey, ops.from_rows(np.array(t_cols).T)),
-                     ops.from_rows(gram))
-    gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [galois]
-    gens = [ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t) for r in gen_rows]
-    return _generated(f"ext-sp2q2-embedded:{q}", ops, gens,
-                      2 * q**2 * (q**4 - 1), max_order)
+    frob = [[one, t], [0, one]]
+    t_key = ops.from_rows(diag(frob, [[ti, 0], [0, ti]]))
+    t_inv = ops.from_rows(diag(frob, [[t, 0], [0, t]]))
+    gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [diag(frob, frob)]
+    gens = [ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t_key) for r in gen_rows]
+    if np.any(ops.mul(ops.inv(gens), gens) != ops.identity):
+        raise InternalCheckError(f"{label}: a generator is not symplectic")
+    return _generated(label, ops, gens, 2 * q**2 * (q**4 - 1), max_order)
 
 
 def _build_parabolic(q, max_order, kind):

@@ -1,13 +1,17 @@
 """The command-line front end: parsing, verbs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgplab
 from sgplab import gfield, groups
-from sgplab.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
+from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
                         parse_spec, run)
 from sgplab.errors import GroupSpecError
 
@@ -175,10 +179,13 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",
-                                  "so4-:2", "parabolic-p:2"])
+                                  "so4-:2", "parabolic-p:2",
+                                  "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4"])
 def test_chartab_json_matches_golden(spec, capsys):
     """Byte-identical to the output pinned before the byte-table kernel (the
-    first three) and before ExtOps moved onto it (the last three)."""
+    first three), before ExtOps moved onto it (the next three) and before
+    ext-sp2q2-embedded was built from gamma's minimal polynomial (the last
+    two)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()
@@ -207,3 +214,40 @@ def test_group_spec_is_parsed_once(monkeypatch):
     monkeypatch.setattr(sgplab.groups, "parse_group_spec", counting)
     assert main(["sgp", "sl2:4", "sl2:4"]) == EXIT_OK
     assert calls == ["sl2:4", "sl2:4"]     # once for the group, once for H
+
+
+@pytest.mark.parametrize("spec", ["sl2:4", "sl2:16"])
+def test_reader_closing_stdout_early_is_exit_1_without_traceback(spec):
+    """The reader's end of the pipe is closed before the command writes; the
+    small table fails at the final flush, the one over 8 KB inside print."""
+    src = str(Path(sgplab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "sgplab.cli", "--format", "json", "chartab", spec],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (res.returncode, res.stderr) == (EXIT_FAIL, b"")
+
+
+@pytest.mark.parametrize("power", [1, 3, 8])
+def test_ext_embedded_with_a_wrong_trace_is_internal_error(power, monkeypatch, capsys):
+    """In GF(16), t = g + g^power in place of g + g^4 is 0, outside GF(4),
+    or g^10, for which x^2 + t x + n has a root in GF(4) and the closure has
+    7200 elements, not 8160: exit 4, naming the group."""
+    monkeypatch.setattr(gfield, "frobenius", lambda ctx, a, f: ctx.pow(a, power))
+    # a --max-order of its own, so no cached ext-sp2q2-embedded:4 is reused
+    assert main(["--max-order", "8161", "chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
+    assert "ext-sp2q2-embedded:4" in capsys.readouterr().err
+
+
+def test_ext_embedded_non_symplectic_generator_is_internal_error(monkeypatch, capsys):
+    """gamma * 1 has determinant gamma^2 != 1, so it scales the form."""
+    monkeypatch.setattr(groups, "_sl2_gens", lambda ctx: [[[ctx.gamma, 0], [0, ctx.gamma]]])
+    assert main(["--max-order", "8162", "chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "ext-sp2q2-embedded:4" in err and "not symplectic" in err

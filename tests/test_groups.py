@@ -194,6 +194,85 @@ def test_ext_abstract_vs_embedded():
         assert sorted(conjugacy_classes(a).sizes) == sorted(conjugacy_classes(b).sizes)
 
 
+def _symplectic_basis(ctx, gram):
+    """Columns of a basis T with T^t * gram * T = J, by symplectic
+    Gram-Schmidt over the standard basis."""
+    d = len(gram)
+
+    def form(u, v):
+        s = 0
+        for i in range(d):
+            for j in range(d):
+                s = ctx.add(s, ctx.mul(u[i], ctx.mul(gram[i][j], v[j])))
+        return s
+
+    vecs = [[ctx.one if i == j else 0 for j in range(d)] for i in range(d)]
+    pairs = []
+    while vecs:
+        u = vecs.pop(0)
+        idx = next(i for i, v in enumerate(vecs) if form(u, v))
+        s = ctx.inv(form(u, vecs[idx]))
+        w = [ctx.mul(s, x) for x in vecs.pop(idx)]
+        vecs = [[ctx.add(v[i], ctx.add(ctx.mul(form(v, w), u[i]),
+                                       ctx.mul(form(v, u), w[i])))
+                 for i in range(d)] for v in vecs]
+        pairs.append((u, w))
+    basis = [pairs[0][0], pairs[1][0], pairs[1][1], pairs[0][1]]
+    return [[basis[j][i] for j in range(d)] for i in range(d)]
+
+
+def _ext_embedded_gens_by_table(q):
+    """The generators of ext-sp2q2-embedded:q built the long way: a table of
+    the coordinates of all q^2 elements of GF(q^2) in the basis (1, gamma2),
+    the Gram matrix of Tr(x1 y2 + x2 y1) from that table, and a symplectic
+    Gram-Schmidt for the change of basis T, with T^-1 = J T^t Gram."""
+    e = q.bit_length() - 1
+    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
+    emb = [gfield.subfield_embed(ctx, ctx2, a) for a in range(q)]
+    g = ctx2.gamma
+    coord = {ctx2.add(emb[u], ctx2.mul(emb[v], g)): (u, v)
+             for u in range(q) for v in range(q)}
+
+    def block(z):
+        (a, b), (c, d) = coord[z], coord[ctx2.mul(z, g)]
+        return [[a, c], [b, d]]
+
+    def image(rows2):
+        return [block(row[0])[i] + block(row[1])[i] for row in rows2 for i in (0, 1)]
+
+    frob = [list(r) for r in zip(*(coord[gfield.frobenius(ctx2, z, e)]
+                                   for z in (ctx2.one, g)))]
+    galois = [r + [0, 0] for r in frob] + [[0, 0] + r for r in frob]
+    basis2 = [(ctx2.one, 0), (g, 0), (0, ctx2.one), (0, g)]
+
+    def tr_down(w):
+        u, v = coord[ctx2.add(w, gfield.frobenius(ctx2, w, e))]
+        assert v == 0
+        return u
+
+    gram = [[tr_down(ctx2.add(ctx2.mul(x1, y2), ctx2.mul(x2, y1)))
+             for y1, y2 in basis2] for x1, x2 in basis2]
+    ops = groups.mat_ops(ctx, 4, "symplectic")
+    t_cols = _symplectic_basis(ctx, gram)
+    t = ops.from_rows(t_cols)
+    t_inv = ops.mul1(ops.mul1(ops._jkey, ops.from_rows(np.array(t_cols).T)),
+                     ops.from_rows(gram))
+    rows = [image(r) for r in groups._sl2_gens(ctx2)] + [galois]
+    return [int(ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t)) for r in rows]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_ext_embedded_gens_match_the_coordinate_table_oracle(q, monkeypatch):
+    """The closed forms in t and n give the generators that the coordinate
+    table and Gram-Schmidt give; `_generated` is stubbed, so q = 16 is
+    not enumerated."""
+    seen = []
+    monkeypatch.setattr(groups, "_generated",
+                        lambda label, ops, gens, *rest: seen.append(gens))
+    groups._build_ext_embedded(q, groups.MAX_ORDER_DEFAULT)
+    assert [int(k) for k in seen[0]] == _ext_embedded_gens_by_table(q)
+
+
 def test_orthogonal_stabilizer_order_coincidences():
     for q in (2, 4):
         assert build_group(f"so4+:{q}").order == build_group(f"wreath-sp2:{q}").order
