@@ -2,15 +2,15 @@
 
 Tables are computed by the class-matrix (Burnside) method: eigenvectors of
 class-multiplication matrices over a prime field GF(p) with p = 1 mod the
-group exponent and p > 2*sqrt(|G|), lifted back to cyclotomic integers by
-matching eigenvalue multiplicities through the power map.  A degree d is
-the least root of x^2 - d^2 mod p (`_poly_roots`).  The lift is one matrix
-product per class, the character values mod p along its power map times
-the inverse of the root-power matrix [w^(k t)] (`_root_powers`), and it
-checks nothing itself: the multiplicities go straight to the column
-orthogonality check, which evaluates them with the same `_root_powers`
-mod its own prime, and only a table that passes it becomes `Cyclo`
-values.  A returned table is exact, not heuristically trusted.
+group exponent, p > 2*sqrt(|G|) and p > r, lifted back to cyclotomic
+integers by matching eigenvalue multiplicities through the power map.  A
+degree d is the least root of x^2 - d^2 mod p (`_poly_roots`).  The lift
+is one matrix product per class, the character values mod p along its
+power map times the inverse of the root-power matrix [w^(k t)]
+(`_root_powers`), and it checks nothing itself: the multiplicities go
+straight to the column orthogonality check, which evaluates them with the
+same `_root_powers` mod its own prime, and only a table that passes it
+becomes `Cyclo` values.  A returned table is exact, not trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
@@ -27,13 +27,14 @@ an int64 basis B that is the identity at its d pivot rows P, the first
 rows at which the space has full rank (one Gauss-Jordan, `_rref`, gives
 both).  As M*B = B*S, a class matrix M acts on the space by S = (M*B)_P,
 the d rows of M at P times B, and each eigenspace of S is B*N for N a
-null-space basis of S - lambda, which `_rref` reduces again.  Row k of a
-class matrix is its column k* rescaled by the symmetry of the structure
-constants, so a class matrix costs one column of products per row in P
-(rows are cached per class matrix, every column is checked to sum to the
-class size, and a rescaled entry that is not an integer raises
-`InternalCheckError`).  Element orders and power maps come from one array
-product per power for all class representatives.
+null-space basis of S - lambda, for each root lambda of the
+Faddeev-LeVerrier characteristic polynomial of S (`_charpoly`, exact as
+d <= r < p).  Row k of a class matrix is its column k* rescaled by the
+symmetry of the structure constants, so a class matrix costs one column
+of products per row in P (rows are cached per class matrix, every column
+is checked to sum to the class size, and a rescaled entry that is not an
+integer raises `InternalCheckError`).  Element orders and power maps come
+from one array product per power for all class representatives.
 
 Tables and characters are immutable; sharing across threads is fine.
 """
@@ -48,14 +49,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .exactnum import Cyclo, sum_of_products
+from .exactnum import Cyclo
 from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
                      is_subgroup)
 
 __all__ = [
     "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
-    "restrict", "total_character", "split_fuse", "trivial_character",
-    "regular_character", "tables_equal_upto_permutation",
+    "restrict", "restriction_matrix", "total_character", "split_fuse",
+    "trivial_character", "regular_character", "tables_equal_upto_permutation",
     "table_to_json", "table_to_csv",
 ]
 
@@ -75,6 +76,13 @@ def _dixon_prime(exponent: int, bound: int) -> int:
     while not _is_prime(p):
         p += exponent
     return p
+
+
+def _dixon_root(exponent: int, bound: int) -> tuple:
+    """(p, z): the least prime p = 1 mod exponent above bound, and an element
+    z of multiplicative order exponent mod p."""
+    p = _dixon_prime(exponent, bound)
+    return p, pow(_primitive_root(p), (p - 1) // exponent, p)
 
 
 def _factor(n: int) -> list:
@@ -134,44 +142,19 @@ def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
     return N
 
 
-def _charpoly(M: list, p: int) -> list:
-    """Characteristic polynomial mod p, ascending coefficients (monic)."""
-    n = len(M)
-    H = [row[:] for row in M]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if H[i][j] % p), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            H[j + 1], H[piv] = H[piv], H[j + 1]
-            for i in range(n):
-                H[i][j + 1], H[i][piv] = H[i][piv], H[i][j + 1]
-        inv = pow(H[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            if H[i][j]:
-                f = H[i][j] * inv % p
-                H[i] = [(x - f * y) % p for x, y in zip(H[i], H[j + 1])]
-                for k in range(n):
-                    H[k][j + 1] = (H[k][j + 1] + f * H[k][i]) % p
-    # charpolys of leading principal minors of the Hessenberg form
-    polys = [[1]]
-    for k in range(1, n + 1):
-        # (x - H[k-1][k-1]) * polys[k-1]
-        prev = polys[k - 1]
-        cur = [0] + prev[:]
-        hkk = H[k - 1][k - 1]
-        cur = [(cur[i] - hkk * (prev[i] if i < len(prev) else 0)) % p
-               for i in range(len(cur))]
-        prod = 1
-        for i in range(k - 1, 0, -1):
-            prod = prod * H[i][i - 1] % p
-            coef = H[i - 1][k - 1] * prod % p
-            if coef:
-                base = polys[i - 1]
-                for t in range(len(base)):
-                    cur[t] = (cur[t] - coef * base[t]) % p
-        polys.append(cur)
-    return polys[n]
+def _charpoly(S: np.ndarray, p: int) -> list:
+    """Characteristic polynomial mod p of an int64 matrix S of size d < p,
+    ascending coefficients (monic), by Faddeev-LeVerrier: N_1 = I,
+    c_(d-k) = -tr(S N_k) / k and N_(k+1) = S N_k + c_(d-k) I."""
+    d = len(S)
+    c = [0] * d + [1]
+    eye = np.eye(d, dtype=np.int64)
+    N = eye
+    for k in range(1, d + 1):
+        SN = S @ N % p
+        c[d - k] = -int(np.trace(SN)) * pow(k, p - 2, p) % p
+        N = (SN + c[d - k] * eye) % p
+    return c
 
 
 def _poly_roots(poly: list, p: int) -> list:
@@ -196,14 +179,13 @@ def _root_powers(z: int, exponent: int, n: int, p: int) -> np.ndarray:
     return powers[np.outer(k, k) % n]
 
 
-def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int) -> list:
+def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int, z: int) -> list:
     """Eigenvalue multiplicities from the r x r character values mod p, by
     the inverse DFT along each class's power map: entry [a, k] of matrix j
     is the multiplicity of zeta_n^k in rep_j under irreducible a, n =
     order(rep_j), as a residue mod p (int64 while n * p^2 < 2^63).  Nothing
     is checked here: `_verify_column_orthogonality` refuses any residue
-    matrix that is not a character table."""
-    z = pow(_primitive_root(p), (p - 1) // exponent, p)
+    matrix that is not a character table (z: of order exponent mod p)."""
     mults = []
     for pc in pow_classes:
         n = len(pc)
@@ -315,16 +297,16 @@ def _power_classes(G: FinGroup, cd: ClassData) -> list:
     return [[int(at[t][j]) for t in range(n)] for j, n in enumerate(orders)]
 
 
-def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable:
+def dixon_schneider(G: FinGroup) -> CharTable:
     """The exact irreducible character table of an enumerated group."""
     if G._chartable is not None:
         return G._chartable
     cd = conjugacy_classes(G)
     r = len(cd)
-    if r > max_classes:
-        raise ResourceBoundError(f"{r} classes exceeds the bound {max_classes}")
+    if r > MAX_CLASSES:
+        raise ResourceBoundError(f"{r} classes exceeds the bound {MAX_CLASSES}")
     exponent = math.lcm(*cd.orders)
-    p = _dixon_prime(exponent, 2 * math.isqrt(G.order) + 1)
+    p, z = _dixon_root(exponent, max(2 * math.isqrt(G.order) + 1, r))  # p > d
     if max(r, *cd.orders) * p * p >= 1 << 63:
         raise InternalCheckError(f"Dixon prime {p} overflows the int64 lift and split")
     members = _class_elements(cd)
@@ -350,7 +332,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
                     rows[k] = _class_row(cd, col, k)
                     n_columns += 1
             S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p
-            for lam in _poly_roots(_charpoly(S.tolist(), p), p):
+            for lam in _poly_roots(_charpoly(S, p), p):
                 N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
                 A, pivots = _rref((B @ N % p).T, p)
                 new_spaces.append((A.T, pivots))
@@ -379,7 +361,7 @@ def dixon_schneider(G: FinGroup, *, max_classes: int = MAX_CLASSES) -> CharTable
     # lift to cyclotomics through the power map, verified before it is used:
     # chi_a(rep_j) = sum_k mults[j][a, k] zeta_n^k, n = order(rep_j)
     mults = _lift(np.array(chars_mod, dtype=np.int64), _power_classes(G, cd),
-                  exponent, p)
+                  exponent, p, z)
     p_v = _verify_column_orthogonality(G.order, cd, mults)
     columns = [[Cyclo(M.shape[1], {k: int(c) for k, c in enumerate(row) if c})
                 for row in M] for M in mults]
@@ -426,14 +408,13 @@ def _verify_column_orthogonality(order: int, cd: ClassData, mults: list) -> int:
     """
     r = len(cd)
     exponent = math.lcm(*cd.orders)
-    p = _dixon_prime(exponent, 2 * order)
+    p, z = _dixon_root(exponent, 2 * order)
     if r * p * p >= 1 << 62:
         raise InternalCheckError(f"verification prime {p} overflows int64 sums")
     degrees = mults[cd.identity_class][:, 0]
     if (any((M < 0).any() or not np.array_equal(M.sum(axis=1), degrees)
             for M in mults) or int(degrees @ degrees) != order):
         raise InternalCheckError("eigenvalue multiplicities are not a character table")
-    z = pow(_primitive_root(p), (p - 1) // exponent, p)
     # evals[j][i, t]: chi_i(g_j) under zeta_n -> w^t
     evals = [M @ _root_powers(z, exponent, M.shape[1], p) % p for M in mults]
     embeddings = {}
@@ -459,7 +440,8 @@ def inner_product(a: Character, b: Character) -> Fraction:
     if a.group is not b.group:
         raise SubgroupError("inner product needs characters of the same group")
     cd = conjugacy_classes(a.group)
-    val = sum_of_products(cd.sizes, a.values, b.values).as_rational()
+    val = sum((size * x * y.conjugate() for size, x, y
+               in zip(cd.sizes, a.values, b.values)), Cyclo.zero()).as_rational()
     if val is None:
         raise InternalCheckError("inner product of class functions is irrational")
     return val / a.group.order
@@ -480,6 +462,44 @@ def restrict(chi: Character, H: FinGroup) -> Character:
     fusion = _fusion_map(H, G)
     return Character(H, tuple(chi.values[c] for c in fusion),
                      chi.name and f"{chi.name}|{H.label}")
+
+
+def restriction_matrix(TG: CharTable, TH: CharTable) -> np.ndarray:
+    """M[i, j] = <chi_i|_H, psi_j> over the irreducibles of G and H in table
+    order, as the int64 matrix X_G[:, fusion] diag(|h^H|) conj(X_H)^T / |H|
+    mod G's Dixon prime p = 1 mod e = exp(G), every table value read at the
+    one embedding zeta_n -> z^(e/n), z of order e (`Cyclo.residue`; the
+    conjugate is the value at the inverse class).  This is exact:
+    - both tables are verified character tables and the fusion map is an
+      exact lookup, so M_ij is an integer in [0, chi_i(1)];
+    - chi_i(1) <= sqrt(|G|) < p, so the residue determines M_ij;
+    - every prime dividing |G| divides e < p, so p does not divide |G| and
+      |H| is invertible mod p.
+    An entry above chi_i(1) or a failed reciprocity identity,
+    sum_j M_ij psi_j(1) = chi_i(1) or sum_i M_ij chi_i(1) = [G:H] psi_j(1),
+    raises InternalCheckError.
+    """
+    G, H = TG.group, TH.group
+    cdg, cdh = TG.classes, TH.classes
+    fusion = _fusion_map(H, G)
+    exponent = math.lcm(*cdg.orders)
+    p, z = _dixon_root(exponent, max(2 * math.isqrt(G.order) + 1, len(cdg)))
+    w = {v.order: pow(z, exponent // v.order, p)
+         for T in (TG, TH) for ch in T.irreducibles for v in ch.values}
+    if any(exponent % n for n in w) or len(cdh) * p * p >= 1 << 63:
+        raise InternalCheckError(
+            f"({G.label}, {H.label}): table values do not fit the prime {p}")
+    XG, XH = (np.array([[v.residue(p, w[v.order]) for v in ch.values]
+                        for ch in T.irreducibles], dtype=np.int64)
+              for T in (TG, TH))
+    weighted = XG[:, fusion] * (np.array(cdh.sizes, dtype=np.int64) % p) % p
+    M = weighted @ XH[:, cdh.inverse_class].T % p * pow(H.order, p - 2, p) % p
+    d_g, d_h = XG[:, cdg.identity_class], XH[:, cdh.identity_class]
+    if ((M > d_g[:, None]).any() or not np.array_equal(M @ d_h, d_g)
+            or (d_g @ M).tolist() != [G.order // H.order * int(d) for d in d_h]):
+        raise InternalCheckError(f"({G.label}, {H.label}): multiplicities "
+                                 f"fail the degree or reciprocity checks")
+    return M
 
 
 def induce(psi: Character, G: FinGroup) -> Character:

@@ -21,12 +21,11 @@ import sys
 
 from . import families as fam
 from . import gelfand, verify
-from .chartab import (dixon_schneider, table_to_csv, table_to_json,
-                      total_character)
+from .chartab import dixon_schneider, table_to_csv, table_to_json
 from .errors import GroupSpecError, InternalCheckError, ResourceBoundError
 from .gfield import PRIMITIVE_POLYS
-from .groups import (MAX_ORDER_DEFAULT, build_group, is_subgroup,
-                     parse_group_spec)
+from .groups import (MAX_ORDER_DEFAULT, _even_prime_power, build_group,
+                     is_subgroup, parse_group_spec)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,8 +86,10 @@ def parse_spec(text: str) -> argparse.Namespace:
 
 
 def _parse_group_specs(ns: argparse.Namespace) -> argparse.Namespace:
-    """Validate the command's group specs before any work starts, once: their
-    parsed forms go to `ns.specs`, which `run` builds from."""
+    """Validate the command's group specs and q before any work starts,
+    once: the parsed specs go to `ns.specs`, which `run` builds from."""
+    if ns.verb in ("families", "scan-maximal"):
+        _even_prime_power(ns.q, str(ns.q), 0)
     ns.specs = {attr: parse_group_spec(getattr(ns, attr))
                 for attr in ("group", "subgroup")
                 if getattr(ns, attr, None) is not None}
@@ -117,7 +118,7 @@ def _emit_table(T, ns, out):
         out("class orders: " + " ".join(str(o) for o in cd.orders))
         out("degrees:      " + " ".join(str(d) for d in
                                         (int(ch.degree) for ch in T.irreducibles)))
-        out(f"total degree: {total_character(T).degree}")
+        out(f"total degree: {T.total_degree()}")
 
 
 def run(ns: argparse.Namespace, out=print) -> int:

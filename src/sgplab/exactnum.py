@@ -20,13 +20,12 @@ renderer and for test oracles only.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError
 
-__all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly", "sum_of_products"]
+__all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly"]
 
 # Exact rationals: always in lowest terms, denominator > 0.
 Rat = Fraction
@@ -294,6 +293,13 @@ class Cyclo:
                 tuple((e, c.numerator, c.denominator)
                       for e, c in sorted(self.coeffs.items())))
 
+    def residue(self, p: int, w: int) -> int:
+        """The image in GF(p) under zeta_order -> w, for a prime p that does
+        not divide the denominator and w of multiplicative order `order`
+        mod p (a root of Phi_order, so the unreduced form may be read)."""
+        s = sum(c * pow(w, e, p) for e, c in self._num.items())
+        return s * pow(self._den, -1, p) % p
+
     # -- interchange ---------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -335,25 +341,3 @@ def root_of_unity(order: int, exponent: int = 1) -> Cyclo:
         raise ValueError("order must be positive")
     return Cyclo(order, {exponent: 1})
 
-
-def sum_of_products(weights, xs, ys) -> Cyclo:
-    """sum(w * x * conj(y)) over zip(weights, xs, ys), for int weights.
-
-    Accumulates in one int vector indexed by exponent in Z[x]/(x^N - 1),
-    N the lcm of all orders, with no intermediate Cyclo values.
-    """
-    terms = [(operator.index(w), x, y) for w, x, y in zip(weights, xs, ys)
-             if w and x._num and y._num]
-    n = math.lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
-    den = math.lcm(1, *(x._den * y._den for _, x, y in terms))
-    acc = [0] * n
-    for w, x, y in terms:
-        f = w * (den // (x._den * y._den))
-        kx, ky = n // x.order, n // y.order
-        yterms = [(-e * ky, c) for e, c in y._num.items()]
-        for e1, c1 in x._num.items():
-            e1 *= kx
-            c1 *= f
-            for e2, c2 in yterms:
-                acc[(e1 + e2) % n] += c1 * c2
-    return _make(n, {e: c for e, c in enumerate(acc) if c}, den)

@@ -1,9 +1,10 @@
 """Strong Gelfand pair decisions: multiplicity checks, the total-character
 shortcut, the maximal-subgroup scans, and the Schur-ring cross-check.
 
-The primary check restricts each irreducible of G to H and takes inner
-products against the irreducibles of H (the cheap side of Frobenius
-reciprocity); the induction side is available for cross-checks.
+The full check reads every multiplicity <chi|_H, psi> at once, from the
+verified restriction-multiplicity matrix of the pair
+(`chartab.restriction_matrix`), and confirms a not_sgp witness with one
+exact inner product from the other side of Frobenius reciprocity.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chartab import (CharTable, Character, dixon_schneider, induce,
-                      inner_product, restrict, total_character,
+                      inner_product, restrict, restriction_matrix,
                       trivial_character)
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .groups import (MAX_ORDER_DEFAULT, FinGroup, build_group, h_classes,
@@ -81,43 +82,37 @@ def is_multiplicity_free(chi: Character, T: CharTable):
 
 def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
                            side: str = "restrict") -> SgpVerdict:
-    """Full check: every G-irreducible must restrict multiplicity-free to H
-    (equivalently, every H-irreducible induces multiplicity-free).
+    """Full check: no entry of M[i, j] = <chi_i|_H, psi_j>
+    (`restriction_matrix`) may exceed 1.
 
-    A multiplicity that is not a non-negative integer means a corrupt table
-    and raises InternalCheckError (from `is_multiplicity_free`) instead of
-    giving a verdict, as does a not_sgp witness whose multiplicity the other
-    side of Frobenius reciprocity does not confirm.
+    The witness is the first row of M in table order with an entry above 1,
+    then the first such column (side "restrict"), or the first such column,
+    then the first such row (side "induce").  Its multiplicity is confirmed
+    by one `Cyclo` inner product from the other side of Frobenius
+    reciprocity; a mismatch raises InternalCheckError, as does a matrix
+    that `restriction_matrix` cannot verify.
     """
     if not is_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
-    TG = dixon_schneider(G)
-    TH = dixon_schneider(H)
-    if side == "restrict":
-        chars, other = (restrict(chi, H) for chi in TG.irreducibles), TH
-    elif side == "induce":
-        chars, other = (induce(psi, G) for psi in TH.irreducibles), TG
-    else:
+    if side not in ("restrict", "induce"):
         raise ValueError(f"unknown side {side!r}")
-    for i, ch in enumerate(chars):
-        try:
-            ok, found = is_multiplicity_free(ch, other)
-        except InternalCheckError as exc:
-            raise InternalCheckError(f"({G.label}, {H.label}): {exc}") from exc
-        if not ok:
-            j, m = found
-            gi, hi = (i, j) if side == "restrict" else (j, i)
-            chi, psi = TG.irreducibles[gi], TH.irreducibles[hi]
-            # Frobenius reciprocity: the other side must give the same m
-            other_m = (inner_product(induce(psi, G), chi) if side == "restrict"
-                       else inner_product(restrict(chi, H), psi))
-            if other_m != m:
-                raise InternalCheckError(
-                    f"({G.label}, {H.label}): multiplicity {m} by {side}, "
-                    f"{other_m} from the other side")
-            w = Witness(gi, hi, m, int(chi.degree), int(psi.degree))
-            return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
-    return SgpVerdict(G.label, H.label, "sgp", "full_check")
+    TG, TH = dixon_schneider(G), dixon_schneider(H)
+    M = restriction_matrix(TG, TH)
+    found = np.argwhere(M > 1) if side == "restrict" else np.argwhere(M.T > 1)[:, ::-1]
+    if not len(found):
+        return SgpVerdict(G.label, H.label, "sgp", "full_check")
+    gi, hi = (int(k) for k in found[0])
+    m = int(M[gi, hi])
+    chi, psi = TG.irreducibles[gi], TH.irreducibles[hi]
+    # Frobenius reciprocity: the other side must give the same m
+    other_m = (inner_product(induce(psi, G), chi) if side == "restrict"
+               else inner_product(restrict(chi, H), psi))
+    if other_m != m:
+        raise InternalCheckError(
+            f"({G.label}, {H.label}): multiplicity {m} by {side}, "
+            f"{other_m} from the other side")
+    w = Witness(gi, hi, m, int(chi.degree), int(psi.degree))
+    return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
 
 
 def is_gelfand_pair(G: FinGroup, H: FinGroup) -> bool:
@@ -148,7 +143,7 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
 
     Tries the total-character shortcut against the exact maximal degree of
     the computed sp4:q table; subgroups it cannot settle get the full
-    restrict-and-inner-product check.
+    check (`is_strong_gelfand_pair`).
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
@@ -157,7 +152,7 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     max_deg = dixon_schneider(G).max_degree()
     out = []
     for H, label in rows:
-        tau_h = total_character(dixon_schneider(H)).degree
+        tau_h = dixon_schneider(H).total_degree()
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":
             out.append(SgpVerdict(G.label, label, "not_sgp", "total_char_shortcut"))
         else:

@@ -16,8 +16,7 @@ from functools import cache
 
 from . import families, gelfand
 from .chartab import (dixon_schneider, induce, inner_product, restrict,
-                      split_fuse, tables_equal_upto_permutation,
-                      total_character)
+                      split_fuse, tables_equal_upto_permutation)
 from .groups import (build_group, cyclic_subgroup, element_order,
                      squares_subgroup, subgroup)
 
@@ -45,7 +44,7 @@ def _c1_sl2_tables(qs=(4, 8, 16)):
 def _c2_wreath():
     spec = families.wreath_degree_spec()
     T = dixon_schneider(build_group("wreath-sp2:4"))
-    total = total_character(T).degree
+    total = T.total_degree()
     if total != 316:
         return False, f"total degree {total} != 316"
     if spec.degrees_at(4) != T.degrees:
@@ -78,7 +77,7 @@ def _c3_ext():
                   if families.ext_split_rule(q, s) == "split")
     if rule != split_s:
         return False, f"closed-form split rule {rule} disagrees with tables"
-    total = total_character(dixon_schneider(G)).degree
+    total = dixon_schneider(G).total_degree()
     if total != 324 or families.ext_total_degree(q) != 324:
         return False, f"total degree {total} != 324"
     split_deg = sum(int(ch.degree) for ch in TH.irreducibles
@@ -129,7 +128,7 @@ def _c5_suzuki():
     want = [1, 14, 14, 35, 35, 35, 64, 65, 65, 65, 91]
     if T.degrees != want:
         return False, f"degree multiset {T.degrees} != {want}"
-    total = total_character(T).degree
+    total = T.total_degree()
     if total != 484 or families.suzuki_total_degree(8) != 484:
         return False, f"total degree {total} != 484"
     spec = families.suzuki_degree_spec(8)
@@ -171,7 +170,7 @@ def _c7_sp4_scan():
     if any(v.method != "total_char_shortcut" for v in shortcut):
         return False, "shortcut was expected to settle the five non-parabolic rows"
     T = dixon_schneider(build_group("sp4:4"))
-    total = total_character(T).degree
+    total = T.total_degree()
     ftotal, fmax = families.sp4_degree_facts(4)
     if total != 4336 or ftotal != 4336:
         return False, f"total degree {total} != 4336"
@@ -195,7 +194,7 @@ def _c8_subfield():
             if total0 != lhs or not lhs < rhs:
                 return False, f"q0={q0}, r={r}: {lhs} !< {rhs}"
     s6 = build_group("sp4:2")
-    tau = total_character(dixon_schneider(s6)).degree
+    tau = dixon_schneider(s6).total_degree()
     if tau != 76 or not tau < 425:
         return False, f"tau_S6(1) = {tau}, expected 76 < 425"
     return True, "q0^6+q0^4-q0^2 < q^4+2q^3+2q^2+2q+1 at all four (q0, r); 76 < 425"

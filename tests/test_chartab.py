@@ -15,7 +15,7 @@ from sgplab.chartab import (Character, dixon_schneider, induce, inner_product,
                             tables_equal_upto_permutation, total_character,
                             trivial_character)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
-from sgplab.exactnum import Cyclo, sum_of_products
+from sgplab.exactnum import Cyclo
 from sgplab.groups import (build_group, conjugacy_classes, squares_subgroup,
                            subgroup)
 
@@ -148,11 +148,24 @@ def test_split_fuse_needs_index_two():
         split_fuse(trivial_character(build_group("so4+:2")), s6)
 
 
-def test_class_bound():
+def test_class_bound(monkeypatch):
     g = build_group("sl2:16")
     fresh = subgroup(g, g.keys, "sl2:16-copy")  # no cached table on this object
+    monkeypatch.setattr(ct, "MAX_CLASSES", 5)
     with pytest.raises(ResourceBoundError):
-        dixon_schneider(fresh, max_classes=5)
+        dixon_schneider(fresh)
+
+
+def test_more_classes_than_the_degree_bound_raise_the_dixon_prime():
+    """C4 x C4 has r = 16 classes but 2 sqrt(16) + 1 = 9: the Dixon prime
+    must exceed r (17, not 13) for the Faddeev-LeVerrier charpoly, which
+    divides by every dimension up to 16."""
+    from sgplab.groups import perm_group
+    G = perm_group([(1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)], "c4xc4")
+    T = dixon_schneider(G)
+    assert G.order == 16 and len(T.classes) == 16
+    assert T.stats["dixon_prime"] == 17
+    assert T.degrees == [1] * 16
 
 
 def test_table_comparator_negative():
@@ -346,6 +359,27 @@ def test_power_classes_match_loop(spec):
 GOLDEN = ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2", "so4-:2", "parabolic-p:2"]
 
 
+def sum_of_products(weights, xs, ys) -> Cyclo:
+    """sum(w * x * conj(y)) over zip(weights, xs, ys), for int weights, in
+    one int vector indexed by exponent in Z[x]/(x^N - 1), N the lcm of all
+    orders, with no intermediate Cyclo values."""
+    terms = [(w, x, y) for w, x, y in zip(weights, xs, ys)
+             if w and x._num and y._num]
+    n = math.lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
+    den = math.lcm(1, *(x._den * y._den for _, x, y in terms))
+    acc = [0] * n
+    for w, x, y in terms:
+        f = w * (den // (x._den * y._den))
+        kx, ky = n // x.order, n // y.order
+        yterms = [(-e * ky, c) for e, c in y._num.items()]
+        for e1, c1 in x._num.items():
+            e1 *= kx
+            c1 *= f
+            for e2, c2 in yterms:
+                acc[(e1 + e2) % n] += c1 * c2
+    return Cyclo(n, {e: Fraction(c, den) for e, c in enumerate(acc) if c})
+
+
 def _orthogonal_ref(order, cd, columns) -> bool:
     """The check the embedding check replaced: every pair of columns by
     `sum_of_products`, exactly in Q(zeta_N)."""
@@ -472,10 +506,11 @@ def test_verification_refuses_int64_overflow(monkeypatch):
 # -- the lift: one matrix product per class, against the per-value loop ---------
 
 
-def _lift_ref(chi, pow_classes, exponent, p):
+def _lift_ref(chi, pow_classes, exponent, p, z):
     """The loop `_lift` replaced: one inverse-DFT sum per (irreducible,
-    class, exponent), in Python ints."""
-    z = pow(ct._primitive_root(p), (p - 1) // exponent, p)
+    class, exponent), in Python ints, at the z of order exponent it finds
+    itself."""
+    assert z == pow(ct._primitive_root(p), (p - 1) // exponent, p)
     out = []
     for pc in pow_classes:
         n = len(pc)

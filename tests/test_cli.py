@@ -87,6 +87,22 @@ def test_scan_maximal_q8_resource():
     assert main(["scan-maximal", "8"]) == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("argv", ["families wreath 3", "families sp4 3",
+                                  "families sp4 0", "families ext 6",
+                                  "scan-maximal 3"])
+def test_q_that_is_not_a_power_of_2_is_a_usage_error(argv, monkeypatch, capsys):
+    """Refused with exit 2 before any work: no family is evaluated and no
+    group is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("wreath_degree_spec", "ext_degree_spec", "sp4_degree_facts"):
+        monkeypatch.setattr(sgplab.families, name, no_work)
+    monkeypatch.setattr(sgplab.gelfand, "scan_maximal_sp4", no_work)
+    assert main(argv.split()) == EXIT_USAGE
+    assert "is not a power of 2" in capsys.readouterr().err
+
+
 def test_max_order_refusal():
     assert main(["--max-order", "100", "chartab", "sl2:16"]) == EXIT_RESOURCE
 
@@ -197,6 +213,18 @@ def test_scan_maximal_json_matches_golden(q, capsys):
     maximal-subgroup list."""
     golden = Path(__file__).parent / "golden" / f"scan_maximal_{q}.json"
     assert main(["--format", "json", "scan-maximal", str(q)]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("side", ["restrict", "induce"])
+@pytest.mark.parametrize("sub", ["parabolic-p:4", "parabolic-q:4"])
+def test_sgp_json_matches_golden(side, sub, capsys):
+    """Byte-identical to the output pinned before the verdicts were read
+    from the restriction-multiplicity matrix."""
+    name = f"sgp_{side}_sp4_4_{sub.replace(':', '_')}.json"
+    golden = Path(__file__).parent / "golden" / name
+    assert main(["--format", "json", "sgp", "--side", side, "sp4:4", sub]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()
 
 

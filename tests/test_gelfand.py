@@ -7,14 +7,17 @@ import pytest
 
 import sgplab.gelfand as gelfand
 import sgplab.groups as groups
-from sgplab.chartab import (CharTable, Character, dixon_schneider,
-                            regular_character)
+import sgplab.chartab as ct
+from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
+                            inner_product, regular_character, restrict,
+                            restriction_matrix)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
-from sgplab.gelfand import (is_gelfand_pair, is_multiplicity_free,
-                            is_strong_gelfand_pair, scan_maximal_sp4,
-                            schur_commutes, total_char_shortcut)
+from sgplab.gelfand import (SgpVerdict, Witness, is_gelfand_pair,
+                            is_multiplicity_free, is_strong_gelfand_pair,
+                            scan_maximal_sp4, schur_commutes,
+                            total_char_shortcut)
 from sgplab.groups import (all_subgroups, build_group, cyclic_subgroup,
-                           element_order, perm_group,
+                           element_order, maximal_subgroups_sp4, perm_group,
                            squares_subgroup, subgroup)
 
 
@@ -205,8 +208,9 @@ def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
     T = dixon_schneider(s5)
     bad = [Character(s5, tuple(corrupt(v) for v in T.irreducibles[0].values))]
     s5._chartable = CharTable(s5, T.classes, bad + list(T.irreducibles[1:]))
-    with pytest.raises(InternalCheckError):
-        is_strong_gelfand_pair(s6, s5)
+    for side in ("restrict", "induce"):
+        with pytest.raises(InternalCheckError):
+            is_strong_gelfand_pair(s6, s5, side=side)
 
 
 def test_corrupt_table_in_gelfand_pair_is_internal_error():
@@ -265,3 +269,139 @@ def test_s6_scan_passes_max_order_to_every_builder(monkeypatch):
         "sp4:2", "parabolic-p:2", "parabolic-q:2", "wreath-sp2:2",
         "ext-sp2q2-embedded:2", "so4+:2", "so4-:2"}
     assert all(m == 5000 for _, m in seen), seen
+
+
+# -- the restriction-multiplicity matrix against the per-pair loop it replaced
+
+
+def _sgp_by_loop(G, H, side):
+    """The per-pair loop `restriction_matrix` replaced: restrict (or induce)
+    each irreducible in table order, `is_multiplicity_free` against the
+    other table, then the other-side confirmation of the first witness."""
+    TG, TH = dixon_schneider(G), dixon_schneider(H)
+    if side == "restrict":
+        chars, other = (restrict(chi, H) for chi in TG.irreducibles), TH
+    else:
+        chars, other = (induce(psi, G) for psi in TH.irreducibles), TG
+    for i, ch in enumerate(chars):
+        ok, found = is_multiplicity_free(ch, other)
+        if not ok:
+            j, m = found
+            gi, hi = (i, j) if side == "restrict" else (j, i)
+            chi, psi = TG.irreducibles[gi], TH.irreducibles[hi]
+            other_m = (inner_product(induce(psi, G), chi) if side == "restrict"
+                       else inner_product(restrict(chi, H), psi))
+            assert other_m == m
+            w = Witness(gi, hi, m, int(chi.degree), int(psi.degree))
+            return SgpVerdict(G.label, H.label, "not_sgp", "full_check", w)
+    return SgpVerdict(G.label, H.label, "sgp", "full_check")
+
+
+def _s4():
+    return perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4")
+
+
+def _subgroup_pairs(G):
+    return [(G, subgroup(G, ks, f"{G.label}h{n}"))
+            for n, ks in enumerate(all_subgroups(G))]
+
+
+def _small_pairs(name):
+    """The oracle's small cases: every subgroup of S4, D8, Q8 and A4 (whose
+    characters are not all real), and (S6, A5), (S6, C6)."""
+    if name == "s4":
+        return _subgroup_pairs(_s4())
+    if name == "a4":
+        return _subgroup_pairs(squares_subgroup(_s4(), "a4"))
+    if name == "d8":
+        s4 = _s4()
+        return _subgroup_pairs(next(subgroup(s4, ks, "d8")
+                                    for ks in all_subgroups(s4) if ks.size == 8))
+    if name == "q8":
+        return _subgroup_pairs(_quaternion_group())
+    s6 = build_group("s6")
+    k = next(k for k in s6.keys if element_order(s6.ops, k) == 6)
+    return [(s6, squares_subgroup(_s5(), "a5")), (s6, cyclic_subgroup(s6, k, "c6"))]
+
+
+def _scan_pairs(q):
+    G = build_group(f"sp4:{q}")
+    return [(G, H) for H, _ in maximal_subgroups_sp4(q)]
+
+
+@pytest.mark.parametrize("side", ["restrict", "induce"])
+@pytest.mark.parametrize("pairs", [
+    lambda: _small_pairs("s4"), lambda: _small_pairs("d8"),
+    lambda: _small_pairs("q8"), lambda: _small_pairs("a4"),
+    lambda: _small_pairs("s6"), lambda: _scan_pairs(2),
+    pytest.param(lambda: _scan_pairs(4), marks=pytest.mark.slow)],
+    ids=["s4", "d8", "q8", "a4", "s6", "scan-q2", "scan-q4"])
+def test_verdicts_match_the_per_pair_loop(pairs, side):
+    """Equal verdicts and witnesses, indices included, on both sides."""
+    for G, H in pairs():
+        assert is_strong_gelfand_pair(G, H, side=side) == _sgp_by_loop(G, H, side)
+
+
+@pytest.mark.parametrize("name", ["s4", "d8", "q8", "a4", "s6"])
+def test_restriction_matrix_is_the_inner_products(name):
+    for G, H in _small_pairs(name):
+        TG, TH = dixon_schneider(G), dixon_schneider(H)
+        M = restriction_matrix(TG, TH)
+        assert M.dtype == np.int64
+        assert M.tolist() == [[inner_product(restrict(chi, H), psi)
+                               for psi in TH.irreducibles]
+                              for chi in TG.irreducibles]
+
+
+@pytest.mark.parametrize("side", ["restrict", "induce"])
+def test_swapped_fusion_map_raises(monkeypatch, side):
+    """A fusion map with two entries swapped (the first two that differ) is
+    caught by the checks in `restriction_matrix`, not turned into a verdict:
+    on (S6, A5), (S6, C6) and the six sp4:2 rows after A6.  (A swap that an
+    automorphism of the pair explains, as the two classes of 5-cycles in A6
+    or the transpositions and 4-cycles in S4, gives a consistent matrix.)"""
+    real = ct._fusion_map
+    cases = []
+    for G, H in _small_pairs("s6") + _scan_pairs(2)[1:]:
+        fusion = real(H, G)
+        cases.append((G, H, next((a, b) for b in range(len(fusion))
+                                 for a in range(b) if fusion[a] != fusion[b])))
+
+    def swapped(h, g):
+        out = real(h, g)
+        out[a], out[b] = out[b], out[a]
+        return out
+
+    monkeypatch.setattr(ct, "_fusion_map", swapped)
+    for G, H, (a, b) in cases:
+        with pytest.raises(InternalCheckError, match="reciprocity"):
+            is_strong_gelfand_pair(G, H, side=side)
+
+
+def test_restriction_matrix_refuses_what_one_prime_cannot_read(monkeypatch):
+    """A table value of an order that does not divide exp(G) (the same
+    value, lifted to order 7 * 60) has no image at the embedding, and a
+    prime with r_H * p^2 >= 2^63 would overflow the int64 products: both
+    raise instead of giving a matrix."""
+    s6 = build_group("s6")
+    s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
+    TG, T = dixon_schneider(s6), dixon_schneider(s5)
+    lifted = Character(s5, tuple(v.lift(7 * 60) for v in T.irreducibles[0].values))
+    bad = CharTable(s5, T.classes, [lifted] + list(T.irreducibles[1:]))
+    with pytest.raises(InternalCheckError, match="do not fit the prime"):
+        restriction_matrix(TG, bad)
+    real = ct._dixon_prime
+    monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: real(e, 1 << 31))
+    with pytest.raises(InternalCheckError, match="do not fit the prime"):
+        restriction_matrix(TG, T)
+
+
+@pytest.mark.slow
+def test_scan_q4_makes_at_most_two_inner_products(monkeypatch):
+    calls = []
+    real = gelfand.inner_product
+    monkeypatch.setattr(gelfand, "inner_product",
+                        lambda a, b: calls.append(1) or real(a, b))
+    verdicts = scan_maximal_sp4(4)
+    assert [v.method for v in verdicts].count("full_check") == 2
+    assert len(calls) <= 2
