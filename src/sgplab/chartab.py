@@ -49,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .exactnum import Cyclo
+from .exactnum import Cyclo, _prime_factors
 from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
                      is_subgroup)
 
@@ -85,21 +85,8 @@ def _dixon_root(exponent: int, bound: int) -> tuple:
     return p, pow(_primitive_root(p), (p - 1) // exponent, p)
 
 
-def _factor(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive_root(p: int) -> int:
-    fs = _factor(p - 1)
+    fs = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in fs):
             return g

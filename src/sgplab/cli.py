@@ -139,8 +139,10 @@ def run(ns: argparse.Namespace, out=print) -> int:
         G = build_group(ns.specs["group"], max_order=ns.max_order)
         H = build_group(ns.specs["subgroup"], max_order=ns.max_order)
         if not is_subgroup(H, G):
-            out(f"{ns.subgroup} is not (set-wise) a subgroup of {ns.group}; "
-                f"try its embedded form")
+            name, args = ns.specs["subgroup"]
+            hint = f"; try ext-sp2q2-embedded:{args[0]}" if name == "ext-sp2q2" else ""
+            print(f"{ns.subgroup} is not (set-wise) a subgroup of {ns.group}{hint}",
+                  file=sys.stderr)
             return EXIT_USAGE
         v = gelfand.is_strong_gelfand_pair(G, H, side=ns.side)
         out(json.dumps(v.to_json(), sort_keys=True) if ns.format == "json"

@@ -33,48 +33,47 @@ Rat = Fraction
 MAX_ORDER = 2**32 - 1
 
 
-def _divisors(n: int) -> list[int]:
-    small, big = [], []
-    d = 1
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, increasing."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return small + big[::-1]
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, ascending coefficients
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dd]
-        if c % den[dd]:
-            raise InternalCheckError("polynomial division is not exact")
-        q = c // den[dd]
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num):
-        raise InternalCheckError("polynomial division leaves a remainder")
+    if n > 1:
+        out.append(n)
     return out
+
+
+def _divide_binomial(poly: list[int], k: int) -> list[int]:
+    """poly / (x^k - 1), ascending coefficients; the division must be exact."""
+    m = len(poly) - k
+    s = [0] * k  # s[k + i] is quotient coefficient i: q_i = q_(i-k) - poly_i
+    for c in poly[:m]:
+        s.append(s[-k] - c)
+    if s[m:] != poly[m:]:
+        raise InternalCheckError("polynomial division leaves a remainder")
+    return s[k:]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1  # x^n - 1
-    for d in _divisors(n):
-        if d < n:
-            num = _poly_divide_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending:
+    the product of (x^(n/d) - 1)^mu(d) over the squarefree divisors d of n.
+    The mu = +1 binomials are multiplied in first, so that each division by
+    a mu = -1 binomial is exact."""
+    up, down = [1], []  # squarefree divisors with mu = +1, mu = -1
+    for r in _prime_factors(n):
+        up, down = up + [d * r for d in down], down + [d * r for d in up]
+    poly = [1]
+    for d in up:
+        k = n // d
+        poly = [a - b for a, b in zip([0] * k + poly, poly + [0] * k)]
+    for d in down:
+        poly = _divide_binomial(poly, n // d)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

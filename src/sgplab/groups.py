@@ -42,6 +42,7 @@ import numpy as np
 from . import gfield
 from .errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                      SubgroupError)
+from .exactnum import _prime_factors
 
 __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
@@ -956,8 +957,7 @@ def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list
     e = _even_prime_power(q, str(q), 0)
     specs = [f"parabolic-p:{q}", f"parabolic-q:{q}", f"wreath-sp2:{q}",
              f"ext-sp2q2-embedded:{q}"]
-    specs += [f"sp4-sub:{q}:{1 << (e // r)}" for r in range(2, e + 1)
-              if e % r == 0 and all(r % d for d in range(2, r))]
+    specs += [f"sp4-sub:{q}:{1 << (e // r)}" for r in _prime_factors(e)]
     specs += [f"so4+:{q}", f"so4-:{q}"] + ([f"sz:{q}"] if e > 1 and e % 2 else [])
     out = []
     if q == 2:

@@ -31,7 +31,7 @@ class Check:
 
 
 @cache
-def _c1_sl2_tables(qs=(4, 8, 16)):
+def _c1_sl2_tables(qs):
     for q in qs:
         fam = families.sl2_table(q)
         dix = dixon_schneider(build_group(f"sl2:{q}"))

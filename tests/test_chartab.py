@@ -248,6 +248,17 @@ def test_orthogonal_stabilizer_degree_multisets_q4():
         assert Ta.degrees == Tb.degrees, (a, b)
 
 
+@pytest.mark.slow
+def test_inner_products_in_q_zeta_16380():
+    """ext-sp2q2:8 has exponent 16380, so its inner products are reduced
+    modulo Phi_16380."""
+    T = dixon_schneider(build_group("ext-sp2q2:8"))
+    chi, psi = [ch for ch in T.irreducibles
+                if math.lcm(*(v.order for v in ch.values)) == 16380][-2:]
+    assert inner_product(chi, chi) == 1
+    assert inner_product(chi, psi) == 0
+
+
 @pytest.mark.parametrize("spec", ["sp4:2", "ext-sp2q2:2"])
 def test_class_elements_match_loop(spec):
     from sgplab.chartab import _class_elements

@@ -72,9 +72,21 @@ def test_sgp_verb():
     assert code == EXIT_OK and json.loads(out)["verdict"] == "sgp"
 
 
-def test_sgp_non_subgroup_is_usage_error():
-    code, out = _run("sgp sl2:4 sl2:8")
-    assert code == EXIT_USAGE
+def test_sgp_non_subgroup_is_usage_error(capsys):
+    """Exit 2 with the message on stderr, so stdout stays empty for JSON
+    readers; the embedded form is named only for ext-sp2q2."""
+    for argv, hint in [("sgp sl2:4 sl2:8", None),
+                       ("--format json sgp sp4:4 sz:8", None),
+                       ("--format json sgp sp4:2 ext-sp2q2:2",
+                        "try ext-sp2q2-embedded:2")]:
+        assert main(argv.split()) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not (set-wise) a subgroup of" in captured.err
+        if hint:
+            assert hint in captured.err
+        else:
+            assert "try" not in captured.err
 
 
 def test_scan_maximal_q2():

@@ -1,12 +1,16 @@
 """Cyclotomic arithmetic: ring axioms, canonical forms, conversions."""
 
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgplab.exactnum import Cyclo, cyclotomic_poly, root_of_unity
+from sgplab.errors import InternalCheckError
+from sgplab.exactnum import (Cyclo, _divide_binomial, _prime_factors, cyclotomic_poly,
+                             root_of_unity)
 
 
 def test_root_of_unity_basics():
@@ -63,6 +67,85 @@ def test_known_cyclotomic_polys():
     for n in (8, 15, 30, 105):
         phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert len(cyclotomic_poly(n)) - 1 == phi
+
+
+# -- the recursive division, kept as the reference for the binomial product ----
+#
+# Phi_n was once x^n - 1 divided exactly by Phi_d for every proper divisor d
+# of n, recursively: quadratic in n, 11 s at n = 16380.
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_poly_ref(n):
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _cyclotomic_poly_ref(d)
+            dd = len(den) - 1
+            out = [0] * (len(num) - dd)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = q = num[i + dd]  # Phi_d is monic
+                for j, dj in enumerate(den):
+                    num[i + j] -= q * dj
+            assert not any(num)
+            num = out
+    return tuple(num)
+
+
+@pytest.mark.parametrize("ns", [range(1, 400), (1020, 2046, 4095)],
+                         ids=["below-400", "1020-2046-4095"])
+def test_cyclotomic_poly_matches_recursive_division(ns):
+    for n in ns:
+        assert cyclotomic_poly(n) == _cyclotomic_poly_ref(n), n
+
+
+def test_cyclotomic_poly_16380():
+    """Phi_16380 has degree phi(16380), and the Phi_d over the divisors d of
+    16380 multiply to x^16380 - 1 (checked at seeded points mod a prime)."""
+    n, p = 16380, 2**61 - 1
+    assert len(cyclotomic_poly(n)) - 1 == sum(math.gcd(k, n) == 1 for k in range(n)) == 3456
+    rng = random.Random(16380)
+    for x in (rng.randrange(2, p) for _ in range(3)):
+        prod = 1
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            val = 0
+            for c in reversed(cyclotomic_poly(d)):
+                val = (val * x + c) % p
+            prod = prod * val % p
+        assert prod == (pow(x, n, p) - 1) % p
+
+
+def test_divide_binomial():
+    assert _divide_binomial([-1, 0, 0, 1], 1) == [1, 1, 1]   # (x^3 - 1)/(x - 1)
+    assert _divide_binomial([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
+    with pytest.raises(InternalCheckError):
+        _divide_binomial([1, 0, 1], 1)   # x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(InternalCheckError):
+        _divide_binomial([-1, 1, 0, 1], 2)
+
+
+def test_prime_factors_match_sieve():
+    n = 10**4
+    spf = list(range(n))   # smallest prime factor
+    for i in range(2, math.isqrt(n) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n, i):
+                spf[j] = min(spf[j], i)
+    for m in range(1, n):
+        want, k = [], m
+        while k > 1:
+            if not want or want[-1] != spf[k]:
+                want.append(spf[k])
+            k //= spf[k]
+        assert _prime_factors(m) == want, m
+
+
+def test_prime_factors_match_prime_divisor_comprehension():
+    """The sp4-sub rows of maximal_subgroups_sp4 once listed the prime
+    divisors r of e with this inline primality test."""
+    for e in range(1, 65):
+        assert _prime_factors(e) == [r for r in range(2, e + 1)
+                                     if e % r == 0 and all(r % d for d in range(2, r))]
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=6)
