@@ -29,12 +29,21 @@ both).  As M*B = B*S, a class matrix M acts on the space by S = (M*B)_P,
 the d rows of M at P times B, and each eigenspace of S is B*N for N a
 null-space basis of S - lambda, for each root lambda of the
 Faddeev-LeVerrier characteristic polynomial of S (`_charpoly`, exact as
-d <= r < p).  Row k of a class matrix is its column k* rescaled by the
-symmetry of the structure constants, so a class matrix costs one column
-of products per row in P (rows are cached per class matrix, every column
-is checked to sum to the class size, and a rescaled entry that is not an
-integer raises `InternalCheckError`).  Element orders and power maps come
-from one array product per power for all class representatives.
+d <= r < p).
+
+Pivots are chosen in the order identity class first, then by class size,
+then by index, and a space of dimension d > 1 is split by M_k for k its
+first pivot after the identity.  That split cannot fail: the space is
+spanned by d central characters omega_a, its pivot block [omega_a(C_j)]
+is invertible, and omega_a(C_1) = 1 for every a, so the eigenvalues
+omega_a(C_k) of M_k on it are not all equal.  A space that M_k leaves
+whole raises `InternalCheckError`.  The class algebra is commutative, so
+row k of M_i is row i of M_k; it is read from the column of the smaller
+of C_i and C_k, rescaled by the symmetry of the structure constants, at
+min(|C_i|, |C_k|) products (rows are cached per pair of classes, every
+column is checked to sum to the class size, and a rescaled entry that is
+not an integer raises `InternalCheckError`).  Element orders and power
+maps come from one array product per power for all class representatives.
 
 Tables and characters are immutable; sharing across threads is fine.
 """
@@ -249,12 +258,6 @@ def regular_character(G: FinGroup) -> Character:
     return Character(G, tuple(vals), "regular")
 
 
-def _class_elements(cd: ClassData):
-    """Element indices of each class, in increasing order."""
-    by_class = np.argsort(cd.class_of, kind="stable")
-    return np.split(by_class, np.cumsum(cd.sizes)[:-1])
-
-
 def _class_column(G: FinGroup, cd: ClassData, members, i: int, m: int) -> list:
     """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k}."""
     y = G.ops.mul(G.keys[G.inv_idx[members[i]]], G.keys[cd.reps[m]])
@@ -284,6 +287,60 @@ def _power_classes(G: FinGroup, cd: ClassData) -> list:
     return [[int(at[t][j]) for t in range(n)] for j, n in enumerate(orders)]
 
 
+def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
+    """The r central characters omega_a mod p, each normalized to 1 at the
+    identity class, as the common eigenvectors of the class matrices M_k
+    (M_k omega_a = omega_a(C_k) omega_a), and the number of class-matrix
+    columns computed for them."""
+    r = len(cd)
+    id_cls = cd.identity_class
+    # pivot rows are chosen in this order, so the identity row always is one
+    order = [id_cls] + sorted((i for i in range(r) if i != id_cls),
+                              key=lambda i: (cd.sizes[i], i))
+    members, rows = {}, {}
+
+    def class_row(i, k):
+        """Row k of M_i, which is row i of M_k: a column of the smaller class."""
+        a, b = sorted((i, k), key=order.index)
+        if (a, b) not in rows:
+            if a not in members:
+                members[a] = np.flatnonzero(cd.class_of == a)
+            col = _class_column(G, cd, members, a, cd.inverse_class[b])
+            rows[a, b] = _class_row(cd, col, b)
+        return rows[a, b]
+
+    # split the common eigenspaces of the class matrices; a space is (B, P)
+    # with B an r x d basis that is the identity at its pivot rows P, so
+    # M B = B S gives S = (M B)_P, and M_k of the first pivot k after the
+    # identity splits it
+    spaces = [(np.eye(r, dtype=np.int64)[:, order], order)]
+    lines = []
+    while spaces:
+        B, P = spaces.pop()
+        if len(P) == 1:
+            lines.append(B)
+            continue
+        S = np.array([class_row(P[1], j) for j in P], dtype=np.int64) % p @ B % p
+        roots = _poly_roots(_charpoly(S, p), p)
+        if len(roots) < 2:
+            raise InternalCheckError("class matrices failed to split the algebra")
+        for lam in roots:
+            N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
+            A, pivots = _rref((B @ N % p)[order].T, p)
+            basis = np.empty_like(A.T)
+            basis[order] = A.T
+            spaces.append((basis, [order[c] for c in pivots]))
+    if len(lines) != r:
+        raise InternalCheckError("class matrices failed to split the algebra")
+
+    omegas = []
+    for B in lines:
+        v = B[:, 0].tolist()
+        scale = pow(v[id_cls], p - 2, p)
+        omegas.append([x * scale % p for x in v])
+    return omegas, len(rows)
+
+
 def dixon_schneider(G: FinGroup) -> CharTable:
     """The exact irreducible character table of an enumerated group."""
     if G._chartable is not None:
@@ -296,44 +353,7 @@ def dixon_schneider(G: FinGroup) -> CharTable:
     p, z = _dixon_root(exponent, max(2 * math.isqrt(G.order) + 1, r))  # p > d
     if max(r, *cd.orders) * p * p >= 1 << 63:
         raise InternalCheckError(f"Dixon prime {p} overflows the int64 lift and split")
-    members = _class_elements(cd)
-
-    # split the common eigenspaces of the class matrices, smallest class
-    # first; a space is (B, P) with B an r x d basis that is the identity at
-    # its pivot rows P, so M B = B S gives S = (M B)_P
-    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    candidates = sorted((cd.sizes[i], i) for i in range(r) if i != cd.identity_class)
-    n_columns = 0
-    for _, i in candidates:
-        if all(len(P) == 1 for _, P in spaces):
-            break
-        rows = {}                 # the rows of M_i computed so far
-        new_spaces = []
-        for B, P in spaces:
-            if len(P) == 1:
-                new_spaces.append((B, P))
-                continue
-            for k in P:
-                if k not in rows:
-                    col = _class_column(G, cd, members, i, cd.inverse_class[k])
-                    rows[k] = _class_row(cd, col, k)
-                    n_columns += 1
-            S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p
-            for lam in _poly_roots(_charpoly(S, p), p):
-                N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
-                A, pivots = _rref((B @ N % p).T, p)
-                new_spaces.append((A.T, pivots))
-        spaces = new_spaces
-    if not all(len(P) == 1 for _, P in spaces) or len(spaces) != r:
-        raise InternalCheckError("class matrices failed to split the algebra")
-
-    # central characters mod p, normalized at the identity class
-    id_cls = cd.identity_class
-    omegas = []
-    for B, _ in spaces:
-        v = B[:, 0].tolist()
-        scale = pow(v[id_cls], p - 2, p)
-        omegas.append([x * scale % p for x in v])
+    omegas, n_columns = _central_characters(G, cd, p)
 
     # degrees:  d^2 = |G| / sum_j omega_j * omega_{j*} / |C_j|, d the least root
     size_inv = [pow(cd.sizes[j], p - 2, p) for j in range(r)]

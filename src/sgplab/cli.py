@@ -127,7 +127,7 @@ def run(ns: argparse.Namespace, out=print) -> int:
         _show_field_table(out)
         return EXIT_OK
     if ns.verb is None:
-        out("no command given; try --help")
+        print("no command given; try --help", file=sys.stderr)
         return EXIT_USAGE
 
     if ns.verb == "chartab":
@@ -202,7 +202,7 @@ def run(ns: argparse.Namespace, out=print) -> int:
         ok = verify.run_checks(tier, report=out)
         return EXIT_OK if ok else EXIT_FAIL
 
-    out(f"unhandled verb {ns.verb}")
+    print(f"unhandled verb {ns.verb}", file=sys.stderr)
     return EXIT_USAGE
 
 

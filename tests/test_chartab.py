@@ -259,17 +259,6 @@ def test_inner_products_in_q_zeta_16380():
     assert inner_product(chi, psi) == 0
 
 
-@pytest.mark.parametrize("spec", ["sp4:2", "ext-sp2q2:2"])
-def test_class_elements_match_loop(spec):
-    from sgplab.chartab import _class_elements
-    cd = conjugacy_classes(build_group(spec))
-    by_class = [[] for _ in cd.sizes]
-    for idx, c in enumerate(cd.class_of):     # the loop it replaced
-        by_class[c].append(idx)
-    got = _class_elements(cd)
-    assert [ix.tolist() for ix in got] == by_class
-
-
 # -- class-matrix columns on demand, against the full class matrix ------------
 
 
@@ -290,17 +279,21 @@ def _class_matrix_ref(G, cd, members, i):
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "parabolic-p:2",
                                   "ext-sp2q2:2", "so4-:2"])
 def test_class_columns_and_rows_match_full_matrix(spec):
-    from sgplab.chartab import _class_column, _class_elements, _class_row
+    from sgplab.chartab import _class_column, _class_row
     G = build_group(spec)
     cd = conjugacy_classes(G)
-    members = _class_elements(cd)
     r = len(cd)
-    for i in range(r):
-        M = _class_matrix_ref(G, cd, members, i)
+    members = [[] for _ in range(r)]
+    for idx, c in enumerate(cd.class_of):
+        members[c].append(idx)
+    members = [np.array(ix) for ix in members]
+    full = [_class_matrix_ref(G, cd, members, i) for i in range(r)]
+    for i, M in enumerate(full):
         cols = [_class_column(G, cd, members, i, m) for m in range(r)]
         assert cols == [[M[k][m] for k in range(r)] for m in range(r)]
         for k in range(r):
             assert _class_row(cd, cols[cd.inverse_class[k]], k) == M[k]
+            assert M[k] == full[k][i]     # the class algebra is commutative
 
 
 def _fresh(spec):
@@ -309,23 +302,31 @@ def _fresh(spec):
 
 
 def test_broken_column_symmetry_raises(monkeypatch):
+    """A row read through the swapped class is checked too: the identity
+    class never splits a space, so each column of it is read as row k of
+    M_1 and stands for row 1 of the splitting class matrix M_k."""
     import sgplab.chartab as ct
     from sgplab.errors import InternalCheckError
     orig = ct._class_column
+    broken_at = []
 
     def broken(G, cd, members, i, m):
         # row k = m* is read from this column; one more count at a row t
         # with |C_t*| not dividing |C_k| makes M[k][t*] fractional
         col = orig(G, cd, members, i, m)
+        if i != cd.identity_class:
+            return col
         size_k = cd.sizes[cd.inverse_class[m]]
         t = next(t for t in range(len(cd))
                  if size_k % cd.sizes[cd.inverse_class[t]])
         col[t] += 1
+        broken_at.append(cd.inverse_class[m])
         return col
 
     monkeypatch.setattr(ct, "_class_column", broken)
     with pytest.raises(InternalCheckError, match="symmetry"):
         dixon_schneider(_fresh("sl2:4"))
+    assert len(broken_at) == 1
 
 
 def test_split_needs_fewer_columns_than_full_matrices(monkeypatch):
@@ -556,12 +557,102 @@ def test_lift_matches_per_value_loop(monkeypatch, spec):
     _assert_lift_matches_reference(monkeypatch, spec)
 
 
+Q4_MAXIMAL = ["parabolic-p:4", "parabolic-q:4", "wreath-sp2:4",
+              "ext-sp2q2-embedded:4", "sp4-sub:4:2", "so4+:4", "so4-:4"]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("spec", [
-    "parabolic-p:4", "parabolic-q:4", "wreath-sp2:4", "ext-sp2q2-embedded:4",
-    "sp4-sub:4:2", "so4+:4", "so4-:4"])
+@pytest.mark.parametrize("spec", Q4_MAXIMAL)
 def test_lift_matches_per_value_loop_q4_maximal(monkeypatch, spec):
     _assert_lift_matches_reference(monkeypatch, spec)
+
+
+# -- the split: one class matrix per space, against the size-order split ------
+
+
+def _central_characters_by_size(G, cd, p):
+    """The split `_central_characters` replaced: each class matrix in turn,
+    smallest class first, splits every space still unsplit; pivots are the
+    first rows in index order, and each row of M_i is read from a column of
+    M_i.  Returns the normalized central characters and the columns used."""
+    r = len(cd)
+    members = [np.flatnonzero(cd.class_of == i) for i in range(r)]
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    n_columns = 0
+    for _, i in sorted((cd.sizes[i], i) for i in range(r) if i != cd.identity_class):
+        if all(len(P) == 1 for _, P in spaces):
+            break
+        rows, new_spaces = {}, []
+        for B, P in spaces:
+            if len(P) == 1:
+                new_spaces.append((B, P))
+                continue
+            for k in P:
+                if k not in rows:
+                    col = ct._class_column(G, cd, members, i, cd.inverse_class[k])
+                    rows[k] = ct._class_row(cd, col, k)
+                    n_columns += 1
+            S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p
+            for lam in ct._poly_roots(ct._charpoly(S, p), p):
+                N = ct._nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
+                A, pivots = ct._rref((B @ N % p).T, p)
+                new_spaces.append((A.T, pivots))
+        spaces = new_spaces
+    assert len(spaces) == r and all(len(P) == 1 for _, P in spaces)
+    omegas = []
+    for B, _ in spaces:
+        v = B[:, 0].tolist()
+        scale = pow(v[cd.identity_class], p - 2, p)
+        omegas.append([x * scale % p for x in v])
+    return omegas, n_columns
+
+
+def _split_against_size_order(monkeypatch, spec) -> tuple:
+    """The same exported table from both splits, and never more columns
+    than the size-order split; returns both column counts."""
+    T = dixon_schneider(build_group(spec))
+    monkeypatch.setattr(ct, "_central_characters", _central_characters_by_size)
+    ref = dixon_schneider(_fresh(spec))
+    monkeypatch.undo()
+    got, want = table_to_json(T), table_to_json(ref)
+    del got["group"], want["group"]           # the copy has a label of its own
+    assert got == want
+    assert dict(T.stats, class_columns=0) == dict(ref.stats, class_columns=0)
+    assert T.stats["class_columns"] <= ref.stats["class_columns"]
+    return T.stats["class_columns"], ref.stats["class_columns"]
+
+
+@pytest.mark.parametrize("spec", GOLDEN + ["sl2:16", "s6"])
+def test_split_matches_size_order(monkeypatch, spec):
+    _split_against_size_order(monkeypatch, spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", Q4_MAXIMAL)
+def test_split_matches_size_order_q4_maximal(monkeypatch, spec):
+    _split_against_size_order(monkeypatch, spec)
+
+
+@pytest.mark.slow
+def test_sp4_4_split_columns(monkeypatch):
+    """Sp4(4), 27 classes: 47 class-matrix columns, 103 by size order."""
+    assert _split_against_size_order(monkeypatch, "sp4:4") == (47, 103)
+
+
+def test_one_eigenspace_raises_at_once(monkeypatch):
+    """A class matrix that yields one eigenspace (`_poly_roots` keeps only
+    the first root) is refused at the first space, the whole algebra,
+    before any eigenspace of it is computed or split further."""
+    calls = []
+    charpoly, roots, nullspace = ct._charpoly, ct._poly_roots, ct._nullspace
+    monkeypatch.setattr(ct, "_charpoly",
+                        lambda S, p: calls.append(len(S)) or charpoly(S, p))
+    monkeypatch.setattr(ct, "_poly_roots", lambda poly, p: roots(poly, p)[:1])
+    monkeypatch.setattr(ct, "_nullspace",
+                        lambda M, p: calls.append("null") or nullspace(M, p))
+    with pytest.raises(InternalCheckError, match="failed to split"):
+        dixon_schneider(_fresh("sl2:4"))
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("spec", GOLDEN)
