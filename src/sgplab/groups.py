@@ -18,11 +18,13 @@ pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder);
 `parse_group_spec` is the only validator, and the builders take its
-validated ints.  Every builder closes its own generators (`_generated`),
-refusing a closed-form order above max_order before enumerating; the
-subgroups of sp4:q check their keys in one batched pass instead of
-enumerating sp4:q.  sp4:q itself is closed over a generating pair, so
-its closure and class partition take two products per element.
+validated ints.  Every builder refuses a closed-form order above max_order
+before enumerating.  Every group but sp4:q closes its own generators
+(`_generated`); the subgroups of sp4:q check their keys in one batched
+pass instead of enumerating sp4:q.  sp4:q itself is the union of the
+cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
+that its generating pair generates it, so its class partition takes two
+products per element; building sp4:q leaves P in the build cache too.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -677,18 +679,88 @@ def _sp4_gens(ops):
 def _sp4_pair(ops):
     """Two generators of sp4:q, from those of `_sp4_gens`: g0 g1 g2 and g3
     (q = 2) or g3 g4.  Finite groups of Lie type are 2-generated
-    (Steinberg, Canad. J. Math. 14, 1962); `_check_order` confirms this
-    pair, whose closure and class partition cost two products per element."""
+    (Steinberg, Canad. J. Math. 14, 1962); `_build_sp4` proves that this
+    pair generates, and the class partition then costs two products per
+    element."""
     g = _sp4_gens(ops)
     return [ops.mul1(ops.mul1(g[0], g[1]), g[2]),
             g[3] if len(g) == 4 else ops.mul1(g[3], g[4])]
 
 
+def _points(ops, keys) -> list:
+    """The point <t e1> of PG(3, q) of each key t: the first column of t,
+    scaled so that its first nonzero coordinate is 1, as a tuple of codes."""
+    ctx = ops.ctx
+    out = []
+    for col in ops.unpack(keys)[:, :, 0].tolist():
+        c = ctx.inv(next(x for x in col if x))
+        out.append(tuple(ctx.mul(c, x) for x in col))
+    return out
+
+
 def _build_sp4(q, max_order):
-    ctx = gfield.field_ctx(q.bit_length() - 1)
-    ops = mat_ops(ctx, 4, "symplectic")
-    return _generated(f"sp4:{q}", ops, _sp4_pair(ops),
-                      q**4 * (q**2 - 1) * (q**4 - 1), max_order)
+    """sp4:q as the disjoint union of the left cosets t P of the stabilizer
+    P = parabolic-p:q of <e1>, one per point <t e1> of PG(3, q).
+
+    A breadth-first search of <e1> under the pair of `_sp4_pair` gives a
+    transversal, t_w = g t_v for the tree edge that finds w = g v, and the
+    coset of w is g times the coset of v: one left product by a pair
+    element per coset.  By Schreier's lemma the elements t_w^-1 g t_v, over
+    every point v and pair element g, generate the stabilizer of <e1> in
+    the group H the pair generates (Seress, Permutation Group Algorithms,
+    2003, sec. 4.1).  Each must lie in P, and they are closed one at a time
+    until their closure is P; then |orbit| |P| must be the closed-form
+    order and the cosets disjoint, so sp4:q = union of t P lies in H.  The
+    class partition relies on that, since it conjugates by the pair."""
+    label = f"sp4:{q}"
+    order = q**4 * (q**2 - 1) * (q**4 - 1)
+    if order > max_order:
+        raise ResourceBoundError(
+            f"{label}: order {order} exceeds the enumeration bound {max_order}")
+    P = build_group(f"parabolic-p:{q}", max_order=max_order)
+    ops = P.ops
+    pair = _sp4_pair(ops)
+    reps = [ops.identity]                # t_v of each point v, in BFS order
+    tree = []                            # (v, pair index) that found point 1, 2, ...
+    seen = {_points(ops, reps)[0]: 0}
+    ends, images = [], []                # w and g t_v of every edge v -> w = g v
+    frontier = [0]
+    while frontier:
+        layer = []
+        for i, g in enumerate(pair):
+            imgs = ops.mul(g, np.array([reps[v] for v in frontier], dtype=_U64))
+            for v, t, pt in zip(frontier, imgs, _points(ops, imgs)):
+                if pt not in seen:
+                    seen[pt] = len(reps)
+                    reps.append(t)
+                    tree.append((v, i))
+                    layer.append(seen[pt])
+                ends.append(seen[pt])
+                images.append(t)
+        frontier = layer
+    reps = np.array(reps, dtype=_U64)
+    schreier = ops.mul(ops.inv(reps[ends]), np.array(images, dtype=_U64))
+    if not P.contains(schreier).all():
+        raise InternalCheckError(f"{label}: a Schreier generator is not in {P.label}")
+    gens, stab = [], np.array([ops.identity], dtype=_U64)
+    for s in schreier:
+        if stab.size == P.order:
+            break
+        if stab[min(np.searchsorted(stab, s), stab.size - 1)] != s:
+            gens.append(s)
+            stab = mulclose(ops, gens, P.order)
+    if reps.size * stab.size != order:
+        raise InternalCheckError(
+            f"{label}: enumerated {reps.size * stab.size} elements, closed form {order}")
+    n = P.order
+    keys = np.empty(reps.size * n, dtype=_U64)     # coset v at keys[v n:(v + 1) n]
+    keys[:n] = P.keys
+    for w, (v, i) in enumerate(tree, 1):
+        keys[w * n:(w + 1) * n] = ops.mul(pair[i], keys[v * n:(v + 1) * n])
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise InternalCheckError(f"{label}: two cosets of {P.label} overlap")
+    return _check_order(FinGroup(label, ops, keys, pair), order)
 
 
 def _build_wreath(q, max_order):

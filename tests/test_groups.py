@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 
 import sgplab
 from sgplab import gfield, groups
+from sgplab.cli import EXIT_INTERNAL, main
 from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                            SubgroupError)
+from sgplab.gelfand import scan_maximal_sp4
 from sgplab.groups import (_sorted_unique, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
                            element_powers,
@@ -469,6 +472,76 @@ def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
         groups._SPECS["sp4"][1](2, groups.MAX_ORDER_DEFAULT)
 
 
+@pytest.fixture
+def fresh_builds(monkeypatch):
+    """A build cache of the test's own: every group is built anew, and
+    dropped when the test ends."""
+    monkeypatch.setattr(groups, "_build_cached",
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
+
+
+def _unscaled_points(ops, keys):
+    """A broken point map: the first column as it stands, so <e1> and
+    <gamma e1> are two points with one coset."""
+    return [tuple(col) for col in ops.unpack(keys)[:, :, 0].tolist()]
+
+
+@pytest.mark.parametrize("mutant,q,message", [
+    pytest.param(m, q, msg, id=m) for m, q, msg in [
+        ("unscaled-points", 4, "sp4:4: two cosets of parabolic-p:4 overlap"),
+        ("line-stabilizer", 2, "sp4:2: a Schreier generator is not in parabolic-q:2"),
+        ("closure-cut-short", 4, "sp4:4: enumerated 510 elements, closed form 979200"),
+    ]])
+def test_sp4_coset_mutants_are_caught(monkeypatch, capsys, fresh_builds,
+                                      mutant, q, message):
+    """Each broken step of the coset build raises, and exits 4 through the
+    CLI: a point map that sends two points to one coset, P swapped for
+    parabolic-q:q (which does not fix <e1>), and a Schreier closure that
+    keeps only its first generator."""
+    build_group(f"parabolic-p:{q}")      # P itself from the real kernel
+    if mutant == "unscaled-points":
+        monkeypatch.setattr(groups, "_points", _unscaled_points)
+    elif mutant == "line-stabilizer":
+        real_build = groups.build_group
+        monkeypatch.setattr(groups, "build_group", lambda spec, **kw: real_build(
+            spec.replace("parabolic-p", "parabolic-q"), **kw))
+    else:
+        real_close = groups.mulclose
+        monkeypatch.setattr(groups, "mulclose",
+                            lambda ops, gens, m: real_close(ops, gens[:1], m))
+    with pytest.raises(InternalCheckError, match=message):
+        groups._SPECS["sp4"][1](q, groups.MAX_ORDER_DEFAULT)
+    assert main(["chartab", f"sp4:{q}"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err
+
+
+def test_sp4_4_closes_nothing_larger_than_its_point_stabilizer(monkeypatch,
+                                                               fresh_builds):
+    """sp4:4 is the 85 cosets of parabolic-p:4 (11,520 elements); mulclose
+    only builds that P and closes Schreier generators inside it."""
+    sizes = []
+    real = groups.mulclose
+
+    def recording(ops, gens, max_order):
+        keys = real(ops, gens, max_order)
+        sizes.append(keys.size)
+        return keys
+    monkeypatch.setattr(groups, "mulclose", recording)
+    assert build_group("sp4:4").order == 979_200
+    assert sizes and max(sizes) == 11_520
+
+
+@pytest.mark.slow
+def test_scan_builds_parabolic_p_once(monkeypatch, fresh_builds):
+    """The scan's parabolic-p:4 row is the P that built sp4:4, from the cache."""
+    calls = []
+    real = groups._build_parabolic
+    monkeypatch.setattr(groups, "_build_parabolic", lambda q, m, kind: (
+        calls.append((q, kind)) or real(q, m, kind)))
+    scan_maximal_sp4(4)
+    assert calls.count((4, "p")) == 1
+
+
 # -- generator-built subgroups of sp4:q --------------------------------------
 
 def _filter_oracle(spec):
@@ -590,8 +663,15 @@ def test_refused_before_enumeration(monkeypatch):
     def fail(*args):
         raise AssertionError("mulclose was called")
     monkeypatch.setattr(groups, "mulclose", fail)
+    asked = []
+    real_build = groups.build_group
+    monkeypatch.setattr(groups, "build_group", lambda spec, **kw: (
+        asked.append(spec) or real_build(spec, **kw)))
     with pytest.raises(ResourceBoundError):
         build_group("sp4:8")
+    # the closed form is checked before P = parabolic-p:8 (1,806,336
+    # elements, under the default bound) is asked for
+    assert asked == []
     with pytest.raises(ResourceBoundError):
         build_group("parabolic-p:8", max_order=10**6)
 
