@@ -260,7 +260,7 @@ def regular_character(G: FinGroup) -> Character:
 
 def _class_column(G: FinGroup, cd: ClassData, members, i: int, m: int) -> list:
     """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k}."""
-    y = G.ops.mul(G.keys[G.inv_idx[members[i]]], G.keys[cd.reps[m]])
+    y = G.ops.mul(G.ops.inv(G.keys[members[i]]), G.keys[cd.reps[m]])
     y.sort()                  # only counted: sorted needles search faster
     counts = np.bincount(cd.class_of[G.index_of(y)], minlength=len(cd))
     if int(counts.sum()) != cd.sizes[i]:

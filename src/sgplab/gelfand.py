@@ -174,7 +174,7 @@ def schur_commutes(G: FinGroup, H: FinGroup) -> bool:
     hc = h_classes(G, H)
     k = len(hc)
     hcls = hc.class_of
-    inv_keys = G.keys[G.inv_idx]
+    inv_keys = G.ops.inv(G.keys)
     for rep in hc.reps:
         g = G.keys[rep]
         y = G.ops.mul(inv_keys, g)            # y[x] = x^-1 g, so x * y = g

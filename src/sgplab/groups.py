@@ -419,16 +419,14 @@ class FinGroup:
         self.keys = keys
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
-        # the inverses are the keys again, so sorted they must equal keys:
-        # the k-th smallest inverse sits at index k
+        # the inverses are the keys again, so sorted (in place: one
+        # temporary) they must equal the sorted, distinct keys
         inv = ops.inv(keys)
-        by_key = np.argsort(inv)
-        if not np.array_equal(inv[by_key], keys):
+        inv.sort()
+        if not np.array_equal(inv, keys):
             raise InternalCheckError(
                 f"{label}: the inverses of its keys are not its keys")
         del inv
-        self.inv_idx = np.empty(self.order, dtype=np.int64)
-        self.inv_idx[by_key] = np.arange(self.order)
         self.identity_idx = int(self.index_of(np.array([ops.identity],
                                                        dtype=_U64))[0])
         self._classes = None
@@ -483,30 +481,43 @@ def _require_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
 
 
+def _conjugation_perm(G: FinGroup, g) -> np.ndarray:
+    """The inverse of i -> index of g^-1 keys[i] g, as int32, read off one
+    sort: img = conj(keys, g) is filled in _CHUNK slices and by =
+    argsort(img) must give img[by] == keys, since conjugation permutes the
+    group (a conjugate outside it, or two keys with one conjugate, raises)."""
+    ops, keys, n = G.ops, G.keys, G.order
+    img = np.empty(n, dtype=_U64)
+    for lo in range(0, n, _CHUNK):
+        img[lo:lo + _CHUNK] = ops.conj(keys[lo:lo + _CHUNK], g)
+    by = np.argsort(img)
+    for lo in range(0, n, _CHUNK):
+        if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
+            raise InternalCheckError(
+                f"{G.label}: a conjugate is not in the group, or two elements share one")
+    del img                  # before the int32 copy: two key-sized arrays at most
+    return by.astype(np.int32)
+
+
 def _orbit_partition(G: FinGroup, gens) -> tuple:
     """Conjugation-orbit partition of G.keys under the given generators.
 
-    Each generator g acts on element indices by the permutation
-    pi_g(i) = index_of(g^-1 keys[i] g), built in _CHUNK slices into int32.
-    Every element starts labelled by its own index; a round lowers each
-    label to label[pi_g(i)] where that is less, for every g, and then jumps
-    pointers (label[i] = label[label[i]]), in place and _CHUNK at a time,
-    and rounds repeat until no label moves.  A label is always an index in
-    its element's orbit and stops moving only when it is constant on every
-    pi_g-cycle, hence on the orbit, where it is the least index.  So the
-    orbit minima are the fixed points, and the classes are numbered in
-    order of their least index, with that index as representative: the
-    order in which a scan for the least unassigned index would find them.
-    Beyond the keys, this holds one int32 array per generator and one for
-    the labels.
+    Each generator g acts on element indices through the permutation
+    by = _conjugation_perm(G, g), the inverse of its conjugation action,
+    which has the same orbits.  Every element starts labelled by its own
+    index; a round lowers each label to label[by(i)] where that is less,
+    for every g, and then jumps pointers (label[i] = label[label[i]]), in
+    place and _CHUNK at a time, and rounds repeat until no label moves.  A
+    label is always an index in its element's orbit and stops moving only
+    when it is constant on every cycle of every by, hence on the orbit,
+    where it is the least index.  So the orbit minima are the fixed points,
+    and the classes are numbered in order of their least index, with that
+    index as representative: the order in which a scan for the least
+    unassigned index would find them.  Beyond the keys, this holds one
+    int32 array per generator and one for the labels.
     """
-    ops, keys, n = G.ops, G.keys, G.order
-    perms = []
-    for g in gens:
-        pi = np.empty(n, dtype=np.int32)
-        for lo in range(0, n, _CHUNK):
-            pi[lo:lo + _CHUNK] = G.index_of(ops.conj(keys[lo:lo + _CHUNK], g))
-        perms.append(pi)
+    n = G.order
+    perms = [_conjugation_perm(G, g) for g in gens]
     label = np.arange(n, dtype=np.int32)
     total = None
     while True:
@@ -532,9 +543,10 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
 def _class_data(G: FinGroup, gens) -> ClassData:
     """Partition of G into orbits under conjugation by the given generators."""
     sizes, reps, class_of = _orbit_partition(G, gens)
-    orders, _ = element_powers(G.ops, G.keys[list(reps)])
-    return ClassData(sizes, reps, class_of,
-                     tuple(int(class_of[G.inv_idx[r]]) for r in reps),
+    rep_keys = G.keys[list(reps)]
+    orders, _ = element_powers(G.ops, rep_keys)
+    inverse = class_of[G.index_of(G.ops.inv(rep_keys))]
+    return ClassData(sizes, reps, class_of, tuple(int(c) for c in inverse),
                      tuple(orders), int(class_of[G.identity_idx]))
 
 

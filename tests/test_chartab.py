@@ -266,7 +266,7 @@ def _class_matrix_ref(G, cd, members, i):
     """The full class matrix, every column by products: M[k][m] =
     #{x in C_i : x^-1 g_m in C_k} (the form the table used to build)."""
     r = len(cd)
-    xinv = G.keys[G.inv_idx[members[i]]]
+    xinv = G.ops.inv(G.keys[members[i]])
     M = [[0] * r for _ in range(r)]
     for m in range(r):
         y = G.ops.mul(xinv, G.keys[cd.reps[m]])

@@ -158,8 +158,10 @@ def test_closure_on_random_pairs(spec):
 
 def test_inverse_map():
     g = build_group("sz:8")
-    prods = g.ops.mul(g.keys, g.keys[g.inv_idx])
+    inv = g.ops.inv(g.keys)
+    prods = g.ops.mul(g.keys, inv)
     assert (prods == g.ops.identity).all()
+    assert np.array_equal(np.sort(inv), g.keys)
 
 
 def test_h_classes_extremes():
@@ -413,6 +415,74 @@ def test_orbit_partition_matches_bfs(monkeypatch, spec, by):
     assert np.array_equal(got.class_of, want.class_of)
     if by:
         assert np.array_equal(h_classes(G, build_group(by)).class_of, got.class_of)
+
+
+@pytest.mark.parametrize("mutant", ["outside", "collide"])
+def test_conjugation_mutants_are_caught(monkeypatch, capsys, fresh_builds, mutant):
+    """A conjugation that sends one key of sp4:2 outside the group, or two
+    keys to one key inside it, raises in the class partition and exits 4
+    through the CLI.  The collision stays inside the group, so a lookup of
+    every conjugate (the partition's former search) finds them all."""
+    G = build_group("sp4:2")
+    x = U64(G.gens_keys[0])
+    image = (groups._transvection(G.ops, {(0, 1): G.ops.ctx.one})
+             if mutant == "outside" else G.ops.identity)   # identity: its own conjugate
+    real = groups.MatOps.conj
+
+    def broken(self, keys, g):
+        out = real(self, keys, g)
+        out[keys == x] = image
+        return out
+    monkeypatch.setattr(groups.MatOps, "conj", broken)
+    if mutant == "collide":
+        G.index_of(G.ops.conj(G.keys, G.gens_keys[0]))      # no error
+    message = "sp4:2: a conjugate is not in the group, or two elements share one"
+    with pytest.raises(InternalCheckError, match=message):
+        groups._class_data(G, G.gens_keys)
+    assert main(["chartab", "sp4:2"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutant", ["outside", "collide"])
+def test_inverse_mutants_are_caught(monkeypatch, capsys, fresh_builds, mutant):
+    """An inverse map that corrupts one inverse of the 720 keys of sp4:2
+    (to a key outside the group, or to another element's inverse) is
+    refused when the FinGroup is made, and exits 4 through the CLI."""
+    G = build_group("sp4:2")
+    outsider = groups._transvection(G.ops, {(0, 1): G.ops.ctx.one})
+    real = groups.MatOps.inv
+
+    def broken(self, keys):
+        out = real(self, keys)
+        if out.size == G.order:
+            out[1] = outsider if mutant == "outside" else out[0]
+        return out
+    monkeypatch.setattr(groups.MatOps, "inv", broken)
+    message = "sp4:2: the inverses of its keys are not its keys"
+    with pytest.raises(InternalCheckError, match=message):
+        groups.FinGroup("sp4:2", G.ops, G.keys, G.gens_keys)
+    groups._build_cached.cache_clear()                 # the CLI builds anew
+    assert main(["chartab", "sp4:2"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["sp4:2", pytest.param("sp4:4", marks=pytest.mark.slow)])
+def test_no_whole_group_lookup(monkeypatch, fresh_builds, spec):
+    """Building the group and its classes looks up fewer than |G| keys in
+    all: the inverse check and the conjugation permutations are read off
+    sorts, not searched for, and no inverse-index array is kept."""
+    needles = []
+    real = groups.FinGroup.index_of
+
+    def recording(self, keys):
+        out = real(self, keys)
+        needles.append(out.size)
+        return out
+    monkeypatch.setattr(groups.FinGroup, "index_of", recording)
+    G = build_group(spec)
+    conjugacy_classes(G)
+    assert needles and sum(needles) < G.order
+    assert not hasattr(G, "inv_idx")
 
 
 def _order_loop(ops, key):
