@@ -258,9 +258,10 @@ def regular_character(G: FinGroup) -> Character:
     return Character(G, tuple(vals), "regular")
 
 
-def _class_column(G: FinGroup, cd: ClassData, members, i: int, m: int) -> list:
-    """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k}."""
-    y = G.ops.mul(G.ops.inv(G.keys[members[i]]), G.keys[cd.reps[m]])
+def _class_column(G: FinGroup, cd: ClassData, inverses, i: int, m: int) -> list:
+    """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k},
+    with inverses[i] the keys x^-1 of the members x of C_i."""
+    y = G.ops.mul(inverses[i], G.keys[cd.reps[m]])
     y.sort()                  # only counted: sorted needles search faster
     counts = np.bincount(cd.class_of[G.index_of(y)], minlength=len(cd))
     if int(counts.sum()) != cd.sizes[i]:
@@ -297,15 +298,15 @@ def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
     # pivot rows are chosen in this order, so the identity row always is one
     order = [id_cls] + sorted((i for i in range(r) if i != id_cls),
                               key=lambda i: (cd.sizes[i], i))
-    members, rows = {}, {}
+    inverses, rows = {}, {}       # the members of a class, inverted once
 
     def class_row(i, k):
         """Row k of M_i, which is row i of M_k: a column of the smaller class."""
         a, b = sorted((i, k), key=order.index)
         if (a, b) not in rows:
-            if a not in members:
-                members[a] = np.flatnonzero(cd.class_of == a)
-            col = _class_column(G, cd, members, a, cd.inverse_class[b])
+            if a not in inverses:
+                inverses[a] = G.ops.inv(G.keys[cd.class_of == a])
+            col = _class_column(G, cd, inverses, a, cd.inverse_class[b])
             rows[a, b] = _class_row(cd, col, b)
         return rows[a, b]
 

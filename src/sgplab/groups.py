@@ -30,8 +30,9 @@ A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
 table cache of a MatOps (shared by every group over one field, dimension
 and inverse mode) is a bounded `functools.lru_cache`, which does its own
-locking; the vectorized passes are internally batched but their results
-do not depend on batch boundaries.
+locking.  Every kernel entry point runs its pass in _CHUNK-key slices
+(`_sliced`), so a whole-group pass holds its output and O(_CHUNK)
+temporaries, and its results do not depend on the slice boundaries.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 MAX_ORDER_DEFAULT = 2_500_000
-_CHUNK = 1 << 16      # keys per _matmul pass: ~18 MB of temporaries over GF(8)
+_CHUNK = 1 << 16      # keys per kernel pass (`_sliced`); _matmul's ~18 MB over GF(8)
 _TABLE_CACHE = 64   # (element, map) byte-table sets kept per MatOps
 
 _U64 = np.uint64
@@ -66,6 +67,21 @@ _U64 = np.uint64
 def _as_key_array(x) -> np.ndarray:
     a = np.asarray(x, dtype=_U64)
     return a.reshape(1) if a.ndim == 0 else a
+
+
+def _sliced(f, *arrays, dtype=_U64) -> np.ndarray:
+    """f(*arrays), computed over _CHUNK-key slices into one output array:
+    each argument of the longest length n is sliced, one of length 1 is
+    passed whole, so f's temporaries stay O(_CHUNK) keys whatever n is.
+    Every whole-group kernel pass goes through here."""
+    n, chunk = max(len(a) for a in arrays), _CHUNK
+    if n <= chunk:
+        return f(*arrays)
+    out = np.empty(n, dtype=dtype)
+    for lo in range(0, n, chunk):
+        out[lo:lo + chunk] = f(*(a if len(a) == 1 else a[lo:lo + chunk]
+                                 for a in arrays))
+    return out
 
 
 class MatOps:
@@ -105,7 +121,9 @@ class MatOps:
         self._chunks = [(s, min(width, total - s)) for s in range(0, total, width)]
         self._poly = np.array([ctx.poly_of(a) for a in range(ctx.q)], dtype=np.uint8)
         code = np.array([ctx.code_of_poly(m) for m in range(ctx.q)], dtype=np.uint8)
-        self._poly_to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]))
+        # per chunk, the XOR that turns polynomial codes into log codes: it
+        # changes that chunk only, so `_gather` can apply it in place
+        self._to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]) ^ k)
         # the log-coded key of each bit k = entry * bits + t of a
         # polynomial-coded key, and the polynomial code of each chunk value
         bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
@@ -121,7 +139,7 @@ class MatOps:
     # -- packing ---------------------------------------------------------
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(len(mats), -1).astype(_U64)
+        flat = mats.reshape(len(mats), self.dim * self.dim).astype(_U64)
         return np.bitwise_or.reduce(flat << self._shifts, axis=1)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
@@ -159,18 +177,9 @@ class MatOps:
 
     def _mul_ref(self, a, b) -> np.ndarray:
         """Products by `_matmul`: the reference the byte tables are built from."""
-        a, b = _as_key_array(a), _as_key_array(b)
-        n = max(len(a), len(b))
-        if len(a) != n:
-            a = np.broadcast_to(a, (n,))
-        if len(b) != n:
-            b = np.broadcast_to(b, (n,))
-        out = np.empty(n, dtype=_U64)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            out[lo:hi] = self.pack(self._matmul(self.unpack(a[lo:hi]),
-                                                self.unpack(b[lo:hi])))
-        return out
+        return _sliced(lambda x, y: self.pack(self._matmul(self.unpack(x),
+                                                           self.unpack(y))),
+                       _as_key_array(a), _as_key_array(b))
 
     def mul1(self, a, b) -> np.uint64:
         return self.mul(a, b)[0]
@@ -180,7 +189,7 @@ class MatOps:
     # TOMS 37(1), 2010).  Entry conversion is entrywise and the chunks hold
     # whole entries, so table c maps each value of chunk c of a log-coded key
     # straight to the polynomial bits of its image; XOR over the chunks gives
-    # the image of the whole key, and `_poly_to_code` maps it back.  A linear
+    # the image of the whole key, and `_to_code` maps it back.  A linear
     # map's tables are XORs of the images of the single-bit keys, so a table
     # set costs dim*dim*bits reference products, not 2^w per chunk.
 
@@ -212,21 +221,34 @@ class MatOps:
             prods = self._mul_ref(self._mul_ref(self.inv(g), self._basis), g)
         return self._linear_tables(self.pack(self._poly[self.unpack(prods)]))
 
-    def _gather(self, tables: list, keys: np.ndarray) -> np.ndarray:
-        """XOR over the chunks c of tables[c][chunk c of each key]."""
-        out = None
+    def _gather(self, tables: list, keys: np.ndarray, out=None) -> np.ndarray:
+        """XOR over the chunks c of tables[c][chunk c of each key], XORed
+        into `out` if one is given.  out may be keys itself when each
+        tables[c] changes chunk c only, as `_to_code` does: chunk c is read
+        before it is written.  Two arrays the size of keys are reused over
+        the chunks; mode "clip" keeps take from buffering its output (every
+        chunk value indexes its table)."""
+        idx = np.empty(len(keys), dtype=np.intp)
+        part = None
         for (s, w), t in zip(self._chunks, tables):
-            part = np.take(t, (keys >> _U64(s)) & _U64((1 << w) - 1))
+            np.right_shift(keys, _U64(s), out=idx, casting="unsafe")
+            idx &= (1 << w) - 1
             if out is None:
-                out = part
+                out = np.take(t, idx)
             else:
-                out ^= part
+                if part is None:
+                    part = np.empty_like(out)
+                out ^= np.take(t, idx, out=part, mode="clip")
         return out
 
     def _mul_fixed(self, keys: np.ndarray, g, side: str) -> np.ndarray:
         """keys * g (side "right"), g * keys ("left") or g^-1 * keys * g ("conj")."""
         tables = self._tables(int(g), side)
-        return self._gather(self._poly_to_code, self._gather(tables, keys))
+
+        def image(k):            # polynomial codes of the images, recoded in place
+            poly = self._gather(tables, k)
+            return self._gather(self._to_code, poly, poly)
+        return _sliced(image, keys)
 
     def conj(self, keys, g) -> np.ndarray:
         """g^-1 * keys * g for one fixed g."""
@@ -239,7 +261,7 @@ class MatOps:
         return t[:, ::-1, ::-1] if self.inv_mode == "symplectic" else t
 
     def inv(self, keys) -> np.ndarray:
-        return self._gather(self._inv_tables, _as_key_array(keys))
+        return _sliced(lambda k: self._gather(self._inv_tables, k), _as_key_array(keys))
 
     # -- views -----------------------------------------------------------
 
@@ -295,7 +317,9 @@ class ExtOps:
         return out
 
     def mul(self, a, b) -> np.ndarray:
-        a, b = _as_key_array(a), _as_key_array(b)
+        return _sliced(self._mul, _as_key_array(a), _as_key_array(b))
+
+    def _mul(self, a, b) -> np.ndarray:
         (ma, ta), (mb, tb) = self._split(a), self._split(b)
         mo = self._mat
         if len(b) == 1 and len(a) != 1:       # by g where t = 0, by sigma(g) where 1
@@ -319,8 +343,11 @@ class ExtOps:
         return self.mul(self.mul(self.inv(g), keys), g)
 
     def inv(self, keys) -> np.ndarray:
+        return _sliced(self._inv, _as_key_array(keys))
+
+    def _inv(self, keys) -> np.ndarray:
         """(m, t)^-1 = (sigma^t(m^-1), t)."""
-        m, t = self._split(_as_key_array(keys))
+        m, t = self._split(keys)
         minv = self._mat._gather(self._mat._inv_tables, m)
         return self._join(self._twist(minv, t), t)
 
@@ -419,8 +446,9 @@ class FinGroup:
         self.keys = keys
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
-        # the inverses are the keys again, so sorted (in place: one
-        # temporary) they must equal the sorted, distinct keys
+        # the inverses are the keys again, so sorted in place they must
+        # equal the sorted, distinct keys; ops.inv runs in _CHUNK slices,
+        # so this holds one key-sized array beside the keys
         inv = ops.inv(keys)
         inv.sort()
         if not np.array_equal(inv, keys):
@@ -483,13 +511,11 @@ def _require_subgroup(H, G):
 
 def _conjugation_perm(G: FinGroup, g) -> np.ndarray:
     """The inverse of i -> index of g^-1 keys[i] g, as int32, read off one
-    sort: img = conj(keys, g) is filled in _CHUNK slices and by =
-    argsort(img) must give img[by] == keys, since conjugation permutes the
-    group (a conjugate outside it, or two keys with one conjugate, raises)."""
-    ops, keys, n = G.ops, G.keys, G.order
-    img = np.empty(n, dtype=_U64)
-    for lo in range(0, n, _CHUNK):
-        img[lo:lo + _CHUNK] = ops.conj(keys[lo:lo + _CHUNK], g)
+    sort: by = argsort(img) of img = conj(keys, g) must give img[by] ==
+    keys, since conjugation permutes the group (a conjugate outside it, or
+    two keys with one conjugate, raises)."""
+    keys, n = G.keys, G.order
+    img = G.ops.conj(keys, g)
     by = np.argsort(img)
     for lo in range(0, n, _CHUNK):
         if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
@@ -645,8 +671,9 @@ def _generated(label: str, ops, gens, order: int, max_order: int,
             f"{label}: order {order} exceeds the enumeration bound {max_order}")
     keys = mulclose(ops, gens, max_order)
     if cond is not None:
-        ok = cond(ops.unpack(keys)) & (ops.mul(ops.inv(keys), keys) == ops.identity)
-        bad = np.count_nonzero(~ok)
+        def ok(k):
+            return cond(ops.unpack(k)) & (ops.mul(ops.inv(k), k) == ops.identity)
+        bad = np.count_nonzero(~_sliced(ok, keys, dtype=bool))
         if bad:
             raise InternalCheckError(
                 f"{label}: {bad} enumerated elements fail its defining condition")

@@ -288,8 +288,9 @@ def test_class_columns_and_rows_match_full_matrix(spec):
         members[c].append(idx)
     members = [np.array(ix) for ix in members]
     full = [_class_matrix_ref(G, cd, members, i) for i in range(r)]
+    inverses = [G.ops.inv(G.keys[ix]) for ix in members]
     for i, M in enumerate(full):
-        cols = [_class_column(G, cd, members, i, m) for m in range(r)]
+        cols = [_class_column(G, cd, inverses, i, m) for m in range(r)]
         assert cols == [[M[k][m] for k in range(r)] for m in range(r)]
         for k in range(r):
             assert _class_row(cd, cols[cd.inverse_class[k]], k) == M[k]
@@ -310,10 +311,10 @@ def test_broken_column_symmetry_raises(monkeypatch):
     orig = ct._class_column
     broken_at = []
 
-    def broken(G, cd, members, i, m):
+    def broken(G, cd, inverses, i, m):
         # row k = m* is read from this column; one more count at a row t
         # with |C_t*| not dividing |C_k| makes M[k][t*] fractional
-        col = orig(G, cd, members, i, m)
+        col = orig(G, cd, inverses, i, m)
         if i != cd.identity_class:
             return col
         size_k = cd.sizes[cd.inverse_class[m]]
@@ -329,14 +330,34 @@ def test_broken_column_symmetry_raises(monkeypatch):
     assert len(broken_at) == 1
 
 
+def test_class_members_are_inverted_once(monkeypatch):
+    """The class-matrix columns invert the members of each class they read
+    once, not once per column: after its classes, the table of so4-:2
+    inverts exactly those keys, at most |G| (per column it was 61 > 11)."""
+    G = _fresh("so4-:2")
+    cd = conjugacy_classes(G)
+    inverted, classes = [], set()
+    real_inv, real_col = type(G.ops).inv, ct._class_column
+
+    def counting(self, keys):
+        out = real_inv(self, keys)
+        inverted.append(out.size)
+        return out
+    monkeypatch.setattr(type(G.ops), "inv", counting)
+    monkeypatch.setattr(ct, "_class_column", lambda *a: classes.add(a[3]) or real_col(*a))
+    T = dixon_schneider(G)
+    assert T.stats["class_columns"] > len(classes)      # some class is read twice
+    assert sum(inverted) == sum(cd.sizes[i] for i in classes) <= G.order
+
+
 def test_split_needs_fewer_columns_than_full_matrices(monkeypatch):
     import sgplab.chartab as ct
     orig = ct._class_column
     calls = []
 
-    def counting(G, cd, members, i, m):
+    def counting(G, cd, inverses, i, m):
         calls.append((i, m))
-        return orig(G, cd, members, i, m)
+        return orig(G, cd, inverses, i, m)
 
     monkeypatch.setattr(ct, "_class_column", counting)
     G = _fresh("sz:8")
@@ -576,7 +597,7 @@ def _central_characters_by_size(G, cd, p):
     first rows in index order, and each row of M_i is read from a column of
     M_i.  Returns the normalized central characters and the columns used."""
     r = len(cd)
-    members = [np.flatnonzero(cd.class_of == i) for i in range(r)]
+    inverses = [G.ops.inv(G.keys[cd.class_of == i]) for i in range(r)]
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     n_columns = 0
     for _, i in sorted((cd.sizes[i], i) for i in range(r) if i != cd.identity_class):
@@ -589,7 +610,7 @@ def _central_characters_by_size(G, cd, p):
                 continue
             for k in P:
                 if k not in rows:
-                    col = ct._class_column(G, cd, members, i, cd.inverse_class[k])
+                    col = ct._class_column(G, cd, inverses, i, cd.inverse_class[k])
                     rows[k] = ct._class_row(cd, col, k)
                     n_columns += 1
             S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p

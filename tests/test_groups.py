@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -483,6 +484,20 @@ def test_no_whole_group_lookup(monkeypatch, fresh_builds, spec):
     conjugacy_classes(G)
     assert needles and sum(needles) < G.order
     assert not hasattr(G, "inv_idx")
+
+
+@pytest.mark.slow
+def test_sp4_build_holds_two_key_arrays(fresh_builds):
+    """Building sp4:4 anew (parabolic-p:4 too) allocates less than three
+    times its key array at its peak: the keys and the sorted inverses of
+    the inverse check, every kernel pass in _CHUNK slices."""
+    tracemalloc.start()
+    try:
+        G = build_group("sp4:4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * G.keys.nbytes, peak / G.keys.nbytes
 
 
 def _order_loop(ops, key):

@@ -4,6 +4,8 @@ against `_matmul`."""
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -194,17 +196,90 @@ def test_table_build_costs_one_product_per_key_bit(spec, monkeypatch):
         assert 0 < sum(passed) <= limit, (side, passed)
 
 
+SMALL_CHUNK = 1 << 4
+SLICE_SIZES = [0, 1, SMALL_CHUNK, SMALL_CHUNK + 1, 3 * SMALL_CHUNK + 5]
+
+
+def _kernel_passes(ops, x, y, g):
+    """mul(x, g), mul(g, x), conj(x, g), inv(x) and, for MatOps, _mul_ref(x, y)."""
+    out = [ops.mul(x, g), ops.mul(g, x), ops.conj(x, g), ops.inv(x)]
+    return out + ([ops._mul_ref(x, y)] if hasattr(ops, "_mul_ref") else [])
+
+
 def test_mul_ref_does_not_depend_on_the_chunk_length(monkeypatch):
-    ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
+    """Every kernel entry point gives the same keys in 16-key slices as in
+    one pass, and as `_matmul`, at sizes around the slice length: MatOps
+    over GF(4) and GF(8), and ExtOps over GF(4) (group elements, both
+    twists, so that x * x^-1 = 1 checks the inverses)."""
     rng = np.random.default_rng(13)
-    x, y = _random_keys(ops, rng, 1000), _random_keys(ops, rng, 1000)
-    g = y[:1]
-    want = [ops._mul_ref(x, y), ops._mul_ref(x, g), ops._mul_ref(g, x)]
-    monkeypatch.setattr(groups, "_CHUNK", 1 << 4)
-    got = [ops._mul_ref(x, y), ops._mul_ref(x, g), ops._mul_ref(g, x)]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    assert np.array_equal(want[0], _ref_mul(ops, x, y))
+    ext = build_group("ext-sp2q2:2")
+    for ops in [mat_ops(gfield.field_ctx(e), 4, "symplectic") for e in (2, 3)] + [ext.ops]:
+        for n in SLICE_SIZES:
+            if ops is ext.ops:
+                x, y = (ext.keys[rng.integers(0, ext.order, n)] for _ in range(2))
+                g = ext.keys[rng.integers(ext.order)]
+                ref = _ext_ref_mul
+            else:
+                x, y = _random_keys(ops, rng, n), _random_keys(ops, rng, n)
+                g = _random_keys(ops, rng, 1)[0]
+                ref = _ref_mul
+            monkeypatch.setattr(groups, "_CHUNK", 1 << 16)
+            whole = _kernel_passes(ops, x, y, g)
+            monkeypatch.setattr(groups, "_CHUNK", SMALL_CHUNK)
+            sliced = _kernel_passes(ops, x, y, g)
+            for a, b in zip(sliced, whole):
+                assert a.size == n and np.array_equal(a, b)
+            want = [ref(ops, x, g), ref(ops, g, x), ref(ops, ref(ops, ops.inv(g), x), g)]
+            if ops is ext.ops:
+                assert np.array_equal(ref(ops, x, sliced[3]), np.full(n, ops.identity, U64))
+            else:
+                want += [_ref_inv(ops, x), _ref_mul(ops, x, y)]
+            for a, b in zip(sliced, want):
+                assert np.array_equal(a, b)
+
+
+def test_condition_failure_in_the_last_slice_is_counted(monkeypatch, capsys):
+    """The membership check of a built group counts its failures slice by
+    slice: a condition that rejects only the last key of so4-:2, in the
+    last of its 16-key slices, raises with a count of 1 and exits 4."""
+    from sgplab.cli import EXIT_INTERNAL, main
+    from sgplab.errors import InternalCheckError
+    monkeypatch.setattr(groups, "_build_cached",
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
+    last = build_group("so4-:2").keys[-1]
+    groups._build_cached.cache_clear()
+    monkeypatch.setattr(groups, "_CHUNK", SMALL_CHUNK)
+    real = groups._generated
+
+    def rejecting(label, ops, gens, order, max_order, cond=None):
+        mutant = cond and (lambda m: cond(m) & (ops.pack(m) != last))
+        return real(label, ops, gens, order, max_order, mutant)
+    monkeypatch.setattr(groups, "_generated", rejecting)
+    message = "so4-:2: 1 enumerated elements fail its defining condition"
+    with pytest.raises(InternalCheckError, match=message):
+        build_group("so4-:2")
+    assert main(["chartab", "so4-:2"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["inv", "mul", "conj"])
+def test_whole_array_pass_holds_its_output_and_one_slice(op):
+    """inv, mul(x, g) and conj on 4 * _CHUNK keys over GF(8) allocate less
+    than x.nbytes (the output) + 2 MB at their peak: the kernel runs in
+    _CHUNK slices, so its temporaries do not grow with the array."""
+    ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
+    x = _random_keys(ops, np.random.default_rng(17), 4 * groups._CHUNK)
+    g = x[0]
+    run = {"inv": lambda: ops.inv(x), "mul": lambda: ops.mul(x, g),
+           "conj": lambda: ops.conj(x, g)}[op]
+    run()                                  # the byte tables, outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 2_000_000, peak
 
 
 def test_order_check_fires_under_python_O():

@@ -37,11 +37,19 @@ def test_tracer_finds_every_name_it_wraps():
 FLOAT_SCOPES = {("exactnum.py", "Cyclo.to_complex"), ("chartab.py", "table_to_csv")}
 
 
+def _scoped_nodes(node, scope=""):
+    """(qualified scope, node) for node and every node below it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped_nodes(child, scope)
+
+
 def _float_uses(tree):
     """(qualified scope, line, what) for each float-producing construct:
     float or complex literals, float( / complex( calls, math.pi / cos / sin,
     np.float*, and weights= keywords (np.bincount(..., weights=) is float64)."""
-    found = []
 
     def what(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -58,17 +66,8 @@ def _float_uses(tree):
             return "weights="
         return None
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        w = what(node)
-        if w:
-            found.append((scope, node.lineno, w))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
+    return [(scope, node.lineno, w) for scope, node in _scoped_nodes(tree)
+            if (w := what(node))]
 
 
 def test_no_floats_outside_rendering():
@@ -96,6 +95,46 @@ def test_float_guard_allows_exact_code():
     assert not _float_uses(ast.parse(
         "from fractions import Fraction\nx = Fraction(1, 2) * 3 // 2\n"
         "np.bincount(a, minlength=4)\nnp.int64(3)\nmath.isqrt(10)"))
+
+
+# The slicing helper is the one loop over _CHUNK slices of a kernel pass;
+# the class partition's label rounds and permutation check slice arrays
+# that are not kernel passes.
+CHUNK_SCOPES = {("groups.py", "_sliced"), ("groups.py", "_orbit_partition"),
+                ("groups.py", "_conjugation_perm")}
+
+
+def _chunk_reads(tree):
+    """(qualified scope, line) of each read of _CHUNK, as a name or an attribute."""
+    return [(scope, node.lineno) for scope, node in _scoped_nodes(tree)
+            if (isinstance(node, ast.Name) and node.id == "_CHUNK"
+                and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "_CHUNK")]
+
+
+def test_chunk_is_read_only_by_the_slicing_helper():
+    """Kernel passes get their slices from `_sliced`; a new call site with a
+    slice loop of its own shows up here."""
+    found = []
+    for path in sorted(Path(sgplab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {scope or '<module>'}"
+                  for scope, line in _chunk_reads(tree)
+                  if (path.name, scope) not in CHUNK_SCOPES]
+    assert not found, f"_CHUNK read outside {sorted(CHUNK_SCOPES)}: {found}"
+
+
+@pytest.mark.parametrize("src,scope", [
+    ("def f(keys):\n    for lo in range(0, len(keys), _CHUNK):\n        pass", "f"),
+    ("class MatOps:\n    def inv(self, k):\n        return k[:_CHUNK]", "MatOps.inv"),
+    ("n = groups._CHUNK", ""),
+])
+def test_chunk_guard_finds(src, scope):
+    assert [s for s, _ in _chunk_reads(ast.parse(src))] == [scope]
+
+
+def test_chunk_guard_allows_the_definition():
+    assert not _chunk_reads(ast.parse("_CHUNK = 1 << 16"))
 
 
 # Public names kept for callers outside the package: `from_json` reads the
