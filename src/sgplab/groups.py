@@ -1,10 +1,12 @@
 """Explicit finite matrix groups over GF(2^e) and their conjugacy structure.
 
 Groups are full element enumerations.  Each element is a small matrix whose
-entry codes (Zech-log codes, see `gfield`) are bit-packed into one uint64
-key; a group stores the sorted key array, so membership and class lookups
-are binary searches and all of the heavy work (closure, conjugation orbits,
-class-matrix counts) runs as vectorized numpy passes over key arrays.
+entry codes (Zech-log codes, see `gfield`) are bit-packed into one key, a
+uint32 when the packed width fits in 32 bits and a uint64 otherwise (the
+`dtype` of its MatOps or ExtOps); a group stores the sorted key array, so
+membership and class lookups are binary searches and all of the heavy work
+(closure, conjugation orbits, class-matrix counts) runs as vectorized numpy
+passes over key arrays.
 
 Almost every hot product multiplies a key array by one fixed element.
 `MatOps.mul` does those with byte tables of the GF(2)-linear map x -> x*g
@@ -61,26 +63,41 @@ MAX_ORDER_DEFAULT = 2_500_000
 _CHUNK = 1 << 16      # keys per kernel pass (`_sliced`); _matmul's ~18 MB over GF(8)
 _TABLE_CACHE = 64   # (element, map) byte-table sets kept per MatOps
 
-_U64 = np.uint64
+def _key_dtype(width: int):
+    """The narrowest key dtype that holds `width` packed bits."""
+    if width > 64:
+        raise ValueError("matrix does not fit in a 64-bit key")
+    return np.dtype(np.uint32 if width <= 32 else np.uint64)
 
 
-def _as_key_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=_U64)
+def _as_key_array(x, dtype) -> np.ndarray:
+    """x as a 1-d key array of `dtype`, not copied if it is one; a value
+    that does not fit raises instead of wrapping."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "ui":       # Python ints past 2**63: float or object
+        a = np.array(x, dtype=np.uint64)
+    if a.dtype != dtype:
+        if a.size and (a.min() < 0 or a.max() > np.iinfo(dtype).max):
+            raise ValueError(f"a key does not fit in {dtype}")
+        a = a.astype(dtype)
     return a.reshape(1) if a.ndim == 0 else a
 
 
-def _sliced(f, *arrays, dtype=_U64) -> np.ndarray:
-    """f(*arrays), computed over _CHUNK-key slices into one output array:
-    each argument of the longest length n is sliced, one of length 1 is
-    passed whole, so f's temporaries stay O(_CHUNK) keys whatever n is.
-    Every whole-group kernel pass goes through here."""
+def _sliced(f, *arrays) -> np.ndarray:
+    """f(*arrays), computed over _CHUNK-key slices into one output array of
+    the dtype f returns: each argument of the longest length n is sliced,
+    one of length 1 is passed whole, so f's temporaries stay O(_CHUNK) keys
+    whatever n is.  Every whole-group kernel pass goes through here."""
     n, chunk = max(len(a) for a in arrays), _CHUNK
     if n <= chunk:
         return f(*arrays)
-    out = np.empty(n, dtype=dtype)
+    out = None
     for lo in range(0, n, chunk):
-        out[lo:lo + chunk] = f(*(a if len(a) == 1 else a[lo:lo + chunk]
-                                 for a in arrays))
+        part = f(*(a if len(a) == 1 else a[lo:lo + chunk] for a in arrays))
+        if out is None:
+            out = np.empty(n, dtype=part.dtype)
+        out[lo:lo + chunk] = part
+        del part                 # before the next slice's temporaries
     return out
 
 
@@ -102,13 +119,12 @@ class MatOps:
         self.ctx = ctx
         self.dim = dim
         self.bits = max(1, (ctx.q - 1).bit_length())
-        if dim * dim * self.bits > 64:
-            raise ValueError("matrix does not fit in a 64-bit key")
+        self.dtype = dt = _key_dtype(dim * dim * self.bits)
         if inv_mode not in ("symplectic", "transpose"):
             raise ValueError(f"unknown inverse mode {inv_mode!r}")
         self.inv_mode = inv_mode
-        self._shifts = (np.arange(dim * dim, dtype=_U64) * _U64(self.bits))
-        self._mask = _U64((1 << self.bits) - 1)
+        self._shifts = np.arange(dim * dim, dtype=dt) * dt.type(self.bits)
+        self._mask = dt.type((1 << self.bits) - 1)
         eye = np.zeros((dim, dim), dtype=np.uint8)
         for i in range(dim):
             eye[i, i] = ctx.one
@@ -127,10 +143,10 @@ class MatOps:
         # the log-coded key of each bit k = entry * bits + t of a
         # polynomial-coded key, and the polynomial code of each chunk value
         bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
-                             dtype=_U64)
+                             dtype=dt)
         self._basis = (bit_codes[None, :] << self._shifts[:, None]).ravel()
         self._chunk_poly = self.pack(self._poly[self.unpack(
-            np.arange(1 << self._chunks[0][1], dtype=_U64))])
+            np.arange(1 << self._chunks[0][1], dtype=dt))])
         self._inv_tables = self._chunk_tables(
             lambda k: self.pack(self._inv_perm(self.unpack(k))))
         # (int element, side) -> tables
@@ -139,21 +155,21 @@ class MatOps:
     # -- packing ---------------------------------------------------------
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(len(mats), self.dim * self.dim).astype(_U64)
+        flat = mats.reshape(len(mats), self.dim * self.dim).astype(self.dtype)
         return np.bitwise_or.reduce(flat << self._shifts, axis=1)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        keys = _as_key_array(keys)
+        keys = _as_key_array(keys, self.dtype)
         # entry by entry, so no temporary is wider than one key array
         flat = np.empty((len(keys), self.dim * self.dim), dtype=np.uint8)
         for i, s in enumerate(self._shifts):
             flat[:, i] = (keys >> s) & self._mask
         return flat.reshape(len(keys), self.dim, self.dim)
 
-    def pack_one(self, mat) -> np.uint64:
+    def pack_one(self, mat):
         return self.pack(np.asarray(mat, dtype=np.uint8)[None])[0]
 
-    def from_rows(self, rows) -> np.uint64:
+    def from_rows(self, rows):
         return self.pack_one(np.array(rows, dtype=np.uint8))
 
     # -- arithmetic ------------------------------------------------------
@@ -168,7 +184,7 @@ class MatOps:
         return acc
 
     def mul(self, a, b) -> np.ndarray:
-        a, b = _as_key_array(a), _as_key_array(b)
+        a, b = _as_key_array(a, self.dtype), _as_key_array(b, self.dtype)
         if len(b) == 1 and len(a) != 1:
             return self._mul_fixed(a, b[0], "right")
         if len(a) == 1 and len(b) != 1:
@@ -179,9 +195,9 @@ class MatOps:
         """Products by `_matmul`: the reference the byte tables are built from."""
         return _sliced(lambda x, y: self.pack(self._matmul(self.unpack(x),
                                                            self.unpack(y))),
-                       _as_key_array(a), _as_key_array(b))
+                       _as_key_array(a, self.dtype), _as_key_array(b, self.dtype))
 
-    def mul1(self, a, b) -> np.uint64:
+    def mul1(self, a, b):
         return self.mul(a, b)[0]
 
     # Over GF(2), x -> x*g and x -> g*x are linear maps on the entry bits of
@@ -195,7 +211,7 @@ class MatOps:
 
     def _chunk_tables(self, image) -> list:
         """Per chunk, `image` of every key that is zero outside that chunk."""
-        return [image(np.arange(1 << w, dtype=_U64) << _U64(s))
+        return [image(np.arange(1 << w, dtype=self.dtype) << self.dtype.type(s))
                 for s, w in self._chunks]
 
     def _linear_tables(self, images: np.ndarray) -> list:
@@ -204,7 +220,7 @@ class MatOps:
         of every subset of its bits, read at each value's polynomial code."""
         tables = []
         for s, w in self._chunks:
-            span = np.zeros(1, dtype=_U64)     # entry j: XOR of images[bits of j]
+            span = np.zeros(1, dtype=self.dtype)     # entry j: XOR of images[bits of j]
             for img in images[s:s + w]:
                 span = np.concatenate([span, span ^ img])
             tables.append(span[self._chunk_poly[:1 << w]])
@@ -231,7 +247,7 @@ class MatOps:
         idx = np.empty(len(keys), dtype=np.intp)
         part = None
         for (s, w), t in zip(self._chunks, tables):
-            np.right_shift(keys, _U64(s), out=idx, casting="unsafe")
+            np.right_shift(keys, keys.dtype.type(s), out=idx, casting="unsafe")
             idx &= (1 << w) - 1
             if out is None:
                 out = np.take(t, idx)
@@ -252,7 +268,7 @@ class MatOps:
 
     def conj(self, keys, g) -> np.ndarray:
         """g^-1 * keys * g for one fixed g."""
-        return self._mul_fixed(_as_key_array(keys), _U64(g), "conj")
+        return self._mul_fixed(_as_key_array(keys, self.dtype), g, "conj")
 
     def _inv_perm(self, mats: np.ndarray) -> np.ndarray:
         """The entry permutation that inverts: M^T, or J M^T J, whose entry
@@ -261,7 +277,8 @@ class MatOps:
         return t[:, ::-1, ::-1] if self.inv_mode == "symplectic" else t
 
     def inv(self, keys) -> np.ndarray:
-        return _sliced(lambda k: self._gather(self._inv_tables, k), _as_key_array(keys))
+        return _sliced(lambda k: self._gather(self._inv_tables, k),
+                       _as_key_array(keys, self.dtype))
 
     # -- views -----------------------------------------------------------
 
@@ -269,12 +286,12 @@ class MatOps:
         """(2x2 entry codes, FieldCtx) if this is a 2x2 matrix group."""
         if self.dim != 2:
             return None
-        m = self.unpack(np.array([key], dtype=_U64))[0]
+        m = self.unpack(key)[0]
         return m, self.ctx
 
     def describe(self, key) -> list:
         """Entry-log rows: -1 for the zero entry, else the discrete log."""
-        m = self.unpack(np.array([key], dtype=_U64))[0]
+        m = self.unpack(key)[0]
         return [[int(c) - 1 for c in row] for row in m]
 
 
@@ -294,21 +311,24 @@ class ExtOps:
         self.ctx = gfield.field_ctx(2 * e)
         self.dim = 2
         self._mat = mo = mat_ops(self.ctx, 2, "symplectic")
-        self._tshift = _U64(4 * mo.bits)
-        self._mmask = (_U64(1) << self._tshift) - _U64(1)
+        self.dtype = dt = _key_dtype(4 * mo.bits + 1)
+        self._tshift = dt.type(4 * mo.bits)
+        self._mmask = dt.type((1 << (4 * mo.bits)) - 1)
         frob = self.ctx.lut_frob(e)
         self._sigma = mo._chunk_tables(lambda k: mo.pack(frob[mo.unpack(k)]))
-        self.identity = mo.identity
+        self.identity = dt.type(mo.identity)
 
-    def pack_one(self, mat, t: int) -> np.uint64:
-        return _U64(self._mat.pack_one(mat) | (_U64(t) << self._tshift))
+    def pack_one(self, mat, t: int):
+        return self.dtype.type(int(self._mat.pack_one(mat)) | t << int(self._tshift))
 
     def _split(self, keys):
-        """(matrix keys, twist bits as bool) of ext keys."""
-        return keys & self._mmask, (keys >> self._tshift).astype(bool)
+        """(matrix keys in the MatOps dtype, twist bits as bool) of ext keys."""
+        return ((keys & self._mmask).astype(self._mat.dtype, copy=False),
+                (keys >> self._tshift).astype(bool))
 
     def _join(self, mkeys, twist):
-        return mkeys | (twist.astype(_U64) << self._tshift)
+        return mkeys.astype(self.dtype, copy=False) | (twist.astype(self.dtype)
+                                                       << self._tshift)
 
     def _twist(self, mkeys, twist):
         """sigma^t of each matrix key, t its twist bit."""
@@ -317,7 +337,8 @@ class ExtOps:
         return out
 
     def mul(self, a, b) -> np.ndarray:
-        return _sliced(self._mul, _as_key_array(a), _as_key_array(b))
+        return _sliced(self._mul, _as_key_array(a, self.dtype),
+                       _as_key_array(b, self.dtype))
 
     def _mul(self, a, b) -> np.ndarray:
         (ma, ta), (mb, tb) = self._split(a), self._split(b)
@@ -335,15 +356,19 @@ class ExtOps:
             m = mo._mul_ref(ma, self._twist(mb, ta))
         return self._join(m, ta ^ tb)
 
-    def mul1(self, a, b) -> np.uint64:
+    def mul1(self, a, b):
         return self.mul(a, b)[0]
 
     def conj(self, keys, g) -> np.ndarray:
-        """g^-1 * keys * g for one fixed g, as two fixed-element products."""
-        return self.mul(self.mul(self.inv(g), keys), g)
+        """g^-1 * keys * g for one fixed g: both fixed-element products in
+        each slice, so the pass holds its output and O(_CHUNK) temporaries."""
+        g = _as_key_array(g, self.dtype)
+        ginv = self._inv(g)
+        return _sliced(lambda k: self._mul(self._mul(ginv, k), g),
+                       _as_key_array(keys, self.dtype))
 
     def inv(self, keys) -> np.ndarray:
-        return _sliced(self._inv, _as_key_array(keys))
+        return _sliced(self._inv, _as_key_array(keys, self.dtype))
 
     def _inv(self, keys) -> np.ndarray:
         """(m, t)^-1 = (sigma^t(m^-1), t)."""
@@ -352,13 +377,13 @@ class ExtOps:
         return self._join(self._twist(minv, t), t)
 
     def sl2_view(self, key):
-        m, t = self._split(_as_key_array(key))
+        m, t = self._split(_as_key_array(key, self.dtype))
         if t[0]:
             return None
         return self._mat.unpack(m)[0], self.ctx
 
     def describe(self, key) -> dict:
-        m, t = self._split(_as_key_array(key))
+        m, t = self._split(_as_key_array(key, self.dtype))
         return {"matrix": self._mat.describe(m[0]), "twist": int(t[0])}
 
 
@@ -392,11 +417,10 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 def mulclose(ops, gens_keys, max_order: int) -> np.ndarray:
     """Sorted keys of the subgroup generated by gens_keys."""
     gens = sorted({int(g) for g in gens_keys})
-    all_keys = _sorted_unique(np.array([int(ops.identity)] + gens, dtype=_U64))
+    all_keys = _sorted_unique(_as_key_array([int(ops.identity)] + gens, ops.dtype))
     frontier = all_keys
     while frontier.size and gens:
-        cand = _sorted_unique(np.concatenate([ops.mul(frontier, _U64(g))
-                                              for g in gens]))
+        cand = _sorted_unique(np.concatenate([ops.mul(frontier, g) for g in gens]))
         pos = np.searchsorted(all_keys, cand)
         new = all_keys[np.minimum(pos, all_keys.size - 1)] != cand
         fresh = cand[new]
@@ -414,10 +438,10 @@ def mulclose(ops, gens_keys, max_order: int) -> np.ndarray:
 def find_generators(keys: np.ndarray, ops) -> list:
     """A small deterministic generating set for an enumerated subgroup."""
     gens: list = []
-    closure = np.array([ops.identity], dtype=_U64)
+    closure = np.array([ops.identity], dtype=ops.dtype)
     while closure.size < keys.size:
         fresh = np.setdiff1d(keys, closure, assume_unique=True)
-        gens.append(_U64(fresh[0]))
+        gens.append(fresh[0])
         closure = mulclose(ops, gens, keys.size)
     return gens
 
@@ -428,7 +452,7 @@ class ClassData:
 
     sizes: tuple
     reps: tuple            # element indices of class representatives
-    class_of: np.ndarray   # element index -> class index
+    class_of: np.ndarray   # element index -> class index, np.min_scalar_type(r - 1)
     inverse_class: tuple
     orders: tuple          # element order of each representative
     identity_class: int
@@ -443,7 +467,7 @@ class FinGroup:
     def __init__(self, label: str, ops, keys: np.ndarray, gens_keys):
         self.label = label
         self.ops = ops
-        self.keys = keys
+        self.keys = keys = _as_key_array(keys, ops.dtype)
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
         # the inverses are the keys again, so sorted in place they must
@@ -455,13 +479,12 @@ class FinGroup:
             raise InternalCheckError(
                 f"{label}: the inverses of its keys are not its keys")
         del inv
-        self.identity_idx = int(self.index_of(np.array([ops.identity],
-                                                       dtype=_U64))[0])
+        self.identity_idx = int(self.index_of(ops.identity)[0])
         self._classes = None
         self._chartable = None
 
     def index_of(self, keys) -> np.ndarray:
-        keys = _as_key_array(keys)
+        keys = _as_key_array(keys, self.ops.dtype)
         pos = np.searchsorted(self.keys, keys)
         bad = (pos >= self.order) | (self.keys[np.minimum(pos, self.order - 1)] != keys)
         if bad.any():
@@ -470,7 +493,7 @@ class FinGroup:
         return pos.astype(np.int64)
 
     def contains(self, keys) -> np.ndarray:
-        keys = _as_key_array(keys)
+        keys = _as_key_array(keys, self.ops.dtype)
         pos = np.searchsorted(self.keys, keys)
         pos = np.minimum(pos, self.order - 1)
         return self.keys[pos] == keys
@@ -483,9 +506,9 @@ def element_powers(ops, keys) -> tuple:
     """(orders, powers) of a key array: orders[j] is the order of keys[j],
     and powers[t][j] = keys[j]^t for t = 0 .. max(orders) - 1.  One array
     product per power serves all the keys."""
-    keys = _as_key_array(keys)
+    keys = _as_key_array(keys, ops.dtype)
     orders = np.zeros(keys.size, dtype=np.int64)
-    powers = [np.full(keys.size, ops.identity, dtype=_U64)]
+    powers = [np.full(keys.size, ops.identity, dtype=ops.dtype)]
     acc, t = keys, 1
     while True:
         orders[(acc == ops.identity) & (orders == 0)] = t
@@ -510,10 +533,10 @@ def _require_subgroup(H, G):
 
 
 def _conjugation_perm(G: FinGroup, g) -> np.ndarray:
-    """The inverse of i -> index of g^-1 keys[i] g, as int32, read off one
-    sort: by = argsort(img) of img = conj(keys, g) must give img[by] ==
-    keys, since conjugation permutes the group (a conjugate outside it, or
-    two keys with one conjugate, raises)."""
+    """The inverse of i -> index of g^-1 keys[i] g, read off one sort: by =
+    argsort(img) of img = conj(keys, g) must give img[by] == keys, since
+    conjugation permutes the group (a conjugate outside it, or two keys
+    with one conjugate, raises)."""
     keys, n = G.keys, G.order
     img = G.ops.conj(keys, g)
     by = np.argsort(img)
@@ -521,49 +544,73 @@ def _conjugation_perm(G: FinGroup, g) -> np.ndarray:
         if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
             raise InternalCheckError(
                 f"{G.label}: a conjugate is not in the group, or two elements share one")
-    del img                  # before the int32 copy: two key-sized arrays at most
-    return by.astype(np.int32)
+    return by
+
+
+def _join_orbits(label: np.ndarray, by: np.ndarray) -> None:
+    """The union-find step of `_orbit_partition`, in place: join the trees
+    of i and by[i] for every i, until each edge i -- by[i] lies in one tree
+    and every label is its tree's root."""
+    n = label.size
+    while True:
+        joined = False
+        for lo in range(0, n, _CHUNK):
+            a, b = label[lo:lo + _CHUNK], label[by[lo:lo + _CHUNK]]
+            cross = a != b
+            if cross.any():
+                a, b = a[cross], b[cross]
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+                joined = True
+        if not joined:
+            return
+        total = None
+        while True:
+            for lo in range(0, n, _CHUNK):
+                label[lo:lo + _CHUNK] = label[label[lo:lo + _CHUNK]]
+            last, total = total, int(label.sum(dtype=np.int64))
+            if total == last:        # labels only fall, so an equal sum moved none
+                break
 
 
 def _orbit_partition(G: FinGroup, gens) -> tuple:
     """Conjugation-orbit partition of G.keys under the given generators.
 
-    Each generator g acts on element indices through the permutation
-    by = _conjugation_perm(G, g), the inverse of its conjugation action,
-    which has the same orbits.  Every element starts labelled by its own
-    index; a round lowers each label to label[by(i)] where that is less,
-    for every g, and then jumps pointers (label[i] = label[label[i]]), in
-    place and _CHUNK at a time, and rounds repeat until no label moves.  A
-    label is always an index in its element's orbit and stops moving only
-    when it is constant on every cycle of every by, hence on the orbit,
-    where it is the least index.  So the orbit minima are the fixed points,
-    and the classes are numbered in order of their least index, with that
-    index as representative: the order in which a scan for the least
-    unassigned index would find them.  Beyond the keys, this holds one
-    int32 array per generator and one for the labels.
+    The orbits are the connected components of the graph on element
+    indices with the edges i -- by[i] of every generator g, where by =
+    _conjugation_perm(G, g) is the inverse of g's conjugation action, with
+    the same orbits.  They are joined by union-find on int32 labels, one
+    generator at a time, each label starting as its own index.  A round
+    reads the labels at both ends of every edge, which are roots (label[r]
+    == r) when the round starts, and lowers the larger root's label to the
+    smaller (np.minimum.at); then pointers jump (label[i] = label[label[i]],
+    in place and _CHUNK at a time) until no label moves.  Rounds repeat
+    until no edge joins two roots, and the permutation is dropped.  A round
+    writes only to the labels of roots, so the joins of earlier generators
+    stay, and a label is always an index of its element's orbit no greater
+    than its own, so each orbit ends with one root: its least index.  The
+    classes are numbered in order of their least index, with that index as
+    representative: the order in which a scan for the least unassigned
+    index would find them.  Beyond the keys, this holds the labels and one
+    generator's conjugates and their argsort, whatever the number of
+    generators; the read-out builds the class ids class_of, of dtype
+    np.min_scalar_type(r - 1) for r classes (uint8 up to 256), in _CHUNK
+    slices from the labels.
     """
     n = G.order
-    perms = [_conjugation_perm(G, g) for g in gens]
     label = np.arange(n, dtype=np.int32)
-    total = None
-    while True:
-        for pi in perms:
-            for lo in range(0, n, _CHUNK):
-                part = label[lo:lo + _CHUNK]
-                np.minimum(part, label[pi[lo:lo + _CHUNK]], out=part)
-        for lo in range(0, n, _CHUNK):
-            label[lo:lo + _CHUNK] = label[label[lo:lo + _CHUNK]]
-        last, total = total, int(label.sum(dtype=np.int64))
-        if total == last:        # labels only fall, so an equal sum moved none
-            break
-    del perms                    # before the read-out's temporaries
-    is_rep = label == np.arange(n, dtype=np.int32)
-    cid = np.cumsum(is_rep, dtype=np.int32)
-    cid -= 1
-    class_of = cid[label]
-    sizes = np.bincount(class_of)
-    return (tuple(int(s) for s in sizes),
-            tuple(int(i) for i in np.flatnonzero(is_rep)), class_of)
+    for g in gens:               # each permutation is freed when _join_orbits returns
+        _join_orbits(label, _conjugation_perm(G, g))
+    reps = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
+        lo, min(lo + _CHUNK, n), dtype=np.int32)) for lo in range(0, n, _CHUNK)])
+    r = reps.size
+    class_of = np.empty(n, dtype=np.min_scalar_type(r - 1))
+    class_of[reps] = np.arange(r)
+    sizes = np.zeros(r, dtype=np.int64)
+    for lo in range(0, n, _CHUNK):   # a label is a representative, whose id is set
+        part = class_of[label[lo:lo + _CHUNK]]
+        class_of[lo:lo + _CHUNK] = part
+        sizes += np.bincount(part, minlength=r)
+    return tuple(int(s) for s in sizes), tuple(int(i) for i in reps), class_of
 
 
 def _class_data(G: FinGroup, gens) -> ClassData:
@@ -589,15 +636,15 @@ def h_classes(G: FinGroup, H: FinGroup) -> ClassData:
 
 
 def centralizer_order(G: FinGroup, key) -> int:
-    if not G.contains(np.array([key], dtype=_U64))[0]:
+    if not G.contains(key)[0]:
         raise SubgroupError("element is not in the group")
-    left = G.ops.mul(G.keys, _U64(key))
-    right = G.ops.mul(_U64(key), G.keys)
+    left = G.ops.mul(G.keys, key)
+    right = G.ops.mul(key, G.keys)
     return int(np.count_nonzero(left == right))
 
 
 def subgroup(G: FinGroup, keys: np.ndarray, label: str) -> FinGroup:
-    keys = _sorted_unique(np.array(keys, dtype=_U64))
+    keys = _sorted_unique(_as_key_array(keys, G.ops.dtype).copy())
     if not G.contains(keys).all():
         raise SubgroupError(f"{label}: keys are not all elements of {G.label}")
     return FinGroup(label, G.ops, keys, find_generators(keys, G.ops))
@@ -620,7 +667,7 @@ def all_subgroups(G: FinGroup) -> list:
     if G.order > 200:
         raise ResourceBoundError("subgroup enumeration is for small groups only")
     seen = {}
-    todo = [np.array([G.ops.identity], dtype=_U64)]
+    todo = [np.array([G.ops.identity], dtype=G.ops.dtype)]
     while todo:
         keys = todo.pop()
         name = tuple(int(k) for k in keys)
@@ -673,7 +720,7 @@ def _generated(label: str, ops, gens, order: int, max_order: int,
     if cond is not None:
         def ok(k):
             return cond(ops.unpack(k)) & (ops.mul(ops.inv(k), k) == ops.identity)
-        bad = np.count_nonzero(~_sliced(ok, keys, dtype=bool))
+        bad = np.count_nonzero(~_sliced(ok, keys))
         if bad:
             raise InternalCheckError(
                 f"{label}: {bad} enumerated elements fail its defining condition")
@@ -767,7 +814,7 @@ def _build_sp4(q, max_order):
     while frontier:
         layer = []
         for i, g in enumerate(pair):
-            imgs = ops.mul(g, np.array([reps[v] for v in frontier], dtype=_U64))
+            imgs = ops.mul(g, np.array([reps[v] for v in frontier], dtype=ops.dtype))
             for v, t, pt in zip(frontier, imgs, _points(ops, imgs)):
                 if pt not in seen:
                     seen[pt] = len(reps)
@@ -777,11 +824,11 @@ def _build_sp4(q, max_order):
                 ends.append(seen[pt])
                 images.append(t)
         frontier = layer
-    reps = np.array(reps, dtype=_U64)
-    schreier = ops.mul(ops.inv(reps[ends]), np.array(images, dtype=_U64))
+    reps = np.array(reps, dtype=ops.dtype)
+    schreier = ops.mul(ops.inv(reps[ends]), np.array(images, dtype=ops.dtype))
     if not P.contains(schreier).all():
         raise InternalCheckError(f"{label}: a Schreier generator is not in {P.label}")
-    gens, stab = [], np.array([ops.identity], dtype=_U64)
+    gens, stab = [], np.array([ops.identity], dtype=ops.dtype)
     for s in schreier:
         if stab.size == P.order:
             break
@@ -792,7 +839,7 @@ def _build_sp4(q, max_order):
         raise InternalCheckError(
             f"{label}: enumerated {reps.size * stab.size} elements, closed form {order}")
     n = P.order
-    keys = np.empty(reps.size * n, dtype=_U64)     # coset v at keys[v n:(v + 1) n]
+    keys = np.empty(reps.size * n, dtype=ops.dtype)     # coset v at keys[v n:(v + 1) n]
     keys[:n] = P.keys
     for w, (v, i) in enumerate(tree, 1):
         keys[w * n:(w + 1) * n] = ops.mul(pair[i], keys[v * n:(v + 1) * n])
@@ -972,7 +1019,7 @@ def _build_sp4_sub(q, q0, max_order):
     small = mat_ops(gfield.field_ctx(q0.bit_length() - 1), 4, "symplectic")
     lut = np.array([gfield.subfield_embed(small.ctx, ops.ctx, a) for a in range(q0)],
                    dtype=np.uint8)
-    gens = ops.pack(lut[small.unpack(np.array(_sp4_gens(small), dtype=_U64))])
+    gens = ops.pack(lut[small.unpack(_sp4_gens(small))])
     return _generated(f"sp4-sub:{q}:{q0}", ops, gens,
                       q0**4 * (q0**2 - 1) * (q0**4 - 1), max_order,
                       lambda m: np.isin(m, lut).all(axis=(1, 2)))
@@ -980,7 +1027,7 @@ def _build_sp4_sub(q, q0, max_order):
 
 def _build_trivial(max_order):
     ops = mat_ops(gfield.field_ctx(1), 2, "transpose")
-    return FinGroup("trivial", ops, np.array([ops.identity], dtype=_U64), [])
+    return FinGroup("trivial", ops, np.array([ops.identity], dtype=ops.dtype), [])
 
 
 def perm_group(perms, label: str, n: int | None = None) -> FinGroup:
@@ -1080,4 +1127,4 @@ def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list
 
 def group_to_json(G: FinGroup) -> dict:
     return {"label": G.label, "order": G.order,
-            "generators": [G.ops.describe(_U64(g)) for g in G.gens_keys]}
+            "generators": [G.ops.describe(g) for g in G.gens_keys]}

@@ -402,9 +402,11 @@ def _partition_cases():
 
 @pytest.mark.parametrize("spec,by", list(_partition_cases()))
 def test_orbit_partition_matches_bfs(monkeypatch, spec, by):
-    """Label propagation gives the BFS's ClassData field for field: the
+    """The union-find partition gives the BFS's ClassData field for field: the
     same sizes, representatives, class ids, inverse classes and orders
-    (conjugation by all of G, or by the subgroup H = `by` for h_classes)."""
+    (conjugation by all of G, or by the subgroup H = `by` for h_classes).
+    The class ids equal the int32 ids of the BFS in the narrowest dtype
+    that holds them."""
     G = build_group(spec)
     gens = build_group(by).gens_keys if by else G.gens_keys
     got = groups._class_data(G, gens)
@@ -412,7 +414,7 @@ def test_orbit_partition_matches_bfs(monkeypatch, spec, by):
     want = groups._class_data(G, gens)
     for field in ("sizes", "reps", "inverse_class", "orders", "identity_class"):
         assert getattr(got, field) == getattr(want, field), field
-    assert got.class_of.dtype == want.class_of.dtype
+    assert got.class_of.dtype == np.min_scalar_type(len(got) - 1)
     assert np.array_equal(got.class_of, want.class_of)
     if by:
         assert np.array_equal(h_classes(G, build_group(by)).class_of, got.class_of)
@@ -498,6 +500,104 @@ def test_sp4_build_holds_two_key_arrays(fresh_builds):
     finally:
         tracemalloc.stop()
     assert peak < 3 * G.keys.nbytes, peak / G.keys.nbytes
+
+
+# a 4 x 4 matrix over GF(4) packs in 32 bits (16 entries of 2 bits), a 2 x 2
+# one over GF(16) in 16 and an ext-sp2q2:4 key in 17; 4 x 4 over GF(8) takes 48
+KEY_DTYPES = ([(s, np.uint32) for s in (
+    "sp4:2", "sl2:16", "s6", "ext-sp2q2:4", "parabolic-p:4", "parabolic-q:4",
+    "wreath-sp2:4", "ext-sp2q2-embedded:4", "sp4-sub:4:2", "so4+:4", "so4-:4")]
+    + [("sz:8", np.uint64), ("sp4-sub:8:2", np.uint64),
+       pytest.param("sp4:4", np.uint32, marks=pytest.mark.slow)])
+
+
+@pytest.mark.parametrize("spec,dtype", KEY_DTYPES)
+def test_keys_take_the_narrowest_dtype_of_their_width(spec, dtype):
+    """Every group of the partition cases, sz:8 and sp4-sub:8:2 store their
+    keys, byte tables and products in the dtype of their packed width."""
+    G = build_group(spec)
+    assert G.ops.dtype == dtype and G.keys.dtype == dtype
+    assert G.ops.identity.dtype == dtype
+    assert G.ops.mul(G.keys[:5], G.keys[1]).dtype == dtype
+    assert G.ops.conj(G.keys[:5], G.keys[1]).dtype == dtype
+    assert G.ops.inv(G.keys[:5]).dtype == dtype
+    if isinstance(G.ops, groups.MatOps):
+        assert {t.dtype for t in G.ops._inv_tables} == {np.dtype(dtype)}
+
+
+def test_a_key_wider_than_the_dtype_raises_and_in_range_uint64_works():
+    """A 48-bit key given to a q = 4 group raises instead of wrapping to its
+    low 32 bits, which are an element; uint64 keys that fit (perfbench's
+    sgp-queries generators, say) are read in the group's dtype."""
+    G = build_group("so4+:4")
+    x = G.keys[1]
+    wide = np.array([int(x) | 1 << 47], dtype=U64)
+    for call in (G.contains, G.index_of, lambda k: G.ops.mul(k, x),
+                 lambda k: G.ops.mul(x, k), lambda k: G.ops.mul(G.keys[:3], k)):
+        with pytest.raises(ValueError, match="a key does not fit in uint32"):
+            call(wide)
+    keys = G.keys.astype(U64)
+    assert G.contains(keys).all()
+    assert np.array_equal(G.index_of(keys), np.arange(G.order))
+    assert np.array_equal(G.ops.mul(keys, x), G.ops.mul(G.keys, x))
+    closed = groups.mulclose(G.ops, np.array(G.gens_keys, dtype=U64), G.order)
+    assert closed.dtype == np.uint32 and np.array_equal(closed, G.keys)
+
+
+@pytest.mark.parametrize("spec,by,r,dtype", [
+    ("sp4:2", None, 11, np.uint8), ("sz:8", None, 11, np.uint8),
+    ("sp4:2", "parabolic-p:2", 34, np.uint8), ("sp4:2", "trivial", 720, np.uint16)])
+def test_class_ids_take_the_narrowest_dtype(spec, by, r, dtype):
+    """class_of holds r class ids in np.min_scalar_type(r - 1): uint8 for
+    every table (at most MAX_CLASSES = 200 classes), uint16 for the 720
+    orbits of sp4:2 under its trivial subgroup."""
+    G = build_group(spec)
+    if by is None:
+        cd = conjugacy_classes(G)
+    else:
+        H = (subgroup(G, [G.ops.identity], "trivial") if by == "trivial"
+             else build_group(by))
+        cd = h_classes(G, H)
+    assert len(cd) == r and cd.class_of.dtype == dtype
+    assert np.array_equal(np.bincount(cd.class_of), cd.sizes)
+    assert [int(cd.class_of[i]) for i in cd.reps] == list(range(r))
+
+
+def test_partition_peak_does_not_grow_with_the_generator_count(monkeypatch):
+    """The partition holds one generator's permutation at a time: the
+    orbits of parabolic-p:4 under its five generators given four times
+    over are the same, and found with a peak (tracemalloc, 256-key slices)
+    within 10% of the peak for the five once."""
+    G = build_group("parabolic-p:4")
+    monkeypatch.setattr(groups, "_CHUNK", 256)
+    groups._orbit_partition(G, G.gens_keys)        # the byte tables, outside the trace
+    peaks, parts = [], []
+    for gens in (G.gens_keys, G.gens_keys * 4):
+        tracemalloc.start()
+        try:
+            parts.append(groups._orbit_partition(G, gens))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert parts[0][:2] == parts[1][:2] and np.array_equal(parts[0][2], parts[1][2])
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+@pytest.mark.slow
+def test_sp4_partition_holds_under_20_bytes_per_element():
+    """The class partition of sp4:4 allocates under 20 bytes per element at
+    its peak (tracemalloc, above its entry): int32 labels, one generator's
+    32-bit conjugates and their argsort at a time, and a uint8 class_of
+    read out in _CHUNK slices once the last argsort is freed."""
+    G = build_group("sp4:4")
+    tracemalloc.start()
+    try:
+        cd = groups._class_data(G, G.gens_keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cd) == 27
+    assert peak < 20 * G.order, peak / G.order
 
 
 def _order_loop(ops, key):

@@ -74,6 +74,13 @@ def test_conj_matches_two_products(case, seed, n):
     assert np.array_equal(got, _ref_mul(ops, _ref_mul(ops, _ref_inv(ops, g), x), g))
 
 
+def _random_ext_keys(ops, rng, n):
+    """n ext keys of ops's key dtype: uniform 2x2 entry codes and twist bits."""
+    mo = mat_ops(ops.ctx, 2, "symplectic")
+    x = _random_keys(mo, rng, n) | (rng.integers(0, 2, n).astype(U64) << U64(4 * mo.bits))
+    return x.astype(ops.identity.dtype)
+
+
 def _ext_ref_mul(ops, a, b):
     """(m * sigma^t(m'), t xor t') for ext keys, by `_matmul` on the 2x2 part."""
     a, b = np.broadcast_arrays(a, b)
@@ -93,9 +100,8 @@ def test_ext_products_and_inverse_match_matmul(q, seed, n):
     G = build_group(f"ext-sp2q2:{q}")
     ops = G.ops
     rng = np.random.default_rng(seed)
-    mo = mat_ops(ops.ctx, 2, "symplectic")
     # any 2x2 entries and twist bits: the fixed-element products are linear
-    x = _random_keys(mo, rng, n) | (rng.integers(0, 2, n).astype(U64) << U64(4 * mo.bits))
+    x = _random_ext_keys(ops, rng, n)
     g = G.keys[rng.integers(G.order)]
     assert np.array_equal(ops.mul(x, g), _ext_ref_mul(ops, x, g))
     assert np.array_equal(ops.mul(g, x), _ext_ref_mul(ops, g, x))
@@ -119,6 +125,27 @@ def test_ext_conj_matches_two_products(q, seed, n):
     got = ops.conj(x, g)
     assert np.array_equal(got, ops.mul(ops.mul(ops.inv(g), x), g))
     assert np.array_equal(got, _ext_ref_mul(ops, _ext_ref_mul(ops, ops.inv(g), x), g))
+
+
+def test_ext_keys_wider_than_their_matrix_part():
+    """At q = 16 an ext key takes 33 bits (uint64) and its 2x2 matrix part
+    over GF(256) 32 (uint32): products, inverses and conj still match
+    `_matmul`, in the ext dtype."""
+    ops = groups._ext_ops_cached(16)
+    assert ops.dtype == np.uint64 and ops._mat.dtype == np.uint32
+    rng = np.random.default_rng(5)
+    x = _random_ext_keys(ops, rng, 40)
+    g = x[3]
+    for got, want in [(ops.mul(x, g), _ext_ref_mul(ops, x, g)),
+                      (ops.mul(g, x), _ext_ref_mul(ops, g, x)),
+                      (ops.mul(x, x[::-1]), _ext_ref_mul(ops, x, x[::-1]))]:
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    y = np.array([ops.pack_one(np.array(rows, dtype=np.uint8), t)
+                  for rows in groups._sl2_gens(ops.ctx) for t in (0, 1)])
+    assert np.array_equal(_ext_ref_mul(ops, y, ops.inv(y)),
+                          np.full(y.size, ops.identity, dtype=U64))
+    assert np.array_equal(ops.conj(x, y[1]),
+                          _ext_ref_mul(ops, _ext_ref_mul(ops, ops.inv(y[1]), x), y[1]))
 
 
 def test_table_cache_is_bounded_and_stays_exact():
@@ -262,13 +289,21 @@ def test_condition_failure_in_the_last_slice_is_counted(monkeypatch, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("op", ["inv", "mul", "conj"])
+@pytest.mark.parametrize("op", ["inv", "mul", "conj", "ext-conj"])
 def test_whole_array_pass_holds_its_output_and_one_slice(op):
-    """inv, mul(x, g) and conj on 4 * _CHUNK keys over GF(8) allocate less
-    than x.nbytes (the output) + 2 MB at their peak: the kernel runs in
-    _CHUNK slices, so its temporaries do not grow with the array."""
-    ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
-    x = _random_keys(ops, np.random.default_rng(17), 4 * groups._CHUNK)
+    """inv, mul(x, g) and conj on 4 * _CHUNK keys over GF(8), and the conj
+    of the ExtOps of ext-sp2q2:8 on as many ext keys over GF(64), allocate
+    less than x.nbytes (the output) + 2 MB at their peak: the kernel runs
+    in _CHUNK slices (both products of an ExtOps conj in each), so its
+    temporaries do not grow with the array."""
+    rng = np.random.default_rng(17)
+    if op == "ext-conj":
+        ops = groups._ext_ops_cached(8)
+        x = _random_ext_keys(ops, rng, 4 * groups._CHUNK)
+        op = "conj"
+    else:
+        ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
+        x = _random_keys(ops, rng, 4 * groups._CHUNK)
     g = x[0]
     run = {"inv": lambda: ops.inv(x), "mul": lambda: ops.mul(x, g),
            "conj": lambda: ops.conj(x, g)}[op]
