@@ -149,6 +149,9 @@ class MatOps:
             np.arange(1 << self._chunks[0][1], dtype=dt))])
         self._inv_tables = self._chunk_tables(
             lambda k: self.pack(self._inv_perm(self.unpack(k))))
+        # per chunk, the XOR of the polynomial codes of its diagonal entries
+        self._trace_tables = self._chunk_tables(lambda k: np.bitwise_xor.reduce(
+            self._poly[np.diagonal(self.unpack(k), axis1=1, axis2=2)], axis=1))
         # (int element, side) -> tables
         self._tables = lru_cache(maxsize=_TABLE_CACHE)(self._fixed_tables)
 
@@ -280,6 +283,12 @@ class MatOps:
         return _sliced(lambda k: self._gather(self._inv_tables, k),
                        _as_key_array(keys, self.dtype))
 
+    def fiber_of(self, keys) -> np.ndarray:
+        """The trace of each key as a uint8 polynomial code: a class
+        function, so the class partition can run one trace fiber at a time."""
+        return _sliced(lambda k: self._gather(self._trace_tables, k),
+                       _as_key_array(keys, self.dtype))
+
     # -- views -----------------------------------------------------------
 
     def sl2_view(self, key):
@@ -375,6 +384,11 @@ class ExtOps:
         m, t = self._split(keys)
         minv = self._mat._gather(self._mat._inv_tables, m)
         return self._join(self._twist(minv, t), t)
+
+    def fiber_of(self, keys) -> np.ndarray:
+        """The twist bit of each key (uint8), which conjugation keeps."""
+        return _sliced(lambda k: (k >> self._tshift).astype(np.uint8),
+                       _as_key_array(keys, self.dtype))
 
     def sl2_view(self, key):
         m, t = self._split(_as_key_array(key, self.dtype))
@@ -532,18 +546,18 @@ def _require_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
 
 
-def _conjugation_perm(G: FinGroup, g) -> np.ndarray:
-    """The inverse of i -> index of g^-1 keys[i] g, read off one sort: by =
-    argsort(img) of img = conj(keys, g) must give img[by] == keys, since
-    conjugation permutes the group (a conjugate outside it, or two keys
-    with one conjugate, raises)."""
-    keys, n = G.keys, G.order
+def _conjugation_perm(G: FinGroup, keys: np.ndarray, g) -> np.ndarray:
+    """The inverse of i -> index of g^-1 keys[i] g, for the sorted keys of
+    a union of classes of G, read off one sort: by = argsort(img) of img =
+    conj(keys, g) must give img[by] == keys, since conjugation permutes
+    them (a conjugate outside them, or two keys with one conjugate, raises)."""
     img = G.ops.conj(keys, g)
     by = np.argsort(img)
-    for lo in range(0, n, _CHUNK):
+    for lo in range(0, keys.size, _CHUNK):
         if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
             raise InternalCheckError(
-                f"{G.label}: a conjugate is not in the group, or two elements share one")
+                f"{G.label}: a conjugate is not in the group, or two elements "
+                "share one, or it leaves its fiber")
     return by
 
 
@@ -575,42 +589,65 @@ def _join_orbits(label: np.ndarray, by: np.ndarray) -> None:
 def _orbit_partition(G: FinGroup, gens) -> tuple:
     """Conjugation-orbit partition of G.keys under the given generators.
 
-    The orbits are the connected components of the graph on element
-    indices with the edges i -- by[i] of every generator g, where by =
-    _conjugation_perm(G, g) is the inverse of g's conjugation action, with
-    the same orbits.  They are joined by union-find on int32 labels, one
-    generator at a time, each label starting as its own index.  A round
-    reads the labels at both ends of every edge, which are roots (label[r]
-    == r) when the round starts, and lowers the larger root's label to the
-    smaller (np.minimum.at); then pointers jump (label[i] = label[label[i]],
-    in place and _CHUNK at a time) until no label moves.  Rounds repeat
-    until no edge joins two roots, and the permutation is dropped.  A round
-    writes only to the labels of roots, so the joins of earlier generators
-    stay, and a label is always an index of its element's orbit no greater
-    than its own, so each orbit ends with one root: its least index.  The
-    classes are numbered in order of their least index, with that index as
-    representative: the order in which a scan for the least unassigned
-    index would find them.  Beyond the keys, this holds the labels and one
-    generator's conjugates and their argsort, whatever the number of
-    generators; the read-out builds the class ids class_of, of dtype
-    np.min_scalar_type(r - 1) for r classes (uint8 up to 256), in _CHUNK
-    slices from the labels.
+    Conjugation keeps the id of `ops.fiber_of` (the trace of a matrix, the
+    twist bit of an ExtOps pair), so each fiber is a union of orbits and
+    is partitioned on its own; an id that is not a class function fails
+    `_conjugation_perm`'s check.  In a fiber, the orbits are the connected
+    components of the graph on key positions with the edges i -- by[i],
+    by = _conjugation_perm(G, keys, g) for every generator g.  They are
+    joined by union-find on int32 labels, one generator at a time, each
+    label starting as its own position.  A round reads the labels at both
+    ends of every edge, which are roots (label[r] == r) when the round
+    starts, and lowers the larger root's label to the smaller
+    (np.minimum.at); then pointers jump (label[i] = label[label[i]], in
+    place and _CHUNK at a time) until no label moves.  Rounds repeat until
+    no edge joins two roots.  A round writes only to the labels of roots,
+    so earlier joins stay, and a label is always a position of its orbit
+    no greater than its own, so each orbit ends with one root: its least
+    position, the key of least index.  Classes are numbered in order of
+    their least index, which is their representative.  Beyond the keys,
+    this holds the uint8 fiber ids, the class ids class_of
+    (np.min_scalar_type(r - 1) for r classes) and, for one fiber at a
+    time, its keys (the group's own when it is one fiber), labels, and one
+    generator's conjugates and their argsort.
     """
     n = G.order
-    label = np.arange(n, dtype=np.int32)
-    for g in gens:               # each permutation is freed when _join_orbits returns
-        _join_orbits(label, _conjugation_perm(G, g))
-    reps = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
-        lo, min(lo + _CHUNK, n), dtype=np.int32)) for lo in range(0, n, _CHUNK)])
-    r = reps.size
-    class_of = np.empty(n, dtype=np.min_scalar_type(r - 1))
-    class_of[reps] = np.arange(r)
+    fiber = G.ops.fiber_of(G.keys)
+    counts = sum(np.bincount(fiber[lo:lo + _CHUNK], minlength=256)
+                 for lo in range(0, n, _CHUNK))
+    class_of, reps, r = np.empty(n, dtype=np.uint8), [], 0
+    for f in np.flatnonzero(counts).tolist():
+        keys = G.keys if counts[f] == n else np.concatenate(
+            [np.compress(fiber[lo:lo + _CHUNK] == f, G.keys[lo:lo + _CHUNK])
+             for lo in range(0, n, _CHUNK)])
+        m = keys.size
+        label = np.arange(m, dtype=np.int32)
+        for g in gens:           # each permutation is freed when _join_orbits returns
+            _join_orbits(label, _conjugation_perm(G, keys, g))
+        roots = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
+            lo, min(lo + _CHUNK, m), dtype=np.int32)) for lo in range(0, m, _CHUNK)])
+        reps.append(np.searchsorted(G.keys, keys[roots]))
+        base, r = r, r + roots.size
+        if r - 1 > np.iinfo(class_of.dtype).max:
+            class_of = class_of.astype(np.min_scalar_type(r - 1))
+        ids = np.empty(m, dtype=class_of.dtype)     # id base + j for the j-th root
+        ids[roots] = np.arange(base, r)
+        pos = 0
+        for lo in range(0, n, _CHUNK):
+            at = lo + np.flatnonzero(fiber[lo:lo + _CHUNK] == f)
+            class_of[at] = ids.take(label[pos:pos + at.size])
+            pos += at.size
+        del keys, label, ids
+    reps = np.concatenate(reps)
+    by = np.argsort(reps)
+    rank = np.empty(r, dtype=class_of.dtype)
+    rank[by] = np.arange(r)
     sizes = np.zeros(r, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):   # a label is a representative, whose id is set
-        part = class_of[label[lo:lo + _CHUNK]]
+    for lo in range(0, n, _CHUNK):   # renumber by least index
+        part = rank[class_of[lo:lo + _CHUNK]]
         class_of[lo:lo + _CHUNK] = part
         sizes += np.bincount(part, minlength=r)
-    return tuple(int(s) for s in sizes), tuple(int(i) for i in reps), class_of
+    return tuple(int(s) for s in sizes), tuple(int(i) for i in reps[by]), class_of
 
 
 def _class_data(G: FinGroup, gens) -> ClassData:
@@ -707,19 +744,36 @@ def _check_order(G: FinGroup, expect: int) -> FinGroup:
     return G
 
 
+def _symplectic(ops, m: np.ndarray) -> np.ndarray:
+    """M^T J M = J for each unpacked matrix M: the Gram form B(x, y) = x^T J
+    y of J antidiagonal is alternating in characteristic 2, so this is the
+    six forms B(M e_i, M e_j) = sum_k M[k, i] M[d-1-k, j] for i < j, each
+    J[i, j].  It says what J M^T J M = 1 says, without a product."""
+    mul, add, d = ops.ctx.lut_mul, ops.ctx.lut_add, ops.dim
+    ok = np.ones(len(m), dtype=bool)
+    for i in range(d):
+        for j in range(i + 1, d):
+            b = mul[m[:, 0, i], m[:, d - 1, j]]
+            for k in range(1, d):
+                b = add[b, mul[m[:, k, i], m[:, d - 1 - k, j]]]
+            ok &= b == (ops.ctx.one if i + j == d - 1 else 0)
+    return ok
+
+
 def _generated(label: str, ops, gens, order: int, max_order: int,
                cond=None) -> FinGroup:
     """The closure of gens, refused before enumerating if its closed-form
     `order` exceeds max_order; its order must be `order`.  With `cond` (a
-    batched condition on the unpacked matrices) every key M must also pass
-    cond and be symplectic: M^-1 M = 1, M^-1 = J M^T J from the inverse table."""
+    batched condition on the unpacked matrices) every key must also pass
+    cond and be symplectic (`_symplectic`)."""
     if order > max_order:
         raise ResourceBoundError(
             f"{label}: order {order} exceeds the enumeration bound {max_order}")
     keys = mulclose(ops, gens, max_order)
     if cond is not None:
         def ok(k):
-            return cond(ops.unpack(k)) & (ops.mul(ops.inv(k), k) == ops.identity)
+            m = ops.unpack(k)
+            return cond(m) & _symplectic(ops, m)
         bad = np.count_nonzero(~_sliced(ok, keys))
         if bad:
             raise InternalCheckError(
@@ -915,7 +969,7 @@ def _build_ext_embedded(q, max_order):
     t_inv = ops.from_rows(diag(frob, [[t, 0], [0, t]]))
     gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [diag(frob, frob)]
     gens = [ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t_key) for r in gen_rows]
-    if np.any(ops.mul(ops.inv(gens), gens) != ops.identity):
+    if not _symplectic(ops, ops.unpack(gens)).all():
         raise InternalCheckError(f"{label}: a generator is not symplectic")
     return _generated(label, ops, gens, 2 * q**2 * (q**4 - 1), max_order)
 

@@ -210,15 +210,17 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
                                   "so4-:2", "parabolic-p:2",
                                   "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4",
                                   pytest.param("sp4:4", marks=pytest.mark.slow),
-                                  "sp4-sub:8:2"])
+                                  "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4"])
 def test_chartab_json_matches_golden(spec, capsys):
     """Byte-identical to the output pinned before the byte-table kernel (the
     first three), before ExtOps moved onto it (the next three), before
     ext-sp2q2-embedded was built from gamma's minimal polynomial (the next
     two), before each eigenspace was split by the class matrix of its
-    first pivot after the identity (sp4:4) and before keys of at most 32
+    first pivot after the identity (sp4:4), before keys of at most 32
     bits were stored as uint32 (sp4-sub:8:2, which with sz:8 keeps 64-bit
-    keys)."""
+    keys) and before the class partition ran one fiber at a time
+    (ext-sp2q2:4 on its two twist fibers, so4+:4 on its four trace
+    fibers)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()

@@ -583,21 +583,83 @@ def test_partition_peak_does_not_grow_with_the_generator_count(monkeypatch):
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 
-@pytest.mark.slow
-def test_sp4_partition_holds_under_20_bytes_per_element():
-    """The class partition of sp4:4 allocates under 20 bytes per element at
-    its peak (tracemalloc, above its entry): int32 labels, one generator's
-    32-bit conjugates and their argsort at a time, and a uint8 class_of
-    read out in _CHUNK slices once the last argsort is freed."""
-    G = build_group("sp4:4")
+def _partition_peak(G):
+    """(ClassData, tracemalloc peak of the partition above its entry)."""
+    groups._class_data(G, G.gens_keys)             # the byte tables, outside the trace
     tracemalloc.start()
     try:
         cd = groups._class_data(G, G.gens_keys)
-        peak = tracemalloc.get_traced_memory()[1]
+        return cd, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.slow
+def test_sp4_partition_holds_under_10_bytes_per_element():
+    """The class partition of sp4:4 allocates under 10 bytes per element at
+    its peak (tracemalloc, above its entry): uint8 trace fiber ids and
+    class ids for the whole group, and for one trace fiber at a time (at
+    most 257,024 of the 979,200 keys) its keys, int32 labels and one
+    generator's conjugates and their argsort."""
+    cd, peak = _partition_peak(build_group("sp4:4"))
     assert len(cd) == 27
-    assert peak < 20 * G.order, peak / G.order
+    assert peak < 10 * cd.class_of.size, peak / cd.class_of.size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec,bound", [("so4+:8", 21.2), ("ext-sp2q2:8", 16.6)])
+def test_q8_partition_peak_is_no_higher_than_whole_group_union_find(spec, bound):
+    """The 64-bit keys of so4+:8 (eight trace fibers) and the two twist
+    fibers of ext-sp2q2:8 peak at most at the bytes per element of the
+    whole-group union-find the fibers replaced."""
+    cd, peak = _partition_peak(build_group(spec))
+    assert peak <= bound * cd.class_of.size, peak / cd.class_of.size
+
+
+def test_fiber_of_is_the_trace_or_the_twist():
+    """fiber_of reads the trace of each matrix (as the XOR of the
+    polynomial codes of its diagonal) and the twist bit of each ExtOps
+    pair."""
+    for spec in ("sp4:2", "sl2:16", "so4-:4", "sz:8", "s6"):
+        G = build_group(spec)
+        ops = G.ops
+        want = np.bitwise_xor.reduce(
+            ops._poly[np.diagonal(ops.unpack(G.keys), axis1=1, axis2=2)], axis=1)
+        got = ops.fiber_of(G.keys)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), spec
+    ext = build_group("ext-sp2q2:4")
+    got = ext.ops.fiber_of(ext.keys)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, ext.keys >> ext.ops._tshift)
+    assert set(got.tolist()) == {0, 1}
+
+
+def test_fibers_split_the_partition_and_match_one_chunk(monkeypatch):
+    """parabolic-p:4 falls into its four trace fibers, and partitioning it
+    in 256-key slices gives the same classes as in one pass."""
+    G = build_group("parabolic-p:4")
+    assert np.unique(G.ops.fiber_of(G.keys)).size == 4
+    whole = groups._orbit_partition(G, G.gens_keys)
+    monkeypatch.setattr(groups, "_CHUNK", 256)
+    sliced = groups._orbit_partition(G, G.gens_keys)
+    assert whole[:2] == sliced[:2] and np.array_equal(whole[2], sliced[2])
+
+
+def test_fiber_id_that_is_not_a_class_function_is_caught(monkeypatch, capsys,
+                                                         fresh_builds):
+    """A fiber id that reads the off-diagonal entry (0, 1) instead of the
+    trace is not kept by conjugation: the partition raises and the CLI
+    exits 4."""
+    def off_diagonal(self, keys):
+        keys = groups._as_key_array(keys, self.dtype)
+        return ((keys >> self._shifts[1]) & self._mask).astype(np.uint8)
+    monkeypatch.setattr(groups.MatOps, "fiber_of", off_diagonal)
+    G = build_group("sp4:2")
+    message = "sp4:2: a conjugate .* or it leaves its fiber"
+    with pytest.raises(InternalCheckError, match=message):
+        groups._class_data(G, G.gens_keys)
+    assert main(["chartab", "sp4:2"]) == EXIT_INTERNAL
+    assert "or it leaves its fiber" in capsys.readouterr().err
 
 
 def _order_loop(ops, key):
@@ -815,6 +877,46 @@ def test_membership_rejects_every_sampled_outsider(spec):
     sample = np.unique(out[rng.choice(out.size, 200, replace=False)])
     with pytest.raises(InternalCheckError, match="200 enumerated elements fail"):
         _build_with(spec, sample)
+
+
+def _old_symplectic(ops, keys):
+    """The product check the Gram forms replaced: M^-1 M = 1, with M^-1 =
+    J M^T J read from the inverse table."""
+    return ops.mul(ops.inv(keys), keys) == ops.identity
+
+
+@pytest.mark.parametrize("spec", ["sp4:2", "parabolic-p:4", "so4+:4", "sz:8"])
+def test_gram_forms_match_the_product_check(spec):
+    """Over GF(2), GF(4) and GF(8): random products of group elements
+    (symplectic), the same with one entry changed, and random matrices are
+    symplectic by the six Gram forms exactly when J M^T J M = 1."""
+    G = build_group(spec)
+    ops, rng = G.ops, np.random.default_rng(23)
+    sym = ops.mul(G.keys[rng.integers(0, G.order, 400)],
+                  G.keys[rng.integers(0, G.order, 400)])
+    m = ops.unpack(sym)
+    rows, cols = rng.integers(0, 4, 400), rng.integers(0, 4, 400)
+    m[np.arange(400), rows, cols] ^= rng.integers(1, ops.ctx.q, 400).astype(np.uint8)
+    codes = rng.integers(0, ops.ctx.q, size=(400, 4, 4), dtype=np.uint8)
+    keys = np.concatenate([sym, ops.pack(m), ops.pack(codes)])
+    got = groups._symplectic(ops, ops.unpack(keys))
+    assert np.array_equal(got, _old_symplectic(ops, keys))
+    assert got[:400].all() and not got[400:].all()
+
+
+def test_non_symplectic_key_exits_4(monkeypatch, capsys, fresh_builds):
+    """The transvection I + E_12 keeps the flag of parabolic-p:2 but is not
+    symplectic: slipped into its closure, it fails the Gram forms and
+    `chartab` exits 4."""
+    real = groups.mulclose
+
+    def with_outsider(ops, gens, m):
+        bad = groups._transvection(ops, {(0, 1): ops.ctx.one})
+        return np.union1d(real(ops, gens, m), np.array([bad], dtype=ops.dtype))
+    monkeypatch.setattr(groups, "mulclose", with_outsider)
+    assert main(["chartab", "parabolic-p:2"]) == EXIT_INTERNAL
+    assert ("parabolic-p:2: 1 enumerated elements fail its defining condition"
+            in capsys.readouterr().err)
 
 
 def test_membership_check_fires_under_python_O():

@@ -98,8 +98,8 @@ def test_float_guard_allows_exact_code():
 
 
 # The slicing helper is the one loop over _CHUNK slices of a kernel pass;
-# the class partition's union-find rounds and read-out and its permutation
-# check slice arrays that are not kernel passes.
+# the class partition's fiber split, union-find rounds and read-out and its
+# permutation check slice arrays that are not kernel passes.
 CHUNK_SCOPES = {("groups.py", "_sliced"), ("groups.py", "_orbit_partition"),
                 ("groups.py", "_join_orbits"), ("groups.py", "_conjugation_perm")}
 
