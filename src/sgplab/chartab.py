@@ -64,9 +64,8 @@ from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
 
 __all__ = [
     "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
-    "restrict", "restriction_matrix", "total_character", "split_fuse",
-    "trivial_character", "regular_character", "tables_equal_upto_permutation",
-    "table_to_json", "table_to_csv",
+    "restrict", "restriction_matrix", "split_fuse", "trivial_character",
+    "tables_equal_upto_permutation", "table_to_json", "table_to_csv",
 ]
 
 MAX_CLASSES = 200
@@ -209,12 +208,6 @@ class Character:
             raise InternalCheckError("character degree is not rational")
         return d
 
-    def __add__(self, other: "Character") -> "Character":
-        if self.group is not other.group:
-            raise SubgroupError("characters live on different groups")
-        return Character(self.group,
-                         tuple(a + b for a, b in zip(self.values, other.values)))
-
     def key(self):
         return (self.degree, tuple(v.key() for v in self.values))
 
@@ -249,13 +242,6 @@ class CharTable:
 def trivial_character(G: FinGroup) -> Character:
     r = len(conjugacy_classes(G))
     return Character(G, tuple(Cyclo.from_rational(1) for _ in range(r)), "Tr")
-
-
-def regular_character(G: FinGroup) -> Character:
-    cd = conjugacy_classes(G)
-    vals = [Cyclo.from_rational(G.order if i == cd.identity_class else 0)
-            for i in range(len(cd))]
-    return Character(G, tuple(vals), "regular")
 
 
 def _class_column(G: FinGroup, cd: ClassData, inverses, i: int, m: int) -> list:
@@ -524,13 +510,6 @@ def induce(psi: Character, G: FinGroup) -> Character:
     return Character(G, tuple(vals), psi.name and f"{psi.name}^{G.label}")
 
 
-def total_character(T: CharTable) -> Character:
-    out = T.irreducibles[0]
-    for ch in T.irreducibles[1:]:
-        out = out + ch
-    return Character(T.group, out.values, "total")
-
-
 def split_fuse(psi: Character, G: FinGroup) -> str:
     """For |G : H| = 2: 'split' if psi induces reducibly, 'fuse' otherwise."""
     H = psi.group
@@ -548,12 +527,6 @@ def split_fuse(psi: Character, G: FinGroup) -> str:
 # -- comparison and export -----------------------------------------------------
 
 
-def _lifted_key(v: Cyclo, order: int):
-    lifted = v.lift(order)
-    return tuple((e, c.numerator, c.denominator)
-                 for e, c in sorted(lifted.coeffs.items()))
-
-
 def tables_equal_upto_permutation(A: CharTable, B: CharTable) -> bool:
     """Exact equality up to a permutation of the irreducibles, for two tables
     on one group and one class order (False for any other pair)."""
@@ -562,7 +535,7 @@ def tables_equal_upto_permutation(A: CharTable, B: CharTable) -> bool:
     E = math.lcm(*A.classes.orders)
 
     def rows(T):
-        return sorted(tuple(_lifted_key(v, E) for v in ch.values)
+        return sorted(tuple(v.lift(E).key() for v in ch.values)
                       for ch in T.irreducibles)
 
     return rows(A) == rows(B)

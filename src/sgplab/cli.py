@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 
 from . import families as fam
@@ -72,17 +71,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("show-field", help="print the frozen field table")
     return p
-
-
-def parse_spec(text: str) -> argparse.Namespace:
-    """Parse a full command string (the `verb arg*` grammar)."""
-    argv = shlex.split(text)
-    parser = _parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        raise GroupSpecError(f"cannot parse command {text!r}", text, 0) from exc
-    return _parse_group_specs(ns)
 
 
 def _parse_group_specs(ns: argparse.Namespace) -> argparse.Namespace:

@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .chartab import Character, CharTable
 from .errors import InternalCheckError
 from .exactnum import Cyclo, root_of_unity
-from .groups import (ExtOps, FinGroup, MatOps, build_group, conjugacy_classes,
-                     element_order, element_powers)
+from .groups import (FinGroup, build_group, conjugacy_classes, element_order,
+                     element_powers)
 
 __all__ = [
     "PolyQ", "DegreeRow", "DegreeSpec", "AlphaParams",
@@ -169,8 +167,7 @@ def _identify_sl2_classes(G: FinGroup):
 
     # a = diag(gamma, gamma^-1) for the a-family, b the first key of order
     # q + 1 for the b-family; their powers come from one element_powers call
-    a = _sl2_key_for(G, np.array([[ctx.gamma, 0], [0, ctx.inv(ctx.gamma)]],
-                                 dtype=np.uint8))
+    a = G.ops.pack_one([[ctx.gamma, 0], [0, ctx.inv(ctx.gamma)]])
     b = next(key for key in G.keys if element_order(G.ops, key) == q + 1)
     _, powers = element_powers(G.ops, [a, b])
     at = [cd.class_of[G.index_of(pw)] for pw in powers]
@@ -190,14 +187,6 @@ def _identify_sl2_classes(G: FinGroup):
         else:
             raise InternalCheckError("unclassified SL2 conjugacy class")
     return cd, labels, q
-
-
-def _sl2_key_for(G: FinGroup, mat):
-    if isinstance(G.ops, MatOps):
-        return G.ops.pack_one(mat)
-    if isinstance(G.ops, ExtOps):  # wrap as the untwisted pair (m, 0)
-        return G.ops.pack_one(np.asarray(mat, dtype=np.uint8), 0)
-    raise InternalCheckError("no 2x2 view for this element encoding")
 
 
 def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:

@@ -22,11 +22,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InternalCheckError
-from .exactnum import Cyclo, root_of_unity
 
 __all__ = [
     "PRIMITIVE_POLYS", "ZERO", "FieldCtx", "field_ctx",
-    "char_embed", "subfield_embed", "frobenius",
+    "subfield_embed", "frobenius",
 ]
 
 # e -> modulus bitmask, LSB = constant term.
@@ -158,13 +157,6 @@ class FieldCtx:
 @lru_cache(maxsize=None)
 def field_ctx(e: int) -> FieldCtx:
     return FieldCtx(e)
-
-
-def char_embed(ctx: FieldCtx, a: int) -> Cyclo:
-    """The fixed monomorphism GF(q)^x -> C^x: gamma^k -> zeta_(q-1)^k."""
-    if a == ZERO:
-        raise ZeroDivisionError("char_embed of the zero field element")
-    return root_of_unity(ctx.q - 1, a - 1)
 
 
 def subfield_embed(small: FieldCtx, big: FieldCtx, a: int) -> int:

@@ -56,7 +56,6 @@ __all__ = [
     "find_generators", "mulclose", "element_order", "element_powers",
     "is_subgroup",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
-    "group_to_json",
 ]
 
 MAX_ORDER_DEFAULT = 2_500_000
@@ -129,8 +128,6 @@ class MatOps:
         for i in range(dim):
             eye[i, i] = ctx.one
         self.identity = self.pack_one(eye)
-        if inv_mode == "symplectic":       # the Gram matrix J of the form
-            self._jkey = self.pack_one(eye[::-1])
         # key chunks of whole entries, at most a byte wide: (shift, width)
         width = max(1, 8 // self.bits) * self.bits
         total = dim * dim * self.bits
@@ -199,9 +196,6 @@ class MatOps:
         return _sliced(lambda x, y: self.pack(self._matmul(self.unpack(x),
                                                            self.unpack(y))),
                        _as_key_array(a, self.dtype), _as_key_array(b, self.dtype))
-
-    def mul1(self, a, b):
-        return self.mul(a, b)[0]
 
     # Over GF(2), x -> x*g and x -> g*x are linear maps on the entry bits of
     # x in polynomial basis (Four Russians: Albrecht, Bard and Hart, ACM
@@ -327,7 +321,7 @@ class ExtOps:
         self._sigma = mo._chunk_tables(lambda k: mo.pack(frob[mo.unpack(k)]))
         self.identity = dt.type(mo.identity)
 
-    def pack_one(self, mat, t: int):
+    def pack_one(self, mat, t: int = 0):
         return self.dtype.type(int(self._mat.pack_one(mat)) | t << int(self._tshift))
 
     def _split(self, keys):
@@ -364,9 +358,6 @@ class ExtOps:
         else:
             m = mo._mul_ref(ma, self._twist(mb, ta))
         return self._join(m, ta ^ tb)
-
-    def mul1(self, a, b):
-        return self.mul(a, b)[0]
 
     def conj(self, keys, g) -> np.ndarray:
         """g^-1 * keys * g for one fixed g: both fixed-element products in
@@ -823,8 +814,8 @@ def _sp4_pair(ops):
     pair generates, and the class partition then costs two products per
     element."""
     g = _sp4_gens(ops)
-    return [ops.mul1(ops.mul1(g[0], g[1]), g[2]),
-            g[3] if len(g) == 4 else ops.mul1(g[3], g[4])]
+    return [ops.mul(ops.mul(g[0], g[1]), g[2])[0],
+            g[3] if len(g) == 4 else ops.mul(g[3], g[4])[0]]
 
 
 def _points(ops, keys) -> list:
@@ -968,7 +959,7 @@ def _build_ext_embedded(q, max_order):
     t_key = ops.from_rows(diag(frob, [[ti, 0], [0, ti]]))
     t_inv = ops.from_rows(diag(frob, [[t, 0], [0, t]]))
     gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [diag(frob, frob)]
-    gens = [ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t_key) for r in gen_rows]
+    gens = [ops.mul(ops.mul(t_inv, ops.from_rows(r)), t_key)[0] for r in gen_rows]
     if not _symplectic(ops, ops.unpack(gens)).all():
         raise InternalCheckError(f"{label}: a generator is not symplectic")
     return _generated(label, ops, gens, 2 * q**2 * (q**4 - 1), max_order)
@@ -1080,7 +1071,7 @@ def _build_sp4_sub(q, q0, max_order):
 
 
 def _build_trivial(max_order):
-    ops = mat_ops(gfield.field_ctx(1), 2, "transpose")
+    ops = mat_ops(gfield.field_ctx(1), 2, "symplectic")    # the ops of sl2:2
     return FinGroup("trivial", ops, np.array([ops.identity], dtype=ops.dtype), [])
 
 
@@ -1177,8 +1168,3 @@ def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list
                                      "a6"), "a6"))
     return out + [(build_group(spec, max_order=max_order),
                    spec.replace("-embedded", "")) for spec in specs]
-
-
-def group_to_json(G: FinGroup) -> dict:
-    return {"label": G.label, "order": G.order,
-            "generators": [G.ops.describe(g) for g in G.gens_keys]}

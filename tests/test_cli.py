@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,32 +12,40 @@ import pytest
 
 import sgplab
 from sgplab import gfield, groups
-from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
-                        parse_spec, run)
+from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
+                        _parse_group_specs, _parser, main, run)
 from sgplab.errors import GroupSpecError
+
+
+def _parse(text):
+    """A command string as `main` parses its argv."""
+    return _parse_group_specs(_parser().parse_args(text.split()))
 
 
 def _run(text):
     lines = []
-    code = run(parse_spec(text), out=lines.append)
+    code = run(_parse(text), out=lines.append)
     return code, "\n".join(lines)
 
 
 def test_parse_spec_examples():
-    ns = parse_spec("sgp sp4:4 wreath-sp2:4")
+    ns = _parse("sgp sp4:4 wreath-sp2:4")
     assert ns.verb == "sgp" and ns.group == "sp4:4" and ns.subgroup == "wreath-sp2:4"
-    ns = parse_spec("alpha-sum 8 4 1 2")
+    assert ns.specs == {"group": ("sp4", (4,)), "subgroup": ("wreath-sp2", (4,))}
+    ns = _parse("alpha-sum 8 4 1 2")
     assert (ns.q, ns.k, ns.m, ns.n) == (8, 4, 1, 2)
 
 
 def test_parse_spec_rejects_sz4():
     with pytest.raises(GroupSpecError):
-        parse_spec("chartab sz:4")
+        _parse("chartab sz:4")
 
 
-def test_parse_spec_rejects_unknown_verb():
-    with pytest.raises(GroupSpecError):
-        parse_spec("frobnicate sl2:4")
+def test_parse_spec_rejects_unknown_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _parse("frobnicate sl2:4")
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_alpha_sum_verb():
@@ -70,6 +79,17 @@ def test_sgp_verb():
     assert code == EXIT_OK and "sgp" in out
     code, out = _run("--format json sgp s6 ext-sp2q2-embedded:2")
     assert code == EXIT_OK and json.loads(out)["verdict"] == "sgp"
+
+
+def test_sgp_of_sl2_2_over_the_trivial_group(capsys):
+    """The trivial group is built on the GF(2) 2x2 ops of sl2:2, so it is a
+    subgroup there; 1^G is the regular character of S3, in which the
+    degree-2 irreducible has multiplicity 2."""
+    assert main(["sgp", "sl2:2", "trivial"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ("(sl2:2, trivial): not_sgp via full_check  "
+                            "[deg 2 restricts to deg 1 with multiplicity 2]\n")
+    assert captured.err == ""
 
 
 def test_sgp_non_subgroup_is_usage_error(capsys):
@@ -157,7 +177,6 @@ def test_verify_paper_tier1():
 def test_verify_paper_times_checks_on_stderr_only(capsys):
     """stdout keeps exactly the pass/fail/skip lines; stderr gets one timing
     line per check that runs, in check order."""
-    import re
     from sgplab.verify import CHECKS, run_checks
     lines = []
     run_checks(1, report=lines.append)
@@ -177,7 +196,7 @@ def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
     bug: exit 4, naming the group, not an uncaught KeyError."""
     ops = groups.mat_ops(gfield.field_ctx(1), 4, "symplectic")
     g = groups._sp4_gens(ops)
-    outsider = ops.mul1(g[0], g[2])            # order 4, not in wreath-sp2:2
+    outsider = ops.mul(g[0], g[2])[0]          # order 4, not in wreath-sp2:2
     real = groups.mulclose
 
     def leaky(ops_, gens, max_order):
@@ -252,6 +271,18 @@ def test_sgp_json_matches_golden(side, sub, capsys):
     golden = Path(__file__).parent / "golden" / name
     assert main(["--format", "json", "sgp", "--side", side, "sp4:4", sub]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()
+
+
+def test_every_golden_is_compared_under_optimize():
+    """The CI step that runs the console script with PYTHONOPTIMIZE=1 has
+    one `cmp` line per file in tests/golden, so a new golden cannot miss it."""
+    root = Path(__file__).parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    steps = [s for s in workflow.split("- name: ") if 'PYTHONOPTIMIZE: "1"' in s]
+    assert len(steps) == 1
+    compared = re.findall(r"\| cmp - tests/golden/(\S+)$", steps[0], re.M)
+    goldens = sorted(p.name for p in (root / "tests" / "golden").iterdir())
+    assert goldens and sorted(compared) == goldens
 
 
 def test_group_spec_is_parsed_once(monkeypatch):

@@ -9,8 +9,8 @@ import sgplab.gelfand as gelfand
 import sgplab.groups as groups
 import sgplab.chartab as ct
 from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
-                            inner_product, regular_character, restrict,
-                            restriction_matrix)
+                            inner_product, restrict, restriction_matrix,
+                            trivial_character)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
 from sgplab.gelfand import (SgpVerdict, Witness, is_gelfand_pair,
                             is_multiplicity_free, is_strong_gelfand_pair,
@@ -28,19 +28,25 @@ def _s5():
 def test_multiplicity_free_of_regular_character():
     s3 = build_group("sl2:2")
     T = dixon_schneider(s3)
-    ok, witness = is_multiplicity_free(regular_character(s3), T)
+    regular = induce(trivial_character(subgroup(s3, [s3.ops.identity], "1")), s3)
+    ok, witness = is_multiplicity_free(regular, T)
     assert not ok
     idx, mult = witness
     assert int(T.irreducibles[idx].degree) == 2 and mult == 2
 
 
-def test_multiplicity_free_of_irreducibles_and_total():
-    from sgplab.chartab import total_character
+def test_multiplicity_free_of_irreducibles_and_a_permutation_character():
+    """1_B^G for the Borel subgroup B of SL2(4) = A5 is 1 + the Steinberg
+    character: reducible, and multiplicity-free."""
     g = build_group("sl2:4")
     T = dixon_schneider(g)
     for ch in T.irreducibles:
         assert is_multiplicity_free(ch, T) == (True, None)
-    assert is_multiplicity_free(total_character(T), T) == (True, None)
+    borel = subgroup(g, g.keys[g.ops.unpack(g.keys)[:, 1, 0] == 0], "borel")
+    assert borel.order == 12
+    perm = induce(trivial_character(borel), g)
+    assert inner_product(perm, perm) == 2
+    assert is_multiplicity_free(perm, T) == (True, None)
 
 
 def test_multiplicity_free_rejects_non_characters():
@@ -101,11 +107,10 @@ def test_shortcut_values():
 def test_shortcut_soundness_against_full_check():
     # whenever the shortcut fires on a computed pair, the full check agrees
     s6 = build_group("s6")
-    from sgplab.chartab import total_character
     maxdeg = dixon_schneider(s6).max_degree()
     k = next(k for k in s6.keys if element_order(s6.ops, k) == 6)
     for H in (cyclic_subgroup(s6, k, "c6"), squares_subgroup(_s5(), "a5")):
-        tau = total_character(dixon_schneider(H)).degree
+        tau = dixon_schneider(H).total_degree()
         if total_char_shortcut(tau, maxdeg) == "not_sgp":
             assert is_strong_gelfand_pair(s6, H).verdict == "not_sgp"
 
@@ -215,14 +220,32 @@ def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
 
 def test_corrupt_table_in_gelfand_pair_is_internal_error():
     """is_gelfand_pair meets a halved irreducible of G as InternalCheckError
-    (exit 4), not as ValueError (exit 2, a usage error)."""
+    (exit 4), not as ValueError (exit 2, a usage error): the degree checks
+    of `restriction_matrix` catch it."""
     s6 = build_group("s6")
     s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
     T = dixon_schneider(s5)
     half = Character(s5, tuple(v * Fraction(1, 2) for v in T.irreducibles[0].values))
     s5._chartable = CharTable(s5, T.classes, [half] + list(T.irreducibles[1:]))
-    with pytest.raises(InternalCheckError, match="multiplicity 1/2"):
+    with pytest.raises(InternalCheckError,
+                       match="multiplicities fail the degree or reciprocity checks"):
         is_gelfand_pair(s5, squares_subgroup(s5, "a5"))
+
+
+def test_table_without_a_trivial_character_in_gelfand_pair_is_internal_error():
+    """An H table whose trivial character was replaced by a copy of another
+    irreducible has no trivial column to read: InternalCheckError (exit 4),
+    not the ValueError of a failed list lookup (exit 2)."""
+    s6 = build_group("s6")
+    s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
+    T = dixon_schneider(s5)
+    j = next(j for j, ch in enumerate(T.irreducibles)
+             if all(v == 1 for v in ch.values))
+    rows = list(T.irreducibles)
+    rows[j] = rows[j - 1]
+    s5._chartable = CharTable(s5, T.classes, rows)
+    with pytest.raises(InternalCheckError, match="has no trivial character"):
+        is_gelfand_pair(s6, s5)
 
 
 def test_verdict_json():
@@ -246,7 +269,7 @@ def test_witness_is_confirmed_from_the_other_side(monkeypatch, side, patched):
 
     def doubled(ch, group):
         out = real(ch, group)
-        return out + out
+        return Character(out.group, tuple(v + v for v in out.values))
 
     monkeypatch.setattr(gelfand, patched, doubled)
     with pytest.raises(InternalCheckError, match="other side"):
@@ -340,6 +363,22 @@ def test_verdicts_match_the_per_pair_loop(pairs, side):
     """Equal verdicts and witnesses, indices included, on both sides."""
     for G, H in pairs():
         assert is_strong_gelfand_pair(G, H, side=side) == _sgp_by_loop(G, H, side)
+
+
+def test_gelfand_pair_matches_the_induced_trivial_character():
+    """The oracle is the route the trivial column of `restriction_matrix`
+    replaced: induce 1_H to G and check it against G's table.  On the 30
+    subgroups of S4 and on S6 against S6, S5, A6, A5 and C6."""
+    s6 = build_group("s6")
+    pairs = (_small_pairs("s4") + [(s6, s6), (s6, _s5()),
+                                   (s6, squares_subgroup(s6, "a6"))]
+             + _small_pairs("s6"))
+    assert len(pairs) == 35
+    found = [is_gelfand_pair(G, H) for G, H in pairs]
+    assert found == [is_multiplicity_free(induce(trivial_character(H), G),
+                                          dixon_schneider(G))[0]
+                     for G, H in pairs]
+    assert set(found) == {True, False}
 
 
 @pytest.mark.parametrize("name", ["s4", "d8", "q8", "a4", "s6"])

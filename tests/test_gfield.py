@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from sgplab.exactnum import Cyclo
-from sgplab.gfield import (PRIMITIVE_POLYS, ZERO, char_embed, field_ctx,
-                           frobenius, subfield_embed)
+from sgplab.gfield import PRIMITIVE_POLYS, ZERO, field_ctx, frobenius, subfield_embed
 
 
 # -- an independent polynomial-representation oracle (tests only) ------------
@@ -85,8 +83,6 @@ def test_inv_of_zero_raises():
     ctx = field_ctx(3)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ZERO)
-    with pytest.raises(ZeroDivisionError):
-        char_embed(ctx, ZERO)
 
 
 def test_ctx_degree_bounds():
@@ -94,29 +90,6 @@ def test_ctx_degree_bounds():
         field_ctx(0)
     with pytest.raises(ValueError):
         field_ctx(17)
-
-
-def test_char_embed_homomorphism_and_injectivity():
-    for e in (2, 3, 4, 5, 6):
-        ctx = field_ctx(e)
-        vals = [char_embed(ctx, a) for a in range(1, ctx.q)]
-        for i, a in enumerate(range(1, ctx.q)):
-            for j, b in enumerate(range(1, ctx.q)):
-                if j < i:
-                    assert vals[i] != vals[j]  # injective on GF(q)^x
-        # homomorphism, spot pairs
-        for a in (1, 2, ctx.q - 1):
-            for b in (1, 3 % ctx.q or 1, ctx.q - 2):
-                if a and b:
-                    assert vals[a - 1] * vals[b - 1] == char_embed(ctx, ctx.mul(a, b))
-
-
-def test_char_embed_full_sum_vanishes():
-    ctx = field_ctx(3)
-    s = Cyclo.zero()
-    for a in range(1, 8):
-        s = s + char_embed(ctx, a)
-    assert s.as_rational() == 0
 
 
 def test_subfield_embed_unit_and_order():

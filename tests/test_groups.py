@@ -20,8 +20,7 @@ from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundErro
 from sgplab.gelfand import scan_maximal_sp4
 from sgplab.groups import (_sorted_unique, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
-                           element_powers,
-                           group_to_json, h_classes, is_subgroup,
+                           element_powers, h_classes, is_subgroup,
                            maximal_subgroups_sp4, parse_group_spec, perm_group,
                            squares_subgroup, subgroup)
 
@@ -129,9 +128,14 @@ def test_centralizer_requires_membership():
         centralizer_order(g, bad)
 
 
+def _gram_key(ops):
+    """The antidiagonal Gram matrix J of the symplectic form, as a key."""
+    return ops.pack_one(np.eye(ops.dim, dtype=np.uint8)[::-1])
+
+
 def _symplectic_ok(g, keys):
     ops = g.ops
-    j = ops._jkey
+    j = _gram_key(ops)
     mt = ops.pack(ops.unpack(keys).swapaxes(1, 2))
     return bool((ops.mul(ops.mul(mt, j), keys) == j).all())
 
@@ -261,10 +265,10 @@ def _ext_embedded_gens_by_table(q):
     ops = groups.mat_ops(ctx, 4, "symplectic")
     t_cols = _symplectic_basis(ctx, gram)
     t = ops.from_rows(t_cols)
-    t_inv = ops.mul1(ops.mul1(ops._jkey, ops.from_rows(np.array(t_cols).T)),
-                     ops.from_rows(gram))
+    t_inv = ops.mul(ops.mul(_gram_key(ops), ops.from_rows(np.array(t_cols).T)),
+                    ops.from_rows(gram))[0]
     rows = [image(r) for r in groups._sl2_gens(ctx2)] + [galois]
-    return [int(ops.mul1(ops.mul1(t_inv, ops.from_rows(r)), t)) for r in rows]
+    return [int(ops.mul(ops.mul(t_inv, ops.from_rows(r)), t)[0]) for r in rows]
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
@@ -342,16 +346,6 @@ def test_perm_group_s4():
     s4 = perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4")
     assert s4.order == 24
     assert len(conjugacy_classes(s4)) == 5
-
-
-def test_group_json_dump():
-    blob = group_to_json(build_group("sl2:4"))
-    assert blob["label"] == "sl2:4" and blob["order"] == 60
-    for mat in blob["generators"]:
-        assert len(mat) == 2 and all(len(row) == 2 for row in mat)
-        assert all(entry >= -1 for row in mat for entry in row)
-    blob2 = group_to_json(build_group("ext-sp2q2:2"))
-    assert {"matrix", "twist"} <= set(blob2["generators"][0].keys())
 
 
 @pytest.mark.parametrize("spec,make", [
@@ -666,7 +660,7 @@ def _order_loop(ops, key):
     """One single-key product per power: the loop element_powers replaced."""
     k, n = U64(key), 1
     while k != ops.identity:
-        k = ops.mul1(k, key)
+        k = ops.mul(k, key)[0]
         n += 1
     return n
 
@@ -685,7 +679,7 @@ def test_batched_orders_match_loop(spec):
         acc = G.ops.identity
         for t in range(orders[j]):
             assert powers[t][j] == acc
-            acc = G.ops.mul1(acc, key)
+            acc = G.ops.mul(acc, key)[0]
 
 
 # -- the generating pair of sp4:q ---------------------------------------------
@@ -713,7 +707,7 @@ def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
     """g0 g2 and g1 g3 generate only A6 (360 elements) inside Sp4(2) = S6."""
     def mutant(ops):
         g = groups._sp4_gens(ops)
-        return [ops.mul1(g[0], g[2]), ops.mul1(g[1], g[3])]
+        return [ops.mul(g[0], g[2])[0], ops.mul(g[1], g[3])[0]]
     monkeypatch.setattr(groups, "_sp4_pair", mutant)
     with pytest.raises(InternalCheckError, match="enumerated 360 elements"):
         groups._SPECS["sp4"][1](2, groups.MAX_ORDER_DEFAULT)

@@ -20,14 +20,19 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src/sgplab: {found}"
 
 
-def test_tracer_finds_every_name_it_wraps():
-    """The traced benchmark wraps sgplab functions and methods by name, so a
-    renamed or deleted one must show up here, not in `run.py --trace`."""
+def _tracing():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_tracer_finds_every_name_it_wraps():
+    """The traced benchmark wraps sgplab functions and methods by name, so a
+    renamed or deleted one must show up here, not in `run.py --trace`."""
+    tracer = _tracing().Tracer()
     try:
         tracer.install()
     finally:
@@ -137,16 +142,23 @@ def test_chunk_guard_allows_the_definition():
     assert not _chunk_reads(ast.parse("_CHUNK = 1 << 16"))
 
 
-# Public names kept for callers outside the package: `from_json` reads the
-# exported tables back, `conjugate` is the exact type's complex conjugation.
-UNREFERENCED_ALLOWED = {"exactnum.py:Cyclo.from_json", "exactnum.py:Cyclo.conjugate"}
+# A method kept for callers outside the package: `from_json` reads the
+# exported tables back.
+UNREFERENCED_METHODS = {"exactnum.py:Cyclo.from_json"}
+
+
+def _traced_functions() -> set:
+    """'file:name' of each public function the benchmark's tracer wraps by
+    name; only these may lack a caller inside the package."""
+    return {f"{module}.py:{name}"
+            for module, names in _tracing()._FUNCTIONS.items() for name in names}
 
 
 def _definitions(tree):
-    """(qualified name, node, is a method) for every `_`-prefixed
-    module-level function and every non-dunder method."""
+    """(qualified name, node, is a method) for every module-level function
+    and class and every non-dunder method."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node, False
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         for node in cls.body:
@@ -182,12 +194,26 @@ def _package_sources() -> dict:
             for p in sorted(Path(sgplab.__file__).parent.glob("*.py"))}
 
 
+def _is_public(definition: str) -> bool:
+    """Whether a 'file:qualname' names a public module-level function or class."""
+    qual = definition.split(":")[1]
+    return not qual.startswith("_") and "." not in qual
+
+
 def test_no_unreferenced_private_functions_or_methods():
     """Every private function and every method is used inside the package;
     dead code is deleted, not kept for tests."""
     found = [d for d in _unreferenced(_package_sources())
-             if d not in UNREFERENCED_ALLOWED]
+             if not _is_public(d) and d not in UNREFERENCED_METHODS]
     assert not found, f"unreferenced definitions in src/sgplab: {found}"
+
+
+def test_no_unreferenced_public_functions_or_classes():
+    """Every public module-level function and class is used inside the
+    package, save the functions the benchmark's tracer wraps by name."""
+    found = [d for d in _unreferenced(_package_sources())
+             if _is_public(d) and d not in _traced_functions()]
+    assert not found, f"unreferenced public names in src/sgplab: {found}"
 
 
 @pytest.mark.parametrize("extra,name", [
@@ -195,10 +221,15 @@ def test_no_unreferenced_private_functions_or_methods():
     ("def _loop(n):\n    return _loop(n - 1)\n", "chartab.py:_loop"),
     ("class FieldCtx2:\n    def log(self, a):\n        log = a\n        return log\n",
      "chartab.py:FieldCtx2.log"),
-], ids=["deleted-helper", "self-recursive", "method-name-as-local"])
+    ("def total_character(T):\n    return T.irreducibles[0]\n",
+     "chartab.py:total_character"),
+    ("class Gram:\n    size = 4\n", "chartab.py:Gram"),
+], ids=["deleted-helper", "self-recursive", "method-name-as-local",
+        "deleted-public-function", "public-class"])
 def test_unreferenced_guard_finds(extra, name):
-    """A deleted helper put back, a function used only by itself, and a
-    method whose name is used only as a local variable are all reported."""
+    """A deleted helper or public function put back, a function used only
+    by itself, a method whose name is used only as a local variable, and a
+    public class nothing uses are all reported."""
     sources = _package_sources()
     sources["chartab.py"] += "\n\n" + extra
     assert name in _unreferenced(sources)
