@@ -9,8 +9,13 @@ is one matrix product per class, the character values mod p along its
 power map times the inverse of the root-power matrix [w^(k t)]
 (`_root_powers`), and it checks nothing itself: the multiplicities go
 straight to the column orthogonality check, which evaluates them with the
-same `_root_powers` mod its own prime, and only a table that passes it
-becomes `Cyclo` values.  A returned table is exact, not trusted.
+same `_root_powers` mod its own prime.  A table that passes it is kept as
+integers: per class, the canonical coefficients of its values, the
+multiplicities times the fixed reduction R_n mod the n-th cyclotomic
+polynomial (`_canonical_rows`).  Degrees, the order of the irreducibles
+and the residues of `restriction_matrix` are read from those rows; a
+character's `Cyclo` values are built on first access.  A returned table
+is exact, not trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
@@ -51,14 +56,14 @@ Tables and characters are immutable; sharing across threads is fine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .exactnum import Cyclo, _prime_factors
+from .exactnum import Cyclo, _canonical, _prime_factors, cyclotomic_poly
 from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
                      is_subgroup)
 
@@ -189,37 +194,83 @@ def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int, z: int) -> 
     return mults
 
 
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> np.ndarray:
+    """R_n, the read-only n x phi(n) int64 matrix whose row e holds the
+    canonical coefficients of zeta_n^e (`exactnum._canonical`)."""
+    R = np.zeros((n, len(cyclotomic_poly(n)) - 1), dtype=np.int64)
+    for e in range(n):
+        for k, c in _canonical(n, {e: 1}, 1).items():
+            R[e, k] = int(c)
+    R.flags.writeable = False
+    return R
+
+
+def _canonical_rows(M: np.ndarray) -> np.ndarray:
+    """M @ R_n for the r x n multiplicity matrix M of a class of order n:
+    row a holds the canonical coefficients of chi_a(rep), those `Cyclo`
+    gives it.  Exact in int64: every partial sum is at most max|M| times
+    the largest column sum of |R_n|, which must stay below 2^63."""
+    R = _reduction(M.shape[1])
+    if int(np.abs(M).max()) * int(np.abs(R).sum(axis=0).max()) >= 1 << 63:
+        raise InternalCheckError(f"canonical rows of order {M.shape[1]} overflow int64")
+    return M @ R
+
+
 # -- characters and tables ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Character:
-    """A class function with exact cyclotomic values, one per class."""
+    """A class function with exact cyclotomic values, one per class.
 
-    group: FinGroup
-    values: tuple
-    name: str = ""
+    A character of a computed table (`_of_table`) holds its degree and the
+    canonical coefficients of each value, and builds its `Cyclo` values on
+    first access; they are cached, like `Cyclo.coeffs`."""
+
+    __slots__ = ("group", "name", "_values", "_degree", "_rows")
+
+    def __init__(self, group: FinGroup, values, name: str = ""):
+        self.group, self.name = group, name
+        self._values, self._degree, self._rows = tuple(values), None, None
+
+    @classmethod
+    def _of_table(cls, group: FinGroup, degree: int, rows: tuple) -> "Character":
+        """rows[j] = (order n_j, canonical coefficients) of the value at class j."""
+        ch = cls(group, ())
+        ch._values, ch._degree, ch._rows = None, degree, rows
+        return ch
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(Cyclo(n, {k: c for k, c in enumerate(coeffs) if c})
+                                 for n, coeffs in self._rows)
+        return self._values
 
     @property
     def degree(self) -> Fraction:
+        if self._degree is not None:
+            return Fraction(self._degree)
         cd = conjugacy_classes(self.group)
         d = self.values[cd.identity_class].as_rational()
         if d is None:
             raise InternalCheckError("character degree is not rational")
         return d
 
-    def key(self):
-        return (self.degree, tuple(v.key() for v in self.values))
-
 
 class CharTable:
-    """The complete set of irreducible characters on a fixed class order."""
+    """The complete set of irreducible characters on a fixed class order.
+
+    `canonical[j]` is the r x phi(n_j) int64 matrix of canonical
+    coefficients at class j, one row per irreducible in table order, for a
+    table `dixon_schneider` computed; None for a table built from values."""
 
     def __init__(self, group: FinGroup, classes: ClassData, irreducibles,
-                 stats=None):
+                 stats=None, canonical=None):
         self.group = group
         self.classes = classes
         self.irreducibles = tuple(irreducibles)
+        self.canonical = canonical
         # how the table was computed: not part of the table or its export
         self.stats = MappingProxyType(dict(stats or {}))
         if len(self.irreducibles) != len(classes):
@@ -357,12 +408,18 @@ def dixon_schneider(G: FinGroup) -> CharTable:
     mults = _lift(np.array(chars_mod, dtype=np.int64), _power_classes(G, cd),
                   exponent, p, z)
     p_v = _verify_column_orthogonality(G.order, cd, mults)
-    columns = [[Cyclo(M.shape[1], {k: int(c) for k, c in enumerate(row) if c})
-                for row in M] for M in mults]
-    irreducibles = sorted((Character(G, row) for row in zip(*columns)),
-                          key=Character.key)
+    canonical = [_canonical_rows(M) for M in mults]
+    rows = [tuple(zip(cd.orders, row)) for row in zip(*(C.tolist() for C in canonical))]
+    degrees = [row[cd.identity_class][1][0] for row in rows]
+    # by degree, then per class the nonzero (exponent, coefficient) pairs of
+    # the canonical form: the order that sorting by degree and `Cyclo.key`
+    # gives, as every value of class j has order n_j and denominator 1
+    order = sorted(range(r), key=lambda a: (degrees[a], tuple(
+        tuple((k, c) for k, c in enumerate(coeffs) if c) for _, coeffs in rows[a])))
+    irreducibles = [Character._of_table(G, degrees[a], rows[a]) for a in order]
     table = CharTable(G, cd, irreducibles, {
-        "dixon_prime": p, "verify_prime": p_v, "class_columns": n_columns})
+        "dixon_prime": p, "verify_prime": p_v, "class_columns": n_columns},
+        [C[order] for C in canonical])
     G._chartable = table
     return table
 
@@ -462,7 +519,7 @@ def restriction_matrix(TG: CharTable, TH: CharTable) -> np.ndarray:
     """M[i, j] = <chi_i|_H, psi_j> over the irreducibles of G and H in table
     order, as the int64 matrix X_G[:, fusion] diag(|h^H|) conj(X_H)^T / |H|
     mod G's Dixon prime p = 1 mod e = exp(G), every table value read at the
-    one embedding zeta_n -> z^(e/n), z of order e (`Cyclo.residue`; the
+    one embedding zeta_n -> z^(e/n), z of order e (`_residues`; the
     conjugate is the value at the inverse class).  This is exact:
     - both tables are verified character tables and the fusion map is an
       exact lookup, so M_ij is an integer in [0, chi_i(1)];
@@ -478,14 +535,10 @@ def restriction_matrix(TG: CharTable, TH: CharTable) -> np.ndarray:
     fusion = _fusion_map(H, G)
     exponent = math.lcm(*cdg.orders)
     p, z = _dixon_root(exponent, max(2 * math.isqrt(G.order) + 1, len(cdg)))
-    w = {v.order: pow(z, exponent // v.order, p)
-         for T in (TG, TH) for ch in T.irreducibles for v in ch.values}
-    if any(exponent % n for n in w) or len(cdh) * p * p >= 1 << 63:
-        raise InternalCheckError(
-            f"({G.label}, {H.label}): table values do not fit the prime {p}")
-    XG, XH = (np.array([[v.residue(p, w[v.order]) for v in ch.values]
-                        for ch in T.irreducibles], dtype=np.int64)
-              for T in (TG, TH))
+    where = f"({G.label}, {H.label})"
+    if max(len(cdh), *cdg.orders) * p * p >= 1 << 63:
+        raise InternalCheckError(f"{where}: table values do not fit the prime {p}")
+    XG, XH = (_residues(T, p, z, exponent, where) for T in (TG, TH))
     weighted = XG[:, fusion] * (np.array(cdh.sizes, dtype=np.int64) % p) % p
     M = weighted @ XH[:, cdh.inverse_class].T % p * pow(H.order, p - 2, p) % p
     d_g, d_h = XG[:, cdg.identity_class], XH[:, cdh.identity_class]
@@ -494,6 +547,27 @@ def restriction_matrix(TG: CharTable, TH: CharTable) -> np.ndarray:
         raise InternalCheckError(f"({G.label}, {H.label}): multiplicities "
                                  f"fail the degree or reciprocity checks")
     return M
+
+
+def _residues(T: CharTable, p: int, z: int, exponent: int, where: str) -> np.ndarray:
+    """T's values mod p, a value of order n read at zeta_n -> z^(exponent/n)
+    for z of order exponent: the canonical rows of a computed table times
+    the powers of that root (int64 while phi(n) * p^2 < 2^63), or
+    `Cyclo.residue` for a table built from values."""
+    def root(n):
+        if exponent % n:
+            raise InternalCheckError(f"{where}: table values do not fit the prime {p}")
+        return pow(z, exponent // n, p)
+
+    if T.canonical is None:
+        return np.array([[v.residue(p, root(v.order)) for v in ch.values]
+                         for ch in T.irreducibles], dtype=np.int64)
+    columns = []
+    for C, n in zip(T.canonical, T.classes.orders):
+        w = root(n)
+        powers = np.array([pow(w, k, p) for k in range(C.shape[1])], dtype=np.int64)
+        columns.append(C % p @ powers % p)
+    return np.column_stack(columns)
 
 
 def induce(psi: Character, G: FinGroup) -> Character:

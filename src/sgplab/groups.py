@@ -135,8 +135,10 @@ class MatOps:
         self._poly = np.array([ctx.poly_of(a) for a in range(ctx.q)], dtype=np.uint8)
         code = np.array([ctx.code_of_poly(m) for m in range(ctx.q)], dtype=np.uint8)
         # per chunk, the XOR that turns polynomial codes into log codes: it
-        # changes that chunk only, so `_gather` can apply it in place
-        self._to_code = self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]) ^ k)
+        # changes that chunk only, so `_gather` can apply it in place; None
+        # over GF(2) and GF(4), where the two codes are the same
+        self._to_code = (None if np.array_equal(code, np.arange(ctx.q)) else
+                         self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]) ^ k))
         # the log-coded key of each bit k = entry * bits + t of a
         # polynomial-coded key, and the polynomial code of each chunk value
         bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
@@ -202,9 +204,13 @@ class MatOps:
     # TOMS 37(1), 2010).  Entry conversion is entrywise and the chunks hold
     # whole entries, so table c maps each value of chunk c of a log-coded key
     # straight to the polynomial bits of its image; XOR over the chunks gives
-    # the image of the whole key, and `_to_code` maps it back.  A linear
-    # map's tables are XORs of the images of the single-bit keys, so a table
-    # set costs dim*dim*bits reference products, not 2^w per chunk.
+    # the image of the whole key, and `_to_code` maps it back.  Over GF(2)
+    # and GF(4) the polynomial code of an entry is its log code (1 + k for
+    # gamma^k, and gamma^2 = gamma + 1 = 3), so there is no `_to_code`: a
+    # product is one gather, and a table set reads the images of the
+    # single-bit keys as they are.  A linear map's tables are XORs of those
+    # images, so a table set costs dim*dim*bits reference products, not 2^w
+    # per chunk.
 
     def _chunk_tables(self, image) -> list:
         """Per chunk, `image` of every key that is zero outside that chunk."""
@@ -232,7 +238,9 @@ class MatOps:
             prods = self._mul_ref(g, self._basis)
         else:
             prods = self._mul_ref(self._mul_ref(self.inv(g), self._basis), g)
-        return self._linear_tables(self.pack(self._poly[self.unpack(prods)]))
+        if self._to_code is not None:    # the images' log codes to polynomial codes
+            prods = self.pack(self._poly[self.unpack(prods)])
+        return self._linear_tables(prods)
 
     def _gather(self, tables: list, keys: np.ndarray, out=None) -> np.ndarray:
         """XOR over the chunks c of tables[c][chunk c of each key], XORed
@@ -260,7 +268,7 @@ class MatOps:
 
         def image(k):            # polynomial codes of the images, recoded in place
             poly = self._gather(tables, k)
-            return self._gather(self._to_code, poly, poly)
+            return poly if self._to_code is None else self._gather(self._to_code, poly, poly)
         return _sliced(image, keys)
 
     def conj(self, keys, g) -> np.ndarray:

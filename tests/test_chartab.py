@@ -4,13 +4,16 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sgplab.chartab as ct
-from sgplab.chartab import (Character, dixon_schneider, induce, inner_product,
-                            restrict, split_fuse, table_to_csv, table_to_json,
+from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
+                            inner_product, restrict, restriction_matrix,
+                            split_fuse, table_to_csv, table_to_json,
                             tables_equal_upto_permutation, trivial_character)
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
 from sgplab.exactnum import Cyclo
@@ -461,6 +464,63 @@ def test_verified_multiplicities_are_the_table(monkeypatch, spec):
     table_cols = [[ch.values[j] for ch in T.irreducibles] for j in range(len(cd))]
     assert _orthogonal_ref(order, cd, table_cols)
     assert _orthogonal_new(order, cd, mults)
+
+
+# every group of a golden file: the chartab goldens and the subgroups of
+# the sgp goldens; then sl2:16 (values of orders 15 and 17) and S6
+ORACLE_SPECS = sorted(p.stem[len("chartab_"):].replace("_", ":") for p in
+                      (Path(__file__).parent / "golden").glob("chartab_*.json"))
+ORACLE_SPECS += ["parabolic-p:4", "parabolic-q:4", "sl2:16", "s6"]
+
+
+def _cyclo_path_table(G, cd, mults) -> CharTable:
+    """The reference for the integer rows: the table as `Cyclo` values built
+    from the multiplicities, sorted by degree and then by `Cyclo.key`."""
+    rows = sorted(zip(*_columns(mults)), key=lambda row: (
+        row[cd.identity_class].as_rational(), tuple(v.key() for v in row)))
+    return CharTable(G, cd, [Character(G, row) for row in rows])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_integer_rows_give_the_order_degrees_and_residues_of_cyclo_values(
+        monkeypatch, spec):
+    """A computed table, kept as canonical integer rows, has the irreducible
+    order, the degrees and the `restriction_matrix` residues of the table
+    built from the same multiplicities as sorted `Cyclo` values; its
+    degrees and residues are read without building a `Cyclo`."""
+    T, (order, cd, mults) = _recorded(monkeypatch, spec)
+    ref = _cyclo_path_table(T.group, cd, mults)
+    assert T.canonical is not None and ref.canonical is None
+    assert T.degrees == ref.degrees
+    assert [ch.degree for ch in T.irreducibles] == [ch.degree for ch in ref.irreducibles]
+    exponent = math.lcm(*cd.orders)
+    p, z = ct._dixon_root(exponent, max(2 * math.isqrt(order) + 1, len(cd)))
+    assert np.array_equal(ct._residues(T, p, z, exponent, spec),
+                          ct._residues(ref, p, z, exponent, spec))
+    assert all(ch._values is None for ch in T.irreducibles)
+    assert ([[v.key() for v in ch.values] for ch in T.irreducibles]
+            == [[v.key() for v in ch.values] for ch in ref.irreducibles])
+    assert np.array_equal(restriction_matrix(T, T), restriction_matrix(ref, ref))
+
+
+def test_canonical_rows_refuse_a_bound_that_could_overflow(monkeypatch, capsys):
+    """The partial sums of M @ R_3 reach max|M| times 2, the largest column
+    sum of |R_3|: at max|M| = 2^62 that bound is 2^63, and the rows raise
+    instead of wrapping; one below, they are exact.  A reduction matrix
+    that overflows a real table exits 4 through the CLI."""
+    from sgplab import groups
+    from sgplab.cli import EXIT_INTERNAL, main
+    assert ct._reduction(3).tolist() == [[1, 0], [0, 1], [-1, -1]]
+    big = np.full((1, 3), 1 << 62, dtype=np.int64)
+    with pytest.raises(InternalCheckError, match="overflow int64"):
+        ct._canonical_rows(big)
+    assert ct._canonical_rows(big - 1).tolist() == [[0, 0]]
+    monkeypatch.setattr(groups, "_build_cached",       # no cached table
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
+    monkeypatch.setattr(ct, "_reduction",
+                        lambda n: np.full((n, 1), 1 << 62, dtype=np.int64))
+    assert main(["chartab", "sl2:2"]) == EXIT_INTERNAL
+    assert "canonical rows of order 1 overflow int64" in capsys.readouterr().err
 
 
 def _move_one(rng, cd, mults):

@@ -444,3 +444,48 @@ def test_scan_q4_makes_at_most_two_inner_products(monkeypatch):
     verdicts = scan_maximal_sp4(4)
     assert [v.method for v in verdicts].count("full_check") == 2
     assert len(calls) <= 2
+
+
+@pytest.mark.slow
+def test_scan_q4_makes_cyclo_values_only_for_the_witnesses(monkeypatch):
+    """From fresh builds, the Sp4(4) scan reads degrees and multiplicities
+    off the integer tables: every `Cyclo` it makes (by the constructor or
+    by arithmetic) is made inside the exact inner products and inductions
+    that confirm its two witnesses, and only the witness characters of
+    the computed tables get their values built."""
+    from functools import lru_cache
+
+    from sgplab import exactnum
+    monkeypatch.setattr(groups, "_build_cached",       # nothing cached yet
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
+    made, confirming, witnesses = {True: 0, False: 0}, [0], []
+
+    def counted(real):
+        def make(*args):
+            made[bool(confirming[0])] += 1
+            return real(*args)
+        return make
+
+    def confirmation(real):
+        def run(*args):
+            witnesses.extend(a for a in args if isinstance(a, Character))
+            confirming[0] += 1
+            try:
+                return real(*args)
+            finally:
+                confirming[0] -= 1
+        return run
+
+    monkeypatch.setattr(exactnum.Cyclo, "__init__", counted(exactnum.Cyclo.__init__))
+    monkeypatch.setattr(exactnum, "_make", counted(exactnum._make))
+    for name in ("inner_product", "induce", "restrict"):
+        monkeypatch.setattr(gelfand, name, confirmation(getattr(gelfand, name)))
+    verdicts = scan_maximal_sp4(4)
+    assert [v.method for v in verdicts].count("full_check") == 2
+    assert made[False] == 0 and made[True] > 0
+    G = build_group("sp4:4")
+    tables = [dixon_schneider(G)] + [dixon_schneider(H) for H, _ in
+                                     maximal_subgroups_sp4(4)]
+    built = [ch for T in tables for ch in T.irreducibles if ch._values is not None]
+    assert all(any(ch is w for w in witnesses) for ch in built)
+    assert {ch.group.label for ch in built} == {"sp4:4", "parabolic-p:4", "parabolic-q:4"}

@@ -265,6 +265,29 @@ def test_mul_ref_does_not_depend_on_the_chunk_length(monkeypatch):
                 assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("e,gathers", [(1, 1), (2, 1), (3, 2)])
+def test_fixed_element_product_gathers_once_where_codes_are_polynomials(
+        monkeypatch, e, gathers):
+    """Over GF(2) and GF(4) the log code of an entry is its polynomial code,
+    so each slice of a right, left or conj product is one table gather;
+    over GF(8) it is two, the second recoding polynomial codes to logs."""
+    ops = mat_ops(gfield.field_ctx(e), 4, "symplectic")
+    assert (ops._to_code is None) == (e <= 2)
+    rng = np.random.default_rng(19)
+    x, g = _random_keys(ops, rng, 3 * SMALL_CHUNK + 5), _random_keys(ops, rng, 1)[0]
+    runs = [lambda: ops.mul(x, g), lambda: ops.mul(g, x), lambda: ops.conj(x, g)]
+    for run in runs:
+        run()                            # table sets built, before counting
+    calls = []
+    real = ops._gather
+    monkeypatch.setattr(ops, "_gather", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(groups, "_CHUNK", SMALL_CHUNK)
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 4 * gathers         # four slices
+
+
 def test_condition_failure_in_the_last_slice_is_counted(monkeypatch, capsys):
     """The membership check of a built group counts its failures slice by
     slice: a condition that rejects only the last key of so4-:2, in the
