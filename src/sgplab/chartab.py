@@ -12,18 +12,20 @@ straight to the column orthogonality check, which evaluates them with the
 same `_root_powers` mod its own prime.  A table that passes it is kept as
 integers: per class, the canonical coefficients of its values, the
 multiplicities times the fixed reduction R_n mod the n-th cyclotomic
-polynomial (`_canonical_rows`).  Degrees, the order of the irreducibles
-and the residues of `restriction_matrix` are read from those rows; a
-character's `Cyclo` values are built on first access.  A returned table
-is exact, not trusted.
+polynomial (`_canonical_rows`).  Degrees, the order of the irreducibles,
+the residues of `restriction_matrix` and the JSON export are read from
+those rows; a character's `Cyclo` values are built on first access.  The
+power map is read from `ClassData.power_classes`.  A returned table is
+exact, not trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
-compared at all phi(lcm(n1, n2)) embeddings of Q(zeta_lcm) into GF(p_v).
-Agreement at every embedding is equality, because each difference is an
-algebraic integer whose conjugates are at most 2|G| < p_v in absolute
-value, so its norm is either 0 or too small to be divisible by
-p_v^phi(lcm) (see `_verify_column_orthogonality`).
+compared at all phi(lcm(n1, n2)) embeddings of Q(zeta_lcm) into GF(p_v),
+the pairs of one pair of orders in one product.  Agreement at every
+embedding is equality, because each difference is an algebraic integer
+whose conjugates are at most 2|G| < p_v in absolute value, so its norm is
+either 0 or too small to be divisible by p_v^phi(lcm) (see
+`_verify_column_orthogonality`).
 
 Class matrices are never built whole (G. J. A. Schneider, "Dixon's
 character table algorithm revisited", J. Symbolic Comput. 9 (1990)
@@ -31,10 +33,12 @@ character table algorithm revisited", J. Symbolic Comput. 9 (1990)
 an int64 basis B that is the identity at its d pivot rows P, the first
 rows at which the space has full rank (one Gauss-Jordan, `_rref`, gives
 both).  As M*B = B*S, a class matrix M acts on the space by S = (M*B)_P,
-the d rows of M at P times B, and each eigenspace of S is B*N for N a
-null-space basis of S - lambda, for each root lambda of the
-Faddeev-LeVerrier characteristic polynomial of S (`_charpoly`, exact as
-d <= r < p).
+the d rows of M at P times B, and each eigenspace of S is B*N for N the
+null-space basis of S - lambda that is the identity at its first rows of
+full rank, for each root lambda of the Faddeev-LeVerrier characteristic
+polynomial of S (`_charpoly`, exact as d <= r < p).  The pivot rows of
+B*N are those rows of P, so B*N is already reduced, and one batched
+`_rref` gives the null spaces of every root (`_nullspaces`).
 
 Pivots are chosen in the order identity class first, then by class size,
 then by index, and a space of dimension d > 1 is split by M_k for k its
@@ -47,14 +51,18 @@ row k of M_i is row i of M_k; it is read from the column of the smaller
 of C_i and C_k, rescaled by the symmetry of the structure constants, at
 min(|C_i|, |C_k|) products (rows are cached per pair of classes, every
 column is checked to sum to the class size, and a rescaled entry that is
-not an integer raises `InternalCheckError`).  Element orders and power
-maps come from one array product per power for all class representatives.
+not an integer raises `InternalCheckError`).  The columns a space lacks
+are computed together: one fixed-element product per column, then one
+lookup and one count for all of them.  Every batched step runs in runs of
+at most _BATCH keys or values (`_batches`), so its temporaries stay
+bounded whatever the group.
 
 Tables and characters are immutable; sharing across threads is fine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -64,8 +72,7 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .exactnum import Cyclo, _canonical, _prime_factors, cyclotomic_poly
-from .groups import (ClassData, FinGroup, conjugacy_classes, element_powers,
-                     is_subgroup)
+from .groups import ClassData, FinGroup, conjugacy_classes, is_subgroup
 
 __all__ = [
     "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
@@ -74,6 +81,21 @@ __all__ = [
 ]
 
 MAX_CLASSES = 200
+_BATCH = 1 << 16      # keys, or int64 values, per batched step (`_batches`)
+
+
+def _batches(items, size, budget: int = _BATCH):
+    """Runs of consecutive items whose sizes sum to at most budget, or one
+    item alone, so a step batched over a run holds O(budget) temporaries."""
+    run, total = [], 0
+    for item in items:
+        if run and total + size(item) > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size(item)
+    if run:
+        yield run
 
 
 # -- small mod-p linear algebra ----------------------------------------------
@@ -107,39 +129,54 @@ def _primitive_root(p: int) -> int:
 
 
 def _rref(A: np.ndarray, p: int) -> tuple:
-    """Gauss-Jordan mod p on an int64 matrix, exact for p < 2^31.
+    """Gauss-Jordan mod p on a stack of int64 matrices (t, m, n), exact for
+    p < 2^31, each matrix with pivots of its own.
 
-    Returns the reduced copy of A and its pivot columns.  The reduced row
-    echelon form is unique, so it does not depend on the pivot choices.
+    Returns the reduced copies and, per matrix, its pivot columns.  The
+    reduced row echelon form is unique, so it does not depend on the pivot
+    choices.
     """
     A = A % p
-    pivots = []
-    for c in range(A.shape[1]):
-        r = len(pivots)
-        if r == len(A):
-            break
-        nonzero = np.flatnonzero(A[r:, c])
-        if not nonzero.size:
+    rank = np.zeros(len(A), dtype=np.intp)
+    pivots = [[] for _ in A]
+    for c in range(A.shape[2]):
+        # per matrix, its first row at or below its rank that is nonzero at c
+        below = (A[:, :, c] != 0) & (np.arange(A.shape[1]) >= rank[:, None])
+        at = np.flatnonzero(below.any(axis=1))
+        if not at.size:
             continue
-        piv = r + int(nonzero[0])
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        A = (A - np.outer(f, A[r])) % p
-        pivots.append(c)
+        r, piv = rank[at], below[at].argmax(axis=1)
+        row = A[at, piv]
+        A[at, piv] = A[at, r]
+        row = row * np.array([pow(int(x), p - 2, p) for x in row[:, c]])[:, None] % p
+        f = A[at, :, c]
+        f[np.arange(at.size), r] = 0
+        A[at] = (A[at] - f[:, :, None] * row[:, None, :]) % p
+        A[at, r] = row
+        rank[at] += 1
+        for i in at.tolist():
+            pivots[i].append(c)
     return A, pivots
 
 
-def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
-    """A basis of the right null space of M mod p, as the columns of an
-    int64 matrix."""
-    A, pivots = _rref(M, p)
-    free = [c for c in range(M.shape[1]) if c not in pivots]
-    N = np.zeros((M.shape[1], len(free)), dtype=np.int64)
-    N[free, range(len(free))] = 1
-    N[pivots] = -A[:len(pivots), free] % p
-    return N
+def _nullspaces(M: np.ndarray, p: int) -> list:
+    """Per matrix of a stack M (t, m, n), the basis of its right null space
+    mod p that is the identity at its first rows of full rank, and those
+    rows: (N, rows), N an int64 n x k matrix.  One `_rref` of M with its
+    columns reversed gives them all: there a pivot row's entries sit only
+    at later free columns, so in the original order every row of N that is
+    not free is a combination of earlier free rows, and the free columns
+    are the first rows of full rank, where N is the identity."""
+    n = M.shape[2]
+    A, pivots = _rref(M[:, :, ::-1], p)
+    out = []
+    for a, piv in zip(A, pivots):
+        free = [c for c in reversed(range(n)) if c not in piv]
+        N = np.zeros((n, len(free)), dtype=np.int64)
+        N[free, range(len(free))] = 1
+        N[piv] = -a[:len(piv), free] % p
+        out.append((N[::-1], [n - 1 - c for c in free]))
+    return out
 
 
 def _charpoly(S: np.ndarray, p: int) -> list:
@@ -190,7 +227,7 @@ def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int, z: int) -> 
     for pc in pow_classes:
         n = len(pc)
         w_inv = _root_powers(z, exponent, n, p)[:, -np.arange(n) % n]
-        mults.append(chi[:, pc] @ w_inv % p * pow(n, p - 2, p) % p)
+        mults.append(chi[:, list(pc)] @ w_inv % p * pow(n, p - 2, p) % p)
     return mults
 
 
@@ -295,15 +332,27 @@ def trivial_character(G: FinGroup) -> Character:
     return Character(G, tuple(Cyclo.from_rational(1) for _ in range(r)), "Tr")
 
 
-def _class_column(G: FinGroup, cd: ClassData, inverses, i: int, m: int) -> list:
-    """Column m of the class matrix of C_i: M[k][m] = #{x in C_i : x^-1 g_m in C_k},
-    with inverses[i] the keys x^-1 of the members x of C_i."""
-    y = G.ops.mul(inverses[i], G.keys[cd.reps[m]])
-    y.sort()                  # only counted: sorted needles search faster
-    counts = np.bincount(cd.class_of[G.index_of(y)], minlength=len(cd))
-    if int(counts.sum()) != cd.sizes[i]:
-        raise InternalCheckError("class-matrix column sum mismatch")
-    return [int(c) for c in counts]
+def _class_columns(G: FinGroup, cd: ClassData, inverses, columns: list) -> list:
+    """Column m of the class matrix of C_i for each (i, m) in columns:
+    M[k][m] = #{x in C_i : x^-1 g_m in C_k}, with inverses[i] the keys x^-1
+    of the members x of C_i.  One fixed-element product per column, then
+    one lookup and one count, offset by column, for each run of columns of
+    at most _BATCH keys."""
+    r, out = len(cd), []
+    for run in _batches(columns, lambda c: cd.sizes[c[0]]):
+        ys = []
+        for i, m in run:
+            y = G.ops.mul(inverses[i], G.keys[cd.reps[m]])
+            y.sort()          # only counted: sorted needles search faster
+            ys.append(y)
+        at = np.repeat(np.arange(0, len(ys) * r, r), [y.size for y in ys])
+        at += cd.class_of[G.index_of(np.concatenate(ys))]
+        del ys
+        counts = np.bincount(at, minlength=len(run) * r).reshape(len(run), r)
+        if counts.sum(axis=1).tolist() != [cd.sizes[i] for i, _ in run]:
+            raise InternalCheckError("class-matrix column sum mismatch")
+        out += counts.tolist()
+    return out
 
 
 def _class_row(cd: ClassData, col: list, k: int) -> list:
@@ -318,13 +367,6 @@ def _class_row(cd: ClassData, col: list, k: int) -> list:
     return row
 
 
-def _power_classes(G: FinGroup, cd: ClassData) -> list:
-    """Per class j, the class index of rep_j^t for t = 0 .. order(rep_j) - 1."""
-    orders, powers = element_powers(G.ops, G.keys[list(cd.reps)])
-    at = [cd.class_of[G.index_of(pw)] for pw in powers]
-    return [[int(at[t][j]) for t in range(n)] for j, n in enumerate(orders)]
-
-
 def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
     """The r central characters omega_a mod p, each normalized to 1 at the
     identity class, as the common eigenvectors of the class matrices M_k
@@ -335,22 +377,30 @@ def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
     # pivot rows are chosen in this order, so the identity row always is one
     order = [id_cls] + sorted((i for i in range(r) if i != id_cls),
                               key=lambda i: (cd.sizes[i], i))
+    rank = {c: t for t, c in enumerate(order)}
     inverses, rows = {}, {}       # the members of a class, inverted once
 
-    def class_row(i, k):
-        """Row k of M_i, which is row i of M_k: a column of the smaller class."""
-        a, b = sorted((i, k), key=order.index)
-        if (a, b) not in rows:
+    def class_rows(i, ks):
+        """Rows k of M_i for k in ks, each row i of M_k: read from a column
+        of the smaller class, those not cached computed together."""
+        pairs = [tuple(sorted((i, k), key=rank.get)) for k in ks]
+        todo = [ab for ab in dict.fromkeys(pairs) if ab not in rows]
+        for a, _ in todo:
             if a not in inverses:
                 inverses[a] = G.ops.inv(G.keys[cd.class_of == a])
-            col = _class_column(G, cd, inverses, a, cd.inverse_class[b])
+        cols = _class_columns(G, cd, inverses, [(a, cd.inverse_class[b]) for a, b in todo])
+        for (a, b), col in zip(todo, cols):
             rows[a, b] = _class_row(cd, col, b)
-        return rows[a, b]
+        return [rows[ab] for ab in pairs]
 
     # split the common eigenspaces of the class matrices; a space is (B, P)
     # with B an r x d basis that is the identity at its pivot rows P, so
     # M B = B S gives S = (M B)_P, and M_k of the first pivot k after the
-    # identity splits it
+    # identity splits it.  Rows of B off P are combinations of earlier
+    # pivot rows, so an eigenspace B N has its pivot rows among P, where
+    # it is N: the reduced null spaces of S - lambda, one stack for the
+    # roots lambda in each run of at most _BATCH values, give the new
+    # spaces.
     spaces = [(np.eye(r, dtype=np.int64)[:, order], order)]
     lines = []
     while spaces:
@@ -358,16 +408,14 @@ def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
         if len(P) == 1:
             lines.append(B)
             continue
-        S = np.array([class_row(P[1], j) for j in P], dtype=np.int64) % p @ B % p
+        S = np.array(class_rows(P[1], P), dtype=np.int64) % p @ B % p
         roots = _poly_roots(_charpoly(S, p), p)
         if len(roots) < 2:
             raise InternalCheckError("class matrices failed to split the algebra")
-        for lam in roots:
-            N = _nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
-            A, pivots = _rref((B @ N % p)[order].T, p)
-            basis = np.empty_like(A.T)
-            basis[order] = A.T
-            spaces.append((basis, [order[c] for c in pivots]))
+        eye = np.eye(len(P), dtype=np.int64)
+        for run in _batches(roots, lambda _: eye.size):
+            for N, at in _nullspaces(S - np.array(run)[:, None, None] * eye, p):
+                spaces.append((B @ N % p, [P[k] for k in at]))
     if len(lines) != r:
         raise InternalCheckError("class matrices failed to split the algebra")
 
@@ -405,7 +453,7 @@ def dixon_schneider(G: FinGroup) -> CharTable:
 
     # lift to cyclotomics through the power map, verified before it is used:
     # chi_a(rep_j) = sum_k mults[j][a, k] zeta_n^k, n = order(rep_j)
-    mults = _lift(np.array(chars_mod, dtype=np.int64), _power_classes(G, cd),
+    mults = _lift(np.array(chars_mod, dtype=np.int64), cd.power_classes,
                   exponent, p, z)
     p_v = _verify_column_orthogonality(G.order, cd, mults)
     canonical = [_canonical_rows(M) for M in mults]
@@ -468,18 +516,28 @@ def _verify_column_orthogonality(order: int, cd: ClassData, mults: list) -> int:
         raise InternalCheckError("eigenvalue multiplicities are not a character table")
     # evals[j][i, t]: chi_i(g_j) under zeta_n -> w^t
     evals = [M @ _root_powers(z, exponent, M.shape[1], p) % p for M in mults]
-    embeddings = {}
-    for j1 in range(r):
-        for j2 in range(j1, r):
-            n12 = cd.orders[j1], cd.orders[j2]
-            if n12 not in embeddings:
-                embeddings[n12] = _embeddings(*n12)
-            t1, t2 = embeddings[n12]
-            s = np.einsum("iu,iu->u", evals[j1][:, t1], evals[j2][:, t2]) % p
-            want = order // cd.sizes[j1] % p if j1 == j2 else 0
-            if (s != want).any():
-                raise InternalCheckError(
-                    f"column orthogonality fails at classes ({j1}, {j2})")
+    of_order = {}
+    for j, n in enumerate(cd.orders):
+        of_order.setdefault(n, []).append(j)
+    failed = []
+    # the pairs of classes of orders n1 <= n2 in one product per pair of
+    # runs of them, each run at most _BATCH values at the phi(lcm)
+    # embeddings; a pair and its swap hold conjugate sums, so each
+    # unordered pair is checked once
+    for n1, n2 in itertools.combinations_with_replacement(sorted(of_order), 2):
+        t1, t2 = _embeddings(n1, n2)
+        for J1 in _batches(of_order[n1], lambda _: r * t1.size):
+            E1 = np.stack([evals[j][:, t1] for j in J1])
+            for J2 in _batches(of_order[n2], lambda _: r * t2.size):
+                s = np.einsum("aiu,biu->abu", E1,
+                              np.stack([evals[j][:, t2] for j in J2])) % p
+                want = np.array([[order // cd.sizes[a] % p if a == b else 0
+                                  for b in J2] for a in J1], dtype=np.int64)
+                failed += [tuple(sorted((J1[a], J2[b]))) for a, b in
+                           np.argwhere((s != want[:, :, None]).any(axis=2)).tolist()]
+    if failed:
+        j1, j2 = min(failed)
+        raise InternalCheckError(f"column orthogonality fails at classes ({j1}, {j2})")
     return p
 
 
@@ -616,7 +674,16 @@ def tables_equal_upto_permutation(A: CharTable, B: CharTable) -> bool:
 
 
 def table_to_json(T: CharTable) -> dict:
+    """The table as JSON; a computed table's values are written from its
+    canonical rows (integer coefficients, so denominator 1), one built from
+    values by `Cyclo.to_json`."""
     cd = T.classes
+    if T.canonical is None:
+        values = [[v.to_json() for v in ch.values] for ch in T.irreducibles]
+    else:
+        rows = [C.tolist() for C in T.canonical]
+        values = [[{"order": n, "coeffs": [[k, c, 1] for k, c in enumerate(row[a]) if c]}
+                   for n, row in zip(cd.orders, rows)] for a in range(len(cd))]
     return {
         "group": T.group.label,
         "order": T.group.order,
@@ -626,8 +693,7 @@ def table_to_json(T: CharTable) -> dict:
              "element_order": cd.orders[j]}
             for j in range(len(cd))
         ],
-        "irreducibles": [[v.to_json() for v in ch.values]
-                         for ch in T.irreducibles],
+        "irreducibles": values,
     }
 
 

@@ -11,10 +11,10 @@ passes over key arrays.
 Almost every hot product multiplies a key array by one fixed element.
 `MatOps.mul` does those with byte tables of the GF(2)-linear map x -> x*g
 (or g*x), built on first use from the images of the dim*dim*bits
-single-bit keys (one reference product each) and kept in a small bounded
-cache on the MatOps; conjugation x -> g^-1*x*g is one such linear map
-too, so `MatOps.conj` (the class partition's step) costs one table pass,
-not two.  Inverses are a fixed permutation of entry bits, applied the same
+single-bit keys (read off the entries of g, no product) and kept in a
+small bounded cache on the MatOps; conjugation x -> g^-1*x*g is one such
+linear map too, so `MatOps.conj` (the class partition's step) costs one
+table pass, not two.  Inverses are a fixed permutation of entry bits, applied the same
 way.  Other products go through `MatOps._matmul`.  `ExtOps` (the twisted
 pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
@@ -109,7 +109,7 @@ class MatOps:
 
     Products by one fixed element, and conjugation by one, use byte tables
     that are built on first use from the images of the single-bit keys
-    (dim*dim*bits reference products, twice that for conj) and kept, at
+    (read off the entries of the element, with no product) and kept, at
     most _TABLE_CACHE (element, map) pairs, least recently used dropped
     first; this cache is the only state that changes after construction.
     """
@@ -124,7 +124,7 @@ class MatOps:
         self.inv_mode = inv_mode
         self._shifts = np.arange(dim * dim, dtype=dt) * dt.type(self.bits)
         self._mask = dt.type((1 << self.bits) - 1)
-        eye = np.zeros((dim, dim), dtype=np.uint8)
+        self._eye = eye = np.zeros((dim, dim), dtype=np.uint8)
         for i in range(dim):
             eye[i, i] = ctx.one
         self.identity = self.pack_one(eye)
@@ -139,11 +139,10 @@ class MatOps:
         # over GF(2) and GF(4), where the two codes are the same
         self._to_code = (None if np.array_equal(code, np.arange(ctx.q)) else
                          self._chunk_tables(lambda k: self.pack(code[self.unpack(k)]) ^ k))
-        # the log-coded key of each bit k = entry * bits + t of a
-        # polynomial-coded key, and the polynomial code of each chunk value
-        bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
-                             dtype=dt)
-        self._basis = (bit_codes[None, :] << self._shifts[:, None]).ravel()
+        # the code of x^t, bit t of a polynomial code, and the polynomial
+        # code of each chunk value
+        self._bit_codes = np.array([ctx.code_of_poly(1 << t) for t in range(self.bits)],
+                                   dtype=np.uint8)
         self._chunk_poly = self.pack(self._poly[self.unpack(
             np.arange(1 << self._chunks[0][1], dtype=dt))])
         self._inv_tables = self._chunk_tables(
@@ -207,10 +206,10 @@ class MatOps:
     # the image of the whole key, and `_to_code` maps it back.  Over GF(2)
     # and GF(4) the polynomial code of an entry is its log code (1 + k for
     # gamma^k, and gamma^2 = gamma + 1 = 3), so there is no `_to_code`: a
-    # product is one gather, and a table set reads the images of the
-    # single-bit keys as they are.  A linear map's tables are XORs of those
-    # images, so a table set costs dim*dim*bits reference products, not 2^w
-    # per chunk.
+    # product is one gather.  A linear map's tables are XORs of the images
+    # of the dim*dim*bits single-bit keys x^t E_ij, and each image is an
+    # outer product of a column and a row read off the entries of g, so a
+    # table set costs no reference product.
 
     def _chunk_tables(self, image) -> list:
         """Per chunk, `image` of every key that is zero outside that chunk."""
@@ -220,27 +219,33 @@ class MatOps:
     def _linear_tables(self, images: np.ndarray) -> list:
         """The chunk tables of the GF(2)-linear map that sends bit k of a
         polynomial-coded key to images[k]: per chunk, the XOR of the images
-        of every subset of its bits, read at each value's polynomial code."""
-        tables = []
-        for s, w in self._chunks:
-            span = np.zeros(1, dtype=self.dtype)     # entry j: XOR of images[bits of j]
-            for img in images[s:s + w]:
-                span = np.concatenate([span, span ^ img])
-            tables.append(span[self._chunk_poly[:1 << w]])
-        return tables
+        of every subset of its bits, read at each value's polynomial code.
+        All chunks are spanned in one doubling pass, a narrower last chunk
+        padded with zero images."""
+        n, w = len(self._chunks), self._chunks[0][1]
+        bits = np.zeros(n * w, dtype=self.dtype)
+        bits[:images.size] = images
+        bits = bits.reshape(n, w)
+        span = np.zeros((n, 1), dtype=self.dtype)    # [c, j]: XOR of chunk c's bits of j
+        for b in range(w):
+            span = np.concatenate([span, span ^ bits[:, b:b + 1]], axis=1)
+        span = span[:, self._chunk_poly]
+        return [span[c, :1 << w] for c, (_, w) in enumerate(self._chunks)]
 
     def _fixed_tables(self, g, side: str) -> list:
         """Chunk tables of keys * g ("right"), g * keys ("left") or
-        g^-1 * keys * g ("conj"), from the images of the single-bit keys."""
-        if side == "right":
-            prods = self._mul_ref(self._basis, g)
-        elif side == "left":
-            prods = self._mul_ref(g, self._basis)
-        else:
-            prods = self._mul_ref(self._mul_ref(self.inv(g), self._basis), g)
-        if self._to_code is not None:    # the images' log codes to polynomial codes
-            prods = self.pack(self._poly[self.unpack(prods)])
-        return self._linear_tables(prods)
+        g^-1 * keys * g ("conj"), from the entries of g: the image of the
+        single-bit key x^t E_ij is x^t u_i v_j for the column u_i = U e_i
+        and the row v_j = e_j^T V, with (U, V) = (1, g), (g, 1) or
+        (g^-1, g)."""
+        m = self.unpack(g)[0]
+        u, v = {"right": (self._eye, m), "left": (m, self._eye),
+                "conj": (self._inv_perm(m[None])[0], m)}[side]
+        mul = self.ctx.lut_mul
+        outer = mul[u.T[:, None, :, None], v[None, :, None, :]]     # [i, j, a, b]
+        images = mul[self._bit_codes[:, None, None], outer[:, :, None]]  # [i, j, t, a, b]
+        return self._linear_tables(self.pack(
+            self._poly[images].reshape(-1, self.dim, self.dim)))
 
     def _gather(self, tables: list, keys: np.ndarray, out=None) -> np.ndarray:
         """XOR over the chunks c of tables[c][chunk c of each key], XORed
@@ -466,9 +471,10 @@ class ClassData:
     sizes: tuple
     reps: tuple            # element indices of class representatives
     class_of: np.ndarray   # element index -> class index, np.min_scalar_type(r - 1)
-    inverse_class: tuple
+    inverse_class: tuple   # power_classes[j][-1], the class of rep_j^-1
     orders: tuple          # element order of each representative
     identity_class: int
+    power_classes: tuple   # per class j, the class of rep_j^t, t = 0 .. orders[j] - 1
 
     def __len__(self):
         return len(self.sizes)
@@ -560,6 +566,21 @@ def _conjugation_perm(G: FinGroup, keys: np.ndarray, g) -> np.ndarray:
     return by
 
 
+def _cycle_minima(P: np.ndarray, n: int) -> np.ndarray:
+    """The least position of the cycle of each position under the int32
+    permutation P, whose cycles have lengths dividing n: after k rounds of
+    label = min(label, label[P]), P = P[P] from label = its own position,
+    label[i] is the least of i, P(i), ..., P^(2^k - 1)(i), so ceil(log2 n)
+    rounds cover every cycle."""
+    label = np.arange(P.size, dtype=np.int32)
+    rounds = (n - 1).bit_length()
+    for k in range(rounds):
+        np.minimum(label, label[P], out=label)
+        if k + 1 < rounds:
+            P = P[P]
+    return label
+
+
 def _join_orbits(label: np.ndarray, by: np.ndarray) -> None:
     """The union-find step of `_orbit_partition`, in place: join the trees
     of i and by[i] for every i, until each edge i -- by[i] lies in one tree
@@ -593,9 +614,11 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     is partitioned on its own; an id that is not a class function fails
     `_conjugation_perm`'s check.  In a fiber, the orbits are the connected
     components of the graph on key positions with the edges i -- by[i],
-    by = _conjugation_perm(G, keys, g) for every generator g.  They are
-    joined by union-find on int32 labels, one generator at a time, each
-    label starting as its own position.  A round reads the labels at both
+    by = _conjugation_perm(G, keys, g) for every generator g.  The first
+    generator's edges form the cycles of its permutation, whose lengths
+    divide its order, so its labels are the cycle minima by doubling
+    (`_cycle_minima`), with no union-find.  Each later generator joins
+    them by union-find on the int32 labels.  A round reads the labels at both
     ends of every edge, which are roots (label[r] == r) when the round
     starts, and lowers the larger root's label to the smaller
     (np.minimum.at); then pointers jump (label[i] = label[label[i]], in
@@ -608,20 +631,23 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     this holds the uint8 fiber ids, the class ids class_of
     (np.min_scalar_type(r - 1) for r classes) and, for one fiber at a
     time, its keys (the group's own when it is one fiber), labels, and one
-    generator's conjugates and their argsort.
+    generator's conjugates and their argsort, or the first generator's
+    int32 permutation and its square.
     """
     n = G.order
     fiber = G.ops.fiber_of(G.keys)
     counts = sum(np.bincount(fiber[lo:lo + _CHUNK], minlength=256)
                  for lo in range(0, n, _CHUNK))
     class_of, reps, r = np.empty(n, dtype=np.uint8), [], 0
+    first = element_order(G.ops, gens[0]) if gens else 1
     for f in np.flatnonzero(counts).tolist():
         keys = G.keys if counts[f] == n else np.concatenate(
             [np.compress(fiber[lo:lo + _CHUNK] == f, G.keys[lo:lo + _CHUNK])
              for lo in range(0, n, _CHUNK)])
         m = keys.size
-        label = np.arange(m, dtype=np.int32)
-        for g in gens:           # each permutation is freed when _join_orbits returns
+        label = (_cycle_minima(_conjugation_perm(G, keys, gens[0]).astype(np.int32), first)
+                 if gens else np.arange(m, dtype=np.int32))
+        for g in gens[1:]:       # each permutation is freed when _join_orbits returns
             _join_orbits(label, _conjugation_perm(G, keys, g))
         roots = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
             lo, min(lo + _CHUNK, m), dtype=np.int32)) for lo in range(0, m, _CHUNK)])
@@ -650,13 +676,14 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
 
 
 def _class_data(G: FinGroup, gens) -> ClassData:
-    """Partition of G into orbits under conjugation by the given generators."""
+    """Partition of G into orbits under conjugation by the given generators,
+    and the power map of its representatives: one lookup of their powers."""
     sizes, reps, class_of = _orbit_partition(G, gens)
-    rep_keys = G.keys[list(reps)]
-    orders, _ = element_powers(G.ops, rep_keys)
-    inverse = class_of[G.index_of(G.ops.inv(rep_keys))]
-    return ClassData(sizes, reps, class_of, tuple(int(c) for c in inverse),
-                     tuple(orders), int(class_of[G.identity_idx]))
+    orders, powers = element_powers(G.ops, G.keys[list(reps)])
+    at = class_of[G.index_of(np.concatenate(powers))].reshape(len(powers), -1).T
+    power_classes = tuple(tuple(row[:n]) for row, n in zip(at.tolist(), orders))
+    return ClassData(sizes, reps, class_of, tuple(pc[-1] for pc in power_classes),
+                     tuple(orders), int(class_of[G.identity_idx]), power_classes)
 
 
 def conjugacy_classes(G: FinGroup) -> ClassData:

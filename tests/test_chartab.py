@@ -276,7 +276,7 @@ def _class_matrix_ref(G, cd, members, i):
 @pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "parabolic-p:2",
                                   "ext-sp2q2:2", "so4-:2"])
 def test_class_columns_and_rows_match_full_matrix(spec):
-    from sgplab.chartab import _class_column, _class_row
+    from sgplab.chartab import _class_columns, _class_row
     G = build_group(spec)
     cd = conjugacy_classes(G)
     r = len(cd)
@@ -287,7 +287,7 @@ def test_class_columns_and_rows_match_full_matrix(spec):
     full = [_class_matrix_ref(G, cd, members, i) for i in range(r)]
     inverses = [G.ops.inv(G.keys[ix]) for ix in members]
     for i, M in enumerate(full):
-        cols = [_class_column(G, cd, inverses, i, m) for m in range(r)]
+        cols = _class_columns(G, cd, inverses, [(i, m) for m in range(r)])
         assert cols == [[M[k][m] for k in range(r)] for m in range(r)]
         for k in range(r):
             assert _class_row(cd, cols[cd.inverse_class[k]], k) == M[k]
@@ -305,23 +305,24 @@ def test_broken_column_symmetry_raises(monkeypatch):
     M_1 and stands for row 1 of the splitting class matrix M_k."""
     import sgplab.chartab as ct
     from sgplab.errors import InternalCheckError
-    orig = ct._class_column
+    orig = ct._class_columns
     broken_at = []
 
-    def broken(G, cd, inverses, i, m):
+    def broken(G, cd, inverses, columns):
         # row k = m* is read from this column; one more count at a row t
         # with |C_t*| not dividing |C_k| makes M[k][t*] fractional
-        col = orig(G, cd, inverses, i, m)
-        if i != cd.identity_class:
-            return col
-        size_k = cd.sizes[cd.inverse_class[m]]
-        t = next(t for t in range(len(cd))
-                 if size_k % cd.sizes[cd.inverse_class[t]])
-        col[t] += 1
-        broken_at.append(cd.inverse_class[m])
-        return col
+        cols = orig(G, cd, inverses, columns)
+        for (i, m), col in zip(columns, cols):
+            if i != cd.identity_class:
+                continue
+            size_k = cd.sizes[cd.inverse_class[m]]
+            t = next(t for t in range(len(cd))
+                     if size_k % cd.sizes[cd.inverse_class[t]])
+            col[t] += 1
+            broken_at.append(cd.inverse_class[m])
+        return cols
 
-    monkeypatch.setattr(ct, "_class_column", broken)
+    monkeypatch.setattr(ct, "_class_columns", broken)
     with pytest.raises(InternalCheckError, match="symmetry"):
         dixon_schneider(_fresh("sl2:4"))
     assert len(broken_at) == 1
@@ -334,14 +335,15 @@ def test_class_members_are_inverted_once(monkeypatch):
     G = _fresh("so4-:2")
     cd = conjugacy_classes(G)
     inverted, classes = [], set()
-    real_inv, real_col = type(G.ops).inv, ct._class_column
+    real_inv, real_cols = type(G.ops).inv, ct._class_columns
 
     def counting(self, keys):
         out = real_inv(self, keys)
         inverted.append(out.size)
         return out
     monkeypatch.setattr(type(G.ops), "inv", counting)
-    monkeypatch.setattr(ct, "_class_column", lambda *a: classes.add(a[3]) or real_col(*a))
+    monkeypatch.setattr(ct, "_class_columns", lambda *a: classes.update(
+        i for i, _ in a[3]) or real_cols(*a))
     T = dixon_schneider(G)
     assert T.stats["class_columns"] > len(classes)      # some class is read twice
     assert sum(inverted) == sum(cd.sizes[i] for i in classes) <= G.order
@@ -349,14 +351,14 @@ def test_class_members_are_inverted_once(monkeypatch):
 
 def test_split_needs_fewer_columns_than_full_matrices(monkeypatch):
     import sgplab.chartab as ct
-    orig = ct._class_column
+    orig = ct._class_columns
     calls = []
 
-    def counting(G, cd, inverses, i, m):
-        calls.append((i, m))
-        return orig(G, cd, inverses, i, m)
+    def counting(G, cd, inverses, columns):
+        calls.extend(columns)
+        return orig(G, cd, inverses, columns)
 
-    monkeypatch.setattr(ct, "_class_column", counting)
+    monkeypatch.setattr(ct, "_class_columns", counting)
     G = _fresh("sz:8")
     T = dixon_schneider(G)
     monkeypatch.undo()
@@ -369,7 +371,9 @@ def test_split_needs_fewer_columns_than_full_matrices(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["sl2:8", "sp4:2", "ext-sp2q2:2", "sz:8"])
 def test_power_classes_match_loop(spec):
-    from sgplab.chartab import _power_classes
+    """ClassData.power_classes, kept from the partition's one lookup of the
+    representatives' powers, against the per-power loop; its last entries
+    are the classes of the inverses, as the lookup of `ops.inv` found them."""
     G = build_group(spec)
     cd = conjugacy_classes(G)
     want = []
@@ -380,8 +384,10 @@ def test_power_classes_match_loop(spec):
         for _ in range(cd.orders[j] - 1):
             out.append(int(cd.class_of[G.index_of(acc)[0]]))
             acc = G.ops.mul(acc, key)[0]
-        want.append(out)
-    assert _power_classes(G, cd) == want
+        want.append(tuple(out))
+    assert cd.power_classes == tuple(want)
+    inverses = cd.class_of[G.index_of(G.ops.inv(G.keys[list(cd.reps)]))]
+    assert cd.inverse_class == tuple(int(c) for c in inverses)
 
 
 # -- the orthogonality check: embeddings mod p_v against all pairs in Q(zeta_N)
@@ -470,7 +476,8 @@ def test_verified_multiplicities_are_the_table(monkeypatch, spec):
 # the sgp goldens; then sl2:16 (values of orders 15 and 17) and S6
 ORACLE_SPECS = sorted(p.stem[len("chartab_"):].replace("_", ":") for p in
                       (Path(__file__).parent / "golden").glob("chartab_*.json"))
-ORACLE_SPECS += ["parabolic-p:4", "parabolic-q:4", "sl2:16", "s6"]
+ORACLE_SPECS += [s for s in ("parabolic-p:4", "parabolic-q:4", "sl2:16", "s6")
+                 if s not in ORACLE_SPECS]
 
 
 def _cyclo_path_table(G, cd, mults) -> CharTable:
@@ -555,6 +562,47 @@ def test_embedding_check_agrees_with_all_pairs_on_mutants(monkeypatch, spec, mut
         assert verdicts[-1] == _orthogonal_ref(order, cd, _columns(bad))
     if mutate is _move_one:
         assert not any(verdicts)
+
+
+def _per_pair_failure(order, cd, mults):
+    """The loop the order-pair products replaced: one einsum per pair of
+    classes j1 <= j2, at the same embeddings and prime; the message of the
+    first failing pair, or None."""
+    exponent = math.lcm(*cd.orders)
+    p, z = ct._dixon_root(exponent, 2 * order)
+    evals = [M @ ct._root_powers(z, exponent, M.shape[1], p) % p for M in mults]
+    for j1 in range(len(cd)):
+        for j2 in range(j1, len(cd)):
+            t1, t2 = ct._embeddings(cd.orders[j1], cd.orders[j2])
+            s = np.einsum("iu,iu->u", evals[j1][:, t1], evals[j2][:, t2]) % p
+            want = order // cd.sizes[j1] % p if j1 == j2 else 0
+            if (s != want).any():
+                return f"column orthogonality fails at classes ({j1}, {j2})"
+    return None
+
+
+@pytest.mark.parametrize("mutate", [_move_one, _swap_two], ids=["move", "swap"])
+@pytest.mark.parametrize("spec", GOLDEN)
+def test_order_pair_products_match_the_per_pair_loop(monkeypatch, spec, mutate):
+    """On the seeded mutants of the embedding test whose multiplicities
+    still look like a table, the products over pairs of element orders
+    fail exactly where the per-pair loop does, at the same first pair."""
+    _, (order, cd, mults) = _recorded(monkeypatch, spec)
+    rng = random.Random(f"{spec}-{mutate.__name__}")
+    messages = []
+    for _ in range(12):
+        bad = [M.copy() for M in mults]
+        mutate(rng, cd, bad)
+        want = _per_pair_failure(order, cd, bad)
+        try:
+            ct._verify_column_orthogonality(order, cd, bad)
+            got = None
+        except InternalCheckError as e:
+            got = str(e)
+        assert got == want
+        messages.append(got)
+    assert ct._verify_column_orthogonality(order, cd, mults) > 2 * order
+    assert any(m and "fails at classes" in m for m in messages)
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 3), (5, 5), (4, 6), (63, 65)])
@@ -664,13 +712,13 @@ def _central_characters_by_size(G, cd, p):
                 continue
             for k in P:
                 if k not in rows:
-                    col = ct._class_column(G, cd, inverses, i, cd.inverse_class[k])
+                    col, = ct._class_columns(G, cd, inverses, [(i, cd.inverse_class[k])])
                     rows[k] = ct._class_row(cd, col, k)
                     n_columns += 1
             S = np.array([rows[k] for k in P], dtype=np.int64) % p @ B % p
             for lam in ct._poly_roots(ct._charpoly(S, p), p):
-                N = ct._nullspace(S - lam * np.eye(len(P), dtype=np.int64), p)
-                A, pivots = ct._rref((B @ N % p).T, p)
+                (N, _), = ct._nullspaces((S - lam * np.eye(len(P), dtype=np.int64))[None], p)
+                (A,), (pivots,) = ct._rref((B @ N % p).T[None], p)
                 new_spaces.append((A.T, pivots))
         spaces = new_spaces
     assert len(spaces) == r and all(len(P) == 1 for _, P in spaces)
@@ -719,12 +767,12 @@ def test_one_eigenspace_raises_at_once(monkeypatch):
     the first root) is refused at the first space, the whole algebra,
     before any eigenspace of it is computed or split further."""
     calls = []
-    charpoly, roots, nullspace = ct._charpoly, ct._poly_roots, ct._nullspace
+    charpoly, roots, nullspaces = ct._charpoly, ct._poly_roots, ct._nullspaces
     monkeypatch.setattr(ct, "_charpoly",
                         lambda S, p: calls.append(len(S)) or charpoly(S, p))
     monkeypatch.setattr(ct, "_poly_roots", lambda poly, p: roots(poly, p)[:1])
-    monkeypatch.setattr(ct, "_nullspace",
-                        lambda M, p: calls.append("null") or nullspace(M, p))
+    monkeypatch.setattr(ct, "_nullspaces",
+                        lambda M, p: calls.append("null") or nullspaces(M, p))
     with pytest.raises(InternalCheckError, match="failed to split"):
         dixon_schneider(_fresh("sl2:4"))
     assert calls == [5]
@@ -733,20 +781,20 @@ def test_one_eigenspace_raises_at_once(monkeypatch):
 @pytest.mark.parametrize("spec", GOLDEN)
 def test_corrupt_power_map_is_refused(monkeypatch, spec):
     """The lift checks nothing itself: a wrong power map (rep^1 read as the
-    identity class on the class of largest order) yields multiplicities that
-    the orthogonality check refuses."""
-    real = ct._power_classes
-
-    def corrupt(G, cd):
-        pcs = real(G, cd)
-        j = max(range(len(cd)), key=lambda j: cd.orders[j])
-        pcs[j][1] = pcs[j][0]
-        return pcs
-
-    monkeypatch.setattr(ct, "_power_classes", corrupt)
+    identity class on the class of largest order, in the ClassData the
+    table reads it from) yields multiplicities that the orthogonality
+    check refuses."""
+    import dataclasses
+    G = _fresh(spec)
+    cd = conjugacy_classes(G)
+    pcs = [list(pc) for pc in cd.power_classes]
+    j = max(range(len(cd)), key=lambda j: cd.orders[j])
+    pcs[j][1] = pcs[j][0]
+    monkeypatch.setattr(G, "_classes", dataclasses.replace(
+        cd, power_classes=tuple(tuple(pc) for pc in pcs)))
     with pytest.raises(InternalCheckError,
                        match="not a character table|orthogonality fails"):
-        dixon_schneider(_fresh(spec))
+        dixon_schneider(G)
 
 
 def test_dixon_prime_overflow_is_refused_before_root_finding(monkeypatch):
@@ -772,19 +820,47 @@ def test_split_overflow_is_refused_before_any_class_column(monkeypatch):
     assert max(cd.orders) * p * p < 1 << 63 <= len(cd) * p * p
     calls = []
     monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: p)
-    monkeypatch.setattr(ct, "_class_column", lambda *a: calls.append(a))
+    monkeypatch.setattr(ct, "_class_columns", lambda *a: calls.append(a))
     with pytest.raises(InternalCheckError, match="overflows the int64"):
         dixon_schneider(G)
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["sz:8", "sl2:16", "parabolic-p:4", "so4-:4"])
+def test_json_export_of_a_computed_table_makes_no_cyclo(monkeypatch, spec):
+    """A computed table is exported from its canonical integer rows: no
+    `Cyclo` is made, by the constructor or by `exactnum._make` (counted as
+    in the scan's witness test), and the export equals the one read from
+    the `Cyclo` values, as does that of a table built from those values."""
+    from sgplab import exactnum
+    T = dixon_schneider(_fresh(spec))
+    made = []
+
+    def counted(real):
+        def make(*args):
+            made.append(args[:1])
+            return real(*args)
+        return make
+
+    monkeypatch.setattr(exactnum.Cyclo, "__init__", counted(exactnum.Cyclo.__init__))
+    monkeypatch.setattr(exactnum, "_make", counted(exactnum._make))
+    got = table_to_json(T)
+    assert made == []
+    monkeypatch.undo()
+    want = [[v.to_json() for v in ch.values] for ch in T.irreducibles]
+    assert got["irreducibles"] == want
+    by_values = CharTable(T.group, T.classes,
+                          [Character(T.group, ch.values) for ch in T.irreducibles])
+    assert by_values.canonical is None and table_to_json(by_values) == got
 
 
 def test_table_stats_sz8(monkeypatch):
     """stats: the two primes and the class-matrix columns computed; read-only
     and not part of the exported table."""
     calls = []
-    real = ct._class_column
-    monkeypatch.setattr(ct, "_class_column",
-                        lambda *a: calls.append(a[3:]) or real(*a))
+    real = ct._class_columns
+    monkeypatch.setattr(ct, "_class_columns",
+                        lambda *a: calls.extend(a[3]) or real(*a))
     T = dixon_schneider(_fresh("sz:8"))
     monkeypatch.undo()
     order, exponent = T.group.order, math.lcm(*T.classes.orders)

@@ -229,7 +229,8 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
                                   "so4-:2", "parabolic-p:2",
                                   "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4",
                                   pytest.param("sp4:4", marks=pytest.mark.slow),
-                                  "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4"])
+                                  "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4",
+                                  "parabolic-p:4", "wreath-sp2:4"])
 def test_chartab_json_matches_golden(spec, capsys):
     """Byte-identical to the output pinned before the byte-table kernel (the
     first three), before ExtOps moved onto it (the next three), before
@@ -239,7 +240,9 @@ def test_chartab_json_matches_golden(spec, capsys):
     bits were stored as uint32 (sp4-sub:8:2, which with sz:8 keeps 64-bit
     keys) and before the class partition ran one fiber at a time
     (ext-sp2q2:4 on its two twist fibers, so4+:4 on its four trace
-    fibers)."""
+    fibers) and before the eigenspaces were split in batches
+    (parabolic-p:4 and wreath-sp2:4, the largest q = 4 splits outside
+    the other goldens: 26 and 20 classes)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()

@@ -414,6 +414,49 @@ def test_orbit_partition_matches_bfs(monkeypatch, spec, by):
         assert np.array_equal(h_classes(G, build_group(by)).class_of, got.class_of)
 
 
+def _union_find_labels(P, n):
+    """The first generator joined by union-find, as every generator was
+    before the cycle doubling."""
+    label = np.arange(P.size, dtype=np.int32)
+    groups._join_orbits(label, P)
+    return label
+
+
+GOLDEN_SPECS = sorted(p.stem[len("chartab_"):].replace("_", ":") for p in
+                      (Path(__file__).parent / "golden").glob("chartab_*.json"))
+
+
+@pytest.mark.parametrize("spec,by", [
+    pytest.param(s, None, marks=[pytest.mark.slow] if s == "sp4:4" else [])
+    for s in GOLDEN_SPECS + ["parabolic-q:4"]] + [("s6", "a6"), ("s6", "so4-:2")])
+def test_cycle_doubling_matches_union_find_only(monkeypatch, spec, by):
+    """The partition whose first generator is joined by its cycle minima
+    gives the ClassData of a union-find-only partition: every group of a
+    golden file, and the S6 classes under A6 and under S5 = so4-:2."""
+    G = build_group(spec)
+    H = (squares_subgroup(G, "a6") if by == "a6" else build_group(by)) if by else G
+    got = groups._class_data(G, H.gens_keys)
+    monkeypatch.setattr(groups, "_cycle_minima", _union_find_labels)
+    want = groups._class_data(G, H.gens_keys)
+    assert _same_class_data(got, want) and got.power_classes == want.power_classes
+    if by:
+        assert np.array_equal(h_classes(G, H).class_of, got.class_of)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 15, 17])
+def test_cycle_minima_are_the_least_positions_of_the_cycles(n):
+    """On a shuffled permutation with three cycles of each length dividing
+    n, every position is labelled with the least position of its cycle."""
+    rng = np.random.default_rng(n)
+    lengths = [d for d in range(1, n + 1) if n % d == 0] * 3
+    pos = rng.permutation(sum(lengths))
+    P, want = np.empty(pos.size, dtype=np.int32), np.empty(pos.size, dtype=np.int32)
+    for lo, length in zip(np.cumsum([0] + lengths), lengths):
+        cycle = pos[lo:lo + length]
+        P[cycle], want[cycle] = np.roll(cycle, -1), cycle.min()
+    assert np.array_equal(groups._cycle_minima(P, n), want)
+
+
 @pytest.mark.parametrize("mutant", ["outside", "collide"])
 def test_conjugation_mutants_are_caught(monkeypatch, capsys, fresh_builds, mutant):
     """A conjugation that sends one key of sp4:2 outside the group, or two

@@ -181,13 +181,16 @@ def _matrix_ops_and_keys(spec):
     return G.ops, G.keys
 
 
-TABLE_SPECS = ["sl2:8", "sl2:32", "sp4:2", "sz:8", "so4+:4", "wreath-sp2:4",
-               "ext-sp2q2:2", "ext-sp2q2:4"]
+TABLE_SPECS = ["sl2:8", "sl2:16", "sl2:32", "sp4:2", "sz:8", "so4+:4", "wreath-sp2:4",
+               "ext-sp2q2:2", "ext-sp2q2:4", "s6"]
 SIDES = ["right", "left", "conj"]
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_basis_image_tables_match_reference_build(spec):
+    """The tables read off the entries of g, against one reference product
+    per chunk value: GF(2) to GF(32), both inverse modes, and the 6 x 6
+    permutation matrices of s6, whose last chunk is narrower."""
     ops, keys = _matrix_ops_and_keys(spec)
     rng = np.random.default_rng(11)
     for g in keys[rng.integers(0, keys.size, 3)]:
@@ -200,27 +203,22 @@ def test_basis_image_tables_match_reference_build(spec):
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_table_build_costs_one_product_per_key_bit(spec, monkeypatch):
-    """A table set built through mul / conj passes at most dim*dim*bits keys
-    to `_mul_ref`, twice that for conj, whatever the chunk width."""
+    """A table set built through mul / conj costs no reference product, so
+    at most one per key bit: neither `_mul_ref` nor `_matmul` runs (a build
+    from products passed dim*dim*bits keys, twice that for conj), and each
+    call adds one table set to the cache."""
     ops, keys = _matrix_ops_and_keys(spec)
     passed = []
-    real = ops._mul_ref
-    def counting(a, b):
-        out = real(a, b)
-        passed.append(out.size)
-        return out
-    monkeypatch.setattr(ops, "_mul_ref", counting)
+    monkeypatch.setattr(ops, "_mul_ref", lambda a, b: passed.append("_mul_ref"))
+    monkeypatch.setattr(ops, "_matmul", lambda a, b: passed.append("_matmul"))
     ops._tables.cache_clear()   # nothing cached
     rng = np.random.default_rng(12)
     g = keys[rng.integers(keys.size)]
     x = keys[rng.integers(0, keys.size, 50)]
-    bound = ops.dim * ops.dim * ops.bits
-    for side, run, limit in [("right", lambda: ops.mul(x, g), bound),
-                             ("left", lambda: ops.mul(g, x), bound),
-                             ("conj", lambda: ops.conj(x, g), 2 * bound)]:
-        passed.clear()
+    for n, run in enumerate([lambda: ops.mul(x, g), lambda: ops.mul(g, x),
+                             lambda: ops.conj(x, g)], 1):
         run()
-        assert 0 < sum(passed) <= limit, (side, passed)
+        assert passed == [] and ops._tables.cache_info().currsize == n
 
 
 SMALL_CHUNK = 1 << 4

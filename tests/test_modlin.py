@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sgplab.chartab import (_charpoly, _dixon_prime, _is_prime, _nullspace,
+from sgplab.chartab import (_charpoly, _dixon_prime, _is_prime, _nullspaces,
                             _poly_roots, _primitive_root, _rref)
 
 
@@ -93,7 +93,8 @@ def test_nullspace(seed):
     n = rng.randint(2, 6)
     M = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
     M[n - 1] = [(2 * x) % p for x in M[0]]  # force rank deficiency
-    basis = _nullspace(np.array(M, dtype=np.int64), p).T.tolist()
+    (N, _), = _nullspaces(np.array([M], dtype=np.int64), p)
+    basis = N.T.tolist()
     assert basis
     for v in basis:
         for row in M:
@@ -126,6 +127,7 @@ def _rref_ref(A, p, ncols):
 
 
 def _nullspace_ref(M, p):
+    """A null-space basis that is the identity at the free columns of M."""
     m = len(M[0])
     A, pivots = _rref_ref(M, p, m)
     basis = []
@@ -170,13 +172,74 @@ def test_rref_and_nullspace_match_list_reference(p, seed):
     rows, cols = rng.randint(1, 8), rng.randint(1, 8)
     rank = rng.randint(0, min(rows, cols)) if seed % 2 else min(rows, cols)
     M = _random_matrix(rng, p, rows, cols, rank)
-    A, pivots = _rref(np.array(M, dtype=np.int64), p)
+    (A,), (pivots,) = _rref(np.array([M], dtype=np.int64), p)
     assert (A.tolist(), pivots) == _rref_ref(M, p, cols)
     assert len(pivots) <= rank
-    N = _nullspace(np.array(M, dtype=np.int64), p)
+    (N, at), = _nullspaces(np.array([M], dtype=np.int64), p)
     assert N.dtype == np.int64 and N.shape == (cols, cols - len(pivots))
-    assert N.T.tolist() == _nullspace_ref(M, p)
+    assert N.T.tolist() == _reduced_at_first_rows(_nullspace_ref(M, p), p, at)
     assert all(v == 0 for row in _matmul_mod(M, N.tolist(), p) for v in row)
+
+
+def _reduced_at_first_rows(basis, p, at):
+    """The basis of the span of the vectors `basis` that is the identity
+    at its first rows of full rank, as rows, checking that those rows are
+    `at`: the per-root null space and `_rref` of its transpose, as the
+    split used them before both came from one batched call."""
+    if not basis:
+        assert at == []
+        return []
+    A, pivots = _rref_ref(basis, p, len(basis[0]))
+    assert pivots == at
+    return A
+
+
+def _eigen_stack(rng, p, d, jordan):
+    """S - lambda for every root lambda of the characteristic polynomial of
+    a d x d matrix S = Q D Q^-1 mod p with a repeated eigenvalue, whose
+    eigenspace is of dimension above one unless a Jordan block (D one
+    above its diagonal) shortens it."""
+    lams = rng.sample(range(p), rng.randint(1, d - 1))
+    diag = sorted(lams + [rng.choice(lams) for _ in range(d - len(lams))])
+    while True:
+        Q = _random_matrix(rng, p, d, d, d)
+        if len(_rref_ref(Q, p, d)[1]) == d:
+            break
+    Qinv = [row[d:] for row in _rref_ref([q + [int(i == j) for j in range(d)]
+                                          for i, q in enumerate(Q)], p, d)[0]]
+    D = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    i = next(i for i in range(d - 1) if diag[i] == diag[i + 1])
+    if jordan:
+        D[i][i + 1] = rng.randrange(1, p)      # a Jordan block: a short eigenspace
+    S = _matmul_mod(_matmul_mod(Q, D, p), Qinv, p)
+    roots = _poly_roots(_charpoly(np.array(S, dtype=np.int64), p), p)
+    assert sorted(set(diag)) == roots
+    return np.array([[[(S[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                      for i in range(d)] for lam in roots], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [13, 3061])
+@pytest.mark.parametrize("seed", range(10))
+def test_batched_rref_and_null_spaces_match_per_matrix(p, seed):
+    """One `_rref` over a stack of S - lambda, one matrix per root (some
+    repeated, so of nullity above one, and one that must swap rows)
+    against the list Gauss-Jordan of each matrix on its own, and
+    `_nullspaces` of the stack against the per-root null space reduced at
+    its first rows of full rank."""
+    rng = random.Random(seed)
+    d, jordan = rng.randint(2, 9), seed % 2
+    stack = _eigen_stack(rng, p, d, jordan)
+    nullities = [len(at) for _, at in _nullspaces(stack, p)]
+    assert sum(nullities) < d if jordan else max(nullities) > 1
+    if seed % 3 == 0:                  # one more, zero only at [0, 0]: a swap
+        extra = stack[0].copy()
+        extra[0, 0], extra[0, 1:] = 0, 1
+        stack = np.concatenate([stack, extra[None]])
+    A, pivots = _rref(stack, p)
+    for a, piv, M in zip(A, pivots, stack.tolist()):
+        assert (a.tolist(), piv) == _rref_ref(M, p, len(M[0]))
+    for (N, at), M in zip(_nullspaces(stack, p), stack.tolist()):
+        assert N.T.tolist() == _reduced_at_first_rows(_nullspace_ref(M, p), p, at)
 
 
 def _invariant_space(rng, p, r, d):
@@ -217,7 +280,7 @@ def test_restriction_on_the_reduced_basis_matches_solve(p, seed):
     S_old = _solve_restriction_ref([B0[k] for k in P_old], [MB0[k] for k in P_old], p)
     assert _matmul_mod(B0, S_old, p) == MB0
 
-    A, P = _rref(np.array(B0, dtype=np.int64).T, p)
+    (A,), (P,) = _rref(np.array(B0, dtype=np.int64).T[None], p)
     B = A.T
     assert P == P_old and B[P].tolist() == np.eye(d, dtype=int).tolist()
     S = np.array(M, dtype=np.int64)[P] @ B % p
