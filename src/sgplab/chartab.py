@@ -72,10 +72,10 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .exactnum import Cyclo, _canonical, _prime_factors, cyclotomic_poly
-from .groups import ClassData, FinGroup, conjugacy_classes, is_subgroup
+from .groups import ClassData, FinGroup, carry_classes, conjugacy_classes, is_subgroup
 
 __all__ = [
-    "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
+    "Character", "CharTable", "dixon_schneider", "carry_table", "inner_product", "induce",
     "restrict", "restriction_matrix", "split_fuse", "trivial_character",
     "tables_equal_upto_permutation", "table_to_json", "table_to_csv",
 ]
@@ -300,14 +300,17 @@ class CharTable:
 
     `canonical[j]` is the r x phi(n_j) int64 matrix of canonical
     coefficients at class j, one row per irreducible in table order, for a
-    table `dixon_schneider` computed; None for a table built from values."""
+    table `dixon_schneider` computed or `carry_table` carried, and
+    `multiplicities[j]` the r x n_j eigenvalue multiplicities it was
+    verified from; both None for a table built from values."""
 
     def __init__(self, group: FinGroup, classes: ClassData, irreducibles,
-                 stats=None, canonical=None):
+                 stats=None, canonical=None, multiplicities=None):
         self.group = group
         self.classes = classes
         self.irreducibles = tuple(irreducibles)
         self.canonical = canonical
+        self.multiplicities = multiplicities
         # how the table was computed: not part of the table or its export
         self.stats = MappingProxyType(dict(stats or {}))
         if len(self.irreducibles) != len(classes):
@@ -455,6 +458,15 @@ def dixon_schneider(G: FinGroup) -> CharTable:
     # chi_a(rep_j) = sum_k mults[j][a, k] zeta_n^k, n = order(rep_j)
     mults = _lift(np.array(chars_mod, dtype=np.int64), cd.power_classes,
                   exponent, p, z)
+    G._chartable = _verified_table(G, cd, mults, {"dixon_prime": p,
+                                                  "class_columns": n_columns})
+    return G._chartable
+
+
+def _verified_table(G: FinGroup, cd: ClassData, mults: list, stats: dict) -> CharTable:
+    """The table whose class j has the eigenvalue multiplicities mults[j],
+    once `_verify_column_orthogonality` passes them, kept as canonical
+    rows and ordered by degree, then by the canonical values."""
     p_v = _verify_column_orthogonality(G.order, cd, mults)
     canonical = [_canonical_rows(M) for M in mults]
     rows = [tuple(zip(cd.orders, row)) for row in zip(*(C.tolist() for C in canonical))]
@@ -462,14 +474,23 @@ def dixon_schneider(G: FinGroup) -> CharTable:
     # by degree, then per class the nonzero (exponent, coefficient) pairs of
     # the canonical form: the order that sorting by degree and `Cyclo.key`
     # gives, as every value of class j has order n_j and denominator 1
-    order = sorted(range(r), key=lambda a: (degrees[a], tuple(
+    order = sorted(range(len(cd)), key=lambda a: (degrees[a], tuple(
         tuple((k, c) for k, c in enumerate(coeffs) if c) for _, coeffs in rows[a])))
     irreducibles = [Character._of_table(G, degrees[a], rows[a]) for a in order]
-    table = CharTable(G, cd, irreducibles, {
-        "dixon_prime": p, "verify_prime": p_v, "class_columns": n_columns},
-        [C[order] for C in canonical])
-    G._chartable = table
-    return table
+    return CharTable(G, cd, irreducibles, dict(stats, verify_prime=p_v),
+                     [C[order] for C in canonical], [M[order] for M in mults])
+
+
+def carry_table(T: CharTable, H: FinGroup, aut) -> CharTable:
+    """H's table, carried from G's computed table T along an isomorphism
+    aut of H onto G (`carry_classes`): class j of H takes the
+    multiplicities of class old[j] of G, verified and ordered as by
+    `dixon_schneider`, and H caches the table and its classes."""
+    cd, old = carry_classes(T.group, H, aut)
+    stats = dict(T.stats, class_columns=0, carried_from=T.group.label)
+    H._classes, H._chartable = cd, _verified_table(
+        H, cd, [T.multiplicities[j] for j in old], stats)
+    return H._chartable
 
 
 def _embeddings(n1: int, n2: int) -> tuple:

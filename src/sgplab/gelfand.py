@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartab import (CharTable, Character, dixon_schneider, induce,
-                      inner_product, restrict, restriction_matrix,
+from .chartab import (CharTable, Character, carry_table, dixon_schneider,
+                      induce, inner_product, restrict, restriction_matrix,
                       trivial_character)
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .groups import (MAX_ORDER_DEFAULT, FinGroup, build_group, h_classes,
@@ -151,16 +151,25 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
 
     Tries the total-character shortcut against the exact maximal degree of
     the computed sp4:q table; subgroups it cannot settle get the full
-    check (`is_strong_gelfand_pair`).
+    check (`is_strong_gelfand_pair`).  The graph automorphism tau maps
+    parabolic-q onto parabolic-p, so4+ onto wreath-sp2 and, at q <= 4,
+    so4- onto ext-sp2q2, so a row of an earlier row's order whose
+    generators tau maps into it takes its table from it (`carry_table`).
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
     G = build_group(f"sp4:{q}", max_order=max_order)
     rows = maximal_subgroups_sp4(q, max_order=max_order)
     max_deg = dixon_schneider(G).max_degree()
-    out = []
+    out, tabled = [], []
     for H, label in rows:
-        tau_h = dixon_schneider(H).total_degree()
+        aut = H.ops.graph_aut
+        A = next((A for A in tabled if A.order == H.order
+                  and A.contains(aut(H.gens_keys)).all()), None)
+        TH = (carry_table(dixon_schneider(A), H, aut) if A and H._chartable is None
+              else dixon_schneider(H))
+        tabled.append(H)
+        tau_h = TH.total_degree()
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":
             out.append(SgpVerdict(G.label, label, "not_sgp", "total_char_shortcut"))
         else:

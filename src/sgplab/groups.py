@@ -28,6 +28,12 @@ cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
 products per element; building sp4:q leaves P in the build cache too.
 
+The class partition runs one trace fiber at a time, and carries the
+labels of a fiber along the entrywise Frobenius (`MatOps.frobenius`) to
+the fiber of the squared trace.  The graph automorphism tau of Sp4(2^e)
+(`MatOps.graph_aut`) pairs maximal subgroups; `carry_classes` moves the
+classes of one onto the other, checked.
+
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
 table cache of a MatOps (shared by every group over one field, dimension
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -54,13 +61,14 @@ __all__ = [
     "build_group", "parse_group_spec", "conjugacy_classes", "h_classes",
     "centralizer_order", "maximal_subgroups_sp4", "subgroup",
     "find_generators", "mulclose", "element_order", "element_powers",
-    "is_subgroup",
+    "is_subgroup", "carry_classes",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
 ]
 
 MAX_ORDER_DEFAULT = 2_500_000
 _CHUNK = 1 << 16      # keys per kernel pass (`_sliced`); _matmul's ~18 MB over GF(8)
 _TABLE_CACHE = 64   # (element, map) byte-table sets kept per MatOps
+_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3))   # the basis e_i ^ e_j of `MatOps.graph_aut`
 
 def _key_dtype(width: int):
     """The narrowest key dtype that holds `width` packed bits."""
@@ -147,6 +155,8 @@ class MatOps:
             np.arange(1 << self._chunks[0][1], dtype=dt))])
         self._inv_tables = self._chunk_tables(
             lambda k: self.pack(self._inv_perm(self.unpack(k))))
+        frob = ctx.lut_frob(1)
+        self._frob_tables = self._chunk_tables(lambda k: self.pack(frob[self.unpack(k)]))
         # per chunk, the XOR of the polynomial codes of its diagonal entries
         self._trace_tables = self._chunk_tables(lambda k: np.bitwise_xor.reduce(
             self._poly[np.diagonal(self.unpack(k), axis1=1, axis2=2)], axis=1))
@@ -296,6 +306,37 @@ class MatOps:
         return _sliced(lambda k: self._gather(self._trace_tables, k),
                        _as_key_array(keys, self.dtype))
 
+    def frobenius(self, keys) -> np.ndarray:
+        """The entrywise Frobenius x -> x^2 of each key: an automorphism of
+        the matrix group, which maps the trace fiber t onto fiber t^2."""
+        return _sliced(lambda k: self._gather(self._frob_tables, k),
+                       _as_key_array(keys, self.dtype))
+
+    def graph_aut(self, keys) -> np.ndarray:
+        """The graph automorphism tau of Sp4(2^e) (Steinberg, Lectures on
+        Chevalley Groups, 1967, sec. 10-11): g on W / <omega>, W the kernel
+        of v ^ w -> B(v, w) in Lambda^2 V, omega = e1 ^ e4 + e2 ^ e3.  In the
+        basis e_i ^ e_j, (i, j) in _PAIRS (Gram matrix J), tau(g)[r, c] is the
+        2 x 2 minor of g on row pair r and column pair c: one gather of the
+        table T[a1 a2 b1 b2] = a1 b2 + b1 a2 at the columns (a1, a2) and
+        (b1, b2) of the row pair.  tau^2 is the entrywise Frobenius."""
+        if (self.dim, self.inv_mode) != (4, "symplectic"):
+            raise ValueError("the graph automorphism acts on 4 x 4 symplectic keys")
+        e, mul = self.bits, self.ctx.lut_mul
+        table = self.ctx.lut_add[mul[:, None, None, :], mul[None, :, :, None]].ravel()
+        first, second = np.array(_PAIRS).T
+
+        def image(k):          # in the narrowest dtype that indexes the table
+            m = self.unpack(k).astype(np.min_scalar_type(table.size - 1))
+            col = m[:, first] << e | m[:, second]     # [n, r, j]: column j on row pair r
+            return self.pack(table[col[:, :, first] << 2 * e | col[:, :, second]])
+        return _sliced(image, _as_key_array(keys, self.dtype))
+
+    def powers(self, keys):
+        """keys^1, keys^2, ... as key arrays: the running product is kept
+        unpacked, so each power is one `_matmul` and one pack."""
+        return map(self.pack, accumulate(repeat(self.unpack(keys)), self._matmul))
+
     # -- views -----------------------------------------------------------
 
     def sl2_view(self, key):
@@ -388,6 +429,10 @@ class ExtOps:
         m, t = self._split(keys)
         minv = self._mat._gather(self._mat._inv_tables, m)
         return self._join(self._twist(minv, t), t)
+
+    def powers(self, keys):
+        """keys^1, keys^2, ... as key arrays, one product per power."""
+        return accumulate(repeat(keys), self.mul)
 
     def fiber_of(self, keys) -> np.ndarray:
         """The twist bit of each key (uint8), which conjugation keeps."""
@@ -524,18 +569,15 @@ class FinGroup:
 def element_powers(ops, keys) -> tuple:
     """(orders, powers) of a key array: orders[j] is the order of keys[j],
     and powers[t][j] = keys[j]^t for t = 0 .. max(orders) - 1.  One array
-    product per power serves all the keys."""
+    product per power (`ops.powers`) serves all the keys."""
     keys = _as_key_array(keys, ops.dtype)
     orders = np.zeros(keys.size, dtype=np.int64)
     powers = [np.full(keys.size, ops.identity, dtype=ops.dtype)]
-    acc, t = keys, 1
-    while True:
+    for t, acc in enumerate(ops.powers(keys), 1):
         orders[(acc == ops.identity) & (orders == 0)] = t
         if orders.all():
             return [int(n) for n in orders], powers
         powers.append(acc)
-        acc = ops.mul(acc, keys)
-        t += 1
 
 
 def element_order(ops, key) -> int:
@@ -606,7 +648,7 @@ def _join_orbits(label: np.ndarray, by: np.ndarray) -> None:
                 break
 
 
-def _orbit_partition(G: FinGroup, gens) -> tuple:
+def _orbit_partition(G: FinGroup, gens, within=None) -> tuple:
     """Conjugation-orbit partition of G.keys under the given generators.
 
     Conjugation keeps the id of `ops.fiber_of` (the trace of a matrix, the
@@ -627,42 +669,78 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     so earlier joins stay, and a label is always a position of its orbit
     no greater than its own, so each orbit ends with one root: its least
     position, the key of least index.  Classes are numbered in order of
-    their least index, which is their representative.  Beyond the keys,
+    their least index, which is their representative.
+
+    The entrywise Frobenius F maps fiber t onto fiber t^2 and the orbits
+    under a group K onto those under F(K).  So when F maps G and `within`,
+    the group of the generators, into themselves, each fiber's labels are
+    carried around its F-orbit, fibers taken in increasing order: the next
+    fiber is F of this one, sorted (one gather and one checked argsort),
+    each orbit labelled by its least position (np.minimum.at).  Beyond the keys,
     this holds the uint8 fiber ids, the class ids class_of
     (np.min_scalar_type(r - 1) for r classes) and, for one fiber at a
     time, its keys (the group's own when it is one fiber), labels, and one
     generator's conjugates and their argsort, or the first generator's
-    int32 permutation and its square.
+    int32 permutation and its square; a carry also holds the previous
+    fiber's labels, and its keys until their image is taken.
     """
-    n = G.order
-    fiber = G.ops.fiber_of(G.keys)
+    n, ops = G.order, G.ops
+    fiber = ops.fiber_of(G.keys)
     counts = sum(np.bincount(fiber[lo:lo + _CHUNK], minlength=256)
                  for lo in range(0, n, _CHUNK))
     class_of, reps, r = np.empty(n, dtype=np.uint8), [], 0
-    first = element_order(G.ops, gens[0]) if gens else 1
+    first = element_order(ops, gens[0]) if gens else 1
+    stable = (within is not None and isinstance(ops, MatOps) and all(
+        X.contains(ops.frobenius(X.gens_keys)).all() for X in (G, within)))
+    done = set()
     for f in np.flatnonzero(counts).tolist():
-        keys = G.keys if counts[f] == n else np.concatenate(
-            [np.compress(fiber[lo:lo + _CHUNK] == f, G.keys[lo:lo + _CHUNK])
-             for lo in range(0, n, _CHUNK)])
-        m = keys.size
-        label = (_cycle_minima(_conjugation_perm(G, keys, gens[0]).astype(np.int32), first)
-                 if gens else np.arange(m, dtype=np.int32))
-        for g in gens[1:]:       # each permutation is freed when _join_orbits returns
-            _join_orbits(label, _conjugation_perm(G, keys, g))
-        roots = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
-            lo, min(lo + _CHUNK, m), dtype=np.int32)) for lo in range(0, m, _CHUNK)])
-        reps.append(np.searchsorted(G.keys, keys[roots]))
-        base, r = r, r + roots.size
-        if r - 1 > np.iinfo(class_of.dtype).max:
-            class_of = class_of.astype(np.min_scalar_type(r - 1))
-        ids = np.empty(m, dtype=class_of.dtype)     # id base + j for the j-th root
-        ids[roots] = np.arange(base, r)
-        pos = 0
-        for lo in range(0, n, _CHUNK):
-            at = lo + np.flatnonzero(fiber[lo:lo + _CHUNK] == f)
-            class_of[at] = ids.take(label[pos:pos + at.size])
-            pos += at.size
-        del keys, label, ids
+        prev = label = None
+        while f not in done:
+            keys = G.keys if counts[f] == n else np.concatenate(
+                [np.compress(fiber[lo:lo + _CHUNK] == f, G.keys[lo:lo + _CHUNK])
+                 for lo in range(0, n, _CHUNK)])
+            m = keys.size
+            if prev is None:
+                label = (_cycle_minima(_conjugation_perm(G, keys, gens[0]).astype(np.int32),
+                                       first) if gens else np.arange(m, dtype=np.int32))
+                for g in gens[1:]:       # each permutation is freed when _join_orbits returns
+                    _join_orbits(label, _conjugation_perm(G, keys, g))
+            else:                        # keys[i] = F(prev[by[i]]), in prev[by[i]]'s orbit
+                img = ops.frobenius(prev)
+                del prev
+                by = np.argsort(img)
+                for lo in range(0, m, _CHUNK):
+                    if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
+                        raise InternalCheckError(
+                            f"{G.label}: the Frobenius image of a trace fiber is not "
+                            "the fiber of the squared trace")
+                del img
+                orbit = label[by]
+                del by
+                label = np.full(m, m, dtype=np.int32)
+                np.minimum.at(label, orbit, np.arange(m, dtype=np.int32))
+                label = label[orbit]
+                del orbit
+            done.add(f)
+            roots = np.concatenate([lo + np.flatnonzero(label[lo:lo + _CHUNK] == np.arange(
+                lo, min(lo + _CHUNK, m), dtype=np.int32)) for lo in range(0, m, _CHUNK)])
+            reps.append(np.searchsorted(G.keys, keys[roots]))
+            base, r = r, r + roots.size
+            if r - 1 > np.iinfo(class_of.dtype).max:
+                class_of = class_of.astype(np.min_scalar_type(r - 1))
+            ids = np.empty(m, dtype=class_of.dtype)     # id base + j for the j-th root
+            ids[roots] = np.arange(base, r)
+            pos = 0
+            for lo in range(0, n, _CHUNK):
+                at = lo + np.flatnonzero(fiber[lo:lo + _CHUNK] == f)
+                class_of[at] = ids.take(label[pos:pos + at.size])
+                pos += at.size
+            del ids
+            nxt = int(ops.fiber_of(ops.frobenius(keys[:1]))[0]) if stable else f
+            if nxt not in done:
+                f, prev = nxt, keys
+            del keys
+        del label
     reps = np.concatenate(reps)
     by = np.argsort(reps)
     rank = np.empty(r, dtype=class_of.dtype)
@@ -675,10 +753,9 @@ def _orbit_partition(G: FinGroup, gens) -> tuple:
     return tuple(int(s) for s in sizes), tuple(int(i) for i in reps[by]), class_of
 
 
-def _class_data(G: FinGroup, gens) -> ClassData:
-    """Partition of G into orbits under conjugation by the given generators,
-    and the power map of its representatives: one lookup of their powers."""
-    sizes, reps, class_of = _orbit_partition(G, gens)
+def _with_powers(G: FinGroup, sizes, reps, class_of) -> ClassData:
+    """The ClassData of a partition of G, with the power map of its
+    representatives: one lookup of their powers."""
     orders, powers = element_powers(G.ops, G.keys[list(reps)])
     at = class_of[G.index_of(np.concatenate(powers))].reshape(len(powers), -1).T
     power_classes = tuple(tuple(row[:n]) for row, n in zip(at.tolist(), orders))
@@ -686,16 +763,59 @@ def _class_data(G: FinGroup, gens) -> ClassData:
                      tuple(orders), int(class_of[G.identity_idx]), power_classes)
 
 
+def _class_data(G: FinGroup, gens, within=None) -> ClassData:
+    """Partition of G into orbits under conjugation by the given generators
+    of the group `within`, if it is given (see `_orbit_partition`)."""
+    return _with_powers(G, *_orbit_partition(G, gens, within))
+
+
 def conjugacy_classes(G: FinGroup) -> ClassData:
     if G._classes is None:
-        G._classes = _class_data(G, G.gens_keys)
+        G._classes = _class_data(G, G.gens_keys, G)
     return G._classes
 
 
 def h_classes(G: FinGroup, H: FinGroup) -> ClassData:
     """Partition of G into orbits under conjugation by H only."""
     _require_subgroup(H, G)
-    return _class_data(G, H.gens_keys)
+    return _class_data(G, H.gens_keys, H)
+
+
+def carry_classes(G: FinGroup, H: FinGroup, aut) -> tuple:
+    """(ClassData of H, old) for an isomorphism aut of H onto G on keys:
+    class j of H, numbered by least index, is the preimage of class old[j]
+    of G.  Checked: aut maps H's keys onto G's; aut(x a) = aut(x) aut(a)
+    and conjugation by a keeps x's class, for every representative x and
+    generator a of H; the carried power map is that of H's representatives."""
+    cd = conjugacy_classes(G)
+    r = len(cd)
+    img = aut(H.keys)
+    by = np.argsort(img)
+    if not np.array_equal(img[by], G.keys):
+        raise InternalCheckError(f"{H.label} is not mapped onto {G.label}")
+    image_class = np.empty_like(cd.class_of)
+    image_class[by] = cd.class_of                   # H index -> class of its image
+    least = np.unique(image_class, return_index=True)[1]
+    old = np.argsort(least)
+    new = np.empty(r, dtype=cd.class_of.dtype)
+    new[old] = np.arange(r)
+    class_of, reps = new[image_class], least[old]
+    # x a and a^-1 x a for each representative x and generator a: array products, no tables
+    ops, n = H.ops, len(H.gens_keys)
+    x, a = np.tile(H.keys[reps], n), np.repeat(np.array(H.gens_keys, dtype=ops.dtype), r)
+    xa = ops.mul(x, a)
+    if not (np.array_equal(aut(xa), G.ops.mul(aut(x), aut(a)))
+            and np.array_equal(class_of[H.index_of(ops.mul(ops.inv(a), xa))],
+                               np.tile(np.arange(r), n))):
+        raise InternalCheckError(
+            f"{H.label}: the classes carried from {G.label} are not its classes")
+    carried = _with_powers(H, tuple(cd.sizes[j] for j in old),
+                           tuple(int(i) for i in reps), class_of)
+    if carried.power_classes != tuple(tuple(int(new[c]) for c in cd.power_classes[j])
+                                      for j in old):
+        raise InternalCheckError(
+            f"{H.label}: the power map carried from {G.label} is not its power map")
+    return carried, old
 
 
 def centralizer_order(G: FinGroup, key) -> int:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sgplab.chartab as ct
+import sgplab.groups as groups
 from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
                             inner_product, restrict, restriction_matrix,
                             split_fuse, table_to_csv, table_to_json,
@@ -732,7 +733,10 @@ def _central_characters_by_size(G, cd, p):
 
 def _split_against_size_order(monkeypatch, spec) -> tuple:
     """The same exported table from both splits, and never more columns
-    than the size-order split; returns both column counts."""
+    than the size-order split; returns both column counts.  The group is
+    built anew, so its table is computed here, not carried by a scan."""
+    monkeypatch.setattr(groups, "_build_cached",
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
     T = dixon_schneider(build_group(spec))
     monkeypatch.setattr(ct, "_central_characters", _central_characters_by_size)
     ref = dixon_schneider(_fresh(spec))

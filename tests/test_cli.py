@@ -230,7 +230,8 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
                                   "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4",
                                   pytest.param("sp4:4", marks=pytest.mark.slow),
                                   "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4",
-                                  "parabolic-p:4", "wreath-sp2:4"])
+                                  "parabolic-p:4", "wreath-sp2:4",
+                                  "parabolic-q:4", "so4-:4"])
 def test_chartab_json_matches_golden(spec, capsys):
     """Byte-identical to the output pinned before the byte-table kernel (the
     first three), before ExtOps moved onto it (the next three), before
@@ -242,7 +243,9 @@ def test_chartab_json_matches_golden(spec, capsys):
     (ext-sp2q2:4 on its two twist fibers, so4+:4 on its four trace
     fibers) and before the eigenspaces were split in batches
     (parabolic-p:4 and wreath-sp2:4, the largest q = 4 splits outside
-    the other goldens: 26 and 20 classes)."""
+    the other goldens: 26 and 20 classes) and before the Sp4(4) scan
+    carried tables along the graph automorphism (parabolic-q:4 and
+    so4-:4, two of the three rows it carries)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()

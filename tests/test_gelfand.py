@@ -489,3 +489,88 @@ def test_scan_q4_makes_cyclo_values_only_for_the_witnesses(monkeypatch):
     built = [ch for T in tables for ch in T.irreducibles if ch._values is not None]
     assert all(any(ch is w for w in witnesses) for ch in built)
     assert {ch.group.label for ch in built} == {"sp4:4", "parabolic-p:4", "parabolic-q:4"}
+
+
+def _fresh_build_cache(monkeypatch):
+    from functools import lru_cache
+    monkeypatch.setattr(groups, "_build_cached",       # nothing cached yet
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
+
+
+@pytest.mark.slow
+def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
+    """From fresh builds, one Sp4(4) scan splits the class algebras of five
+    groups and carries the tables of the other three rows along the graph
+    automorphism; the partition of sp4:4 builds conjugation permutations
+    for 3 of its 4 trace fibers, the fourth carried along F."""
+    _fresh_build_cache(monkeypatch)
+    split, carried, perm_fibers = [], [], []
+    central, carry, perm = ct._central_characters, gelfand.carry_table, groups._conjugation_perm
+
+    def splitting(G, cd, p):
+        split.append(G.label)
+        return central(G, cd, p)
+
+    def carrying(T, H, aut):
+        carried.append((T.group.label, H.label))
+        return carry(T, H, aut)
+
+    def permuting(G, keys, g):
+        if G.label == "sp4:4":
+            perm_fibers.append(int(G.ops.fiber_of(keys[:1])[0]))
+        return perm(G, keys, g)
+    monkeypatch.setattr(ct, "_central_characters", splitting)
+    monkeypatch.setattr(gelfand, "carry_table", carrying)
+    monkeypatch.setattr(groups, "_conjugation_perm", permuting)
+    scan_maximal_sp4(4)
+    assert sorted(split) == ["ext-sp2q2-embedded:4", "parabolic-p:4", "sp4-sub:4:2",
+                             "sp4:4", "wreath-sp2:4"]
+    assert carried == [("parabolic-p:4", "parabolic-q:4"), ("wreath-sp2:4", "so4+:4"),
+                       ("ext-sp2q2-embedded:4", "so4-:4")]
+    assert len(perm_fibers) == 6 and sorted(set(perm_fibers)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
+def test_carried_tables_equal_computed_ones(monkeypatch, q):
+    """The rows the scan carries (parabolic-q, so4+, so4-) have the
+    ClassData and the JSON table of the same group built anew and tabled
+    by `dixon_schneider`."""
+    _fresh_build_cache(monkeypatch)
+    scan_maximal_sp4(q)
+    carried = [H for H, _ in maximal_subgroups_sp4(q)
+               if H._chartable is not None and "carried_from" in H._chartable.stats]
+    assert [H.label for H in carried] == [f"parabolic-q:{q}", f"so4+:{q}", f"so4-:{q}"]
+    for H in carried:
+        name, args = groups.parse_group_spec(H.label)
+        D = groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)     # not cached
+        got, want = H._chartable, dixon_schneider(D)
+        assert "carried_from" not in want.stats
+        for field in ("sizes", "reps", "inverse_class", "orders", "identity_class",
+                      "power_classes"):
+            assert getattr(got.classes, field) == getattr(want.classes, field), field
+        assert np.array_equal(got.classes.class_of, want.classes.class_of)
+        assert got.classes.class_of.dtype == want.classes.class_of.dtype
+        assert ct.table_to_json(got) == ct.table_to_json(want)
+
+
+@pytest.mark.parametrize("mutant,message", [
+    ("identity", "parabolic-q:2 is not mapped onto parabolic-p:2"),
+    ("inverse", "parabolic-q:2: the classes carried from parabolic-p:2 are not its classes")],
+    ids=["identity", "inverse"])
+def test_carry_refuses_a_map_that_is_not_an_isomorphism(monkeypatch, capsys, mutant,
+                                                        message):
+    """Keys that tau would not map onto the other row's (the identity map),
+    or a bijection that is not a homomorphism (tau of the inverse), raise
+    in the carry, and the scan exits 4."""
+    from sgplab.cli import EXIT_INTERNAL, main
+    P, Q = build_group("parabolic-p:2"), build_group("parabolic-q:2")
+    tau = groups.MatOps.graph_aut
+    aut = ((lambda self, keys: groups._as_key_array(keys, self.dtype))
+           if mutant == "identity" else (lambda self, keys: tau(self, self.inv(keys))))
+    with pytest.raises(InternalCheckError, match=message):
+        ct.carry_table(dixon_schneider(P), Q, lambda keys: aut(Q.ops, keys))
+    if mutant == "inverse":          # the identity map moves no generator into P
+        _fresh_build_cache(monkeypatch)
+        monkeypatch.setattr(groups.MatOps, "graph_aut", aut)
+        assert main(["scan-maximal", "2"]) == EXIT_INTERNAL
+        assert message in capsys.readouterr().err

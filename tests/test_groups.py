@@ -362,10 +362,11 @@ def test_class_shape_matches_sympy_oracle(spec, make):
     assert ours == theirs
 
 
-def _bfs_partition(G, gens):
+def _bfs_partition(G, gens, within=None):
     """The class partition `_orbit_partition` replaced: one breadth-first
     search per class, from the least unassigned index, conjugating the
-    frontier by every generator."""
+    frontier by every generator (`within` names their group, which
+    `_orbit_partition` reads to carry fibers, and is not needed here)."""
     class_of = np.full(G.order, -1, dtype=np.int32)
     reps, sizes = [], []
     while (free := np.flatnonzero(class_of < 0)).size:
@@ -428,7 +429,7 @@ GOLDEN_SPECS = sorted(p.stem[len("chartab_"):].replace("_", ":") for p in
 
 @pytest.mark.parametrize("spec,by", [
     pytest.param(s, None, marks=[pytest.mark.slow] if s == "sp4:4" else [])
-    for s in GOLDEN_SPECS + ["parabolic-q:4"]] + [("s6", "a6"), ("s6", "so4-:2")])
+    for s in GOLDEN_SPECS] + [("s6", "a6"), ("s6", "so4-:2")])
 def test_cycle_doubling_matches_union_find_only(monkeypatch, spec, by):
     """The partition whose first generator is joined by its cycle minima
     gives the ClassData of a union-find-only partition: every group of a
@@ -723,6 +724,89 @@ def test_batched_orders_match_loop(spec):
         for t in range(orders[j]):
             assert powers[t][j] == acc
             acc = G.ops.mul(acc, key)[0]
+
+
+def _powers_by_mul_ref(ops, keys):
+    """The power loop before the running product stayed unpacked: one array
+    product per power, `_mul_ref` for a MatOps, unpacking both factors and
+    packing the product each time."""
+    orders = np.zeros(keys.size, dtype=np.int64)
+    powers = [np.full(keys.size, ops.identity, dtype=ops.dtype)]
+    acc, t = keys, 1
+    while True:
+        orders[(acc == ops.identity) & (orders == 0)] = t
+        if orders.all():
+            return [int(n) for n in orders], powers
+        powers.append(acc)
+        acc = ops.mul(acc, keys)
+        t += 1
+
+
+SLOW_SP4_4 = [pytest.param(s, marks=[pytest.mark.slow] if s == "sp4:4" else [])
+              for s in GOLDEN_SPECS]
+
+
+@pytest.mark.parametrize("spec", SLOW_SP4_4)
+def test_unpacked_powers_match_mul_ref(spec):
+    """The orders and powers of every class representative of a golden
+    group equal those of the `_mul_ref` loop."""
+    G = build_group(spec)
+    reps = G.keys[list(conjugacy_classes(G).reps)]
+    got, want = element_powers(G.ops, reps), _powers_by_mul_ref(G.ops, reps)
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+@pytest.mark.parametrize("spec", SLOW_SP4_4)
+def test_frobenius_carried_partition_matches_the_uncarried_one(spec):
+    """Every golden group's classes, with the labels of trace fibers carried
+    along F where the group is F-stable, equal the partition of every
+    fiber by conjugation."""
+    G = build_group(spec)
+    got = groups._class_data(G, G.gens_keys, G)
+    want = groups._class_data(G, G.gens_keys)
+    assert _same_class_data(got, want) and got.power_classes == want.power_classes
+    assert got.class_of.dtype == want.class_of.dtype
+
+
+@pytest.mark.parametrize("spec,by", [
+    ("sl2:16", None), pytest.param("sp4:4", "so4-:4", marks=pytest.mark.slow)])
+def test_frobenius_carry_needs_an_f_stable_conjugating_group(spec, by):
+    """F maps the generators of H (a cyclic subgroup of order 15 of sl2:16,
+    or so4-:4) into G, but not into H, so the orbits under H are not
+    carried along F: h_classes equals the uncarried partition, and a
+    carry that checked G alone would not."""
+    G = build_group(spec)
+    if by:
+        H = build_group(by)
+    else:
+        H = next(H for H in (cyclic_subgroup(G, k) for k in G.keys
+                             if element_order(G.ops, k) == 15)
+                 if not H.contains(G.ops.frobenius(H.gens_keys)).all())
+    F = G.ops.frobenius
+    assert G.contains(F(H.gens_keys)).all() and not H.contains(F(H.gens_keys)).all()
+    want = groups._class_data(G, H.gens_keys)
+    assert _same_class_data(h_classes(G, H), want)
+    assert not _same_class_data(groups._class_data(G, H.gens_keys, G), want)
+
+
+def test_frobenius_image_off_its_fiber_is_caught(monkeypatch, capsys, fresh_builds):
+    """A Frobenius that moves one key of the carried trace fiber of
+    so4+:4 off it is refused by the carry's check and exits 4."""
+    G = build_group("so4+:4")
+    real = groups.MatOps.frobenius
+
+    def broken(self, keys):
+        out = real(self, keys)
+        if out.size > 1:
+            out[0] = self.identity
+        return out
+    monkeypatch.setattr(groups.MatOps, "frobenius", broken)
+    message = "so4\\+:4: the Frobenius image of a trace fiber is not the fiber"
+    with pytest.raises(InternalCheckError, match=message):
+        conjugacy_classes(G)
+    assert main(["chartab", "so4+:4"]) == EXIT_INTERNAL
+    assert "the Frobenius image of a trace fiber" in capsys.readouterr().err
 
 
 # -- the generating pair of sp4:q ---------------------------------------------

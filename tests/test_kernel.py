@@ -356,3 +356,62 @@ def test_order_check_fires_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("caught sl2:4"), res.stdout
+
+
+# -- the automorphisms of Sp4(2^e): the Frobenius F and the graph tau ---------
+
+
+def _squared(ops, keys):
+    """Every entry squared by lut_mul: the oracle of `MatOps.frobenius`."""
+    m = ops.unpack(keys)
+    return ops.pack(ops.ctx.lut_mul[m, m])
+
+
+@pytest.mark.parametrize("e,dim", [(e, 2) for e in range(2, 6)] + [(e, 4) for e in range(2, 5)])
+def test_frobenius_tables_square_every_entry(e, dim):
+    """F's chunk tables against entrywise squaring, GF(4) to GF(32)."""
+    ops = mat_ops(gfield.field_ctx(e), dim, "symplectic")
+    x = _random_keys(ops, np.random.default_rng(10 * e + dim), 3000)
+    assert np.array_equal(ops.frobenius(x), _squared(ops, x))
+
+
+def test_graph_aut_is_a_homomorphism_on_all_pairs_of_sp4_2():
+    """tau(x y) = tau(x) tau(y) for all 518,400 pairs of sp4:2, products
+    by `_matmul`."""
+    G = build_group("sp4:2")
+    ops, tau = G.ops, G.ops.graph_aut
+    x, y = np.repeat(G.keys, G.order), np.tile(G.keys, G.order)
+    assert np.array_equal(tau(ops._mul_ref(x, y)), ops._mul_ref(tau(x), tau(y)))
+
+
+@pytest.mark.parametrize("spec", ["parabolic-p:4", "wreath-sp2:4", "so4-:4"])
+def test_graph_aut_keeps_each_product_by_a_generator(spec):
+    """tau(x a) = tau(x) tau(a) for every key x and generator a."""
+    G = build_group(spec)
+    ops, tau = G.ops, G.ops.graph_aut
+    for a in G.gens_keys:
+        assert np.array_equal(tau(ops._mul_ref(G.keys, a)), ops._mul_ref(tau(G.keys), tau(a)))
+
+
+@pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
+def test_graph_aut_squares_to_the_frobenius_on_sp4(q):
+    """tau maps sp4:q onto itself, and tau^2 squares every entry."""
+    G = build_group(f"sp4:{q}")
+    img = G.ops.graph_aut(G.keys)
+    assert np.array_equal(G.ops.graph_aut(img), _squared(G.ops, G.keys))
+    img.sort()
+    assert np.array_equal(img, G.keys)
+
+
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+def test_graph_aut_pairs_the_maximal_rows(q):
+    """tau swaps parabolic-p and parabolic-q, and wreath-sp2 and so4+, at
+    every q; it maps so4- onto ext-sp2q2-embedded at q <= 4, but not at
+    q = 8, where the two share few keys."""
+    def onto(a, b):
+        A, B = build_group(f"{a}:{q}"), build_group(f"{b}:{q}")
+        return np.array_equal(np.sort(A.ops.graph_aut(A.keys)), B.keys)
+    for a, b in [("parabolic-p", "parabolic-q"), ("wreath-sp2", "so4+")]:
+        assert onto(a, b) and onto(b, a)
+    assert onto("so4-", "ext-sp2q2-embedded") == (q <= 4)
+    assert not onto("ext-sp2q2-embedded", "so4-") or q == 2
