@@ -12,11 +12,14 @@ straight to the column orthogonality check, which evaluates them with the
 same `_root_powers` mod its own prime.  A table that passes it is kept as
 integers: per class, the canonical coefficients of its values, the
 multiplicities times the fixed reduction R_n mod the n-th cyclotomic
-polynomial (`_canonical_rows`).  Degrees, the order of the irreducibles,
-the residues of `restriction_matrix` and the JSON export are read from
-those rows; a character's `Cyclo` values are built on first access.  The
-power map is read from `ClassData.power_classes`.  A returned table is
-exact, not trusted.
+polynomial (`_canonical_rows`).  Those rows are the one representation
+of every table: one given by its values (`families.sl2_table`) gets them
+at construction, each value lifted to its class's element order
+(`_value_rows`).  Degrees, the order of the irreducibles, the residues of
+`restriction_matrix`, equality and the JSON export are read from them; a
+computed character's `Cyclo` values are built on first access.  The power
+map is read from `ClassData.power_classes`.  A returned table is exact,
+not trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
@@ -254,6 +257,29 @@ def _canonical_rows(M: np.ndarray) -> np.ndarray:
     return M @ R
 
 
+def _value_rows(irreducibles, orders) -> list:
+    """The canonical rows of a table given by its values: the value of each
+    irreducible at class j lifted to the element order n_j.  A character
+    value is an algebraic integer, and the power basis of Z[zeta_n] is
+    integral, so a value of an order that does not divide n_j, or with a
+    coefficient that is not an integer or does not fit int64, is refused."""
+    rows = []
+    for j, n in enumerate(orders):
+        C = np.zeros((len(irreducibles), len(cyclotomic_poly(n)) - 1), dtype=np.int64)
+        for a, ch in enumerate(irreducibles):
+            v = ch.values[j]
+            if n % v.order:
+                raise InternalCheckError(
+                    f"class {j}: a value of order {v.order} at element order {n}")
+            for k, c in v.lift(n).coeffs.items():
+                if c.denominator != 1 or not -(1 << 63) <= c < 1 << 63:
+                    raise InternalCheckError(
+                        f"class {j}: canonical coefficient {c} is not an int64 integer")
+                C[a, k] = int(c)
+        rows.append(C)
+    return rows
+
+
 # -- characters and tables ---------------------------------------------------
 
 
@@ -299,22 +325,23 @@ class CharTable:
     """The complete set of irreducible characters on a fixed class order.
 
     `canonical[j]` is the r x phi(n_j) int64 matrix of canonical
-    coefficients at class j, one row per irreducible in table order, for a
-    table `dixon_schneider` computed or `carry_table` carried, and
-    `multiplicities[j]` the r x n_j eigenvalue multiplicities it was
-    verified from; both None for a table built from values."""
+    coefficients at class j, one row per irreducible in table order: given
+    for a table `dixon_schneider` computed or `carry_table` carried, and
+    built from the values otherwise (`_value_rows`).  `multiplicities[j]`
+    is the r x n_j eigenvalue multiplicities a computed table was verified
+    from, None for a table built from values."""
 
     def __init__(self, group: FinGroup, classes: ClassData, irreducibles,
-                 stats=None, canonical=None, multiplicities=None):
+                 stats=None, canonical=(), multiplicities=None):
         self.group = group
         self.classes = classes
         self.irreducibles = tuple(irreducibles)
-        self.canonical = canonical
+        if len(self.irreducibles) != len(classes):
+            raise InternalCheckError("table is not square")
+        self.canonical = list(canonical) or _value_rows(self.irreducibles, classes.orders)
         self.multiplicities = multiplicities
         # how the table was computed: not part of the table or its export
         self.stats = MappingProxyType(dict(stats or {}))
-        if len(self.irreducibles) != len(classes):
-            raise InternalCheckError("table is not square")
 
     @property
     def degrees(self) -> list:
@@ -472,8 +499,7 @@ def _verified_table(G: FinGroup, cd: ClassData, mults: list, stats: dict) -> Cha
     rows = [tuple(zip(cd.orders, row)) for row in zip(*(C.tolist() for C in canonical))]
     degrees = [row[cd.identity_class][1][0] for row in rows]
     # by degree, then per class the nonzero (exponent, coefficient) pairs of
-    # the canonical form: the order that sorting by degree and `Cyclo.key`
-    # gives, as every value of class j has order n_j and denominator 1
+    # the canonical form of the value at order n_j
     order = sorted(range(len(cd)), key=lambda a: (degrees[a], tuple(
         tuple((k, c) for k, c in enumerate(coeffs) if c) for _, coeffs in rows[a])))
     irreducibles = [Character._of_table(G, degrees[a], rows[a]) for a in order]
@@ -629,21 +655,14 @@ def restriction_matrix(TG: CharTable, TH: CharTable) -> np.ndarray:
 
 
 def _residues(T: CharTable, p: int, z: int, exponent: int, where: str) -> np.ndarray:
-    """T's values mod p, a value of order n read at zeta_n -> z^(exponent/n)
-    for z of order exponent: the canonical rows of a computed table times
-    the powers of that root (int64 while phi(n) * p^2 < 2^63), or
-    `Cyclo.residue` for a table built from values."""
-    def root(n):
-        if exponent % n:
-            raise InternalCheckError(f"{where}: table values do not fit the prime {p}")
-        return pow(z, exponent // n, p)
-
-    if T.canonical is None:
-        return np.array([[v.residue(p, root(v.order)) for v in ch.values]
-                         for ch in T.irreducibles], dtype=np.int64)
+    """T's values mod p, a value at a class of order n read at
+    zeta_n -> z^(exponent/n) for z of order exponent: the canonical rows
+    times the powers of that root (int64 while phi(n) * p^2 < 2^63)."""
     columns = []
     for C, n in zip(T.canonical, T.classes.orders):
-        w = root(n)
+        if exponent % n:
+            raise InternalCheckError(f"{where}: table values do not fit the prime {p}")
+        w = pow(z, exponent // n, p)
         powers = np.array([pow(w, k, p) for k in range(C.shape[1])], dtype=np.int64)
         columns.append(C % p @ powers % p)
     return np.column_stack(columns)
@@ -682,29 +701,22 @@ def split_fuse(psi: Character, G: FinGroup) -> str:
 
 def tables_equal_upto_permutation(A: CharTable, B: CharTable) -> bool:
     """Exact equality up to a permutation of the irreducibles, for two tables
-    on one group and one class order (False for any other pair)."""
+    on one group and one class order (False for any other pair): their
+    canonical rows, sorted, are equal."""
     if A.group is not B.group or A.classes is not B.classes:
         return False
-    E = math.lcm(*A.classes.orders)
 
     def rows(T):
-        return sorted(tuple(v.lift(E).key() for v in ch.values)
-                      for ch in T.irreducibles)
+        return sorted(zip(*(C.tolist() for C in T.canonical)))
 
     return rows(A) == rows(B)
 
 
 def table_to_json(T: CharTable) -> dict:
-    """The table as JSON; a computed table's values are written from its
-    canonical rows (integer coefficients, so denominator 1), one built from
-    values by `Cyclo.to_json`."""
+    """The table as JSON, its values written from its canonical rows
+    (integer coefficients, so denominator 1)."""
     cd = T.classes
-    if T.canonical is None:
-        values = [[v.to_json() for v in ch.values] for ch in T.irreducibles]
-    else:
-        rows = [C.tolist() for C in T.canonical]
-        values = [[{"order": n, "coeffs": [[k, c, 1] for k, c in enumerate(row[a]) if c]}
-                   for n, row in zip(cd.orders, rows)] for a in range(len(cd))]
+    rows = [C.tolist() for C in T.canonical]
     return {
         "group": T.group.label,
         "order": T.group.order,
@@ -714,7 +726,8 @@ def table_to_json(T: CharTable) -> dict:
              "element_order": cd.orders[j]}
             for j in range(len(cd))
         ],
-        "irreducibles": values,
+        "irreducibles": [[{"order": n, "coeffs": [[k, c, 1] for k, c in enumerate(row[a]) if c]}
+                          for n, row in zip(cd.orders, rows)] for a in range(len(cd))],
     }
 
 

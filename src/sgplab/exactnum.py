@@ -6,12 +6,12 @@ zeta_N.  Sums, products, conjugation (x -> x^-1) and lifting to a multiple
 order (x -> x^(M/N)) are ring maps there, so they touch only exponents and
 ints.  The form is not unique: the reduction modulo the N-th cyclotomic
 polynomial, and the turn to `Fraction`, happen once per value, when its
-canonical `coeffs` are first read (by `==`, `bool`, `as_rational`, `key`,
-`to_json`, `repr` or `to_complex`).  Two elements of the same field are
-equal iff their canonical coefficient maps are equal; elements of different
-fields are compared after lifting both to the lcm order.  Values are
-immutable (the canonical form is only cached) and safe to share between
-threads.
+canonical `coeffs` are first read (by `==`, `bool`, `as_rational`, `repr`,
+`to_complex`, or the canonical rows of a character table built from
+values).  Two elements of the same field are equal iff their canonical
+coefficient maps are equal; elements of different fields are compared
+after lifting both to the lcm order.  Values are immutable (the canonical
+form is only cached) and safe to share between threads.
 
 No floating point anywhere in here: `to_complex` exists for the lossy CSV
 renderer and for test oracles only.
@@ -265,7 +265,7 @@ class Cyclo:
         n = math.lcm(self.order, other.order)
         return self.lift(n).coeffs == other.lift(n).coeffs
 
-    __hash__ = None  # equality crosses field orders; see key() for sorting
+    __hash__ = None  # equality crosses field orders: no order-free hash agrees with it
 
     def __bool__(self):
         return bool(self._num) and bool(self.coeffs)
@@ -285,31 +285,6 @@ class Cyclo:
         if set(coeffs) == {0}:
             return coeffs[0]
         return None
-
-    def key(self) -> tuple:
-        """Deterministic sorting key (not a value invariant across orders)."""
-        return (self.order,
-                tuple((e, c.numerator, c.denominator)
-                      for e, c in sorted(self.coeffs.items())))
-
-    def residue(self, p: int, w: int) -> int:
-        """The image in GF(p) under zeta_order -> w, for a prime p that does
-        not divide the denominator and w of multiplicative order `order`
-        mod p (a root of Phi_order, so the unreduced form may be read)."""
-        s = sum(c * pow(w, e, p) for e, c in self._num.items())
-        return s * pow(self._den, -1, p) % p
-
-    # -- interchange ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [[e, c.numerator, c.denominator]
-                           for e, c in sorted(self.coeffs.items())]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Cyclo":
-        return Cyclo(obj["order"],
-                     {e: Fraction(num, den) for e, num, den in obj["coeffs"]})
 
     def to_complex(self) -> complex:
         """Lossy float embedding; for CSV rendering and test oracles only."""

@@ -9,6 +9,7 @@ root-of-unity sums behind the parabolic inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,11 +190,19 @@ def _identify_sl2_classes(G: FinGroup):
     return cd, labels, q
 
 
+def _root(m: int, e: int) -> Cyclo:
+    """zeta_m^e at its own order: zeta_(m/g)^(e/g), g = gcd(m, e)."""
+    g = math.gcd(m, e)
+    return root_of_unity(m // g, e // g)
+
+
 def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:
     """The SL2(q) character table for even q, from the closed formulas.
 
-    `group` may be any enumerated copy whose elements expose a 2x2 view
-    (e.g. the index-2 subgroup of the twisted extension).
+    Each root of unity is written at its own order (`_root`), which divides
+    that of its class, as `CharTable` requires.  `group` may be any
+    enumerated copy whose elements expose a 2x2 view (e.g. the index-2
+    subgroup of the twisted extension).
     """
     e = q.bit_length() - 1
     if q < 4 or (1 << e) != q:
@@ -202,8 +211,6 @@ def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:
     cd, labels, q2 = _identify_sl2_classes(G)
     if q2 != q:
         raise ValueError(f"group is SL2({q2}), not SL2({q})")
-    rho = q - 1   # chi_s values live among (q-1)-th roots of unity
-    sig = q + 1
 
     def row(name, fn):
         return Character(G, tuple(fn(kind, t) for kind, t in labels), name)
@@ -221,7 +228,7 @@ def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:
             if kind == "c":
                 return Cyclo.from_rational(1)
             if kind == "a":
-                return root_of_unity(rho, s * t) + root_of_unity(rho, -s * t)
+                return _root(q - 1, s * t) + _root(q - 1, -s * t)
             return Cyclo.zero()
         chars.append(row(f"chi_{s}", chi))
     for j in range(1, q // 2 + 1):
@@ -232,7 +239,7 @@ def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:
                 return Cyclo.from_rational(-1)
             if kind == "a":
                 return Cyclo.zero()
-            return -(root_of_unity(sig, j * t) + root_of_unity(sig, -j * t))
+            return -(_root(q + 1, j * t) + _root(q + 1, -j * t))
         chars.append(row(f"theta_{j}", theta))
     return CharTable(G, cd, chars)
 

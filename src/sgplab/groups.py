@@ -593,19 +593,27 @@ def _require_subgroup(H, G):
         raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
 
 
+def _sorted_onto(img: np.ndarray, keys: np.ndarray, message: str) -> np.ndarray:
+    """by = argsort(img), checked to sort img onto the sorted, distinct keys:
+    img has their size and img[by] == keys, compared in _CHUNK slices.  So
+    img is a permutation of keys, and img[i] = keys[j] for i = by[j]; any
+    other image raises InternalCheckError(message)."""
+    by = np.argsort(img)
+    if img.size != keys.size or not all(
+            np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK])
+            for lo in range(0, keys.size, _CHUNK)):
+        raise InternalCheckError(message)
+    return by
+
+
 def _conjugation_perm(G: FinGroup, keys: np.ndarray, g) -> np.ndarray:
     """The inverse of i -> index of g^-1 keys[i] g, for the sorted keys of
-    a union of classes of G, read off one sort: by = argsort(img) of img =
-    conj(keys, g) must give img[by] == keys, since conjugation permutes
-    them (a conjugate outside them, or two keys with one conjugate, raises)."""
-    img = G.ops.conj(keys, g)
-    by = np.argsort(img)
-    for lo in range(0, keys.size, _CHUNK):
-        if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
-            raise InternalCheckError(
-                f"{G.label}: a conjugate is not in the group, or two elements "
-                "share one, or it leaves its fiber")
-    return by
+    a union of classes of G, read off one sort (`_sorted_onto`), since
+    conjugation permutes them (a conjugate outside them, or two keys with
+    one conjugate, raises)."""
+    return _sorted_onto(G.ops.conj(keys, g), keys,
+                        f"{G.label}: a conjugate is not in the group, or two elements "
+                        "share one, or it leaves its fiber")
 
 
 def _cycle_minima(P: np.ndarray, n: int) -> np.ndarray:
@@ -675,7 +683,7 @@ def _orbit_partition(G: FinGroup, gens, within=None) -> tuple:
     under a group K onto those under F(K).  So when F maps G and `within`,
     the group of the generators, into themselves, each fiber's labels are
     carried around its F-orbit, fibers taken in increasing order: the next
-    fiber is F of this one, sorted (one gather and one checked argsort),
+    fiber is F of this one, sorted (one gather and `_sorted_onto`),
     each orbit labelled by its least position (np.minimum.at).  Beyond the keys,
     this holds the uint8 fiber ids, the class ids class_of
     (np.min_scalar_type(r - 1) for r classes) and, for one fiber at a
@@ -708,12 +716,8 @@ def _orbit_partition(G: FinGroup, gens, within=None) -> tuple:
             else:                        # keys[i] = F(prev[by[i]]), in prev[by[i]]'s orbit
                 img = ops.frobenius(prev)
                 del prev
-                by = np.argsort(img)
-                for lo in range(0, m, _CHUNK):
-                    if not np.array_equal(img[by[lo:lo + _CHUNK]], keys[lo:lo + _CHUNK]):
-                        raise InternalCheckError(
-                            f"{G.label}: the Frobenius image of a trace fiber is not "
-                            "the fiber of the squared trace")
+                by = _sorted_onto(img, keys, f"{G.label}: the Frobenius image of a trace "
+                                  "fiber is not the fiber of the squared trace")
                 del img
                 orbit = label[by]
                 del by
@@ -789,10 +793,7 @@ def carry_classes(G: FinGroup, H: FinGroup, aut) -> tuple:
     generator a of H; the carried power map is that of H's representatives."""
     cd = conjugacy_classes(G)
     r = len(cd)
-    img = aut(H.keys)
-    by = np.argsort(img)
-    if not np.array_equal(img[by], G.keys):
-        raise InternalCheckError(f"{H.label} is not mapped onto {G.label}")
+    by = _sorted_onto(aut(H.keys), G.keys, f"{H.label} is not mapped onto {G.label}")
     image_class = np.empty_like(cd.class_of)
     image_class[by] = cd.class_of                   # H index -> class of its image
     least = np.unique(image_class, return_index=True)[1]

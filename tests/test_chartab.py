@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclo_oracles import key, residue, to_json
 import sgplab.chartab as ct
 import sgplab.groups as groups
 from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
@@ -466,8 +467,8 @@ def test_verified_multiplicities_are_the_table(monkeypatch, spec):
     and both checks pass it."""
     T, (order, cd, mults) = _recorded(monkeypatch, spec)
     cols = _columns(mults)
-    rows = sorted(tuple(col[i].key() for col in cols) for i in range(len(cd)))
-    assert rows == sorted(tuple(v.key() for v in ch.values) for ch in T.irreducibles)
+    rows = sorted(tuple(key(col[i]) for col in cols) for i in range(len(cd)))
+    assert rows == sorted(tuple(key(v) for v in ch.values) for ch in T.irreducibles)
     table_cols = [[ch.values[j] for ch in T.irreducibles] for j in range(len(cd))]
     assert _orthogonal_ref(order, cd, table_cols)
     assert _orthogonal_new(order, cd, mults)
@@ -483,9 +484,9 @@ ORACLE_SPECS += [s for s in ("parabolic-p:4", "parabolic-q:4", "sl2:16", "s6")
 
 def _cyclo_path_table(G, cd, mults) -> CharTable:
     """The reference for the integer rows: the table as `Cyclo` values built
-    from the multiplicities, sorted by degree and then by `Cyclo.key`."""
+    from the multiplicities, sorted by degree and then by `cyclo_oracles.key`."""
     rows = sorted(zip(*_columns(mults)), key=lambda row: (
-        row[cd.identity_class].as_rational(), tuple(v.key() for v in row)))
+        row[cd.identity_class].as_rational(), tuple(key(v) for v in row)))
     return CharTable(G, cd, [Character(G, row) for row in rows])
 
 
@@ -494,20 +495,25 @@ def test_integer_rows_give_the_order_degrees_and_residues_of_cyclo_values(
         monkeypatch, spec):
     """A computed table, kept as canonical integer rows, has the irreducible
     order, the degrees and the `restriction_matrix` residues of the table
-    built from the same multiplicities as sorted `Cyclo` values; its
-    degrees and residues are read without building a `Cyclo`."""
+    built from the same multiplicities as sorted `Cyclo` values, whose rows,
+    built from those values, are the computed ones; its degrees and
+    residues are read without building a `Cyclo`, and equal those the
+    values give one by one (`cyclo_oracles.residue`)."""
     T, (order, cd, mults) = _recorded(monkeypatch, spec)
     ref = _cyclo_path_table(T.group, cd, mults)
-    assert T.canonical is not None and ref.canonical is None
+    assert ref.multiplicities is None
+    assert all(np.array_equal(a, b) and b.dtype == np.int64
+               for a, b in zip(T.canonical, ref.canonical, strict=True))
     assert T.degrees == ref.degrees
     assert [ch.degree for ch in T.irreducibles] == [ch.degree for ch in ref.irreducibles]
     exponent = math.lcm(*cd.orders)
     p, z = ct._dixon_root(exponent, max(2 * math.isqrt(order) + 1, len(cd)))
-    assert np.array_equal(ct._residues(T, p, z, exponent, spec),
-                          ct._residues(ref, p, z, exponent, spec))
+    by_values = np.array([[residue(v, p, pow(z, exponent // v.order, p)) for v in ch.values]
+                          for ch in ref.irreducibles], dtype=np.int64)
+    assert np.array_equal(ct._residues(T, p, z, exponent, spec), by_values)
     assert all(ch._values is None for ch in T.irreducibles)
-    assert ([[v.key() for v in ch.values] for ch in T.irreducibles]
-            == [[v.key() for v in ch.values] for ch in ref.irreducibles])
+    assert ([[key(v) for v in ch.values] for ch in T.irreducibles]
+            == [[key(v) for v in ch.values] for ch in ref.irreducibles])
     assert np.array_equal(restriction_matrix(T, T), restriction_matrix(ref, ref))
 
 
@@ -529,6 +535,30 @@ def test_canonical_rows_refuse_a_bound_that_could_overflow(monkeypatch, capsys):
                         lambda n: np.full((n, 1), 1 << 62, dtype=np.int64))
     assert main(["chartab", "sl2:2"]) == EXIT_INTERNAL
     assert "canonical rows of order 1 overflow int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,message", [
+    (Cyclo.from_rational(Fraction(1, 2)), "coefficient 1/2 is not an int64 integer"),
+    (Cyclo.from_rational(1 << 63), f"coefficient {1 << 63} is not an int64 integer"),
+    (Cyclo.from_rational(-(1 << 63) - 1), "is not an int64 integer"),
+    (Cyclo(7, {1: 1}), "a value of order 7 at element order 2"),
+], ids=["fraction", "above", "below", "order"])
+def test_a_table_built_from_values_refuses_what_its_rows_cannot_hold(value, message):
+    """A value that is not an algebraic integer of its class's field, or
+    whose coefficients do not fit int64, is refused when its table is
+    built, as InternalCheckError (exit 4), not OverflowError; the int64
+    bounds themselves are kept."""
+    T = dixon_schneider(build_group("sl2:4"))
+    r, j = len(T.classes), T.classes.identity_class
+
+    def table(v):
+        bad = Character(T.group, [v] * r)
+        return CharTable(T.group, T.classes, [bad] + list(T.irreducibles[1:]))
+
+    with pytest.raises(InternalCheckError, match=message):
+        table(value)
+    for edge in ((1 << 63) - 1, -(1 << 63)):
+        assert table(Cyclo.from_rational(edge)).canonical[j][0, 0] == edge
 
 
 def _move_one(rng, cd, mults):
@@ -835,7 +865,7 @@ def test_json_export_of_a_computed_table_makes_no_cyclo(monkeypatch, spec):
     """A computed table is exported from its canonical integer rows: no
     `Cyclo` is made, by the constructor or by `exactnum._make` (counted as
     in the scan's witness test), and the export equals the one read from
-    the `Cyclo` values, as does that of a table built from those values."""
+    the `Cyclo` values."""
     from sgplab import exactnum
     T = dixon_schneider(_fresh(spec))
     made = []
@@ -851,11 +881,22 @@ def test_json_export_of_a_computed_table_makes_no_cyclo(monkeypatch, spec):
     got = table_to_json(T)
     assert made == []
     monkeypatch.undo()
-    want = [[v.to_json() for v in ch.values] for ch in T.irreducibles]
+    want = [[to_json(v) for v in ch.values] for ch in T.irreducibles]
     assert got["irreducibles"] == want
-    by_values = CharTable(T.group, T.classes,
-                          [Character(T.group, ch.values) for ch in T.irreducibles])
-    assert by_values.canonical is None and table_to_json(by_values) == got
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_json_export_of_a_value_built_table_is_the_computed_one(q):
+    """The closed-form SL2(q) table, built from `Cyclo` values, exports as
+    the computed table does, up to the order of the irreducibles: each
+    value is written at its class's element order, with integer
+    coefficients."""
+    from sgplab.families import sl2_table
+    got, want = (table_to_json(T) for T in (
+        sl2_table(q), dixon_schneider(build_group(f"sl2:{q}"))))
+    for blob in (got, want):
+        blob["irreducibles"].sort(key=json.dumps)
+    assert got == want
 
 
 def test_table_stats_sz8(monkeypatch):

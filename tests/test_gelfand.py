@@ -204,14 +204,21 @@ def test_monotonicity_on_chains():
             assert is_strong_gelfand_pair(s6, H).verdict == "not_sgp"
 
 
-@pytest.mark.parametrize("corrupt", [lambda v: -v, lambda v: v * Fraction(1, 2)],
+@pytest.mark.parametrize("corrupt,at_build", [(lambda v: -v, False),
+                                              (lambda v: v * Fraction(1, 2), True)],
                          ids=["negative", "fractional"])
-def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
-    """A negative or non-integral multiplicity is a bug, not a verdict."""
+def test_corrupt_table_raises_instead_of_a_verdict(corrupt, at_build):
+    """A negative or non-integral multiplicity is a bug, not a verdict.  A
+    halved irreducible has values that are not algebraic integers, so its
+    table is refused when it is built; a negated one, by both sides."""
     s6 = build_group("s6")
     s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
     T = dixon_schneider(s5)
     bad = [Character(s5, tuple(corrupt(v) for v in T.irreducibles[0].values))]
+    if at_build:
+        with pytest.raises(InternalCheckError, match="not an int64 integer"):
+            CharTable(s5, T.classes, bad + list(T.irreducibles[1:]))
+        return
     s5._chartable = CharTable(s5, T.classes, bad + list(T.irreducibles[1:]))
     for side in ("restrict", "induce"):
         with pytest.raises(InternalCheckError):
@@ -219,17 +226,16 @@ def test_corrupt_table_raises_instead_of_a_verdict(corrupt):
 
 
 def test_corrupt_table_in_gelfand_pair_is_internal_error():
-    """is_gelfand_pair meets a halved irreducible of G as InternalCheckError
-    (exit 4), not as ValueError (exit 2, a usage error): the degree checks
-    of `restriction_matrix` catch it."""
+    """A halved irreducible of G is InternalCheckError (exit 4), not
+    ValueError (exit 2, a usage error): its values are not algebraic
+    integers, so its table is refused when it is built, before
+    `is_gelfand_pair` can read it."""
     s6 = build_group("s6")
     s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
     T = dixon_schneider(s5)
     half = Character(s5, tuple(v * Fraction(1, 2) for v in T.irreducibles[0].values))
-    s5._chartable = CharTable(s5, T.classes, [half] + list(T.irreducibles[1:]))
-    with pytest.raises(InternalCheckError,
-                       match="multiplicities fail the degree or reciprocity checks"):
-        is_gelfand_pair(s5, squares_subgroup(s5, "a5"))
+    with pytest.raises(InternalCheckError, match="not an int64 integer"):
+        CharTable(s5, T.classes, [half] + list(T.irreducibles[1:]))
 
 
 def test_table_without_a_trivial_character_in_gelfand_pair_is_internal_error():
@@ -419,16 +425,16 @@ def test_swapped_fusion_map_raises(monkeypatch, side):
 
 def test_restriction_matrix_refuses_what_one_prime_cannot_read(monkeypatch):
     """A table value of an order that does not divide exp(G) (the same
-    value, lifted to order 7 * 60) has no image at the embedding, and a
-    prime with r_H * p^2 >= 2^63 would overflow the int64 products: both
-    raise instead of giving a matrix."""
+    value, lifted to order 7 * 60) has no image at the embedding: as it
+    does not divide the element order of its class either, its table is
+    refused when it is built.  A prime with r_H * p^2 >= 2^63 would
+    overflow the int64 products: it raises instead of giving a matrix."""
     s6 = build_group("s6")
     s5 = subgroup(s6, _s5().keys, "s5-copy")    # a fresh group: its own table
     TG, T = dixon_schneider(s6), dixon_schneider(s5)
     lifted = Character(s5, tuple(v.lift(7 * 60) for v in T.irreducibles[0].values))
-    bad = CharTable(s5, T.classes, [lifted] + list(T.irreducibles[1:]))
-    with pytest.raises(InternalCheckError, match="do not fit the prime"):
-        restriction_matrix(TG, bad)
+    with pytest.raises(InternalCheckError, match="a value of order 420 at element order"):
+        CharTable(s5, T.classes, [lifted] + list(T.irreducibles[1:]))
     real = ct._dixon_prime
     monkeypatch.setattr(ct, "_dixon_prime", lambda e, bound: real(e, 1 << 31))
     with pytest.raises(InternalCheckError, match="do not fit the prime"):

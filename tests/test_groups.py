@@ -809,6 +809,25 @@ def test_frobenius_image_off_its_fiber_is_caught(monkeypatch, capsys, fresh_buil
     assert "the Frobenius image of a trace fiber" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chunk", [3, 4, 9])
+def test_sorted_onto_refuses_an_image_with_one_extra_key(monkeypatch, chunk):
+    """The checked sort gives the order that sorts a permutation of the 9
+    keys onto them, compared in slices of 3, 4 or 9 keys, and refuses any
+    other image: one with a key missing, a key twice, or one extra key
+    after all of them.  When the slice size divides the number of keys,
+    that last image agrees with the keys on every slice, so only the size
+    check sees it."""
+    monkeypatch.setattr(groups, "_CHUNK", chunk)
+    keys = np.arange(9, dtype=np.uint64) * 3
+    img = keys[[4, 0, 7, 2, 5, 1, 8, 3, 6]]
+    by = groups._sorted_onto(img, keys, "not onto")
+    assert np.array_equal(img[by], keys)
+    for bad in (img[1:], np.append(img[1:], img[0] + 1), np.append(img[1:], img[1]),
+                np.append(img, keys[-1] + 1)):
+        with pytest.raises(InternalCheckError, match="^not onto$"):
+            groups._sorted_onto(bad, keys, "not onto")
+
+
 # -- the generating pair of sp4:q ---------------------------------------------
 
 def _same_class_data(a, b):

@@ -103,10 +103,11 @@ def test_float_guard_allows_exact_code():
 
 
 # The slicing helper is the one loop over _CHUNK slices of a kernel pass;
-# the class partition's fiber split, union-find rounds and read-out and its
-# permutation check slice arrays that are not kernel passes.
+# the class partition's fiber split, union-find rounds and read-out and the
+# checked sort of an image onto its keys slice arrays that are not kernel
+# passes.
 CHUNK_SCOPES = {("groups.py", "_sliced"), ("groups.py", "_orbit_partition"),
-                ("groups.py", "_join_orbits"), ("groups.py", "_conjugation_perm")}
+                ("groups.py", "_join_orbits"), ("groups.py", "_sorted_onto")}
 
 
 def _chunk_reads(tree):
@@ -140,11 +141,6 @@ def test_chunk_guard_finds(src, scope):
 
 def test_chunk_guard_allows_the_definition():
     assert not _chunk_reads(ast.parse("_CHUNK = 1 << 16"))
-
-
-# A method kept for callers outside the package: `from_json` reads the
-# exported tables back.
-UNREFERENCED_METHODS = {"exactnum.py:Cyclo.from_json"}
 
 
 def _traced_functions() -> set:
@@ -204,7 +200,7 @@ def test_no_unreferenced_private_functions_or_methods():
     """Every private function and every method is used inside the package;
     dead code is deleted, not kept for tests."""
     found = [d for d in _unreferenced(_package_sources())
-             if not _is_public(d) and d not in UNREFERENCED_METHODS]
+             if not _is_public(d)]
     assert not found, f"unreferenced definitions in src/sgplab: {found}"
 
 
