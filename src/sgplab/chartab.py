@@ -75,7 +75,8 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .exactnum import Cyclo, _canonical, _prime_factors, cyclotomic_poly
-from .groups import ClassData, FinGroup, carry_classes, conjugacy_classes, is_subgroup
+from .groups import (ClassData, FinGroup, _require_subgroup, carry_classes,
+                     conjugacy_classes)
 
 __all__ = [
     "Character", "CharTable", "dixon_schneider", "carry_table", "inner_product", "induce",
@@ -286,21 +287,21 @@ def _value_rows(irreducibles, orders) -> list:
 class Character:
     """A class function with exact cyclotomic values, one per class.
 
-    A character of a computed table (`_of_table`) holds its degree and the
-    canonical coefficients of each value, and builds its `Cyclo` values on
-    first access; they are cached, like `Cyclo.coeffs`."""
+    A character of a computed table (`_of_table`) holds the canonical
+    coefficients of each value, and builds its `Cyclo` values on first
+    access; they are cached, like `Cyclo.coeffs`."""
 
-    __slots__ = ("group", "name", "_values", "_degree", "_rows")
+    __slots__ = ("group", "name", "_values", "_rows")
 
     def __init__(self, group: FinGroup, values, name: str = ""):
         self.group, self.name = group, name
-        self._values, self._degree, self._rows = tuple(values), None, None
+        self._values, self._rows = tuple(values), None
 
     @classmethod
-    def _of_table(cls, group: FinGroup, degree: int, rows: tuple) -> "Character":
+    def _of_table(cls, group: FinGroup, rows: tuple) -> "Character":
         """rows[j] = (order n_j, canonical coefficients) of the value at class j."""
         ch = cls(group, ())
-        ch._values, ch._degree, ch._rows = None, degree, rows
+        ch._values, ch._rows = None, rows
         return ch
 
     @property
@@ -312,8 +313,6 @@ class Character:
 
     @property
     def degree(self) -> Fraction:
-        if self._degree is not None:
-            return Fraction(self._degree)
         cd = conjugacy_classes(self.group)
         d = self.values[cd.identity_class].as_rational()
         if d is None:
@@ -343,15 +342,19 @@ class CharTable:
         # how the table was computed: not part of the table or its export
         self.stats = MappingProxyType(dict(stats or {}))
 
+    def _degree_column(self) -> list:
+        """The degrees in table order: the identity class's canonical column."""
+        return self.canonical[self.classes.identity_class][:, 0].tolist()
+
     @property
     def degrees(self) -> list:
-        return sorted(int(ch.degree) for ch in self.irreducibles)
+        return sorted(self._degree_column())
 
     def total_degree(self) -> Fraction:
-        return sum((ch.degree for ch in self.irreducibles), Fraction(0))
+        return Fraction(sum(self._degree_column()))
 
     def max_degree(self) -> Fraction:
-        return max(ch.degree for ch in self.irreducibles)
+        return Fraction(max(self._degree_column()))
 
     def __repr__(self):
         return f"CharTable({self.group.label}, {len(self.irreducibles)} irreducibles)"
@@ -502,7 +505,7 @@ def _verified_table(G: FinGroup, cd: ClassData, mults: list, stats: dict) -> Cha
     # the canonical form of the value at order n_j
     order = sorted(range(len(cd)), key=lambda a: (degrees[a], tuple(
         tuple((k, c) for k, c in enumerate(coeffs) if c) for _, coeffs in rows[a])))
-    irreducibles = [Character._of_table(G, degrees[a], rows[a]) for a in order]
+    irreducibles = [Character._of_table(G, rows[a]) for a in order]
     return CharTable(G, cd, irreducibles, dict(stats, verify_prime=p_v),
                      [C[order] for C in canonical], [M[order] for M in mults])
 
@@ -605,8 +608,7 @@ def inner_product(a: Character, b: Character) -> Fraction:
 
 def _fusion_map(H: FinGroup, G: FinGroup) -> list:
     """G-class index of each H-class representative."""
-    if not is_subgroup(H, G):
-        raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
+    _require_subgroup(H, G)
     cdh, cdg = conjugacy_classes(H), conjugacy_classes(G)
     reps = H.keys[list(cdh.reps)]
     return [int(cdg.class_of[i]) for i in G.index_of(reps)]
@@ -661,7 +663,8 @@ def _residues(T: CharTable, p: int, z: int, exponent: int, where: str) -> np.nda
     columns = []
     for C, n in zip(T.canonical, T.classes.orders):
         if exponent % n:
-            raise InternalCheckError(f"{where}: table values do not fit the prime {p}")
+            raise InternalCheckError(
+                f"{where}: class order {n} does not divide the exponent {exponent}")
         w = pow(z, exponent // n, p)
         powers = np.array([pow(w, k, p) for k in range(C.shape[1])], dtype=np.int64)
         columns.append(C % p @ powers % p)

@@ -104,8 +104,7 @@ def _emit_table(T, ns, out):
             f"{len(cd)} classes")
         out("class sizes:  " + " ".join(str(s) for s in cd.sizes))
         out("class orders: " + " ".join(str(o) for o in cd.orders))
-        out("degrees:      " + " ".join(str(d) for d in
-                                        (int(ch.degree) for ch in T.irreducibles)))
+        out("degrees:      " + " ".join(map(str, T._degree_column())))
         out(f"total degree: {T.total_degree()}")
 
 

@@ -25,10 +25,7 @@ from functools import lru_cache
 
 from .errors import InternalCheckError
 
-__all__ = ["Rat", "Cyclo", "root_of_unity", "cyclotomic_poly"]
-
-# Exact rationals: always in lowest terms, denominator > 0.
-Rat = Fraction
+__all__ = ["Cyclo", "root_of_unity", "cyclotomic_poly"]
 
 MAX_ORDER = 2**32 - 1
 

@@ -160,10 +160,9 @@ class DegreeSpec:
 def _identify_sl2_classes(G: FinGroup):
     """Map each class of an SL2(q)-shaped group onto the labels 1/c/a^t/b^m."""
     cd = conjugacy_classes(G)
-    probe = G.ops.sl2_view(G.keys[cd.reps[0]])
-    if probe is None:
+    if G.ops.dim != 2:
         raise InternalCheckError(f"{G.label} is not an SL2-shaped group")
-    ctx = probe[1]
+    ctx = G.ops.ctx
     q = ctx.q
 
     # a = diag(gamma, gamma^-1) for the a-family, b the first key of order
@@ -201,8 +200,8 @@ def sl2_table(q: int, group: FinGroup | None = None) -> CharTable:
 
     Each root of unity is written at its own order (`_root`), which divides
     that of its class, as `CharTable` requires.  `group` may be any
-    enumerated copy whose elements expose a 2x2 view (e.g. the index-2
-    subgroup of the twisted extension).
+    enumerated copy on 2x2 operations (e.g. the index-2 subgroup of the
+    twisted extension).
     """
     e = q.bit_length() - 1
     if q < 4 or (1 << e) != q:

@@ -18,9 +18,9 @@ import numpy as np
 from .chartab import (CharTable, Character, carry_table, dixon_schneider,
                       induce, inner_product, restrict, restriction_matrix,
                       trivial_character)
-from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .groups import (MAX_ORDER_DEFAULT, FinGroup, build_group, h_classes,
-                     is_subgroup, maximal_subgroups_sp4)
+from .errors import InternalCheckError, ResourceBoundError
+from .groups import (MAX_ORDER_DEFAULT, FinGroup, _require_subgroup, build_group,
+                     h_classes, maximal_subgroups_sp4)
 
 __all__ = [
     "SgpVerdict", "Witness", "is_multiplicity_free", "is_strong_gelfand_pair",
@@ -93,8 +93,7 @@ def is_strong_gelfand_pair(G: FinGroup, H: FinGroup, *,
     reciprocity; a mismatch raises InternalCheckError, as does a matrix
     that `restriction_matrix` cannot verify.
     """
-    if not is_subgroup(H, G):
-        raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
+    _require_subgroup(H, G)
     if side not in ("restrict", "induce"):
         raise ValueError(f"unknown side {side!r}")
     TG, TH = dixon_schneider(G), dixon_schneider(H)
@@ -122,8 +121,7 @@ def is_gelfand_pair(G: FinGroup, H: FinGroup) -> bool:
     `restriction_matrix` exceeds 1.  A matrix that `restriction_matrix`
     cannot verify, or an H table without the trivial character, raises
     InternalCheckError."""
-    if not is_subgroup(H, G):
-        raise SubgroupError(f"{H.label} is not a subgroup of {G.label}")
+    _require_subgroup(H, G)
     TH = dixon_schneider(H)
     rows = [psi.values for psi in TH.irreducibles]
     one = trivial_character(H).values

@@ -180,9 +180,6 @@ class MatOps:
     def pack_one(self, mat):
         return self.pack(np.asarray(mat, dtype=np.uint8)[None])[0]
 
-    def from_rows(self, rows):
-        return self.pack_one(np.array(rows, dtype=np.uint8))
-
     # -- arithmetic ------------------------------------------------------
 
     def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,15 +334,6 @@ class MatOps:
         unpacked, so each power is one `_matmul` and one pack."""
         return map(self.pack, accumulate(repeat(self.unpack(keys)), self._matmul))
 
-    # -- views -----------------------------------------------------------
-
-    def sl2_view(self, key):
-        """(2x2 entry codes, FieldCtx) if this is a 2x2 matrix group."""
-        if self.dim != 2:
-            return None
-        m = self.unpack(key)[0]
-        return m, self.ctx
-
     def describe(self, key) -> list:
         """Entry-log rows: -1 for the zero entry, else the discrete log."""
         m = self.unpack(key)[0]
@@ -439,12 +427,6 @@ class ExtOps:
         return _sliced(lambda k: (k >> self._tshift).astype(np.uint8),
                        _as_key_array(keys, self.dtype))
 
-    def sl2_view(self, key):
-        m, t = self._split(_as_key_array(key, self.dtype))
-        if t[0]:
-            return None
-        return self._mat.unpack(m)[0], self.ctx
-
     def describe(self, key) -> dict:
         m, t = self._split(_as_key_array(key, self.dtype))
         return {"matrix": self._mat.describe(m[0]), "twist": int(t[0])}
@@ -498,15 +480,28 @@ def mulclose(ops, gens_keys, max_order: int) -> np.ndarray:
     return all_keys
 
 
-def find_generators(keys: np.ndarray, ops) -> list:
-    """A small deterministic generating set for an enumerated subgroup."""
+def _greedy_generators(ops, candidates: np.ndarray, target: int) -> tuple:
+    """(gens, closure): take the first candidate not yet in the closure of
+    gens, close again, and stop when the closure has `target` elements or
+    no candidate is left outside it (Seress, Permutation Group Algorithms,
+    2003, sec. 4.1)."""
     gens: list = []
     closure = np.array([ops.identity], dtype=ops.dtype)
-    while closure.size < keys.size:
-        fresh = np.setdiff1d(keys, closure, assume_unique=True)
-        gens.append(fresh[0])
-        closure = mulclose(ops, gens, keys.size)
-    return gens
+    while closure.size < target:
+        pos = np.minimum(np.searchsorted(closure, candidates), closure.size - 1)
+        outside = np.flatnonzero(closure[pos] != candidates)
+        if not outside.size:
+            break
+        gens.append(candidates[outside[0]])
+        candidates = candidates[outside[0] + 1:]
+        closure = mulclose(ops, gens, target)
+    return gens, closure
+
+
+def find_generators(keys: np.ndarray, ops) -> list:
+    """A small deterministic generating set for an enumerated subgroup: the
+    greedy closure of its keys in key order."""
+    return _greedy_generators(ops, keys, keys.size)[0]
 
 
 @dataclass(frozen=True)
@@ -931,7 +926,7 @@ def _generated(label: str, ops, gens, order: int, max_order: int,
 def _build_sl2(q, max_order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 2, "symplectic")
-    gens = [ops.from_rows(rows) for rows in _sl2_gens(ctx)]
+    gens = [ops.pack_one(rows) for rows in _sl2_gens(ctx)]
     return _generated(f"sl2:{q}", ops, gens, q * (q * q - 1), max_order)
 
 
@@ -956,10 +951,10 @@ def _sp4_gens(ops):
     ]
     if ctx.q > 2:
         # torus conjugation sweeps the root subgroups over all of GF(q)
-        gens.append(ops.from_rows([[g, 0, 0, 0], [0, one, 0, 0],
-                                   [0, 0, one, 0], [0, 0, 0, ctx.inv(g)]]))
-        gens.append(ops.from_rows([[one, 0, 0, 0], [0, g, 0, 0],
-                                   [0, 0, ctx.inv(g), 0], [0, 0, 0, one]]))
+        gens.append(ops.pack_one([[g, 0, 0, 0], [0, one, 0, 0],
+                                  [0, 0, one, 0], [0, 0, 0, ctx.inv(g)]]))
+        gens.append(ops.pack_one([[one, 0, 0, 0], [0, g, 0, 0],
+                                  [0, 0, ctx.inv(g), 0], [0, 0, 0, one]]))
     return gens
 
 
@@ -1029,13 +1024,7 @@ def _build_sp4(q, max_order):
     schreier = ops.mul(ops.inv(reps[ends]), np.array(images, dtype=ops.dtype))
     if not P.contains(schreier).all():
         raise InternalCheckError(f"{label}: a Schreier generator is not in {P.label}")
-    gens, stab = [], np.array([ops.identity], dtype=ops.dtype)
-    for s in schreier:
-        if stab.size == P.order:
-            break
-        if stab[min(np.searchsorted(stab, s), stab.size - 1)] != s:
-            gens.append(s)
-            stab = mulclose(ops, gens, P.order)
+    stab = _greedy_generators(ops, schreier, P.order)[1]
     if reps.size * stab.size != order:
         raise InternalCheckError(
             f"{label}: enumerated {reps.size * stab.size} elements, closed form {order}")
@@ -1058,8 +1047,8 @@ def _build_wreath(q, max_order):
     for rows in _sl2_gens(ctx):
         # act on the hyperbolic plane <e1, e4>
         (a, b), (c, d) = rows
-        gens.append(ops.from_rows([[a, 0, 0, b], [0, one, 0, 0],
-                                   [0, 0, one, 0], [c, 0, 0, d]]))
+        gens.append(ops.pack_one([[a, 0, 0, b], [0, one, 0, 0],
+                                  [0, 0, one, 0], [c, 0, 0, d]]))
     gens.append(_plane_swap(ops))
     return _generated(f"wreath-sp2:{q}", ops, gens, 2 * q**2 * (q**2 - 1) ** 2,
                       max_order)
@@ -1067,10 +1056,8 @@ def _build_wreath(q, max_order):
 
 def _build_ext_abstract(q, max_order):
     ops = _ext_ops_cached(q)
-    gens = [ops.pack_one(np.array(rows, dtype=np.uint8), 0)
-            for rows in _sl2_gens(ops.ctx)]
-    gens.append(ops.pack_one(
-        np.array([[ops.ctx.one, 0], [0, ops.ctx.one]], dtype=np.uint8), 1))
+    gens = [ops.pack_one(rows, 0) for rows in _sl2_gens(ops.ctx)]
+    gens.append(ops.pack_one([[ops.ctx.one, 0], [0, ops.ctx.one]], 1))
     return _generated(f"ext-sp2q2:{q}", ops, gens, 2 * q**2 * (q**4 - 1), max_order)
 
 
@@ -1112,10 +1099,10 @@ def _build_ext_embedded(q, max_order):
 
     ops = mat_ops(ctx, 4, "symplectic")
     frob = [[one, t], [0, one]]
-    t_key = ops.from_rows(diag(frob, [[ti, 0], [0, ti]]))
-    t_inv = ops.from_rows(diag(frob, [[t, 0], [0, t]]))
+    t_key = ops.pack_one(diag(frob, [[ti, 0], [0, ti]]))
+    t_inv = ops.pack_one(diag(frob, [[t, 0], [0, t]]))
     gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [diag(frob, frob)]
-    gens = [ops.mul(ops.mul(t_inv, ops.from_rows(r)), t_key)[0] for r in gen_rows]
+    gens = [ops.mul(ops.mul(t_inv, ops.pack_one(r)), t_key)[0] for r in gen_rows]
     if not _symplectic(ops, ops.unpack(gens)).all():
         raise InternalCheckError(f"{label}: a generator is not symplectic")
     return _generated(label, ops, gens, 2 * q**2 * (q**4 - 1), max_order)
@@ -1138,8 +1125,8 @@ def _build_parabolic(q, max_order, kind):
 def _plane_swap(ops):
     """The swap of the hyperbolic planes <e1, e4> and <e2, e3>."""
     one = ops.ctx.one
-    return ops.from_rows([[0, one, 0, 0], [one, 0, 0, 0],
-                          [0, 0, 0, one], [0, 0, one, 0]])
+    return ops.pack_one([[0, one, 0, 0], [one, 0, 0, 0],
+                         [0, 0, 0, one], [0, 0, one, 0]])
 
 
 def _build_so4(q, max_order, sign):
@@ -1166,7 +1153,7 @@ def _build_so4(q, max_order, sign):
     gens = []
     for v in dict.fromkeys(v for v in vecs if Q(v)):   # gamma = 1 when q = 2
         c = ctx.inv(int(Q(v)))
-        gens.append(ops.from_rows(
+        gens.append(ops.pack_one(
             [[ctx.add(o if i == j else 0, ctx.mul(c, ctx.mul(v[i], v[3 - j])))
               for j in range(4)] for i in range(4)]))
     if q == 2 and sign == "+":
@@ -1195,21 +1182,21 @@ def _build_sz(q, max_order):
         if b:
             f = ctx.add(f, ctx.pow(b, theta))
         r42 = ctx.add(ctx.mul(ath, a) if a else 0, b)
-        return ops.from_rows([[one, 0, 0, 0],
-                              [a, one, 0, 0],
-                              [b, ath, one, 0],
-                              [f, r42, a, one]])
+        return ops.pack_one([[one, 0, 0, 0],
+                             [a, one, 0, 0],
+                             [b, ath, one, 0],
+                             [f, r42, a, one]])
 
     gens = [smat(one, 0), smat(0, one)]
     if q > 2:
         lam = ctx.gamma
         d1 = ctx.pow(lam, 1 + (1 << n))
         d2 = ctx.pow(lam, 1 << n)
-        gens.append(ops.from_rows([[d1, 0, 0, 0], [0, d2, 0, 0],
-                                   [0, 0, ctx.inv(d2), 0],
-                                   [0, 0, 0, ctx.inv(d1)]]))
-    gens.append(ops.from_rows([[0, 0, 0, one], [0, 0, one, 0],
-                               [0, one, 0, 0], [one, 0, 0, 0]]))
+        gens.append(ops.pack_one([[d1, 0, 0, 0], [0, d2, 0, 0],
+                                  [0, 0, ctx.inv(d2), 0],
+                                  [0, 0, 0, ctx.inv(d1)]]))
+    gens.append(ops.pack_one([[0, 0, 0, one], [0, 0, one, 0],
+                              [0, one, 0, 0], [one, 0, 0, 0]]))
     return _generated(f"sz:{q}", ops, gens, q**2 * (q**2 + 1) * (q - 1), max_order)
 
 

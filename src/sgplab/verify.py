@@ -58,8 +58,7 @@ def _c2_wreath():
 def _c3_ext():
     q = 4
     G = build_group(f"ext-sp2q2:{q}")
-    sub_keys = G.keys[[bool(G.ops.sl2_view(k)) for k in G.keys]]
-    H = subgroup(G, sub_keys, f"sp2q2-in-ext:{q}")
+    H = subgroup(G, G.keys[G.ops.fiber_of(G.keys) == 0], f"sp2q2-in-ext:{q}")
     TH = families.sl2_table(q * q, H)
     verdicts = {}
     for ch in TH.irreducibles:

@@ -222,12 +222,10 @@ def test_induced_thetas_vanish_off_subgroup():
     # zero on every class outside the subgroup (the twisted classes)
     from sgplab.families import sl2_table
     G = build_group("ext-sp2q2:2")
-    sub_keys = G.keys[[bool(G.ops.sl2_view(k)) for k in G.keys]]
-    H = subgroup(G, sub_keys, "sp2q2-in-ext:2")
+    H = subgroup(G, G.keys[G.ops.fiber_of(G.keys) == 0], "sp2q2-in-ext:2")
     TH = sl2_table(4, H)
     cd = conjugacy_classes(G)
-    outside = [j for j, rep in enumerate(cd.reps)
-               if G.ops.sl2_view(G.keys[rep]) is None]
+    outside = [j for j, rep in enumerate(cd.reps) if G.ops.fiber_of(G.keys[rep])[0]]
     assert outside
     for psi in TH.irreducibles:
         if not psi.name.startswith("theta"):
@@ -482,6 +480,36 @@ ORACLE_SPECS += [s for s in ("parabolic-p:4", "parabolic-q:4", "sl2:16", "s6")
                  if s not in ORACLE_SPECS]
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [f"sl2_table:{q}" for q in (4, 8, 16)])
+def test_degrees_read_from_rows_match_the_values(spec):
+    """The degrees read from the identity-class column of the canonical
+    rows, in table order, sorted, summed and at most, are the values of
+    the characters at the identity class (`Character.degree`): on every
+    computed golden table and on the closed-form SL2 tables."""
+    name, _, q = spec.partition(":")
+    if name == "sl2_table":
+        from sgplab.families import sl2_table
+        T = sl2_table(int(q))
+    else:
+        T = dixon_schneider(build_group(spec))
+    by_values = [ch.degree for ch in T.irreducibles]
+    assert T._degree_column() == by_values
+    assert T.degrees == sorted(by_values)
+    assert T.total_degree() == sum(by_values) and T.max_degree() == max(by_values)
+    assert sum(d * d for d in by_values) == T.group.order
+
+
+def test_residues_refuse_a_class_order_off_the_exponent():
+    """`_residues` reads each value at a root of order dividing the
+    exponent; a class order that does not divide it raises its own
+    message, not that of the prime bound of `restriction_matrix`."""
+    T = dixon_schneider(build_group("s6"))
+    p, z = ct._dixon_root(12, 100)
+    with pytest.raises(InternalCheckError,
+                       match=r"^s6: class order 5 does not divide the exponent 12$"):
+        ct._residues(T, p, z, 12, "s6")
+
+
 def _cyclo_path_table(G, cd, mults) -> CharTable:
     """The reference for the integer rows: the table as `Cyclo` values built
     from the multiplicities, sorted by degree and then by `cyclo_oracles.key`."""
@@ -505,13 +533,13 @@ def test_integer_rows_give_the_order_degrees_and_residues_of_cyclo_values(
     assert all(np.array_equal(a, b) and b.dtype == np.int64
                for a, b in zip(T.canonical, ref.canonical, strict=True))
     assert T.degrees == ref.degrees
-    assert [ch.degree for ch in T.irreducibles] == [ch.degree for ch in ref.irreducibles]
     exponent = math.lcm(*cd.orders)
     p, z = ct._dixon_root(exponent, max(2 * math.isqrt(order) + 1, len(cd)))
     by_values = np.array([[residue(v, p, pow(z, exponent // v.order, p)) for v in ch.values]
                           for ch in ref.irreducibles], dtype=np.int64)
     assert np.array_equal(ct._residues(T, p, z, exponent, spec), by_values)
     assert all(ch._values is None for ch in T.irreducibles)
+    assert [ch.degree for ch in T.irreducibles] == [ch.degree for ch in ref.irreducibles]
     assert ([[key(v) for v in ch.values] for ch in T.irreducibles]
             == [[key(v) for v in ch.values] for ch in ref.irreducibles])
     assert np.array_equal(restriction_matrix(T, T), restriction_matrix(ref, ref))

@@ -191,6 +191,17 @@ def test_verify_paper_times_checks_on_stderr_only(capsys):
         assert re.fullmatch(rf"time {re.escape(name)}: \d+\.\d\d s", line), line
 
 
+def test_verify_paper_deep_lines_match_golden():
+    """The in-process tier-2 report is the committed stdout of
+    `verify-paper --deep`, which runs the ext split/fuse check; the checks
+    are cached, so this reruns none that another test already ran."""
+    from sgplab.verify import run_checks
+    lines = []
+    assert run_checks(2, report=lines.append)
+    golden = Path(__file__).parent / "golden" / "verify_paper_deep.txt"
+    assert lines == golden.read_text().splitlines()
+
+
 def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
     """A closure that picks up an element without its inverse is a kernel
     bug: exit 4, naming the group, not an uncaught KeyError."""

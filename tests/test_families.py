@@ -76,6 +76,8 @@ def test_sl2_table_validation():
         sl2_table(6)
     with pytest.raises(ValueError):
         sl2_table(2)
+    with pytest.raises(InternalCheckError, match="sp4:2 is not an SL2-shaped group"):
+        sl2_table(4, build_group("sp4:2"))
 
 
 def test_wreath_spec_symbolic_identities():

@@ -123,7 +123,7 @@ def test_centralizer_product_identity_on_sz8():
 def test_centralizer_requires_membership():
     g = build_group("sl2:4")
     ctx = g.ops.ctx
-    bad = g.ops.from_rows([[ctx.gamma, 0], [0, ctx.one]])  # determinant gamma
+    bad = g.ops.pack_one([[ctx.gamma, 0], [0, ctx.one]])  # determinant gamma
     with pytest.raises(SubgroupError):
         centralizer_order(g, bad)
 
@@ -264,11 +264,11 @@ def _ext_embedded_gens_by_table(q):
              for y1, y2 in basis2] for x1, x2 in basis2]
     ops = groups.mat_ops(ctx, 4, "symplectic")
     t_cols = _symplectic_basis(ctx, gram)
-    t = ops.from_rows(t_cols)
-    t_inv = ops.mul(ops.mul(_gram_key(ops), ops.from_rows(np.array(t_cols).T)),
-                    ops.from_rows(gram))[0]
+    t = ops.pack_one(t_cols)
+    t_inv = ops.mul(ops.mul(_gram_key(ops), ops.pack_one(np.array(t_cols).T)),
+                    ops.pack_one(gram))[0]
     rows = [image(r) for r in groups._sl2_gens(ctx2)] + [galois]
-    return [int(ops.mul(ops.mul(t_inv, ops.from_rows(r)), t)[0]) for r in rows]
+    return [int(ops.mul(ops.mul(t_inv, ops.pack_one(r)), t)[0]) for r in rows]
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
@@ -340,6 +340,63 @@ def test_squares_and_cyclic_subgroups():
     k = next(k for k in s6.keys if element_order(s6.ops, k) == 6)
     c6 = cyclic_subgroup(s6, k)
     assert c6.order == 6
+
+
+def _setdiff_generators(keys, ops):
+    """The route `find_generators` took before the shared greedy search:
+    the least key outside the closure, by `np.setdiff1d`, until it is
+    all of keys."""
+    gens = []
+    closure = np.array([ops.identity], dtype=ops.dtype)
+    while closure.size < keys.size:
+        gens.append(np.setdiff1d(keys, closure, assume_unique=True)[0])
+        closure = groups.mulclose(ops, gens, keys.size)
+    return gens
+
+
+def test_shared_search_matches_setdiff_route_on_s4():
+    """`find_generators` picks the generators the setdiff route picked,
+    on every subgroup of S4."""
+    s4 = perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4")
+    subs = groups.all_subgroups(s4)
+    assert len(subs) == 30
+    for keys in subs:
+        want = _setdiff_generators(keys, s4.ops)
+        assert [int(g) for g in groups.find_generators(keys, s4.ops)] == [int(g) for g in want]
+
+
+def _schreier_loop(ops, schreier, order):
+    """The loop `_build_sp4` ran before the shared greedy search: each
+    Schreier generator outside the closure so far joins it, until the
+    closure has `order` elements."""
+    gens, stab = [], np.array([ops.identity], dtype=ops.dtype)
+    for s in schreier:
+        if stab.size == order:
+            break
+        if stab[min(np.searchsorted(stab, s), stab.size - 1)] != s:
+            gens.append(s)
+            stab = groups.mulclose(ops, gens, order)
+    return gens, stab
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_shared_search_matches_the_schreier_loop(monkeypatch, fresh_builds, q):
+    """`_build_sp4` closes the Schreier generators it was given in edge
+    order to the same generators and stabilizer as its old loop."""
+    calls = []
+    real = groups._greedy_generators
+
+    def recording(ops, candidates, target):
+        out = real(ops, candidates, target)
+        calls.append((ops, candidates, target, out))
+        return out
+    monkeypatch.setattr(groups, "_greedy_generators", recording)
+    build_group(f"sp4:{q}")
+    (ops, schreier, target, (gens, stab)), = [c for c in calls if c[2] != c[1].size]
+    assert target == build_group(f"parabolic-p:{q}").order
+    want_gens, want_stab = _schreier_loop(ops, schreier, target)
+    assert [int(g) for g in gens] == [int(g) for g in want_gens] and len(gens) > 1
+    assert np.array_equal(stab, want_stab) and stab.size == target
 
 
 def test_perm_group_s4():
@@ -670,6 +727,23 @@ def test_fiber_of_is_the_trace_or_the_twist():
     assert got.dtype == np.uint8
     assert np.array_equal(got, ext.keys >> ext.ops._tshift)
     assert set(got.tolist()) == {0, 1}
+
+
+def _sl2_view(ops, key):
+    """The per-key route `ExtOps.sl2_view` took: the 2x2 matrix of a
+    twist-0 key and its field, None for a twisted key."""
+    m, t = ops._split(groups._as_key_array(key, ops.dtype))
+    return None if t[0] else (ops._mat.unpack(m)[0], ops.ctx)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_twist_zero_mask_matches_the_per_key_view(q):
+    """The keys of twist 0, the index-2 copy of Sp2(q^2) in ext-sp2q2:q,
+    are the keys whose fiber is 0, as the per-key view selected them."""
+    G = build_group(f"ext-sp2q2:{q}")
+    by_view = G.keys[[_sl2_view(G.ops, k) is not None for k in G.keys]]
+    by_mask = G.keys[G.ops.fiber_of(G.keys) == 0]
+    assert by_mask.size == G.order // 2 and np.array_equal(by_mask, by_view)
 
 
 def test_fibers_split_the_partition_and_match_one_chunk(monkeypatch):
