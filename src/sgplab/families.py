@@ -129,7 +129,6 @@ class DegreeSpec:
 
     rows: tuple
     order_poly: PolyQ
-    validity: str = ""
 
     def degrees_at(self, q) -> list:
         out = []
@@ -269,7 +268,7 @@ def wreath_degree_spec() -> DegreeSpec:
         DegreeRow("theta.theta'", 2 * (q - 1) * (q - 1), q * (q - 2) / 8),
     )
     order = 2 * q * q * (q * q - 1) * (q * q - 1)
-    return DegreeSpec(rows, order, "q = 2^e, e > 1")
+    return DegreeSpec(rows, order)
 
 
 def ext_degree_spec() -> DegreeSpec:
@@ -282,7 +281,7 @@ def ext_degree_spec() -> DegreeSpec:
         DegreeRow("chi", q2 + 1, (q2 - 2) / 2),
         DegreeRow("theta", q2 - 1, q2 / 2),
     )
-    return DegreeSpec(rows, q2 * (q2 * q2 - 1), "q = 2^e, e > 1")
+    return DegreeSpec(rows, q2 * (q2 * q2 - 1))
 
 
 def ext_split_rule(q: int, s: int) -> str:
@@ -324,7 +323,7 @@ def suzuki_degree_spec(q: int) -> DegreeSpec:
         DegreeRow("minus-large", (qq + r + 1) * (qq - 1), (qq - r) / 4),
     )
     order = qq * qq * (qq * qq + 1) * (qq - 1)
-    return DegreeSpec(rows, order, f"q = 2^(2n+1) with n = {n}")
+    return DegreeSpec(rows, order)
 
 
 def suzuki_total_degree(q: int) -> Fraction:

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 SCHUR_MAX_ORDER = 20000
+# tau maps each row onto its partner (so4- onto ext-sp2q2 only at q <= 4, the scan's range)
+TAU_PARTNERS = {"parabolic-q": "parabolic-p", "so4+": "wreath-sp2", "so4-": "ext-sp2q2-embedded"}
 
 
 @dataclass(frozen=True)
@@ -151,22 +153,20 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     the computed sp4:q table; subgroups it cannot settle get the full
     check (`is_strong_gelfand_pair`).  The graph automorphism tau maps
     parabolic-q onto parabolic-p, so4+ onto wreath-sp2 and, at q <= 4,
-    so4- onto ext-sp2q2, so a row of an earlier row's order whose
-    generators tau maps into it takes its table from it (`carry_table`).
+    so4- onto ext-sp2q2: each takes its table from that declared partner
+    (`TAU_PARTNERS`) by `carry_table`, whose checks raise if tau does not.
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
     G = build_group(f"sp4:{q}", max_order=max_order)
     rows = maximal_subgroups_sp4(q, max_order=max_order)
+    by_label = {H.label: H for H, _ in rows}
     max_deg = dixon_schneider(G).max_degree()
-    out, tabled = [], []
+    out = []
     for H, label in rows:
-        aut = H.ops.graph_aut
-        A = next((A for A in tabled if A.order == H.order
-                  and A.contains(aut(H.gens_keys)).all()), None)
-        TH = (carry_table(dixon_schneider(A), H, aut) if A and H._chartable is None
-              else dixon_schneider(H))
-        tabled.append(H)
+        partner = TAU_PARTNERS.get(H.label.split(":")[0])
+        TH = (carry_table(dixon_schneider(by_label[f"{partner}:{q}"]), H, H.ops.graph_aut)
+              if partner and H._chartable is None else dixon_schneider(H))
         tau_h = TH.total_degree()
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":
             out.append(SgpVerdict(G.label, label, "not_sgp", "total_char_shortcut"))

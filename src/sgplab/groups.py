@@ -32,7 +32,8 @@ The class partition runs one trace fiber at a time, and carries the
 labels of a fiber along the entrywise Frobenius (`MatOps.frobenius`) to
 the fiber of the squared trace.  The graph automorphism tau of Sp4(2^e)
 (`MatOps.graph_aut`) pairs maximal subgroups; `carry_classes` moves the
-classes of one onto the other, checked.
+classes of one onto the other, checked.  Every 2 x 2 form a1 b2 + a2 b1 (the
+minors of tau, the Gram forms, so4's x1 x4 + x2 x3) is one `MatOps.pair_form` gather.
 
 A FinGroup's keys never change after construction; its class partition
 and character table are computed on first request and cached on it.  The
@@ -46,8 +47,8 @@ temporaries, and its results do not depend on the slice boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class MatOps:
     that are built on first use from the images of the single-bit keys
     (read off the entries of the element, with no product) and kept, at
     most _TABLE_CACHE (element, map) pairs, least recently used dropped
-    first; this cache is the only state that changes after construction.
+    first; it and the pair table are the only state that changes after construction.
     """
 
     def __init__(self, ctx: gfield.FieldCtx, dim: int, inv_mode: str = "symplectic"):
@@ -309,24 +310,32 @@ class MatOps:
         return _sliced(lambda k: self._gather(self._frob_tables, k),
                        _as_key_array(keys, self.dtype))
 
+    @cached_property
+    def _pair(self) -> np.ndarray:     # T[a1 a2 b1 b2] = a1 b2 + a2 b1, flat: 4 KB over GF(8)
+        mul = self.ctx.lut_mul
+        return self.ctx.lut_add[mul[:, None, None, :], mul[None, :, :, None]].ravel()
+
+    def pair_form(self, a1, a2, b1, b2):
+        """a1 b2 + a2 b1 for four arrays (or scalars) of entry codes: one gather of `_pair`."""
+        a1, e = np.asarray(a1, np.min_scalar_type(self._pair.size - 1)), self.bits
+        return self._pair[((a1 << e | a2) << e | b1) << e | b2]
+
     def graph_aut(self, keys) -> np.ndarray:
         """The graph automorphism tau of Sp4(2^e) (Steinberg, Lectures on
         Chevalley Groups, 1967, sec. 10-11): g on W / <omega>, W the kernel
         of v ^ w -> B(v, w) in Lambda^2 V, omega = e1 ^ e4 + e2 ^ e3.  In the
         basis e_i ^ e_j, (i, j) in _PAIRS (Gram matrix J), tau(g)[r, c] is the
-        2 x 2 minor of g on row pair r and column pair c: one gather of the
-        table T[a1 a2 b1 b2] = a1 b2 + b1 a2 at the columns (a1, a2) and
-        (b1, b2) of the row pair.  tau^2 is the entrywise Frobenius."""
+        2 x 2 minor of g on row pair r and column pair c (`pair_form`).
+        tau^2 is the entrywise Frobenius."""
         if (self.dim, self.inv_mode) != (4, "symplectic"):
             raise ValueError("the graph automorphism acts on 4 x 4 symplectic keys")
-        e, mul = self.bits, self.ctx.lut_mul
-        table = self.ctx.lut_add[mul[:, None, None, :], mul[None, :, :, None]].ravel()
         first, second = np.array(_PAIRS).T
 
-        def image(k):          # in the narrowest dtype that indexes the table
-            m = self.unpack(k).astype(np.min_scalar_type(table.size - 1))
-            col = m[:, first] << e | m[:, second]     # [n, r, j]: column j on row pair r
-            return self.pack(table[col[:, :, first] << 2 * e | col[:, :, second]])
+        def image(k):
+            m = self.unpack(k)
+            top, bottom = m[:, first], m[:, second]     # [n, r, j]: column j on row pair r
+            return self.pack(self.pair_form(top[:, :, first], bottom[:, :, first],
+                                            top[:, :, second], bottom[:, :, second]))
         return _sliced(image, _as_key_array(keys, self.dtype))
 
     def powers(self, keys):
@@ -887,18 +896,16 @@ def _check_order(G: FinGroup, expect: int) -> FinGroup:
 
 
 def _symplectic(ops, m: np.ndarray) -> np.ndarray:
-    """M^T J M = J for each unpacked matrix M: the Gram form B(x, y) = x^T J
-    y of J antidiagonal is alternating in characteristic 2, so this is the
-    six forms B(M e_i, M e_j) = sum_k M[k, i] M[d-1-k, j] for i < j, each
-    J[i, j].  It says what J M^T J M = 1 says, without a product."""
-    mul, add, d = ops.ctx.lut_mul, ops.ctx.lut_add, ops.dim
+    """M^T J M = J for each unpacked 4 x 4 matrix M: B(x, y) = x^T J y of J
+    antidiagonal is alternating in characteristic 2, so this is the six
+    forms B(M e_i, M e_j) = J[i, j], i < j, each the minor of M on rows
+    (1, 4) plus the minor on rows (2, 3) at the columns (i, j), by
+    `MatOps.pair_form`.  It says what J M^T J M = 1 says, without a product."""
     ok = np.ones(len(m), dtype=bool)
-    for i in range(d):
-        for j in range(i + 1, d):
-            b = mul[m[:, 0, i], m[:, d - 1, j]]
-            for k in range(1, d):
-                b = add[b, mul[m[:, k, i], m[:, d - 1 - k, j]]]
-            ok &= b == (ops.ctx.one if i + j == d - 1 else 0)
+    for i, j in combinations(range(4), 2):      # one form at a time: O(len(m)) temporaries
+        b = ops.ctx.lut_add[ops.pair_form(m[:, 0, i], m[:, 3, i], m[:, 0, j], m[:, 3, j]),
+                            ops.pair_form(m[:, 1, i], m[:, 2, i], m[:, 1, j], m[:, 2, j])]
+        ok &= b == (ops.ctx.one if i + j == 3 else 0)
     return ok
 
 
@@ -1135,17 +1142,17 @@ def _build_so4(q, max_order, sign):
     Generated by the reflections x -> x + (x^T J v / Q(v)) v for the
     nonsingular v of a fixed list, plus the plane swap for so4+:2, where
     reflections give 36 of the 72 elements (Taylor, The Geometry of the
-    Classical Groups, ch. 11).  Members keep Q(M e_j) = Q(e_j)."""
+    Classical Groups, ch. 11).  Members keep Q(M e_j) = Q(e_j), its term
+    x1 x4 + x2 x3 read by `MatOps.pair_form` and x2^2 + a x3^2 by a table."""
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     mul, add = ctx.lut_mul, ctx.lut_add
     a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
+    squares = add[mul.diagonal()[:, None], mul[a, mul.diagonal()]]  # [x2, x3] -> x2^2 + a x3^2
 
     def Q(x):   # on four codes, or four code arrays
-        s = add[mul[x[0], x[3]], mul[x[1], x[2]]]
-        if sign == "-":
-            s = add[add[s, mul[x[1], x[1]]], mul[a, mul[x[2], x[2]]]]
-        return s
+        s = ops.pair_form(*x)
+        return s if sign == "+" else add[s, squares[x[1], x[2]]]
 
     o, g = ctx.one, ctx.gamma
     vecs = [(o, 0, 0, o), (o, 0, 0, g), (0, o, 0, 0), (0, o, g, 0), (0, g, o, 0),
@@ -1159,10 +1166,9 @@ def _build_so4(q, max_order, sign):
     if q == 2 and sign == "+":
         gens.append(_plane_swap(ops))
     order = 2 * q**2 * (q**2 - 1) ** 2 if sign == "+" else 2 * q**2 * (q**4 - 1)
-    qe = [Q(row) for row in np.eye(4, dtype=np.uint8) * o]     # Q(e_j)
+    qe = Q(np.eye(4, dtype=np.uint8) * o)        # Q(e_j) for each column j
     return _generated(f"so4{sign}:{q}", ops, gens, order, max_order,
-                      lambda m: np.all([Q(m[:, :, j].T) == qe[j] for j in range(4)],
-                                       axis=0))
+                      lambda m: (Q(m.transpose(1, 0, 2)) == qe).all(axis=1))
 
 
 def _build_sz(q, max_order):

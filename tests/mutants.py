@@ -87,4 +87,46 @@ MUTANTS = (
            ("tests/test_chartab.py::test_degrees_read_from_rows_match_the_values[sp4:2]",
             "tests/test_chartab.py::test_degrees_read_from_rows_match_the_values[sp4:4]",
             "tests/test_chartab.py::test_s6_degree_multiset")),
+    # tau's first column pair read as (0, 3) instead of (0, 1)
+    Mutant("graph-aut-minor-on-columns-0-3", "groups.py",
+           "top[:, :, second], bottom[:, :, second]",
+           "top[:, :, [3, 2, 3, 3]], bottom[:, :, [3, 2, 3, 3]]",
+           ("tests/test_kernel.py::test_graph_aut_is_a_homomorphism_on_all_pairs_of_sp4_2",
+            "tests/test_kernel.py::test_graph_aut_pairs_the_maximal_rows[2]",
+            "tests/test_cli.py::test_scan_maximal_json_matches_golden[2]")),
+    # the labels of a trace fiber carried to the fiber one past its image under F
+    Mutant("fiber-square-target-off-by-one", "groups.py",
+           "nxt = int(ops.fiber_of(ops.frobenius(keys[:1]))[0]) if stable else f",
+           "nxt = int(ops.fiber_of(ops.frobenius(keys[:1]))[0]) + 1 if stable else f",
+           ("tests/test_groups.py::test_s6_has_eleven_classes",
+            "tests/test_groups.py::test_frobenius_carried_partition_matches_the_uncarried_one[sl2:4]")),
+    # the carried classes keep the numbering of the other group's
+    Mutant("carry-classes-without-renumbering", "groups.py",
+           "class_of, reps = new[image_class], least[old]",
+           "class_of, reps = image_class, least",
+           ("tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]",
+            "tests/test_cli.py::test_scan_maximal_json_matches_golden[2]")),
+    # labels carried along F when G is F-stable but the conjugating group is not
+    Mutant("f-stability-checked-on-g-alone", "groups.py",
+           "for X in (G, within)))", "for X in (G,)))",
+           ("tests/test_groups.py::"
+            "test_frobenius_carry_needs_an_f_stable_conjugating_group[sl2:16-None]",)),
+    # the Gram check without the minor on rows (2, 3)
+    Mutant("gram-without-rows-2-3-minor", "groups.py",
+           "ops.pair_form(m[:, 1, i], m[:, 2, i], m[:, 1, j], m[:, 2, j])",
+           "np.zeros_like(m[:, 1, i])",
+           ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[parabolic-p:2]",
+            "tests/test_groups.py::test_gram_forms_match_the_product_check[sp4:2]",
+            "tests/test_cli.py::test_chartab_json_matches_golden[parabolic-p:2]")),
+    # so4- keeps x1 x4 + x2 x3 only, the form of so4+
+    Mutant("so4-minus-without-its-squares", "groups.py",
+           'return s if sign == "+" else add[s, squares[x[1], x[2]]]', "return s",
+           ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[so4-:2]",
+            "tests/test_cli.py::test_chartab_json_matches_golden[so4-:2]")),
+    # so4+ and so4- each carried from the other's partner
+    Mutant("tau-partners-swapped", "gelfand.py",
+           '"so4+": "wreath-sp2", "so4-": "ext-sp2q2-embedded"',
+           '"so4+": "ext-sp2q2-embedded", "so4-": "wreath-sp2"',
+           ("tests/test_cli.py::test_scan_maximal_json_matches_golden[2]",
+            "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
 )

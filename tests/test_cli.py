@@ -1,5 +1,8 @@
 """The command-line front end: parsing, verbs, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -15,6 +18,7 @@ from sgplab import gfield, groups
 from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                         _parse_group_specs, _parser, main, run)
 from sgplab.errors import GroupSpecError
+from sgplab.groups import build_group, conjugacy_classes
 
 
 def _parse(text):
@@ -290,16 +294,59 @@ def test_sgp_json_matches_golden(side, sub, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+Q8_DIGESTS = Path(__file__).parent / "golden" / "q8_digests.json"
+
+
+def q8_digests(spec: str) -> dict:
+    """SHA-256 digests of one q = 8 row: its sorted keys (little-endian
+    uint64), its ClassData (sizes, reps, inverse classes, orders, power
+    classes and the dtype of class_of as JSON, then the bytes of class_of)
+    and the stdout of `chartab --format json`."""
+    G = build_group(spec)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["--format", "json", "chartab", spec]) == EXIT_OK
+    cd = conjugacy_classes(G)
+    classes = hashlib.sha256(json.dumps([cd.sizes, cd.reps, cd.inverse_class, cd.orders,
+                                         cd.power_classes, cd.class_of.dtype.str]).encode())
+    classes.update(cd.class_of.tobytes())
+    return {"keys": hashlib.sha256(G.keys.astype("<u8").tobytes()).hexdigest(),
+            "classes": classes.hexdigest(),
+            "stdout": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.slow
+def test_q8_rows_match_their_digests():
+    """The six large q = 8 maximal rows keep the keys, classes and JSON
+    table pinned in tests/golden/q8_digests.json, recomputed in one
+    process; a failure names each (row, digest) that differs."""
+    want = json.loads(Q8_DIGESTS.read_text())
+    assert list(want) == ["parabolic-p:8", "parabolic-q:8", "wreath-sp2:8",
+                          "ext-sp2q2-embedded:8", "so4+:8", "so4-:8"]
+    got = {spec: q8_digests(spec) for spec in want}
+    differ = [(spec, name) for spec in want for name in ("keys", "classes", "stdout")
+              if got[spec][name] != want[spec][name]]
+    assert not differ, f"q = 8 digests that differ: {differ}"
+
+
 def test_every_golden_is_compared_under_optimize():
     """The CI step that runs the console script with PYTHONOPTIMIZE=1 has
-    one `cmp` line per file in tests/golden, so a new golden cannot miss it."""
+    one `cmp` line per file in tests/golden but the q = 8 digest file, and
+    one `sha256sum -c` line per row of that file, which checks the row's
+    `chartab --format json` stdout against its digest; so a new golden or
+    digest row cannot miss the step."""
     root = Path(__file__).parents[1]
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     steps = [s for s in workflow.split("- name: ") if 'PYTHONOPTIMIZE: "1"' in s]
     assert len(steps) == 1
     compared = re.findall(r"\| cmp - tests/golden/(\S+)$", steps[0], re.M)
     goldens = sorted(p.name for p in (root / "tests" / "golden").iterdir())
-    assert goldens and sorted(compared) == goldens
+    assert Q8_DIGESTS.name in goldens
+    assert sorted(compared) == [g for g in goldens if g != Q8_DIGESTS.name]
+    digested = re.findall(r"^\s*sgp-lab --format json chartab (\S+) \| sha256sum -c "
+                          r"<\(jq -r '\.\[\"\1\"\]\.stdout \+ \"  -\"' "
+                          r"tests/golden/q8_digests\.json\)$", steps[0], re.M)
+    assert sorted(digested) == sorted(json.loads(Q8_DIGESTS.read_text()))
 
 
 def test_group_spec_is_parsed_once(monkeypatch):

@@ -567,7 +567,8 @@ def test_carry_refuses_a_map_that_is_not_an_isomorphism(monkeypatch, capsys, mut
                                                         message):
     """Keys that tau would not map onto the other row's (the identity map),
     or a bijection that is not a homomorphism (tau of the inverse), raise
-    in the carry, and the scan exits 4."""
+    in the carry; the scan carries parabolic-q from its declared partner,
+    so it raises there too and exits 4."""
     from sgplab.cli import EXIT_INTERNAL, main
     P, Q = build_group("parabolic-p:2"), build_group("parabolic-q:2")
     tau = groups.MatOps.graph_aut
@@ -575,8 +576,7 @@ def test_carry_refuses_a_map_that_is_not_an_isomorphism(monkeypatch, capsys, mut
            if mutant == "identity" else (lambda self, keys: tau(self, self.inv(keys))))
     with pytest.raises(InternalCheckError, match=message):
         ct.carry_table(dixon_schneider(P), Q, lambda keys: aut(Q.ops, keys))
-    if mutant == "inverse":          # the identity map moves no generator into P
-        _fresh_build_cache(monkeypatch)
-        monkeypatch.setattr(groups.MatOps, "graph_aut", aut)
-        assert main(["scan-maximal", "2"]) == EXIT_INTERNAL
-        assert message in capsys.readouterr().err
+    _fresh_build_cache(monkeypatch)
+    monkeypatch.setattr(groups.MatOps, "graph_aut", aut)
+    assert main(["scan-maximal", "2"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err

@@ -1025,20 +1025,26 @@ def _filter_oracle(spec):
         keep = ((mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
                 & (mats[:, 2, 1] == 0) & (mats[:, 3, 1] == 0))
     else:
-        # Q(M e_j) = Q(e_j) on every column, Q as in the README
-        mul, add = ctx.lut_mul, ctx.lut_add
-        a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
-        qvals = [0, 0, 0, 0] if name == "so4+" else [0, ctx.one, a, 0]
-        keep = np.ones(G.order, dtype=bool)
-        for j in range(4):
-            col = mats[:, :, j]
-            qv = add[mul[col[:, 0], col[:, 3]], mul[col[:, 1], col[:, 2]]]
-            if name == "so4-":
-                qv = add[qv, mul[col[:, 1], col[:, 1]]]
-                qv = add[qv, mul[np.full(G.order, a, dtype=np.uint8),
-                                 mul[col[:, 2], col[:, 2]]]]
-            keep &= qv == qvals[j]
+        keep = _keeps_q_by_chain(ctx, name, mats)
     return G.keys[keep]
+
+
+def _keeps_q_by_chain(ctx, name, mats):
+    """Q(M e_j) = Q(e_j) on every column, Q as in the README, by the
+    lut_mul/lut_add chain the pair table replaced in `_build_so4`."""
+    mul, add = ctx.lut_mul, ctx.lut_add
+    a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
+    qvals = [0, 0, 0, 0] if name == "so4+" else [0, ctx.one, a, 0]
+    keep = np.ones(len(mats), dtype=bool)
+    for j in range(4):
+        col = mats[:, :, j]
+        qv = add[mul[col[:, 0], col[:, 3]], mul[col[:, 1], col[:, 2]]]
+        if name == "so4-":
+            qv = add[qv, mul[col[:, 1], col[:, 1]]]
+            qv = add[qv, mul[np.full(len(mats), a, dtype=np.uint8),
+                             mul[col[:, 2], col[:, 2]]]]
+        keep &= qv == qvals[j]
+    return keep
 
 
 SUBGROUPS_Q2 = ["parabolic-p:2", "parabolic-q:2", "so4+:2", "so4-:2"]
@@ -1097,6 +1103,72 @@ def _old_symplectic(ops, keys):
     """The product check the Gram forms replaced: M^-1 M = 1, with M^-1 =
     J M^T J read from the inverse table."""
     return ops.mul(ops.inv(keys), keys) == ops.identity
+
+
+def _symplectic_by_loop(ops, m):
+    """The Gram check the pair table replaced: each of the six forms
+    B(M e_i, M e_j) = sum_k M[k, i] M[3-k, j], i < j, by lut_mul/lut_add
+    gathers, against J[i, j]."""
+    mul, add = ops.ctx.lut_mul, ops.ctx.lut_add
+    ok = np.ones(len(m), dtype=bool)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            b = mul[m[:, 0, i], m[:, 3, j]]
+            for k in range(1, 4):
+                b = add[b, mul[m[:, k, i], m[:, 3 - k, j]]]
+            ok &= b == (ops.ctx.one if i + j == 3 else 0)
+    return ok
+
+
+def _cond_of(spec, monkeypatch):
+    """The `cond` that the spec's builder hands to `_generated`, which is
+    stubbed, so nothing is enumerated."""
+    seen = []
+    monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order, max_order,
+                        cond=None: seen.append(cond))
+    name, args = parse_group_spec(spec)
+    groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)
+    return seen[0]
+
+
+def _one_entry_mutants(ops, keys, rng):
+    """Each key with one entry, at a seeded place, changed to another code."""
+    m, n = ops.unpack(keys), len(keys)
+    m[np.arange(n), rng.integers(0, 4, n), rng.integers(0, 4, n)] ^= rng.integers(
+        1, ops.ctx.q, n).astype(np.uint8)
+    return ops.pack(m)
+
+
+@pytest.mark.parametrize("spec", SUBGROUPS_Q2 + SUBGROUPS_Q4 + [
+    pytest.param(s, marks=pytest.mark.slow)
+    for s in ["parabolic-p:8", "parabolic-q:8", "so4+:8", "so4-:8", "sp4-sub:8:2"]])
+def test_pair_table_checks_match_the_retired_chains(spec, monkeypatch):
+    """On every key of a builder with a `cond`, on 2000 seeded one-entry
+    mutants of its keys and on 2000 random matrices, the pair-table Gram
+    check agrees with the retired lut_mul/lut_add loop and with the
+    product check, and the so4 form check (the builder's `cond`) with the
+    old chain of Q; every key passes, and some mutant fails each."""
+    H = build_group(spec)
+    ops, rng = H.ops, np.random.default_rng(31)
+    cond = _cond_of(spec, monkeypatch)
+    so4 = spec.split(":")[0] if spec.startswith("so4") else None
+    sample = H.keys[rng.integers(0, H.order, 2000)]
+    rand = ops.pack(rng.integers(0, ops.ctx.q, size=(2000, 4, 4), dtype=np.uint8))
+    for keys, members in ((H.keys, True), (_one_entry_mutants(ops, sample, rng), False),
+                          (rand, False)):
+        gram, form = [], []
+        for lo in range(0, keys.size, 1 << 16):
+            k = keys[lo:lo + (1 << 16)]
+            m = ops.unpack(k)
+            gram.append(groups._symplectic(ops, m))
+            assert np.array_equal(gram[-1], _symplectic_by_loop(ops, m))
+            assert np.array_equal(gram[-1], _old_symplectic(ops, k))
+            if so4:
+                form.append(cond(m))
+                assert np.array_equal(form[-1], _keeps_q_by_chain(ops.ctx, so4, m))
+        assert np.concatenate(gram).all() == members
+        if so4:
+            assert np.concatenate(form).all() == members
 
 
 @pytest.mark.parametrize("spec", ["sp4:2", "parabolic-p:4", "so4+:4", "sz:8"])
