@@ -12,14 +12,14 @@ straight to the column orthogonality check, which evaluates them with the
 same `_root_powers` mod its own prime.  A table that passes it is kept as
 integers: per class, the canonical coefficients of its values, the
 multiplicities times the fixed reduction R_n mod the n-th cyclotomic
-polynomial (`_canonical_rows`).  Those rows are the one representation
-of every table: one given by its values (`families.sl2_table`) gets them
-at construction, each value lifted to its class's element order
-(`_value_rows`).  Degrees, the order of the irreducibles, the residues of
-`restriction_matrix`, equality and the JSON export are read from them; a
-computed character's `Cyclo` values are built on first access.  The power
-map is read from `ClassData.power_classes`.  A returned table is exact,
-not trusted.
+polynomial (`exactnum._canonical_rows`).  Those rows are the one
+representation of every table: one given by its values
+(`families.sl2_table`) gets them at construction, each value lifted to its
+class's element order (`_value_rows`).  Degrees, the order of the
+irreducibles, the residues of `restriction_matrix`, equality and the JSON
+export are read from them; a computed character's `Cyclo` values are built
+on first access.  The power map is read from `ClassData.power_classes`.  A
+returned table is exact, not trusted.
 
 The orthogonality check runs in GF(p_v) for a second prime p_v = 1 mod the
 exponent with p_v > 2|G|: each pair of columns, of orders n1 and n2, is
@@ -68,13 +68,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
-from .exactnum import Cyclo, _canonical, _prime_factors, cyclotomic_poly
+from .exactnum import Cyclo, _canonical_rows, _prime_factors, cyclotomic_poly
 from .groups import (ClassData, FinGroup, _require_subgroup, carry_classes,
                      conjugacy_classes)
 
@@ -233,29 +232,6 @@ def _lift(chi: np.ndarray, pow_classes: list, exponent: int, p: int, z: int) -> 
         w_inv = _root_powers(z, exponent, n, p)[:, -np.arange(n) % n]
         mults.append(chi[:, list(pc)] @ w_inv % p * pow(n, p - 2, p) % p)
     return mults
-
-
-@lru_cache(maxsize=None)
-def _reduction(n: int) -> np.ndarray:
-    """R_n, the read-only n x phi(n) int64 matrix whose row e holds the
-    canonical coefficients of zeta_n^e (`exactnum._canonical`)."""
-    R = np.zeros((n, len(cyclotomic_poly(n)) - 1), dtype=np.int64)
-    for e in range(n):
-        for k, c in _canonical(n, {e: 1}, 1).items():
-            R[e, k] = int(c)
-    R.flags.writeable = False
-    return R
-
-
-def _canonical_rows(M: np.ndarray) -> np.ndarray:
-    """M @ R_n for the r x n multiplicity matrix M of a class of order n:
-    row a holds the canonical coefficients of chi_a(rep), those `Cyclo`
-    gives it.  Exact in int64: every partial sum is at most max|M| times
-    the largest column sum of |R_n|, which must stay below 2^63."""
-    R = _reduction(M.shape[1])
-    if int(np.abs(M).max()) * int(np.abs(R).sum(axis=0).max()) >= 1 << 63:
-        raise InternalCheckError(f"canonical rows of order {M.shape[1]} overflow int64")
-    return M @ R
 
 
 def _value_rows(irreducibles, orders) -> list:

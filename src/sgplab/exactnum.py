@@ -13,6 +13,11 @@ coefficient maps are equal; elements of different fields are compared
 after lifting both to the lcm order.  Values are immutable (the canonical
 form is only cached) and safe to share between threads.
 
+Many values at once are reduced as integer rows instead: a matrix of
+exponent counts times the fixed int64 reduction matrix R_N
+(`_canonical_rows`), which gives the canonical rows of a computed
+character table and the batched alpha sums.
+
 No floating point anywhere in here: `to_complex` exists for the lossy CSV
 renderer and for test oracles only.
 """
@@ -22,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InternalCheckError
 
@@ -98,6 +105,30 @@ def _canonical(order: int, num: dict, den: int) -> dict[int, Fraction]:
                     acc[base + i] -= c * p
         low = enumerate(acc[:deg])
     return {e: Fraction(c, den) for e, c in low if c}
+
+
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> np.ndarray:
+    """R_n, the read-only n x phi(n) int64 matrix whose row e holds the
+    canonical coefficients of zeta_n^e (`_canonical`)."""
+    R = np.zeros((n, len(cyclotomic_poly(n)) - 1), dtype=np.int64)
+    for e in range(n):
+        for k, c in _canonical(n, {e: 1}, 1).items():
+            R[e, k] = int(c)
+    R.flags.writeable = False
+    return R
+
+
+def _canonical_rows(M: np.ndarray) -> np.ndarray:
+    """M @ R_n for an integer matrix M of exponent counts with n columns:
+    row a holds the canonical coefficients of sum_e M[a, e] zeta_n^e,
+    those `Cyclo` gives it.  The one map from exponent counts to canonical
+    coefficients.  Exact in int64: every partial sum is at most max|M|
+    times the largest column sum of |R_n|, which must stay below 2^63."""
+    R = _reduction(M.shape[1])
+    if int(np.abs(M).max(initial=0)) * int(np.abs(R).sum(axis=0).max()) >= 1 << 63:
+        raise InternalCheckError(f"canonical rows of order {M.shape[1]} overflow int64")
+    return M @ R
 
 
 def _num_den(x) -> tuple[int, int]:
@@ -307,8 +338,8 @@ class Cyclo:
 
 
 def root_of_unity(order: int, exponent: int = 1) -> Cyclo:
-    """zeta_order^exponent as an exact cyclotomic value."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return Cyclo(order, {exponent: 1})
+    """zeta_order^exponent as an exact cyclotomic value, built in stored form."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"cyclotomic order {order} out of range")
+    return _make(order, {exponent % order: 1}, 1)
 

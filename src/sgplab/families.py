@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .chartab import Character, CharTable
 from .errors import InternalCheckError
-from .exactnum import Cyclo, root_of_unity
+from .exactnum import Cyclo, _canonical_rows, root_of_unity
 from .groups import (FinGroup, build_group, conjugacy_classes, element_order,
                      element_powers)
 
@@ -23,7 +23,7 @@ __all__ = [
     "PolyQ", "DegreeRow", "DegreeSpec", "AlphaParams",
     "sl2_table", "wreath_degree_spec", "ext_degree_spec", "ext_split_rule",
     "ext_total_degree", "suzuki_degree_spec", "sp4_degree_facts",
-    "alpha_sum", "parabolic_inner_product",
+    "alpha_sum", "alpha_sums", "parabolic_inner_product",
 ]
 
 
@@ -351,6 +351,12 @@ def sp4_degree_facts(q: int) -> tuple:
 # -- the alpha sums of the parabolic inner product -----------------------------
 
 
+def _check_alpha_q(q: int) -> None:
+    e = q.bit_length() - 1
+    if q < 4 or (1 << e) != q:
+        raise ValueError(f"q={q} is not an even prime power >= 4")
+
+
 @dataclass(frozen=True)
 class AlphaParams:
     """Parameters of the triple alpha-sum over (q-1)-th roots of unity."""
@@ -362,9 +368,7 @@ class AlphaParams:
 
     def __post_init__(self):
         q = self.q
-        e = q.bit_length() - 1
-        if q < 4 or (1 << e) != q:
-            raise ValueError(f"q={q} is not an even prime power >= 4")
+        _check_alpha_q(q)
         for name, v in (("k", self.k), ("m", self.m), ("n", self.n)):
             if not 1 <= v <= q - 2:
                 raise ValueError(f"{name}={v} out of range 1..{q-2}")
@@ -402,6 +406,51 @@ def alpha_sum(p: AlphaParams) -> Fraction:
         raise InternalCheckError(
             f"alpha_sum routes disagree: cyclotomic {exact} vs counted {counted}")
     return exact
+
+
+def alpha_sums(q: int, triples):
+    """`alpha_sum` of every (k, m, n) in `triples`, one q, as an int64 array.
+
+    Route one as counts: alpha_jk alpha_jm alpha_jn expands into the 8
+    monomials zeta^(j x), x = +-k +- m +- n, so the sums are one t x (q-1)
+    matrix of exponent counts, and its canonical rows
+    (`exactnum._canonical_rows`) are their canonical coefficients.  The
+    exponents j x over j depend on x mod q - 1 alone, so the matrix is the
+    offset `bincount` of the 8 x of each triple times that of the j x of
+    each x.  Each sum must be the rational c(q-1) - 4 of route two, the
+    sign count; anything else raises.
+    """
+    import numpy as np  # loaded with chartab already; not a module-level import
+
+    def counted_rows(E, n):
+        """Row i of the result counts the values in row i of E, all in [0, n)."""
+        offset = E + n * np.arange(len(E))[:, None]
+        return np.bincount(offset.ravel(), minlength=len(E) * n).reshape(len(E), n)
+
+    _check_alpha_q(q)
+    T = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    ord_ = q - 1
+    k, m, n = T.T
+    if not ((T >= 1) & (T <= q - 2)).all() or (m == n).any() or (m + n == ord_).any():
+        raise ValueError(f"a triple outside the range of AlphaParams at q={q}")
+    signs = np.array([(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    j = np.arange(1, (q - 2) // 2 + 1)
+    x_counts = counted_rows(T @ signs.T % ord_, ord_)               # triple -> x
+    jx_counts = counted_rows(np.arange(ord_)[:, None] * j % ord_, ord_)  # x -> j x
+    counts = x_counts @ jx_counts
+    rows = _canonical_rows(counts)
+    if rows[:, 1:].any():
+        raise InternalCheckError("alpha sum did not collapse to a rational")
+
+    c = sum(((k + s1 * m + s2 * n) % ord_ == 0).astype(np.int64)
+            for s1 in (1, -1) for s2 in (1, -1))
+    counted = c * ord_ - 4
+    bad = np.flatnonzero(rows[:, 0] != counted)
+    if bad.size:
+        i = bad[0]
+        raise InternalCheckError(
+            f"alpha_sum routes disagree: cyclotomic {rows[i, 0]} vs counted {counted[i]}")
+    return rows[:, 0]
 
 
 def parabolic_inner_product(q: int, k: int, m: int, n: int) -> Fraction:

@@ -168,7 +168,8 @@ class MatOps:
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
         flat = mats.reshape(len(mats), self.dim * self.dim).astype(self.dtype)
-        return np.bitwise_or.reduce(flat << self._shifts, axis=1)
+        # one product: the bit fields do not overlap, so the sum is their OR
+        return flat @ (1 << self._shifts)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         keys = _as_key_array(keys, self.dtype)

@@ -97,8 +97,9 @@ def _c4_alpha():
         ip = families.parabolic_inner_product(q, q - 4, 1, 2)
         if ip != 2:
             return False, f"inner product at q={q} is {ip}, not 2"
-    # both evaluation routes agree: exhaustively at q = 8 (alpha_sum raises
-    # on any disagreement), randomly at q = 16 and 32
+    # the evaluation routes agree (each raises on a disagreement with the
+    # sign count): alpha_sum's cyclotomic one exhaustively at q = 8, the
+    # batched count of alpha_sums on seeded triples at q = 16 and 32
     n_exhaustive = 0
     q = 8
     for k in range(1, q - 1):
@@ -110,13 +111,13 @@ def _c4_alpha():
                 n_exhaustive += 1
     rng = random.Random(20260810)
     for q in (16, 32):
-        done = 0
-        while done < 10_000:
+        triples = []
+        while len(triples) < 10_000:
             k, m, n = (rng.randint(1, q - 2) for _ in range(3))
             if m == n or m + n == q - 1:
                 continue
-            families.alpha_sum(families.AlphaParams(q, k, m, n))
-            done += 1
+            triples.append((k, m, n))
+        families.alpha_sums(q, triples)
     return True, (f"alpha = q-5 and inner product = 2 at q in (8,16,32); "
                   f"routes agree on {n_exhaustive} exhaustive + 2x10^4 random triples")
 

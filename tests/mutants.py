@@ -1,12 +1,15 @@
 """Source mutants that the test suite must kill.
 
 Each mutant names a file of `src/sgplab`, an exact fragment of it, the
-replacement, and the test node ids that must each fail once the fragment
-is replaced.  The fragment must occur exactly once, so a refactor that
-moves the code updates the mutant instead of skipping it.  `test_mutants`
-applies each one to a copy of `src/` and runs its tests against the copy.
-The no-op mutant changes nothing, so its test must pass: it checks the
-harness itself.
+replacement, and how it is killed: the test node ids that must each fail
+once the fragment is replaced, or an `sgp-lab` command line (`argv`) that
+must exit with `exit_code` (4, an internal check, by default) under
+PYTHONOPTIMIZE=1, where no `assert` runs.  The fragment must occur exactly
+once, so a refactor that moves the code updates the mutant instead of
+skipping it.  `test_mutants` applies each one to a copy of `src/` and runs
+its tests or its command line against the copy.  The two no-op mutants
+change nothing, so the test of one must pass and the command line of the
+other must exit 0: they check the harness itself.
 
 Mutants once checked by hand whose code is gone, so they are not listed:
 `residue` ignoring the denominator (`Cyclo.residue` is deleted; the
@@ -24,14 +27,19 @@ class Mutant(NamedTuple):
     file: str
     fragment: str
     replacement: str
-    tests: tuple
+    tests: tuple = ()
     survives: bool = False
+    argv: tuple = ()
+    exit_code: int = 4
 
 
 MUTANTS = (
     Mutant("no-op", "chartab.py",
            "MAX_CLASSES = 200", "MAX_CLASSES = 200",
            ("tests/test_chartab.py::test_s3_table",), survives=True),
+    # the command line of the CLI mutants exits 0 when nothing is changed
+    Mutant("no-op-cli", "chartab.py",
+           "MAX_CLASSES = 200", "MAX_CLASSES = 200", argv=("verify-paper",), exit_code=0),
     # a table built from values keeps a fractional coefficient as its floor
     Mutant("value-rows-denominator-dropped", "chartab.py",
            "if c.denominator != 1 or not -(1 << 63) <= c < 1 << 63:",
@@ -129,4 +137,20 @@ MUTANTS = (
            '"so4+": "ext-sp2q2-embedded", "so4-": "wreath-sp2"',
            ("tests/test_cli.py::test_scan_maximal_json_matches_golden[2]",
             "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
+    # the batched alpha sums without the pattern (+k, +m, +n): no sum is rational
+    Mutant("alpha-sums-sign-pattern-dropped", "families.py",
+           "for c in (1, -1)])", "for c in (1, -1)][1:])",
+           ("tests/test_families.py::test_alpha_sums_match_alpha_sum[8-None]",
+            "tests/test_families.py::test_alpha_sums_match_alpha_sum[64-100]",
+            "tests/test_acceptance.py::test_criterion_04_alpha_sums")),
+    # the count of zeta^e read against row e + 1 of R_(q-1)
+    Mutant("alpha-sums-reduction-one-row-off", "families.py",
+           "rows = _canonical_rows(counts)", "rows = _canonical_rows(np.roll(counts, 1, axis=1))",
+           ("tests/test_families.py::test_alpha_sums_match_alpha_sum[16-300]",
+            "tests/test_families.py::test_alpha_sums_match_alpha_sum[32-300]",
+            "tests/test_acceptance.py::test_criterion_04_alpha_sums")),
+    # the same dropped pattern, seen by the console script under -O
+    Mutant("alpha-sums-sign-pattern-dropped-cli", "families.py",
+           "for c in (1, -1)])", "for c in (1, -1)][1:])",
+           argv=("verify-paper",)),
 )

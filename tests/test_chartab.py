@@ -550,16 +550,16 @@ def test_canonical_rows_refuse_a_bound_that_could_overflow(monkeypatch, capsys):
     sum of |R_3|: at max|M| = 2^62 that bound is 2^63, and the rows raise
     instead of wrapping; one below, they are exact.  A reduction matrix
     that overflows a real table exits 4 through the CLI."""
-    from sgplab import groups
+    from sgplab import exactnum, groups
     from sgplab.cli import EXIT_INTERNAL, main
-    assert ct._reduction(3).tolist() == [[1, 0], [0, 1], [-1, -1]]
+    assert exactnum._reduction(3).tolist() == [[1, 0], [0, 1], [-1, -1]]
     big = np.full((1, 3), 1 << 62, dtype=np.int64)
     with pytest.raises(InternalCheckError, match="overflow int64"):
         ct._canonical_rows(big)
     assert ct._canonical_rows(big - 1).tolist() == [[0, 0]]
     monkeypatch.setattr(groups, "_build_cached",       # no cached table
                         lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
-    monkeypatch.setattr(ct, "_reduction",
+    monkeypatch.setattr(exactnum, "_reduction",
                         lambda n: np.full((n, 1), 1 << 62, dtype=np.int64))
     assert main(["chartab", "sl2:2"]) == EXIT_INTERNAL
     assert "canonical rows of order 1 overflow int64" in capsys.readouterr().err

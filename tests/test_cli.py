@@ -282,6 +282,14 @@ def test_scan_maximal_json_matches_golden(q, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_alpha_sum_json_matches_golden(capsys):
+    """The paper's triple (q - 4, 1, 2) at q = 64: alpha = q - 5 = 59 and
+    inner product 2, by `alpha_sum`'s cyclotomic route."""
+    golden = Path(__file__).parent / "golden" / "alpha_sum_64.json"
+    assert main(["--format", "json", "alpha-sum", "64", "60", "1", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("side", ["restrict", "induce"])
 @pytest.mark.parametrize("sub", ["parabolic-p:4", "parabolic-q:4"])

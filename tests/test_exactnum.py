@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cyclo_oracles import residue, to_json
 from sgplab.errors import InternalCheckError
-from sgplab.exactnum import (Cyclo, _divide_binomial, _prime_factors, cyclotomic_poly,
-                             root_of_unity)
+from sgplab.exactnum import (MAX_ORDER, Cyclo, _divide_binomial, _prime_factors,
+                             cyclotomic_poly, root_of_unity)
 
 
 def test_root_of_unity_basics():
@@ -196,6 +196,21 @@ def test_order_bounds():
         root_of_unity(0)
     with pytest.raises(ValueError):
         Cyclo(2**32, {})
+
+
+def test_root_of_unity_is_the_parsed_monomial():
+    """root_of_unity builds its stored form directly; the public parser of
+    `Cyclo` is its oracle, for every order up to 64 and exponents of
+    either sign past a full turn.  The order bounds are the parser's."""
+    for n in range(1, 65):
+        for e in range(-2 * n, 2 * n + 1):
+            got, want = root_of_unity(n, e), Cyclo(n, {e: 1})
+            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+    for n in (0, -1, MAX_ORDER + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            root_of_unity(n)
+        with pytest.raises(ValueError, match="out of range"):
+            Cyclo(n, {1: 1})
 
 
 # -- the eager form, kept as the reference for the lazy one ---------------------

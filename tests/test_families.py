@@ -1,10 +1,13 @@
 """Closed-form character families against the computed tables."""
 
+import random
+
+import numpy as np
 import pytest
 
 from sgplab.chartab import dixon_schneider, tables_equal_upto_permutation
 from sgplab.errors import InternalCheckError
-from sgplab.families import (AlphaParams, PolyQ, alpha_sum, ext_degree_spec,
+from sgplab.families import (AlphaParams, PolyQ, alpha_sum, alpha_sums, ext_degree_spec,
                              ext_split_rule, ext_total_degree,
                              parabolic_inner_product, sl2_table,
                              sp4_degree_facts, suzuki_degree_spec,
@@ -201,6 +204,49 @@ def test_alpha_sum_routes_agree_exhaustively_q8():
                 alpha_sum(AlphaParams(8, k, m, n))  # raises on disagreement
                 count += 1
     assert count == 6 * 24  # m != n kills 6 pairs, m+n = 7 another 6
+
+
+def _valid_triples(q):
+    return [(k, m, n) for k in range(1, q - 1) for m in range(1, q - 1)
+            for n in range(1, q - 1) if m != n and m + n != q - 1]
+
+
+@pytest.mark.parametrize("q,size", [(8, None), (16, 300), (32, 300), (64, 100)])
+def test_alpha_sums_match_alpha_sum(q, size):
+    """The batched count route against the one-triple cyclotomic route:
+    every triple at q = 8, seeded ones at q = 16, 32 and 64."""
+    triples = _valid_triples(q)
+    if size is not None:
+        triples = random.Random(q).sample(triples, size)
+    got = alpha_sums(q, triples)
+    assert got.dtype == np.int64 and len(got) == len(triples)
+    assert got.tolist() == [alpha_sum(AlphaParams(q, *t)) for t in triples]
+
+
+def test_alpha_sums_refuse_what_alpha_params_refuses():
+    assert alpha_sums(8, []).tolist() == []
+    for q, triples in ((6, [(1, 2, 3)]), (8, [(1, 2, 3), (0, 1, 2)]),
+                       (8, [(1, 2, 2)]), (8, [(1, 3, 4)]), (8, [(1, 2, 7)])):
+        with pytest.raises(ValueError):
+            alpha_sums(q, triples)
+
+
+def test_alpha_sums_past_the_int64_bound_exit_4(monkeypatch, capsys):
+    """A count matrix whose product with R_(q-1) could overflow int64
+    raises instead of wrapping, and `verify-paper` exits 4 on it: here
+    R_15 is replaced by a matrix whose column sum is just above 2^62, so
+    a count of 2 or more, which every row of 56 counts in 15 bins has,
+    crosses 2^63."""
+    from sgplab import exactnum, verify
+    from sgplab.cli import EXIT_INTERNAL, main
+    real = exactnum._reduction
+    monkeypatch.setattr(exactnum, "_reduction", lambda n: (
+        np.full((n, 1), (1 << 62) // n + 1, dtype=np.int64) if n == 15 else real(n)))
+    with pytest.raises(InternalCheckError, match="canonical rows of order 15 overflow int64"):
+        alpha_sums(16, [(12, 1, 2)])
+    verify._c4_alpha.cache_clear()     # an earlier pass is cached
+    assert main(["verify-paper"]) == EXIT_INTERNAL
+    assert "canonical rows of order 15 overflow int64" in capsys.readouterr().err
 
 
 def test_parabolic_inner_product_is_nonneg_integer():

@@ -47,6 +47,27 @@ def _ref_inv(ops, keys):
     return _ref_mul(ops, _ref_mul(ops, jkey, t), jkey)
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_pack_inverts_unpack_on_every_bit_of_the_key(e):
+    """pack(unpack(k)) == k for random 4x4 keys over GF(2^e) and the
+    all-ones key (0xffff...ffff at e = 4, all 64 bits), and pack agrees
+    with an OR of the shifted entries, one at a time."""
+    ops = mat_ops(gfield.field_ctx(e), 4, "symplectic")
+    width = 16 * e
+    ones = (1 << width) - 1
+    rng = np.random.default_rng(e)
+    keys = np.append(rng.integers(0, 1 << 63, size=1000, dtype=np.uint64) * U64(2) + U64(1),
+                     U64(ones)) & U64(ones)
+    keys = keys.astype(ops.dtype)
+    mats = ops.unpack(keys)
+    assert np.array_equal(ops.pack(mats), keys)
+    ored = np.zeros(len(keys), dtype=ops.dtype)
+    for i, s in enumerate(ops._shifts):
+        ored |= mats.reshape(len(keys), 16)[:, i].astype(ops.dtype) << s
+    assert np.array_equal(ored, keys)
+    assert int(ops.pack(mats[-1:])[0]) == ones
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CASES), st.integers(0, 2**32 - 1), st.integers(2, 600))
 def test_fixed_element_products_and_inverse_match_matmul(case, seed, n):

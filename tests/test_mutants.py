@@ -1,9 +1,11 @@
 """The committed mutant suite: each mutant of `mutants.py` is killed by its tests.
 
-Each mutant is applied to a fresh copy of `src/`, and its tests run in a
-subprocess with that copy first on PYTHONPATH, under a timeout.  Every
-named test must fail (a timeout counts as a kill); the no-op mutant's
-tests must pass.
+Each mutant is applied to a fresh copy of `src/`, and its tests, or its
+`sgp-lab` command line, run in a subprocess with that copy first on
+PYTHONPATH, under a timeout.  Every named test must fail (a timeout counts
+as a kill); the no-op mutant's tests must pass.  A command line runs as
+`python -m sgplab.cli`, the console script's entry point, with
+PYTHONOPTIMIZE=1, and must exit with the mutant's `exit_code`.
 """
 
 import os
@@ -55,9 +57,28 @@ def _failed(mutant, env) -> set:
     return set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
 
 
+def _cli_status(mutant, env):
+    """The exit status of the mutant's command line under -O, None on a
+    timeout, and its stderr."""
+    try:
+        run = subprocess.run([sys.executable, "-m", "sgplab.cli", *mutant.argv],
+                             cwd=ROOT, env=dict(env, PYTHONOPTIMIZE="1"),
+                             capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return run.returncode, run.stderr
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_is_killed(mutant, tmp_path):
-    failed = _failed(mutant, _apply(mutant, tmp_path))
+    env = _apply(mutant, tmp_path)
+    if mutant.argv:
+        status, err = _cli_status(mutant, env)
+        assert status == mutant.exit_code, (
+            f"{mutant.name}: sgp-lab {' '.join(mutant.argv)} exits {status}, "
+            f"not {mutant.exit_code}\n{err}")
+        return
+    failed = _failed(mutant, env)
     if mutant.survives:
         assert not failed, f"{mutant.name} changes nothing, yet {sorted(failed)} fail"
     else:
