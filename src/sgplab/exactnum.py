@@ -10,8 +10,10 @@ canonical `coeffs` are first read (by `==`, `bool`, `as_rational`, `repr`,
 `to_complex`, or the canonical rows of a character table built from
 values).  Two elements of the same field are equal iff their canonical
 coefficient maps are equal; elements of different fields are compared
-after lifting both to the lcm order.  Values are immutable (the canonical
-form is only cached) and safe to share between threads.
+after lifting both to the lcm order.  Operands of equal order and equal
+denominator are not lifted at all: their stored dicts are read as they
+are.  Values are immutable (the canonical form is only cached) and safe
+to share between threads.
 
 Many values at once are reduced as integer rows instead: a matrix of
 exponent counts times the fixed int64 reduction matrix R_N
@@ -124,9 +126,12 @@ def _canonical_rows(M: np.ndarray) -> np.ndarray:
     row a holds the canonical coefficients of sum_e M[a, e] zeta_n^e,
     those `Cyclo` gives it.  The one map from exponent counts to canonical
     coefficients.  Exact in int64: every partial sum is at most max|M|
-    times the largest column sum of |R_n|, which must stay below 2^63."""
+    times the largest column sum of |R_n|, which must stay below 2^63.
+    Both factors are Python ints, since |INT64_MIN| and a column sum can
+    wrap in int64."""
     R = _reduction(M.shape[1])
-    if int(np.abs(M).max(initial=0)) * int(np.abs(R).sum(axis=0).max()) >= 1 << 63:
+    m = max(int(M.max(initial=0)), -int(M.min(initial=0)))
+    if m * max((sum(map(abs, col)) for col in R.T.tolist()), default=0) >= 1 << 63:
         raise InternalCheckError(f"canonical rows of order {M.shape[1]} overflow int64")
     return M @ R
 
@@ -161,7 +166,10 @@ class Cyclo:
 
     Stored as `_num / _den`: `_num` maps exponents in [0, order) to nonzero
     ints, `_den` is a positive int.  `coeffs` is the canonical form: it maps
-    exponents in [0, phi(order)) to nonzero Fractions.
+    exponents in [0, phi(order)) to nonzero Fractions.  Sums and products
+    lift each operand to the lcm order (and a sum to the lcm denominator);
+    an operand already there is not lifted, and its `_num` is read in place,
+    so a sum starts from a copy of it, never from the shared dict.
     """
 
     __slots__ = ("order", "_num", "_den", "_coeffs")
@@ -215,24 +223,33 @@ class Cyclo:
             return _make(self.order, {}, 1)
         return _make(self.order, {e: c * a for e, c in self._num.items()}, self._den * d)
 
-    def __add__(self, other):
+    def _terms(self, order: int, den: int, sign: int = 1) -> dict:
+        """sign * `_num` lifted to Q(zeta_order) over the denominator den: the
+        stored dict itself, not a copy, when nothing needs lifting."""
+        if sign == 1 and order == self.order and den == self._den:
+            return self._num
+        k, f = order // self.order, sign * (den // self._den)
+        return {e * k: c * f for e, c in self._num.items()}
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, in the lcm order over the lcm denominator."""
         if isinstance(other, (int, Fraction)):
             other = Cyclo.from_rational(other)
         elif not isinstance(other, Cyclo):
             return NotImplemented
-        n = math.lcm(self.order, other.order)
-        den = math.lcm(self._den, other._den)
-        out: dict[int, int] = {}
-        for x in (self, other):
-            k, f = n // x.order, den // x._den
-            for e, c in x._num.items():
-                e *= k
-                s = out.get(e, 0) + c * f
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        n = self.order if self.order == other.order else math.lcm(self.order, other.order)
+        den = self._den if self._den == other._den else math.lcm(self._den, other._den)
+        out = dict(self._terms(n, den))  # a copy: the stored dict is shared
+        for e, c in other._terms(n, den, sign).items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
         return _make(n, out, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -240,9 +257,7 @@ class Cyclo:
         return _make(self.order, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self + (-other)
-        return NotImplemented
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,12 +273,10 @@ class Cyclo:
             return self._scaled(other._num.get(0, 0), other._den)
         if self.order == 1:
             return other * self
-        n = math.lcm(self.order, other.order)
-        ka, kb = n // self.order, n // other.order
-        bterms = [(e * kb, c) for e, c in other._num.items()]
+        n = self.order if self.order == other.order else math.lcm(self.order, other.order)
+        bterms = other._terms(n, other._den).items()
         out: dict[int, int] = {}
-        for e1, c1 in self._num.items():
-            e1 *= ka
+        for e1, c1 in self._terms(n, self._den).items():
             for e2, c2 in bterms:
                 e = e1 + e2
                 if e >= n:

@@ -153,4 +153,23 @@ MUTANTS = (
     Mutant("alpha-sums-sign-pattern-dropped-cli", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",
            argv=("verify-paper",)),
+    # a sum of two values of one order and denominator builds into the
+    # stored dict of its left operand, which other values share
+    Mutant("cyclo-add-aliases-stored-dict", "exactnum.py",
+           "out = dict(self._terms(n, den))", "out = self._terms(n, den)",
+           ("tests/test_exactnum.py::test_lazy_matches_eager_reference",
+            "tests/test_exactnum.py::test_residue_is_a_ring_map")),
+    # values of one order are added without rescaling their numerators to
+    # the common denominator
+    Mutant("cyclo-equal-order-ignores-den", "exactnum.py",
+           "if sign == 1 and order == self.order and den == self._den:",
+           "if sign == 1 and order == self.order:",
+           ("tests/test_exactnum.py::test_lazy_matches_eager_reference",
+            "tests/test_exactnum.py::test_residue_is_a_ring_map",
+            "tests/test_gelfand.py::test_schur_matches_sgp_on_s4_d8_q8")),
+    # the same unscaled sum, seen by the console script under -O
+    Mutant("cyclo-equal-order-ignores-den-cli", "exactnum.py",
+           "if sign == 1 and order == self.order and den == self._den:",
+           "if sign == 1 and order == self.order:",
+           argv=("verify-paper",)),
 )

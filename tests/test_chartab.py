@@ -548,8 +548,12 @@ def test_integer_rows_give_the_order_degrees_and_residues_of_cyclo_values(
 def test_canonical_rows_refuse_a_bound_that_could_overflow(monkeypatch, capsys):
     """The partial sums of M @ R_3 reach max|M| times 2, the largest column
     sum of |R_3|: at max|M| = 2^62 that bound is 2^63, and the rows raise
-    instead of wrapping; one below, they are exact.  A reduction matrix
-    that overflows a real table exits 4 through the CLI."""
+    instead of wrapping; one below, they are exact.  Neither factor of the
+    bound wraps in int64: |INT64_MIN| is 2^63, not INT64_MIN, and a
+    substituted R_15 of entries 2^62 has the column sum 15 * 2^62, not
+    -2^62.  A reduction matrix that overflows a real table exits 4 through
+    the CLI, at its first class, of order 2 (whose column sum 2^63 would
+    read INT64_MIN in int64)."""
     from sgplab import exactnum, groups
     from sgplab.cli import EXIT_INTERNAL, main
     assert exactnum._reduction(3).tolist() == [[1, 0], [0, 1], [-1, -1]]
@@ -557,12 +561,16 @@ def test_canonical_rows_refuse_a_bound_that_could_overflow(monkeypatch, capsys):
     with pytest.raises(InternalCheckError, match="overflow int64"):
         ct._canonical_rows(big)
     assert ct._canonical_rows(big - 1).tolist() == [[0, 0]]
+    with pytest.raises(InternalCheckError, match="overflow int64"):
+        ct._canonical_rows(np.array([[0, 0, -(1 << 63)]], dtype=np.int64))
     monkeypatch.setattr(groups, "_build_cached",       # no cached table
                         lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
     monkeypatch.setattr(exactnum, "_reduction",
                         lambda n: np.full((n, 1), 1 << 62, dtype=np.int64))
+    with pytest.raises(InternalCheckError, match="canonical rows of order 15 overflow"):
+        ct._canonical_rows(np.ones((1, 15), dtype=np.int64))
     assert main(["chartab", "sl2:2"]) == EXIT_INTERNAL
-    assert "canonical rows of order 1 overflow int64" in capsys.readouterr().err
+    assert "canonical rows of order 2 overflow int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,message", [

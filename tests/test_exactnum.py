@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclo_oracles import residue, to_json
 from sgplab.errors import InternalCheckError
@@ -296,16 +296,47 @@ ops = st.one_of(
 )
 
 
+def _stored(x):
+    return x.order, dict(x._num), x._den
+
+
+def _assert_stored_form(x):
+    """`_make`'s invariant: exponents in [0, order), nonzero ints, an int
+    den > 0, lowest terms (so zero is stored as {} over 1)."""
+    assert all(type(e) is int and 0 <= e < x.order for e in x._num)
+    assert all(type(c) is int and c for c in x._num.values())
+    assert type(x._den) is int and x._den > 0
+    assert math.gcd(x._den, *x._num.values()) == 1
+
+
+EVERY_BINARY_OP = [("add", 0, 1), ("sub", 0, 1), ("mul", 0, 1), ("add", 1, 0), ("sub", 1, 0)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(raw_values(), min_size=1, max_size=4), st.lists(ops, max_size=12))
+# equal orders, equal denominators: no lifting, the stored dicts are read as they are
+@example([(7, {1: 1, 3: -2}), (7, {1: -1, 5: 4})], EVERY_BINARY_OP + [("add", 2, 0)])
+@example([(6, {1: Fraction(1, 2), 3: Fraction(3, 2)}), (6, {1: Fraction(-1, 2), 2: Fraction(5, 2)})],
+         EVERY_BINARY_OP)
+# equal orders, unequal denominators: the numerators are rescaled to the lcm
+@example([(6, {1: Fraction(1, 2)}), (6, {1: Fraction(1, 3), 2: 1})], EVERY_BINARY_OP)
+# the cancellation a - a, at denominators 1 and 4
+@example([(5, {0: 2, 3: -1}), (5, {1: Fraction(3, 4)})], [("sub", 0, 0), ("sub", 1, 1)])
 def test_lazy_matches_eager_reference(starts, program):
+    """The lazy `Cyclo` against `Eager`, which reduces every value at once.
+    No operation changes the stored form of an operand (a sum must not
+    build into the stored dict it shares), and every result keeps
+    `_make`'s invariant."""
     lazy = [Cyclo(n, raw) for n, raw in starts]
     eager = [Eager(n, raw) for n, raw in starts]
     for op, i, *rest in program:
         a, ea = lazy[i % len(lazy)], eager[i % len(eager)]
+        operands = [a]
         if op in ("add", "sub", "mul"):
             j = rest[0] % len(lazy)
             b, eb = lazy[j], eager[j]
+            operands.append(b)
+        before = [_stored(y) for y in operands]
         if op == "add":
             x, ex = a + b, ea + eb
         elif op == "sub":
@@ -318,6 +349,8 @@ def test_lazy_matches_eager_reference(starts, program):
             x, ex = a.conjugate(), ea.conjugate()
         else:
             x, ex = a.lift(a.order * rest[0]), ea.lift(a.order * rest[0])
+        assert [_stored(y) for y in operands] == before
+        _assert_stored_form(x)
         lazy.append(x)
         eager.append(ex)
     for x, ex in zip(lazy, eager):
@@ -337,6 +370,8 @@ def test_lazy_matches_eager_reference(starts, program):
 
 @settings(max_examples=150, deadline=None)
 @given(cyclos(), cyclos())
+@example(Cyclo(12, {1: 1, 5: -2}), Cyclo(12, {5: 2, 7: 1}))   # one order, one denominator
+@example(Cyclo(12, {1: Fraction(1, 2)}), Cyclo(12, {7: Fraction(1, 3)}))  # one order
 def test_residue_is_a_ring_map(a, b):
     """The residue of the unreduced form at a root of order 120 mod
     p = 241 (`cyclo_oracles.residue`) is additive, multiplicative, turns
