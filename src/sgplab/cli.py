@@ -33,6 +33,14 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+def positive_int(text: str) -> int:
+    """An int of at least 1 (the --max-order value)."""
+    bound = int(text)
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bound}")
+    return bound
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sgp-lab",
@@ -40,7 +48,7 @@ def _parser() -> argparse.ArgumentParser:
                     "for Sp4(2^e) and friends")
     p.add_argument("--format", choices=("pretty", "json", "csv"),
                    default="pretty", help="output format")
-    p.add_argument("--max-order", type=int, default=MAX_ORDER_DEFAULT,
+    p.add_argument("--max-order", type=positive_int, default=MAX_ORDER_DEFAULT,
                    help="refuse to enumerate groups larger than this")
     sub = p.add_subparsers(dest="verb")
 

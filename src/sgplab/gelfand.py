@@ -19,8 +19,10 @@ from .chartab import (CharTable, Character, carry_table, dixon_schneider,
                       induce, inner_product, restrict, restriction_matrix,
                       trivial_character)
 from .errors import InternalCheckError, ResourceBoundError
+from .families import (ext_total_degree, sp4_degree_facts, suzuki_total_degree,
+                       wreath_degree_spec)
 from .groups import (MAX_ORDER_DEFAULT, FinGroup, _require_subgroup, build_group,
-                     h_classes, maximal_subgroups_sp4)
+                     h_classes, maximal_rows_sp4, maximal_subgroups_sp4, parse_group_spec)
 
 __all__ = [
     "SgpVerdict", "Witness", "is_multiplicity_free", "is_strong_gelfand_pair",
@@ -29,8 +31,16 @@ __all__ = [
 ]
 
 SCHUR_MAX_ORDER = 20000
-# tau maps each row onto its partner (so4- onto ext-sp2q2 only at q <= 4, the scan's range)
-TAU_PARTNERS = {"parabolic-q": "parabolic-p", "so4+": "wreath-sp2", "so4-": "ext-sp2q2-embedded"}
+# the closed form of tau_H(1) per spec name of a maximal row, over the spec's
+# arguments; A6 and the parabolics have none
+_CLOSED_TOTALS = {
+    "wreath-sp2": lambda q: wreath_degree_spec().total_degree(q),
+    "so4+": lambda q: wreath_degree_spec().total_degree(q),
+    "ext-sp2q2-embedded": ext_total_degree,
+    "so4-": ext_total_degree,
+    "sp4-sub": lambda q, q0: sp4_degree_facts(q0)[0],
+    "sz": suzuki_total_degree,
+}
 
 
 @dataclass(frozen=True)
@@ -147,27 +157,32 @@ def total_char_shortcut(tau_h_degree, max_irr_degree_g) -> str:
 
 
 def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
-    """Verdicts for the maximal subgroups of sp4:q (q = 2 or 4 only).
+    """Verdicts for the maximal subgroups of sp4:q (q = 2 or 4 only), one per
+    row of `groups.maximal_rows_sp4`.
 
     Tries the total-character shortcut against the exact maximal degree of
     the computed sp4:q table; subgroups it cannot settle get the full
-    check (`is_strong_gelfand_pair`).  The graph automorphism tau maps
-    parabolic-q onto parabolic-p, so4+ onto wreath-sp2 and, at q <= 4,
-    so4- onto ext-sp2q2: each takes its table from that declared partner
-    (`TAU_PARTNERS`) by `carry_table`, whose checks raise if tau does not.
+    check (`is_strong_gelfand_pair`).  A row with a declared tau-partner
+    (parabolic-q, so4+ and so4-) takes its table from the partner's by
+    `carry_table`, whose checks raise if tau does not map the one onto the
+    other.  Before the shortcut reads a row's tau_H(1), a row with a closed
+    form (`_CLOSED_TOTALS`) is checked against it: a mismatch raises
+    InternalCheckError naming the row.
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
     G = build_group(f"sp4:{q}", max_order=max_order)
-    rows = maximal_subgroups_sp4(q, max_order=max_order)
-    by_label = {H.label: H for H, _ in rows}
+    subs = maximal_subgroups_sp4(q, max_order=max_order)
     max_deg = dixon_schneider(G).max_degree()
-    out = []
-    for H, label in rows:
-        partner = TAU_PARTNERS.get(H.label.split(":")[0])
-        TH = (carry_table(dixon_schneider(by_label[f"{partner}:{q}"]), H, H.ops.graph_aut)
-              if partner and H._chartable is None else dixon_schneider(H))
+    tables, out = {}, []
+    for (spec, label, partner), (H, _) in zip(maximal_rows_sp4(q), subs):
+        TH = tables[label] = (carry_table(tables[partner], H, H.ops.graph_aut)
+                              if partner and H._chartable is None else dixon_schneider(H))
         tau_h = TH.total_degree()
+        name, args = parse_group_spec(spec) if spec else (None, ())
+        closed = _CLOSED_TOTALS[name](*args) if name in _CLOSED_TOTALS else tau_h
+        if closed != tau_h:
+            raise InternalCheckError(f"{label}: tau_H(1) = {tau_h}, its closed form {closed}")
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":
             out.append(SgpVerdict(G.label, label, "not_sgp", "total_char_shortcut"))
         else:

@@ -27,6 +27,8 @@ pass instead of enumerating sp4:q.  sp4:q itself is the union of the
 cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
 products per element; building sp4:q leaves P in the build cache too.
+The maximal rows of Sp4(q) (spec, label, when each applies, tau-partner)
+are one more table, `MAXIMAL_ROWS`, read by `maximal_rows_sp4`.
 
 The class partition runs one trace fiber at a time, and carries the
 labels of a fiber along the entrywise Frobenius (`MatOps.frobenius`) to
@@ -60,7 +62,8 @@ from .exactnum import _prime_factors
 __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
     "build_group", "parse_group_spec", "conjugacy_classes", "h_classes",
-    "centralizer_order", "maximal_subgroups_sp4", "subgroup",
+    "centralizer_order", "MAXIMAL_ROWS", "maximal_rows_sp4", "maximal_subgroups_sp4",
+    "subgroup",
     "find_generators", "mulclose", "element_order", "element_powers",
     "is_subgroup", "carry_classes",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
@@ -1304,17 +1307,35 @@ def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
     return _build_cached(name, args, max_order)
 
 
-def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
-    """(subgroup, label) for one concrete subgroup of sp4:q per applicable
-    maximal-subgroup row; at q = 2 (sp4:2 = S6) A6 comes first."""
+# The maximal rows of Sp4(q), q = 2^e, in scan order: (group spec, printed
+# label, e -> the q0 the row takes, one row each, the label of the row tau
+# maps it onto), each string a format over q and q0; A6, with no spec, is the
+# squares of sp4:2
+_ONE = lambda e: (0,)
+MAXIMAL_ROWS = (
+    (None, "a6", lambda e: (0,) if e == 1 else (), None),
+    ("parabolic-p:{q}", "parabolic-p:{q}", _ONE, None),
+    ("parabolic-q:{q}", "parabolic-q:{q}", _ONE, "parabolic-p:{q}"),
+    ("wreath-sp2:{q}", "wreath-sp2:{q}", _ONE, None),
+    ("ext-sp2q2-embedded:{q}", "ext-sp2q2:{q}", _ONE, None),
+    ("sp4-sub:{q}:{q0}", "sp4-sub:{q}:{q0}", lambda e: [1 << e // r for r in _prime_factors(e)],
+     None),
+    ("so4+:{q}", "so4+:{q}", _ONE, "wreath-sp2:{q}"),
+    ("so4-:{q}", "so4-:{q}", _ONE, "ext-sp2q2:{q}"),  # tau maps so4- onto ext only at q <= 4
+    ("sz:{q}", "sz:{q}", lambda e: (0,) if e > 1 and e % 2 else (), None),
+)
+
+
+def maximal_rows_sp4(q: int) -> list:
+    """(spec, label, tau-partner) per row of MAXIMAL_ROWS that sp4:q has;
+    nothing is built."""
     e = _even_prime_power(q, str(q), 0)
-    specs = [f"parabolic-p:{q}", f"parabolic-q:{q}", f"wreath-sp2:{q}",
-             f"ext-sp2q2-embedded:{q}"]
-    specs += [f"sp4-sub:{q}:{1 << (e // r)}" for r in _prime_factors(e)]
-    specs += [f"so4+:{q}", f"so4-:{q}"] + ([f"sz:{q}"] if e > 1 and e % 2 else [])
-    out = []
-    if q == 2:
-        out.append((squares_subgroup(build_group("sp4:2", max_order=max_order),
-                                     "a6"), "a6"))
-    return out + [(build_group(spec, max_order=max_order),
-                   spec.replace("-embedded", "")) for spec in specs]
+    return [tuple(s and s.format(q=q, q0=q0) for s in (spec, label, partner))
+            for spec, label, q0s, partner in MAXIMAL_ROWS for q0 in q0s(e)]
+
+
+def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
+    """(subgroup, label): one concrete subgroup per row of `maximal_rows_sp4(q)`."""
+    return [(build_group(spec, max_order=max_order) if spec else
+             squares_subgroup(build_group("sp4:2", max_order=max_order), label), label)
+            for spec, label, _ in maximal_rows_sp4(q)]

@@ -132,11 +132,22 @@ MUTANTS = (
            ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[so4-:2]",
             "tests/test_cli.py::test_chartab_json_matches_golden[so4-:2]")),
     # so4+ and so4- each carried from the other's partner
-    Mutant("tau-partners-swapped", "gelfand.py",
-           '"so4+": "wreath-sp2", "so4-": "ext-sp2q2-embedded"',
-           '"so4+": "ext-sp2q2-embedded", "so4-": "wreath-sp2"',
+    Mutant("tau-partners-swapped", "groups.py",
+           '"wreath-sp2:{q}"),\n    ("so4-:{q}", "so4-:{q}", _ONE, "ext-sp2q2:{q}")',
+           '"ext-sp2q2:{q}"),\n    ("so4-:{q}", "so4-:{q}", _ONE, "wreath-sp2:{q}")',
            ("tests/test_cli.py::test_scan_maximal_json_matches_golden[2]",
             "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
+    # the closed form of tau_H(1) for ext-sp2q2 and so4- one too large: the
+    # scan's check against the computed totals, under -O
+    Mutant("ext-total-degree-off-by-one-cli", "families.py",
+           "return (PolyQ.q(4) + PolyQ.q(3) + _Q).eval(q)",
+           "return (PolyQ.q(4) + PolyQ.q(3) + _Q + 1).eval(q)",
+           argv=("scan-maximal", "4")),
+    # the closed form of sp4-sub:q:q0 read at q, the total of Sp4(q) itself
+    Mutant("sp4-sub-closed-form-at-q-cli", "gelfand.py",
+           '"sp4-sub": lambda q, q0: sp4_degree_facts(q0)[0]',
+           '"sp4-sub": lambda q, q0: sp4_degree_facts(q)[0]',
+           argv=("scan-maximal", "4")),
     # the batched alpha sums without the pattern (+k, +m, +n): no sum is rational
     Mutant("alpha-sums-sign-pattern-dropped", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",

@@ -143,6 +143,21 @@ def test_max_order_refusal():
     assert main(["--max-order", "100", "chartab", "sl2:16"]) == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("argv", ["--max-order 0 scan-maximal 2",
+                                  "--max-order -5 chartab trivial"])
+def test_max_order_below_one_is_refused_when_parsed(argv, monkeypatch, capsys):
+    """An enumeration bound below 1 is a usage error (exit 2) before any
+    command runs, not a resource refusal (exit 3) or a bound nothing reads."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sgplab.cli, "run", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_USAGE
+    assert "--max-order: must be at least 1" in capsys.readouterr().err
+
+
 def test_families_verb():
     code, out = _run("families suzuki 8")
     assert code == EXIT_OK and "484" in out

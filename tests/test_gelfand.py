@@ -11,6 +11,7 @@ import sgplab.chartab as ct
 from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
                             inner_product, restrict, restriction_matrix,
                             trivial_character)
+from sgplab.cli import EXIT_INTERNAL, main
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
 from sgplab.gelfand import (SgpVerdict, Witness, is_gelfand_pair,
                             is_multiplicity_free, is_strong_gelfand_pair,
@@ -536,6 +537,16 @@ def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
     assert len(perm_fibers) == 6 and sorted(set(perm_fibers)) == [0, 1, 2]
 
 
+def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch):
+    """The scan checks each row's computed tau_H(1) against its closed form
+    before the shortcut reads it: wreath-sp2:2 totals 22, not 23."""
+    monkeypatch.setitem(gelfand._CLOSED_TOTALS, "wreath-sp2", lambda q: 23)
+    with pytest.raises(InternalCheckError,
+                       match=r"wreath-sp2:2: tau_H\(1\) = 22, its closed form 23"):
+        scan_maximal_sp4(2)
+    assert main(["scan-maximal", "2"]) == EXIT_INTERNAL
+
+
 @pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
 def test_carried_tables_equal_computed_ones(monkeypatch, q):
     """The rows the scan carries (parabolic-q, so4+, so4-) have the
@@ -569,7 +580,6 @@ def test_carry_refuses_a_map_that_is_not_an_isomorphism(monkeypatch, capsys, mut
     or a bijection that is not a homomorphism (tau of the inverse), raise
     in the carry; the scan carries parabolic-q from its declared partner,
     so it raises there too and exits 4."""
-    from sgplab.cli import EXIT_INTERNAL, main
     P, Q = build_group("parabolic-p:2"), build_group("parabolic-q:2")
     tau = groups.MatOps.graph_aut
     aut = ((lambda self, keys: groups._as_key_array(keys, self.dtype))

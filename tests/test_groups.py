@@ -318,6 +318,35 @@ def test_maximal_subgroups_rejects_non_powers_of_two(q):
         maximal_subgroups_sp4(q)
 
 
+def _rows(q, subfields=(), a6=False, sz=False):
+    """(spec, label, tau-partner) of the maximal rows of sp4:q, written out."""
+    return ([(None, "a6", None)] * a6 + [
+        (f"parabolic-p:{q}", f"parabolic-p:{q}", None),
+        (f"parabolic-q:{q}", f"parabolic-q:{q}", f"parabolic-p:{q}"),
+        (f"wreath-sp2:{q}", f"wreath-sp2:{q}", None),
+        (f"ext-sp2q2-embedded:{q}", f"ext-sp2q2:{q}", None)]
+        + [(f"sp4-sub:{q}:{q0}", f"sp4-sub:{q}:{q0}", None) for q0 in subfields]
+        + [(f"so4+:{q}", f"so4+:{q}", f"wreath-sp2:{q}"),
+           (f"so4-:{q}", f"so4-:{q}", f"ext-sp2q2:{q}")]
+        + [(f"sz:{q}", f"sz:{q}", None)] * sz)
+
+
+def test_maximal_rows_are_read_from_the_table_without_building(monkeypatch):
+    """A6 at q = 2 only, sz at odd e > 1 only, and one sp4-sub:q:2^(e/r) per
+    prime divisor r of e, in the order of those primes."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(groups, "build_group", no_build)
+    monkeypatch.setattr(groups, "_build_cached", no_build)
+    assert groups.maximal_rows_sp4(2) == _rows(2, a6=True)
+    assert groups.maximal_rows_sp4(4) == _rows(4, [2])
+    assert groups.maximal_rows_sp4(8) == _rows(8, [2], sz=True)
+    assert groups.maximal_rows_sp4(16) == _rows(16, [4])
+    assert groups.maximal_rows_sp4(32) == _rows(32, [2], sz=True)
+    assert groups.maximal_rows_sp4(64) == _rows(64, [8, 4])
+
+
 def test_all_subgroups_of_s4(monkeypatch):
     """S4 has 30 subgroups: 1, 9, 4, 7, 4, 3, 1 and 1 of orders 1, 2, 3, 4,
     6, 8, 12 and 24.  Each one's generating set is found once."""
