@@ -87,12 +87,12 @@ MAX_CLASSES = 200
 _BATCH = 1 << 16      # keys, or int64 values, per batched step (`_batches`)
 
 
-def _batches(items, size, budget: int = _BATCH):
-    """Runs of consecutive items whose sizes sum to at most budget, or one
-    item alone, so a step batched over a run holds O(budget) temporaries."""
+def _batches(items, size):
+    """Runs of consecutive items whose sizes sum to at most _BATCH, or one
+    item alone, so a step batched over a run holds O(_BATCH) temporaries."""
     run, total = [], 0
     for item in items:
-        if run and total + size(item) > budget:
+        if run and total + size(item) > _BATCH:
             yield run
             run, total = [], 0
         run.append(item)

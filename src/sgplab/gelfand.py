@@ -179,7 +179,7 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
         TH = tables[label] = (carry_table(tables[partner], H, H.ops.graph_aut)
                               if partner and H._chartable is None else dixon_schneider(H))
         tau_h = TH.total_degree()
-        name, args = parse_group_spec(spec) if spec else (None, ())
+        name, args = parse_group_spec(spec)
         closed = _CLOSED_TOTALS[name](*args) if name in _CLOSED_TOTALS else tau_h
         if closed != tau_h:
             raise InternalCheckError(f"{label}: tau_H(1) = {tau_h}, its closed form {closed}")

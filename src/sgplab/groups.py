@@ -18,11 +18,12 @@ table pass, not two.  Inverses are a fixed permutation of entry bits, applied th
 way.  Other products go through `MatOps._matmul`.  `ExtOps` (the twisted
 pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
-Group specs are read from one table, `_SPECS` (name -> arity, builder);
-`parse_group_spec` is the only validator, and the builders take its
-validated ints.  Every builder refuses a closed-form order above max_order
-before enumerating.  Every group but sp4:q closes its own generators
-(`_generated`); the subgroups of sp4:q check their keys in one batched
+Group specs are read from one table, `_SPECS` (name -> arity, builder,
+closed-form order); `parse_group_spec` is the only validator.  `build_group`
+refuses an order above max_order; `_build_cached` builds a spec once, from
+its validated ints and order, and checks that order.  Most groups close
+their generators (`_generated`), capped at that order (to outgrow it is a
+bug); the subgroups of sp4:q check their keys in one batched
 pass instead of enumerating sp4:q.  sp4:q itself is the union of the
 cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
@@ -205,7 +206,7 @@ class MatOps:
         return self._mul_ref(a, b)
 
     def _mul_ref(self, a, b) -> np.ndarray:
-        """Products by `_matmul`: the reference the byte tables are built from."""
+        """Pairwise products by `_matmul`: the array-by-array product, and the tests' oracle."""
         return _sliced(lambda x, y: self.pack(self._matmul(self.unpack(x),
                                                            self.unpack(y))),
                        _as_key_array(a, self.dtype), _as_key_array(b, self.dtype))
@@ -891,14 +892,6 @@ def _sl2_gens(ctx):
     return gens
 
 
-def _check_order(G: FinGroup, expect: int) -> FinGroup:
-    """The end-to-end guard on the kernel: G must have its closed-form order."""
-    if G.order != expect:
-        raise InternalCheckError(
-            f"{G.label}: enumerated {G.order} elements, closed form {expect}")
-    return G
-
-
 def _symplectic(ops, m: np.ndarray) -> np.ndarray:
     """M^T J M = J for each unpacked 4 x 4 matrix M: B(x, y) = x^T J y of J
     antidiagonal is alternating in characteristic 2, so this is the six
@@ -913,16 +906,15 @@ def _symplectic(ops, m: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _generated(label: str, ops, gens, order: int, max_order: int,
-               cond=None) -> FinGroup:
-    """The closure of gens, refused before enumerating if its closed-form
-    `order` exceeds max_order; its order must be `order`.  With `cond` (a
-    batched condition on the unpacked matrices) every key must also pass
-    cond and be symplectic (`_symplectic`)."""
-    if order > max_order:
-        raise ResourceBoundError(
-            f"{label}: order {order} exceeds the enumeration bound {max_order}")
-    keys = mulclose(ops, gens, max_order)
+def _generated(label: str, ops, gens, order: int, cond=None) -> FinGroup:
+    """The closure of gens, capped at its closed-form `order` (a round past it
+    raises InternalCheckError).  With `cond` (a batched condition on the
+    unpacked matrices) every key must also pass cond and `_symplectic`."""
+    try:
+        keys = mulclose(ops, gens, order)
+    except ResourceBoundError:
+        raise InternalCheckError(
+            f"{label}: its closure outgrows its closed-form order {order}") from None
     if cond is not None:
         def ok(k):
             m = ops.unpack(k)
@@ -931,14 +923,14 @@ def _generated(label: str, ops, gens, order: int, max_order: int,
         if bad:
             raise InternalCheckError(
                 f"{label}: {bad} enumerated elements fail its defining condition")
-    return _check_order(FinGroup(label, ops, keys, gens), order)
+    return FinGroup(label, ops, keys, gens)
 
 
-def _build_sl2(q, max_order):
+def _build_sl2(q, order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 2, "symplectic")
     gens = [ops.pack_one(rows) for rows in _sl2_gens(ctx)]
-    return _generated(f"sl2:{q}", ops, gens, q * (q * q - 1), max_order)
+    return _generated(f"sl2:{q}", ops, gens, order)
 
 
 def _transvection(ops, entries):
@@ -991,7 +983,7 @@ def _points(ops, keys) -> list:
     return out
 
 
-def _build_sp4(q, max_order):
+def _build_sp4(q, order):
     """sp4:q as the disjoint union of the left cosets t P of the stabilizer
     P = parabolic-p:q of <e1>, one per point <t e1> of PG(3, q).
 
@@ -1006,11 +998,7 @@ def _build_sp4(q, max_order):
     order and the cosets disjoint, so sp4:q = union of t P lies in H.  The
     class partition relies on that, since it conjugates by the pair."""
     label = f"sp4:{q}"
-    order = q**4 * (q**2 - 1) * (q**4 - 1)
-    if order > max_order:
-        raise ResourceBoundError(
-            f"{label}: order {order} exceeds the enumeration bound {max_order}")
-    P = build_group(f"parabolic-p:{q}", max_order=max_order)
+    P = _build_cached("parabolic-p", (q,))
     ops = P.ops
     pair = _sp4_pair(ops)
     reps = [ops.identity]                # t_v of each point v, in BFS order
@@ -1047,10 +1035,10 @@ def _build_sp4(q, max_order):
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise InternalCheckError(f"{label}: two cosets of {P.label} overlap")
-    return _check_order(FinGroup(label, ops, keys, pair), order)
+    return FinGroup(label, ops, keys, pair)
 
 
-def _build_wreath(q, max_order):
+def _build_wreath(q, order):
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     one = ctx.one
@@ -1061,18 +1049,17 @@ def _build_wreath(q, max_order):
         gens.append(ops.pack_one([[a, 0, 0, b], [0, one, 0, 0],
                                   [0, 0, one, 0], [c, 0, 0, d]]))
     gens.append(_plane_swap(ops))
-    return _generated(f"wreath-sp2:{q}", ops, gens, 2 * q**2 * (q**2 - 1) ** 2,
-                      max_order)
+    return _generated(f"wreath-sp2:{q}", ops, gens, order)
 
 
-def _build_ext_abstract(q, max_order):
+def _build_ext_abstract(q, order):
     ops = _ext_ops_cached(q)
     gens = [ops.pack_one(rows, 0) for rows in _sl2_gens(ops.ctx)]
     gens.append(ops.pack_one([[ops.ctx.one, 0], [0, ops.ctx.one]], 1))
-    return _generated(f"ext-sp2q2:{q}", ops, gens, 2 * q**2 * (q**4 - 1), max_order)
+    return _generated(f"ext-sp2q2:{q}", ops, gens, order)
 
 
-def _build_ext_embedded(q, max_order):
+def _build_ext_embedded(q, order):
     """Concrete image of ext-sp2q2:q inside sp4:q.  With g the gamma of
     GF(q^2), t = g + g^q and n = g^(q+1) in GF(q), so x^2 + t x + n is g's
     minimal polynomial.  In the basis (1,0), (g,0), (0,1), (0,g) of GF(q)^4,
@@ -1116,10 +1103,10 @@ def _build_ext_embedded(q, max_order):
     gens = [ops.mul(ops.mul(t_inv, ops.pack_one(r)), t_key)[0] for r in gen_rows]
     if not _symplectic(ops, ops.unpack(gens)).all():
         raise InternalCheckError(f"{label}: a generator is not symplectic")
-    return _generated(label, ops, gens, 2 * q**2 * (q**4 - 1), max_order)
+    return _generated(label, ops, gens, order)
 
 
-def _build_parabolic(q, max_order, kind):
+def _build_parabolic(q, order, kind):
     """The stabilizer of <e1> ("p") or of <e1, e2> ("q"): the generators of
     sp4:q without the one root element that moves that flag; its members
     have zeros below the flag."""
@@ -1128,8 +1115,7 @@ def _build_parabolic(q, max_order, kind):
     del gens[1 if kind == "p" else 3]
     cells = ([(1, 0), (2, 0), (3, 0)] if kind == "p"
              else [(2, 0), (3, 0), (2, 1), (3, 1)])
-    return _generated(f"parabolic-{kind}:{q}", ops, gens,
-                      q**3 * (q**2 + q) * (q - 1) ** 2, max_order,
+    return _generated(f"parabolic-{kind}:{q}", ops, gens, order,
                       lambda m: ~np.any([m[:, i, j] for i, j in cells], axis=0))
 
 
@@ -1140,7 +1126,7 @@ def _plane_swap(ops):
                          [0, 0, 0, one], [0, 0, one, 0]])
 
 
-def _build_so4(q, max_order, sign):
+def _build_so4(q, order, sign):
     """O(Q) for Q(x) = x1 x4 + x2 x3, plus x2^2 + a x3^2 for sign "-", where
     a is the first power of gamma of absolute trace 1; both polarize to J.
     Generated by the reflections x -> x + (x^T J v / Q(v)) v for the
@@ -1169,13 +1155,12 @@ def _build_so4(q, max_order, sign):
               for j in range(4)] for i in range(4)]))
     if q == 2 and sign == "+":
         gens.append(_plane_swap(ops))
-    order = 2 * q**2 * (q**2 - 1) ** 2 if sign == "+" else 2 * q**2 * (q**4 - 1)
     qe = Q(np.eye(4, dtype=np.uint8) * o)        # Q(e_j) for each column j
-    return _generated(f"so4{sign}:{q}", ops, gens, order, max_order,
+    return _generated(f"so4{sign}:{q}", ops, gens, order,
                       lambda m: (Q(m.transpose(1, 0, 2)) == qe).all(axis=1))
 
 
-def _build_sz(q, max_order):
+def _build_sz(q, order):
     e = q.bit_length() - 1
     n = (e - 1) // 2
     theta = 1 << (n + 1)  # the automorphism x -> x^theta with theta^2 = 2q
@@ -1207,10 +1192,10 @@ def _build_sz(q, max_order):
                                   [0, 0, 0, ctx.inv(d1)]]))
     gens.append(ops.pack_one([[0, 0, 0, one], [0, 0, one, 0],
                               [0, one, 0, 0], [one, 0, 0, 0]]))
-    return _generated(f"sz:{q}", ops, gens, q**2 * (q**2 + 1) * (q - 1), max_order)
+    return _generated(f"sz:{q}", ops, gens, order)
 
 
-def _build_sp4_sub(q, q0, max_order):
+def _build_sp4_sub(q, q0, order):
     """sp4:q0 inside sp4:q: the generators of sp4:q0, entries mapped by
     subfield_embed; its members have every entry in GF(q0)."""
     ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
@@ -1218,19 +1203,18 @@ def _build_sp4_sub(q, q0, max_order):
     lut = np.array([gfield.subfield_embed(small.ctx, ops.ctx, a) for a in range(q0)],
                    dtype=np.uint8)
     gens = ops.pack(lut[small.unpack(_sp4_gens(small))])
-    return _generated(f"sp4-sub:{q}:{q0}", ops, gens,
-                      q0**4 * (q0**2 - 1) * (q0**4 - 1), max_order,
+    return _generated(f"sp4-sub:{q}:{q0}", ops, gens, order,
                       lambda m: np.isin(m, lut).all(axis=(1, 2)))
 
 
-def _build_trivial(max_order):
+def _build_trivial():
     ops = mat_ops(gfield.field_ctx(1), 2, "symplectic")    # the ops of sl2:2
     return FinGroup("trivial", ops, np.array([ops.identity], dtype=ops.dtype), [])
 
 
-def perm_group(perms, label: str, n: int | None = None) -> FinGroup:
+def perm_group(perms, label: str) -> FinGroup:
     """Group generated by permutations (tuples of images), as 0/1 matrices."""
-    n = n or len(perms[0])
+    n = len(perms[0])
     ops = mat_ops(gfield.field_ctx(1), n, "transpose")
     gens = []
     for p in perms:
@@ -1244,22 +1228,28 @@ def perm_group(perms, label: str, n: int | None = None) -> FinGroup:
 
 # -- the group-spec mini-language -------------------------------------------
 
-# name -> (arity, builder); a builder takes the validated int arguments and
-# max_order, and parse_group_spec is the only place that checks them
+_sp4_order = lambda q: q**4 * (q**2 - 1) * (q**4 - 1)           # sp4, sp4-sub at q0
+_wreath_order = lambda q: 2 * q**2 * (q**2 - 1) ** 2            # wreath-sp2 = so4+
+_ext_order = lambda q: 2 * q**2 * (q**4 - 1)                    # ext-sp2q2 (both) = so4-
+_parabolic_order = lambda q: q**3 * (q**2 + q) * (q - 1) ** 2
+
+# name -> (arity, builder, closed-form order, four of them shared above); a builder
+# takes the int arguments, which only parse_group_spec checks, and the order
 _SPECS = {
-    "sl2": (1, _build_sl2),
-    "sp4": (1, _build_sp4),
-    "wreath-sp2": (1, _build_wreath),
-    "ext-sp2q2": (1, _build_ext_abstract),
-    "parabolic-p": (1, lambda q, m: _build_parabolic(q, m, "p")),
-    "parabolic-q": (1, lambda q, m: _build_parabolic(q, m, "q")),
-    "sz": (1, _build_sz),
-    "sp4-sub": (2, _build_sp4_sub),
-    "so4+": (1, lambda q, m: _build_so4(q, m, "+")),
-    "so4-": (1, lambda q, m: _build_so4(q, m, "-")),
-    "s6": (0, lambda m: build_group("sp4:2", max_order=m)),
-    "trivial": (0, _build_trivial),
-    "ext-sp2q2-embedded": (1, _build_ext_embedded),
+    "sl2": (1, _build_sl2, lambda q: q * (q * q - 1)),
+    "sp4": (1, _build_sp4, _sp4_order),
+    "wreath-sp2": (1, _build_wreath, _wreath_order),
+    "ext-sp2q2": (1, _build_ext_abstract, _ext_order),
+    "parabolic-p": (1, lambda q, n: _build_parabolic(q, n, "p"), _parabolic_order),
+    "parabolic-q": (1, lambda q, n: _build_parabolic(q, n, "q"), _parabolic_order),
+    "sz": (1, _build_sz, lambda q: q**2 * (q**2 + 1) * (q - 1)),
+    "sp4-sub": (2, _build_sp4_sub, lambda q, q0: _sp4_order(q0)),
+    "so4+": (1, lambda q, n: _build_so4(q, n, "+"), _wreath_order),
+    "so4-": (1, lambda q, n: _build_so4(q, n, "-"), _ext_order),
+    "s6": (0, lambda _: _build_cached("sp4", (2,)), lambda: _sp4_order(2)),
+    "a6": (0, lambda _: squares_subgroup(_build_cached("sp4", (2,)), "a6"), lambda: 360),
+    "trivial": (0, lambda _: _build_trivial(), lambda: 1),
+    "ext-sp2q2-embedded": (1, _build_ext_embedded, _ext_order),
 }
 
 
@@ -1296,24 +1286,35 @@ def parse_group_spec(text: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(name: str, args: tuple, max_order: int) -> FinGroup:
-    return _SPECS[name][1](*args, max_order)
+def _build_cached(name: str, args: tuple) -> FinGroup:
+    """A parsed spec's group, built once: the end-to-end guard on the kernel
+    is that it has its closed-form order."""
+    _, build, order = _SPECS[name]
+    n = order(*args)
+    G = build(*args, n)
+    if G.order != n:
+        raise InternalCheckError(f"{G.label}: enumerated {G.order} elements, closed form {n}")
+    return G
 
 
 def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
     """Build (and cache) the group named by a group-spec string, or by the
-    (name, args) pair that parse_group_spec made of one."""
+    (name, args) pair that parse_group_spec made of one; refused before
+    anything is built if its closed-form order exceeds max_order."""
     name, args = parse_group_spec(spec) if isinstance(spec, str) else spec
-    return _build_cached(name, args, max_order)
+    n = _SPECS[name][2](*args)
+    if n > max_order:
+        raise ResourceBoundError(f"{':'.join(map(str, (name, *args)))}: order {n} "
+                                 f"exceeds the enumeration bound {max_order}")
+    return _build_cached(name, args)
 
 
 # The maximal rows of Sp4(q), q = 2^e, in scan order: (group spec, printed
 # label, e -> the q0 the row takes, one row each, the label of the row tau
-# maps it onto), each string a format over q and q0; A6, with no spec, is the
-# squares of sp4:2
+# maps it onto), each string a format over q and q0
 _ONE = lambda e: (0,)
 MAXIMAL_ROWS = (
-    (None, "a6", lambda e: (0,) if e == 1 else (), None),
+    ("a6", "a6", lambda e: (0,) if e == 1 else (), None),
     ("parabolic-p:{q}", "parabolic-p:{q}", _ONE, None),
     ("parabolic-q:{q}", "parabolic-q:{q}", _ONE, "parabolic-p:{q}"),
     ("wreath-sp2:{q}", "wreath-sp2:{q}", _ONE, None),
@@ -1336,6 +1337,5 @@ def maximal_rows_sp4(q: int) -> list:
 
 def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     """(subgroup, label): one concrete subgroup per row of `maximal_rows_sp4(q)`."""
-    return [(build_group(spec, max_order=max_order) if spec else
-             squares_subgroup(build_group("sp4:2", max_order=max_order), label), label)
+    return [(build_group(spec, max_order=max_order), label)
             for spec, label, _ in maximal_rows_sp4(q)]

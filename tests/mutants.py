@@ -148,6 +148,11 @@ MUTANTS = (
            '"sp4-sub": lambda q, q0: sp4_degree_facts(q0)[0]',
            '"sp4-sub": lambda q, q0: sp4_degree_facts(q)[0]',
            argv=("scan-maximal", "4")),
+    # parabolic-p keeps the root element that moves <e1>: its closure
+    # outgrows its closed form, a bug (exit 4), not the --max-order bound (3)
+    Mutant("parabolic-keeps-every-generator-cli", "groups.py",
+           'del gens[1 if kind == "p" else 3]', "pass",
+           argv=("--max-order", "20000", "chartab", "parabolic-p:4")),
     # the batched alpha sums without the pattern (+k, +m, +n): no sum is rational
     Mutant("alpha-sums-sign-pattern-dropped", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",

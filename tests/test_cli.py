@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,14 @@ def _run(text):
     lines = []
     code = run(_parse(text), out=lines.append)
     return code, "\n".join(lines)
+
+
+@pytest.fixture
+def fresh_builds(monkeypatch):
+    """A build cache of the test's own, so no cached group (or its classes)
+    is reused, and every group built is dropped when the test ends."""
+    monkeypatch.setattr(groups, "_build_cached",
+                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
 
 
 def test_parse_spec_examples():
@@ -221,7 +230,7 @@ def test_verify_paper_deep_lines_match_golden():
     assert lines == golden.read_text().splitlines()
 
 
-def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
+def test_inconsistent_closure_is_internal_error(monkeypatch, capsys, fresh_builds):
     """A closure that picks up an element without its inverse is a kernel
     bug: exit 4, naming the group, not an uncaught KeyError."""
     ops = groups.mat_ops(gfield.field_ctx(1), 4, "symplectic")
@@ -233,12 +242,11 @@ def test_inconsistent_closure_is_internal_error(monkeypatch, capsys):
         return np.union1d(real(ops_, gens, max_order), [outsider])
 
     monkeypatch.setattr(groups, "mulclose", leaky)
-    # a --max-order of its own, so no cached wreath-sp2:2 is reused
-    assert main(["--max-order", "4321", "chartab", "wreath-sp2:2"]) == EXIT_INTERNAL
+    assert main(["chartab", "wreath-sp2:2"]) == EXIT_INTERNAL
     assert "wreath-sp2:2" in capsys.readouterr().err
 
 
-def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
+def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys, fresh_builds):
     """A kernel product that leaves the group (here one conjugate with one
     bit flipped) is a bug: exit 4, naming the group, not a KeyError."""
     real = groups.MatOps.conj
@@ -249,8 +257,7 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(groups.MatOps, "conj", flipped)
-    # a --max-order of its own, so no cached sl2:8 and its classes are reused
-    assert main(["--max-order", "4322", "chartab", "sl2:8"]) == EXIT_INTERNAL
+    assert main(["chartab", "sl2:8"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "sl2:8" in err and "not in the group" in err
 
@@ -261,7 +268,7 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys):
                                   pytest.param("sp4:4", marks=pytest.mark.slow),
                                   "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4",
                                   "parabolic-p:4", "wreath-sp2:4",
-                                  "parabolic-q:4", "so4-:4"])
+                                  "parabolic-q:4", "so4-:4", "a6"])
 def test_chartab_json_matches_golden(spec, capsys):
     """Byte-identical to the output pinned before the byte-table kernel (the
     first three), before ExtOps moved onto it (the next three), before
@@ -275,7 +282,8 @@ def test_chartab_json_matches_golden(spec, capsys):
     (parabolic-p:4 and wreath-sp2:4, the largest q = 4 splits outside
     the other goldens: 26 and 20 classes) and before the Sp4(4) scan
     carried tables along the graph automorphism (parabolic-q:4 and
-    so4-:4, two of the three rows it carries)."""
+    so4-:4, two of the three rows it carries) and before A6 became a spec
+    (a6, pinned from the squares of sp4:2)."""
     golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
     assert main(["--format", "json", "chartab", spec]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text()
@@ -407,19 +415,20 @@ def test_reader_closing_stdout_early_is_exit_1_without_traceback(spec):
 
 
 @pytest.mark.parametrize("power", [1, 3, 8])
-def test_ext_embedded_with_a_wrong_trace_is_internal_error(power, monkeypatch, capsys):
+def test_ext_embedded_with_a_wrong_trace_is_internal_error(power, monkeypatch, capsys,
+                                                           fresh_builds):
     """In GF(16), t = g + g^power in place of g + g^4 is 0, outside GF(4),
     or g^10, for which x^2 + t x + n has a root in GF(4) and the closure has
     7200 elements, not 8160: exit 4, naming the group."""
     monkeypatch.setattr(gfield, "frobenius", lambda ctx, a, f: ctx.pow(a, power))
-    # a --max-order of its own, so no cached ext-sp2q2-embedded:4 is reused
-    assert main(["--max-order", "8161", "chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
+    assert main(["chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
     assert "ext-sp2q2-embedded:4" in capsys.readouterr().err
 
 
-def test_ext_embedded_non_symplectic_generator_is_internal_error(monkeypatch, capsys):
+def test_ext_embedded_non_symplectic_generator_is_internal_error(monkeypatch, capsys,
+                                                                 fresh_builds):
     """gamma * 1 has determinant gamma^2 != 1, so it scales the form."""
     monkeypatch.setattr(groups, "_sl2_gens", lambda ctx: [[[ctx.gamma, 0], [0, ctx.gamma]]])
-    assert main(["--max-order", "8162", "chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
+    assert main(["chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "ext-sp2q2-embedded:4" in err and "not symplectic" in err

@@ -296,7 +296,7 @@ def test_s6_scan_passes_max_order_to_every_builder(monkeypatch):
     verdicts = scan_maximal_sp4(2, max_order=5000)
     assert len(verdicts) == 7
     assert {spec for spec, _ in seen} == {
-        "sp4:2", "parabolic-p:2", "parabolic-q:2", "wreath-sp2:2",
+        "sp4:2", "a6", "parabolic-p:2", "parabolic-q:2", "wreath-sp2:2",
         "ext-sp2q2-embedded:2", "so4+:2", "so4-:2"}
     assert all(m == 5000 for _, m in seen), seen
 
@@ -559,7 +559,7 @@ def test_carried_tables_equal_computed_ones(monkeypatch, q):
     assert [H.label for H in carried] == [f"parabolic-q:{q}", f"so4+:{q}", f"so4-:{q}"]
     for H in carried:
         name, args = groups.parse_group_spec(H.label)
-        D = groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)     # not cached
+        D = groups._build_cached.__wrapped__(name, args)     # not cached
         got, want = H._chartable, dixon_schneider(D)
         assert "carried_from" not in want.stats
         for field in ("sizes", "reps", "inverse_class", "orders", "identity_class",

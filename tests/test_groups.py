@@ -1,6 +1,7 @@
 """Group construction, enumeration, and conjugacy structure."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -38,6 +39,7 @@ U64 = np.uint64
     ("ext-sp2q2:4", 8160),           # 2 q^2 (q^4-1)
     ("sp4:2", 720),
     ("s6", 720),
+    ("a6", 360),
     ("sz:2", 20),
     ("sz:8", 29120),                 # q^2 (q^2+1) (q-1)
     ("trivial", 1),
@@ -279,7 +281,7 @@ def test_ext_embedded_gens_match_the_coordinate_table_oracle(q, monkeypatch):
     seen = []
     monkeypatch.setattr(groups, "_generated",
                         lambda label, ops, gens, *rest: seen.append(gens))
-    groups._build_ext_embedded(q, groups.MAX_ORDER_DEFAULT)
+    groups._build_ext_embedded(q, groups._ext_order(q))
     assert [int(k) for k in seen[0]] == _ext_embedded_gens_by_table(q)
 
 
@@ -312,6 +314,13 @@ def test_maximal_subgroups_sp4_q2_is_the_s6_list():
         assert is_subgroup(h, s6), label
 
 
+def test_a6_is_built_once():
+    """The A6 row is the spec a6, so a second q = 2 row list returns the
+    group the first one built (and the classes and table cached on it)."""
+    first, second = maximal_subgroups_sp4(2), maximal_subgroups_sp4(2)
+    assert first[0][0] is second[0][0] is build_group("a6")
+
+
 @pytest.mark.parametrize("q", [0, 1, 3, 6])
 def test_maximal_subgroups_rejects_non_powers_of_two(q):
     with pytest.raises(GroupSpecError):
@@ -320,7 +329,7 @@ def test_maximal_subgroups_rejects_non_powers_of_two(q):
 
 def _rows(q, subfields=(), a6=False, sz=False):
     """(spec, label, tau-partner) of the maximal rows of sp4:q, written out."""
-    return ([(None, "a6", None)] * a6 + [
+    return ([("a6", "a6", None)] * a6 + [
         (f"parabolic-p:{q}", f"parabolic-p:{q}", None),
         (f"parabolic-q:{q}", f"parabolic-q:{q}", f"parabolic-p:{q}"),
         (f"wreath-sp2:{q}", f"wreath-sp2:{q}", None),
@@ -946,8 +955,7 @@ def test_sp4_pair_matches_the_six_generators(q):
     the pair replaced: the same keys and the same class partition."""
     G = build_group(f"sp4:{q}")
     assert len(G.gens_keys) == 2
-    old = groups._generated(f"sp4:{q}", G.ops, groups._sp4_gens(G.ops), G.order,
-                            groups.MAX_ORDER_DEFAULT)
+    old = groups._generated(f"sp4:{q}", G.ops, groups._sp4_gens(G.ops), G.order)
     assert np.array_equal(G.keys, old.keys)
     assert _same_class_data(conjugacy_classes(G), conjugacy_classes(old))
 
@@ -959,7 +967,7 @@ def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
         return [ops.mul(g[0], g[2])[0], ops.mul(g[1], g[3])[0]]
     monkeypatch.setattr(groups, "_sp4_pair", mutant)
     with pytest.raises(InternalCheckError, match="enumerated 360 elements"):
-        groups._SPECS["sp4"][1](2, groups.MAX_ORDER_DEFAULT)
+        groups._build_cached.__wrapped__("sp4", (2,))
 
 
 @pytest.fixture
@@ -992,15 +1000,15 @@ def test_sp4_coset_mutants_are_caught(monkeypatch, capsys, fresh_builds,
     if mutant == "unscaled-points":
         monkeypatch.setattr(groups, "_points", _unscaled_points)
     elif mutant == "line-stabilizer":
-        real_build = groups.build_group
-        monkeypatch.setattr(groups, "build_group", lambda spec, **kw: real_build(
-            spec.replace("parabolic-p", "parabolic-q"), **kw))
+        real_build = groups._build_cached
+        monkeypatch.setattr(groups, "_build_cached", lambda name, args: real_build(
+            name.replace("parabolic-p", "parabolic-q"), args))
     else:
         real_close = groups.mulclose
         monkeypatch.setattr(groups, "mulclose",
                             lambda ops, gens, m: real_close(ops, gens[:1], m))
     with pytest.raises(InternalCheckError, match=message):
-        groups._SPECS["sp4"][1](q, groups.MAX_ORDER_DEFAULT)
+        build_group(f"sp4:{q}")
     assert main(["chartab", f"sp4:{q}"]) == EXIT_INTERNAL
     assert message in capsys.readouterr().err
 
@@ -1093,7 +1101,7 @@ def _build_with(spec, extra):
     real = groups.mulclose
     groups.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), extra)
     try:
-        return groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)
+        return groups._build_cached.__wrapped__(name, args)
     finally:
         groups.mulclose = real
 
@@ -1153,10 +1161,11 @@ def _cond_of(spec, monkeypatch):
     """The `cond` that the spec's builder hands to `_generated`, which is
     stubbed, so nothing is enumerated."""
     seen = []
-    monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order, max_order,
+    monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order,
                         cond=None: seen.append(cond))
     name, args = parse_group_spec(spec)
-    groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT)
+    _, build, order = groups._SPECS[name]
+    build(*args, order(*args))
     return seen[0]
 
 
@@ -1246,7 +1255,7 @@ def test_membership_check_fires_under_python_O():
         "    g.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), [bad])\n"
         "    name, args = g.parse_group_spec(spec)\n"
         "    try:\n"
-        "        g._SPECS[name][1](*args, g.MAX_ORDER_DEFAULT)\n"
+        "        g._build_cached.__wrapped__(name, args)\n"
         "    except InternalCheckError as exc:\n"
         "        print('caught', exc)\n"
         "    g.mulclose = real\n") % (SUBGROUPS_Q4,)
@@ -1278,6 +1287,53 @@ def test_refused_before_enumeration(monkeypatch):
         build_group("parabolic-p:8", max_order=10**6)
 
 
+@pytest.mark.parametrize("spec,order", [("sl2:16", 4080), ("s6", 720), ("a6", 360),
+                                        ("sp4-sub:8:2", 720)])
+def test_refusal_names_the_spec_and_its_closed_form(monkeypatch, spec, order):
+    """`build_group` refuses an order above the bound before anything is
+    built, the s6 alias and A6 too, naming the spec it was given."""
+    def no_build(*args):
+        raise AssertionError("a group was built")
+    monkeypatch.setattr(groups, "_build_cached", no_build)
+    message = f"{spec}: order {order} exceeds the enumeration bound 100"
+    with pytest.raises(ResourceBoundError, match=f"^{re.escape(message)}$"):
+        build_group(spec, max_order=100)
+
+
+@pytest.mark.parametrize("spec", ["trivial", "s6", "a6", "sl2:4", "sp4:2", "so4-:2"])
+def test_the_bound_is_not_part_of_the_build_cache_key(spec):
+    assert build_group(spec) is build_group(spec, max_order=10**6)
+
+
+@pytest.mark.parametrize("spec", ["trivial", "s6", "a6", "sl2:2", "sp4:2"])
+def test_every_spec_is_checked_against_its_closed_form(monkeypatch, fresh_builds, spec):
+    """`_build_cached` checks the group of every spec, those that close no
+    generators of their own too, against the order in its `_SPECS` row."""
+    name, args = parse_group_spec(spec)
+    arity, build, order = groups._SPECS[name]
+    n = order(*args)
+    monkeypatch.setitem(groups._SPECS, name, (arity, build, lambda *_: n + 1))
+    with pytest.raises(InternalCheckError, match=f"enumerated {n} elements, closed form {n + 1}"):
+        build_group(spec)
+
+
+def test_a_closure_that_outgrows_its_closed_form_is_internal_error(monkeypatch, capsys,
+                                                                   fresh_builds):
+    """parabolic-p:4 that keeps the root element moving <e1> closes towards
+    sp4:4 (979,200 keys); its closure stops at the first round past its
+    closed form 11,520 and raises InternalCheckError (exit 4), not a
+    resource bound, before its condition is checked."""
+    real = groups._sp4_gens
+    monkeypatch.setattr(groups, "_sp4_gens",           # the deleted generator twice
+                        lambda ops: (lambda g: g[:2] + g[1:])(real(ops)))
+    monkeypatch.setattr(groups, "_symplectic", lambda *args: pytest.fail("checked"))
+    message = "parabolic-p:4: its closure outgrows its closed-form order 11520"
+    with pytest.raises(InternalCheckError, match=message):
+        build_group("parabolic-p:4")
+    assert main(["--max-order", "20000", "chartab", "parabolic-p:4"]) == EXIT_INTERNAL
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("spec,order", [
     ("parabolic-p:8", 1_806_336),    # q^3 (q^2+q) (q-1)^2
@@ -1289,4 +1345,4 @@ def test_refused_before_enumeration(monkeypatch):
 def test_q8_subgroups_build_under_the_default_bound(spec, order):
     """Built through the uncached builder, so the large key arrays are freed."""
     name, args = parse_group_spec(spec)
-    assert groups._SPECS[name][1](*args, groups.MAX_ORDER_DEFAULT).order == order
+    assert groups._build_cached.__wrapped__(name, args).order == order

@@ -320,9 +320,9 @@ def test_condition_failure_in_the_last_slice_is_counted(monkeypatch, capsys):
     monkeypatch.setattr(groups, "_CHUNK", SMALL_CHUNK)
     real = groups._generated
 
-    def rejecting(label, ops, gens, order, max_order, cond=None):
+    def rejecting(label, ops, gens, order, cond=None):
         mutant = cond and (lambda m: cond(m) & (ops.pack(m) != last))
-        return real(label, ops, gens, order, max_order, mutant)
+        return real(label, ops, gens, order, mutant)
     monkeypatch.setattr(groups, "_generated", rejecting)
     message = "so4-:2: 1 enumerated elements fail its defining condition"
     with pytest.raises(InternalCheckError, match=message):
