@@ -20,8 +20,8 @@ exponent counts times the fixed int64 reduction matrix R_N
 (`_canonical_rows`), which gives the canonical rows of a computed
 character table and the batched alpha sums.
 
-No floating point anywhere in here: `to_complex` exists for the lossy CSV
-renderer and for test oracles only.
+No floating point anywhere in here, nor in `PolyQ`, the one type of every
+closed form: `to_complex` exists for the lossy CSV renderer and test oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 
-__all__ = ["Cyclo", "root_of_unity", "cyclotomic_poly"]
+__all__ = ["Cyclo", "root_of_unity", "cyclotomic_poly", "PolyQ"]
 
 MAX_ORDER = 2**32 - 1
 
@@ -356,3 +356,98 @@ def root_of_unity(order: int, exponent: int = 1) -> Cyclo:
         raise ValueError(f"cyclotomic order {order} out of range")
     return _make(order, {exponent % order: 1}, 1)
 
+
+
+class PolyQ:
+    """A polynomial in one indeterminate, q, with exact rational coefficients;
+    a constant equals, and hashes like, an int or Fraction of its value."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | int | Fraction = 0):
+        if not isinstance(coeffs, dict):
+            coeffs = {0: coeffs}
+        coeffs = {e: Fraction(c) for e, c in coeffs.items()}    # None raises, not 0
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
+
+    @staticmethod
+    def q(exp: int = 1) -> "PolyQ":
+        return PolyQ({exp: 1})
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return PolyQ(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolyQ({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other):
+        return _as_poly(other) + (-self)
+
+    def __mul__(self, other):
+        other = _as_poly(other)
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return PolyQ(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return math.prod([self] * k, start=PolyQ(1))
+
+    def __truediv__(self, k):
+        return PolyQ({e: c / k for e, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = PolyQ(other)
+        if not isinstance(other, PolyQ):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def eval(self, q) -> Fraction:
+        return sum((c * Fraction(q) ** e for e, c in self.coeffs.items()),
+                   Fraction(0))
+
+    def eval_int(self, q) -> int:
+        v = self.eval(q)
+        if v.denominator != 1:
+            raise InternalCheckError(f"{self} is not integral at q={q}")
+        return int(v)
+
+    def to_json(self) -> dict:
+        return {str(e): [c.numerator, c.denominator]
+                for e, c in sorted(self.coeffs.items())}
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        terms = []
+        for e, c in sorted(self.coeffs.items(), reverse=True):
+            base = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
+            if c == 1 and base:
+                terms.append(base)
+            elif base:
+                terms.append(f"{c}*{base}")
+            else:
+                terms.append(str(c))
+        return " + ".join(terms)
+
+
+def _as_poly(x) -> PolyQ:
+    return x if isinstance(x, PolyQ) else PolyQ(x)

@@ -4,7 +4,8 @@ This module carries the families that the engine checks concrete tables
 against: the SL2(q) table for even q, the wreath-product degree list, the
 index-2 splitting rule and total degree for the twisted Sp2(q^2) extension,
 the Suzuki degree list, the Sp4(q) total/max degree facts, and the exact
-root-of-unity sums behind the parabolic inner product.
+root-of-unity sums behind the parabolic inner product.  Group orders and
+the tau_H(1) of maximal rows are read from `groups.closed_forms`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 
 from .chartab import Character, CharTable
 from .errors import InternalCheckError
-from .exactnum import Cyclo, _canonical_rows, root_of_unity
-from .groups import (FinGroup, build_group, conjugacy_classes, element_order,
-                     element_powers)
+from .exactnum import Cyclo, PolyQ, _canonical_rows, root_of_unity
+from .groups import (FinGroup, build_group, closed_forms, conjugacy_classes,
+                     element_order, element_powers)
 
 __all__ = [
     "PolyQ", "DegreeRow", "DegreeSpec", "AlphaParams",
@@ -25,92 +26,6 @@ __all__ = [
     "ext_total_degree", "suzuki_degree_spec", "sp4_degree_facts",
     "alpha_sum", "alpha_sums", "parabolic_inner_product",
 ]
-
-
-class PolyQ:
-    """A polynomial in the indeterminate q with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | int = 0):
-        if isinstance(coeffs, int):
-            coeffs = {0: coeffs}
-        self.coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
-
-    @staticmethod
-    def q(exp: int = 1) -> "PolyQ":
-        return PolyQ({exp: 1})
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return PolyQ(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyQ({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return PolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return PolyQ({e: c / k for e, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return self.coeffs == _as_poly(other).coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted((e, c) for e, c in self.coeffs.items())))
-
-    def eval(self, q) -> Fraction:
-        return sum((c * Fraction(q) ** e for e, c in self.coeffs.items()),
-                   Fraction(0))
-
-    def eval_int(self, q) -> int:
-        v = self.eval(q)
-        if v.denominator != 1:
-            raise InternalCheckError(f"{self} is not integral at q={q}")
-        return int(v)
-
-    def to_json(self) -> dict:
-        return {str(e): [c.numerator, c.denominator]
-                for e, c in sorted(self.coeffs.items())}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for e, c in sorted(self.coeffs.items(), reverse=True):
-            base = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-            if c == 1 and base:
-                terms.append(base)
-            elif base:
-                terms.append(f"{c}*{base}")
-            else:
-                terms.append(str(c))
-        return " + ".join(terms)
-
-
-def _as_poly(x) -> PolyQ:
-    if isinstance(x, PolyQ):
-        return x
-    return PolyQ({0: x})
 
 
 _Q = PolyQ.q()
@@ -267,8 +182,7 @@ def wreath_degree_spec() -> DegreeSpec:
         DegreeRow("(theta.theta)_2", (q - 1) * (q - 1), q / 2),
         DegreeRow("theta.theta'", 2 * (q - 1) * (q - 1), q * (q - 2) / 8),
     )
-    order = 2 * q * q * (q * q - 1) * (q * q - 1)
-    return DegreeSpec(rows, order)
+    return DegreeSpec(rows, closed_forms("wreath-sp2")[0])
 
 
 def ext_degree_spec() -> DegreeSpec:
@@ -281,7 +195,7 @@ def ext_degree_spec() -> DegreeSpec:
         DegreeRow("chi", q2 + 1, (q2 - 2) / 2),
         DegreeRow("theta", q2 - 1, q2 / 2),
     )
-    return DegreeSpec(rows, q2 * (q2 * q2 - 1))
+    return DegreeSpec(rows, closed_forms("ext-sp2q2-embedded")[0] / 2)
 
 
 def ext_split_rule(q: int, s: int) -> str:
@@ -298,8 +212,16 @@ def ext_split_rule(q: int, s: int) -> str:
 
 
 def ext_total_degree(q: int) -> Fraction:
-    """deg tau of Sp2(q^2):2 = q^4 + q^3 + q."""
-    return (PolyQ.q(4) + PolyQ.q(3) + _Q).eval(q)
+    """deg tau of Sp2(q^2):2 = q^4 + q^3 + q, the closed form of its maximal row."""
+    return closed_forms("ext-sp2q2-embedded")[1].eval(q)
+
+
+def _suzuki_r(q: int) -> int:
+    """r = sqrt(2q) of q = 2^(2n+1), n >= 1; ValueError for any other q."""
+    e = q.bit_length() - 1
+    if q < 8 or (1 << e) != q or e % 2 == 0:
+        raise ValueError(f"the Suzuki degree list needs q = 2^(2n+1), n >= 1, got {q}")
+    return 1 << (e + 1) // 2
 
 
 def suzuki_degree_spec(q: int) -> DegreeSpec:
@@ -308,11 +230,7 @@ def suzuki_degree_spec(q: int) -> DegreeSpec:
     Uses r = 2^(n+1) in the two minus-type families; only that choice makes
     sum of squared degrees equal |Sz(q)|.
     """
-    e = q.bit_length() - 1
-    if q < 8 or (1 << e) != q or e % 2 == 0:
-        raise ValueError(f"suzuki_degree_spec needs q = 2^(2n+1), n >= 1, got {q}")
-    n = (e - 1) // 2
-    r = 1 << (n + 1)
+    r = _suzuki_r(q)
     qq = _Q
     rows = (
         DegreeRow("trivial", PolyQ(1), PolyQ(1)),
@@ -322,14 +240,12 @@ def suzuki_degree_spec(q: int) -> DegreeSpec:
         DegreeRow("minus-small", (qq - r + 1) * (qq - 1), (qq + r) / 4),
         DegreeRow("minus-large", (qq + r + 1) * (qq - 1), (qq - r) / 4),
     )
-    order = qq * qq * (qq * qq + 1) * (qq - 1)
-    return DegreeSpec(rows, order)
+    return DegreeSpec(rows, closed_forms("sz")[0])
 
 
 def suzuki_total_degree(q: int) -> Fraction:
-    """2^(n+1) (q-1) - q(q-1) + q^3."""
-    n = (q.bit_length() - 2) // 2
-    return Fraction((1 << (n + 1)) * (q - 1) - q * (q - 1) + q**3)
+    """r (q-1) - q(q-1) + q^3, r = sqrt(2q): the sz row's closed form, in r."""
+    return closed_forms("sz")[1].eval(_suzuki_r(q))
 
 
 def sp4_degree_facts(q: int) -> tuple:
@@ -341,7 +257,7 @@ def sp4_degree_facts(q: int) -> tuple:
     at 340 (the formula value 425 is still returned as the formula's value,
     and None is returned at q = 2).
     """
-    total = (PolyQ.q(6) + PolyQ.q(4) - PolyQ.q(2)).eval(q)
+    total = closed_forms("sp4-sub")[1].eval(q)
     if q == 2:
         return total, None
     mx = (PolyQ.q(4) + 2 * PolyQ.q(3) + 2 * PolyQ.q(2) + 2 * _Q + 1).eval(q)

@@ -19,10 +19,8 @@ from .chartab import (CharTable, Character, carry_table, dixon_schneider,
                       induce, inner_product, restrict, restriction_matrix,
                       trivial_character)
 from .errors import InternalCheckError, ResourceBoundError
-from .families import (ext_total_degree, sp4_degree_facts, suzuki_total_degree,
-                       wreath_degree_spec)
 from .groups import (MAX_ORDER_DEFAULT, FinGroup, _require_subgroup, build_group,
-                     h_classes, maximal_rows_sp4, maximal_subgroups_sp4, parse_group_spec)
+                     h_classes, maximal_rows_sp4, maximal_subgroups_sp4)
 
 __all__ = [
     "SgpVerdict", "Witness", "is_multiplicity_free", "is_strong_gelfand_pair",
@@ -31,16 +29,6 @@ __all__ = [
 ]
 
 SCHUR_MAX_ORDER = 20000
-# the closed form of tau_H(1) per spec name of a maximal row, over the spec's
-# arguments; A6 and the parabolics have none
-_CLOSED_TOTALS = {
-    "wreath-sp2": lambda q: wreath_degree_spec().total_degree(q),
-    "so4+": lambda q: wreath_degree_spec().total_degree(q),
-    "ext-sp2q2-embedded": ext_total_degree,
-    "so4-": ext_total_degree,
-    "sp4-sub": lambda q, q0: sp4_degree_facts(q0)[0],
-    "sz": suzuki_total_degree,
-}
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,7 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     (parabolic-q, so4+ and so4-) takes its table from the partner's by
     `carry_table`, whose checks raise if tau does not map the one onto the
     other.  Before the shortcut reads a row's tau_H(1), a row with a closed
-    form (`_CLOSED_TOTALS`) is checked against it: a mismatch raises
+    form (its `MAXIMAL_ROWS` entry) is checked against it: a mismatch raises
     InternalCheckError naming the row.
     """
     if q not in (2, 4):
@@ -175,13 +163,11 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     subs = maximal_subgroups_sp4(q, max_order=max_order)
     max_deg = dixon_schneider(G).max_degree()
     tables, out = {}, []
-    for (spec, label, partner), (H, _) in zip(maximal_rows_sp4(q), subs):
+    for (_, label, partner, closed), (H, _) in zip(maximal_rows_sp4(q), subs):
         TH = tables[label] = (carry_table(tables[partner], H, H.ops.graph_aut)
                               if partner and H._chartable is None else dixon_schneider(H))
         tau_h = TH.total_degree()
-        name, args = parse_group_spec(spec)
-        closed = _CLOSED_TOTALS[name](*args) if name in _CLOSED_TOTALS else tau_h
-        if closed != tau_h:
+        if closed is not None and closed != tau_h:
             raise InternalCheckError(f"{label}: tau_H(1) = {tau_h}, its closed form {closed}")
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":
             out.append(SgpVerdict(G.label, label, "not_sgp", "total_char_shortcut"))

@@ -19,17 +19,17 @@ way.  Other products go through `MatOps._matmul`.  `ExtOps` (the twisted
 pairs of ext-sp2q2) runs its matrix part on the same kernel.
 
 Group specs are read from one table, `_SPECS` (name -> arity, builder,
-closed-form order); `parse_group_spec` is the only validator.  `build_group`
-refuses an order above max_order; `_build_cached` builds a spec once, from
-its validated ints and order, and checks that order.  Most groups close
-their generators (`_generated`), capped at that order (to outgrow it is a
-bug); the subgroups of sp4:q check their keys in one batched
-pass instead of enumerating sp4:q.  sp4:q itself is the union of the
+closed-form order as a `PolyQ`); `parse_group_spec` is the only validator.
+`build_group` refuses an order above max_order; `_build_cached` builds a
+spec once, from its validated ints and order, and checks that order.
+Most groups close their generators (`_generated`), capped at that order
+(to outgrow it is a bug); the subgroups of sp4:q check their keys in one
+batched pass instead of enumerating sp4:q.  sp4:q itself is the union of the
 cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
 products per element; building sp4:q leaves P in the build cache too.
-The maximal rows of Sp4(q) (spec, label, when each applies, tau-partner)
-are one more table, `MAXIMAL_ROWS`, read by `maximal_rows_sp4`.
+The maximal rows of Sp4(q) (spec, label, when, tau-partner, tau_H(1)) are
+one more table, `MAXIMAL_ROWS`; `closed_forms` reads both for `families`.
 
 The class partition runs one trace fiber at a time, and carries the
 labels of a fiber along the entrywise Frobenius (`MatOps.frobenius`) to
@@ -58,13 +58,13 @@ import numpy as np
 from . import gfield
 from .errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                      SubgroupError)
-from .exactnum import _prime_factors
+from .exactnum import PolyQ, _prime_factors
 
 __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
     "build_group", "parse_group_spec", "conjugacy_classes", "h_classes",
     "centralizer_order", "MAXIMAL_ROWS", "maximal_rows_sp4", "maximal_subgroups_sp4",
-    "subgroup",
+    "closed_forms", "subgroup",
     "find_generators", "mulclose", "element_order", "element_powers",
     "is_subgroup", "carry_classes",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
@@ -1228,29 +1228,35 @@ def perm_group(perms, label: str) -> FinGroup:
 
 # -- the group-spec mini-language -------------------------------------------
 
-_sp4_order = lambda q: q**4 * (q**2 - 1) * (q**4 - 1)           # sp4, sp4-sub at q0
-_wreath_order = lambda q: 2 * q**2 * (q**2 - 1) ** 2            # wreath-sp2 = so4+
-_ext_order = lambda q: 2 * q**2 * (q**4 - 1)                    # ext-sp2q2 (both) = so4-
-_parabolic_order = lambda q: q**3 * (q**2 + q) * (q - 1) ** 2
+_q = PolyQ.q()
+_sp4_order = _q**4 * (_q**2 - 1) * (_q**4 - 1)             # sp4, sp4-sub at q0, s6 at 2
+_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2              # wreath-sp2 = so4+
+_ext_order = 2 * _q**2 * (_q**4 - 1)                      # ext-sp2q2 (both) = so4-
+_parabolic_order = _q**3 * (_q**2 + _q) * (_q - 1) ** 2
 
 # name -> (arity, builder, closed-form order, four of them shared above); a builder
-# takes the int arguments, which only parse_group_spec checks, and the order
+# takes the int arguments, which only parse_group_spec checks, and the order, a
+# PolyQ read at the last argument (q0 of sp4-sub), or at 2 for arity 0 (in sp4:2)
 _SPECS = {
-    "sl2": (1, _build_sl2, lambda q: q * (q * q - 1)),
+    "sl2": (1, _build_sl2, _q * (_q**2 - 1)),
     "sp4": (1, _build_sp4, _sp4_order),
     "wreath-sp2": (1, _build_wreath, _wreath_order),
     "ext-sp2q2": (1, _build_ext_abstract, _ext_order),
     "parabolic-p": (1, lambda q, n: _build_parabolic(q, n, "p"), _parabolic_order),
     "parabolic-q": (1, lambda q, n: _build_parabolic(q, n, "q"), _parabolic_order),
-    "sz": (1, _build_sz, lambda q: q**2 * (q**2 + 1) * (q - 1)),
-    "sp4-sub": (2, _build_sp4_sub, lambda q, q0: _sp4_order(q0)),
+    "sz": (1, _build_sz, _q**2 * (_q**2 + 1) * (_q - 1)),
+    "sp4-sub": (2, _build_sp4_sub, _sp4_order),
     "so4+": (1, lambda q, n: _build_so4(q, n, "+"), _wreath_order),
     "so4-": (1, lambda q, n: _build_so4(q, n, "-"), _ext_order),
-    "s6": (0, lambda _: _build_cached("sp4", (2,)), lambda: _sp4_order(2)),
-    "a6": (0, lambda _: squares_subgroup(_build_cached("sp4", (2,)), "a6"), lambda: 360),
-    "trivial": (0, lambda _: _build_trivial(), lambda: 1),
+    "s6": (0, lambda _: _build_cached("sp4", (2,)), _sp4_order),
+    "a6": (0, lambda _: squares_subgroup(_build_cached("sp4", (2,)), "a6"), PolyQ(360)),
+    "trivial": (0, lambda _: _build_trivial(), PolyQ(1)),
     "ext-sp2q2-embedded": (1, _build_ext_embedded, _ext_order),
 }
+
+
+def _closed_order(name: str, args: tuple) -> int:
+    return _SPECS[name][2].eval_int(args[-1] if args else 2)
 
 
 def parse_group_spec(text: str) -> tuple:
@@ -1289,9 +1295,8 @@ def parse_group_spec(text: str) -> tuple:
 def _build_cached(name: str, args: tuple) -> FinGroup:
     """A parsed spec's group, built once: the end-to-end guard on the kernel
     is that it has its closed-form order."""
-    _, build, order = _SPECS[name]
-    n = order(*args)
-    G = build(*args, n)
+    n = _closed_order(name, args)
+    G = _SPECS[name][1](*args, n)
     if G.order != n:
         raise InternalCheckError(f"{G.label}: enumerated {G.order} elements, closed form {n}")
     return G
@@ -1302,40 +1307,49 @@ def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
     (name, args) pair that parse_group_spec made of one; refused before
     anything is built if its closed-form order exceeds max_order."""
     name, args = parse_group_spec(spec) if isinstance(spec, str) else spec
-    n = _SPECS[name][2](*args)
+    n = _closed_order(name, args)
     if n > max_order:
         raise ResourceBoundError(f"{':'.join(map(str, (name, *args)))}: order {n} "
                                  f"exceeds the enumeration bound {max_order}")
     return _build_cached(name, args)
 
 
-# The maximal rows of Sp4(q), q = 2^e, in scan order: (group spec, printed
-# label, e -> the q0 the row takes, one row each, the label of the row tau
-# maps it onto), each string a format over q and q0
-_ONE = lambda e: (0,)
+# The maximal rows of Sp4(q), q = 2^e, in scan order: (group spec, printed label,
+# e -> the t the row takes, one row each, the label of the row tau maps it onto,
+# tau_H(1) as a PolyQ in t or None), each string a format over q and t; t is q,
+# but q0 on sp4-sub and r = sqrt(2q) on sz (its total is no polynomial in q)
+_AT_Q = lambda e: (1 << e,)
+_wreath_tau = _q**4 + _q**3 - _q                          # wreath-sp2 = so4+
+_ext_tau = _q**4 + _q**3 + _q                             # ext-sp2q2 = so4-
 MAXIMAL_ROWS = (
-    ("a6", "a6", lambda e: (0,) if e == 1 else (), None),
-    ("parabolic-p:{q}", "parabolic-p:{q}", _ONE, None),
-    ("parabolic-q:{q}", "parabolic-q:{q}", _ONE, "parabolic-p:{q}"),
-    ("wreath-sp2:{q}", "wreath-sp2:{q}", _ONE, None),
-    ("ext-sp2q2-embedded:{q}", "ext-sp2q2:{q}", _ONE, None),
-    ("sp4-sub:{q}:{q0}", "sp4-sub:{q}:{q0}", lambda e: [1 << e // r for r in _prime_factors(e)],
-     None),
-    ("so4+:{q}", "so4+:{q}", _ONE, "wreath-sp2:{q}"),
-    ("so4-:{q}", "so4-:{q}", _ONE, "ext-sp2q2:{q}"),  # tau maps so4- onto ext only at q <= 4
-    ("sz:{q}", "sz:{q}", lambda e: (0,) if e > 1 and e % 2 else (), None),
+    ("a6", "a6", lambda e: (2,) if e == 1 else (), None, None),
+    ("parabolic-p:{q}", "parabolic-p:{q}", _AT_Q, None, None),
+    ("parabolic-q:{q}", "parabolic-q:{q}", _AT_Q, "parabolic-p:{q}", None),
+    ("wreath-sp2:{q}", "wreath-sp2:{q}", _AT_Q, None, _wreath_tau),
+    ("ext-sp2q2-embedded:{q}", "ext-sp2q2:{q}", _AT_Q, None, _ext_tau),
+    ("sp4-sub:{q}:{t}", "sp4-sub:{q}:{t}", lambda e: [1 << e // r for r in _prime_factors(e)],
+     None, _q**6 + _q**4 - _q**2),
+    ("so4+:{q}", "so4+:{q}", _AT_Q, "wreath-sp2:{q}", _wreath_tau),
+    ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}", _ext_tau),  # tau onto ext at q <= 4 only
+    ("sz:{q}", "sz:{q}", lambda e: (1 << (e + 1) // 2,) if e > 1 and e % 2 else (), None,
+     (_q - _q**2 / 2) * (_q**2 / 2 - 1) + _q**6 / 8),       # (r - q)(q - 1) + q^3, q = r^2/2
 )
 
 
+def closed_forms(name: str) -> tuple:
+    """(order, tau_H(1) or None) of spec `name`: the PolyQ of each table."""
+    return _SPECS[name][2], next((r[4] for r in MAXIMAL_ROWS if r[0].split(":")[0] == name), None)
+
+
 def maximal_rows_sp4(q: int) -> list:
-    """(spec, label, tau-partner) per row of MAXIMAL_ROWS that sp4:q has;
-    nothing is built."""
+    """(spec, label, tau-partner, closed-form tau_H(1) or None) per row of
+    MAXIMAL_ROWS that sp4:q has; nothing is built."""
     e = _even_prime_power(q, str(q), 0)
-    return [tuple(s and s.format(q=q, q0=q0) for s in (spec, label, partner))
-            for spec, label, q0s, partner in MAXIMAL_ROWS for q0 in q0s(e)]
+    return [(*(s and s.format(q=q, t=t) for s in (spec, label, partner)), tau and tau.eval_int(t))
+            for spec, label, ts, partner, tau in MAXIMAL_ROWS for t in ts(e)]
 
 
 def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
     """(subgroup, label): one concrete subgroup per row of `maximal_rows_sp4(q)`."""
     return [(build_group(spec, max_order=max_order), label)
-            for spec, label, _ in maximal_rows_sp4(q)]
+            for spec, label, *_ in maximal_rows_sp4(q)]

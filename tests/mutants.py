@@ -133,21 +133,32 @@ MUTANTS = (
             "tests/test_cli.py::test_chartab_json_matches_golden[so4-:2]")),
     # so4+ and so4- each carried from the other's partner
     Mutant("tau-partners-swapped", "groups.py",
-           '"wreath-sp2:{q}"),\n    ("so4-:{q}", "so4-:{q}", _ONE, "ext-sp2q2:{q}")',
-           '"ext-sp2q2:{q}"),\n    ("so4-:{q}", "so4-:{q}", _ONE, "wreath-sp2:{q}")',
+           '"wreath-sp2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}"',
+           '"ext-sp2q2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "wreath-sp2:{q}"',
            ("tests/test_cli.py::test_scan_maximal_json_matches_golden[2]",
             "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
     # the closed form of tau_H(1) for ext-sp2q2 and so4- one too large: the
     # scan's check against the computed totals, under -O
-    Mutant("ext-total-degree-off-by-one-cli", "families.py",
-           "return (PolyQ.q(4) + PolyQ.q(3) + _Q).eval(q)",
-           "return (PolyQ.q(4) + PolyQ.q(3) + _Q + 1).eval(q)",
+    Mutant("ext-total-degree-off-by-one-cli", "groups.py",
+           "_ext_tau = _q**4 + _q**3 + _q ",
+           "_ext_tau = _q**4 + _q**3 + _q + 1 ",
            argv=("scan-maximal", "4")),
     # the closed form of sp4-sub:q:q0 read at q, the total of Sp4(q) itself
-    Mutant("sp4-sub-closed-form-at-q-cli", "gelfand.py",
-           '"sp4-sub": lambda q, q0: sp4_degree_facts(q0)[0]',
-           '"sp4-sub": lambda q, q0: sp4_degree_facts(q)[0]',
+    # (every other row at q = 4 reads its form at t = q anyway)
+    Mutant("sp4-sub-closed-form-at-q-cli", "groups.py",
+           "tau and tau.eval_int(t))", "tau and tau.eval_int(q))",
            argv=("scan-maximal", "4")),
+    # the one wreath-sp2 = so4+ order as (q^2 - 1)(q^2 + 1) for (q^2 - 1)^2:
+    # the build's order check fails under -O ...
+    Mutant("wreath-order-wrong-factor-cli", "groups.py",
+           "_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2",
+           "_wreath_order = 2 * _q**2 * (_q**2 - 1) * (_q**2 + 1)",
+           argv=("chartab", "wreath-sp2:4")),
+    # ... and so does the degree family's sum d^2 m, which reads the same order
+    Mutant("wreath-order-wrong-factor", "groups.py",
+           "_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2",
+           "_wreath_order = 2 * _q**2 * (_q**2 - 1) * (_q**2 + 1)",
+           ("tests/test_families.py::test_wreath_spec_symbolic_identities",)),
     # parabolic-p keeps the root element that moves <e1>: its closure
     # outgrows its closed form, a bug (exit 4), not the --max-order bound (3)
     Mutant("parabolic-keeps-every-generator-cli", "groups.py",

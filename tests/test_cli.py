@@ -313,6 +313,17 @@ def test_alpha_sum_json_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("family,q", [("wreath", 4), ("wreath", 8), ("ext", 4),
+                                      ("suzuki", 8), ("suzuki", 32),
+                                      ("sp4", 2), ("sp4", 4), ("sp4", 8)])
+def test_families_json_matches_golden(family, q, capsys):
+    """Byte-identical to the output pinned before the orders and tau_H(1)
+    closed forms moved onto the spec and row tables of `groups`."""
+    golden = Path(__file__).parent / "golden" / f"families_{family}_{q}.json"
+    assert main(["--format", "json", "families", family, str(q)]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("side", ["restrict", "induce"])
 @pytest.mark.parametrize("sub", ["parabolic-p:4", "parabolic-q:4"])

@@ -1,6 +1,7 @@
 """Cyclotomic arithmetic: ring axioms, canonical forms, conversions."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclo_oracles import residue, to_json
 from sgplab.errors import InternalCheckError
-from sgplab.exactnum import (MAX_ORDER, Cyclo, _divide_binomial, _prime_factors,
+from sgplab.exactnum import (MAX_ORDER, Cyclo, PolyQ, _divide_binomial, _prime_factors,
                              cyclotomic_poly, root_of_unity)
 
 
@@ -390,3 +391,35 @@ def test_residue_is_a_ring_map(a, b):
     canonical = sum(c.numerator * pow(c.denominator, -1, p) * pow(w, e, p)
                     for e, c in a.coeffs.items()) % p
     assert res(a) == canonical
+
+
+def test_polyq_zero_is_not_none():
+    """The zero polynomial equals 0, not None: a PolyQ is compared with a
+    PolyQ, an int or a Fraction only."""
+    assert operator.eq(PolyQ(0), None) is False
+    assert PolyQ(0).__eq__(None) is NotImplemented
+    assert PolyQ(0) == 0 and PolyQ(3) == Fraction(3) and 3 == PolyQ(3)
+    with pytest.raises(TypeError):                 # not read as the zero polynomial
+        PolyQ.q() + None
+
+
+def test_polyq_is_not_compared_with_a_string():
+    """A string is not read as a Fraction: q == "x" is False, not a
+    ValueError."""
+    assert operator.eq(PolyQ.q(), "x") is False
+    assert operator.eq(PolyQ(1), "1") is False
+
+
+def test_polyq_constant_hashes_like_its_value():
+    """Equal values hash equal: a constant PolyQ is found in a set of ints
+    and an int in a set of PolyQ."""
+    assert 3 in {PolyQ(3)} and PolyQ(3) in {3}
+    assert Fraction(1, 2) in {PolyQ(Fraction(1, 2))} and 0 in {PolyQ(0)}
+    assert len({PolyQ(3), 3, Fraction(3)}) == 1
+    assert hash(PolyQ.q(2) + 1) == hash(PolyQ({2: 1, 0: 1}))
+
+
+def test_polyq_power_is_repeated_product():
+    q = PolyQ.q()
+    assert q**0 == 1 and q**3 == q * q * q
+    assert ((q - 1) ** 2).eval(5) == 16

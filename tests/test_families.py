@@ -12,7 +12,7 @@ from sgplab.families import (AlphaParams, PolyQ, alpha_sum, alpha_sums, ext_degr
                              parabolic_inner_product, sl2_table,
                              sp4_degree_facts, suzuki_degree_spec,
                              suzuki_total_degree, wreath_degree_spec)
-from sgplab.groups import build_group
+from sgplab.groups import build_group, closed_forms, maximal_rows_sp4
 
 
 Q = PolyQ.q()
@@ -93,6 +93,11 @@ def test_wreath_spec_symbolic_identities():
     assert total == PolyQ.q(4) + PolyQ.q(3) - Q          # q^4 + q^3 - q
     assert sum_sq == spec.order_poly                      # 2 q^2 (q^2-1)^2
     assert len(spec.rows) == 16
+    # the one encoding of each: the order on the spec table, tau_H(1) on the
+    # row table, shared with so4+
+    for name in ("wreath-sp2", "so4+"):
+        order, tau = closed_forms(name)
+        assert sum_sq == order and total == tau
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
@@ -148,6 +153,21 @@ def test_ext_totals():
     spec = ext_degree_spec()
     assert spec.sum_degree_squares(4) == 4080    # |Sp2(16)|
     assert spec.total_degree(4) == 256
+    # As PolyQ identities against the one encoding: Sp2(q^2) has index 2 in
+    # the ext-sp2q2 specs and so4-.  An invariant irreducible of Sp2(q^2)
+    # extends to two of the extension, a non-invariant pair fuses into one,
+    # so tau(1) of the extension is sum d m plus the invariant degrees: Tr,
+    # psi and the q - 1 chi_s that split (`ext_split_rule`).
+    total = sum((row.degree * row.multiplicity for row in spec.rows), PolyQ(0))
+    sum_sq = sum((row.degree ** 2 * row.multiplicity for row in spec.rows), PolyQ(0))
+    invariant = 1 + Q**2 + (Q - 1) * (Q**2 + 1)
+    for name in ("ext-sp2q2-embedded", "so4-"):
+        order, tau = closed_forms(name)
+        assert 2 * sum_sq == order and total + invariant == tau
+    assert 2 * sum_sq == closed_forms("ext-sp2q2")[0]
+    for q in (4, 8, 16):
+        rule = [ext_split_rule(q, s) for s in range(1, (q * q - 2) // 2 + 1)]
+        assert rule.count("split") == q - 1
 
 
 def test_suzuki_spec():
@@ -162,6 +182,23 @@ def test_suzuki_spec():
         suzuki_degree_spec(4)
     with pytest.raises(ValueError):
         suzuki_degree_spec(2)
+    # against the one encoding: the sz row's tau_H(1), a polynomial in
+    # r = sqrt(2q), and the sz order on the spec table
+    order = closed_forms("sz")[0]
+    for q, tau in ((8, 484), (32, 32024), (128, 2082928)):
+        spec = suzuki_degree_spec(q)
+        [row_tau] = [closed for spec_, *_, closed in maximal_rows_sp4(q) if spec_ == f"sz:{q}"]
+        assert spec.total_degree(q) == row_tau == suzuki_total_degree(q) == tau
+        assert spec.sum_degree_squares(q) == order.eval_int(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 64])
+def test_suzuki_forms_refuse_a_q_outside_their_range(q):
+    """The Suzuki degree list and its total need q = 2^(2n+1), n >= 1: both
+    share one check, so neither evaluates at a q the other refuses."""
+    for form in (suzuki_degree_spec, suzuki_total_degree):
+        with pytest.raises(ValueError, match=f"Suzuki degree list needs .* got {q}$"):
+            form(q)
 
 
 def test_sp4_degree_facts_values():

@@ -13,6 +13,7 @@ from sgplab.chartab import (CharTable, Character, dixon_schneider, induce,
                             trivial_character)
 from sgplab.cli import EXIT_INTERNAL, main
 from sgplab.errors import InternalCheckError, ResourceBoundError, SubgroupError
+from sgplab.exactnum import PolyQ
 from sgplab.gelfand import (SgpVerdict, Witness, is_gelfand_pair,
                             is_multiplicity_free, is_strong_gelfand_pair,
                             scan_maximal_sp4, schur_commutes,
@@ -538,9 +539,12 @@ def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
 
 
 def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch):
-    """The scan checks each row's computed tau_H(1) against its closed form
-    before the shortcut reads it: wreath-sp2:2 totals 22, not 23."""
-    monkeypatch.setitem(gelfand._CLOSED_TOTALS, "wreath-sp2", lambda q: 23)
+    """The scan checks each row's computed tau_H(1) against the closed form
+    on its `MAXIMAL_ROWS` row before the shortcut reads it: wreath-sp2:2
+    totals 22, not 23."""
+    monkeypatch.setattr(groups, "MAXIMAL_ROWS", tuple(
+        row[:4] + (PolyQ(23),) if row[0] == "wreath-sp2:{q}" else row
+        for row in groups.MAXIMAL_ROWS))
     with pytest.raises(InternalCheckError,
                        match=r"wreath-sp2:2: tau_H\(1\) = 22, its closed form 23"):
         scan_maximal_sp4(2)

@@ -1,5 +1,6 @@
 """Group construction, enumeration, and conjugacy structure."""
 
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ from sgplab import gfield, groups
 from sgplab.cli import EXIT_INTERNAL, main
 from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                            SubgroupError)
+from sgplab.exactnum import PolyQ
 from sgplab.gelfand import scan_maximal_sp4
 from sgplab.groups import (_sorted_unique, build_group, centralizer_order,
                            conjugacy_classes, cyclic_subgroup, element_order,
@@ -281,7 +283,7 @@ def test_ext_embedded_gens_match_the_coordinate_table_oracle(q, monkeypatch):
     seen = []
     monkeypatch.setattr(groups, "_generated",
                         lambda label, ops, gens, *rest: seen.append(gens))
-    groups._build_ext_embedded(q, groups._ext_order(q))
+    groups._build_ext_embedded(q, groups._ext_order.eval_int(q))
     assert [int(k) for k in seen[0]] == _ext_embedded_gens_by_table(q)
 
 
@@ -328,16 +330,21 @@ def test_maximal_subgroups_rejects_non_powers_of_two(q):
 
 
 def _rows(q, subfields=(), a6=False, sz=False):
-    """(spec, label, tau-partner) of the maximal rows of sp4:q, written out."""
-    return ([("a6", "a6", None)] * a6 + [
-        (f"parabolic-p:{q}", f"parabolic-p:{q}", None),
-        (f"parabolic-q:{q}", f"parabolic-q:{q}", f"parabolic-p:{q}"),
-        (f"wreath-sp2:{q}", f"wreath-sp2:{q}", None),
-        (f"ext-sp2q2-embedded:{q}", f"ext-sp2q2:{q}", None)]
-        + [(f"sp4-sub:{q}:{q0}", f"sp4-sub:{q}:{q0}", None) for q0 in subfields]
-        + [(f"so4+:{q}", f"so4+:{q}", f"wreath-sp2:{q}"),
-           (f"so4-:{q}", f"so4-:{q}", f"ext-sp2q2:{q}")]
-        + [(f"sz:{q}", f"sz:{q}", None)] * sz)
+    """(spec, label, tau-partner, closed-form tau_H(1)) of the maximal rows of
+    sp4:q, written out: q^4 + q^3 - q for wreath-sp2 and so4+, q^4 + q^3 + q
+    for ext-sp2q2 and so4-, the Sp4(q0) total for sp4-sub:q:q0 and
+    r(q - 1) - q(q - 1) + q^3, r = sqrt(2q), for sz."""
+    wreath, ext, r = q**4 + q**3 - q, q**4 + q**3 + q, math.isqrt(2 * q)
+    return ([("a6", "a6", None, None)] * a6 + [
+        (f"parabolic-p:{q}", f"parabolic-p:{q}", None, None),
+        (f"parabolic-q:{q}", f"parabolic-q:{q}", f"parabolic-p:{q}", None),
+        (f"wreath-sp2:{q}", f"wreath-sp2:{q}", None, wreath),
+        (f"ext-sp2q2-embedded:{q}", f"ext-sp2q2:{q}", None, ext)]
+        + [(f"sp4-sub:{q}:{q0}", f"sp4-sub:{q}:{q0}", None, q0**6 + q0**4 - q0**2)
+           for q0 in subfields]
+        + [(f"so4+:{q}", f"so4+:{q}", f"wreath-sp2:{q}", wreath),
+           (f"so4-:{q}", f"so4-:{q}", f"ext-sp2q2:{q}", ext)]
+        + [(f"sz:{q}", f"sz:{q}", None, r * (q - 1) - q * (q - 1) + q**3)] * sz)
 
 
 def test_maximal_rows_are_read_from_the_table_without_building(monkeypatch):
@@ -1164,8 +1171,7 @@ def _cond_of(spec, monkeypatch):
     monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order,
                         cond=None: seen.append(cond))
     name, args = parse_group_spec(spec)
-    _, build, order = groups._SPECS[name]
-    build(*args, order(*args))
+    groups._SPECS[name][1](*args, groups._closed_order(name, args))
     return seen[0]
 
 
@@ -1310,9 +1316,9 @@ def test_every_spec_is_checked_against_its_closed_form(monkeypatch, fresh_builds
     """`_build_cached` checks the group of every spec, those that close no
     generators of their own too, against the order in its `_SPECS` row."""
     name, args = parse_group_spec(spec)
-    arity, build, order = groups._SPECS[name]
-    n = order(*args)
-    monkeypatch.setitem(groups._SPECS, name, (arity, build, lambda *_: n + 1))
+    arity, build, _ = groups._SPECS[name]
+    n = groups._closed_order(name, args)
+    monkeypatch.setitem(groups._SPECS, name, (arity, build, PolyQ(n + 1)))
     with pytest.raises(InternalCheckError, match=f"enumerated {n} elements, closed form {n + 1}"):
         build_group(spec)
 
