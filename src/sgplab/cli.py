@@ -194,7 +194,7 @@ def run(ns: argparse.Namespace, out=print) -> int:
 
     if ns.verb == "verify-paper":
         tier = 3 if ns.full else 2 if ns.deep else 1
-        ok = verify.run_checks(tier, report=out)
+        ok = verify.run_checks(tier, report=out, max_order=ns.max_order)
         return EXIT_OK if ok else EXIT_FAIL
 
     print(f"unhandled verb {ns.verb}", file=sys.stderr)

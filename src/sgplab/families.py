@@ -18,7 +18,7 @@ from .chartab import Character, CharTable
 from .errors import InternalCheckError
 from .exactnum import Cyclo, PolyQ, _canonical_rows, root_of_unity
 from .groups import (FinGroup, build_group, closed_forms, conjugacy_classes,
-                     element_order, element_powers)
+                     element_order, element_powers, suzuki_r)
 
 __all__ = [
     "PolyQ", "DegreeRow", "DegreeSpec", "AlphaParams",
@@ -219,9 +219,10 @@ def ext_total_degree(q: int) -> Fraction:
 def _suzuki_r(q: int) -> int:
     """r = sqrt(2q) of q = 2^(2n+1), n >= 1; ValueError for any other q."""
     e = q.bit_length() - 1
-    if q < 8 or (1 << e) != q or e % 2 == 0:
+    r = suzuki_r(e) if q >= 8 and (1 << e) == q else None
+    if r is None:
         raise ValueError(f"the Suzuki degree list needs q = 2^(2n+1), n >= 1, got {q}")
-    return 1 << (e + 1) // 2
+    return r
 
 
 def suzuki_degree_spec(q: int) -> DegreeSpec:

@@ -64,7 +64,7 @@ __all__ = [
     "ClassData", "FinGroup", "MatOps", "ExtOps",
     "build_group", "parse_group_spec", "conjugacy_classes", "h_classes",
     "centralizer_order", "MAXIMAL_ROWS", "maximal_rows_sp4", "maximal_subgroups_sp4",
-    "closed_forms", "subgroup",
+    "closed_forms", "suzuki_r", "subgroup",
     "find_generators", "mulclose", "element_order", "element_powers",
     "is_subgroup", "carry_classes",
     "squares_subgroup", "cyclic_subgroup", "perm_group", "all_subgroups",
@@ -877,6 +877,12 @@ def all_subgroups(G: FinGroup) -> list:
 # -- constructors -----------------------------------------------------------
 
 
+def suzuki_r(e: int) -> int | None:
+    """r = 2^((e+1)/2) = sqrt(2q) of q = 2^e when e is odd, the q that have a
+    Suzuki group Sz(q); None for even e.  Callers add their own bound on e."""
+    return 1 << (e + 1) // 2 if e % 2 else None
+
+
 def _even_prime_power(q: int, text: str, pos: int) -> int:
     e = q.bit_length() - 1
     if q < 2 or (1 << e) != q:
@@ -1255,7 +1261,9 @@ _SPECS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _closed_order(name: str, args: tuple) -> int:
+    """The order of a parsed spec, its PolyQ evaluated once per (name, args)."""
     return _SPECS[name][2].eval_int(args[-1] if args else 2)
 
 
@@ -1280,7 +1288,7 @@ def parse_group_spec(text: str) -> tuple:
     # validity conditions that do not need any enumeration
     for q, at in zip(args, starts):
         _even_prime_power(q, text, at)
-    if name == "sz" and (args[0].bit_length() - 1) % 2 == 0:
+    if name == "sz" and suzuki_r(args[0].bit_length() - 1) is None:
         raise GroupSpecError(f"sz:{args[0]} needs odd field degree", text,
                              len(name) + 1)
     if name == "sp4-sub":
@@ -1331,7 +1339,7 @@ MAXIMAL_ROWS = (
      None, _q**6 + _q**4 - _q**2),
     ("so4+:{q}", "so4+:{q}", _AT_Q, "wreath-sp2:{q}", _wreath_tau),
     ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}", _ext_tau),  # tau onto ext at q <= 4 only
-    ("sz:{q}", "sz:{q}", lambda e: (1 << (e + 1) // 2,) if e > 1 and e % 2 else (), None,
+    ("sz:{q}", "sz:{q}", lambda e: (r,) if (r := suzuki_r(e)) and e > 1 else (), None,
      (_q - _q**2 / 2) * (_q**2 / 2 - 1) + _q**6 / 8),       # (r - q)(q - 1) + q^3, q = r^2/2
 )
 

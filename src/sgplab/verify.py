@@ -1,8 +1,10 @@
 """The acceptance harness behind `sgp-lab verify-paper` and the test suite.
 
-Each check is a named callable returning (ok, detail).  Tiers: 1 runs in
-seconds (formula/family checks and small groups), 2 adds the mid-size
-tables (sl2:16, wreath, ext, Suzuki), 3 adds the full sp4:4 reproduction.
+Each check is a named callable of the enumeration bound returning (ok,
+detail); every group it builds is refused above that bound (exit 3), as
+for any other verb.  Tiers: 1 runs in seconds (formula/family checks and
+small groups), 2 adds the mid-size tables (sl2:16, wreath, ext, Suzuki),
+3 adds the full sp4:4 reproduction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cache
 from . import families, gelfand
 from .chartab import (dixon_schneider, induce, inner_product, restrict,
                       split_fuse, tables_equal_upto_permutation)
-from .groups import (build_group, cyclic_subgroup, element_order,
+from .groups import (MAX_ORDER_DEFAULT, build_group, cyclic_subgroup, element_order,
                      squares_subgroup, subgroup)
 
 __all__ = ["CHECKS", "run_checks", "Check"]
@@ -31,19 +33,20 @@ class Check:
 
 
 @cache
-def _c1_sl2_tables(qs):
+def _c1_sl2_tables(qs, max_order):
     for q in qs:
-        fam = families.sl2_table(q)
-        dix = dixon_schneider(build_group(f"sl2:{q}"))
+        G = build_group(f"sl2:{q}", max_order=max_order)
+        fam = families.sl2_table(q, G)
+        dix = dixon_schneider(G)
         if not tables_equal_upto_permutation(fam, dix):
             return False, f"sl2:{q} family table differs from the computed table"
     return True, f"computed tables equal the closed-form tables for q in {qs}"
 
 
 @cache
-def _c2_wreath():
+def _c2_wreath(max_order):
     spec = families.wreath_degree_spec()
-    T = dixon_schneider(build_group("wreath-sp2:4"))
+    T = dixon_schneider(build_group("wreath-sp2:4", max_order=max_order))
     total = T.total_degree()
     if total != 316:
         return False, f"total degree {total} != 316"
@@ -55,9 +58,9 @@ def _c2_wreath():
 
 
 @cache
-def _c3_ext():
+def _c3_ext(max_order):
     q = 4
-    G = build_group(f"ext-sp2q2:{q}")
+    G = build_group(f"ext-sp2q2:{q}", max_order=max_order)
     H = subgroup(G, G.keys[G.ops.fiber_of(G.keys) == 0], f"sp2q2-in-ext:{q}")
     TH = families.sl2_table(q * q, H)
     verdicts = {}
@@ -123,8 +126,8 @@ def _c4_alpha():
 
 
 @cache
-def _c5_suzuki():
-    T = dixon_schneider(build_group("sz:8"))
+def _c5_suzuki(max_order):
+    T = dixon_schneider(build_group("sz:8", max_order=max_order))
     want = [1, 14, 14, 35, 35, 35, 64, 65, 65, 65, 91]
     if T.degrees != want:
         return False, f"degree multiset {T.degrees} != {want}"
@@ -138,13 +141,13 @@ def _c5_suzuki():
 
 
 @cache
-def _c6_s6_scan():
-    verdicts = gelfand.scan_maximal_sp4(2)
+def _c6_s6_scan(max_order):
+    verdicts = gelfand.scan_maximal_sp4(2, max_order=max_order)
     bad = [v for v in verdicts if v.verdict != "sgp"]
     if bad:
         return False, f"maximal subgroup(s) not sgp: {[v.h_label for v in bad]}"
-    s6 = build_group("sp4:2")
-    s5 = build_group("so4-:2")
+    s6 = build_group("sp4:2", max_order=max_order)
+    s5 = build_group("so4-:2", max_order=max_order)
     a5 = squares_subgroup(s5, "a5")
     if gelfand.is_strong_gelfand_pair(s6, a5).verdict != "not_sgp":
         return False, "(S6, A5) should not be a strong Gelfand pair"
@@ -156,8 +159,8 @@ def _c6_s6_scan():
 
 
 @cache
-def _c7_sp4_scan():
-    verdicts = gelfand.scan_maximal_sp4(4)
+def _c7_sp4_scan(max_order):
+    verdicts = gelfand.scan_maximal_sp4(4, max_order=max_order)
     if len(verdicts) != 7 or any(v.verdict != "not_sgp" for v in verdicts):
         return False, "expected seven not_sgp verdicts"
     para = [v for v in verdicts if v.h_label.startswith("parabolic")]
@@ -169,7 +172,7 @@ def _c7_sp4_scan():
     shortcut = [v for v in verdicts if not v.h_label.startswith("parabolic")]
     if any(v.method != "total_char_shortcut" for v in shortcut):
         return False, "shortcut was expected to settle the five non-parabolic rows"
-    T = dixon_schneider(build_group("sp4:4"))
+    T = dixon_schneider(build_group("sp4:4", max_order=max_order))
     total = T.total_degree()
     ftotal, fmax = families.sp4_degree_facts(4)
     if total != 4336 or ftotal != 4336:
@@ -184,7 +187,7 @@ def _c7_sp4_scan():
 
 
 @cache
-def _c8_subfield():
+def _c8_subfield(max_order):
     for q0 in (2, 4):
         for r in (2, 3):
             q = q0 ** r
@@ -193,7 +196,7 @@ def _c8_subfield():
             _, rhs = families.sp4_degree_facts(q)
             if total0 != lhs or not lhs < rhs:
                 return False, f"q0={q0}, r={r}: {lhs} !< {rhs}"
-    s6 = build_group("sp4:2")
+    s6 = build_group("sp4:2", max_order=max_order)
     tau = dixon_schneider(s6).total_degree()
     if tau != 76 or not tau < 425:
         return False, f"tau_S6(1) = {tau}, expected 76 < 425"
@@ -201,7 +204,7 @@ def _c8_subfield():
 
 
 @cache
-def _c9_schur():
+def _c9_schur(max_order):
     from .groups import all_subgroups, perm_group
     s4 = perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4-perm")
     count = 0
@@ -212,9 +215,9 @@ def _c9_schur():
         if sc != full:
             return False, f"disagreement on a subgroup of order {ks.size}"
         count += 1
-    s6 = build_group("sp4:2")
-    for H, want in ((build_group("so4-:2"), True),
-                    (build_group("a6"), True)):
+    s6 = build_group("sp4:2", max_order=max_order)
+    for H, want in ((build_group("so4-:2", max_order=max_order), True),
+                    (build_group("a6", max_order=max_order), True)):
         if gelfand.schur_commutes(s6, H) is not want:
             return False, f"schur_commutes(S6, {H.label}) != {want}"
         if (gelfand.is_strong_gelfand_pair(s6, H).verdict == "sgp") is not want:
@@ -223,10 +226,10 @@ def _c9_schur():
 
 
 @cache
-def _c10_properties():
+def _c10_properties(max_order):
     # orthogonality and sum d^2 = |G| are asserted inside dixon_schneider for
     # every computed table; recheck row orthonormality on S6 here
-    s6 = build_group("sp4:2")
+    s6 = build_group("sp4:2", max_order=max_order)
     T = dixon_schneider(s6)
     if sum(d * d for d in T.degrees) != s6.order:
         return False, "sum of squared degrees != |S6|"
@@ -236,7 +239,7 @@ def _c10_properties():
             if inner_product(a, b) != want:
                 return False, f"row orthogonality fails at ({i}, {j})"
     # Frobenius reciprocity on 100 seeded random (psi, chi) pairs for (S6, S5)
-    s5 = build_group("so4-:2")
+    s5 = build_group("so4-:2", max_order=max_order)
     TH, TG = dixon_schneider(s5), T
     rng = random.Random(20260810)
     for _ in range(100):
@@ -259,11 +262,11 @@ def _c10_properties():
 
 
 CHECKS = (
-    Check("sl2-closed-form-small", 1, lambda: _c1_sl2_tables((4, 8))),
-    Check("sl2-closed-form-16", 2, lambda: _c1_sl2_tables((16,))),
+    Check("sl2-closed-form-small", 1, lambda max_order: _c1_sl2_tables((4, 8), max_order)),
+    Check("sl2-closed-form-16", 2, lambda max_order: _c1_sl2_tables((16,), max_order)),
     Check("wreath-total-316", 2, _c2_wreath),
     Check("ext-split-fuse-324", 2, _c3_ext),
-    Check("alpha-sums", 1, _c4_alpha),
+    Check("alpha-sums", 1, lambda max_order: _c4_alpha()),      # builds no group
     Check("suzuki-sz8", 2, _c5_suzuki),
     Check("s6-maximal-scan", 1, _c6_s6_scan),
     Check("sp4-4-scan", 3, _c7_sp4_scan),
@@ -273,16 +276,17 @@ CHECKS = (
 )
 
 
-def run_checks(tier: int, report=print) -> bool:
+def run_checks(tier: int, report=print, *, max_order: int = MAX_ORDER_DEFAULT) -> bool:
     """Run all checks up to `tier`; one pass/fail line each; True iff all pass.
-    The seconds of each check that runs go to stderr, one line each."""
+    The seconds of each check that runs go to stderr, one line each.  A
+    group above `max_order` raises ResourceBoundError."""
     all_ok = True
     for chk in CHECKS:
         if chk.tier > tier:
             report(f"SKIP {chk.name} (tier {chk.tier})")
             continue
         start = time.perf_counter()
-        ok, detail = chk.fn()
+        ok, detail = chk.fn(max_order)
         print(f"time {chk.name}: {time.perf_counter() - start:.2f} s",
               file=sys.stderr)
         all_ok &= ok

@@ -101,7 +101,7 @@ MUTANTS = (
            "top[:, :, [3, 2, 3, 3]], bottom[:, :, [3, 2, 3, 3]]",
            ("tests/test_kernel.py::test_graph_aut_is_a_homomorphism_on_all_pairs_of_sp4_2",
             "tests/test_kernel.py::test_graph_aut_pairs_the_maximal_rows[2]",
-            "tests/test_cli.py::test_scan_maximal_json_matches_golden[2]")),
+            "tests/test_cli.py::test_pinned_output[scan_maximal_2.json]")),
     # the labels of a trace fiber carried to the fiber one past its image under F
     Mutant("fiber-square-target-off-by-one", "groups.py",
            "nxt = int(ops.fiber_of(ops.frobenius(keys[:1]))[0]) if stable else f",
@@ -113,7 +113,7 @@ MUTANTS = (
            "class_of, reps = new[image_class], least[old]",
            "class_of, reps = image_class, least",
            ("tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]",
-            "tests/test_cli.py::test_scan_maximal_json_matches_golden[2]")),
+            "tests/test_cli.py::test_pinned_output[scan_maximal_2.json]")),
     # labels carried along F when G is F-stable but the conjugating group is not
     Mutant("f-stability-checked-on-g-alone", "groups.py",
            "for X in (G, within)))", "for X in (G,)))",
@@ -125,17 +125,17 @@ MUTANTS = (
            "np.zeros_like(m[:, 1, i])",
            ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[parabolic-p:2]",
             "tests/test_groups.py::test_gram_forms_match_the_product_check[sp4:2]",
-            "tests/test_cli.py::test_chartab_json_matches_golden[parabolic-p:2]")),
+            "tests/test_cli.py::test_pinned_output[chartab_parabolic-p_2.json]")),
     # so4- keeps x1 x4 + x2 x3 only, the form of so4+
     Mutant("so4-minus-without-its-squares", "groups.py",
            'return s if sign == "+" else add[s, squares[x[1], x[2]]]', "return s",
            ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[so4-:2]",
-            "tests/test_cli.py::test_chartab_json_matches_golden[so4-:2]")),
+            "tests/test_cli.py::test_pinned_output[chartab_so4-_2.json]")),
     # so4+ and so4- each carried from the other's partner
     Mutant("tau-partners-swapped", "groups.py",
            '"wreath-sp2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}"',
            '"ext-sp2q2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "wreath-sp2:{q}"',
-           ("tests/test_cli.py::test_scan_maximal_json_matches_golden[2]",
+           ("tests/test_cli.py::test_pinned_output[scan_maximal_2.json]",
             "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
     # the closed form of tau_H(1) for ext-sp2q2 and so4- one too large: the
     # scan's check against the computed totals, under -O
@@ -194,6 +194,11 @@ MUTANTS = (
            ("tests/test_exactnum.py::test_lazy_matches_eager_reference",
             "tests/test_exactnum.py::test_residue_is_a_ring_map",
             "tests/test_gelfand.py::test_schur_matches_sgp_on_s4_d8_q8")),
+    # verify-paper builds its groups without the --max-order bound: sl2:8
+    # (504 elements) is built, and the command exits 0, not 3
+    Mutant("verify-paper-without-the-bound", "cli.py",
+           "report=out, max_order=ns.max_order)", "report=out)",
+           ("tests/test_cli.py::test_max_order_refusal",)),
     # the same unscaled sum, seen by the console script under -O
     Mutant("cyclo-equal-order-ignores-den-cli", "exactnum.py",
            "if sign == 1 and order == self.order and den == self._den:",

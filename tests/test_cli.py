@@ -6,15 +6,17 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
-from functools import lru_cache
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sgplab
+from pinned import DIGESTS, GOLDEN, PINNED, main as run_pinned
 from sgplab import gfield, groups
 from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                         _parse_group_specs, _parser, main, run)
@@ -31,14 +33,6 @@ def _run(text):
     lines = []
     code = run(_parse(text), out=lines.append)
     return code, "\n".join(lines)
-
-
-@pytest.fixture
-def fresh_builds(monkeypatch):
-    """A build cache of the test's own, so no cached group (or its classes)
-    is reused, and every group built is dropped when the test ends."""
-    monkeypatch.setattr(groups, "_build_cached",
-                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
 
 
 def test_parse_spec_examples():
@@ -68,18 +62,9 @@ def test_alpha_sum_verb():
 
 
 def test_chartab_pretty_and_json():
+    """The JSON form is pinned by its golden (tests/pinned.py)."""
     code, out = _run("chartab sl2:4")
     assert code == EXIT_OK and "order 60, 5 classes" in out
-    code, js = _run("--format json chartab sl2:4")
-    assert code == EXIT_OK
-    blob = json.loads(js)
-    assert blob["order"] == 60 and len(blob["irreducibles"]) == 5
-
-
-def test_json_output_is_deterministic():
-    out1 = _run("--format json chartab sl2:8")[1]
-    out2 = _run("--format json chartab sl2:8")[1]
-    assert out1 == out2
 
 
 def test_chartab_csv():
@@ -148,8 +133,14 @@ def test_q_that_is_not_a_power_of_2_is_a_usage_error(argv, monkeypatch, capsys):
     assert "is not a power of 2" in capsys.readouterr().err
 
 
-def test_max_order_refusal():
-    assert main(["--max-order", "100", "chartab", "sl2:16"]) == EXIT_RESOURCE
+def test_max_order_refusal(capsys):
+    """The first group above `--max-order` is refused (exit 3), not built,
+    by every verb; `verify-paper` bounds every group its checks build."""
+    for bound, argv, refused in ((100, "chartab sl2:16", "sl2:16: order 4080"),
+                                 (100, "verify-paper", "sl2:8: order 504"),
+                                 (10**5, "verify-paper --full", "sp4:4: order 979200")):
+        assert main(["--max-order", str(bound), *argv.split()]) == EXIT_RESOURCE
+        assert f"{refused} exceeds the enumeration bound {bound}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", ["--max-order 0 scan-maximal 2",
@@ -170,9 +161,6 @@ def test_max_order_below_one_is_refused_when_parsed(argv, monkeypatch, capsys):
 def test_families_verb():
     code, out = _run("families suzuki 8")
     assert code == EXIT_OK and "484" in out
-    code, out = _run("--format json families wreath 4")
-    blob = json.loads(out)
-    assert blob["total_degree"] == 316 and blob["sum_degree_squares"] == 7200
     code, out = _run("families sp4 4")
     assert "4336" in out and "425" in out
 
@@ -195,39 +183,17 @@ def test_usage_errors_from_main():
     assert main(["alpha-sum", "8", "1", "2", "2"]) == EXIT_USAGE  # m = n
 
 
-def test_verify_paper_tier1():
-    code, out = _run("verify-paper")
-    assert code == EXIT_OK
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6 and "SKIP sp4-4-scan" in out
-
-
 def test_verify_paper_times_checks_on_stderr_only(capsys):
-    """stdout keeps exactly the pass/fail/skip lines; stderr gets one timing
-    line per check that runs, in check order."""
-    from sgplab.verify import CHECKS, run_checks
-    lines = []
-    run_checks(1, report=lines.append)
-    capsys.readouterr()
+    """stderr gets one timing line per check that runs, in check order;
+    stdout, the pass/fail/skip lines, is pinned by its golden."""
+    from sgplab.verify import CHECKS
     assert main(["verify-paper"]) == EXIT_OK
     cap = capsys.readouterr()
-    assert cap.out == "\n".join(lines) + "\n"
     ran = [c.name for c in CHECKS if c.tier <= 1]
     err = cap.err.splitlines()
     assert len(err) == len(ran)
     for name, line in zip(ran, err):
         assert re.fullmatch(rf"time {re.escape(name)}: \d+\.\d\d s", line), line
-
-
-def test_verify_paper_deep_lines_match_golden():
-    """The in-process tier-2 report is the committed stdout of
-    `verify-paper --deep`, which runs the ext split/fuse check; the checks
-    are cached, so this reruns none that another test already ran."""
-    from sgplab.verify import run_checks
-    lines = []
-    assert run_checks(2, report=lines.append)
-    golden = Path(__file__).parent / "golden" / "verify_paper_deep.txt"
-    assert lines == golden.read_text().splitlines()
 
 
 def test_inconsistent_closure_is_internal_error(monkeypatch, capsys, fresh_builds):
@@ -262,33 +228,6 @@ def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys, fres
     assert "sl2:8" in err and "not in the group" in err
 
 
-@pytest.mark.parametrize("spec", ["sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2",
-                                  "so4-:2", "parabolic-p:2",
-                                  "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4",
-                                  pytest.param("sp4:4", marks=pytest.mark.slow),
-                                  "sp4-sub:8:2", "ext-sp2q2:4", "so4+:4",
-                                  "parabolic-p:4", "wreath-sp2:4",
-                                  "parabolic-q:4", "so4-:4", "a6"])
-def test_chartab_json_matches_golden(spec, capsys):
-    """Byte-identical to the output pinned before the byte-table kernel (the
-    first three), before ExtOps moved onto it (the next three), before
-    ext-sp2q2-embedded was built from gamma's minimal polynomial (the next
-    two), before each eigenspace was split by the class matrix of its
-    first pivot after the identity (sp4:4), before keys of at most 32
-    bits were stored as uint32 (sp4-sub:8:2, which with sz:8 keeps 64-bit
-    keys) and before the class partition ran one fiber at a time
-    (ext-sp2q2:4 on its two twist fibers, so4+:4 on its four trace
-    fibers) and before the eigenspaces were split in batches
-    (parabolic-p:4 and wreath-sp2:4, the largest q = 4 splits outside
-    the other goldens: 26 and 20 classes) and before the Sp4(4) scan
-    carried tables along the graph automorphism (parabolic-q:4 and
-    so4-:4, two of the three rows it carries) and before A6 became a spec
-    (a6, pinned from the squares of sp4:2)."""
-    golden = Path(__file__).parent / "golden" / f"chartab_{spec.replace(':', '_')}.json"
-    assert main(["--format", "json", "chartab", spec]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text()
-
-
 @pytest.mark.parametrize("argv", [[], ["--format", "json"]])
 def test_no_command_is_a_usage_error_on_stderr(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -296,58 +235,24 @@ def test_no_command_is_a_usage_error_on_stderr(argv, capsys):
     assert captured.out == "" and "no command given" in captured.err
 
 
-@pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
-def test_scan_maximal_json_matches_golden(q, capsys):
-    """Byte-identical to the output pinned before q = 2 joined the q >= 4
-    maximal-subgroup list."""
-    golden = Path(__file__).parent / "golden" / f"scan_maximal_{q}.json"
-    assert main(["--format", "json", "scan-maximal", str(q)]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text()
+@pytest.mark.parametrize("entry", [pytest.param(p, id=p.name, marks=[pytest.mark.slow] * p.slow)
+                                   for p in PINNED if not p.digest])
+def test_pinned_output(entry, capsys):
+    """In process, the entry's exit status and, if it has one, its golden."""
+    assert main(list(entry.argv)) == entry.exit_code
+    if entry.golden:
+        assert capsys.readouterr().out == (GOLDEN / entry.golden).read_text()
 
 
-def test_alpha_sum_json_matches_golden(capsys):
-    """The paper's triple (q - 4, 1, 2) at q = 64: alpha = q - 5 = 59 and
-    inner product 2, by `alpha_sum`'s cyclotomic route."""
-    golden = Path(__file__).parent / "golden" / "alpha_sum_64.json"
-    assert main(["--format", "json", "alpha-sum", "64", "60", "1", "2"]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text()
-
-
-@pytest.mark.parametrize("family,q", [("wreath", 4), ("wreath", 8), ("ext", 4),
-                                      ("suzuki", 8), ("suzuki", 32),
-                                      ("sp4", 2), ("sp4", 4), ("sp4", 8)])
-def test_families_json_matches_golden(family, q, capsys):
-    """Byte-identical to the output pinned before the orders and tau_H(1)
-    closed forms moved onto the spec and row tables of `groups`."""
-    golden = Path(__file__).parent / "golden" / f"families_{family}_{q}.json"
-    assert main(["--format", "json", "families", family, str(q)]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("side", ["restrict", "induce"])
-@pytest.mark.parametrize("sub", ["parabolic-p:4", "parabolic-q:4"])
-def test_sgp_json_matches_golden(side, sub, capsys):
-    """Byte-identical to the output pinned before the verdicts were read
-    from the restriction-multiplicity matrix."""
-    name = f"sgp_{side}_sp4_4_{sub.replace(':', '_')}.json"
-    golden = Path(__file__).parent / "golden" / name
-    assert main(["--format", "json", "sgp", "--side", side, "sp4:4", sub]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text()
-
-
-Q8_DIGESTS = Path(__file__).parent / "golden" / "q8_digests.json"
-
-
-def q8_digests(spec: str) -> dict:
-    """SHA-256 digests of one q = 8 row: its sorted keys (little-endian
-    uint64), its ClassData (sizes, reps, inverse classes, orders, power
-    classes and the dtype of class_of as JSON, then the bytes of class_of)
-    and the stdout of `chartab --format json`."""
-    G = build_group(spec)
+def q8_digests(entry) -> dict:
+    """SHA-256 digests of the q = 8 row of a digest entry: its sorted keys
+    (little-endian uint64), its ClassData (sizes, reps, inverse classes,
+    orders, power classes and the dtype of class_of as JSON, then the bytes
+    of class_of) and the stdout of the entry's `chartab --format json`."""
+    G = build_group(entry.digest)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["--format", "json", "chartab", spec]) == EXIT_OK
+        assert main(list(entry.argv)) == EXIT_OK
     cd = conjugacy_classes(G)
     classes = hashlib.sha256(json.dumps([cd.sizes, cd.reps, cd.inverse_class, cd.orders,
                                          cd.power_classes, cd.class_of.dtype.str]).encode())
@@ -359,36 +264,54 @@ def q8_digests(spec: str) -> dict:
 
 @pytest.mark.slow
 def test_q8_rows_match_their_digests():
-    """The six large q = 8 maximal rows keep the keys, classes and JSON
+    """The q = 8 row of each digest entry keeps the keys, classes and JSON
     table pinned in tests/golden/q8_digests.json, recomputed in one
     process; a failure names each (row, digest) that differs."""
-    want = json.loads(Q8_DIGESTS.read_text())
-    assert list(want) == ["parabolic-p:8", "parabolic-q:8", "wreath-sp2:8",
-                          "ext-sp2q2-embedded:8", "so4+:8", "so4-:8"]
-    got = {spec: q8_digests(spec) for spec in want}
+    want = json.loads((GOLDEN / DIGESTS).read_text())
+    got = {p.digest: q8_digests(p) for p in PINNED if p.digest}
     differ = [(spec, name) for spec in want for name in ("keys", "classes", "stdout")
               if got[spec][name] != want[spec][name]]
     assert not differ, f"q = 8 digests that differ: {differ}"
 
 
 def test_every_golden_is_compared_under_optimize():
-    """The CI step that runs the console script with PYTHONOPTIMIZE=1 has
-    one `cmp` line per file in tests/golden but the q = 8 digest file, and
-    one `sha256sum -c` line per row of that file, which checks the row's
-    `chartab --format json` stdout against its digest; so a new golden or
-    digest row cannot miss the step."""
-    root = Path(__file__).parents[1]
-    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    """Each file of tests/golden but the digest file, and each row of that
+    file, is the pin of exactly one manifest entry, and each entry pins
+    exactly one result; the one CI step with PYTHONOPTIMIZE=1 runs the
+    whole manifest through the console script, so no pin can miss it."""
+    files = {p.name for p in GOLDEN.iterdir()}
+    assert Counter(p.golden for p in PINNED if p.golden) == Counter(files - {DIGESTS})
+    assert (Counter(p.digest for p in PINNED if p.digest)
+            == Counter(json.loads((GOLDEN / DIGESTS).read_text()).keys()))
+    assert all(bool(p.golden) + bool(p.digest) + bool(p.exit_code) == 1 for p in PINNED)
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
     steps = [s for s in workflow.split("- name: ") if 'PYTHONOPTIMIZE: "1"' in s]
-    assert len(steps) == 1
-    compared = re.findall(r"\| cmp - tests/golden/(\S+)$", steps[0], re.M)
-    goldens = sorted(p.name for p in (root / "tests" / "golden").iterdir())
-    assert Q8_DIGESTS.name in goldens
-    assert sorted(compared) == [g for g in goldens if g != Q8_DIGESTS.name]
-    digested = re.findall(r"^\s*sgp-lab --format json chartab (\S+) \| sha256sum -c "
-                          r"<\(jq -r '\.\[\"\1\"\]\.stdout \+ \"  -\"' "
-                          r"tests/golden/q8_digests\.json\)$", steps[0], re.M)
-    assert sorted(digested) == sorted(json.loads(Q8_DIGESTS.read_text()))
+    assert len(steps) == 1 and "run: python tests/pinned.py\n" in steps[0]
+
+
+def test_the_pinned_runner_names_each_output_that_differs(tmp_path, capsys):
+    """The -O step's runner, fed a stand-in for `sgp-lab` that prints every
+    pin, passes on a copy of tests/golden and fails, naming both entries, once
+    a byte of one golden and a character of one digest row are changed."""
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    digests = {p.digest: {"stdout": hashlib.sha256(p.digest.encode()).hexdigest()}
+               for p in PINNED if p.digest}
+    (tmp_path / DIGESTS).write_text(json.dumps(digests))
+    pins = {p.argv: (p.exit_code, p.golden and (GOLDEN / p.golden).read_bytes()
+                     or p.digest.encode()) for p in PINNED}
+    assert run_pinned(pins.get, tmp_path) == 0 and "MISMATCH" not in capsys.readouterr().out
+    flipped = bytearray((GOLDEN / "scan_maximal_2.json").read_bytes())
+    flipped[100] ^= 1
+    (tmp_path / "scan_maximal_2.json").write_bytes(flipped)
+    digests["so4-:8"]["stdout"] = "0" + digests["so4-:8"]["stdout"][1:]   # was "6"
+    (tmp_path / DIGESTS).write_text(json.dumps(digests))
+    assert run_pinned(pins.get, tmp_path) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "MISMATCH scan_maximal_2.json (sgp-lab --format json scan-maximal 2): "
+        "stdout differs from scan_maximal_2.json",
+        "MISMATCH so4-:8 (sgp-lab --format json chartab so4-:8): "
+        "stdout SHA-256 differs from its row of q8_digests.json",
+        "40 of 42 pinned outputs reproduced"]
 
 
 def test_group_spec_is_parsed_once(monkeypatch):

@@ -122,14 +122,6 @@ def test_subgroup_validation():
         is_strong_gelfand_pair(build_group("sl2:4"), build_group("wreath-sp2:2"))
 
 
-def test_scan_q2_all_sgp():
-    verdicts = scan_maximal_sp4(2)
-    assert len(verdicts) == 7
-    assert all(v.verdict == "sgp" for v in verdicts)
-    labels = {v.h_label for v in verdicts}
-    assert "a6" in labels and "so4-:2" in labels
-
-
 def test_scan_rejects_large_q():
     with pytest.raises(ResourceBoundError):
         scan_maximal_sp4(8)

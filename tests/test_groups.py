@@ -15,8 +15,9 @@ import pytest
 from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
 
 import sgplab
+from pinned import PINNED
 from sgplab import gfield, groups
-from sgplab.cli import EXIT_INTERNAL, main
+from sgplab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sgplab.errors import (GroupSpecError, InternalCheckError, ResourceBoundError,
                            SubgroupError)
 from sgplab.exactnum import PolyQ
@@ -525,8 +526,7 @@ def _union_find_labels(P, n):
     return label
 
 
-GOLDEN_SPECS = sorted(p.stem[len("chartab_"):].replace("_", ":") for p in
-                      (Path(__file__).parent / "golden").glob("chartab_*.json"))
+GOLDEN_SPECS = sorted(p.argv[-1] for p in PINNED if p.golden.startswith("chartab_"))
 
 
 @pytest.mark.parametrize("spec,by", [
@@ -977,14 +977,6 @@ def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
         groups._build_cached.__wrapped__("sp4", (2,))
 
 
-@pytest.fixture
-def fresh_builds(monkeypatch):
-    """A build cache of the test's own: every group is built anew, and
-    dropped when the test ends."""
-    monkeypatch.setattr(groups, "_build_cached",
-                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
-
-
 def _unscaled_points(ops, keys):
     """A broken point map: the first column as it stands, so <e1> and
     <gamma e1> are two points with one coset."""
@@ -1311,6 +1303,29 @@ def test_the_bound_is_not_part_of_the_build_cache_key(spec):
     assert build_group(spec) is build_group(spec, max_order=10**6)
 
 
+def test_each_spec_order_is_evaluated_once(monkeypatch, fresh_builds):
+    """Builds of a spec, the cache miss and the hits, evaluate its order once."""
+    calls, real = [], PolyQ.eval_int
+    monkeypatch.setattr(PolyQ, "eval_int", lambda self, q: calls.append(q) or real(self, q))
+    for _ in range(5):
+        build_group("sl2:4")
+        build_group("sl2:8", max_order=1000)
+    assert calls == [4, 8]
+
+
+def test_the_suzuki_rule_is_written_once(capsys):
+    """`suzuki_r`, r = sqrt(2q) at odd e, is read with each caller's own
+    bound: sz:2 (order 20) builds, Sp4(2) has no sz row, and the degree
+    list needs q >= 8; at q = 8 and 32 all read r = 4 and 8."""
+    assert main(["chartab", "sz:2"]) == EXIT_OK
+    assert main(["families", "suzuki", "2"]) == EXIT_USAGE
+    assert "needs q = 2^(2n+1), n >= 1, got 2" in capsys.readouterr().err
+    assert [groups.suzuki_r(e) for e in range(1, 7)] == [2, None, 4, None, 8, None]
+    assert [[t for s, _, ts, *_ in groups.MAXIMAL_ROWS if s[:2] == "sz" for t in ts(e)]
+            for e in (1, 3, 5)] == [[], [4], [8]]
+    assert [sgplab.families._suzuki_r(q) for q in (8, 32)] == [4, 8]
+
+
 @pytest.mark.parametrize("spec", ["trivial", "s6", "a6", "sl2:2", "sp4:2"])
 def test_every_spec_is_checked_against_its_closed_form(monkeypatch, fresh_builds, spec):
     """`_build_cached` checks the group of every spec, those that close no
@@ -1319,6 +1334,9 @@ def test_every_spec_is_checked_against_its_closed_form(monkeypatch, fresh_builds
     arity, build, _ = groups._SPECS[name]
     n = groups._closed_order(name, args)
     monkeypatch.setitem(groups._SPECS, name, (arity, build, PolyQ(n + 1)))
+    # the orders of the patched table, not those cached from the real one
+    monkeypatch.setattr(groups, "_closed_order",
+                        lru_cache(maxsize=None)(groups._closed_order.__wrapped__))
     with pytest.raises(InternalCheckError, match=f"enumerated {n} elements, closed form {n + 1}"):
         build_group(spec)
 
