@@ -37,16 +37,12 @@ def _json(*argv, golden="", digest="", slow=False):
     return Pinned(("--format", "json", *argv), golden, digest, slow=slow)
 
 
-def _chartab(spec, slow=False):
-    return _json("chartab", spec, golden=f"chartab_{spec.replace(':', '_')}.json", slow=slow)
-
-
 PINNED = (
-    *map(_chartab, ("sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2", "so4-:2", "parabolic-p:2",
-                    "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4", "sp4-sub:8:2",
-                    "ext-sp2q2:4", "so4+:4", "parabolic-p:4", "wreath-sp2:4",
-                    "parabolic-q:4", "so4-:4", "a6")),
-    _chartab("sp4:4", slow=True),
+    *(_json("chartab", spec, golden=f"chartab_{spec.replace(':', '_')}.json", slow=spec == "sp4:4")
+      for spec in ("sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2", "so4-:2", "parabolic-p:2",
+                   "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4", "sp4-sub:8:2", "ext-sp2q2:4",
+                   "so4+:4", "parabolic-p:4", "wreath-sp2:4", "parabolic-q:4", "so4-:4", "a6",
+                   "sp4:4")),
     _json("scan-maximal", "2", golden="scan_maximal_2.json"),
     _json("scan-maximal", "4", golden="scan_maximal_4.json", slow=True),
     *(_json("sgp", "--side", side, "sp4:4", sub, slow=True,

@@ -122,6 +122,12 @@ def test_subgroup_validation():
         is_strong_gelfand_pair(build_group("sl2:4"), build_group("wreath-sp2:2"))
 
 
+def test_scan_q2_all_sgp():
+    verdicts = scan_maximal_sp4(2)
+    assert [v.verdict for v in verdicts] == ["sgp"] * 7
+    assert {"a6", "so4-:2"} <= {v.h_label for v in verdicts}
+
+
 def test_scan_rejects_large_q():
     with pytest.raises(ResourceBoundError):
         scan_maximal_sp4(8)
