@@ -74,11 +74,10 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceBoundError, SubgroupError
 from .exactnum import Cyclo, _canonical_rows, _prime_factors, cyclotomic_poly
-from .groups import (ClassData, FinGroup, _require_subgroup, carry_classes,
-                     conjugacy_classes)
+from .groups import ClassData, FinGroup, _require_subgroup, conjugacy_classes
 
 __all__ = [
-    "Character", "CharTable", "dixon_schneider", "carry_table", "inner_product", "induce",
+    "Character", "CharTable", "dixon_schneider", "inner_product", "induce",
     "restrict", "restriction_matrix", "split_fuse", "trivial_character",
     "tables_equal_upto_permutation", "table_to_json", "table_to_csv",
 ]
@@ -301,7 +300,7 @@ class CharTable:
 
     `canonical[j]` is the r x phi(n_j) int64 matrix of canonical
     coefficients at class j, one row per irreducible in table order: given
-    for a table `dixon_schneider` computed or `carry_table` carried, and
+    for a table `dixon_schneider` computed or carried, and
     built from the values otherwise (`_value_rows`).  `multiplicities[j]`
     is the r x n_j eigenvalue multiplicities a computed table was verified
     from, None for a table built from values."""
@@ -437,10 +436,20 @@ def _central_characters(G: FinGroup, cd: ClassData, p: int) -> tuple:
 
 
 def dixon_schneider(G: FinGroup) -> CharTable:
-    """The exact irreducible character table of an enumerated group."""
+    """The exact irreducible character table of an enumerated group.  An
+    image (`groups._image`) carries its source's: class j takes the
+    multiplicities of the source's class of its representative, read
+    through the kept argsort, verified and ordered as a computed table."""
     if G._chartable is not None:
         return G._chartable
     cd = conjugacy_classes(G)
+    if G.source:
+        S, _, by = G.source
+        T = dixon_schneider(S)
+        G._chartable = _verified_table(
+            G, cd, [T.multiplicities[j] for j in T.classes.class_of[by[list(cd.reps)]]],
+            dict(T.stats, class_columns=0, carried_from=S.label))
+        return G._chartable
     r = len(cd)
     if r > MAX_CLASSES:
         raise ResourceBoundError(f"{r} classes exceeds the bound {MAX_CLASSES}")
@@ -484,18 +493,6 @@ def _verified_table(G: FinGroup, cd: ClassData, mults: list, stats: dict) -> Cha
     irreducibles = [Character._of_table(G, rows[a]) for a in order]
     return CharTable(G, cd, irreducibles, dict(stats, verify_prime=p_v),
                      [C[order] for C in canonical], [M[order] for M in mults])
-
-
-def carry_table(T: CharTable, H: FinGroup, aut) -> CharTable:
-    """H's table, carried from G's computed table T along an isomorphism
-    aut of H onto G (`carry_classes`): class j of H takes the
-    multiplicities of class old[j] of G, verified and ordered as by
-    `dixon_schneider`, and H caches the table and its classes."""
-    cd, old = carry_classes(T.group, H, aut)
-    stats = dict(T.stats, class_columns=0, carried_from=T.group.label)
-    H._classes, H._chartable = cd, _verified_table(
-        H, cd, [T.multiplicities[j] for j in old], stats)
-    return H._chartable
 
 
 def _embeddings(n1: int, n2: int) -> tuple:

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartab import (CharTable, Character, carry_table, dixon_schneider,
-                      induce, inner_product, restrict, restriction_matrix,
-                      trivial_character)
+from .chartab import (CharTable, Character, dixon_schneider, induce, inner_product,
+                      restrict, restriction_matrix, trivial_character)
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import (MAX_ORDER_DEFAULT, FinGroup, _require_subgroup, build_group,
                      h_classes, maximal_rows_sp4, maximal_subgroups_sp4)
@@ -150,23 +149,18 @@ def scan_maximal_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:
 
     Tries the total-character shortcut against the exact maximal degree of
     the computed sp4:q table; subgroups it cannot settle get the full
-    check (`is_strong_gelfand_pair`).  A row with a declared tau-partner
-    (parabolic-q, so4+ and so4-) takes its table from the partner's by
-    `carry_table`, whose checks raise if tau does not map the one onto the
-    other.  Before the shortcut reads a row's tau_H(1), a row with a closed
-    form (its `MAXIMAL_ROWS` entry) is checked against it: a mismatch raises
-    InternalCheckError naming the row.
+    check (`is_strong_gelfand_pair`).  Before the shortcut reads a row's
+    tau_H(1), a row with a closed form (its `MAXIMAL_ROWS` entry) is checked
+    against it: a mismatch raises InternalCheckError naming the row.
     """
     if q not in (2, 4):
         raise ResourceBoundError("the maximal-subgroup scan is desk-scale: q in {2, 4}")
     G = build_group(f"sp4:{q}", max_order=max_order)
     subs = maximal_subgroups_sp4(q, max_order=max_order)
     max_deg = dixon_schneider(G).max_degree()
-    tables, out = {}, []
-    for (_, label, partner, closed), (H, _) in zip(maximal_rows_sp4(q), subs):
-        TH = tables[label] = (carry_table(tables[partner], H, H.ops.graph_aut)
-                              if partner and H._chartable is None else dixon_schneider(H))
-        tau_h = TH.total_degree()
+    out = []
+    for (_, label, closed), (H, _) in zip(maximal_rows_sp4(q), subs):
+        tau_h = dixon_schneider(H).total_degree()
         if closed is not None and closed != tau_h:
             raise InternalCheckError(f"{label}: tau_H(1) = {tau_h}, its closed form {closed}")
         if total_char_shortcut(tau_h, max_deg) == "not_sgp":

@@ -28,14 +28,18 @@ batched pass instead of enumerating sp4:q.  sp4:q itself is the union of the
 cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
 products per element; building sp4:q leaves P in the build cache too.
-The maximal rows of Sp4(q) (spec, label, when, tau-partner, tau_H(1)) are
-one more table, `MAXIMAL_ROWS`; `closed_forms` reads both for `families`.
+The graph automorphism tau of Sp4(2^e) (`MatOps.graph_aut`) pairs three
+rows of `_SPECS` with their sources: parabolic-q, so4+ and so4- are the
+images (`_image`) of parabolic-p, wreath-sp2 and ext-sp2q2-embedded, whose
+keys go through the map in one pass and one argsort, which the image
+keeps; `conjugacy_classes` (`carry_classes`) and `chartab.dixon_schneider`
+carry an image's classes and table from its source through it, checked.
+The maximal rows of Sp4(q) (spec, label, when, tau_H(1)) are one more
+table, `MAXIMAL_ROWS`; `closed_forms` reads both for `families`.
 
 The class partition runs one trace fiber at a time, and carries the
 labels of a fiber along the entrywise Frobenius (`MatOps.frobenius`) to
-the fiber of the squared trace.  The graph automorphism tau of Sp4(2^e)
-(`MatOps.graph_aut`) pairs maximal subgroups; `carry_classes` moves the
-classes of one onto the other, checked.  Every 2 x 2 form a1 b2 + a2 b1 (the
+the fiber of the squared trace.  Every 2 x 2 form a1 b2 + a2 b1 (the
 minors of tau, the Gram forms, so4's x1 x4 + x2 x3) is one `MatOps.pair_form` gather.
 
 A FinGroup's keys never change after construction; its class partition
@@ -535,14 +539,17 @@ class ClassData:
 
 
 class FinGroup:
-    """An enumerated matrix group: sorted packed keys plus batched operations."""
+    """An enumerated matrix group: sorted packed keys plus batched operations.
+    An image (`_image`) keeps its source: (group S, map, argsort by), with
+    keys[i] the image of S.keys[by[i]]."""
 
-    def __init__(self, label: str, ops, keys: np.ndarray, gens_keys):
+    def __init__(self, label: str, ops, keys: np.ndarray, gens_keys, source=None):
         self.label = label
         self.ops = ops
         self.keys = keys = _as_key_array(keys, ops.dtype)
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
+        self.source = source
         # the inverses are the keys again, so sorted in place they must
         # equal the sorted, distinct keys; ops.inv runs in _CHUNK slices,
         # so this holds one key-sized array beside the keys
@@ -784,7 +791,7 @@ def _class_data(G: FinGroup, gens, within=None) -> ClassData:
 
 def conjugacy_classes(G: FinGroup) -> ClassData:
     if G._classes is None:
-        G._classes = _class_data(G, G.gens_keys, G)
+        G._classes = carry_classes(G) if G.source else _class_data(G, G.gens_keys, G)
     return G._classes
 
 
@@ -794,38 +801,39 @@ def h_classes(G: FinGroup, H: FinGroup) -> ClassData:
     return _class_data(G, H.gens_keys, H)
 
 
-def carry_classes(G: FinGroup, H: FinGroup, aut) -> tuple:
-    """(ClassData of H, old) for an isomorphism aut of H onto G on keys:
-    class j of H, numbered by least index, is the preimage of class old[j]
-    of G.  Checked: aut maps H's keys onto G's; aut(x a) = aut(x) aut(a)
-    and conjugation by a keeps x's class, for every representative x and
-    generator a of H; the carried power map is that of H's representatives."""
-    cd = conjugacy_classes(G)
+def carry_classes(H: FinGroup) -> ClassData:
+    """The ClassData of an image H of S (`_image`), carried from S's
+    classes through the kept argsort: H.keys[i] is the image of
+    S.keys[by[i]], so its class is theirs, renumbered by least index.
+    Checked, for every representative x of H, its source s = S.keys[by[x]]
+    and every generator a of S: the map takes s to x and s a to x aut(a),
+    and conjugation by aut(a) keeps x in its class; the carried power map
+    is that of H's representatives."""
+    S, aut, by = H.source
+    cd = conjugacy_classes(S)
     r = len(cd)
-    by = _sorted_onto(aut(H.keys), G.keys, f"{H.label} is not mapped onto {G.label}")
-    image_class = np.empty_like(cd.class_of)
-    image_class[by] = cd.class_of                   # H index -> class of its image
+    image_class = cd.class_of[by]                   # H index -> class of its source
     least = np.unique(image_class, return_index=True)[1]
     old = np.argsort(least)
     new = np.empty(r, dtype=cd.class_of.dtype)
     new[old] = np.arange(r)
     class_of, reps = new[image_class], least[old]
     # x a and a^-1 x a for each representative x and generator a: array products, no tables
-    ops, n = H.ops, len(H.gens_keys)
-    x, a = np.tile(H.keys[reps], n), np.repeat(np.array(H.gens_keys, dtype=ops.dtype), r)
-    xa = ops.mul(x, a)
-    if not (np.array_equal(aut(xa), G.ops.mul(aut(x), aut(a)))
-            and np.array_equal(class_of[H.index_of(ops.mul(ops.inv(a), xa))],
+    ops, n = H.ops, len(S.gens_keys)
+    x, a = np.tile(S.keys[by[reps]], n), np.repeat(np.array(S.gens_keys, dtype=ops.dtype), r)
+    hx, ha, hxa = aut(x), aut(a), aut(S.ops.mul(x, a))
+    if not (np.array_equal(hx, np.tile(H.keys[reps], n)) and np.array_equal(hxa, ops.mul(hx, ha))
+            and np.array_equal(class_of[H.index_of(ops.mul(ops.inv(ha), hxa))],
                                np.tile(np.arange(r), n))):
         raise InternalCheckError(
-            f"{H.label}: the classes carried from {G.label} are not its classes")
+            f"{H.label}: the classes carried from {S.label} are not its classes")
     carried = _with_powers(H, tuple(cd.sizes[j] for j in old),
                            tuple(int(i) for i in reps), class_of)
     if carried.power_classes != tuple(tuple(int(new[c]) for c in cd.power_classes[j])
                                       for j in old):
         raise InternalCheckError(
-            f"{H.label}: the power map carried from {G.label} is not its power map")
-    return carried, old
+            f"{H.label}: the power map carried from {S.label} is not its power map")
+    return carried
 
 
 def centralizer_order(G: FinGroup, key) -> int:
@@ -912,24 +920,75 @@ def _symplectic(ops, m: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _check_members(label: str, ops, keys, cond) -> None:
+    """Every key passes cond (a batched condition on the unpacked matrices)
+    and `_symplectic`, one _CHUNK slice at a time."""
+    def ok(k):
+        m = ops.unpack(k)
+        return cond(m) & _symplectic(ops, m)
+    bad = np.count_nonzero(~_sliced(ok, keys))
+    if bad:
+        raise InternalCheckError(
+            f"{label}: {bad} enumerated elements fail its defining condition")
+
+
 def _generated(label: str, ops, gens, order: int, cond=None) -> FinGroup:
     """The closure of gens, capped at its closed-form `order` (a round past it
-    raises InternalCheckError).  With `cond` (a batched condition on the
-    unpacked matrices) every key must also pass cond and `_symplectic`."""
+    raises InternalCheckError).  With `cond` every key must also pass
+    `_check_members`."""
     try:
         keys = mulclose(ops, gens, order)
     except ResourceBoundError:
         raise InternalCheckError(
             f"{label}: its closure outgrows its closed-form order {order}") from None
     if cond is not None:
-        def ok(k):
-            m = ops.unpack(k)
-            return cond(m) & _symplectic(ops, m)
-        bad = np.count_nonzero(~_sliced(ok, keys))
-        if bad:
-            raise InternalCheckError(
-                f"{label}: {bad} enumerated elements fail its defining condition")
+        _check_members(label, ops, keys, cond)
     return FinGroup(label, ops, keys, gens)
+
+
+def _transvections(ops) -> np.ndarray:
+    """The symplectic transvection t_v: x -> x + B(x, v) v, its own inverse,
+    of every v in GF(q)^4, in code order from v = 0 (t_0 = 1): entry (i, j)
+    is [i = j] + v_i v_(3-j), as B(x, v) = x^T J v."""
+    ctx = ops.ctx
+    v = np.indices((ctx.q,) * 4, dtype=np.uint8).reshape(4, -1).T
+    return ops.pack(ctx.lut_add[ctx.lut_mul[v[:, :, None], v[:, None, ::-1]], ops._eye])
+
+
+def _image(name: str, q: int, source: str, inverse: bool, cond) -> FinGroup:
+    """The row `name`:q as the image of the group S of `source`:q under
+    x -> t_v tau^(+-1)(x) t_v^-1, tau^-1 = F^(e-1) tau (tau =
+    `MatOps.graph_aut`, F = `MatOps.frobenius`, q = 2^e; Steinberg,
+    Lectures on Chevalley Groups, 1967, sec. 10-11), for the first v
+    (`_transvections`) under which the images of S's generators pass cond
+    (v = 0 if none does, and the keys fail cond).  v = 0 for tau(parabolic-p)
+    and tau(wreath-sp2) at every q tried and for tau^-1(ext-sp2q2-embedded)
+    at q <= 4; at q = 8 so4-'s form needs a v.
+
+    S's keys go through the map in one sliced pass and one argsort `by`,
+    kept as the image's source (S, map, by), so that key i is the image of
+    S.keys[by[i]] and its classes and table are carried from S's
+    (`carry_classes`).  The keys must be distinct and pass `_check_members`,
+    and `_build_cached` counts them against the closed form; the generators
+    are the images of S's, which generate S."""
+    S = _build_cached(source, (q,))
+    ops, label = S.ops, f"{name}:{q}"
+
+    def tau(k):                          # tau, or tau^-1 = F^(e-1) tau
+        k = ops.graph_aut(k)
+        for _ in range(q.bit_length() - 2 if inverse else 0):
+            k = ops.frobenius(k)
+        return k
+    gens, ts = tau(S.gens_keys), _transvections(ops)
+    t = next((t for t in ts if cond(ops.unpack(ops.conj(gens, t))).all()), ts[0])
+    aut = lambda k: ops.conj(tau(k), t)
+    keys = _sliced(aut, S.keys)
+    by = np.argsort(keys)
+    keys = keys[by]                      # the unsorted image freed
+    if (keys[1:] == keys[:-1]).any():
+        raise InternalCheckError(f"{label}: two keys of {S.label} have one image")
+    _check_members(label, ops, keys, cond)
+    return FinGroup(label, ops, keys, aut(S.gens_keys), (S, aut, by))
 
 
 def _build_sl2(q, order):
@@ -1054,7 +1113,8 @@ def _build_wreath(q, order):
         (a, b), (c, d) = rows
         gens.append(ops.pack_one([[a, 0, 0, b], [0, one, 0, 0],
                                   [0, 0, one, 0], [c, 0, 0, d]]))
-    gens.append(_plane_swap(ops))
+    # the swap of the hyperbolic planes <e1, e4> and <e2, e3>
+    gens.append(ops.pack_one([[0, one, 0, 0], [one, 0, 0, 0], [0, 0, 0, one], [0, 0, one, 0]]))
     return _generated(f"wreath-sp2:{q}", ops, gens, order)
 
 
@@ -1112,34 +1172,26 @@ def _build_ext_embedded(q, order):
     return _generated(label, ops, gens, order)
 
 
-def _build_parabolic(q, order, kind):
-    """The stabilizer of <e1> ("p") or of <e1, e2> ("q"): the generators of
-    sp4:q without the one root element that moves that flag; its members
-    have zeros below the flag."""
+def _zero_at(*cells):
+    """The members of a flag stabilizer: zero at every (row, column) cell below the flag."""
+    return lambda m: ~np.any([m[:, i, j] for i, j in cells], axis=0)
+
+
+def _build_parabolic(q, order):
+    """The stabilizer of <e1>: the generators of sp4:q without the one root
+    element that moves it."""
     ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
     gens = _sp4_gens(ops)
-    del gens[1 if kind == "p" else 3]
-    cells = ([(1, 0), (2, 0), (3, 0)] if kind == "p"
-             else [(2, 0), (3, 0), (2, 1), (3, 1)])
-    return _generated(f"parabolic-{kind}:{q}", ops, gens, order,
-                      lambda m: ~np.any([m[:, i, j] for i, j in cells], axis=0))
+    del gens[1]
+    return _generated(f"parabolic-p:{q}", ops, gens, order, _zero_at((1, 0), (2, 0), (3, 0)))
 
 
-def _plane_swap(ops):
-    """The swap of the hyperbolic planes <e1, e4> and <e2, e3>."""
-    one = ops.ctx.one
-    return ops.pack_one([[0, one, 0, 0], [one, 0, 0, 0],
-                         [0, 0, 0, one], [0, 0, one, 0]])
-
-
-def _build_so4(q, order, sign):
-    """O(Q) for Q(x) = x1 x4 + x2 x3, plus x2^2 + a x3^2 for sign "-", where
-    a is the first power of gamma of absolute trace 1; both polarize to J.
-    Generated by the reflections x -> x + (x^T J v / Q(v)) v for the
-    nonsingular v of a fixed list, plus the plane swap for so4+:2, where
-    reflections give 36 of the 72 elements (Taylor, The Geometry of the
-    Classical Groups, ch. 11).  Members keep Q(M e_j) = Q(e_j), its term
-    x1 x4 + x2 x3 read by `MatOps.pair_form` and x2^2 + a x3^2 by a table."""
+def _so4_form(q, sign):
+    """The members of O(Q), for Q(x) = x1 x4 + x2 x3, plus x2^2 + a x3^2 for
+    sign "-", where a is the first power of gamma of absolute trace 1; both
+    polarize to J (Taylor, The Geometry of the Classical Groups, ch. 11).
+    Members keep Q(M e_j) = Q(e_j), its term x1 x4 + x2 x3 read by
+    `MatOps.pair_form` and x2^2 + a x3^2 by a table."""
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops = mat_ops(ctx, 4, "symplectic")
     mul, add = ctx.lut_mul, ctx.lut_add
@@ -1150,20 +1202,8 @@ def _build_so4(q, order, sign):
         s = ops.pair_form(*x)
         return s if sign == "+" else add[s, squares[x[1], x[2]]]
 
-    o, g = ctx.one, ctx.gamma
-    vecs = [(o, 0, 0, o), (o, 0, 0, g), (0, o, 0, 0), (0, o, g, 0), (0, g, o, 0),
-            (o, o, 0, o), (o, o, o, 0)]
-    gens = []
-    for v in dict.fromkeys(v for v in vecs if Q(v)):   # gamma = 1 when q = 2
-        c = ctx.inv(int(Q(v)))
-        gens.append(ops.pack_one(
-            [[ctx.add(o if i == j else 0, ctx.mul(c, ctx.mul(v[i], v[3 - j])))
-              for j in range(4)] for i in range(4)]))
-    if q == 2 and sign == "+":
-        gens.append(_plane_swap(ops))
-    qe = Q(np.eye(4, dtype=np.uint8) * o)        # Q(e_j) for each column j
-    return _generated(f"so4{sign}:{q}", ops, gens, order,
-                      lambda m: (Q(m.transpose(1, 0, 2)) == qe).all(axis=1))
+    qe = Q(np.eye(4, dtype=np.uint8) * ctx.one)        # Q(e_j) for each column j
+    return lambda m: (Q(m.transpose(1, 0, 2)) == qe).all(axis=1)
 
 
 def _build_sz(q, order):
@@ -1242,18 +1282,23 @@ _parabolic_order = _q**3 * (_q**2 + _q) * (_q - 1) ** 2
 
 # name -> (arity, builder, closed-form order, four of them shared above); a builder
 # takes the int arguments, which only parse_group_spec checks, and the order, a
-# PolyQ read at the last argument (q0 of sp4-sub), or at 2 for arity 0 (in sp4:2)
+# PolyQ read at the last argument (q0 of sp4-sub), or at 2 for arity 0 (in sp4:2).
+# parabolic-q, so4+ and so4- are images of the spec each names (`_image`): tau of
+# parabolic-p and wreath-sp2, tau^-1 of ext-sp2q2-embedded
 _SPECS = {
     "sl2": (1, _build_sl2, _q * (_q**2 - 1)),
     "sp4": (1, _build_sp4, _sp4_order),
     "wreath-sp2": (1, _build_wreath, _wreath_order),
     "ext-sp2q2": (1, _build_ext_abstract, _ext_order),
-    "parabolic-p": (1, lambda q, n: _build_parabolic(q, n, "p"), _parabolic_order),
-    "parabolic-q": (1, lambda q, n: _build_parabolic(q, n, "q"), _parabolic_order),
+    "parabolic-p": (1, _build_parabolic, _parabolic_order),
+    "parabolic-q": (1, lambda q, n: _image("parabolic-q", q, "parabolic-p", False, _zero_at(
+        (2, 0), (3, 0), (2, 1), (3, 1))), _parabolic_order),
     "sz": (1, _build_sz, _q**2 * (_q**2 + 1) * (_q - 1)),
     "sp4-sub": (2, _build_sp4_sub, _sp4_order),
-    "so4+": (1, lambda q, n: _build_so4(q, n, "+"), _wreath_order),
-    "so4-": (1, lambda q, n: _build_so4(q, n, "-"), _ext_order),
+    "so4+": (1, lambda q, n: _image("so4+", q, "wreath-sp2", False, _so4_form(q, "+")),
+             _wreath_order),
+    "so4-": (1, lambda q, n: _image("so4-", q, "ext-sp2q2-embedded", True, _so4_form(q, "-")),
+             _ext_order),
     "s6": (0, lambda _: _build_cached("sp4", (2,)), _sp4_order),
     "a6": (0, lambda _: squares_subgroup(_build_cached("sp4", (2,)), "a6"), PolyQ(360)),
     "trivial": (0, lambda _: _build_trivial(), PolyQ(1)),
@@ -1323,38 +1368,38 @@ def build_group(spec, *, max_order: int = MAX_ORDER_DEFAULT) -> FinGroup:
 
 
 # The maximal rows of Sp4(q), q = 2^e, in scan order: (group spec, printed label,
-# e -> the t the row takes, one row each, the label of the row tau maps it onto,
-# tau_H(1) as a PolyQ in t or None), each string a format over q and t; t is q,
-# but q0 on sp4-sub and r = sqrt(2q) on sz (its total is no polynomial in q)
+# e -> the t the row takes, one row each, tau_H(1) as a PolyQ in t or None), each
+# string a format over q and t; t is q, but q0 on sp4-sub and r = sqrt(2q) on sz
+# (its total is no polynomial in q)
 _AT_Q = lambda e: (1 << e,)
 _wreath_tau = _q**4 + _q**3 - _q                          # wreath-sp2 = so4+
 _ext_tau = _q**4 + _q**3 + _q                             # ext-sp2q2 = so4-
 MAXIMAL_ROWS = (
-    ("a6", "a6", lambda e: (2,) if e == 1 else (), None, None),
-    ("parabolic-p:{q}", "parabolic-p:{q}", _AT_Q, None, None),
-    ("parabolic-q:{q}", "parabolic-q:{q}", _AT_Q, "parabolic-p:{q}", None),
-    ("wreath-sp2:{q}", "wreath-sp2:{q}", _AT_Q, None, _wreath_tau),
-    ("ext-sp2q2-embedded:{q}", "ext-sp2q2:{q}", _AT_Q, None, _ext_tau),
+    ("a6", "a6", lambda e: (2,) if e == 1 else (), None),
+    ("parabolic-p:{q}", "parabolic-p:{q}", _AT_Q, None),
+    ("parabolic-q:{q}", "parabolic-q:{q}", _AT_Q, None),
+    ("wreath-sp2:{q}", "wreath-sp2:{q}", _AT_Q, _wreath_tau),
+    ("ext-sp2q2-embedded:{q}", "ext-sp2q2:{q}", _AT_Q, _ext_tau),
     ("sp4-sub:{q}:{t}", "sp4-sub:{q}:{t}", lambda e: [1 << e // r for r in _prime_factors(e)],
-     None, _q**6 + _q**4 - _q**2),
-    ("so4+:{q}", "so4+:{q}", _AT_Q, "wreath-sp2:{q}", _wreath_tau),
-    ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}", _ext_tau),  # tau onto ext at q <= 4 only
-    ("sz:{q}", "sz:{q}", lambda e: (r,) if (r := suzuki_r(e)) and e > 1 else (), None,
+     _q**6 + _q**4 - _q**2),
+    ("so4+:{q}", "so4+:{q}", _AT_Q, _wreath_tau),
+    ("so4-:{q}", "so4-:{q}", _AT_Q, _ext_tau),
+    ("sz:{q}", "sz:{q}", lambda e: (r,) if (r := suzuki_r(e)) and e > 1 else (),
      (_q - _q**2 / 2) * (_q**2 / 2 - 1) + _q**6 / 8),       # (r - q)(q - 1) + q^3, q = r^2/2
 )
 
 
 def closed_forms(name: str) -> tuple:
     """(order, tau_H(1) or None) of spec `name`: the PolyQ of each table."""
-    return _SPECS[name][2], next((r[4] for r in MAXIMAL_ROWS if r[0].split(":")[0] == name), None)
+    return _SPECS[name][2], next((r[3] for r in MAXIMAL_ROWS if r[0].split(":")[0] == name), None)
 
 
 def maximal_rows_sp4(q: int) -> list:
-    """(spec, label, tau-partner, closed-form tau_H(1) or None) per row of
-    MAXIMAL_ROWS that sp4:q has; nothing is built."""
+    """(spec, label, closed-form tau_H(1) or None) per row of MAXIMAL_ROWS
+    that sp4:q has; nothing is built."""
     e = _even_prime_power(q, str(q), 0)
-    return [(*(s and s.format(q=q, t=t) for s in (spec, label, partner)), tau and tau.eval_int(t))
-            for spec, label, ts, partner, tau in MAXIMAL_ROWS for t in ts(e)]
+    return [(spec.format(q=q, t=t), label.format(q=q, t=t), tau and tau.eval_int(t))
+            for spec, label, ts, tau in MAXIMAL_ROWS for t in ts(e)]
 
 
 def maximal_subgroups_sp4(q: int, *, max_order: int = MAX_ORDER_DEFAULT) -> list:

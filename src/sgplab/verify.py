@@ -19,6 +19,7 @@ from functools import cache
 from . import families, gelfand
 from .chartab import (dixon_schneider, induce, inner_product, restrict,
                       split_fuse, tables_equal_upto_permutation)
+from .errors import ResourceBoundError
 from .groups import (MAX_ORDER_DEFAULT, build_group, cyclic_subgroup, element_order,
                      squares_subgroup, subgroup)
 
@@ -279,14 +280,19 @@ CHECKS = (
 def run_checks(tier: int, report=print, *, max_order: int = MAX_ORDER_DEFAULT) -> bool:
     """Run all checks up to `tier`; one pass/fail line each; True iff all pass.
     The seconds of each check that runs go to stderr, one line each.  A
-    group above `max_order` raises ResourceBoundError."""
+    group above `max_order` raises ResourceBoundError, once a REFUSED line
+    names the check."""
     all_ok = True
     for chk in CHECKS:
         if chk.tier > tier:
             report(f"SKIP {chk.name} (tier {chk.tier})")
             continue
         start = time.perf_counter()
-        ok, detail = chk.fn(max_order)
+        try:
+            ok, detail = chk.fn(max_order)
+        except ResourceBoundError as exc:
+            report(f"REFUSED {chk.name}: {exc}")
+            raise
         print(f"time {chk.name}: {time.perf_counter() - start:.2f} s",
               file=sys.stderr)
         all_ok &= ok

@@ -131,10 +131,9 @@ MUTANTS = (
            'return s if sign == "+" else add[s, squares[x[1], x[2]]]', "return s",
            ("tests/test_groups.py::test_pair_table_checks_match_the_retired_chains[so4-:2]",
             "tests/test_cli.py::test_pinned_output[chartab_so4-_2.json]")),
-    # so4+ and so4- each carried from the other's partner
+    # so4+ and so4- each built as the image of the other's source
     Mutant("tau-partners-swapped", "groups.py",
-           '"wreath-sp2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "ext-sp2q2:{q}"',
-           '"ext-sp2q2:{q}", _wreath_tau),\n    ("so4-:{q}", "so4-:{q}", _AT_Q, "wreath-sp2:{q}"',
+           '"so4+", q, "wreath-sp2", False,', '"so4+", q, "ext-sp2q2-embedded", True,',
            ("tests/test_cli.py::test_pinned_output[scan_maximal_2.json]",
             "tests/test_gelfand.py::test_carried_tables_equal_computed_ones[2]")),
     # the closed form of tau_H(1) for ext-sp2q2 and so4- one too large: the
@@ -162,20 +161,34 @@ MUTANTS = (
     # parabolic-p keeps the root element that moves <e1>: its closure
     # outgrows its closed form, a bug (exit 4), not the --max-order bound (3)
     Mutant("parabolic-keeps-every-generator-cli", "groups.py",
-           'del gens[1 if kind == "p" else 3]', "pass",
+           "del gens[1]", "pass",
            argv=("--max-order", "20000", "chartab", "parabolic-p:4")),
+    # so4- as tau^-1(ext-sp2q2-embedded) without the transvection t_v that
+    # takes it to so4-'s form, which it needs at q = 8
+    Mutant("image-without-its-transvection-cli", "groups.py",
+           "aut = lambda k: ops.conj(tau(k), t)", "aut = tau",
+           argv=("chartab", "so4-:8")),
+    # parabolic-q as the identity image of parabolic-p, not tau of it: no
+    # transvection takes it into parabolic-q's flag stabilizer, so its keys fail the flag
+    Mutant("image-tau-as-identity-cli", "groups.py",
+           "k = ops.graph_aut(k)", "k = _as_key_array(k, ops.dtype)",
+           argv=("chartab", "parabolic-q:4")),
+    # an image keeps its argsort rolled by one: its carried classes fail the carry's check
+    Mutant("image-argsort-off-by-one-cli", "groups.py",
+           "(S, aut, by))", "(S, aut, np.roll(by, 1)))",
+           argv=("scan-maximal", "4")),
     # the batched alpha sums without the pattern (+k, +m, +n): no sum is rational
     Mutant("alpha-sums-sign-pattern-dropped", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",
            ("tests/test_families.py::test_alpha_sums_match_alpha_sum[8-None]",
             "tests/test_families.py::test_alpha_sums_match_alpha_sum[64-100]",
-            "tests/test_acceptance.py::test_criterion_04_alpha_sums")),
+            "tests/test_cli.py::test_pinned_output[verify_paper.txt]")),
     # the count of zeta^e read against row e + 1 of R_(q-1)
     Mutant("alpha-sums-reduction-one-row-off", "families.py",
            "rows = _canonical_rows(counts)", "rows = _canonical_rows(np.roll(counts, 1, axis=1))",
            ("tests/test_families.py::test_alpha_sums_match_alpha_sum[16-300]",
             "tests/test_families.py::test_alpha_sums_match_alpha_sum[32-300]",
-            "tests/test_acceptance.py::test_criterion_04_alpha_sums")),
+            "tests/test_cli.py::test_pinned_output[verify_paper.txt]")),
     # the same dropped pattern, seen by the console script under -O
     Mutant("alpha-sums-sign-pattern-dropped-cli", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",

@@ -792,11 +792,11 @@ def _central_characters_by_size(G, cd, p):
 
 def _split_against_size_order(monkeypatch, spec) -> tuple:
     """The same exported table from both splits, and never more columns
-    than the size-order split; returns both column counts.  The group is
-    built anew, so its table is computed here, not carried by a scan."""
-    monkeypatch.setattr(groups, "_build_cached",
-                        lru_cache(maxsize=None)(groups._build_cached.__wrapped__))
-    T = dixon_schneider(build_group(spec))
+    than the size-order split; returns both column counts.  Both tables are
+    of copies of the group with no source, so they are computed here, not
+    carried from an image's source or cached."""
+    G = build_group(spec)
+    T = dixon_schneider(groups.FinGroup(G.label, G.ops, G.keys, G.gens_keys))
     monkeypatch.setattr(ct, "_central_characters", _central_characters_by_size)
     ref = dixon_schneider(_fresh(spec))
     monkeypatch.undo()

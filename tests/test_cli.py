@@ -143,6 +143,14 @@ def test_max_order_refusal(capsys):
         assert f"{refused} exceeds the enumeration bound {bound}\n" in capsys.readouterr().err
 
 
+def test_a_refusal_inside_verify_paper_names_its_check_on_stdout(capsys):
+    """The refused check's REFUSED line ends stdout, and the exit stays 3:
+    the first check builds sl2:4 (60 elements)."""
+    assert main(["--max-order", "10", "verify-paper"]) == EXIT_RESOURCE
+    assert capsys.readouterr().out == ("REFUSED sl2-closed-form-small: sl2:4: order 60 "
+                                       "exceeds the enumeration bound 10\n")
+
+
 @pytest.mark.parametrize("argv", ["--max-order 0 scan-maximal 2",
                                   "--max-order -5 chartab trivial"])
 def test_max_order_below_one_is_refused_when_parsed(argv, monkeypatch, capsys):
@@ -311,7 +319,7 @@ def test_the_pinned_runner_names_each_output_that_differs(tmp_path, capsys):
         "stdout differs from scan_maximal_2.json",
         "MISMATCH so4-:8 (sgp-lab --format json chartab so4-:8): "
         "stdout SHA-256 differs from its row of q8_digests.json",
-        "40 of 42 pinned outputs reproduced"]
+        f"{len(PINNED) - 2} of {len(PINNED)} pinned outputs reproduced"]
 
 
 def test_group_spec_is_parsed_once(monkeypatch):

@@ -506,31 +506,28 @@ def _fresh_build_cache(monkeypatch):
 @pytest.mark.slow
 def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
     """From fresh builds, one Sp4(4) scan splits the class algebras of five
-    groups and carries the tables of the other three rows along the graph
-    automorphism; the partition of sp4:4 builds conjugation permutations
+    groups and carries the tables of the other three rows, the images, from
+    their sources; the partition of sp4:4 builds conjugation permutations
     for 3 of its 4 trace fibers, the fourth carried along F."""
     _fresh_build_cache(monkeypatch)
-    split, carried, perm_fibers = [], [], []
-    central, carry, perm = ct._central_characters, gelfand.carry_table, groups._conjugation_perm
+    split, perm_fibers = [], []
+    central, perm = ct._central_characters, groups._conjugation_perm
 
     def splitting(G, cd, p):
         split.append(G.label)
         return central(G, cd, p)
-
-    def carrying(T, H, aut):
-        carried.append((T.group.label, H.label))
-        return carry(T, H, aut)
 
     def permuting(G, keys, g):
         if G.label == "sp4:4":
             perm_fibers.append(int(G.ops.fiber_of(keys[:1])[0]))
         return perm(G, keys, g)
     monkeypatch.setattr(ct, "_central_characters", splitting)
-    monkeypatch.setattr(gelfand, "carry_table", carrying)
     monkeypatch.setattr(groups, "_conjugation_perm", permuting)
     scan_maximal_sp4(4)
     assert sorted(split) == ["ext-sp2q2-embedded:4", "parabolic-p:4", "sp4-sub:4:2",
                              "sp4:4", "wreath-sp2:4"]
+    carried = [(H._chartable.stats["carried_from"], H.label)
+               for H, _ in maximal_subgroups_sp4(4) if "carried_from" in H._chartable.stats]
     assert carried == [("parabolic-p:4", "parabolic-q:4"), ("wreath-sp2:4", "so4+:4"),
                        ("ext-sp2q2-embedded:4", "so4-:4")]
     assert len(perm_fibers) == 6 and sorted(set(perm_fibers)) == [0, 1, 2]
@@ -541,7 +538,7 @@ def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch
     on its `MAXIMAL_ROWS` row before the shortcut reads it: wreath-sp2:2
     totals 22, not 23."""
     monkeypatch.setattr(groups, "MAXIMAL_ROWS", tuple(
-        row[:4] + (PolyQ(23),) if row[0] == "wreath-sp2:{q}" else row
+        row[:3] + (PolyQ(23),) if row[0] == "wreath-sp2:{q}" else row
         for row in groups.MAXIMAL_ROWS))
     with pytest.raises(InternalCheckError,
                        match=r"wreath-sp2:2: tau_H\(1\) = 22, its closed form 23"):
@@ -552,17 +549,16 @@ def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch
 @pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
 def test_carried_tables_equal_computed_ones(monkeypatch, q):
     """The rows the scan carries (parabolic-q, so4+, so4-) have the
-    ClassData and the JSON table of the same group built anew and tabled
-    by `dixon_schneider`."""
+    ClassData and the JSON table that `dixon_schneider` computes for their
+    keys and generators in a group with no source."""
     _fresh_build_cache(monkeypatch)
     scan_maximal_sp4(q)
     carried = [H for H, _ in maximal_subgroups_sp4(q)
                if H._chartable is not None and "carried_from" in H._chartable.stats]
     assert [H.label for H in carried] == [f"parabolic-q:{q}", f"so4+:{q}", f"so4-:{q}"]
     for H in carried:
-        name, args = groups.parse_group_spec(H.label)
-        D = groups._build_cached.__wrapped__(name, args)     # not cached
-        got, want = H._chartable, dixon_schneider(D)
+        got = H._chartable
+        want = dixon_schneider(groups.FinGroup(H.label, H.ops, H.keys, H.gens_keys))
         assert "carried_from" not in want.stats
         for field in ("sizes", "reps", "inverse_class", "orders", "identity_class",
                       "power_classes"):
@@ -573,22 +569,24 @@ def test_carried_tables_equal_computed_ones(monkeypatch, q):
 
 
 @pytest.mark.parametrize("mutant,message", [
-    ("identity", "parabolic-q:2 is not mapped onto parabolic-p:2"),
+    ("identity", "parabolic-q:2: 32 enumerated elements fail its defining condition"),
     ("inverse", "parabolic-q:2: the classes carried from parabolic-p:2 are not its classes")],
     ids=["identity", "inverse"])
 def test_carry_refuses_a_map_that_is_not_an_isomorphism(monkeypatch, capsys, mutant,
                                                         message):
-    """Keys that tau would not map onto the other row's (the identity map),
-    or a bijection that is not a homomorphism (tau of the inverse), raise
-    in the carry; the scan carries parabolic-q from its declared partner,
-    so it raises there too and exits 4."""
-    P, Q = build_group("parabolic-p:2"), build_group("parabolic-q:2")
+    """parabolic-q:2 as the image of parabolic-p:2 under a map that is not
+    tau: under the identity no transvection takes its generators into
+    parabolic-q, and 32 of its 48 keys fail the flag; tau of the inverse is a bijection
+    onto parabolic-q's keys but not a homomorphism, and the carry of its
+    classes raises.  The scan builds and tables parabolic-q, so it raises
+    there too and exits 4."""
     tau = groups.MatOps.graph_aut
     aut = ((lambda self, keys: groups._as_key_array(keys, self.dtype))
            if mutant == "identity" else (lambda self, keys: tau(self, self.inv(keys))))
-    with pytest.raises(InternalCheckError, match=message):
-        ct.carry_table(dixon_schneider(P), Q, lambda keys: aut(Q.ops, keys))
     _fresh_build_cache(monkeypatch)
     monkeypatch.setattr(groups.MatOps, "graph_aut", aut)
+    with pytest.raises(InternalCheckError, match=message):
+        dixon_schneider(build_group("parabolic-q:2"))
+    _fresh_build_cache(monkeypatch)
     assert main(["scan-maximal", "2"]) == EXIT_INTERNAL
     assert message in capsys.readouterr().err

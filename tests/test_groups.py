@@ -330,21 +330,20 @@ def test_maximal_subgroups_rejects_non_powers_of_two(q):
 
 
 def _rows(q, subfields=(), a6=False, sz=False):
-    """(spec, label, tau-partner, closed-form tau_H(1)) of the maximal rows of
-    sp4:q, written out: q^4 + q^3 - q for wreath-sp2 and so4+, q^4 + q^3 + q
-    for ext-sp2q2 and so4-, the Sp4(q0) total for sp4-sub:q:q0 and
+    """(spec, label, closed-form tau_H(1)) of the maximal rows of sp4:q,
+    written out: q^4 + q^3 - q for wreath-sp2 and so4+, q^4 + q^3 + q for
+    ext-sp2q2 and so4-, the Sp4(q0) total for sp4-sub:q:q0 and
     r(q - 1) - q(q - 1) + q^3, r = sqrt(2q), for sz."""
     wreath, ext, r = q**4 + q**3 - q, q**4 + q**3 + q, math.isqrt(2 * q)
-    return ([("a6", "a6", None, None)] * a6 + [
-        (f"parabolic-p:{q}", f"parabolic-p:{q}", None, None),
-        (f"parabolic-q:{q}", f"parabolic-q:{q}", f"parabolic-p:{q}", None),
-        (f"wreath-sp2:{q}", f"wreath-sp2:{q}", None, wreath),
-        (f"ext-sp2q2-embedded:{q}", f"ext-sp2q2:{q}", None, ext)]
-        + [(f"sp4-sub:{q}:{q0}", f"sp4-sub:{q}:{q0}", None, q0**6 + q0**4 - q0**2)
+    return ([("a6", "a6", None)] * a6 + [
+        (f"parabolic-p:{q}", f"parabolic-p:{q}", None),
+        (f"parabolic-q:{q}", f"parabolic-q:{q}", None),
+        (f"wreath-sp2:{q}", f"wreath-sp2:{q}", wreath),
+        (f"ext-sp2q2-embedded:{q}", f"ext-sp2q2:{q}", ext)]
+        + [(f"sp4-sub:{q}:{q0}", f"sp4-sub:{q}:{q0}", q0**6 + q0**4 - q0**2)
            for q0 in subfields]
-        + [(f"so4+:{q}", f"so4+:{q}", f"wreath-sp2:{q}", wreath),
-           (f"so4-:{q}", f"so4-:{q}", f"ext-sp2q2:{q}", ext)]
-        + [(f"sz:{q}", f"sz:{q}", None, r * (q - 1) - q * (q - 1) + q**3)] * sz)
+        + [(f"so4+:{q}", f"so4+:{q}", wreath), (f"so4-:{q}", f"so4-:{q}", ext)]
+        + [(f"sz:{q}", f"sz:{q}", r * (q - 1) - q * (q - 1) + q**3)] * sz)
 
 
 def test_maximal_rows_are_read_from_the_table_without_building(monkeypatch):
@@ -910,8 +909,8 @@ def test_frobenius_carry_needs_an_f_stable_conjugating_group(spec, by):
 
 def test_frobenius_image_off_its_fiber_is_caught(monkeypatch, capsys, fresh_builds):
     """A Frobenius that moves one key of the carried trace fiber of
-    so4+:4 off it is refused by the carry's check and exits 4."""
-    G = build_group("so4+:4")
+    wreath-sp2:4 off it is refused by the carry's check and exits 4."""
+    G = build_group("wreath-sp2:4")
     real = groups.MatOps.frobenius
 
     def broken(self, keys):
@@ -920,10 +919,10 @@ def test_frobenius_image_off_its_fiber_is_caught(monkeypatch, capsys, fresh_buil
             out[0] = self.identity
         return out
     monkeypatch.setattr(groups.MatOps, "frobenius", broken)
-    message = "so4\\+:4: the Frobenius image of a trace fiber is not the fiber"
+    message = "wreath-sp2:4: the Frobenius image of a trace fiber is not the fiber"
     with pytest.raises(InternalCheckError, match=message):
         conjugacy_classes(G)
-    assert main(["chartab", "so4+:4"]) == EXIT_INTERNAL
+    assert main(["chartab", "wreath-sp2:4"]) == EXIT_INTERNAL
     assert "the Frobenius image of a trace fiber" in capsys.readouterr().err
 
 
@@ -994,7 +993,7 @@ def test_sp4_coset_mutants_are_caught(monkeypatch, capsys, fresh_builds,
     CLI: a point map that sends two points to one coset, P swapped for
     parabolic-q:q (which does not fix <e1>), and a Schreier closure that
     keeps only its first generator."""
-    build_group(f"parabolic-p:{q}")      # P itself from the real kernel
+    build_group(f"parabolic-q:{q}")      # P and its image from the real kernel
     if mutant == "unscaled-points":
         monkeypatch.setattr(groups, "_points", _unscaled_points)
     elif mutant == "line-stabilizer":
@@ -1031,11 +1030,11 @@ def test_sp4_4_closes_nothing_larger_than_its_point_stabilizer(monkeypatch,
 def test_scan_builds_parabolic_p_once(monkeypatch, fresh_builds):
     """The scan's parabolic-p:4 row is the P that built sp4:4, from the cache."""
     calls = []
-    real = groups._build_parabolic
-    monkeypatch.setattr(groups, "_build_parabolic", lambda q, m, kind: (
-        calls.append((q, kind)) or real(q, m, kind)))
+    arity, real, order = groups._SPECS["parabolic-p"]
+    monkeypatch.setitem(groups._SPECS, "parabolic-p",
+                        (arity, lambda q, m: calls.append(q) or real(q, m), order))
     scan_maximal_sp4(4)
-    assert calls.count((4, "p")) == 1
+    assert calls == [4]
 
 
 # -- generator-built subgroups of sp4:q --------------------------------------
@@ -1092,16 +1091,96 @@ def test_generated_subgroup_matches_filter(spec):
     assert np.array_equal(build_group(spec).keys, _filter_oracle(spec))
 
 
+def _closure_oracle(spec):
+    """The closure builder an image row replaced: parabolic-q from the
+    generators of sp4:q without the root element that moves <e1, e2>; so4+
+    and so4- from the reflections x -> x + (B(x, v) / Q(v)) v in the
+    nonsingular v of a fixed list, plus the plane swap for so4+:2, where
+    reflections give 36 of the 72 elements (Taylor, The Geometry of the
+    Classical Groups, ch. 11).  Each checked by the row's own condition."""
+    name, (q,) = parse_group_spec(spec)
+    ctx = gfield.field_ctx(q.bit_length() - 1)
+    ops, order = groups.mat_ops(ctx, 4, "symplectic"), groups._closed_order(name, (q,))
+    if name == "parabolic-q":
+        gens = groups._sp4_gens(ops)
+        del gens[3]
+        return groups._generated(spec, ops, gens, order,
+                                 groups._zero_at((2, 0), (3, 0), (2, 1), (3, 1)))
+    mul, add = ctx.lut_mul, ctx.lut_add
+    a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
+
+    def Q(v):
+        s = add[mul[v[0], v[3]], mul[v[1], v[2]]]
+        return s if name == "so4+" else add[add[s, mul[v[1], v[1]]], mul[a, mul[v[2], v[2]]]]
+
+    o, g = ctx.one, ctx.gamma
+    vecs = [(o, 0, 0, o), (o, 0, 0, g), (0, o, 0, 0), (0, o, g, 0), (0, g, o, 0),
+            (o, o, 0, o), (o, o, o, 0)]
+    gens = []
+    for v in dict.fromkeys(v for v in vecs if Q(v)):   # gamma = 1 when q = 2
+        c = ctx.inv(int(Q(v)))
+        gens.append(ops.pack_one(
+            [[ctx.add(o if i == j else 0, ctx.mul(c, ctx.mul(v[i], v[3 - j])))
+              for j in range(4)] for i in range(4)]))
+    if spec == "so4+:2":                 # the swap of the planes <e1, e4> and <e2, e3>
+        gens.append(ops.pack_one([[0, o, 0, 0], [o, 0, 0, 0], [0, 0, 0, o], [0, 0, o, 0]]))
+    return groups._generated(spec, ops, gens, order, groups._so4_form(q, name[-1]))
+
+
+IMAGES = ["parabolic-q", "so4+", "so4-"]
+
+
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", IMAGES)
+def test_images_have_the_keys_of_their_closure_builders(fresh_builds, name, q):
+    spec = f"{name}:{q}"
+    assert np.array_equal(build_group(spec).keys, _closure_oracle(spec).keys)
+
+
+def test_images_close_nothing(monkeypatch, fresh_builds):
+    """Once their sources are built, parabolic-q, so4+ and so4- are built
+    at q = 2 and 4 with `mulclose` raising."""
+    for q in (2, 4):
+        for source in ("parabolic-p", "wreath-sp2", "ext-sp2q2-embedded"):
+            build_group(f"{source}:{q}")
+    monkeypatch.setattr(groups, "mulclose", lambda *a: pytest.fail("mulclose was called"))
+    for q in (2, 4):
+        for name in IMAGES:
+            assert build_group(f"{name}:{q}").order == groups._closed_order(name, (q,))
+
+
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+def test_so4_minus_takes_the_first_transvection_that_keeps_its_form(q):
+    """so4-:q is t_v tau^-1(ext-sp2q2-embedded:q) t_v for the first v in
+    code order under which the generators keep so4-'s form: v = 0 at
+    q <= 4, and gamma^2 e3 at q = 8, where t_v = 1 + gamma^4 E_32."""
+    H, S = build_group(f"so4-:{q}"), build_group(f"ext-sp2q2-embedded:{q}")
+    ops, ctx = H.ops, H.ops.ctx
+    img = ops.graph_aut(S.gens_keys)
+    for _ in range(q.bit_length() - 2):
+        img = ops.frobenius(img)
+    t = groups._transvection(ops, {(2, 1): ctx.pow(ctx.gamma, 4)} if q == 8 else {})
+    assert H.gens_keys == [int(k) for k in ops.conj(img, t)]
+
+
 def _build_with(spec, extra):
     """Run the spec's builder (uncached) with `extra` keys slipped into its
-    closure, as a broken kernel might."""
+    closure, or in place of as many of an image's keys, as a broken kernel
+    might."""
     name, args = parse_group_spec(spec)
-    real = groups.mulclose
-    groups.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), extra)
+    real_close, real_conj = groups.mulclose, groups.MatOps.conj
+
+    def conj(self, keys, g):             # the last step of an image's map
+        out = real_conj(self, keys, g)
+        if out.size > 16:                # not the generators
+            out[:extra.size] = extra
+        return out
+    groups.mulclose = lambda ops, gens, m: np.union1d(real_close(ops, gens, m), extra)
+    groups.MatOps.conj = conj
     try:
         return groups._build_cached.__wrapped__(name, args)
     finally:
-        groups.mulclose = real
+        groups.mulclose, groups.MatOps.conj = real_close, real_conj
 
 
 def _outsiders(spec):
@@ -1156,11 +1235,13 @@ def _symplectic_by_loop(ops, m):
 
 
 def _cond_of(spec, monkeypatch):
-    """The `cond` that the spec's builder hands to `_generated`, which is
-    stubbed, so nothing is enumerated."""
+    """The `cond` that the spec's builder hands to `_generated` or `_image`,
+    both stubbed, so nothing is enumerated."""
     seen = []
     monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order,
                         cond=None: seen.append(cond))
+    monkeypatch.setattr(groups, "_image", lambda name, q, source, inverse, cond:
+                        seen.append(cond))
     name, args = parse_group_spec(spec)
     groups._SPECS[name][1](*args, groups._closed_order(name, args))
     return seen[0]
@@ -1245,17 +1326,23 @@ def test_membership_check_fires_under_python_O():
         "import numpy as np\n"
         "import sgplab.groups as g\n"
         "from sgplab.errors import InternalCheckError\n"
+        "real, real_conj = g.mulclose, g.MatOps.conj\n"
+        "def conj(self, keys, h):\n"
+        "    out = real_conj(self, keys, h)\n"
+        "    if out.size > 16:\n"
+        "        out[0] = bad\n"
+        "    return out\n"
         "for spec in %r:\n"
         "    H = g.build_group(spec)\n"
         "    bad = next(k for k in g._sp4_gens(H.ops) if not H.contains(k)[0])\n"
-        "    real = g.mulclose\n"
         "    g.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), [bad])\n"
+        "    g.MatOps.conj = conj\n"
         "    name, args = g.parse_group_spec(spec)\n"
         "    try:\n"
         "        g._build_cached.__wrapped__(name, args)\n"
         "    except InternalCheckError as exc:\n"
         "        print('caught', exc)\n"
-        "    g.mulclose = real\n") % (SUBGROUPS_Q4,)
+        "    g.mulclose, g.MatOps.conj = real, real_conj\n") % (SUBGROUPS_Q4,)
     src = str(Path(sgplab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1363,7 +1450,8 @@ def test_a_closure_that_outgrows_its_closed_form_is_internal_error(monkeypatch, 
     ("so4-:8", 524_160),             # 2 q^2 (q^4-1)
     ("sp4-sub:8:2", 720),
 ])
-def test_q8_subgroups_build_under_the_default_bound(spec, order):
-    """Built through the uncached builder, so the large key arrays are freed."""
+def test_q8_subgroups_build_under_the_default_bound(fresh_builds, spec, order):
+    """Built through the uncached builder, an image's source in the test's
+    own cache, so the large key arrays are freed."""
     name, args = parse_group_spec(spec)
     assert groups._build_cached.__wrapped__(name, args).order == order

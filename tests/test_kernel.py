@@ -318,12 +318,11 @@ def test_condition_failure_in_the_last_slice_is_counted(monkeypatch, capsys):
     last = build_group("so4-:2").keys[-1]
     groups._build_cached.cache_clear()
     monkeypatch.setattr(groups, "_CHUNK", SMALL_CHUNK)
-    real = groups._generated
+    real = groups._check_members
 
-    def rejecting(label, ops, gens, order, cond=None):
-        mutant = cond and (lambda m: cond(m) & (ops.pack(m) != last))
-        return real(label, ops, gens, order, mutant)
-    monkeypatch.setattr(groups, "_generated", rejecting)
+    def rejecting(label, ops, keys, cond):
+        return real(label, ops, keys, lambda m: cond(m) & (ops.pack(m) != last))
+    monkeypatch.setattr(groups, "_check_members", rejecting)
     message = "so4-:2: 1 enumerated elements fail its defining condition"
     with pytest.raises(InternalCheckError, match=message):
         build_group("so4-:2")
