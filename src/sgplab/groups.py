@@ -24,16 +24,20 @@ closed-form order as a `PolyQ`); `parse_group_spec` is the only validator.
 spec once, from its validated ints and order, and checks that order.
 Most groups close their generators (`_generated`), capped at that order
 (to outgrow it is a bug); the subgroups of sp4:q check their keys in one
-batched pass instead of enumerating sp4:q.  sp4:q itself is the union of the
+batched pass instead of enumerating sp4:q, and the images below close
+nothing.  sp4:q itself is the union of the
 cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
 that its generating pair generates it, so its class partition takes two
 products per element; building sp4:q leaves P in the build cache too.
-The graph automorphism tau of Sp4(2^e) (`MatOps.graph_aut`) pairs three
-rows of `_SPECS` with their sources: parabolic-q, so4+ and so4- are the
-images (`_image`) of parabolic-p, wreath-sp2 and ext-sp2q2-embedded, whose
-keys go through the map in one pass and one argsort, which the image
-keeps; `conjugacy_classes` (`carry_classes`) and `chartab.dixon_schneider`
-carry an image's classes and table from its source through it, checked.
+Four rows of `_SPECS` are images of a built source (`_image`), whose keys
+go through the map in one pass and one argsort, which the image keeps:
+the graph automorphism tau of Sp4(2^e) (`MatOps.graph_aut`) makes
+parabolic-q, so4+ and so4- of parabolic-p, wreath-sp2 and
+ext-sp2q2-embedded (`_tau_image`), and the entrywise subfield embedding
+makes sp4-sub:q:q0 of sp4:q0; `conjugacy_classes` (`carry_classes`) and
+`chartab.dixon_schneider` carry an image's classes and table from its
+source through that argsort, checked, so no group is partitioned or
+tabled twice.
 The maximal rows of Sp4(q) (spec, label, when, tau_H(1)) are one more
 table, `MAXIMAL_ROWS`; `closed_forms` reads both for `families`.
 
@@ -254,12 +258,18 @@ class MatOps:
         g^-1 * keys * g ("conj"), from the entries of g: the image of the
         single-bit key x^t E_ij is x^t u_i v_j for the column u_i = U e_i
         and the row v_j = e_j^T V, with (U, V) = (1, g), (g, 1) or
-        (g^-1, g)."""
+        (g^-1, g).  For "conj", U is the inverse mode's entry permutation of
+        g, which is g^-1 only for a group element: U V = sum_i u_i v_i must
+        be the identity, or InternalCheckError."""
         m = self.unpack(g)[0]
         u, v = {"right": (self._eye, m), "left": (m, self._eye),
                 "conj": (self._inv_perm(m[None])[0], m)}[side]
         mul = self.ctx.lut_mul
         outer = mul[u.T[:, None, :, None], v[None, :, None, :]]     # [i, j, a, b]
+        if side == "conj" and not np.array_equal(np.bitwise_xor.reduce(
+                self._poly[outer.diagonal()], axis=2), self._poly[self._eye]):
+            raise InternalCheckError(f"conj by {int(g):#x}: its {self.inv_mode} "
+                                     "inverse is not its inverse")
         images = mul[self._bit_codes[:, None, None], outer[:, :, None]]  # [i, j, t, a, b]
         return self._linear_tables(self.pack(
             self._poly[images].reshape(-1, self.dim, self.dim)))
@@ -294,7 +304,9 @@ class MatOps:
         return _sliced(image, keys)
 
     def conj(self, keys, g) -> np.ndarray:
-        """g^-1 * keys * g for one fixed g."""
+        """g^-1 * keys * g for one fixed g, an element of the group that the
+        inverse mode inverts (a symplectic or a permutation matrix): any
+        other g raises InternalCheckError when its tables are built."""
         return self._mul_fixed(_as_key_array(keys, self.dtype), g, "conj")
 
     def _inv_perm(self, mats: np.ndarray) -> np.ndarray:
@@ -818,9 +830,10 @@ def carry_classes(H: FinGroup) -> ClassData:
     new = np.empty(r, dtype=cd.class_of.dtype)
     new[old] = np.arange(r)
     class_of, reps = new[image_class], least[old]
-    # x a and a^-1 x a for each representative x and generator a: array products, no tables
+    # x a and a^-1 x a for each representative x and generator a: array products, no
+    # tables; a is read in S's dtype, as the map may change the field and the key width
     ops, n = H.ops, len(S.gens_keys)
-    x, a = np.tile(S.keys[by[reps]], n), np.repeat(np.array(S.gens_keys, dtype=ops.dtype), r)
+    x, a = np.tile(S.keys[by[reps]], n), np.repeat(np.array(S.gens_keys, dtype=S.ops.dtype), r)
     hx, ha, hxa = aut(x), aut(a), aut(S.ops.mul(x, a))
     if not (np.array_equal(hx, np.tile(H.keys[reps], n)) and np.array_equal(hxa, ops.mul(hx, ha))
             and np.array_equal(class_of[H.index_of(ops.mul(ops.inv(ha), hxa))],
@@ -955,40 +968,47 @@ def _transvections(ops) -> np.ndarray:
     return ops.pack(ctx.lut_add[ctx.lut_mul[v[:, :, None], v[:, None, ::-1]], ops._eye])
 
 
-def _image(name: str, q: int, source: str, inverse: bool, cond) -> FinGroup:
-    """The row `name`:q as the image of the group S of `source`:q under
+def _image(label: str, S: FinGroup, ops, aut, cond) -> FinGroup:
+    """The row `label` as the image of the built group S under `aut`, an
+    injective homomorphism into the keys of `ops`: S's keys go through aut
+    in one sliced pass and one argsort `by`, kept in the narrowest unsigned
+    dtype that indexes S as the image's source (S, aut, by), so that key i
+    is the image of S.keys[by[i]] and its classes and table are carried
+    from S's (`carry_classes`).  The keys must be distinct and pass
+    `_check_members`, and `_build_cached` counts them against the closed
+    form; the generators are the images of S's, which generate S."""
+    keys = _sliced(aut, S.keys)
+    by = np.argsort(keys).astype(np.min_scalar_type(S.order - 1))
+    keys = keys[by]                      # the unsorted image freed
+    if (keys[1:] == keys[:-1]).any():
+        raise InternalCheckError(f"{label}: two keys of {S.label} have one image")
+    _check_members(label, ops, keys, cond)
+    return FinGroup(label, ops, keys, aut(S.gens_keys), (S, aut, by))
+
+
+def _tau_image(name: str, q: int, source: str, inverse: bool, cond) -> FinGroup:
+    """The row `name`:q as the `_image` of the group S of `source`:q under
     x -> t_v tau^(+-1)(x) t_v^-1, tau^-1 = F^(e-1) tau (tau =
     `MatOps.graph_aut`, F = `MatOps.frobenius`, q = 2^e; Steinberg,
     Lectures on Chevalley Groups, 1967, sec. 10-11), for the first v
     (`_transvections`) under which the images of S's generators pass cond
     (v = 0 if none does, and the keys fail cond).  v = 0 for tau(parabolic-p)
     and tau(wreath-sp2) at every q tried and for tau^-1(ext-sp2q2-embedded)
-    at q <= 4; at q = 8 so4-'s form needs a v.
-
-    S's keys go through the map in one sliced pass and one argsort `by`,
-    kept as the image's source (S, map, by), so that key i is the image of
-    S.keys[by[i]] and its classes and table are carried from S's
-    (`carry_classes`).  The keys must be distinct and pass `_check_members`,
-    and `_build_cached` counts them against the closed form; the generators
-    are the images of S's, which generate S."""
+    at q <= 4, and then t_v = 1 and the map is tau alone, with no
+    conjugation pass; at q = 8 so4-'s form needs a v."""
     S = _build_cached(source, (q,))
-    ops, label = S.ops, f"{name}:{q}"
+    ops = S.ops
 
     def tau(k):                          # tau, or tau^-1 = F^(e-1) tau
         k = ops.graph_aut(k)
         for _ in range(q.bit_length() - 2 if inverse else 0):
             k = ops.frobenius(k)
         return k
-    gens, ts = tau(S.gens_keys), _transvections(ops)
-    t = next((t for t in ts if cond(ops.unpack(ops.conj(gens, t))).all()), ts[0])
-    aut = lambda k: ops.conj(tau(k), t)
-    keys = _sliced(aut, S.keys)
-    by = np.argsort(keys)
-    keys = keys[by]                      # the unsorted image freed
-    if (keys[1:] == keys[:-1]).any():
-        raise InternalCheckError(f"{label}: two keys of {S.label} have one image")
-    _check_members(label, ops, keys, cond)
-    return FinGroup(label, ops, keys, aut(S.gens_keys), (S, aut, by))
+    gens, one = tau(S.gens_keys), ops.identity
+    t = next((t for t in _transvections(ops) if cond(ops.unpack(
+        gens if t == one else ops.conj(gens, t))).all()), one)
+    aut = tau if t == one else lambda k: ops.conj(tau(k), t)
+    return _image(f"{name}:{q}", S, ops, aut, cond)
 
 
 def _build_sl2(q, order):
@@ -1242,15 +1262,15 @@ def _build_sz(q, order):
 
 
 def _build_sp4_sub(q, q0, order):
-    """sp4:q0 inside sp4:q: the generators of sp4:q0, entries mapped by
-    subfield_embed; its members have every entry in GF(q0)."""
+    """sp4:q0 inside sp4:q: the `_image` of sp4:q0 under the entrywise
+    subfield embedding (`gfield.subfield_embed`, one table gather); its
+    members have every entry in GF(q0)."""
+    S = _build_cached("sp4", (q0,))
     ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
-    small = mat_ops(gfield.field_ctx(q0.bit_length() - 1), 4, "symplectic")
-    lut = np.array([gfield.subfield_embed(small.ctx, ops.ctx, a) for a in range(q0)],
+    lut = np.array([gfield.subfield_embed(S.ops.ctx, ops.ctx, a) for a in range(q0)],
                    dtype=np.uint8)
-    gens = ops.pack(lut[small.unpack(_sp4_gens(small))])
-    return _generated(f"sp4-sub:{q}:{q0}", ops, gens, order,
-                      lambda m: np.isin(m, lut).all(axis=(1, 2)))
+    return _image(f"sp4-sub:{q}:{q0}", S, ops, lambda k: ops.pack(lut[S.ops.unpack(k)]),
+                  lambda m: np.isin(m, lut).all(axis=(1, 2)))
 
 
 def _build_trivial():
@@ -1283,21 +1303,22 @@ _parabolic_order = _q**3 * (_q**2 + _q) * (_q - 1) ** 2
 # name -> (arity, builder, closed-form order, four of them shared above); a builder
 # takes the int arguments, which only parse_group_spec checks, and the order, a
 # PolyQ read at the last argument (q0 of sp4-sub), or at 2 for arity 0 (in sp4:2).
-# parabolic-q, so4+ and so4- are images of the spec each names (`_image`): tau of
-# parabolic-p and wreath-sp2, tau^-1 of ext-sp2q2-embedded
+# parabolic-q, so4+ and so4- are images of the spec each names (`_tau_image`): tau of
+# parabolic-p and wreath-sp2, tau^-1 of ext-sp2q2-embedded; sp4-sub:q:q0 is the image
+# of sp4:q0 (`_build_sp4_sub`), all four made by `_image`
 _SPECS = {
     "sl2": (1, _build_sl2, _q * (_q**2 - 1)),
     "sp4": (1, _build_sp4, _sp4_order),
     "wreath-sp2": (1, _build_wreath, _wreath_order),
     "ext-sp2q2": (1, _build_ext_abstract, _ext_order),
     "parabolic-p": (1, _build_parabolic, _parabolic_order),
-    "parabolic-q": (1, lambda q, n: _image("parabolic-q", q, "parabolic-p", False, _zero_at(
+    "parabolic-q": (1, lambda q, n: _tau_image("parabolic-q", q, "parabolic-p", False, _zero_at(
         (2, 0), (3, 0), (2, 1), (3, 1))), _parabolic_order),
     "sz": (1, _build_sz, _q**2 * (_q**2 + 1) * (_q - 1)),
     "sp4-sub": (2, _build_sp4_sub, _sp4_order),
-    "so4+": (1, lambda q, n: _image("so4+", q, "wreath-sp2", False, _so4_form(q, "+")),
+    "so4+": (1, lambda q, n: _tau_image("so4+", q, "wreath-sp2", False, _so4_form(q, "+")),
              _wreath_order),
-    "so4-": (1, lambda q, n: _image("so4-", q, "ext-sp2q2-embedded", True, _so4_form(q, "-")),
+    "so4-": (1, lambda q, n: _tau_image("so4-", q, "ext-sp2q2-embedded", True, _so4_form(q, "-")),
              _ext_order),
     "s6": (0, lambda _: _build_cached("sp4", (2,)), _sp4_order),
     "a6": (0, lambda _: squares_subgroup(_build_cached("sp4", (2,)), "a6"), PolyQ(360)),

@@ -166,8 +166,33 @@ MUTANTS = (
     # so4- as tau^-1(ext-sp2q2-embedded) without the transvection t_v that
     # takes it to so4-'s form, which it needs at q = 8
     Mutant("image-without-its-transvection-cli", "groups.py",
-           "aut = lambda k: ops.conj(tau(k), t)", "aut = tau",
+           "aut = tau if t == one else lambda k: ops.conj(tau(k), t)", "aut = tau",
            argv=("chartab", "so4-:8")),
+    # sp4-sub:q:q0 through an embedding table that is the identity on codes:
+    # the image's entries are codes of GF(q), not GF(q0), so the Gram forms
+    # fail (q0 = 4: at q0 = 2 the identity on codes is the embedding)
+    Mutant("sp4-sub-embedding-as-identity-cli", "groups.py",
+           "gfield.subfield_embed(S.ops.ctx, ops.ctx, a) for a in range(q0)",
+           "a for a in range(q0)",
+           argv=("chartab", "sp4-sub:16:4")),
+    # a tau image conjugates by t_v even when t_v = 1: a whole conjugation
+    # pass that changes no key
+    Mutant("tau-image-conjugates-by-the-identity", "groups.py",
+           "aut = tau if t == one else lambda k: ops.conj(tau(k), t)",
+           "aut = lambda k: ops.conj(tau(k), t)",
+           ("tests/test_groups.py::test_images_by_tau_alone_run_no_conjugation_pass[2]",)),
+    # an image keeps its argsort as intp, twice the narrowest dtype at q = 8
+    Mutant("image-argsort-kept-as-intp", "groups.py",
+           "by = np.argsort(keys).astype(np.min_scalar_type(S.order - 1))",
+           "by = np.argsort(keys)",
+           ("tests/test_groups.py::"
+            "test_an_image_keeps_its_argsort_in_the_narrowest_dtype[parabolic-q:2-uint8]",)),
+    # conj by a matrix that its inverse mode does not invert returns
+    # J g^T J x g, with no error
+    Mutant("conj-without-its-inverse-check", "groups.py",
+           'if side == "conj" and not np.array_equal(', "if False and not np.array_equal(",
+           ("tests/test_kernel.py::"
+            "test_conj_refuses_an_element_its_inverse_mode_does_not_invert",)),
     # parabolic-q as the identity image of parabolic-p, not tau of it: no
     # transvection takes it into parabolic-q's flag stabilizer, so its keys fail the flag
     Mutant("image-tau-as-identity-cli", "groups.py",

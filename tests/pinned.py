@@ -3,7 +3,8 @@
 An entry is an argv and exactly one expected result: stdout byte for byte
 as a file of tests/golden (`golden`) or, by its SHA-256, as the "stdout" of
 a row of q8_digests.json (`digest`), each with exit 0; or an exit status
-(`exit_code`, stdout not read).  `slow` marks the Sp4(4) and q = 8 tiers.
+(`exit_code`, stdout not read).  `slow` marks the Sp4(4) and q = 8 tiers,
+and sp4-sub:16:4, whose source is sp4:4.
 
 `python tests/pinned.py` (no options) runs the installed `sgp-lab` once per
 entry in the environment it is given (the CI step sets PYTHONOPTIMIZE=1),
@@ -38,11 +39,12 @@ def _json(*argv, golden="", digest="", slow=False):
 
 
 PINNED = (
-    *(_json("chartab", spec, golden=f"chartab_{spec.replace(':', '_')}.json", slow=spec == "sp4:4")
+    *(_json("chartab", spec, golden=f"chartab_{spec.replace(':', '_')}.json",
+            slow=spec in ("sp4:4", "sp4-sub:16:4"))
       for spec in ("sl2:4", "sz:8", "sp4:2", "ext-sp2q2:2", "so4-:2", "parabolic-p:2",
                    "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4", "sp4-sub:8:2", "ext-sp2q2:4",
                    "so4+:4", "parabolic-p:4", "wreath-sp2:4", "parabolic-q:4", "so4-:4", "a6",
-                   "sp4:4")),
+                   "sp4:4", "sp4-sub:16:4")),
     _json("scan-maximal", "2", golden="scan_maximal_2.json"),
     _json("scan-maximal", "4", golden="scan_maximal_4.json", slow=True),
     *(_json("sgp", "--side", side, "sp4:4", sub, slow=True,

@@ -471,6 +471,9 @@ def test_verified_multiplicities_are_the_table(monkeypatch, spec):
 ORACLE_SPECS = sorted(p.argv[-1] for p in PINNED if p.golden.startswith("chartab_"))
 ORACLE_SPECS += [s for s in ("parabolic-p:4", "parabolic-q:4", "sl2:16", "s6")
                  if s not in ORACLE_SPECS]
+# sp4-sub:16:4 marked slow as its pin is: its source, sp4:4, is the largest group tabled
+ORACLE_SPECS = [pytest.param(s, marks=[pytest.mark.slow] * (s == "sp4-sub:16:4"))
+                for s in ORACLE_SPECS]
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [f"sl2_table:{q}" for q in (4, 8, 16)])

@@ -504,11 +504,12 @@ def _fresh_build_cache(monkeypatch):
 
 
 @pytest.mark.slow
-def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
+def test_scan_q4_tables_five_groups_and_carries_four(monkeypatch):
     """From fresh builds, one Sp4(4) scan splits the class algebras of five
-    groups and carries the tables of the other three rows, the images, from
-    their sources; the partition of sp4:4 builds conjugation permutations
-    for 3 of its 4 trace fibers, the fourth carried along F."""
+    groups, sp4:4, three of its rows and sp4:2, the source of sp4-sub:4:2,
+    and carries the tables of the other four rows, the images, from their
+    sources; the partition of sp4:4 builds conjugation permutations for 3
+    of its 4 trace fibers, the fourth carried along F."""
     _fresh_build_cache(monkeypatch)
     split, perm_fibers = [], []
     central, perm = ct._central_characters, groups._conjugation_perm
@@ -524,12 +525,12 @@ def test_scan_q4_tables_five_groups_and_carries_three(monkeypatch):
     monkeypatch.setattr(ct, "_central_characters", splitting)
     monkeypatch.setattr(groups, "_conjugation_perm", permuting)
     scan_maximal_sp4(4)
-    assert sorted(split) == ["ext-sp2q2-embedded:4", "parabolic-p:4", "sp4-sub:4:2",
+    assert sorted(split) == ["ext-sp2q2-embedded:4", "parabolic-p:4", "sp4:2",
                              "sp4:4", "wreath-sp2:4"]
     carried = [(H._chartable.stats["carried_from"], H.label)
                for H, _ in maximal_subgroups_sp4(4) if "carried_from" in H._chartable.stats]
-    assert carried == [("parabolic-p:4", "parabolic-q:4"), ("wreath-sp2:4", "so4+:4"),
-                       ("ext-sp2q2-embedded:4", "so4-:4")]
+    assert carried == [("parabolic-p:4", "parabolic-q:4"), ("sp4:2", "sp4-sub:4:2"),
+                       ("wreath-sp2:4", "so4+:4"), ("ext-sp2q2-embedded:4", "so4-:4")]
     assert len(perm_fibers) == 6 and sorted(set(perm_fibers)) == [0, 1, 2]
 
 
@@ -548,15 +549,19 @@ def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch
 
 @pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
 def test_carried_tables_equal_computed_ones(monkeypatch, q):
-    """The rows the scan carries (parabolic-q, so4+, so4-) have the
-    ClassData and the JSON table that `dixon_schneider` computes for their
-    keys and generators in a group with no source."""
+    """The rows the scan carries (parabolic-q, so4+, so4-, and sp4-sub:4:2
+    at q = 4), and sp4-sub:2q:2 tabled on its own, carried from sp4:2,
+    have the ClassData and the JSON table that `dixon_schneider` computes
+    for their keys and generators in a group with no source."""
     _fresh_build_cache(monkeypatch)
     scan_maximal_sp4(q)
     carried = [H for H, _ in maximal_subgroups_sp4(q)
                if H._chartable is not None and "carried_from" in H._chartable.stats]
-    assert [H.label for H in carried] == [f"parabolic-q:{q}", f"so4+:{q}", f"so4-:{q}"]
-    for H in carried:
+    assert [H.label for H in carried] == [f"parabolic-q:{q}", *["sp4-sub:4:2"] * (q == 4),
+                                          f"so4+:{q}", f"so4-:{q}"]
+    sub = build_group(f"sp4-sub:{2 * q}:2")
+    assert dixon_schneider(sub).stats["carried_from"] == "sp4:2"
+    for H in carried + [sub]:
         got = H._chartable
         want = dixon_schneider(groups.FinGroup(H.label, H.ops, H.keys, H.gens_keys))
         assert "carried_from" not in want.stats

@@ -525,10 +525,11 @@ def _union_find_labels(P, n):
 
 
 GOLDEN_SPECS = sorted(p.argv[-1] for p in PINNED if p.golden.startswith("chartab_"))
+SLOW_GOLDEN = {p.argv[-1] for p in PINNED if p.golden.startswith("chartab_") and p.slow}
 
 
 @pytest.mark.parametrize("spec,by", [
-    pytest.param(s, None, marks=[pytest.mark.slow] if s == "sp4:4" else [])
+    pytest.param(s, None, marks=[pytest.mark.slow] * (s in SLOW_GOLDEN))
     for s in GOLDEN_SPECS] + [("s6", "a6"), ("s6", "so4-:2")])
 def test_cycle_doubling_matches_union_find_only(monkeypatch, spec, by):
     """The partition whose first generator is joined by its cycle minima
@@ -859,11 +860,11 @@ def _powers_by_mul_ref(ops, keys):
         t += 1
 
 
-SLOW_SP4_4 = [pytest.param(s, marks=[pytest.mark.slow] if s == "sp4:4" else [])
-              for s in GOLDEN_SPECS]
+GOLDEN_PARAMS = [pytest.param(s, marks=[pytest.mark.slow] * (s in SLOW_GOLDEN))
+                 for s in GOLDEN_SPECS]
 
 
-@pytest.mark.parametrize("spec", SLOW_SP4_4)
+@pytest.mark.parametrize("spec", GOLDEN_PARAMS)
 def test_unpacked_powers_match_mul_ref(spec):
     """The orders and powers of every class representative of a golden
     group equal those of the `_mul_ref` loop."""
@@ -874,7 +875,7 @@ def test_unpacked_powers_match_mul_ref(spec):
     assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
 
 
-@pytest.mark.parametrize("spec", SLOW_SP4_4)
+@pytest.mark.parametrize("spec", GOLDEN_PARAMS)
 def test_frobenius_carried_partition_matches_the_uncarried_one(spec):
     """Every golden group's classes, with the labels of trace fibers carried
     along F where the group is F-stable, equal the partition of every
@@ -1028,32 +1029,31 @@ def test_sp4_4_closes_nothing_larger_than_its_point_stabilizer(monkeypatch,
 
 @pytest.mark.slow
 def test_scan_builds_parabolic_p_once(monkeypatch, fresh_builds):
-    """The scan's parabolic-p:4 row is the P that built sp4:4, from the cache."""
+    """The scan's parabolic-p:4 row is the P that built sp4:4, from the
+    cache; the one other parabolic-p built is parabolic-p:2, the P of sp4:2,
+    the source of sp4-sub:4:2."""
     calls = []
     arity, real, order = groups._SPECS["parabolic-p"]
     monkeypatch.setitem(groups._SPECS, "parabolic-p",
                         (arity, lambda q, m: calls.append(q) or real(q, m), order))
     scan_maximal_sp4(4)
-    assert calls == [4]
+    assert calls == [4, 2]
 
 
 # -- generator-built subgroups of sp4:q --------------------------------------
 
 def _filter_oracle(spec):
     """The construction the builders replaced: enumerate sp4:q and keep the
-    flag stabilizer or the form stabilizer, or look the subfield group up."""
+    flag stabilizer, the form stabilizer, or the matrices over GF(q0),
+    whose entries are the codes that x -> x^q0 fixes."""
     name, args = parse_group_spec(spec)
     G = build_group(f"sp4:{args[0]}")
     ops, ctx = G.ops, G.ops.ctx
-    if name == "sp4-sub":
-        small = build_group(f"sp4:{args[1]}")
-        lut = np.array([gfield.subfield_embed(small.ops.ctx, ctx, a)
-                        for a in range(small.ops.ctx.q)], dtype=np.uint8)
-        keys = np.unique(ops.pack(lut[small.ops.unpack(small.keys)]))
-        assert G.contains(keys).all()
-        return keys
     mats = ops.unpack(G.keys)
-    if name == "parabolic-p":
+    if name == "sp4-sub":
+        fixed = np.flatnonzero(ctx.lut_frob(args[1].bit_length() - 1) == np.arange(ctx.q))
+        keep = np.isin(mats, fixed).all(axis=(1, 2))
+    elif name == "parabolic-p":
         keep = (mats[:, 1, 0] == 0) & (mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
     elif name == "parabolic-q":
         keep = ((mats[:, 2, 0] == 0) & (mats[:, 3, 0] == 0)
@@ -1097,10 +1097,19 @@ def _closure_oracle(spec):
     and so4- from the reflections x -> x + (B(x, v) / Q(v)) v in the
     nonsingular v of a fixed list, plus the plane swap for so4+:2, where
     reflections give 36 of the 72 elements (Taylor, The Geometry of the
-    Classical Groups, ch. 11).  Each checked by the row's own condition."""
-    name, (q,) = parse_group_spec(spec)
+    Classical Groups, ch. 11); sp4-sub:q:q0 from the generators of sp4:q0,
+    entries mapped by subfield_embed.  Each checked by the row's own
+    condition."""
+    name, args = parse_group_spec(spec)
+    q = args[0]
     ctx = gfield.field_ctx(q.bit_length() - 1)
-    ops, order = groups.mat_ops(ctx, 4, "symplectic"), groups._closed_order(name, (q,))
+    ops, order = groups.mat_ops(ctx, 4, "symplectic"), groups._closed_order(name, args)
+    if name == "sp4-sub":
+        small = groups.mat_ops(gfield.field_ctx(args[1].bit_length() - 1), 4, "symplectic")
+        lut = np.array([gfield.subfield_embed(small.ctx, ctx, a) for a in range(args[1])],
+                       dtype=np.uint8)
+        return groups._generated(spec, ops, ops.pack(lut[small.unpack(groups._sp4_gens(small))]),
+                                 order, lambda m: np.isin(m, lut).all(axis=(1, 2)))
     if name == "parabolic-q":
         gens = groups._sp4_gens(ops)
         del gens[3]
@@ -1137,16 +1146,49 @@ def test_images_have_the_keys_of_their_closure_builders(fresh_builds, name, q):
     assert np.array_equal(build_group(spec).keys, _closure_oracle(spec).keys)
 
 
+@pytest.mark.parametrize("q,q0", [(4, 2), (8, 2), pytest.param(16, 4, marks=pytest.mark.slow)])
+def test_sp4_sub_has_the_keys_of_its_closure_builder(fresh_builds, q, q0):
+    spec = f"sp4-sub:{q}:{q0}"
+    assert np.array_equal(build_group(spec).keys, _closure_oracle(spec).keys)
+
+
 def test_images_close_nothing(monkeypatch, fresh_builds):
     """Once their sources are built, parabolic-q, so4+ and so4- are built
-    at q = 2 and 4 with `mulclose` raising."""
+    at q = 2 and 4, and sp4-sub:4:2 and sp4-sub:8:2 from sp4:2, with
+    `mulclose` raising."""
     for q in (2, 4):
         for source in ("parabolic-p", "wreath-sp2", "ext-sp2q2-embedded"):
             build_group(f"{source}:{q}")
+    build_group("sp4:2")
     monkeypatch.setattr(groups, "mulclose", lambda *a: pytest.fail("mulclose was called"))
     for q in (2, 4):
         for name in IMAGES:
             assert build_group(f"{name}:{q}").order == groups._closed_order(name, (q,))
+    for q in (4, 8):
+        assert build_group(f"sp4-sub:{q}:2").source[0] is build_group("sp4:2")
+
+
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+def test_images_by_tau_alone_run_no_conjugation_pass(monkeypatch, fresh_builds, q):
+    """Where t_v = 1 (every tau image at q <= 4; parabolic-q and so4+ at
+    q = 8) the image's map is tau alone: `MatOps.conj` is never called,
+    not even in the transvection search."""
+    monkeypatch.setattr(groups.MatOps, "conj", lambda *a: pytest.fail("conj was called"))
+    for name in IMAGES if q <= 4 else IMAGES[:2]:
+        assert build_group(f"{name}:{q}").order == groups._closed_order(name, (q,))
+
+
+@pytest.mark.parametrize("spec,dtype", [("parabolic-q:2", np.uint8), ("so4-:4", np.uint16),
+                                        ("sp4-sub:8:2", np.uint16),
+                                        pytest.param("parabolic-q:8", np.uint32,
+                                                     marks=pytest.mark.slow)])
+def test_an_image_keeps_its_argsort_in_the_narrowest_dtype(fresh_builds, spec, dtype):
+    """The kept argsort indexes the source in np.min_scalar_type(order - 1):
+    7.2 MB for parabolic-q:8's 1,806,336 keys, not int64's 14.5 MB."""
+    H = build_group(spec)
+    S, aut, by = H.source
+    assert by.dtype == dtype == np.min_scalar_type(S.order - 1)
+    assert np.array_equal(H.keys, aut(S.keys[by]))
 
 
 @pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
@@ -1168,19 +1210,21 @@ def _build_with(spec, extra):
     closure, or in place of as many of an image's keys, as a broken kernel
     might."""
     name, args = parse_group_spec(spec)
-    real_close, real_conj = groups.mulclose, groups.MatOps.conj
+    real_close, real_image = groups.mulclose, groups._image
 
-    def conj(self, keys, g):             # the last step of an image's map
-        out = real_conj(self, keys, g)
-        if out.size > 16:                # not the generators
-            out[:extra.size] = extra
-        return out
+    def image(label, S, ops, aut, cond):
+        def leaky(keys):                 # the map's pass, not its images of the generators
+            out = aut(keys)
+            if out.size > 16:
+                out[:extra.size] = extra
+            return out
+        return real_image(label, S, ops, leaky, cond)
     groups.mulclose = lambda ops, gens, m: np.union1d(real_close(ops, gens, m), extra)
-    groups.MatOps.conj = conj
+    groups._image = image
     try:
         return groups._build_cached.__wrapped__(name, args)
     finally:
-        groups.mulclose, groups.MatOps.conj = real_close, real_conj
+        groups.mulclose, groups._image = real_close, real_image
 
 
 def _outsiders(spec):
@@ -1236,11 +1280,11 @@ def _symplectic_by_loop(ops, m):
 
 def _cond_of(spec, monkeypatch):
     """The `cond` that the spec's builder hands to `_generated` or `_image`,
-    both stubbed, so nothing is enumerated."""
+    both stubbed, so nothing but an image's source is enumerated."""
     seen = []
     monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order,
                         cond=None: seen.append(cond))
-    monkeypatch.setattr(groups, "_image", lambda name, q, source, inverse, cond:
+    monkeypatch.setattr(groups, "_image", lambda label, S, ops, aut, cond:
                         seen.append(cond))
     name, args = parse_group_spec(spec)
     groups._SPECS[name][1](*args, groups._closed_order(name, args))
@@ -1326,23 +1370,25 @@ def test_membership_check_fires_under_python_O():
         "import numpy as np\n"
         "import sgplab.groups as g\n"
         "from sgplab.errors import InternalCheckError\n"
-        "real, real_conj = g.mulclose, g.MatOps.conj\n"
-        "def conj(self, keys, h):\n"
-        "    out = real_conj(self, keys, h)\n"
-        "    if out.size > 16:\n"
-        "        out[0] = bad\n"
-        "    return out\n"
+        "real, real_image = g.mulclose, g._image\n"
+        "def image(label, S, ops, aut, cond):\n"
+        "    def leaky(keys):\n"
+        "        out = aut(keys)\n"
+        "        if out.size > 16:\n"
+        "            out[0] = bad\n"
+        "        return out\n"
+        "    return real_image(label, S, ops, leaky, cond)\n"
         "for spec in %r:\n"
         "    H = g.build_group(spec)\n"
         "    bad = next(k for k in g._sp4_gens(H.ops) if not H.contains(k)[0])\n"
         "    g.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), [bad])\n"
-        "    g.MatOps.conj = conj\n"
+        "    g._image = image\n"
         "    name, args = g.parse_group_spec(spec)\n"
         "    try:\n"
         "        g._build_cached.__wrapped__(name, args)\n"
         "    except InternalCheckError as exc:\n"
         "        print('caught', exc)\n"
-        "    g.mulclose, g.MatOps.conj = real, real_conj\n") % (SUBGROUPS_Q4,)
+        "    g.mulclose, g._image = real, real_image\n") % (SUBGROUPS_Q4,)
     src = str(Path(sgplab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

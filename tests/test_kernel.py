@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import sgplab
 from sgplab import gfield, groups
+from sgplab.errors import InternalCheckError
 from sgplab.groups import _TABLE_CACHE, build_group, mat_ops
 
 U64 = np.uint64
@@ -29,6 +30,19 @@ def _random_keys(ops, rng, n):
     """n keys with independent uniform entry codes in 0 .. q-1."""
     codes = rng.integers(0, ops.ctx.q, size=(n, ops.dim, ops.dim), dtype=np.uint8)
     return ops.pack(codes)
+
+
+def _random_element(ops, rng):
+    """A random element of the group that ops's inverse mode inverts, as
+    `conj` needs: a permutation matrix for "transpose", and for
+    "symplectic" the product of four transvections x -> x + B(x, v) v,
+    entry (i, j) = [i = j] + v_i v_(d-1-j), of uniform v."""
+    d, ctx = ops.dim, ops.ctx
+    if ops.inv_mode == "transpose":
+        return ops.pack_one(ops._eye[:, rng.permutation(d)])
+    v = rng.integers(0, ctx.q, size=(4, d), dtype=np.uint8)
+    t = ops.pack(ctx.lut_add[ctx.lut_mul[v[:, :, None], v[:, None, ::-1]], ops._eye])
+    return _ref_mul(ops, _ref_mul(ops, t[:1], t[1:2]), _ref_mul(ops, t[2:3], t[3:]))[0]
 
 
 def _ref_mul(ops, a, b):
@@ -89,7 +103,7 @@ def test_conj_matches_two_products(case, seed, n):
     ops = mat_ops(gfield.field_ctx(e), dim, mode)
     rng = np.random.default_rng(seed)
     x = _random_keys(ops, rng, n)
-    g = _random_keys(ops, rng, 1)[0]
+    g = _random_element(ops, rng)
     got = ops.conj(x, g)
     assert np.array_equal(got, ops.mul(ops.mul(ops.inv(g), x), g))
     assert np.array_equal(got, _ref_mul(ops, _ref_mul(ops, _ref_inv(ops, g), x), g))
@@ -167,6 +181,18 @@ def test_ext_keys_wider_than_their_matrix_part():
                           np.full(y.size, ops.identity, dtype=U64))
     assert np.array_equal(ops.conj(x, y[1]),
                           _ext_ref_mul(ops, _ext_ref_mul(ops, ops.inv(y[1]), x), y[1]))
+
+
+def test_conj_refuses_an_element_its_inverse_mode_does_not_invert():
+    """I + E_12 over GF(4) is not symplectic, so J g^T J is not its
+    inverse: its conj tables raise rather than map x to J g^T J x g, while
+    a product by it, which needs no inverse, is still exact."""
+    ops = mat_ops(gfield.field_ctx(2), 4, "symplectic")
+    g = ops.pack_one([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    x = _random_keys(ops, np.random.default_rng(2), 5)
+    assert np.array_equal(ops.mul(x, g), _ref_mul(ops, x, g))
+    with pytest.raises(InternalCheckError, match="symplectic inverse is not its inverse"):
+        ops.conj(x, g)
 
 
 def test_table_cache_is_bounded_and_stays_exact():
@@ -267,7 +293,7 @@ def test_mul_ref_does_not_depend_on_the_chunk_length(monkeypatch):
                 ref = _ext_ref_mul
             else:
                 x, y = _random_keys(ops, rng, n), _random_keys(ops, rng, n)
-                g = _random_keys(ops, rng, 1)[0]
+                g = _random_element(ops, rng)
                 ref = _ref_mul
             monkeypatch.setattr(groups, "_CHUNK", 1 << 16)
             whole = _kernel_passes(ops, x, y, g)
@@ -293,7 +319,7 @@ def test_fixed_element_product_gathers_once_where_codes_are_polynomials(
     ops = mat_ops(gfield.field_ctx(e), 4, "symplectic")
     assert (ops._to_code is None) == (e <= 2)
     rng = np.random.default_rng(19)
-    x, g = _random_keys(ops, rng, 3 * SMALL_CHUNK + 5), _random_keys(ops, rng, 1)[0]
+    x, g = _random_keys(ops, rng, 3 * SMALL_CHUNK + 5), _random_element(ops, rng)
     runs = [lambda: ops.mul(x, g), lambda: ops.mul(g, x), lambda: ops.conj(x, g)]
     for run in runs:
         run()                            # table sets built, before counting
@@ -345,7 +371,7 @@ def test_whole_array_pass_holds_its_output_and_one_slice(op):
     else:
         ops = mat_ops(gfield.field_ctx(3), 4, "symplectic")
         x = _random_keys(ops, rng, 4 * groups._CHUNK)
-    g = x[0]
+    g = _random_element(ops, rng) if isinstance(ops, groups.MatOps) else x[0]
     run = {"inv": lambda: ops.inv(x), "mul": lambda: ops.mul(x, g),
            "conj": lambda: ops.conj(x, g)}[op]
     run()                                  # the byte tables, outside the trace
