@@ -22,22 +22,25 @@ Group specs are read from one table, `_SPECS` (name -> arity, builder,
 closed-form order as a `PolyQ`); `parse_group_spec` is the only validator.
 `build_group` refuses an order above max_order; `_build_cached` builds a
 spec once, from its validated ints and order, and checks that order.
-Most groups close their generators (`_generated`), capped at that order
-(to outgrow it is a bug); the subgroups of sp4:q check their keys in one
-batched pass instead of enumerating sp4:q, and the images below close
-nothing.  sp4:q itself is the union of the
-cosets t P of P = parabolic-p:q, one per point of PG(3, q), with a proof
-that its generating pair generates it, so its class partition takes two
-products per element; building sp4:q leaves P in the build cache too.
-Four rows of `_SPECS` are images of a built source (`_image`), whose keys
-go through the map in one pass and one argsort, which the image keeps:
-the graph automorphism tau of Sp4(2^e) (`MatOps.graph_aut`) makes
-parabolic-q, so4+ and so4- of parabolic-p, wreath-sp2 and
-ext-sp2q2-embedded (`_tau_image`), and the entrywise subfield embedding
-makes sp4-sub:q:q0 of sp4:q0; `conjugacy_classes` (`carry_classes`) and
-`chartab.dixon_schneider` carry an image's classes and table from its
-source through that argsort, checked, so no group is partitioned or
-tabled twice.
+Four builders close their generators (`_generated`), capped at that
+order (to outgrow it is a bug): sl2, wreath-sp2, parabolic-p and sz.
+The subgroups of sp4:q check their keys in one batched pass instead of
+enumerating sp4:q, and the rows below close nothing.  sp4:q itself is
+the union of the cosets t P of P = parabolic-p:q, one per point of
+PG(3, q), with a proof that its generating pair generates it, so its
+class partition takes two products per element; building sp4:q leaves P
+in the build cache too.  ext-sp2q2:q is the union of the two cosets
+sl2:q^2 and sl2:q^2 (1, 1).  Five rows of `_SPECS` are images of a built
+source (`_image`), whose keys go through the map in one pass and one
+argsort, which the image keeps: the graph automorphism tau of Sp4(2^e)
+(`MatOps.graph_aut`) makes parabolic-q, so4+ and so4- of parabolic-p,
+wreath-sp2 and ext-sp2q2-embedded (`_tau_image`), the entrywise subfield
+embedding makes sp4-sub:q:q0 of sp4:q0, and `_ext_embedding` makes
+ext-sp2q2-embedded:q of ext-sp2q2:q; `conjugacy_classes`
+(`carry_classes`) and `chartab.dixon_schneider` carry an image's classes
+and table from its source through that argsort, checked, and recurse
+when the source is an image too (so4- of ext-sp2q2-embedded), so no
+group is partitioned or tabled twice.
 The maximal rows of Sp4(q) (spec, label, when, tau_H(1)) are one more
 table, `MAXIMAL_ROWS`; `closed_forms` reads both for `families`.
 
@@ -1139,57 +1142,76 @@ def _build_wreath(q, order):
 
 
 def _build_ext_abstract(q, order):
+    """ext-sp2q2:q as the two cosets sl2:q^2 and sl2:q^2 (1, 1): the keys
+    of sl2:q^2 are the ExtOps keys of twist 0, and (m, 1) = (m, 0)(1, 1)
+    sets the twist bit, the top bit, so the union is sorted as built, which
+    is checked.  Its generators are sl2:q^2's and (1, 1)."""
+    label = f"ext-sp2q2:{q}"
+    S = _build_cached("sl2", (q * q,))
     ops = _ext_ops_cached(q)
-    gens = [ops.pack_one(rows, 0) for rows in _sl2_gens(ops.ctx)]
-    gens.append(ops.pack_one([[ops.ctx.one, 0], [0, ops.ctx.one]], 1))
-    return _generated(f"ext-sp2q2:{q}", ops, gens, order)
+    keys, twist = S.keys.astype(ops.dtype), ops.dtype.type(1) << ops._tshift
+    keys = np.concatenate([keys, keys | twist])
+    if not (keys[1:] > keys[:-1]).all():
+        raise InternalCheckError(f"{label}: the two cosets of {S.label} are not sorted apart")
+    return FinGroup(label, ops, keys, [*S.gens_keys, ops.identity | twist])
+
+
+def _ext_embedding(q) -> tuple:
+    """(ops, map): the 4 x 4 MatOps over GF(q) and the injective
+    homomorphism of ext-sp2q2:q into it, (m, s) -> T^-1 rho(m) F^s T.
+
+    With g the gamma of GF(q^2), t = g + g^q and n = g^(q+1) lie in GF(q)
+    and x^2 + t x + n is g's minimal polynomial.  In the basis (1,0),
+    (g,0), (0,1), (0,g) of GF(q)^4, rho takes each entry z = u + v g of m
+    to the block [[u, n v], [v, u + t v]], the Frobenius sigma is F =
+    diag(A, A), A = [[1, t], [0, 1]] = A^-1, and Tr(x1 y2 + x2 y1) has the
+    Gram matrix [[0,0,0,t],[0,0,t,t^2],[0,t,0,0],[t,t^2,0,0]].  T =
+    diag(A, 1/t, 1/t) takes it to J, and T^-1 F T = F.  So the map is code
+    lookups: (u, v) of every code z, and per entry position (i, j) of m a
+    table of the keys T^-1 rho(z) T, rho(z) at block (i, j) and zero
+    elsewhere ([[A P A, A P / t], [t P A, P]] by position), so that a key's
+    image is the OR of four gathers; then one fixed right product by F on
+    the twisted keys."""
+    ext = _ext_ops_cached(q)
+    ctx, ctx2 = gfield.field_ctx(q.bit_length() - 1), ext.ctx
+    mul, add, g = ctx.lut_mul, ctx.lut_add, ctx2.gamma
+    up = np.array([gfield.subfield_embed(ctx, ctx2, a) for a in range(q)], dtype=np.uint8)
+    uv = np.indices((q, q), dtype=np.uint8).reshape(2, -1)
+    coords = np.empty((q * q, 2), dtype=np.uint8)        # z -> (u, v), z = u + v g
+    coords[ctx2.lut_add[up[uv[0]], ctx2.lut_mul[up[uv[1]], g]]] = uv.T
+    tn = [ctx2.add(g, gfield.frobenius(ctx2, g, ctx.e)), ctx2.pow(g, q + 1)]
+    (t, tv), (n, nv) = coords[tn].tolist()
+    if tv or nv or not t or not n:
+        raise InternalCheckError(f"ext-sp2q2-embedded:{q}: t or n (GF({q * q}) codes {tn}) "
+                                 f"is not a unit of GF({q})")
+    u, v = coords.T
+    rho = np.stack([u, mul[n, v], v, add[u, mul[t, v]]], axis=1).reshape(-1, 2, 2)
+    blocks = np.zeros((4, q * q, 4, 4), dtype=np.uint8)   # rho(z) at entry (i, j) of m
+    for p in range(4):
+        i, j = divmod(p, 2)
+        blocks[p, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = rho
+    ops = mat_ops(ctx, 4, "symplectic")
+    a = np.array([[ctx.one, t], [0, ctx.one]], dtype=np.uint8)
+    t_inv, t_key, f = (ops.pack_one(np.block([[a, 0 * a], [0 * a, b]]))
+                       for b in (np.diag([t, t]), np.diag([ctx.inv(t)] * 2), a))
+    # T is block diagonal, so T^-1 X T keeps the one nonzero block of X in place
+    tables = ops.mul(ops.mul(t_inv, ops.pack(blocks.reshape(-1, 4, 4))), t_key).reshape(4, -1)
+
+    def embed(keys):
+        mkeys, twist = ext._split(_as_key_array(keys, ext.dtype))
+        codes = ext._mat.unpack(mkeys).reshape(-1, 4)
+        out = np.bitwise_or.reduce([tab[c] for tab, c in zip(tables, codes.T)])
+        out[twist] = ops.mul(out[twist], f)
+        return out
+    return ops, embed
 
 
 def _build_ext_embedded(q, order):
-    """Concrete image of ext-sp2q2:q inside sp4:q.  With g the gamma of
-    GF(q^2), t = g + g^q and n = g^(q+1) in GF(q), so x^2 + t x + n is g's
-    minimal polynomial.  In the basis (1,0), (g,0), (0,1), (0,g) of GF(q)^4,
-    z = u + v g acts by [[u, n v], [v, u + t v]], the Frobenius by
-    [[1, t], [0, 1]] on each half, and Tr(x1 y2 + x2 y1) has the Gram
-    matrix [[0,0,0,t],[0,0,t,t^2],[0,t,0,0],[t,t^2,0,0]].  T = diag([[1, t],
-    [0, 1]], 1/t, 1/t) takes it to J, and the generators are T^-1 M T,
-    T^-1 = diag([[1, t], [0, 1]], t, t)."""
-    label = f"ext-sp2q2-embedded:{q}"
-    e = q.bit_length() - 1
-    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
-    g = ctx2.gamma
-
-    def down(w):   # a nonzero code of GF(q^2) that lies in GF(q), as a GF(q) code
-        if not w or (w - 1) % (q + 1):
-            raise InternalCheckError(
-                f"{label}: GF({q * q}) code {w} is not a unit of GF({q})")
-        return 1 + (w - 1) // (q + 1)
-
-    t = down(ctx2.add(g, gfield.frobenius(ctx2, g, e)))
-    n = down(ctx2.pow(g, q + 1))
-    mul, one, ti, ni = ctx.mul, ctx.one, ctx.inv(t), ctx.inv(n)
-    coords = {0: (0, 0), ctx2.one: (one, 0), g: (0, one),
-              ctx2.inv(g): (mul(t, ni), ni)}   # g^-1 = (g + t) / n
-
-    def block(z):
-        u, v = coords[z]
-        return [[u, mul(n, v)], [v, ctx.add(u, mul(t, v))]]
-
-    def image(rows2):   # a 2x2 matrix over GF(q^2) as a 4x4 one over GF(q)
-        return [sum((block(z)[i] for z in row), []) for row in rows2 for i in (0, 1)]
-
-    def diag(a, b):
-        return [r + [0, 0] for r in a] + [[0, 0] + r for r in b]
-
-    ops = mat_ops(ctx, 4, "symplectic")
-    frob = [[one, t], [0, one]]
-    t_key = ops.pack_one(diag(frob, [[ti, 0], [0, ti]]))
-    t_inv = ops.pack_one(diag(frob, [[t, 0], [0, t]]))
-    gen_rows = [image(rows) for rows in _sl2_gens(ctx2)] + [diag(frob, frob)]
-    gens = [ops.mul(ops.mul(t_inv, ops.pack_one(r)), t_key)[0] for r in gen_rows]
-    if not _symplectic(ops, ops.unpack(gens)).all():
-        raise InternalCheckError(f"{label}: a generator is not symplectic")
-    return _generated(label, ops, gens, order)
+    """The concrete copy of ext-sp2q2:q inside sp4:q: the `_image` of
+    ext-sp2q2:q under `_ext_embedding`, every key checked symplectic."""
+    ops, embed = _ext_embedding(q)
+    return _image(f"ext-sp2q2-embedded:{q}", _build_cached("ext-sp2q2", (q,)), ops, embed,
+                  lambda m: True)
 
 
 def _zero_at(*cells):
@@ -1305,7 +1327,9 @@ _parabolic_order = _q**3 * (_q**2 + _q) * (_q - 1) ** 2
 # PolyQ read at the last argument (q0 of sp4-sub), or at 2 for arity 0 (in sp4:2).
 # parabolic-q, so4+ and so4- are images of the spec each names (`_tau_image`): tau of
 # parabolic-p and wreath-sp2, tau^-1 of ext-sp2q2-embedded; sp4-sub:q:q0 is the image
-# of sp4:q0 (`_build_sp4_sub`), all four made by `_image`
+# of sp4:q0 (`_build_sp4_sub`) and ext-sp2q2-embedded:q that of ext-sp2q2:q, itself
+# two cosets of sl2:q^2 (`_build_ext_embedded`, `_build_ext_abstract`), all five
+# images made by `_image`
 _SPECS = {
     "sl2": (1, _build_sl2, _q * (_q**2 - 1)),
     "sp4": (1, _build_sp4, _sp4_order),

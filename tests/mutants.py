@@ -198,6 +198,17 @@ MUTANTS = (
     Mutant("image-tau-as-identity-cli", "groups.py",
            "k = ops.graph_aut(k)", "k = _as_key_array(k, ops.dtype)",
            argv=("chartab", "parabolic-q:4")),
+    # the twist of the coset sl2:q^2 (1, 1) set one bit low, inside the
+    # matrix part: the union is no longer sorted and distinct
+    Mutant("ext-coset-twist-one-bit-low-cli", "groups.py",
+           "ops.dtype.type(1) << ops._tshift", "ops.dtype.type(1) << (ops._tshift - 1)",
+           argv=("chartab", "ext-sp2q2:2")),
+    # ext-sp2q2-embedded as rho alone, T not folded into the block tables:
+    # rho keeps Tr(x1 y2 + x2 y1), not J, so the images fail the Gram forms
+    Mutant("ext-embedding-without-t-cli", "groups.py",
+           "tables = ops.mul(ops.mul(t_inv, ops.pack(blocks.reshape(-1, 4, 4))), t_key)",
+           "tables = ops.pack(blocks.reshape(-1, 4, 4))",
+           argv=("chartab", "ext-sp2q2-embedded:4")),
     # an image keeps its argsort rolled by one: its carried classes fail the carry's check
     Mutant("image-argsort-off-by-one-cli", "groups.py",
            "(S, aut, by))", "(S, aut, np.roll(by, 1)))",

@@ -60,7 +60,7 @@ PINNED = (
     Pinned(("--max-order", "1000", "chartab", "sl2:16"), exit_code=3),
     Pinned(("--max-order", "10", "verify-paper"), exit_code=3),
     *(_json("chartab", spec, digest=spec, slow=True)
-      for spec in ("parabolic-p:8", "parabolic-q:8", "wreath-sp2:8",
+      for spec in ("parabolic-p:8", "parabolic-q:8", "wreath-sp2:8", "ext-sp2q2:8",
                    "ext-sp2q2-embedded:8", "so4+:8", "so4-:8")),
 )
 

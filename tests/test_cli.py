@@ -360,8 +360,9 @@ def test_reader_closing_stdout_early_is_exit_1_without_traceback(spec):
 def test_ext_embedded_with_a_wrong_trace_is_internal_error(power, monkeypatch, capsys,
                                                            fresh_builds):
     """In GF(16), t = g + g^power in place of g + g^4 is 0, outside GF(4),
-    or g^10, for which x^2 + t x + n has a root in GF(4) and the closure has
-    7200 elements, not 8160: exit 4, naming the group."""
+    or g^10, for which x^2 + t x + n has a root in GF(4), so the map is no
+    embedding and 6240 of the 8160 images fail the Gram forms: exit 4,
+    naming the group."""
     monkeypatch.setattr(gfield, "frobenius", lambda ctx, a, f: ctx.pow(a, power))
     assert main(["chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
     assert "ext-sp2q2-embedded:4" in capsys.readouterr().err
@@ -369,8 +370,16 @@ def test_ext_embedded_with_a_wrong_trace_is_internal_error(power, monkeypatch, c
 
 def test_ext_embedded_non_symplectic_generator_is_internal_error(monkeypatch, capsys,
                                                                  fresh_builds):
-    """gamma * 1 has determinant gamma^2 != 1, so it scales the form."""
-    monkeypatch.setattr(groups, "_sl2_gens", lambda ctx: [[[ctx.gamma, 0], [0, ctx.gamma]]])
+    """The map followed by gamma * 1, whose determinant gamma^2 != 1 scales
+    the form: it is still injective, but no image, the generators' among
+    them, is symplectic, and the Gram forms count all 8160."""
+    embedding = groups._ext_embedding
+
+    def scaled(q):
+        ops, embed = embedding(q)
+        g = ops.pack_one(ops._eye * ops.ctx.gamma)
+        return ops, lambda keys: ops.mul(embed(keys), g)
+    monkeypatch.setattr(groups, "_ext_embedding", scaled)
     assert main(["chartab", "ext-sp2q2-embedded:4"]) == EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert "ext-sp2q2-embedded:4" in err and "not symplectic" in err
+    assert capsys.readouterr().err.endswith(
+        "ext-sp2q2-embedded:4: 8160 enumerated elements fail its defining condition\n")

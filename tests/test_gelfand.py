@@ -21,6 +21,7 @@ from sgplab.gelfand import (SgpVerdict, Witness, is_gelfand_pair,
 from sgplab.groups import (all_subgroups, build_group, cyclic_subgroup,
                            element_order, maximal_subgroups_sp4, perm_group,
                            squares_subgroup, subgroup)
+from sgplab.verify import CHECKS
 
 
 def _s5():
@@ -504,12 +505,13 @@ def _fresh_build_cache(monkeypatch):
 
 
 @pytest.mark.slow
-def test_scan_q4_tables_five_groups_and_carries_four(monkeypatch):
+def test_scan_q4_tables_five_groups_and_carries_five(monkeypatch):
     """From fresh builds, one Sp4(4) scan splits the class algebras of five
-    groups, sp4:4, three of its rows and sp4:2, the source of sp4-sub:4:2,
-    and carries the tables of the other four rows, the images, from their
-    sources; the partition of sp4:4 builds conjugation permutations for 3
-    of its 4 trace fibers, the fourth carried along F."""
+    groups, sp4:4, two of its rows, sp4:2, the source of sp4-sub:4:2, and
+    ext-sp2q2:4, the source of ext-sp2q2-embedded:4, and carries the
+    tables of the other five rows, the images, from their sources; the
+    partition of sp4:4 builds conjugation permutations for 3 of its 4
+    trace fibers, the fourth carried along F."""
     _fresh_build_cache(monkeypatch)
     split, perm_fibers = [], []
     central, perm = ct._central_characters, groups._conjugation_perm
@@ -525,13 +527,34 @@ def test_scan_q4_tables_five_groups_and_carries_four(monkeypatch):
     monkeypatch.setattr(ct, "_central_characters", splitting)
     monkeypatch.setattr(groups, "_conjugation_perm", permuting)
     scan_maximal_sp4(4)
-    assert sorted(split) == ["ext-sp2q2-embedded:4", "parabolic-p:4", "sp4:2",
+    assert sorted(split) == ["ext-sp2q2:4", "parabolic-p:4", "sp4:2",
                              "sp4:4", "wreath-sp2:4"]
     carried = [(H._chartable.stats["carried_from"], H.label)
                for H, _ in maximal_subgroups_sp4(4) if "carried_from" in H._chartable.stats]
-    assert carried == [("parabolic-p:4", "parabolic-q:4"), ("sp4:2", "sp4-sub:4:2"),
-                       ("wreath-sp2:4", "so4+:4"), ("ext-sp2q2-embedded:4", "so4-:4")]
+    assert carried == [("parabolic-p:4", "parabolic-q:4"), ("ext-sp2q2:4", "ext-sp2q2-embedded:4"),
+                       ("sp4:2", "sp4-sub:4:2"), ("wreath-sp2:4", "so4+:4"),
+                       ("ext-sp2q2-embedded:4", "so4-:4")]
     assert len(perm_fibers) == 6 and sorted(set(perm_fibers)) == [0, 1, 2]
+
+
+@pytest.mark.slow
+def test_sl2_16_ext_is_tabled_once_over_the_checks_that_use_it(monkeypatch):
+    """From fresh builds, the verify-paper checks ext-split-fuse-324 and
+    sp4-4-scan split the class algebra of SL2(16).2 once, as ext-sp2q2:4:
+    the scan's ext-sp2q2-embedded:4 and so4-:4 carry their tables from it."""
+    _fresh_build_cache(monkeypatch)
+    split, central = [], ct._central_characters
+
+    def splitting(G, cd, p):
+        split.append(G.label)
+        return central(G, cd, p)
+    monkeypatch.setattr(ct, "_central_characters", splitting)
+    for check in CHECKS:
+        if check.name in ("ext-split-fuse-324", "sp4-4-scan"):
+            assert check.fn.__wrapped__(groups.MAX_ORDER_DEFAULT)[0], check.name
+    assert [g for g in split if g.split(":")[0] in ("ext-sp2q2", "ext-sp2q2-embedded",
+                                                    "so4-")] == ["ext-sp2q2:4"]
+    assert dixon_schneider(build_group("so4-:4")).stats["carried_from"] == "ext-sp2q2-embedded:4"
 
 
 def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch):
@@ -549,16 +572,17 @@ def test_a_closed_form_that_disagrees_with_its_row_is_internal_error(monkeypatch
 
 @pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
 def test_carried_tables_equal_computed_ones(monkeypatch, q):
-    """The rows the scan carries (parabolic-q, so4+, so4-, and sp4-sub:4:2
-    at q = 4), and sp4-sub:2q:2 tabled on its own, carried from sp4:2,
-    have the ClassData and the JSON table that `dixon_schneider` computes
-    for their keys and generators in a group with no source."""
+    """The rows the scan carries (parabolic-q, ext-sp2q2-embedded, so4+,
+    so4-, and sp4-sub:4:2 at q = 4), and sp4-sub:2q:2 tabled on its own,
+    carried from sp4:2, have the ClassData and the JSON table that
+    `dixon_schneider` computes for their keys and generators in a group
+    with no source."""
     _fresh_build_cache(monkeypatch)
     scan_maximal_sp4(q)
     carried = [H for H, _ in maximal_subgroups_sp4(q)
                if H._chartable is not None and "carried_from" in H._chartable.stats]
-    assert [H.label for H in carried] == [f"parabolic-q:{q}", *["sp4-sub:4:2"] * (q == 4),
-                                          f"so4+:{q}", f"so4-:{q}"]
+    assert [H.label for H in carried] == [f"parabolic-q:{q}", f"ext-sp2q2-embedded:{q}",
+                                          *["sp4-sub:4:2"] * (q == 4), f"so4+:{q}", f"so4-:{q}"]
     sub = build_group(f"sp4-sub:{2 * q}:2")
     assert dixon_schneider(sub).stats["carried_from"] == "sp4:2"
     for H in carried + [sub]:

@@ -200,14 +200,6 @@ def test_h_classes_requires_subgroup():
         h_classes(build_group("sl2:4"), build_group("sl2:8"))
 
 
-def test_ext_abstract_vs_embedded():
-    for q in (2, 4):
-        a = build_group(f"ext-sp2q2:{q}")
-        b = build_group(f"ext-sp2q2-embedded:{q}")
-        assert a.order == b.order
-        assert sorted(conjugacy_classes(a).sizes) == sorted(conjugacy_classes(b).sizes)
-
-
 def _symplectic_basis(ctx, gram):
     """Columns of a basis T with T^t * gram * T = J, by symplectic
     Gram-Schmidt over the standard basis."""
@@ -275,16 +267,41 @@ def _ext_embedded_gens_by_table(q):
     return [int(ops.mul(ops.mul(t_inv, ops.pack_one(r)), t)[0]) for r in rows]
 
 
+def _ext_gens(q):
+    """The generators of ext-sp2q2:q, read off `_sl2_gens` with nothing
+    enumerated: those of SL2(q^2), twist 0, then the twist (1, 1)."""
+    ops = groups._ext_ops_cached(q)
+    return [ops.pack_one(rows, 0) for rows in groups._sl2_gens(ops.ctx)] + [
+        ops.pack_one(ops._mat._eye, 1)]
+
+
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
-def test_ext_embedded_gens_match_the_coordinate_table_oracle(q, monkeypatch):
-    """The closed forms in t and n give the generators that the coordinate
-    table and Gram-Schmidt give; `_generated` is stubbed, so q = 16 is
-    not enumerated."""
-    seen = []
-    monkeypatch.setattr(groups, "_generated",
-                        lambda label, ops, gens, *rest: seen.append(gens))
-    groups._build_ext_embedded(q, groups._ext_order.eval_int(q))
-    assert [int(k) for k in seen[0]] == _ext_embedded_gens_by_table(q)
+def test_ext_embedded_gens_match_the_coordinate_table_oracle(q):
+    """The map of `_ext_embedding`, built once with no enumeration (t and n
+    read off its code table, T folded into its block tables), takes the
+    generators of ext-sp2q2:q to those that the coordinate table and
+    Gram-Schmidt give, at q = 16 too, where sl2:256 cannot be built; up to
+    q = 8 they are the built group's generators."""
+    gens = _ext_gens(q)
+    if q <= 8:
+        assert build_group(f"ext-sp2q2:{q}").gens_keys == [int(k) for k in gens]
+    ops, embed = groups._ext_embedding(q)
+    assert ops is groups.mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
+    assert [int(k) for k in embed(gens)] == _ext_embedded_gens_by_table(q)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_ext_embedding_is_a_homomorphism_on_random_pairs(q):
+    """rho(x y) = rho(x) rho(y) on 2000 seeded random pairs of
+    ext-sp2q2:q, with `ExtOps.mul` and `MatOps.mul` taking the products
+    pair by pair; the pairs meet both twists on both sides."""
+    G = build_group(f"ext-sp2q2:{q}")
+    ops, embed = groups._ext_embedding(q)
+    rng = np.random.default_rng(41)
+    x, y = (G.keys[rng.integers(0, G.order, 2000)] for _ in range(2))
+    twists = (x >> G.ops._tshift) * 2 + (y >> G.ops._tshift)
+    assert set(twists.tolist()) == {0, 1, 2, 3}
+    assert np.array_equal(embed(G.ops.mul(x, y)), ops.mul(embed(x), embed(y)))
 
 
 def test_orthogonal_stabilizer_order_coincidences():
@@ -1099,9 +1116,11 @@ def _closure_oracle(spec):
     reflections give 36 of the 72 elements (Taylor, The Geometry of the
     Classical Groups, ch. 11); sp4-sub:q:q0 from the generators of sp4:q0,
     entries mapped by subfield_embed.  Each checked by the row's own
-    condition."""
+    condition.  The two ext rows by `_ext_closure_oracle`."""
     name, args = parse_group_spec(spec)
     q = args[0]
+    if name.startswith("ext-sp2q2"):
+        return _ext_closure_oracle(spec, q, groups._closed_order(name, args))
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops, order = groups.mat_ops(ctx, 4, "symplectic"), groups._closed_order(name, args)
     if name == "sp4-sub":
@@ -1136,12 +1155,57 @@ def _closure_oracle(spec):
     return groups._generated(spec, ops, gens, order, groups._so4_form(q, name[-1]))
 
 
+def _ext_closure_oracle(spec, q, order):
+    """The closure builders the two ext rows replaced: ext-sp2q2:q from
+    the generators of SL2(q^2) and the twist (1, 1); ext-sp2q2-embedded:q
+    from their images, each a 4 x 4 matrix over GF(q) built entry by entry
+    from the closed forms in t and n, its generators checked symplectic
+    and nothing else."""
+    if spec.startswith("ext-sp2q2:"):
+        return groups._generated(spec, groups._ext_ops_cached(q), _ext_gens(q), order)
+    e = q.bit_length() - 1
+    ctx, ctx2 = gfield.field_ctx(e), gfield.field_ctx(2 * e)
+    g = ctx2.gamma
+
+    def down(w):   # a nonzero code of GF(q^2) that lies in GF(q), as a GF(q) code
+        assert w and (w - 1) % (q + 1) == 0
+        return 1 + (w - 1) // (q + 1)
+
+    t = down(ctx2.add(g, gfield.frobenius(ctx2, g, e)))
+    n = down(ctx2.pow(g, q + 1))
+    mul, one, ti, ni = ctx.mul, ctx.one, ctx.inv(t), ctx.inv(n)
+    coords = {0: (0, 0), ctx2.one: (one, 0), g: (0, one),
+              ctx2.inv(g): (mul(t, ni), ni)}   # g^-1 = (g + t) / n
+
+    def block(z):
+        u, v = coords[z]
+        return [[u, mul(n, v)], [v, ctx.add(u, mul(t, v))]]
+
+    def image(rows2):   # a 2x2 matrix over GF(q^2) as a 4x4 one over GF(q)
+        return [sum((block(z)[i] for z in row), []) for row in rows2 for i in (0, 1)]
+
+    def diag(a, b):
+        return [r + [0, 0] for r in a] + [[0, 0] + r for r in b]
+
+    ops = groups.mat_ops(ctx, 4, "symplectic")
+    frob = [[one, t], [0, one]]
+    t_key = ops.pack_one(diag(frob, [[ti, 0], [0, ti]]))
+    t_inv = ops.pack_one(diag(frob, [[t, 0], [0, t]]))
+    gen_rows = [image(rows) for rows in groups._sl2_gens(ctx2)] + [diag(frob, frob)]
+    gens = [ops.mul(ops.mul(t_inv, ops.pack_one(r)), t_key)[0] for r in gen_rows]
+    assert groups._symplectic(ops, ops.unpack(gens)).all()
+    return groups._generated(spec, ops, gens, order)
+
+
 IMAGES = ["parabolic-q", "so4+", "so4-"]
+EXT_ROWS = ["ext-sp2q2", "ext-sp2q2-embedded"]
 
 
 @pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("name", IMAGES)
+@pytest.mark.parametrize("name", IMAGES + EXT_ROWS)
 def test_images_have_the_keys_of_their_closure_builders(fresh_builds, name, q):
+    """The images, and the two ext rows (a coset union and its image), have
+    the keys of the closure builders they replaced (`_closure_oracle`)."""
     spec = f"{name}:{q}"
     assert np.array_equal(build_group(spec).keys, _closure_oracle(spec).keys)
 
@@ -1153,17 +1217,19 @@ def test_sp4_sub_has_the_keys_of_its_closure_builder(fresh_builds, q, q0):
 
 
 def test_images_close_nothing(monkeypatch, fresh_builds):
-    """Once their sources are built, parabolic-q, so4+ and so4- are built
-    at q = 2 and 4, and sp4-sub:4:2 and sp4-sub:8:2 from sp4:2, with
-    `mulclose` raising."""
+    """Once parabolic-p, wreath-sp2 and sl2:q^2 are built, the two ext rows
+    and parabolic-q, so4+ and so4- are built at q = 2 and 4, and
+    sp4-sub:4:2 and sp4-sub:8:2 from sp4:2, with `mulclose` raising."""
     for q in (2, 4):
-        for source in ("parabolic-p", "wreath-sp2", "ext-sp2q2-embedded"):
+        for source in ("parabolic-p", "wreath-sp2"):
             build_group(f"{source}:{q}")
+        build_group(f"sl2:{q * q}")
     build_group("sp4:2")
     monkeypatch.setattr(groups, "mulclose", lambda *a: pytest.fail("mulclose was called"))
     for q in (2, 4):
-        for name in IMAGES:
+        for name in EXT_ROWS + IMAGES:
             assert build_group(f"{name}:{q}").order == groups._closed_order(name, (q,))
+        assert build_group(f"ext-sp2q2-embedded:{q}").source[0] is build_group(f"ext-sp2q2:{q}")
     for q in (4, 8):
         assert build_group(f"sp4-sub:{q}:2").source[0] is build_group("sp4:2")
 
