@@ -868,10 +868,11 @@ def subgroup(G: FinGroup, keys: np.ndarray, label: str) -> FinGroup:
 
 
 def squares_subgroup(G: FinGroup, label: str | None = None) -> FinGroup:
-    """The subgroup generated by all squares (= A6 for S6, A5 for S5, ...)."""
+    """The subgroup generated by all squares (= A6 for S6, A5 for S5, ...),
+    closed from the squares that the greedy search keeps (4 of S6's 270)."""
     sq = _sorted_unique(G.ops.mul(G.keys, G.keys))
-    keys = mulclose(G.ops, sq, G.order)
-    return subgroup(G, keys, label or f"squares({G.label})")
+    gens, keys = _greedy_generators(G.ops, sq, G.order)
+    return FinGroup(label or f"squares({G.label})", G.ops, keys, gens)
 
 
 def cyclic_subgroup(G: FinGroup, key, label: str | None = None) -> FinGroup:

@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from . import families, gelfand
 from .chartab import (dixon_schneider, induce, inner_product, restrict,
                       split_fuse, tables_equal_upto_permutation)
-from .errors import ResourceBoundError
-from .groups import (MAX_ORDER_DEFAULT, build_group, cyclic_subgroup, element_order,
-                     squares_subgroup, subgroup)
+from .errors import InternalCheckError, ResourceBoundError
+from .groups import (MAX_ORDER_DEFAULT, FinGroup, build_group, cyclic_subgroup,
+                     element_order, squares_subgroup, subgroup)
 
 __all__ = ["CHECKS", "run_checks", "Check"]
 
@@ -62,7 +64,13 @@ def _c2_wreath(max_order):
 def _c3_ext(max_order):
     q = 4
     G = build_group(f"ext-sp2q2:{q}", max_order=max_order)
-    H = subgroup(G, G.keys[G.ops.fiber_of(G.keys) == 0], f"sp2q2-in-ext:{q}")
+    S = build_group(f"sl2:{q * q}", max_order=max_order)
+    # the twist-0 keys of G are sl2:q^2's, and their product is the matrix
+    # product, so sl2:q^2's generators generate them
+    keys = G.keys[G.ops.fiber_of(G.keys) == 0]
+    if not np.array_equal(keys, S.keys.astype(G.ops.dtype)):
+        raise InternalCheckError(f"{G.label}: its twist-0 keys are not those of {S.label}")
+    H = FinGroup(f"sp2q2-in-ext:{q}", G.ops, keys, S.gens_keys)
     TH = families.sl2_table(q * q, H)
     verdicts = {}
     for ch in TH.irreducibles:

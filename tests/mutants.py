@@ -2,14 +2,18 @@
 
 Each mutant names a file of `src/sgplab`, an exact fragment of it, the
 replacement, and how it is killed: the test node ids that must each fail
-once the fragment is replaced, or an `sgp-lab` command line (`argv`) that
-must exit with `exit_code` (4, an internal check, by default) under
-PYTHONOPTIMIZE=1, where no `assert` runs.  The fragment must occur exactly
-once, so a refactor that moves the code updates the mutant instead of
-skipping it.  `test_mutants` applies each one to a copy of `src/` and runs
-its tests or its command line against the copy.  The two no-op mutants
-change nothing, so the test of one must pass and the command line of the
-other must exit 0: they check the harness itself.
+once the fragment is replaced, or one entry of `tests/pinned.py` (`pin`,
+its `Pinned.name`) that must report a MISMATCH (another exit status,
+other stdout bytes or another digest) when the console script runs it
+under PYTHONOPTIMIZE=1, where no `assert` runs.  A CLI mutant that states
+is killed only if its command also exits with its `exit_code` (4, an
+internal check, by default; 0 for a mutant that changes stdout alone).  The
+fragment must occur exactly once, and the pin must name an entry, so a
+refactor that moves the code or renames the pin updates the mutant instead
+of skipping it.  `test_mutants` applies each one to a copy of `src/` and
+runs its tests or its pin against the copy.  The two no-op mutants change
+nothing, so the test of one must pass and the pin of the other must be
+reproduced: they check the harness itself.
 
 Mutants once checked by hand whose code is gone, so they are not listed:
 `residue` ignoring the denominator (`Cyclo.residue` is deleted; the
@@ -29,7 +33,7 @@ class Mutant(NamedTuple):
     replacement: str
     tests: tuple = ()
     survives: bool = False
-    argv: tuple = ()
+    pin: str = ""
     exit_code: int = 4
 
 
@@ -37,9 +41,9 @@ MUTANTS = (
     Mutant("no-op", "chartab.py",
            "MAX_CLASSES = 200", "MAX_CLASSES = 200",
            ("tests/test_chartab.py::test_s3_table",), survives=True),
-    # the command line of the CLI mutants exits 0 when nothing is changed
+    # the pin of a CLI mutant is reproduced when nothing is changed
     Mutant("no-op-cli", "chartab.py",
-           "MAX_CLASSES = 200", "MAX_CLASSES = 200", argv=("verify-paper",), exit_code=0),
+           "MAX_CLASSES = 200", "MAX_CLASSES = 200", pin="verify_paper.txt", survives=True),
     # a table built from values keeps a fractional coefficient as its floor
     Mutant("value-rows-denominator-dropped", "chartab.py",
            "if c.denominator != 1 or not -(1 << 63) <= c < 1 << 63:",
@@ -141,18 +145,18 @@ MUTANTS = (
     Mutant("ext-total-degree-off-by-one-cli", "groups.py",
            "_ext_tau = _q**4 + _q**3 + _q ",
            "_ext_tau = _q**4 + _q**3 + _q + 1 ",
-           argv=("scan-maximal", "4")),
+           pin="scan_maximal_4.json"),
     # the closed form of sp4-sub:q:q0 read at q, the total of Sp4(q) itself
     # (every other row at q = 4 reads its form at t = q anyway)
     Mutant("sp4-sub-closed-form-at-q-cli", "groups.py",
            "tau and tau.eval_int(t))", "tau and tau.eval_int(q))",
-           argv=("scan-maximal", "4")),
+           pin="scan_maximal_4.json"),
     # the one wreath-sp2 = so4+ order as (q^2 - 1)(q^2 + 1) for (q^2 - 1)^2:
     # the build's order check fails under -O ...
     Mutant("wreath-order-wrong-factor-cli", "groups.py",
            "_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2",
            "_wreath_order = 2 * _q**2 * (_q**2 - 1) * (_q**2 + 1)",
-           argv=("chartab", "wreath-sp2:4")),
+           pin="chartab_wreath-sp2_4.json"),
     # ... and so does the degree family's sum d^2 m, which reads the same order
     Mutant("wreath-order-wrong-factor", "groups.py",
            "_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2",
@@ -162,19 +166,19 @@ MUTANTS = (
     # outgrows its closed form, a bug (exit 4), not the --max-order bound (3)
     Mutant("parabolic-keeps-every-generator-cli", "groups.py",
            "del gens[1]", "pass",
-           argv=("--max-order", "20000", "chartab", "parabolic-p:4")),
+           pin="chartab_parabolic-p_4.json"),
     # so4- as tau^-1(ext-sp2q2-embedded) without the transvection t_v that
     # takes it to so4-'s form, which it needs at q = 8
     Mutant("image-without-its-transvection-cli", "groups.py",
            "aut = tau if t == one else lambda k: ops.conj(tau(k), t)", "aut = tau",
-           argv=("chartab", "so4-:8")),
+           pin="so4-:8"),
     # sp4-sub:q:q0 through an embedding table that is the identity on codes:
     # the image's entries are codes of GF(q), not GF(q0), so the Gram forms
     # fail (q0 = 4: at q0 = 2 the identity on codes is the embedding)
     Mutant("sp4-sub-embedding-as-identity-cli", "groups.py",
            "gfield.subfield_embed(S.ops.ctx, ops.ctx, a) for a in range(q0)",
            "a for a in range(q0)",
-           argv=("chartab", "sp4-sub:16:4")),
+           pin="chartab_sp4-sub_16_4.json"),
     # a tau image conjugates by t_v even when t_v = 1: a whole conjugation
     # pass that changes no key
     Mutant("tau-image-conjugates-by-the-identity", "groups.py",
@@ -197,22 +201,34 @@ MUTANTS = (
     # transvection takes it into parabolic-q's flag stabilizer, so its keys fail the flag
     Mutant("image-tau-as-identity-cli", "groups.py",
            "k = ops.graph_aut(k)", "k = _as_key_array(k, ops.dtype)",
-           argv=("chartab", "parabolic-q:4")),
+           pin="chartab_parabolic-q_4.json"),
     # the twist of the coset sl2:q^2 (1, 1) set one bit low, inside the
     # matrix part: the union is no longer sorted and distinct
     Mutant("ext-coset-twist-one-bit-low-cli", "groups.py",
            "ops.dtype.type(1) << ops._tshift", "ops.dtype.type(1) << (ops._tshift - 1)",
-           argv=("chartab", "ext-sp2q2:2")),
+           pin="chartab_ext-sp2q2_2.json"),
     # ext-sp2q2-embedded as rho alone, T not folded into the block tables:
     # rho keeps Tr(x1 y2 + x2 y1), not J, so the images fail the Gram forms
     Mutant("ext-embedding-without-t-cli", "groups.py",
            "tables = ops.mul(ops.mul(t_inv, ops.pack(blocks.reshape(-1, 4, 4))), t_key)",
            "tables = ops.pack(blocks.reshape(-1, 4, 4))",
-           argv=("chartab", "ext-sp2q2-embedded:4")),
+           pin="chartab_ext-sp2q2-embedded_4.json"),
+    # the scan prints the ext row under its source's spec: exit 0, and
+    # only stdout differs
+    Mutant("scan-ext-row-printed-as-its-source-cli", "groups.py",
+           '"ext-sp2q2:{q}", _AT_Q, _ext_tau)', '"ext-sp2q2-embedded:{q}", _AT_Q, _ext_tau)',
+           pin="scan_maximal_2.json", exit_code=0),
+    # a6 as the closure of the first square that the greedy search keeps:
+    # a cyclic group, refused by the order check of the a6 build
+    Mutant("squares-closed-from-one-generator-cli", "groups.py",
+           "gens, keys = _greedy_generators(G.ops, sq, G.order)",
+           "gens = _greedy_generators(G.ops, sq, G.order)[0][:1]; "
+           "keys = mulclose(G.ops, gens, G.order)",
+           pin="chartab_a6.json"),
     # an image keeps its argsort rolled by one: its carried classes fail the carry's check
     Mutant("image-argsort-off-by-one-cli", "groups.py",
            "(S, aut, by))", "(S, aut, np.roll(by, 1)))",
-           argv=("scan-maximal", "4")),
+           pin="scan_maximal_4.json"),
     # the batched alpha sums without the pattern (+k, +m, +n): no sum is rational
     Mutant("alpha-sums-sign-pattern-dropped", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",
@@ -228,7 +244,7 @@ MUTANTS = (
     # the same dropped pattern, seen by the console script under -O
     Mutant("alpha-sums-sign-pattern-dropped-cli", "families.py",
            "for c in (1, -1)])", "for c in (1, -1)][1:])",
-           argv=("verify-paper",)),
+           pin="verify_paper.txt"),
     # a sum of two values of one order and denominator builds into the
     # stored dict of its left operand, which other values share
     Mutant("cyclo-add-aliases-stored-dict", "exactnum.py",
@@ -247,10 +263,10 @@ MUTANTS = (
     # (504 elements) is built, and the command exits 0, not 3
     Mutant("verify-paper-without-the-bound", "cli.py",
            "report=out, max_order=ns.max_order)", "report=out)",
-           ("tests/test_cli.py::test_max_order_refusal",)),
+           pin="--max-order_10_verify-paper", exit_code=0),
     # the same unscaled sum, seen by the console script under -O
     Mutant("cyclo-equal-order-ignores-den-cli", "exactnum.py",
            "if sign == 1 and order == self.order and den == self._den:",
            "if sign == 1 and order == self.order:",
-           argv=("verify-paper",)),
+           pin="verify_paper.txt"),
 )

@@ -322,6 +322,20 @@ def test_the_pinned_runner_names_each_output_that_differs(tmp_path, capsys):
         f"{len(PINNED) - 2} of {len(PINNED)} pinned outputs reproduced"]
 
 
+def test_the_pinned_runner_runs_only_the_named_entries(capsys):
+    """Given `names`, the runner runs and counts those entries alone: the
+    mutant suite's selection of one pin."""
+    ran = []
+
+    def run(argv):
+        ran.append(argv)
+        return 0, (GOLDEN / "verify_paper.txt").read_bytes()
+
+    assert run_pinned(run, names=("verify_paper.txt",)) == 0
+    assert ran == [("verify-paper",)]
+    assert capsys.readouterr().out == "1 of 1 pinned outputs reproduced\n"
+
+
 def test_group_spec_is_parsed_once(monkeypatch):
     import sgplab.cli
     import sgplab.groups

@@ -403,6 +403,17 @@ def test_squares_and_cyclic_subgroups():
     assert c6.order == 6
 
 
+@pytest.mark.parametrize("spec", ["sp4:2", "so4-:2"])
+def test_squares_subgroup_is_the_closure_of_every_square(spec):
+    """The greedy generators among the squares close to the keys of the
+    retired build, the closure of every square as a generator."""
+    G = build_group(spec)
+    squares = _sorted_unique(G.ops.mul(G.keys, G.keys))
+    H = squares_subgroup(G)
+    assert np.array_equal(H.keys, groups.mulclose(G.ops, squares, G.order))
+    assert set(H.gens_keys) <= set(squares.tolist())
+
+
 def _setdiff_generators(keys, ops):
     """The route `find_generators` took before the shared greedy search:
     the least key outside the closure, by `np.setdiff1d`, until it is

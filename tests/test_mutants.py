@@ -1,11 +1,15 @@
-"""The committed mutant suite: each mutant of `mutants.py` is killed by its tests.
+"""The committed mutant suite: each mutant of `mutants.py` is killed.
 
 Each mutant is applied to a fresh copy of `src/`, and its tests, or its
-`sgp-lab` command line, run in a subprocess with that copy first on
-PYTHONPATH, under a timeout.  Every named test must fail (a timeout counts
-as a kill); the no-op mutant's tests must pass.  A command line runs as
-`python -m sgplab.cli`, the console script's entry point, with
-PYTHONOPTIMIZE=1, and must exit with the mutant's `exit_code`.
+pin, run in a subprocess with that copy first on PYTHONPATH, under a
+timeout.  Every named test must fail (a timeout counts as a kill); the
+no-op mutant's tests must pass.  A pin runs through the manifest's own
+comparison, `pinned.main` given that one entry, with `python -m
+sgplab.cli`, the console script's entry point, under PYTHONOPTIMIZE=1: it
+must report a MISMATCH, and the command must exit with the mutant's
+`exit_code` (a timeout is exit None, which no pin holds), so a mutant that
+states 0 is killed by its stdout alone; the no-op CLI mutant's pin must be
+reproduced.
 """
 
 import os
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import pinned
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,26 +62,38 @@ def _failed(mutant, env) -> set:
     return set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
 
 
-def _cli_status(mutant, env):
-    """The exit status of the mutant's command line under -O, None on a
-    timeout, and its stderr."""
-    try:
-        run = subprocess.run([sys.executable, "-m", "sgplab.cli", *mutant.argv],
-                             cwd=ROOT, env=dict(env, PYTHONOPTIMIZE="1"),
-                             capture_output=True, text=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None, ""
-    return run.returncode, run.stderr
+def _pin_status(mutant, env) -> tuple:
+    """(mismatch, exit status) of the mutant's pin: `pinned.main` runs that
+    one entry under -O against the copy.  Its report and the command's
+    stderr pass through to the test's captured output."""
+    assert mutant.pin in {p.name for p in pinned.PINNED}, (
+        f"{mutant.name}: no entry of tests/pinned.py is named {mutant.pin!r}")
+    statuses = []
+
+    def run(argv):
+        try:
+            done = subprocess.run([sys.executable, "-m", "sgplab.cli", *argv],
+                                  cwd=ROOT, env=dict(env, PYTHONOPTIMIZE="1"),
+                                  stdout=subprocess.PIPE, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            done = subprocess.CompletedProcess(argv, None, b"")
+        statuses.append(done.returncode)
+        return done.returncode, done.stdout
+
+    return pinned.main(run, names=(mutant.pin,)) == 1, statuses[0]
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_is_killed(mutant, tmp_path):
     env = _apply(mutant, tmp_path)
-    if mutant.argv:
-        status, err = _cli_status(mutant, env)
-        assert status == mutant.exit_code, (
-            f"{mutant.name}: sgp-lab {' '.join(mutant.argv)} exits {status}, "
-            f"not {mutant.exit_code}\n{err}")
+    if mutant.pin:
+        mismatch, status = _pin_status(mutant, env)
+        if mutant.survives:
+            assert not mismatch, f"{mutant.name} changes nothing, yet {mutant.pin} differs"
+        else:
+            assert mismatch and status == mutant.exit_code, (
+                f"{mutant.name} survives {mutant.pin}: exit {status}, "
+                f"killed by {mutant.exit_code} alone")
         return
     failed = _failed(mutant, env)
     if mutant.survives:
@@ -92,3 +109,11 @@ def test_a_fragment_must_match_once(tmp_path):
     for fragment in ("no such fragment", "import"):
         with pytest.raises(AssertionError, match="not once"):
             _apply(MUTANTS[0]._replace(fragment=fragment), tmp_path / fragment)
+
+
+def test_a_pin_must_name_an_entry():
+    """A CLI mutant whose pin is no entry of tests/pinned.py fails the
+    harness before any command runs, instead of running nothing."""
+    cli = next(m for m in MUTANTS if m.pin)
+    with pytest.raises(AssertionError, match="no entry of tests/pinned.py"):
+        _pin_status(cli._replace(pin="no_such_pin.json"), dict(os.environ))
