@@ -22,14 +22,23 @@ Group specs are read from one table, `_SPECS` (name -> arity, builder,
 closed-form order as a `PolyQ`); `parse_group_spec` is the only validator.
 `build_group` refuses an order above max_order; `_build_cached` builds a
 spec once, from its validated ints and order, and checks that order.
-Four builders close their generators (`_generated`), capped at that
-order (to outgrow it is a bug): sl2, wreath-sp2, parabolic-p and sz.
-The subgroups of sp4:q check their keys in one batched pass instead of
-enumerating sp4:q, and the rows below close nothing.  sp4:q itself is
-the union of the cosets t P of P = parabolic-p:q, one per point of
-PG(3, q), with a proof that its generating pair generates it, so its
-class partition takes two products per element; building sp4:q leaves P
-in the build cache too.  ext-sp2q2:q is the union of the two cosets
+Two builders close their generators (`_generated`), capped at that
+order (to outgrow it is a bug): sl2 and sz.  No other row is closed:
+`mulclose` closes only the greedy Schreier searches of the coset builder
+(at most the 3,528 elements of parabolic-p:8's Levi subgroup while
+parabolic-p is built), and the subgroup helpers below.  One orbit-coset
+builder (`_orbit_cosets`) makes a group as the union of the cosets t H
+of the stabilizer H of a point <e>, one per point <t e> of its orbit,
+with a Schreier-generator proof that its generators generate it: sp4:q
+over P = parabolic-p:q (e = e1), so its class partition takes two
+products per element, and building sp4:q leaves P in the build cache
+too; and P over its Levi subgroup L = diag(a, S, 1/a) (e = e4).  The keys
+of L and of wreath-sp2:q are ORs of sl2:q's keys placed on the planes
+<e1, e4> and <e2, e3> (`_placed`), with no product: wreath-sp2 is the
+block sums A + B and their swap coset.  The subgroups of sp4:q check
+their keys in one batched pass instead of enumerating sp4:q, and every
+group's keys must be strictly increasing (`FinGroup`), the one check
+that they are distinct.  ext-sp2q2:q is the union of the two cosets
 sl2:q^2 and sl2:q^2 (1, 1).  Five rows of `_SPECS` are images of a built
 source (`_image`), whose keys go through the map in one pass and one
 argsort, which the image keeps: the graph automorphism tau of Sp4(2^e)
@@ -555,6 +564,8 @@ class ClassData:
 
 class FinGroup:
     """An enumerated matrix group: sorted packed keys plus batched operations.
+    Its keys must be strictly increasing, so sorted and distinct, and
+    closed under inverses, or InternalCheckError.
     An image (`_image`) keeps its source: (group S, map, argsort by), with
     keys[i] the image of S.keys[by[i]]."""
 
@@ -565,9 +576,11 @@ class FinGroup:
         self.order = int(keys.size)
         self.gens_keys = [int(g) for g in gens_keys]
         self.source = source
+        if not (keys[1:] > keys[:-1]).all():
+            raise InternalCheckError(f"{label}: its keys are not strictly increasing")
         # the inverses are the keys again, so sorted in place they must
-        # equal the sorted, distinct keys; ops.inv runs in _CHUNK slices,
-        # so this holds one key-sized array beside the keys
+        # equal the keys; ops.inv runs in _CHUNK slices, so this holds one
+        # key-sized array beside the keys
         inv = ops.inv(keys)
         inv.sort()
         if not np.array_equal(inv, keys):
@@ -949,17 +962,14 @@ def _check_members(label: str, ops, keys, cond) -> None:
             f"{label}: {bad} enumerated elements fail its defining condition")
 
 
-def _generated(label: str, ops, gens, order: int, cond=None) -> FinGroup:
+def _generated(label: str, ops, gens, order: int) -> FinGroup:
     """The closure of gens, capped at its closed-form `order` (a round past it
-    raises InternalCheckError).  With `cond` every key must also pass
-    `_check_members`."""
+    raises InternalCheckError)."""
     try:
         keys = mulclose(ops, gens, order)
     except ResourceBoundError:
         raise InternalCheckError(
             f"{label}: its closure outgrows its closed-form order {order}") from None
-    if cond is not None:
-        _check_members(label, ops, keys, cond)
     return FinGroup(label, ops, keys, gens)
 
 
@@ -978,14 +988,12 @@ def _image(label: str, S: FinGroup, ops, aut, cond) -> FinGroup:
     in one sliced pass and one argsort `by`, kept in the narrowest unsigned
     dtype that indexes S as the image's source (S, aut, by), so that key i
     is the image of S.keys[by[i]] and its classes and table are carried
-    from S's (`carry_classes`).  The keys must be distinct and pass
-    `_check_members`, and `_build_cached` counts them against the closed
-    form; the generators are the images of S's, which generate S."""
+    from S's (`carry_classes`).  The keys must pass `_check_members` and
+    be distinct (`FinGroup`), and `_build_cached` counts them against the
+    closed form; the generators are the images of S's, which generate S."""
     keys = _sliced(aut, S.keys)
     by = np.argsort(keys).astype(np.min_scalar_type(S.order - 1))
     keys = keys[by]                      # the unsorted image freed
-    if (keys[1:] == keys[:-1]).any():
-        raise InternalCheckError(f"{label}: two keys of {S.label} have one image")
     _check_members(label, ops, keys, cond)
     return FinGroup(label, ops, keys, aut(S.gens_keys), (S, aut, by))
 
@@ -1061,45 +1069,46 @@ def _sp4_pair(ops):
             g[3] if len(g) == 4 else ops.mul(g[3], g[4])[0]]
 
 
-def _points(ops, keys) -> list:
-    """The point <t e1> of PG(3, q) of each key t: the first column of t,
-    scaled so that its first nonzero coordinate is 1, as a tuple of codes."""
+def _points(ops, keys, c: int) -> list:
+    """The point <t e> of PG(3, q) of each key t, e the basis vector of
+    column c: column c of t, scaled so that its first nonzero coordinate
+    is 1, as a tuple of codes."""
     ctx = ops.ctx
     out = []
-    for col in ops.unpack(keys)[:, :, 0].tolist():
-        c = ctx.inv(next(x for x in col if x))
-        out.append(tuple(ctx.mul(c, x) for x in col))
+    for col in ops.unpack(keys)[:, :, c].tolist():
+        inv = ctx.inv(next(x for x in col if x))
+        out.append(tuple(ctx.mul(inv, x) for x in col))
     return out
 
 
-def _build_sp4(q, order):
-    """sp4:q as the disjoint union of the left cosets t P of the stabilizer
-    P = parabolic-p:q of <e1>, one per point <t e1> of PG(3, q).
+def _orbit_cosets(label: str, gens, c: int, H: FinGroup, order: int) -> np.ndarray:
+    """The sorted keys of the group that gens generate, of closed-form
+    `order`, as the disjoint union of the left cosets t H of H, the
+    stabilizer in it of the point <e>, e the basis vector of column c, one
+    per point <t e> of its orbit (`_points`).
 
-    A breadth-first search of <e1> under the pair of `_sp4_pair` gives a
-    transversal, t_w = g t_v for the tree edge that finds w = g v, and the
-    coset of w is g times the coset of v: one left product by a pair
-    element per coset.  By Schreier's lemma the elements t_w^-1 g t_v, over
-    every point v and pair element g, generate the stabilizer of <e1> in
-    the group H the pair generates (Seress, Permutation Group Algorithms,
-    2003, sec. 4.1).  Each must lie in P, and they are closed one at a time
-    until their closure is P; then |orbit| |P| must be the closed-form
-    order and the cosets disjoint, so sp4:q = union of t P lies in H.  The
-    class partition relies on that, since it conjugates by the pair."""
-    label = f"sp4:{q}"
-    P = _build_cached("parabolic-p", (q,))
-    ops = P.ops
-    pair = _sp4_pair(ops)
+    A breadth-first search of <e> under gens gives a transversal, t_w =
+    g t_v for the tree edge that finds w = g v, and the coset of w is g
+    times the coset of v: one left product by a generator per coset.  By
+    Schreier's lemma the elements t_w^-1 g t_v, over every point v and
+    generator g, generate the stabilizer of <e> in the group G that gens
+    generate (Seress, Permutation Group Algorithms, 2003, sec. 4.1).  Each
+    must lie in H, and they are closed one at a time until their closure
+    is H; then |orbit| |H| must be `order`, so |G| = `order` and the
+    union of the cosets t H is G.  The class partition relies on that,
+    since it conjugates by gens.  The cosets are disjoint when the points
+    are distinct, which `FinGroup` checks on the keys."""
+    ops = H.ops
     reps = [ops.identity]                # t_v of each point v, in BFS order
-    tree = []                            # (v, pair index) that found point 1, 2, ...
-    seen = {_points(ops, reps)[0]: 0}
+    tree = []                            # (v, generator index) that found point 1, 2, ...
+    seen = {_points(ops, reps, c)[0]: 0}
     ends, images = [], []                # w and g t_v of every edge v -> w = g v
     frontier = [0]
     while frontier:
         layer = []
-        for i, g in enumerate(pair):
+        for i, g in enumerate(gens):
             imgs = ops.mul(g, np.array([reps[v] for v in frontier], dtype=ops.dtype))
-            for v, t, pt in zip(frontier, imgs, _points(ops, imgs)):
+            for v, t, pt in zip(frontier, imgs, _points(ops, imgs, c)):
                 if pt not in seen:
                     seen[pt] = len(reps)
                     reps.append(t)
@@ -1110,51 +1119,66 @@ def _build_sp4(q, order):
         frontier = layer
     reps = np.array(reps, dtype=ops.dtype)
     schreier = ops.mul(ops.inv(reps[ends]), np.array(images, dtype=ops.dtype))
-    if not P.contains(schreier).all():
-        raise InternalCheckError(f"{label}: a Schreier generator is not in {P.label}")
-    stab = _greedy_generators(ops, schreier, P.order)[1]
+    if not H.contains(schreier).all():
+        raise InternalCheckError(f"{label}: a Schreier generator is not in {H.label}")
+    stab = _greedy_generators(ops, schreier, H.order)[1]
     if reps.size * stab.size != order:
         raise InternalCheckError(
             f"{label}: enumerated {reps.size * stab.size} elements, closed form {order}")
-    n = P.order
+    n = H.order
     keys = np.empty(reps.size * n, dtype=ops.dtype)     # coset v at keys[v n:(v + 1) n]
-    keys[:n] = P.keys
+    keys[:n] = H.keys
     for w, (v, i) in enumerate(tree, 1):
-        keys[w * n:(w + 1) * n] = ops.mul(pair[i], keys[v * n:(v + 1) * n])
+        keys[w * n:(w + 1) * n] = ops.mul(gens[i], keys[v * n:(v + 1) * n])
     keys.sort()
-    if np.any(keys[1:] == keys[:-1]):
-        raise InternalCheckError(f"{label}: two cosets of {P.label} overlap")
-    return FinGroup(label, ops, keys, pair)
+    return keys
+
+
+def _build_sp4(q, order):
+    """sp4:q as the cosets t P of P = parabolic-p:q, the stabilizer of
+    <e1>, one per point <t e1> of PG(3, q) (`_orbit_cosets`): so the pair
+    of `_sp4_pair` is proved to generate sp4:q."""
+    P = _build_cached("parabolic-p", (q,))
+    pair = _sp4_pair(P.ops)
+    return FinGroup(f"sp4:{q}", P.ops, _orbit_cosets(f"sp4:{q}", pair, 0, P, order), pair)
+
+
+def _placed(ops, S: FinGroup, keys, rows, cols) -> np.ndarray:
+    """The keys of `ops` (4 x 4) with the 2 x 2 matrices of S's `keys` at
+    the cells rows x cols and zero elsewhere: entry codes moved, with no
+    product.  The OR of two such keys on disjoint cells is their sum."""
+    m = np.zeros((len(keys), 4, 4), dtype=np.uint8)
+    m[:, np.array(rows)[:, None], cols] = S.ops.unpack(keys)
+    return ops.pack(m)
 
 
 def _build_wreath(q, order):
-    ctx = gfield.field_ctx(q.bit_length() - 1)
-    ops = mat_ops(ctx, 4, "symplectic")
-    one = ctx.one
-    gens = []
-    for rows in _sl2_gens(ctx):
-        # act on the hyperbolic plane <e1, e4>
-        (a, b), (c, d) = rows
-        gens.append(ops.pack_one([[a, 0, 0, b], [0, one, 0, 0],
-                                  [0, 0, one, 0], [c, 0, 0, d]]))
-    # the swap of the hyperbolic planes <e1, e4> and <e2, e3>
-    gens.append(ops.pack_one([[0, one, 0, 0], [one, 0, 0, 0], [0, 0, 0, one], [0, 0, one, 0]]))
-    return _generated(f"wreath-sp2:{q}", ops, gens, order)
+    """wreath-sp2:q as the block sums A + B of A, B in sl2:q, A on the
+    plane <e1, e4> and B on <e2, e3>, and their coset (A + B) swap: A at
+    rows (1, 4) x columns (2, 3) and B at rows (2, 3) x columns (1, 4).
+    Each half is the outer OR of two placed key sets (`_placed`), no
+    product.  The generators are sl2:q's on <e1, e4> and the swap of the
+    two planes, which conjugates them onto <e2, e3>."""
+    S = _build_cached("sl2", (q,))
+    ops, a, b = mat_ops(S.ops.ctx, 4, "symplectic"), (0, 3), (1, 2)   # <e1, e4>, <e2, e3>
+    keys = np.sort(np.concatenate([(_placed(ops, S, S.keys, a, ca)[:, None]
+                                    | _placed(ops, S, S.keys, b, cb)).ravel()
+                                   for ca, cb in ((a, b), (b, a))]))
+    gens = _placed(ops, S, S.gens_keys, a, a) | _placed(ops, S, [S.ops.identity], b, b)
+    swap = ops.pack_one(ops._eye[[1, 0, 3, 2]])          # e1 <-> e2, e3 <-> e4
+    return FinGroup(f"wreath-sp2:{q}", ops, keys, [*gens, swap])
 
 
 def _build_ext_abstract(q, order):
     """ext-sp2q2:q as the two cosets sl2:q^2 and sl2:q^2 (1, 1): the keys
     of sl2:q^2 are the ExtOps keys of twist 0, and (m, 1) = (m, 0)(1, 1)
     sets the twist bit, the top bit, so the union is sorted as built, which
-    is checked.  Its generators are sl2:q^2's and (1, 1)."""
-    label = f"ext-sp2q2:{q}"
+    `FinGroup` checks.  Its generators are sl2:q^2's and (1, 1)."""
     S = _build_cached("sl2", (q * q,))
     ops = _ext_ops_cached(q)
     keys, twist = S.keys.astype(ops.dtype), ops.dtype.type(1) << ops._tshift
-    keys = np.concatenate([keys, keys | twist])
-    if not (keys[1:] > keys[:-1]).all():
-        raise InternalCheckError(f"{label}: the two cosets of {S.label} are not sorted apart")
-    return FinGroup(label, ops, keys, [*S.gens_keys, ops.identity | twist])
+    return FinGroup(f"ext-sp2q2:{q}", ops, np.concatenate([keys, keys | twist]),
+                    [*S.gens_keys, ops.identity | twist])
 
 
 def _ext_embedding(q) -> tuple:
@@ -1221,12 +1245,24 @@ def _zero_at(*cells):
 
 
 def _build_parabolic(q, order):
-    """The stabilizer of <e1>: the generators of sp4:q without the one root
-    element that moves it."""
-    ops = mat_ops(gfield.field_ctx(q.bit_length() - 1), 4, "symplectic")
+    """P, the stabilizer of <e1>, generated by the generators of sp4:q
+    without the one root element that moves it, as the cosets t L of L =
+    diag(a, S, 1/a), the stabilizer of <e4> in P (the Levi factor of P =
+    U L: Carter, Finite Groups of Lie Type, 1985, sec. 2.6), one per point
+    <t e4>, q^3 of them (`_orbit_cosets`).  L's keys are the ORs of the
+    diagonal elements of sl2:q placed on <e1, e4> and sl2:q placed on
+    <e2, e3> (`_placed`), no product, and its generators the Levi ones,
+    g2 .. g5 of `_sp4_gens`.  Every key of P is checked symplectic and to
+    keep the flag."""
+    label, S = f"parabolic-p:{q}", _build_cached("sl2", (q,))
+    ops, a, b = mat_ops(S.ops.ctx, 4, "symplectic"), (0, 3), (1, 2)   # <e1, e4>, <e2, e3>
     gens = _sp4_gens(ops)
     del gens[1]
-    return _generated(f"parabolic-p:{q}", ops, gens, order, _zero_at((1, 0), (2, 0), (3, 0)))
+    torus = S.keys[~S.ops.unpack(S.keys)[:, [0, 1], [1, 0]].any(axis=1)]
+    levi = np.sort((_placed(ops, S, torus, a, a)[:, None] | _placed(ops, S, S.keys, b, b)).ravel())
+    keys = _orbit_cosets(label, gens, 3, FinGroup(f"levi:{q}", ops, levi, gens[1:]), order)
+    _check_members(label, ops, keys, _zero_at((1, 0), (2, 0), (3, 0)))
+    return FinGroup(label, ops, keys, gens)
 
 
 def _so4_form(q, sign):

@@ -80,11 +80,12 @@ MUTANTS = (
             "tests/test_modlin.py::test_batched_rref_and_null_spaces_match_per_matrix[0-3061]")),
     # with P swapped for parabolic-q, a Schreier generator outside P goes unseen
     Mutant("sp4-without-schreier-in-p-check", "groups.py",
-           "if not P.contains(schreier).all():", "if False:",
+           "if not H.contains(schreier).all():", "if False:",
            ("tests/test_groups.py::test_sp4_coset_mutants_are_caught[line-stabilizer]",)),
-    # two points with one coset give a key array with repeated keys
+    # FinGroup without its distinctness check: two points with one coset
+    # give sp4:4 a key array with repeated keys, which passes the inverse check
     Mutant("sp4-without-coset-overlap-check", "groups.py",
-           "if np.any(keys[1:] == keys[:-1]):", "if False:",
+           "if not (keys[1:] > keys[:-1]).all():", "if False:",
            ("tests/test_groups.py::test_sp4_coset_mutants_are_caught[unscaled-points]",)),
     # a kernel pass longer than one slice leaves its last slice unwritten
     Mutant("sliced-drops-its-last-slice", "groups.py",
@@ -162,11 +163,25 @@ MUTANTS = (
            "_wreath_order = 2 * _q**2 * (_q**2 - 1) ** 2",
            "_wreath_order = 2 * _q**2 * (_q**2 - 1) * (_q**2 + 1)",
            ("tests/test_families.py::test_wreath_spec_symbolic_identities",)),
-    # parabolic-p keeps the root element that moves <e1>: its closure
-    # outgrows its closed form, a bug (exit 4), not the --max-order bound (3)
+    # parabolic-p keeps the root element that moves <e1>: its orbit of <e4>
+    # is all of PG(3, 4), and a Schreier generator leaves its Levi subgroup,
+    # a bug (exit 4), not the --max-order bound (3)
     Mutant("parabolic-keeps-every-generator-cli", "groups.py",
            "del gens[1]", "pass",
            pin="chartab_parabolic-p_4.json"),
+    # the Levi subgroup of parabolic-p without its torus, the diagonal
+    # elements of sl2:q cut to the identity: the Schreier generators of the
+    # torus are not in it ("a Schreier generator is not in levi:4")
+    Mutant("levi-without-its-torus-cli", "groups.py",
+           "torus = S.keys[~S.ops.unpack(S.keys)[:, [0, 1], [1, 0]].any(axis=1)]",
+           "torus = [S.ops.identity]",
+           pin="chartab_parabolic-p_4.json"),
+    # wreath-sp2's swap coset replaced by its base: every key twice, which
+    # the inverse check and the order count let through, but not FinGroup's
+    # distinctness check
+    Mutant("wreath-swap-coset-as-its-base-cli", "groups.py",
+           "for ca, cb in ((a, b), (b, a))", "for ca, cb in ((a, b), (a, b))",
+           pin="chartab_wreath-sp2_4.json"),
     # so4- as tau^-1(ext-sp2q2-embedded) without the transvection t_v that
     # takes it to so4-'s form, which it needs at q = 8
     Mutant("image-without-its-transvection-cli", "groups.py",

@@ -48,8 +48,9 @@ PINNED = (
                    "ext-sp2q2-embedded:2", "ext-sp2q2-embedded:4", "sp4-sub:8:2", "ext-sp2q2:4",
                    "so4+:4", "wreath-sp2:4", "parabolic-q:4", "so4-:4", "a6",
                    "sp4:4", "sp4-sub:16:4")),
-    # the bound refuses nothing here (11,520 elements), yet a closure that
-    # outgrows the closed form must be a bug (4), not the bound (3)
+    # the bound refuses nothing here (11,520 elements), yet a build that
+    # fails an internal check (a Schreier generator outside the Levi
+    # subgroup) must be a bug (4), not the bound (3)
     _json("--max-order", "20000", "chartab", "parabolic-p:4",
           golden="chartab_parabolic-p_4.json"),
     _json("scan-maximal", "2", golden="scan_maximal_2.json"),

@@ -207,17 +207,17 @@ def test_verify_paper_times_checks_on_stderr_only(capsys):
 def test_inconsistent_closure_is_internal_error(monkeypatch, capsys, fresh_builds):
     """A closure that picks up an element without its inverse is a kernel
     bug: exit 4, naming the group, not an uncaught KeyError."""
-    ops = groups.mat_ops(gfield.field_ctx(1), 4, "symplectic")
-    g = groups._sp4_gens(ops)
-    outsider = ops.mul(g[0], g[2])[0]          # order 4, not in wreath-sp2:2
+    ctx = gfield.field_ctx(2)
+    ops = groups.mat_ops(ctx, 2, "symplectic")
+    outsider = ops.pack_one([[ctx.gamma, 0], [0, ctx.one]])   # order 3, not in sl2:4
     real = groups.mulclose
 
     def leaky(ops_, gens, max_order):
         return np.union1d(real(ops_, gens, max_order), [outsider])
 
     monkeypatch.setattr(groups, "mulclose", leaky)
-    assert main(["chartab", "wreath-sp2:2"]) == EXIT_INTERNAL
-    assert "wreath-sp2:2" in capsys.readouterr().err
+    assert main(["chartab", "sl2:4"]) == EXIT_INTERNAL
+    assert "sl2:4" in capsys.readouterr().err
 
 
 def test_conjugate_outside_the_group_is_internal_error(monkeypatch, capsys, fresh_builds):

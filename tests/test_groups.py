@@ -453,8 +453,10 @@ def _schreier_loop(ops, schreier, order):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_shared_search_matches_the_schreier_loop(monkeypatch, fresh_builds, q):
-    """`_build_sp4` closes the Schreier generators it was given in edge
-    order to the same generators and stabilizer as its old loop."""
+    """Both coset builds, parabolic-p:q's over its Levi subgroup L (|P| /
+    q^3 elements) and sp4:q's over P = parabolic-p:q, close the Schreier
+    generators they were given in edge order to the same generators and
+    stabilizer as the old loop of `_build_sp4`."""
     calls = []
     real = groups._greedy_generators
 
@@ -464,11 +466,13 @@ def test_shared_search_matches_the_schreier_loop(monkeypatch, fresh_builds, q):
         return out
     monkeypatch.setattr(groups, "_greedy_generators", recording)
     build_group(f"sp4:{q}")
-    (ops, schreier, target, (gens, stab)), = [c for c in calls if c[2] != c[1].size]
-    assert target == build_group(f"parabolic-p:{q}").order
-    want_gens, want_stab = _schreier_loop(ops, schreier, target)
-    assert [int(g) for g in gens] == [int(g) for g in want_gens] and len(gens) > 1
-    assert np.array_equal(stab, want_stab) and stab.size == target
+    searches = [c for c in calls if c[2] != c[1].size]
+    P = build_group(f"parabolic-p:{q}")
+    assert [target for _, _, target, _ in searches] == [P.order // q**3, P.order]
+    for ops, schreier, target, (gens, stab) in searches:
+        want_gens, want_stab = _schreier_loop(ops, schreier, target)
+        assert [int(g) for g in gens] == [int(g) for g in want_gens] and len(gens) > 1
+        assert np.array_equal(stab, want_stab) and stab.size == target
 
 
 def test_perm_group_s4():
@@ -634,6 +638,17 @@ def test_inverse_mutants_are_caught(monkeypatch, capsys, fresh_builds, mutant):
     groups._build_cached.cache_clear()                 # the CLI builds anew
     assert main(["chartab", "sp4:2"]) == EXIT_INTERNAL
     assert message in capsys.readouterr().err
+
+
+def test_a_group_refuses_repeated_or_unsorted_keys():
+    """`FinGroup` is the one check that keys are distinct: sl2:4's keys,
+    each twice, pass the inverse check (sorted, their inverses are the same
+    array) but not this one; nor do its keys in decreasing order."""
+    G = build_group("sl2:4")
+    for keys in (np.repeat(G.keys, 2), G.keys[::-1]):
+        with pytest.raises(InternalCheckError,
+                           match="^twice: its keys are not strictly increasing$"):
+            groups.FinGroup("twice", G.ops, keys, G.gens_keys)
 
 
 @pytest.mark.parametrize("spec", ["sp4:2", pytest.param("sp4:4", marks=pytest.mark.slow)])
@@ -980,7 +995,7 @@ def _same_class_data(a, b):
     return (a.sizes == b.sizes and a.reps == b.reps
             and np.array_equal(a.class_of, b.class_of) and a.orders == b.orders
             and a.inverse_class == b.inverse_class
-            and a.identity_class == b.identity_class)
+            and a.identity_class == b.identity_class and a.power_classes == b.power_classes)
 
 
 @pytest.mark.parametrize("q", [2, pytest.param(4, marks=pytest.mark.slow)])
@@ -1004,24 +1019,24 @@ def test_sp4_pair_that_generates_a_proper_subgroup_is_caught(monkeypatch):
         groups._build_cached.__wrapped__("sp4", (2,))
 
 
-def _unscaled_points(ops, keys):
-    """A broken point map: the first column as it stands, so <e1> and
-    <gamma e1> are two points with one coset."""
-    return [tuple(col) for col in ops.unpack(keys)[:, :, 0].tolist()]
+def _unscaled_points(ops, keys, c):
+    """A broken point map: column c as it stands, so <e> and <gamma e>, e
+    the basis vector of column c, are two points with one coset."""
+    return [tuple(col) for col in ops.unpack(keys)[:, :, c].tolist()]
 
 
 @pytest.mark.parametrize("mutant,q,message", [
     pytest.param(m, q, msg, id=m) for m, q, msg in [
-        ("unscaled-points", 4, "sp4:4: two cosets of parabolic-p:4 overlap"),
+        ("unscaled-points", 4, "sp4:4: its keys are not strictly increasing"),
         ("line-stabilizer", 2, "sp4:2: a Schreier generator is not in parabolic-q:2"),
         ("closure-cut-short", 4, "sp4:4: enumerated 510 elements, closed form 979200"),
     ]])
 def test_sp4_coset_mutants_are_caught(monkeypatch, capsys, fresh_builds,
                                       mutant, q, message):
     """Each broken step of the coset build raises, and exits 4 through the
-    CLI: a point map that sends two points to one coset, P swapped for
-    parabolic-q:q (which does not fix <e1>), and a Schreier closure that
-    keeps only its first generator."""
+    CLI: a point map that sends two points to one coset (its keys repeat,
+    which `FinGroup` refuses), P swapped for parabolic-q:q (which does not
+    fix <e1>), and a Schreier closure that keeps only its first generator."""
     build_group(f"parabolic-q:{q}")      # P and its image from the real kernel
     if mutant == "unscaled-points":
         monkeypatch.setattr(groups, "_points", _unscaled_points)
@@ -1042,7 +1057,8 @@ def test_sp4_coset_mutants_are_caught(monkeypatch, capsys, fresh_builds,
 def test_sp4_4_closes_nothing_larger_than_its_point_stabilizer(monkeypatch,
                                                                fresh_builds):
     """sp4:4 is the 85 cosets of parabolic-p:4 (11,520 elements); mulclose
-    only builds that P and closes Schreier generators inside it."""
+    only builds sl2:4 and closes Schreier generators inside the Levi
+    subgroup of that P and inside P."""
     sizes = []
     real = groups.mulclose
 
@@ -1119,32 +1135,52 @@ def test_generated_subgroup_matches_filter(spec):
     assert np.array_equal(build_group(spec).keys, _filter_oracle(spec))
 
 
+def _closed_with(spec, ops, gens, order, cond):
+    """The retired closure builder with a condition: the closure of gens
+    (`_generated`), every key then checked by `_check_members`."""
+    G = groups._generated(spec, ops, gens, order)
+    groups._check_members(spec, ops, G.keys, cond)
+    return G
+
+
 def _closure_oracle(spec):
-    """The closure builder an image row replaced: parabolic-q from the
-    generators of sp4:q without the root element that moves <e1, e2>; so4+
-    and so4- from the reflections x -> x + (B(x, v) / Q(v)) v in the
-    nonsingular v of a fixed list, plus the plane swap for so4+:2, where
-    reflections give 36 of the 72 elements (Taylor, The Geometry of the
-    Classical Groups, ch. 11); sp4-sub:q:q0 from the generators of sp4:q0,
-    entries mapped by subfield_embed.  Each checked by the row's own
-    condition.  The two ext rows by `_ext_closure_oracle`."""
+    """The closure builder that a row replaced: parabolic-p and
+    parabolic-q from the generators of sp4:q without the root element that
+    moves <e1> or <e1, e2>; wreath-sp2 from sl2:q's generators on <e1, e4>
+    and the swap of the planes <e1, e4> and <e2, e3>; so4+ and so4- from
+    the reflections x -> x + (B(x, v) / Q(v)) v in the nonsingular v of a
+    fixed list, plus the plane swap for so4+:2, where reflections give 36
+    of the 72 elements (Taylor, The Geometry of the Classical Groups, ch.
+    11); sp4-sub:q:q0 from the generators of sp4:q0, entries mapped by
+    subfield_embed.  Each but wreath-sp2 checked by the row's own
+    condition (`_closed_with`).  The two ext rows by `_ext_closure_oracle`."""
     name, args = parse_group_spec(spec)
     q = args[0]
     if name.startswith("ext-sp2q2"):
         return _ext_closure_oracle(spec, q, groups._closed_order(name, args))
     ctx = gfield.field_ctx(q.bit_length() - 1)
     ops, order = groups.mat_ops(ctx, 4, "symplectic"), groups._closed_order(name, args)
+    o, g = ctx.one, ctx.gamma
+    swap = ops.pack_one([[0, o, 0, 0], [o, 0, 0, 0], [0, 0, 0, o], [0, 0, o, 0]])
     if name == "sp4-sub":
         small = groups.mat_ops(gfield.field_ctx(args[1].bit_length() - 1), 4, "symplectic")
         lut = np.array([gfield.subfield_embed(small.ctx, ctx, a) for a in range(args[1])],
                        dtype=np.uint8)
-        return groups._generated(spec, ops, ops.pack(lut[small.unpack(groups._sp4_gens(small))]),
-                                 order, lambda m: np.isin(m, lut).all(axis=(1, 2)))
+        return _closed_with(spec, ops, ops.pack(lut[small.unpack(groups._sp4_gens(small))]),
+                            order, lambda m: np.isin(m, lut).all(axis=(1, 2)))
+    if name == "parabolic-p":
+        gens = groups._sp4_gens(ops)
+        del gens[1]
+        return _closed_with(spec, ops, gens, order, groups._zero_at((1, 0), (2, 0), (3, 0)))
     if name == "parabolic-q":
         gens = groups._sp4_gens(ops)
         del gens[3]
-        return groups._generated(spec, ops, gens, order,
-                                 groups._zero_at((2, 0), (3, 0), (2, 1), (3, 1)))
+        return _closed_with(spec, ops, gens, order,
+                            groups._zero_at((2, 0), (3, 0), (2, 1), (3, 1)))
+    if name == "wreath-sp2":
+        gens = [ops.pack_one([[a, 0, 0, b], [0, o, 0, 0], [0, 0, o, 0], [c, 0, 0, d]])
+                for (a, b), (c, d) in groups._sl2_gens(ctx)]
+        return groups._generated(spec, ops, gens + [swap], order)
     mul, add = ctx.lut_mul, ctx.lut_add
     a = next(c for c in range(1, ctx.q) if ctx.trace_bit(c))
 
@@ -1152,7 +1188,6 @@ def _closure_oracle(spec):
         s = add[mul[v[0], v[3]], mul[v[1], v[2]]]
         return s if name == "so4+" else add[add[s, mul[v[1], v[1]]], mul[a, mul[v[2], v[2]]]]
 
-    o, g = ctx.one, ctx.gamma
     vecs = [(o, 0, 0, o), (o, 0, 0, g), (0, o, 0, 0), (0, o, g, 0), (0, g, o, 0),
             (o, o, 0, o), (o, o, o, 0)]
     gens = []
@@ -1161,9 +1196,9 @@ def _closure_oracle(spec):
         gens.append(ops.pack_one(
             [[ctx.add(o if i == j else 0, ctx.mul(c, ctx.mul(v[i], v[3 - j])))
               for j in range(4)] for i in range(4)]))
-    if spec == "so4+:2":                 # the swap of the planes <e1, e4> and <e2, e3>
-        gens.append(ops.pack_one([[0, o, 0, 0], [o, 0, 0, 0], [0, 0, 0, o], [0, 0, o, 0]]))
-    return groups._generated(spec, ops, gens, order, groups._so4_form(q, name[-1]))
+    if spec == "so4+:2":
+        gens.append(swap)
+    return _closed_with(spec, ops, gens, order, groups._so4_form(q, name[-1]))
 
 
 def _ext_closure_oracle(spec, q, order):
@@ -1227,6 +1262,39 @@ def test_sp4_sub_has_the_keys_of_its_closure_builder(fresh_builds, q, q0):
     assert np.array_equal(build_group(spec).keys, _closure_oracle(spec).keys)
 
 
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", ["parabolic-p", "wreath-sp2"])
+def test_cosets_and_block_sums_match_their_retired_closures(fresh_builds, name, q):
+    """parabolic-p:q (the cosets of its Levi subgroup) and wreath-sp2:q
+    (block sums of sl2:q and their swap coset) have the keys, the
+    generators and the class data of the closures they replaced
+    (`_closure_oracle`)."""
+    spec = f"{name}:{q}"
+    G, old = build_group(spec), _closure_oracle(spec)
+    assert np.array_equal(G.keys, old.keys) and G.gens_keys == old.gens_keys
+    assert _same_class_data(conjugacy_classes(G), conjugacy_classes(old))
+
+
+@pytest.mark.parametrize("q", [2, 4, pytest.param(8, marks=pytest.mark.slow)])
+def test_parabolic_and_wreath_close_at_most_2_13_elements(monkeypatch, fresh_builds, q):
+    """Built anew, parabolic-p:q and wreath-sp2:q make no `mulclose` call
+    that closes more than 2^13 elements: it closes sl2:q and, inside the
+    Levi subgroup of parabolic-p:q (3,528 elements at q = 8), its Schreier
+    generators, and nothing else."""
+    sizes = []
+    real = groups.mulclose
+
+    def recording(ops, gens, max_order):
+        keys = real(ops, gens, max_order)
+        sizes.append(keys.size)
+        return keys
+    monkeypatch.setattr(groups, "mulclose", recording)
+    for name in ("parabolic-p", "wreath-sp2"):
+        assert build_group(f"{name}:{q}").order == groups._closed_order(name, (q,))
+    assert sizes and max(sizes) <= 1 << 13
+    assert max(sizes) == groups._closed_order("parabolic-p", (q,)) // q**3
+
+
 def test_images_close_nothing(monkeypatch, fresh_builds):
     """Once parabolic-p, wreath-sp2 and sl2:q^2 are built, the two ext rows
     and parabolic-q, so4+ and so4- are built at q = 2 and 4, and
@@ -1284,10 +1352,10 @@ def test_so4_minus_takes_the_first_transvection_that_keeps_its_form(q):
 
 def _build_with(spec, extra):
     """Run the spec's builder (uncached) with `extra` keys slipped into its
-    closure, or in place of as many of an image's keys, as a broken kernel
-    might."""
+    coset union after the coset fill, or in place of as many of an image's
+    keys, as a broken kernel might."""
     name, args = parse_group_spec(spec)
-    real_close, real_image = groups.mulclose, groups._image
+    real_cosets, real_image = groups._orbit_cosets, groups._image
 
     def image(label, S, ops, aut, cond):
         def leaky(keys):                 # the map's pass, not its images of the generators
@@ -1296,12 +1364,12 @@ def _build_with(spec, extra):
                 out[:extra.size] = extra
             return out
         return real_image(label, S, ops, leaky, cond)
-    groups.mulclose = lambda ops, gens, m: np.union1d(real_close(ops, gens, m), extra)
+    groups._orbit_cosets = lambda *a: np.union1d(real_cosets(*a), extra)
     groups._image = image
     try:
         return groups._build_cached.__wrapped__(name, args)
     finally:
-        groups.mulclose, groups._image = real_close, real_image
+        groups._orbit_cosets, groups._image = real_cosets, real_image
 
 
 def _outsiders(spec):
@@ -1356,11 +1424,12 @@ def _symplectic_by_loop(ops, m):
 
 
 def _cond_of(spec, monkeypatch):
-    """The `cond` that the spec's builder hands to `_generated` or `_image`,
-    both stubbed, so nothing but an image's source is enumerated."""
+    """The `cond` that the spec's builder hands to `_image` or, after its
+    coset union, to `_check_members`, both stubbed, so no image is
+    enumerated and no key checked."""
     seen = []
-    monkeypatch.setattr(groups, "_generated", lambda label, ops, gens, order,
-                        cond=None: seen.append(cond))
+    monkeypatch.setattr(groups, "_check_members", lambda label, ops, keys, cond:
+                        seen.append(cond))
     monkeypatch.setattr(groups, "_image", lambda label, S, ops, aut, cond:
                         seen.append(cond))
     name, args = parse_group_spec(spec)
@@ -1429,14 +1498,14 @@ def test_gram_forms_match_the_product_check(spec):
 
 def test_non_symplectic_key_exits_4(monkeypatch, capsys, fresh_builds):
     """The transvection I + E_12 keeps the flag of parabolic-p:2 but is not
-    symplectic: slipped into its closure, it fails the Gram forms and
+    symplectic: slipped into its coset union, it fails the Gram forms and
     `chartab` exits 4."""
-    real = groups.mulclose
+    real = groups._orbit_cosets
 
-    def with_outsider(ops, gens, m):
-        bad = groups._transvection(ops, {(0, 1): ops.ctx.one})
-        return np.union1d(real(ops, gens, m), np.array([bad], dtype=ops.dtype))
-    monkeypatch.setattr(groups, "mulclose", with_outsider)
+    def with_outsider(label, gens, c, H, order):
+        bad = groups._transvection(H.ops, {(0, 1): H.ops.ctx.one})
+        return np.union1d(real(label, gens, c, H, order), np.array([bad], dtype=H.ops.dtype))
+    monkeypatch.setattr(groups, "_orbit_cosets", with_outsider)
     assert main(["chartab", "parabolic-p:2"]) == EXIT_INTERNAL
     assert ("parabolic-p:2: 1 enumerated elements fail its defining condition"
             in capsys.readouterr().err)
@@ -1447,7 +1516,7 @@ def test_membership_check_fires_under_python_O():
         "import numpy as np\n"
         "import sgplab.groups as g\n"
         "from sgplab.errors import InternalCheckError\n"
-        "real, real_image = g.mulclose, g._image\n"
+        "real, real_image = g._orbit_cosets, g._image\n"
         "def image(label, S, ops, aut, cond):\n"
         "    def leaky(keys):\n"
         "        out = aut(keys)\n"
@@ -1458,14 +1527,14 @@ def test_membership_check_fires_under_python_O():
         "for spec in %r:\n"
         "    H = g.build_group(spec)\n"
         "    bad = next(k for k in g._sp4_gens(H.ops) if not H.contains(k)[0])\n"
-        "    g.mulclose = lambda ops, gens, m: np.union1d(real(ops, gens, m), [bad])\n"
+        "    g._orbit_cosets = lambda *a: np.union1d(real(*a), [bad])\n"
         "    g._image = image\n"
         "    name, args = g.parse_group_spec(spec)\n"
         "    try:\n"
         "        g._build_cached.__wrapped__(name, args)\n"
         "    except InternalCheckError as exc:\n"
         "        print('caught', exc)\n"
-        "    g.mulclose, g._image = real, real_image\n") % (SUBGROUPS_Q4,)
+        "    g._orbit_cosets, g._image = real, real_image\n") % (SUBGROUPS_Q4,)
     src = str(Path(sgplab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1550,18 +1619,18 @@ def test_every_spec_is_checked_against_its_closed_form(monkeypatch, fresh_builds
 
 def test_a_closure_that_outgrows_its_closed_form_is_internal_error(monkeypatch, capsys,
                                                                    fresh_builds):
-    """parabolic-p:4 that keeps the root element moving <e1> closes towards
-    sp4:4 (979,200 keys); its closure stops at the first round past its
-    closed form 11,520 and raises InternalCheckError (exit 4), not a
-    resource bound, before its condition is checked."""
-    real = groups._sp4_gens
-    monkeypatch.setattr(groups, "_sp4_gens",           # the deleted generator twice
-                        lambda ops: (lambda g: g[:2] + g[1:])(real(ops)))
-    monkeypatch.setattr(groups, "_symplectic", lambda *args: pytest.fail("checked"))
-    message = "parabolic-p:4: its closure outgrows its closed-form order 11520"
+    """sl2:4 with diag(gamma, 1) among its generators closes towards GL2(4)
+    (180 keys); its closure stops at the first round past its closed form
+    60 and raises InternalCheckError (exit 4), not a resource bound, before
+    its keys make a group (whose inverse check would fail too)."""
+    real = groups._sl2_gens
+    monkeypatch.setattr(groups, "_sl2_gens",
+                        lambda ctx: real(ctx) + [[[ctx.gamma, 0], [0, ctx.one]]])
+    monkeypatch.setattr(groups, "FinGroup", lambda *args: pytest.fail("a group was made"))
+    message = "sl2:4: its closure outgrows its closed-form order 60"
     with pytest.raises(InternalCheckError, match=message):
-        build_group("parabolic-p:4")
-    assert main(["--max-order", "20000", "chartab", "parabolic-p:4"]) == EXIT_INTERNAL
+        build_group("sl2:4")
+    assert main(["--max-order", "100", "chartab", "sl2:4"]) == EXIT_INTERNAL
     assert message in capsys.readouterr().err
 
 
