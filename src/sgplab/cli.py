@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Global options: --format (pretty, json or csv) and --max-order.  Verbs:
-chartab, sgp, scan-maximal, alpha-sum, families, verify-paper, show-field.
-`verify-paper` prints one pass/fail line per check on stdout and the
-seconds each check took on stderr.
+Global options: --format (pretty, json or csv) and --max-order.  Each verb
+is one row of `VERBS`: chartab, sgp, scan-maximal, alpha-sum, families,
+verify-paper, show-field.  A row computes the verb's result once, and
+`_render` prints it by --format: as JSON (sorted keys) for chartab, sgp,
+scan-maximal, alpha-sum and families; as CSV for chartab alone (lossy
+floats, built only when asked); under any other format a verb prints its
+pretty lines, so show-field and verify-paper print theirs whatever
+--format says.  `verify-paper` prints one pass/fail line per check on
+stdout as it runs and the seconds each check took on stderr.
 The group specs of a command are parsed once, before any work starts, and
 `run` builds the groups from the parsed form.  Exit codes: 0 success, 1 a
 requested check failed or the reader closed stdout early, 2 usage or parse
@@ -17,11 +22,12 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import families as fam
 from . import gelfand, verify
 from .chartab import dixon_schneider, table_to_csv, table_to_json
-from .errors import GroupSpecError, InternalCheckError, ResourceBoundError
+from .errors import InternalCheckError, ResourceBoundError
 from .gfield import PRIMITIVE_POLYS
 from .groups import (MAX_ORDER_DEFAULT, _even_prime_power, build_group,
                      is_subgroup, parse_group_spec)
@@ -92,118 +98,117 @@ def _parse_group_specs(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _show_field_table(out):
-    out("e  q      modulus (bit mask, LSB = constant term)")
-    for e, mask in PRIMITIVE_POLYS.items():
+class Verb(NamedTuple):
+    """One row of `VERBS`.  `compute(ns, out)` returns the verb's result, or
+    an exit status once the verb has printed all it prints (verify-paper,
+    sgp's refusal).  A result has its pretty lines (`pretty`) and, where the
+    verb renders them, its JSON value (`to_json`) and CSV text (`to_csv`)."""
+    compute: Callable
+    pretty: Callable | None = None
+    to_json: Callable | None = None
+    to_csv: Callable | None = None
+
+
+def _table_lines(T):
+    cd = T.classes
+    return (f"group {T.group.label}: order {T.group.order}, {len(cd)} classes",
+            "class sizes:  " + " ".join(map(str, cd.sizes)),
+            "class orders: " + " ".join(map(str, cd.orders)),
+            "degrees:      " + " ".join(map(str, T._degree_column())),
+            f"total degree: {T.total_degree()}")
+
+
+def _field_lines(polys):
+    yield "e  q      modulus (bit mask, LSB = constant term)"
+    for e, mask in polys.items():
         terms = " + ".join(
             ("1" if i == 0 else "x" if i == 1 else f"x^{i}")
             for i in range(mask.bit_length() - 1, -1, -1) if mask >> i & 1)
-        out(f"{e:<2} {1 << e:<6} {mask:<7} = {terms}")
+        yield f"{e:<2} {1 << e:<6} {mask:<7} = {terms}"
 
 
-def _emit_table(T, ns, out):
-    if ns.format == "json":
-        out(json.dumps(table_to_json(T), sort_keys=True))
-    elif ns.format == "csv":
-        out(table_to_csv(T).rstrip("\n"))
+def _sgp(ns, out):
+    G, H = (build_group(ns.specs[attr], max_order=ns.max_order) for attr in ("group", "subgroup"))
+    if not is_subgroup(H, G):
+        name, args = ns.specs["subgroup"]
+        hint = f"; try ext-sp2q2-embedded:{args[0]}" if name == "ext-sp2q2" else ""
+        print(f"{ns.subgroup} is not (set-wise) a subgroup of {ns.group}{hint}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return gelfand.is_strong_gelfand_pair(G, H, side=ns.side)
+
+
+def _alpha_sum(ns, out):
+    a = fam.alpha_sum(fam.AlphaParams(ns.q, ns.k, ns.m, ns.n))  # raises on route disagreement
+    line = {"q": ns.q, "k": ns.k, "m": ns.m, "n": ns.n, "alpha_sum": str(a)}
+    if ns.q > 5:
+        line["inner_product"] = str(fam.parabolic_inner_product(ns.q, ns.k, ns.m, ns.n))
+    return line
+
+
+def _alpha_lines(line):
+    a, ip = line["alpha_sum"], line.get("inner_product")
+    yield (a + (" (= q-5)" if a == str(line["q"] - 5) else "")
+           + (f"; inner product = {ip}" if ip else ""))
+
+
+def _families(ns, out):
+    if ns.family == "sp4":
+        total, mx = fam.sp4_degree_facts(ns.q)
+        return {"total_degree": str(total), "max_degree": None if mx is None else str(mx)}
+    spec = {"wreath": fam.wreath_degree_spec, "ext": fam.ext_degree_spec,
+            "suzuki": lambda: fam.suzuki_degree_spec(ns.q)}[ns.family]()
+    return {"rows": spec.to_json(), "degrees_at_q": spec.degrees_at(ns.q),
+            "total_degree": spec.total_degree(ns.q),
+            "sum_degree_squares": spec.sum_degree_squares(ns.q)}
+
+
+def _verify_paper(ns, out):
+    tier = 3 if ns.full else 2 if ns.deep else 1
+    return EXIT_OK if verify.run_checks(tier, report=out, max_order=ns.max_order) else EXIT_FAIL
+
+
+VERBS = {
+    "chartab": Verb(lambda ns, out: dixon_schneider(
+                        build_group(ns.specs["group"], max_order=ns.max_order)),
+                    _table_lines, table_to_json, lambda T: table_to_csv(T).rstrip("\n")),
+    "sgp": Verb(_sgp, lambda v: (str(v),), gelfand.SgpVerdict.to_json),
+    "scan-maximal": Verb(lambda ns, out: gelfand.scan_maximal_sp4(ns.q, max_order=ns.max_order),
+                         lambda vs: map(str, vs), lambda vs: [v.to_json() for v in vs]),
+    "alpha-sum": Verb(_alpha_sum, _alpha_lines, lambda line: line),
+    "families": Verb(_families, lambda payload: (f"{k}: {v}" for k, v in payload.items()),
+                     lambda payload: payload),
+    "verify-paper": Verb(_verify_paper),
+    "show-field": Verb(lambda ns, out: PRIMITIVE_POLYS, _field_lines),
+}
+
+
+def _render(verb: Verb, result, fmt: str, out) -> None:
+    """JSON or CSV where the verb renders that format, else the pretty lines."""
+    if fmt == "json" and verb.to_json:
+        out(json.dumps(verb.to_json(result), sort_keys=True))
+    elif fmt == "csv" and verb.to_csv:
+        out(verb.to_csv(result))
     else:
-        cd = T.classes
-        out(f"group {T.group.label}: order {T.group.order}, "
-            f"{len(cd)} classes")
-        out("class sizes:  " + " ".join(str(s) for s in cd.sizes))
-        out("class orders: " + " ".join(str(o) for o in cd.orders))
-        out("degrees:      " + " ".join(map(str, T._degree_column())))
-        out(f"total degree: {T.total_degree()}")
+        for line in verb.pretty(result):
+            out(line)
 
 
 def run(ns: argparse.Namespace, out=print) -> int:
     """Execute a parsed command; returns the exit status."""
-    if ns.verb == "show-field":
-        _show_field_table(out)
-        return EXIT_OK
     if ns.verb is None:
         print("no command given; try --help", file=sys.stderr)
         return EXIT_USAGE
-
-    if ns.verb == "chartab":
-        G = build_group(ns.specs["group"], max_order=ns.max_order)
-        _emit_table(dixon_schneider(G), ns, out)
-        return EXIT_OK
-
-    if ns.verb == "sgp":
-        G = build_group(ns.specs["group"], max_order=ns.max_order)
-        H = build_group(ns.specs["subgroup"], max_order=ns.max_order)
-        if not is_subgroup(H, G):
-            name, args = ns.specs["subgroup"]
-            hint = f"; try ext-sp2q2-embedded:{args[0]}" if name == "ext-sp2q2" else ""
-            print(f"{ns.subgroup} is not (set-wise) a subgroup of {ns.group}{hint}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        v = gelfand.is_strong_gelfand_pair(G, H, side=ns.side)
-        out(json.dumps(v.to_json(), sort_keys=True) if ns.format == "json"
-            else str(v))
-        return EXIT_OK
-
-    if ns.verb == "scan-maximal":
-        verdicts = gelfand.scan_maximal_sp4(ns.q, max_order=ns.max_order)
-        if ns.format == "json":
-            out(json.dumps([v.to_json() for v in verdicts], sort_keys=True))
-        else:
-            for v in verdicts:
-                out(str(v))
-        return EXIT_OK
-
-    if ns.verb == "alpha-sum":
-        params = fam.AlphaParams(ns.q, ns.k, ns.m, ns.n)
-        a = fam.alpha_sum(params)  # raises on route disagreement
-        line = {"q": ns.q, "k": ns.k, "m": ns.m, "n": ns.n,
-                "alpha_sum": str(a)}
-        if ns.q > 5:
-            ip = fam.parabolic_inner_product(ns.q, ns.k, ns.m, ns.n)
-            line["inner_product"] = str(ip)
-        if ns.format == "json":
-            out(json.dumps(line, sort_keys=True))
-        else:
-            msg = f"{a}"
-            if a == ns.q - 5:
-                msg += " (= q-5)"
-            if "inner_product" in line:
-                msg += f"; inner product = {line['inner_product']}"
-            out(msg)
-        return EXIT_OK
-
-    if ns.verb == "families":
-        if ns.family == "sp4":
-            total, mx = fam.sp4_degree_facts(ns.q)
-            payload = {"total_degree": str(total),
-                       "max_degree": None if mx is None else str(mx)}
-        else:
-            spec = {"wreath": fam.wreath_degree_spec,
-                    "ext": fam.ext_degree_spec,
-                    "suzuki": lambda: fam.suzuki_degree_spec(ns.q)}[ns.family]()
-            payload = {"rows": spec.to_json(),
-                       "degrees_at_q": spec.degrees_at(ns.q),
-                       "total_degree": spec.total_degree(ns.q),
-                       "sum_degree_squares": spec.sum_degree_squares(ns.q)}
-        if ns.format == "json":
-            out(json.dumps(payload, sort_keys=True))
-        else:
-            for k, v in payload.items():
-                out(f"{k}: {v}")
-        return EXIT_OK
-
-    if ns.verb == "verify-paper":
-        tier = 3 if ns.full else 2 if ns.deep else 1
-        ok = verify.run_checks(tier, report=out, max_order=ns.max_order)
-        return EXIT_OK if ok else EXIT_FAIL
-
-    print(f"unhandled verb {ns.verb}", file=sys.stderr)
-    return EXIT_USAGE
+    verb = VERBS[ns.verb]
+    result = verb.compute(ns, out)
+    if isinstance(result, int):
+        return result
+    _render(verb, result, ns.format, out)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         status = run(_parse_group_specs(ns))
         sys.stdout.flush()
@@ -213,16 +218,13 @@ def main(argv=None) -> int:
         # so the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except GroupSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalCheckError as exc:
         print(f"internal cross-check failed (bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except ValueError as exc:                   # GroupSpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1158,15 +1158,24 @@ def _build_wreath(q, order):
     rows (1, 4) x columns (2, 3) and B at rows (2, 3) x columns (1, 4).
     Each half is the outer OR of two placed key sets (`_placed`), no
     product.  The generators are sl2:q's on <e1, e4> and the swap of the
-    two planes, which conjugates them onto <e2, e3>."""
+    two planes, checked to be keys and the swap to conjugate the others onto
+    sl2:q's on <e2, e3>: sl2:q is the closure of its generators, so they
+    generate both halves and the coset, or InternalCheckError."""
     S = _build_cached("sl2", (q,))
     ops, a, b = mat_ops(S.ops.ctx, 4, "symplectic"), (0, 3), (1, 2)   # <e1, e4>, <e2, e3>
     keys = np.sort(np.concatenate([(_placed(ops, S, S.keys, a, ca)[:, None]
                                     | _placed(ops, S, S.keys, b, cb)).ravel()
                                    for ca, cb in ((a, b), (b, a))]))
-    gens = _placed(ops, S, S.gens_keys, a, a) | _placed(ops, S, [S.ops.identity], b, b)
+    one = [S.ops.identity]
+    gens = _placed(ops, S, S.gens_keys, a, a) | _placed(ops, S, one, b, b)
     swap = ops.pack_one(ops._eye[[1, 0, 3, 2]])          # e1 <-> e2, e3 <-> e4
-    return FinGroup(f"wreath-sp2:{q}", ops, keys, [*gens, swap])
+    G = FinGroup(f"wreath-sp2:{q}", ops, keys, [*gens, swap])
+    *on_a, last = G.gens_keys
+    on_b = _placed(ops, S, S.gens_keys, b, b) | _placed(ops, S, one, a, a)
+    if not (np.array_equal(on_a, gens) and np.array_equal(ops.conj(on_a, last), on_b)
+            and G.contains(G.gens_keys).all()):
+        raise InternalCheckError(f"{G.label}: its generators do not generate it")
+    return G
 
 
 def _build_ext_abstract(q, order):

@@ -4,7 +4,8 @@ Each check is a named callable of the enumeration bound returning (ok,
 detail); every group it builds is refused above that bound (exit 3), as
 for any other verb.  Tiers: 1 runs in seconds (formula/family checks and
 small groups), 2 adds the mid-size tables (sl2:16, wreath, ext, Suzuki),
-3 adds the full sp4:4 reproduction.
+3 adds the full sp4:4 reproduction.  A check keeps no result between
+calls; the groups and tables it builds are cached where they are built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Check:
     fn: object
 
 
-@cache
 def _c1_sl2_tables(qs, max_order):
     for q in qs:
         G = build_group(f"sl2:{q}", max_order=max_order)
@@ -46,7 +45,6 @@ def _c1_sl2_tables(qs, max_order):
     return True, f"computed tables equal the closed-form tables for q in {qs}"
 
 
-@cache
 def _c2_wreath(max_order):
     spec = families.wreath_degree_spec()
     T = dixon_schneider(build_group("wreath-sp2:4", max_order=max_order))
@@ -60,7 +58,6 @@ def _c2_wreath(max_order):
     return True, "total degree 316, degree multiset matches, shortcut fires"
 
 
-@cache
 def _c3_ext(max_order):
     q = 4
     G = build_group(f"ext-sp2q2:{q}", max_order=max_order)
@@ -100,7 +97,6 @@ def _c3_ext(max_order):
     return True, "Tr/psi split, 8 thetas fuse, chi splits at {3,5,6}, 2*68+188=324"
 
 
-@cache
 def _c4_alpha():
     for q in (8, 16, 32):
         a = families.alpha_sum(families.AlphaParams(q, q - 4, 1, 2))
@@ -134,7 +130,6 @@ def _c4_alpha():
                   f"routes agree on {n_exhaustive} exhaustive + 2x10^4 random triples")
 
 
-@cache
 def _c5_suzuki(max_order):
     T = dixon_schneider(build_group("sz:8", max_order=max_order))
     want = [1, 14, 14, 35, 35, 35, 64, 65, 65, 65, 91]
@@ -149,7 +144,6 @@ def _c5_suzuki(max_order):
     return True, "sz:8 degrees match the six-family list; total 484"
 
 
-@cache
 def _c6_s6_scan(max_order):
     verdicts = gelfand.scan_maximal_sp4(2, max_order=max_order)
     bad = [v for v in verdicts if v.verdict != "sgp"]
@@ -167,7 +161,6 @@ def _c6_s6_scan(max_order):
     return True, f"all {len(verdicts)} maximal subgroups sgp; A5 and C6 are not"
 
 
-@cache
 def _c7_sp4_scan(max_order):
     verdicts = gelfand.scan_maximal_sp4(4, max_order=max_order)
     if len(verdicts) != 7 or any(v.verdict != "not_sgp" for v in verdicts):
@@ -195,7 +188,6 @@ def _c7_sp4_scan(max_order):
                   "the formula's family is empty below q = 8)")
 
 
-@cache
 def _c8_subfield(max_order):
     for q0 in (2, 4):
         for r in (2, 3):
@@ -212,7 +204,6 @@ def _c8_subfield(max_order):
     return True, "q0^6+q0^4-q0^2 < q^4+2q^3+2q^2+2q+1 at all four (q0, r); 76 < 425"
 
 
-@cache
 def _c9_schur(max_order):
     from .groups import all_subgroups, perm_group
     s4 = perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], "s4-perm")
@@ -234,7 +225,6 @@ def _c9_schur(max_order):
     return True, f"equivalence holds on all {count} subgroups of S4 and on (S6,S5), (S6,A6)"
 
 
-@cache
 def _c10_properties(max_order):
     # orthogonality and sum d^2 = |G| are asserted inside dixon_schneider for
     # every computed table; recheck row orthonormality on S6 here

@@ -182,6 +182,12 @@ MUTANTS = (
     Mutant("wreath-swap-coset-as-its-base-cli", "groups.py",
            "for ca, cb in ((a, b), (b, a))", "for ca, cb in ((a, b), (a, b))",
            pin="chartab_wreath-sp2_4.json"),
+    # wreath-sp2 without the swap among its generators, which then generate
+    # sl2:q on <e1, e4> alone: its build's generator check refuses them (the
+    # class partition, conjugating by them, would find 360 classes, exit 3)
+    Mutant("wreath-generators-without-the-swap-cli", "groups.py",
+           "[*gens, swap])", "[*gens])",
+           pin="chartab_wreath-sp2_4.json"),
     # so4- as tau^-1(ext-sp2q2-embedded) without the transvection t_v that
     # takes it to so4-'s form, which it needs at q = 8
     Mutant("image-without-its-transvection-cli", "groups.py",

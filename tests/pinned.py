@@ -62,6 +62,7 @@ PINNED = (
     *(_json("families", family, q, golden=f"families_{family}_{q}.json")
       for family, q in (("wreath", "4"), ("wreath", "8"), ("ext", "4"), ("suzuki", "8"),
                         ("suzuki", "32"), ("sp4", "2"), ("sp4", "4"), ("sp4", "8"))),
+    Pinned(("show-field",), "show_field.txt"),
     Pinned(("verify-paper",), "verify_paper.txt"),
     Pinned(("verify-paper", "--deep"), "verify_paper_deep.txt"),
     Pinned(("verify-paper", "--full"), "verify_paper_full.txt", slow=True),

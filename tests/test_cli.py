@@ -1,5 +1,6 @@
 """The command-line front end: parsing, verbs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ import pytest
 import sgplab
 from pinned import DIGESTS, GOLDEN, PINNED, main as run_pinned
 from sgplab import gfield, groups
-from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
+from sgplab.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, VERBS,
                         _parse_group_specs, _parser, main, run)
 from sgplab.errors import GroupSpecError
 from sgplab.groups import build_group, conjugacy_classes
@@ -179,6 +180,23 @@ def test_show_field():
     assert "x^4 + x + 1" in out
 
 
+@pytest.mark.parametrize("fmt, argv", [
+    *(("csv", argv) for argv in ("sgp s6 so4-:2", "scan-maximal 2", "alpha-sum 8 4 1 2",
+                                 "families wreath 4")),
+    ("json", "show-field"), ("json", "verify-paper")])
+def test_a_format_the_verb_cannot_render_prints_its_pretty_output(fmt, argv, capsys):
+    """CSV is chartab's alone, and show-field and verify-paper have no JSON:
+    under such a --format the verb prints exactly its pretty output, exit 0
+    (verify-paper's is pinned by its golden)."""
+    if argv == "verify-paper":
+        pretty = (GOLDEN / "verify_paper.txt").read_text()
+    else:
+        assert main(argv.split()) == EXIT_OK
+        pretty = capsys.readouterr().out
+    assert main(["--format", fmt, *argv.split()]) == EXIT_OK
+    assert capsys.readouterr().out == pretty
+
+
 @pytest.mark.parametrize("argv", [["--show-field"], ["--seed", "1", "show-field"]])
 def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -295,6 +313,14 @@ def test_every_golden_is_compared_under_optimize():
     workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
     steps = [s for s in workflow.split("- name: ") if 'PYTHONOPTIMIZE: "1"' in s]
     assert len(steps) == 1 and "run: python tests/pinned.py\n" in steps[0]
+
+
+def test_every_verb_is_one_row_of_the_verb_table_and_pinned():
+    """The verbs the parser accepts are the keys of `cli.VERBS`, one row
+    each, and each verb is run by at least one entry of tests/pinned.py."""
+    sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(VERBS)
+    assert set(VERBS) <= {_parser().parse_args(p.argv).verb for p in PINNED}
 
 
 def test_the_pinned_runner_names_each_output_that_differs(tmp_path, capsys):

@@ -274,14 +274,13 @@ def test_alpha_sums_past_the_int64_bound_exit_4(monkeypatch, capsys):
     R_15 is replaced by a matrix whose column sum is just above 2^62, so
     a count of 2 or more, which every row of 56 counts in 15 bins has,
     crosses 2^63."""
-    from sgplab import exactnum, verify
+    from sgplab import exactnum
     from sgplab.cli import EXIT_INTERNAL, main
     real = exactnum._reduction
     monkeypatch.setattr(exactnum, "_reduction", lambda n: (
         np.full((n, 1), (1 << 62) // n + 1, dtype=np.int64) if n == 15 else real(n)))
     with pytest.raises(InternalCheckError, match="canonical rows of order 15 overflow int64"):
         alpha_sums(16, [(12, 1, 2)])
-    verify._c4_alpha.cache_clear()     # an earlier pass is cached
     assert main(["verify-paper"]) == EXIT_INTERNAL
     assert "canonical rows of order 15 overflow int64" in capsys.readouterr().err
 

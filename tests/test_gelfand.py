@@ -551,7 +551,7 @@ def test_sl2_16_ext_is_tabled_once_over_the_checks_that_use_it(monkeypatch):
     monkeypatch.setattr(ct, "_central_characters", splitting)
     for check in CHECKS:
         if check.name in ("ext-split-fuse-324", "sp4-4-scan"):
-            assert check.fn.__wrapped__(groups.MAX_ORDER_DEFAULT)[0], check.name
+            assert check.fn(groups.MAX_ORDER_DEFAULT)[0], check.name
     assert [g for g in split if g.split(":")[0] in ("ext-sp2q2", "ext-sp2q2-embedded",
                                                     "so4-")] == ["ext-sp2q2:4"]
     assert dixon_schneider(build_group("so4-:4")).stats["carried_from"] == "ext-sp2q2-embedded:4"
